@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import EXPERIMENTS, RunConfig, load_config
 from .dissipative import (
-    DampedIntegratorConfig,
     DampedParams,
     DampedState,
     attractor_diagnostics,
@@ -37,7 +36,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolution import (
-    IntegratorConfig,
     System,
     conserved_quantities,
     integrate,
@@ -77,23 +75,13 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
         amplitude=config.system.amplitude,
         wave_amplitude=config.system.wave_amplitude,
     )
-    integ = config.integrator
-    trajectory = integrate(
-        state,
-        IntegratorConfig(
-            dt=integ.dt,
-            t_end=integ.t_end,
-            scheme=integ.scheme,
-            record_every=integ.record_every,
-            blowup_threshold=integ.blowup_threshold,
-        ),
-    )
+    trajectory = integrate(state, config.integrator)
     rows = []
-    for rec in trajectory:
+    for step, rec in zip(trajectory.steps, trajectory):
         report = conserved_quantities(rec)
         rows.append(
             (
-                round(rec.t / integ.dt),
+                step,
                 rec.t,
                 report.mass,
                 report.hamiltonian,
@@ -111,6 +99,7 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
         header=["step", "t", "mass", "hamiltonian", "Hs_u", "Hr_wplus", "Hr_wminus"],
         rows=rows,
         checkpoints=checkpoints,
+        manifest_extra={"dt_effective": trajectory.dt, "n_steps": trajectory.n_steps},
     )
 
 
@@ -276,17 +265,7 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
         lowpass_projection(amp * random_sobolev_field(grid, 1.5, seed=v_seed, real=True), band),
         lowpass_projection(amp * random_sobolev_field(grid, 0.5, seed=w_seed, real=True), band),
     )
-    integ = config.integrator
-    trajectory = integrate_damped(
-        state,
-        params,
-        DampedIntegratorConfig(
-            dt=integ.dt,
-            t_end=integ.t_end,
-            record_every=integ.record_every,
-            blowup_threshold=integ.blowup_threshold,
-        ),
-    )
+    trajectory = integrate_damped(state, params, config.integrator)
     report = attractor_diagnostics(trajectory, params)
     rows = [
         (
@@ -328,6 +307,8 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
             "linear_decay_rate": report.linear_decay_rate,
             "nonlinear_tail_bounded": report.nonlinear_tail_bounded,
             "inconclusive": report.inconclusive,
+            "dt_effective": trajectory.dt,
+            "n_steps": trajectory.n_steps,
         },
     )
 

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import AdmissibilityError, ConfigurationError
-from .evolution import System
+from .evolution import IntegratorConfig, System
 from .smoothing import smoothing_exponents
 
 EXPERIMENTS = (
@@ -65,15 +65,6 @@ class SystemSection:
     r: float = 1.0
     amplitude: float = 1.0
     wave_amplitude: float | None = None
-
-
-@dataclass(frozen=True)
-class IntegratorSection:
-    dt: float = 1e-2
-    t_end: float = 1.0
-    scheme: str = "exponential_rk4"
-    record_every: int = 1
-    blowup_threshold: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,7 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     grid: GridSection = field(default_factory=GridSection)
     system: SystemSection = field(default_factory=SystemSection)
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     smoothing: SmoothingSection = field(default_factory=SmoothingSection)
     counterexample: CounterexampleSection = field(default_factory=CounterexampleSection)
     highlow: HighLowSection = field(default_factory=HighLowSection)
@@ -157,7 +148,7 @@ _SECTIONS = {
     "run": RunSection,
     "grid": GridSection,
     "system": SystemSection,
-    "integrator": IntegratorSection,
+    "integrator": IntegratorConfig,
     "smoothing": SmoothingSection,
     "counterexample": CounterexampleSection,
     "highlow": HighLowSection,
@@ -213,7 +204,7 @@ def _build_section(cls, parser: configparser.ConfigParser, name: str):
             values[key] = _coerce(raw, annotation, where=f"[{name}] {key}")
     try:
         return cls(**values)
-    except TypeError as err:
+    except (TypeError, ConfigurationError) as err:
         raise ConfigurationError(f"section [{name}]: {err}") from None
 
 
@@ -230,8 +221,6 @@ def _validate(config: RunConfig) -> RunConfig:
         ) from None
     if config.grid.dimension not in (1, 2, 3, 4):
         raise ConfigurationError("[grid] dimension must be in 1..4")
-    if config.integrator.dt <= 0:
-        raise ConfigurationError("[integrator] dt must be positive")
     if config.experiment in ("smoothing-scan", "xsb-constant"):
         # Route the theorem hypotheses through the closed-form exponents.
         try:

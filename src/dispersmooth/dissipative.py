@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
-from .evolution import lawson_rk4_run
+from .errors import ConfigurationError
+from .evolution import IntegratorConfig, Recorder, Trajectory, lawson_rk4_run, time_grid
 from .spectral import (
     Grid,
     SpectralField,
@@ -89,20 +89,6 @@ class DampedState:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-
-@dataclass(frozen=True)
-class DampedIntegratorConfig:
-    dt: float
-    t_end: float
-    record_every: int = 1
-    blowup_threshold: float = 1e12
-
-    def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +177,8 @@ def _damped_rhs(
 
 
 def integrate_damped(
-    state: DampedState, params: DampedParams, config: DampedIntegratorConfig
-) -> list[DampedState]:
+    state: DampedState, params: DampedParams, config: IntegratorConfig
+) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
@@ -201,15 +187,13 @@ def integrate_damped(
     """
     grid = state.grid
     f, g = params.forcing(grid)
-    n_steps = max(1, round(config.t_end / config.dt))
-    dt = config.dt
+    n_steps, dt = time_grid(config.t_end, config.dt)
 
     u_half = _u_symbol(grid, params, dt / 2)
-    vw_half = _vw_block(grid, params, dt / 2)
+    m11, m12, m21, m22 = _vw_block(grid, params, dt / 2)
     nyq = grid.nyquist_mask
 
     def half_step(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        m11, m12, m21, m22 = vw_half
         v_new = m11 * fields[1] + m12 * fields[2]
         w_new = m21 * fields[1] + m22 * fields[2]
         v_new[nyq] = 0.0
@@ -219,36 +203,26 @@ def integrate_damped(
     def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         return _damped_rhs(grid, fields, f.coeffs, g.coeffs)
 
-    trajectory = [state]
-
-    def observer(step: int, fields: tuple[np.ndarray, ...]) -> None:
-        t = state.t + step * dt
-        norms = {
-            "u_L2": float(np.sqrt(np.sum(np.abs(fields[0]) ** 2) / grid.volume)),
-            "v_L2": float(np.sqrt(np.sum(np.abs(fields[1]) ** 2) / grid.volume)),
-            "w_L2": float(np.sqrt(np.sum(np.abs(fields[2]) ** 2) / grid.volume)),
-        }
-        if any(not math.isfinite(x) or x > config.blowup_threshold for x in norms.values()):
-            raise BlowUpError(t, norms, config.blowup_threshold)
-        if step % config.record_every == 0 or step == n_steps:
-            trajectory.append(
-                DampedState(
-                    SpectralField(grid, fields[0]),
-                    SpectralField(grid, fields[1]),
-                    SpectralField(grid, fields[2]),
-                    t,
-                )
-            )
-
+    recorder = Recorder(
+        ("u", "v", "w"),
+        grid,
+        state.t,
+        dt,
+        n_steps,
+        config.record_every,
+        config.blowup_threshold,
+    )
     lawson_rk4_run(
         (state.u.coeffs, state.v.coeffs, state.w.coeffs),
         rhs,
         half_step,
         dt,
         n_steps,
-        observer,
+        recorder,
     )
-    return trajectory
+    return recorder.trajectory(
+        state, lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The unknowns are ``(u, w+, w-)`` where the wave pair comes from
 ``w_pm = v +/- i A^{-1} v_t`` (Klein-Gordon-Schrodinger) or the analogous
 ``n_pm`` (Zakharov), with ``A = (1 - Laplacian)^{1/2}``.  The linear flow is
 applied exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component
-and ``exp(-/+ i t <xi>)`` for the two wave branches -- so the default
-fourth-order scheme (classical Runge-Kutta in the interaction picture) sees no
-dispersive stiffness.  Quadratic nonlinearities are evaluated pseudo-spectrally
+and ``exp(-/+ i t <xi>)`` for the two wave branches -- so the fourth-order
+scheme (classical Runge-Kutta in the interaction picture) sees no dispersive
+stiffness.  Quadratic nonlinearities are evaluated pseudo-spectrally
 with 2/3-rule dealiasing; conservation identities hold exactly for the
 truncated flow when the data is band-limited below the dealias cutoff, so the
 observed mass/Hamiltonian drift is pure time-discretization error.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,6 @@ from .spectral import (
     Grid,
     SpectralField,
     bessel_potential,
-    bessel_symbol,
     dealias,
     inner_product,
     l2_norm,
@@ -66,24 +65,20 @@ class SystemState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time-stepping parameters.
+    """Time-stepping parameters; also the ``[integrator]`` configuration section.
 
-    ``dt`` should resolve the retained nonlinear frequencies (heuristically
-    ``dt <= 0.5 / max <xi>`` for the splitting scheme); the exponential scheme
-    is unconditionally stable for the linear part.
+    A run covers ``t_end`` on the step grid of `time_grid`.  The linear flow
+    is exact, so ``dt`` only has to resolve the nonlinear time scales.
+    ``blowup_threshold`` bounds every field's L2 norm (see `Recorder`).
     """
 
-    dt: float
-    t_end: float
-    scheme: str = "exponential_rk4"
+    dt: float = 1e-2
+    t_end: float = 1.0
     record_every: int = 1
     blowup_threshold: float = 1e12
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.scheme not in ("exponential_rk4", "strang"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
+        time_grid(self.t_end, self.dt)  # rejects a bad t_end or dt
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
 
@@ -246,6 +241,87 @@ def lawson_rk4_run(
     return y
 
 
+def time_grid(t_end: float, dt: float) -> tuple[int, float]:
+    """Step count and effective step ``(n, dt_eff)`` of a run of length ``t_end``.
+
+    ``n = ceil(t_end / dt)`` up to a relative tolerance of 1e-9, so 0.02/1e-3
+    gives 20 steps, and ``dt_eff = t_end / n``: a ``dt`` that does not divide
+    ``t_end`` is shortened, and every run ends at ``t_end``.
+    """
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigurationError(f"t_end must be finite and positive, got {t_end}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be finite and positive, got {dt}")
+    n_steps = math.ceil(t_end / dt * (1.0 - 1e-9))
+    return n_steps, t_end / n_steps
+
+
+SYSTEM_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS, Dispersion.KG_MINUS)
+
+
+def diagonal_half_step(
+    grid: Grid, dispersions: tuple[Dispersion, ...], dt: float
+) -> Callable[[Fields], Fields]:
+    """Exact linear flow over ``dt/2`` of fields with diagonal symbols, one per field."""
+    half = [propagator_symbol(grid, dispersion, dt / 2) for dispersion in dispersions]
+
+    def half_step(fields: Fields) -> Fields:
+        return tuple(sym * a for sym, a in zip(half, fields))
+
+    return half_step
+
+
+class Trajectory(list):
+    """Recorded states, the initial one first, with their step indices and the
+    run's effective step ``dt`` and step count ``n_steps``."""
+
+    def __init__(self, states: list, steps: list[int], dt: float, n_steps: int):
+        super().__init__(states)
+        self.steps = steps
+        self.dt = dt
+        self.n_steps = n_steps
+
+
+@dataclass
+class Recorder:
+    """Observer for `lawson_rk4_run`: the blow-up guard and the recorder.
+
+    After each step it takes every field's L2 norm (Parseval) and raises
+    `BlowUpError`, naming them all, once one is non-finite or above
+    ``threshold``.  It keeps ``(step, t, fields)`` every ``record_every``
+    steps and at the last step.
+    """
+
+    names: tuple[str, ...]
+    grid: Grid
+    t0: float
+    dt: float
+    n_steps: int
+    record_every: int
+    threshold: float
+    records: list[tuple[int, float, Fields]] = field(default_factory=list)
+
+    def __call__(self, step: int, fields: Fields) -> None:
+        t = self.t0 + step * self.dt
+        norms = {
+            f"{name}_L2": float(np.sqrt(np.sum(np.abs(a) ** 2) / self.grid.volume))
+            for name, a in zip(self.names, fields)
+        }
+        if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
+            raise BlowUpError(t, norms, self.threshold)
+        if step % self.record_every == 0 or step == self.n_steps:
+            self.records.append((step, t, fields))
+
+    def trajectory(self, initial, wrap: Callable[[float, Fields], object]) -> Trajectory:
+        """The initial state followed by ``wrap(t, fields)`` of each record."""
+        return Trajectory(
+            [initial] + [wrap(t, fields) for _, t, fields in self.records],
+            [0] + [step for step, _, _ in self.records],
+            self.dt,
+            self.n_steps,
+        )
+
+
 def _state_fields(state: SystemState) -> Fields:
     return (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
 
@@ -261,98 +337,30 @@ def _fields_state(state: SystemState, fields: Fields, t: float) -> SystemState:
     )
 
 
-def _check_blowup(norms: dict[str, float], t: float, threshold: float) -> None:
-    if any(not math.isfinite(v) or v > threshold for v in norms.values()):
-        raise BlowUpError(t, norms, threshold)
+def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
+    """Integrate over ``config.t_end``; returns the recorded states (initial one included).
 
-
-def integrate(state: SystemState, config: IntegratorConfig) -> list[SystemState]:
-    """Integrate to ``t_end``; returns recorded states (initial one included).
-
-    States are recorded every ``record_every`` steps and at the final step.
-    Aborts with `BlowUpError` once any field norm exceeds the guard threshold.
+    The steps are those of `time_grid`; `Recorder` records and guards the run.
     """
-    if config.scheme == "strang":
-        return _integrate_strang(state, config)
-
     grid = state.grid
-    n_steps = max(1, round(config.t_end / config.dt))
-    dt = config.dt
-    half = [
-        propagator_symbol(grid, Dispersion.SCHRODINGER, dt / 2),
-        propagator_symbol(grid, Dispersion.KG_PLUS, dt / 2),
-        propagator_symbol(grid, Dispersion.KG_MINUS, dt / 2),
-    ]
-
-    def half_step(fields: Fields) -> Fields:
-        return tuple(sym * a for sym, a in zip(half, fields))
+    n_steps, dt = time_grid(config.t_end, config.dt)
 
     def rhs(fields: Fields) -> Fields:
         du, dwp, dwm = nonlinear_rhs(_fields_state(state, fields, 0.0))
         return (du.coeffs, dwp.coeffs, dwm.coeffs)
 
-    trajectory = [state]
-
-    def observer(step: int, fields: Fields) -> None:
-        t = state.t + step * dt
-        norms = {
-            "u_L2": float(np.sqrt(np.sum(np.abs(fields[0]) ** 2) / grid.volume)),
-            "wplus_L2": float(np.sqrt(np.sum(np.abs(fields[1]) ** 2) / grid.volume)),
-            "wminus_L2": float(np.sqrt(np.sum(np.abs(fields[2]) ** 2) / grid.volume)),
-        }
-        _check_blowup(norms, t, config.blowup_threshold)
-        if step % config.record_every == 0 or step == n_steps:
-            trajectory.append(_fields_state(state, fields, t))
-
-    lawson_rk4_run(_state_fields(state), rhs, half_step, dt, n_steps, observer)
-    return trajectory
-
-
-def _integrate_strang(state: SystemState, config: IntegratorConfig) -> list[SystemState]:
-    """Strang splitting with exact nonlinear substep.
-
-    For real wave data the physical wave sum is constant during the nonlinear
-    substep and ``|u|`` is pointwise invariant, so both subflows are exact;
-    the scheme is second-order overall.  The state is re-dealiased after each
-    step because the pointwise phase rotation spreads the spectrum.
-    """
-    grid = state.grid
-    n_steps = max(1, round(config.t_end / config.dt))
-    dt = config.dt
-    sign = 1.0 if state.system is System.KGS else -1.0
-    inv_bracket = bessel_symbol(grid, -1.0)
-
-    current = state
-    trajectory = [state]
-    for step in range(1, n_steps + 1):
-        mid = linear_propagate_state(current, dt / 2)
-        u_phys = to_samples(mid.u)
-        wave_sum = to_samples(mid.wplus) + to_samples(mid.wminus)
-        u_new = to_coefficients(u_phys * np.exp(sign * 0.5j * dt * wave_sum), grid)
-        abs2 = dealias(to_coefficients(u_phys * np.conj(u_phys), grid))
-        if state.system is System.KGS:
-            kick = SpectralField(grid, inv_bracket * abs2.coeffs)
-        else:
-            lap = SpectralField(grid, -grid.xi_squared * abs2.coeffs)
-            kick = SpectralField(grid, inv_bracket * lap.coeffs)
-        wp = mid.wplus + 1j * dt * kick
-        wm = mid.wminus - 1j * dt * kick
-        if state.system is System.ZAKHAROV:
-            re_p = to_coefficients(to_samples(mid.wplus).real.astype(complex), grid)
-            re_m = to_coefficients(to_samples(mid.wminus).real.astype(complex), grid)
-            wp = wp + 1j * dt * SpectralField(grid, inv_bracket * re_p.coeffs)
-            wm = wm - 1j * dt * SpectralField(grid, inv_bracket * re_m.coeffs)
-        stepped = SystemState(state.system, dealias(u_new), dealias(wp), dealias(wm), mid.t)
-        current = linear_propagate_state(stepped, dt / 2)
-        norms = {
-            "u_L2": l2_norm(current.u),
-            "wplus_L2": l2_norm(current.wplus),
-            "wminus_L2": l2_norm(current.wminus),
-        }
-        _check_blowup(norms, current.t, config.blowup_threshold)
-        if step % config.record_every == 0 or step == n_steps:
-            trajectory.append(current)
-    return trajectory
+    recorder = Recorder(
+        ("u", "wplus", "wminus"),
+        grid,
+        state.t,
+        dt,
+        n_steps,
+        config.record_every,
+        config.blowup_threshold,
+    )
+    half_step = diagonal_half_step(grid, SYSTEM_DISPERSIONS, dt)
+    lawson_rk4_run(_state_fields(state), rhs, half_step, dt, n_steps, recorder)
+    return recorder.trajectory(state, lambda t, fields: _fields_state(state, fields, t))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +418,6 @@ def conserved_quantities(state: SystemState) -> ConservationReport:
         "wminus_H1": sobolev_norm(state.wminus, 1.0),
     }
     return ConservationReport(mass, hamiltonian, zero_mode, norms)
-
-
-def shift_time(state: SystemState, t: float) -> SystemState:
-    return replace(state, t=t)
 
 
 def random_system_state(

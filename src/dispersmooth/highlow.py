@@ -35,11 +35,17 @@ from scipy.integrate import quad
 
 from .errors import ConfigurationError
 from .evolution import (
+    SYSTEM_DISPERSIONS,
     Dispersion,
+    IntegratorConfig,
+    Recorder,
     SystemState,
     System,
+    diagonal_half_step,
+    integrate,
     lawson_rk4_run,
     propagator_symbol,
+    time_grid,
 )
 from .spectral import (
     Grid,
@@ -208,35 +214,20 @@ def _integrate_window(
 ) -> tuple[np.ndarray, ...]:
     """Evolve the coupled six-field system over one window of length delta."""
     grid = state.grid
-    n_inner = max(1, math.ceil(config.delta / config.dt))
-    dt = config.delta / n_inner
-    half = [
-        propagator_symbol(grid, disp, dt / 2)
-        for disp in (
-            Dispersion.SCHRODINGER,
-            Dispersion.KG_PLUS,
-            Dispersion.KG_MINUS,
-            Dispersion.SCHRODINGER,
-            Dispersion.KG_PLUS,
-            Dispersion.KG_MINUS,
-        )
-    ]
-
-    def half_step(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        return tuple(sym * f for sym, f in zip(half, fields))
+    n_inner, dt = time_grid(config.delta, config.dt)
 
     def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         return _window_rhs(grid, fields)
 
-    def observer(step: int, fields: tuple[np.ndarray, ...]) -> None:
-        worst = max(float(np.max(np.abs(f))) for f in fields)
-        if not math.isfinite(worst) or worst > config.blowup_threshold * grid.volume:
-            from .errors import BlowUpError
-
-            raise BlowUpError(
-                state.t + step * dt, {"max_coefficient": worst}, config.blowup_threshold
-            )
-
+    guard = Recorder(
+        ("phi", "psi_plus", "psi_minus", "mu", "lam_plus", "lam_minus"),
+        grid,
+        state.t,
+        dt,
+        n_inner,
+        n_inner,
+        config.blowup_threshold,
+    )
     start = (
         state.phi.coeffs,
         state.psi_plus.coeffs,
@@ -245,7 +236,8 @@ def _integrate_window(
         state.lam_plus.coeffs,
         state.lam_minus.coeffs,
     )
-    return lawson_rk4_run(start, rhs, half_step, dt, n_inner, observer)
+    half_step = diagonal_half_step(grid, 2 * SYSTEM_DISPERSIONS, dt)
+    return lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
 
 
 @dataclass(frozen=True)
@@ -448,7 +440,8 @@ def run_global(
             "and are both reported"
         )
 
-    n_windows = max(1, math.ceil(config.t_end / config.delta - 1e-12))
+    # Windows keep their length delta; the last one may end past t_end.
+    n_windows, _ = time_grid(config.t_end, config.delta)
     direct_state = (
         SystemState(System.KGS, u0, wave_pair[0], wave_pair[1], 0.0)
         if compare_direct
@@ -488,18 +481,11 @@ def run_global(
 
 
 def _direct_window(state: SystemState, config: HighLowConfig) -> SystemState:
-    """Advance the unsplit system by one window at the matched inner steps."""
-    from .evolution import IntegratorConfig, integrate
-
-    n_inner = max(1, math.ceil(config.delta / config.dt))
-    dt = config.delta / n_inner
-    traj = integrate(
-        state,
-        IntegratorConfig(
-            dt=dt,
-            t_end=config.delta,
-            record_every=10**9,
-            blowup_threshold=config.blowup_threshold,
-        ),
+    """Advance the unsplit system by one window on the window's own time grid."""
+    window = IntegratorConfig(
+        dt=config.dt,
+        t_end=config.delta,
+        record_every=10**9,
+        blowup_threshold=config.blowup_threshold,
     )
-    return traj[-1]
+    return integrate(state, window)[-1]

@@ -15,6 +15,7 @@ extension, and results are reported as window-dependent surrogates.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,7 +46,24 @@ from .spectral import (
     remove_mean,
     sobolev_norm,
 )
-from .utils import worker_count
+
+
+def worker_count() -> int:
+    """Worker cap for embarrassingly parallel ensembles.
+
+    Controlled by the DISPERSMOOTH_THREADS environment variable; defaults to
+    a modest pool.  Results never depend on the worker count (jobs are pure
+    and merged in submission order).
+    """
+    raw = os.environ.get("DISPERSMOOTH_THREADS", "")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value >= 1:
+        return value
+    return min(4, os.cpu_count() or 1)
+
 
 _COMPONENT_DISPERSION = {
     "u": Dispersion.SCHRODINGER,

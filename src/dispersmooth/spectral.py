@@ -282,11 +282,6 @@ def lowpass_projection(f: SpectralField, cutoff: float) -> SpectralField:
     return SpectralField(f.grid, out)
 
 
-def highpass_complement(f: SpectralField, cutoff: float) -> SpectralField:
-    """The complementary projection: ``f - lowpass(f)``."""
-    return f - lowpass_projection(f, cutoff)
-
-
 @dataclass(frozen=True)
 class DyadicShellSet:
     """Dyadic (Littlewood-Paley) partition of the wavenumber lattice.
@@ -339,16 +334,6 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     _check_same_grid(f, g)
     prod = to_samples(f) * to_samples(g)
     return dealias(to_coefficients(prod, f.grid))
-
-
-def real_part_field(f: SpectralField) -> SpectralField:
-    """Pointwise real part, computed in physical space."""
-    return to_coefficients(to_samples(f).real.astype(np.complex128), f.grid)
-
-
-def conjugate_field(f: SpectralField) -> SpectralField:
-    """Pointwise complex conjugate (reflection + conjugation of coefficients)."""
-    return to_coefficients(np.conj(to_samples(f)), f.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 
 from dispersmooth.cli import main as cli_main
 from dispersmooth.dissipative import (
-    DampedIntegratorConfig,
     DampedParams,
     DampedState,
     attractor_diagnostics,
@@ -207,7 +206,7 @@ def forced_runs(forced_setup):
     for target in (1.0, 10.0, 100.0):
         state = scaled(find_scale(target))
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=2e-3, t_end=horizon, record_every=500)
+            state, params, IntegratorConfig(dt=2e-3, t_end=horizon, record_every=500)
         )
         runs[target] = traj
     return params, horizon, runs
@@ -220,7 +219,7 @@ def test_criterion_5_dissipative_identities(forced_setup, forced_runs):
     # (a) unforced mass law, exact to 1e-8.
     unforced = DampedParams(gamma=params.gamma, delta=params.delta, a=params.a)
     traj = integrate_damped(
-        base, unforced, DampedIntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
+        base, unforced, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
     )
     m0 = l2_norm(base.u)
     worst = max(
@@ -232,7 +231,7 @@ def test_criterion_5_dissipative_identities(forced_setup, forced_runs):
 
     # (b) closed-form dH/dt vs centered differences at dt=1e-3.
     short = integrate_damped(
-        base, params, DampedIntegratorConfig(dt=1e-3, t_end=0.03, record_every=1)
+        base, params, IntegratorConfig(dt=1e-3, t_end=0.03, record_every=1)
     )
     energies = [energy_H(s, params) for s in short]
     closed = [energy_H_rate(s, params) for s in short]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dispersmooth.cli import main
-from dispersmooth.utils import worker_count
+from dispersmooth.smoothing import worker_count
 
 
 class TestWorkerCount:
@@ -44,6 +44,28 @@ t_end = 0.05
 record_every = 2
 """
 
+HIGHLOW_SMALL = """
+[run]
+seed = 4
+
+[grid]
+n_per_dim = 16
+
+[system]
+kind = kgs
+s = 0.95
+r = 0.95
+amplitude = 0.4
+
+[integrator]
+dt = 5e-3
+
+[highlow]
+cutoff = 4
+windows = 2
+compare_direct = true
+"""
+
 
 class TestSimulate:
     def test_runs_and_writes_documented_schema(self, tmp_path, capsys):
@@ -64,6 +86,17 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--out", str(out_b), "--quiet"]) == 0
         assert (out_a / "timeseries.csv").read_bytes() == (out_b / "timeseries.csv").read_bytes()
         assert (out_a / "state.ckpt").read_bytes() == (out_b / "state.ckpt").read_bytes()
+
+    def test_dt_not_dividing_t_end_is_shortened(self, tmp_path):
+        text = SIMULATE_SMALL.replace("dt = 5e-3", "dt = 0.3").replace("t_end = 0.05", "t_end = 1.0")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == 4
+        assert float(last[1]) == 1.0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["n_steps"] == 4
+        assert results["dt_effective"] == 0.25
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, SIMULATE_SMALL)
@@ -91,13 +124,28 @@ class TestExitCodes:
         assert main(["smoothing-scan", "--config", config, "--quiet"]) == 2
         assert "s > -1/4" in capsys.readouterr().err
 
-    def test_blowup_is_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", ["simulate", "highlow"])
+    def test_blowup_is_3(self, tmp_path, capsys, experiment):
+        small = {"simulate": SIMULATE_SMALL, "highlow": HIGHLOW_SMALL}[experiment]
         config = write_config(
-            tmp_path,
-            SIMULATE_SMALL + "\nblowup_threshold = 1e-9\n",
+            tmp_path, small.replace("[integrator]", "[integrator]\nblowup_threshold = 1e-9")
         )
-        assert main(["simulate", "--config", config, "--quiet"]) == 3
+        assert main([experiment, "--config", config, "--quiet"]) == 3
         assert "numerical abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("t_end = 0.05", "t_end = nan"),
+            ("t_end = 0.05", "t_end = inf"),
+            ("t_end = 0.05", "t_end = -1"),
+            ("dt = 5e-3", "dt = inf"),
+        ],
+    )
+    def test_bad_time_grid_is_2(self, tmp_path, capsys, line, bad):
+        config = write_config(tmp_path, SIMULATE_SMALL.replace(line, bad))
+        assert main(["simulate", "--config", config, "--quiet"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
@@ -147,30 +195,7 @@ count = 50
         assert len(lines) == 51
 
     def test_highlow_smoke(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[run]
-seed = 4
-
-[grid]
-n_per_dim = 16
-
-[system]
-kind = kgs
-s = 0.95
-r = 0.95
-amplitude = 0.4
-
-[integrator]
-dt = 5e-3
-
-[highlow]
-cutoff = 4
-windows = 2
-compare_direct = true
-""",
-        )
+        config = write_config(tmp_path, HIGHLOW_SMALL)
         out = tmp_path / "out"
         assert main(["highlow", "--config", config, "--out", str(out), "--quiet"]) == 0
         lines = (out / "highlow.csv").read_text().splitlines()

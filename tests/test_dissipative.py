@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dispersmooth.dissipative import (
-    DampedIntegratorConfig,
     DampedParams,
     DampedState,
     attractor_diagnostics,
@@ -17,6 +16,7 @@ from dispersmooth.dissipative import (
     mass_rate,
 )
 from dispersmooth.errors import ConfigurationError
+from dispersmooth.evolution import IntegratorConfig
 from dispersmooth.spectral import (
     SpectralField,
     dealias,
@@ -137,7 +137,7 @@ class TestIntegrateDamped:
         z = zero_field(grid)
         params = DampedParams(gamma=0.5, delta=0.5)
         traj = integrate_damped(
-            DampedState(z, z, z), params, DampedIntegratorConfig(dt=1e-2, t_end=0.1)
+            DampedState(z, z, z), params, IntegratorConfig(dt=1e-2, t_end=0.1)
         )
         assert all(l2_norm(s.u) == 0 and l2_norm(s.v) == 0 for s in traj)
 
@@ -146,7 +146,7 @@ class TestIntegrateDamped:
         params = DampedParams(gamma=0.6, delta=0.8)
         state = damped_state(grid, seed=6, band=grid.dealias_cutoff / 2)
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
+            state, params, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
         )
         m0 = l2_norm(state.u)
         for s in traj:
@@ -160,7 +160,7 @@ class TestIntegrateDamped:
         state = damped_state(grid, seed=7, band=grid.dealias_cutoff / 2)
         dt = 1e-3
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=dt, t_end=0.02, record_every=1)
+            state, params, IntegratorConfig(dt=dt, t_end=0.02, record_every=1)
         )
         masses = [l2_norm(s.u) ** 2 for s in traj]
         mid = len(traj) // 2
@@ -174,7 +174,7 @@ class TestIntegrateDamped:
         params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
         state = damped_state(grid, seed=8)
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=5e-3, t_end=0.5, record_every=20)
+            state, params, IntegratorConfig(dt=5e-3, t_end=0.5, record_every=20)
         )
         for s in traj:
             samples = to_samples(s.v)
@@ -254,7 +254,7 @@ class TestEnergy:
         state = damped_state(grid, seed=12, band=grid.dealias_cutoff / 2)
         dt = 1e-3
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=dt, t_end=0.02, record_every=1)
+            state, params, IntegratorConfig(dt=dt, t_end=0.02, record_every=1)
         )
         energies = [energy_H(s, params) for s in traj]
         mid = len(traj) // 2
@@ -269,7 +269,7 @@ class TestAttractorDiagnostics:
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=13, band=grid.dealias_cutoff / 2)
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=5e-3, t_end=40.0, record_every=100)
+            state, params, IntegratorConfig(dt=5e-3, t_end=40.0, record_every=100)
         )
         report = attractor_diagnostics(traj, params)
         assert not report.inconclusive
@@ -283,7 +283,7 @@ class TestAttractorDiagnostics:
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=14)
         traj = integrate_damped(
-            state, params, DampedIntegratorConfig(dt=5e-3, t_end=0.2, record_every=10)
+            state, params, IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10)
         )
         report = attractor_diagnostics(traj, params)
         assert report.inconclusive

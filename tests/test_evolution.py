@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersmooth.dissipative import DampedParams, DampedState, integrate_damped
 from dispersmooth.errors import BlowUpError
 from dispersmooth.evolution import (
     Dispersion,
@@ -19,7 +20,10 @@ from dispersmooth.evolution import (
     nonlinear_rhs,
     reality_defect,
     split_wave_pair,
+    time_grid,
+    wave_field,
 )
+from dispersmooth.highlow import HighLowConfig, run_global, split_initial
 from dispersmooth.spectral import (
     l2_norm,
     make_grid,
@@ -205,35 +209,55 @@ class TestIntegrate:
         for s in traj:
             assert reality_defect(s) < 1e-8
 
-    def test_blowup_guard_aborts_with_diagnostics(self, grid_2d_small):
+    @pytest.mark.parametrize("integrator", ["integrate", "integrate_damped", "run_global"])
+    def test_blowup_guard_aborts_with_diagnostics(self, integrator, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=14)
+        guard = IntegratorConfig(dt=1e-2, t_end=0.1, blowup_threshold=1e-9)
+        if integrator == "integrate":
+            fields = {"u": state.u, "wplus": state.wplus, "wminus": state.wminus}
+            run = lambda: integrate(state, guard)
+        elif integrator == "integrate_damped":
+            damped = DampedState(state.u, wave_field(state), wave_field(state))
+            fields = {"u": damped.u, "v": damped.v, "w": damped.w}
+            run = lambda: integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), guard)
+        else:
+            config = HighLowConfig(
+                cutoff=4,
+                s=0.95,
+                r=0.95,
+                delta=0.1,
+                dt=1e-2,
+                t_end=0.1,
+                gns_c1=1.0,
+                gns_c2=1.0,
+                blowup_threshold=1e-9,
+            )
+            split = split_initial(state.u, (state.wplus, state.wminus), config.cutoff)
+            fields = {
+                name: getattr(split, name)
+                for name in ("phi", "psi_plus", "psi_minus", "mu", "lam_plus", "lam_minus")
+            }
+            run = lambda: run_global(state.u, (state.wplus, state.wminus), config)
         with pytest.raises(BlowUpError) as err:
-            integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1, blowup_threshold=1e-9))
-        assert err.value.t > 0
-        assert "u_L2" in err.value.norms
+            run()
+        assert err.value.t == pytest.approx(1e-2)
+        assert set(err.value.norms) == {f"{name}_L2" for name in fields}
+        # One short step barely moves the per-field L2 norms.
+        for name, f in fields.items():
+            assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=0.2)
 
-    def test_strang_agrees_with_exponential_at_small_dt(self, grid_2d_small):
+    def test_last_step_recorded_when_record_every_does_not_divide(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=15, amplitude=0.5)
-        t_end = 0.1
-        exp4 = integrate(state, IntegratorConfig(dt=1e-4, t_end=t_end, record_every=10**9))[-1]
-        strang = integrate(
-            state, IntegratorConfig(dt=1e-4, t_end=t_end, scheme="strang", record_every=10**9)
-        )[-1]
-        assert l2_norm(exp4.u - strang.u) < 1e-6 * max(1.0, l2_norm(exp4.u))
+        traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.05, record_every=2))
+        assert traj.steps == [0, 2, 4, 5]
+        assert [s.t for s in traj] == pytest.approx([0.0, 0.02, 0.04, 0.05], abs=1e-15)
 
-    def test_strang_second_order(self):
-        grid = make_grid(1, 32)
-        state = random_state(System.KGS, grid, seed=16, s=2.0, r=2.0, amplitude=0.5)
-        t_end = 0.2
-        ref = integrate(state, IntegratorConfig(dt=t_end / 512, t_end=t_end, record_every=10**9))[-1]
-        errs = []
-        for steps in (8, 16):
-            sol = integrate(
-                state,
-                IntegratorConfig(dt=t_end / steps, t_end=t_end, scheme="strang", record_every=10**9),
-            )[-1]
-            errs.append(l2_norm(sol.u - ref.u))
-        assert 3.0 <= errs[0] / errs[1] <= 5.5
+    @pytest.mark.parametrize(
+        "t_end, dt, n_steps, dt_eff",
+        [(0.02, 1e-3, 20, 1e-3), (1.0, 0.3, 4, 0.25), (0.05, 1.0, 1, 0.05)],
+    )
+    def test_time_grid_ends_at_t_end(self, t_end, dt, n_steps, dt_eff):
+        assert time_grid(t_end, dt) == (n_steps, pytest.approx(dt_eff, rel=1e-12))
 
 
 class TestConservedQuantities:
