@@ -96,6 +96,10 @@ class HighLowSection:
     gns_c2: float | None = None
     compare_direct: bool = False
 
+    def __post_init__(self) -> None:
+        if self.windows is not None and self.windows < 1:
+            raise ConfigurationError(f"windows must be >= 1, got {self.windows}")
+
 
 @dataclass(frozen=True)
 class DampingSection:

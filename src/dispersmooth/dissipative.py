@@ -38,12 +38,11 @@ from .evolution import IntegratorConfig, Recorder, Trajectory, lawson_rk4_run, t
 from .spectral import (
     Grid,
     SpectralField,
-    dealias,
+    coupling_products,
+    cubic_pairing,
     inner_product,
     l2_norm,
     sobolev_norm,
-    to_coefficients,
-    to_samples,
     zero_field,
 )
 
@@ -155,26 +154,8 @@ def damped_linear_propagate(
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear right side and integration
+# Integration
 # ---------------------------------------------------------------------------
-
-def _damped_rhs(
-    grid: Grid,
-    fields: tuple[np.ndarray, ...],
-    f_coeffs: np.ndarray,
-    g_coeffs: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    u = SpectralField(grid, fields[0])
-    v = SpectralField(grid, fields[1])
-    u_phys = to_samples(u)
-    v_phys = to_samples(v)
-    uv = dealias(to_coefficients(u_phys * v_phys, grid))
-    abs2 = dealias(to_coefficients(u_phys * np.conj(u_phys), grid))
-    du = 1j * uv.coeffs - 1j * f_coeffs
-    dv = np.zeros_like(fields[1])
-    dw = abs2.coeffs + g_coeffs
-    return du, dv, dw
-
 
 def integrate_damped(
     state: DampedState, params: DampedParams, config: IntegratorConfig
@@ -201,7 +182,8 @@ def integrate_damped(
         return (u_half * fields[0], v_new, w_new)
 
     def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        return _damped_rhs(grid, fields, f.coeffs, g.coeffs)
+        uv, abs2 = coupling_products(grid, fields[0], fields[1])
+        return 1j * uv - 1j * f.coeffs, np.zeros_like(fields[1]), abs2 + g.coeffs
 
     recorder = Recorder(
         ("u", "v", "w"),
@@ -229,15 +211,6 @@ def integrate_damped(
 # Energy functional and its exact dissipation rate
 # ---------------------------------------------------------------------------
 
-def _cubic_pairing(state: DampedState) -> float:
-    """``int |u|^2 v dx`` with the dealiased |u|^2."""
-    grid = state.grid
-    abs2 = dealias(
-        to_coefficients(np.abs(to_samples(state.u)) ** 2 + 0j, grid)
-    )
-    return inner_product(abs2, state.v).real
-
-
 def energy_H(state: DampedState, params: DampedParams) -> float:
     """The Lyapunov-type energy of the damped flow (see module docstring).
 
@@ -250,7 +223,7 @@ def energy_H(state: DampedState, params: DampedParams) -> float:
         + params.spring_constant * l2_norm(state.v) ** 2
         + sobolev_norm(state.v, 1.0, homogeneous=True) ** 2
         + l2_norm(state.w) ** 2
-        - 2.0 * _cubic_pairing(state)
+        - 2.0 * cubic_pairing(state.u, state.v)
         + 4.0 * inner_product(f, state.u).real
     )
 
@@ -268,7 +241,7 @@ def energy_H_rate(state: DampedState, params: DampedParams) -> float:
         - 2.0 * a * params.spring_constant * l2_norm(state.v) ** 2
         - 2.0 * a * sobolev_norm(state.v, 1.0, homogeneous=True) ** 2
         - 2.0 * (delta - a) * l2_norm(state.w) ** 2
-        + (4.0 * gamma + 2.0 * a) * _cubic_pairing(state)
+        + (4.0 * gamma + 2.0 * a) * cubic_pairing(state.u, state.v)
         - 4.0 * gamma * inner_product(f, state.u).real
         + 2.0 * inner_product(g, state.w).real
     )

@@ -7,9 +7,10 @@ applied exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component
 and ``exp(-/+ i t <xi>)`` for the two wave branches -- so the fourth-order
 scheme (classical Runge-Kutta in the interaction picture) sees no dispersive
 stiffness.  Quadratic nonlinearities are evaluated pseudo-spectrally
-with 2/3-rule dealiasing; conservation identities hold exactly for the
-truncated flow when the data is band-limited below the dealias cutoff, so the
-observed mass/Hamiltonian drift is pure time-discretization error.
+with 2/3-rule dealiasing (`spectral.coupling_products`); conservation
+identities hold exactly for the truncated flow when the data is band-limited
+below the dealias cutoff, so the observed mass/Hamiltonian drift is pure
+time-discretization error.
 """
 
 from __future__ import annotations
@@ -26,15 +27,20 @@ from .spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    coupling_products,
+    cubic_pairing,
     dealias,
-    inner_product,
     l2_norm,
+    real_part,
     riesz_potential,
     sobolev_norm,
     to_coefficients,
     to_samples,
     zero_mode_mean,
 )
+
+
+Fields = tuple[np.ndarray, ...]
 
 
 class System(str, enum.Enum):
@@ -157,8 +163,8 @@ def reality_defect(state: SystemState) -> float:
 # Nonlinear right sides (the non-dispersive terms, as du/dt contributions)
 # ---------------------------------------------------------------------------
 
-def nonlinear_rhs(state: SystemState) -> tuple[SpectralField, SpectralField, SpectralField]:
-    """Evaluated nonlinear time-derivative contributions ``(du, dw+, dw-)``.
+def nonlinear_rhs(system: System, grid: Grid, fields: Fields) -> Fields:
+    """Nonlinear time-derivative contributions ``(du, dw+, dw-)`` of coefficient arrays.
 
     Klein-Gordon-Schrodinger::
 
@@ -170,34 +176,26 @@ def nonlinear_rhs(state: SystemState) -> tuple[SpectralField, SpectralField, Spe
         du   = -(i/2) u (n+ + n-)
         dn_pm = +/- i A^{-1} ( Laplacian |u|^2 + Re n_pm )
 
-    All products are dealiased; Re is taken pointwise in physical space.
+    Both products come dealiased from `coupling_products` (four transforms);
+    Re is taken in coefficient space (`real_part`).
     """
-    grid = state.grid
-    u_phys = to_samples(state.u)
-    wave_sum = to_samples(state.wplus) + to_samples(state.wminus)
-    abs2 = to_coefficients(u_phys * np.conj(u_phys), grid)
-    abs2 = dealias(abs2)
-
-    if state.system is System.KGS:
-        du = 0.5j * dealias(to_coefficients(u_phys * wave_sum, grid))
-        kick = bessel_potential(abs2, -1.0)
-        return du, 1j * kick, -1j * kick
-
-    du = -0.5j * dealias(to_coefficients(u_phys * wave_sum, grid))
-    lap_abs2 = SpectralField(grid, -grid.xi_squared * abs2.coeffs)
-    re_plus = to_coefficients(to_samples(state.wplus).real.astype(complex), grid)
-    re_minus = to_coefficients(to_samples(state.wminus).real.astype(complex), grid)
-    dplus = 1j * bessel_potential(lap_abs2 + re_plus, -1.0)
-    dminus = -1j * bessel_potential(lap_abs2 + re_minus, -1.0)
-    return du, dplus, dminus
+    u, wplus, wminus = fields
+    uw, abs2 = coupling_products(grid, u, wplus + wminus)
+    inverse_a = grid.bracket**-1.0
+    if system is System.KGS:
+        kick = 1j * inverse_a * abs2
+        return 0.5j * uw, kick, -kick
+    lap_abs2 = -grid.xi_squared * abs2
+    return (
+        -0.5j * uw,
+        1j * inverse_a * (lap_abs2 + real_part(wplus)),
+        -1j * inverse_a * (lap_abs2 + real_part(wminus)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Integrators
 # ---------------------------------------------------------------------------
-
-Fields = tuple[np.ndarray, ...]
-
 
 def lawson_rk4_run(
     fields: Fields,
@@ -252,6 +250,8 @@ def time_grid(t_end: float, dt: float) -> tuple[int, float]:
         raise ConfigurationError(f"t_end must be finite and positive, got {t_end}")
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be finite and positive, got {dt}")
+    if not math.isfinite(t_end / dt):
+        raise ConfigurationError(f"t_end/dt overflows: t_end = {t_end}, dt = {dt}")
     n_steps = math.ceil(t_end / dt * (1.0 - 1e-9))
     return n_steps, t_end / n_steps
 
@@ -310,6 +310,8 @@ class Recorder:
         if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
             raise BlowUpError(t, norms, self.threshold)
         if step % self.record_every == 0 or step == self.n_steps:
+            for a in fields:  # a read-only record becomes a field without a copy
+                a.flags.writeable = False
             self.records.append((step, t, fields))
 
     def trajectory(self, initial, wrap: Callable[[float, Fields], object]) -> Trajectory:
@@ -346,8 +348,7 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     n_steps, dt = time_grid(config.t_end, config.dt)
 
     def rhs(fields: Fields) -> Fields:
-        du, dwp, dwm = nonlinear_rhs(_fields_state(state, fields, 0.0))
-        return (du.coeffs, dwp.coeffs, dwm.coeffs)
+        return nonlinear_rhs(state.system, grid, fields)
 
     recorder = Recorder(
         ("u", "wplus", "wminus"),
@@ -378,19 +379,15 @@ def conserved_quantities(state: SystemState) -> ConservationReport:
 
         E = ||grad u||^2 + (||n||^2 + ||(-Lap)^{-1/2} n_t||^2)/2 + int |u|^2 n
 
-    The cubic term pairs the dealiased ``|u|^2`` against the wave field.  For
+    The cubic term is `cubic_pairing` of ``u`` with the wave field.  For
     Zakharov the zero mode of ``n_t`` is excluded from the homogeneous norm
     (mean-zero convention) and reported separately; on the torus that mean is
     itself a constant of the motion.
     """
-    grid = state.grid
     mass = l2_norm(state.u)
     v, v_t = split_wave_pair(state.wplus, state.wminus)
     grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
-    abs2 = dealias(
-        to_coefficients(np.abs(to_samples(state.u)) ** 2 + 0j, grid)
-    )
-    cubic = inner_product(abs2, v).real
+    cubic = cubic_pairing(state.u, v)
 
     if state.system is System.KGS:
         hamiltonian = (

@@ -36,7 +36,6 @@ from scipy.integrate import quad
 from .errors import ConfigurationError
 from .evolution import (
     SYSTEM_DISPERSIONS,
-    Dispersion,
     IntegratorConfig,
     Recorder,
     SystemState,
@@ -44,20 +43,17 @@ from .evolution import (
     diagonal_half_step,
     integrate,
     lawson_rk4_run,
-    propagator_symbol,
+    linear_propagate,
+    nonlinear_rhs,
     time_grid,
 )
 from .spectral import (
     Grid,
     SpectralField,
-    bessel_potential,
-    dealias,
-    inner_product,
+    cubic_pairing,
     l2_norm,
     lowpass_projection,
     sobolev_norm,
-    to_coefficients,
-    to_samples,
 )
 
 
@@ -93,6 +89,8 @@ class HighLowConfig:
                 "delta",
                 step_rule(self.cutoff, self.m, self.r0, self.window_constant),
             )
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigurationError(f"delta must be finite and positive, got {self.delta}")
 
     @property
     def m(self) -> float:
@@ -173,40 +171,19 @@ def split_initial(
 def _window_rhs(grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Nonlinear right sides of the coupled low/high system.
 
-    Low:  d phi    = (i/2) phi (psi+ + psi-)
-          d psi_pm = +/- i A^{-1} |phi|^2
-    High: d mu     = (i/2) mu (psi+ + psi- + lam+ + lam-) + (i/2) phi (lam+ + lam-)
+    Low:  the KGS right side of (phi, psi+-).
+    High: the KGS right side of the totals (phi + mu, psi+- + lam+-) minus
+          the low side, that is
+
+          d mu     = (i/2) mu (psi+ + psi- + lam+ + lam-) + (i/2) phi (lam+ + lam-)
           d lam_pm = +/- i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
 
-    Summing gives exactly the direct-system right sides for (phi + mu,
-    psi+- + lam+-); all products dealiased.
+    so the two sides sum to the direct-system right side by construction.
     """
-    phi, psi_p, psi_m, mu, lam_p, lam_m = (SpectralField(grid, f) for f in fields)
-    phi_x = to_samples(phi)
-    mu_x = to_samples(mu)
-    psi_sum = to_samples(psi_p) + to_samples(psi_m)
-    lam_sum = to_samples(lam_p) + to_samples(lam_m)
-
-    d_phi = 0.5j * dealias(to_coefficients(phi_x * psi_sum, grid))
-    kick_low = bessel_potential(
-        dealias(to_coefficients(phi_x * np.conj(phi_x), grid)), -1.0
-    )
-    d_mu = 0.5j * dealias(
-        to_coefficients(mu_x * (psi_sum + lam_sum) + phi_x * lam_sum, grid)
-    )
-    cross = mu_x * np.conj(phi_x)
-    kick_high = bessel_potential(
-        dealias(to_coefficients(mu_x * np.conj(mu_x) + cross + np.conj(cross), grid)),
-        -1.0,
-    )
-    return (
-        d_phi.coeffs,
-        (1j * kick_low).coeffs,
-        (-1j * kick_low).coeffs,
-        d_mu.coeffs,
-        (1j * kick_high).coeffs,
-        (-1j * kick_high).coeffs,
-    )
+    low = fields[:3]
+    d_low = nonlinear_rhs(System.KGS, grid, low)
+    d_total = nonlinear_rhs(System.KGS, grid, tuple(a + b for a, b in zip(low, fields[3:])))
+    return d_low + tuple(t - l for t, l in zip(d_total, d_low))
 
 
 def _integrate_window(
@@ -259,15 +236,9 @@ def _reassemble(
     phi_d, psi_p_d, psi_m_d, mu_d, lam_p_d, lam_m_d = (
         SpectralField(grid, f) for f in evolved
     )
-    mu_free = SpectralField(
-        grid, state.mu.coeffs * propagator_symbol(grid, Dispersion.SCHRODINGER, delta)
-    )
-    lam_p_free = SpectralField(
-        grid, state.lam_plus.coeffs * propagator_symbol(grid, Dispersion.KG_PLUS, delta)
-    )
-    lam_m_free = SpectralField(
-        grid,
-        state.lam_minus.coeffs * propagator_symbol(grid, Dispersion.KG_MINUS, delta),
+    high = (state.mu, state.lam_plus, state.lam_minus)
+    mu_free, lam_p_free, lam_m_free = (
+        linear_propagate(f, dispersion, delta) for f, dispersion in zip(high, SYSTEM_DISPERSIONS)
     )
     incr_u = mu_d - mu_free
     incr_p = lam_p_d - lam_p_free
@@ -325,16 +296,12 @@ def low_energy(
     terms alone), which the energy approximates from below once the u-mass is
     small.
     """
-    grid = phi.grid
     wave_field = 0.5 * (psi_plus + psi_minus)  # Re psi for real data
-    abs2 = dealias(
-        to_coefficients(np.abs(to_samples(phi)) ** 2 + 0j, grid)
-    )
     quad_part = (
         sobolev_norm(psi_plus, 1.0) ** 2
         + 2.0 * sobolev_norm(phi, 1.0, homogeneous=True) ** 2
     )
-    cubic = 2.0 * inner_product(abs2, wave_field).real
+    cubic = 2.0 * cubic_pairing(phi, wave_field)
     return LowEnergyReport(energy=quad_part - cubic, coercivity_surrogate=quad_part)
 
 
@@ -456,17 +423,9 @@ def run_global(
         logs.append(log)
         if compare_direct and direct_state is not None:
             direct_state = _direct_window(direct_state, config)
-            total_u, total_p, total_m = state.total()
-            num = (
-                l2_norm(total_u - direct_state.u)
-                + l2_norm(total_p - direct_state.wplus)
-                + l2_norm(total_m - direct_state.wminus)
-            )
-            den = (
-                l2_norm(direct_state.u)
-                + l2_norm(direct_state.wplus)
-                + l2_norm(direct_state.wminus)
-            )
+            direct = (direct_state.u, direct_state.wplus, direct_state.wminus)
+            num = sum(l2_norm(t - d) for t, d in zip(state.total(), direct))
+            den = sum(l2_norm(d) for d in direct)
             diffs.append(num / den if den > 0 else 0.0)
     return HighLowReport(
         config=config,

@@ -132,7 +132,10 @@ class SpectralField:
             raise GridMismatchError(
                 f"coefficient shape {arr.shape} does not match grid {self.grid.shape}"
             )
-        # Fields are immutable values; the backing array is frozen in place.
+        # Fields are immutable values: a writeable caller array is copied, not
+        # frozen under its owner; a read-only one is shared.
+        if arr is self.coeffs and arr.flags.writeable:
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -173,12 +176,20 @@ def to_coefficients(samples: np.ndarray, grid: Grid) -> SpectralField:
         raise GridMismatchError(
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
-    return SpectralField(grid, np.fft.fftn(samples) * grid.dx**grid.dim)
+    return SpectralField(grid, _coefficients(samples, grid))
 
 
 def to_samples(f: SpectralField) -> np.ndarray:
     """Inverse transform; exact round-trip with `to_coefficients`."""
-    return np.fft.ifftn(f.coeffs) / f.grid.dx**f.grid.dim
+    return _samples(f.coeffs, f.grid)
+
+
+def _coefficients(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.fft.fftn(samples) * grid.dx**grid.dim
+
+
+def _samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.fft.ifftn(coeffs) / grid.dx**grid.dim
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +278,8 @@ def l2_norm(f: SpectralField) -> float:
 def inner_product(f: SpectralField, g: SpectralField) -> complex:
     """L2 pairing ``integral f * conj(g) dx`` via Parseval."""
     _check_same_grid(f, g)
-    return complex(np.vdot(g.coeffs, f.coeffs)) / f.grid.volume
+    # An elementwise reduction, not np.vdot: BLAS would start worker threads.
+    return complex(np.sum(f.coeffs * np.conj(g.coeffs))) / f.grid.volume
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +337,45 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Spectral coefficients of the pointwise product, 2/3-rule truncated.
+def coupling_products(
+    grid: Grid, u: np.ndarray, wave: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
 
-    Equals the exact truncated convolution when both inputs are supported
-    inside the dealias band.
+    These are the two quadratic terms of every coupled system, at two inverse
+    and two forward transforms.  Each equals the exact truncated convolution
+    when the inputs lie inside the dealias band.
     """
-    _check_same_grid(f, g)
-    prod = to_samples(f) * to_samples(g)
-    return dealias(to_coefficients(prod, f.grid))
+    if u.shape != grid.shape or wave.shape != grid.shape:
+        raise GridMismatchError(
+            f"coefficient shapes {u.shape}, {wave.shape} do not match grid {grid.shape}"
+        )
+    u_x = _samples(u, grid)
+    return _dealiased(u_x * _samples(wave, grid), grid), _dealiased_abs2(u_x, grid)
+
+
+def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
+    """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term."""
+    _check_same_grid(u, v)
+    abs2 = SpectralField(u.grid, _dealiased_abs2(to_samples(u), u.grid))
+    return inner_product(abs2, v).real
+
+
+def real_part(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2``.
+
+    No transform is needed: on the sampled lattice conjugation maps mode ``k``
+    to mode ``-k``, and the unpaired Nyquist plane is zero.
+    """
+    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+
+
+def _dealiased(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.where(grid.dealias_mask, _coefficients(samples, grid), 0.0)
+
+
+def _dealiased_abs2(u_samples: np.ndarray, grid: Grid) -> np.ndarray:
+    return _dealiased(u_samples.real**2 + u_samples.imag**2, grid)
 
 
 # ---------------------------------------------------------------------------

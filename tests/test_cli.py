@@ -140,12 +140,28 @@ class TestExitCodes:
             ("t_end = 0.05", "t_end = inf"),
             ("t_end = 0.05", "t_end = -1"),
             ("dt = 5e-3", "dt = inf"),
+            ("dt = 5e-3", "dt = 1e-320"),
         ],
     )
     def test_bad_time_grid_is_2(self, tmp_path, capsys, line, bad):
         config = write_config(tmp_path, SIMULATE_SMALL.replace(line, bad))
         assert main(["simulate", "--config", config, "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ("windows = 2\ndelta = -1", "delta"),
+            ("windows = 2\ndelta = nan", "delta"),
+            ("windows = 0", "windows"),
+        ],
+    )
+    def test_bad_highlow_window_is_2_and_named(self, tmp_path, capsys, bad, key):
+        config = write_config(tmp_path, HIGHLOW_SMALL.replace("windows = 2", bad))
+        assert main(["highlow", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err
 
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)

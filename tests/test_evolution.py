@@ -23,7 +23,7 @@ from dispersmooth.evolution import (
     time_grid,
     wave_field,
 )
-from dispersmooth.highlow import HighLowConfig, run_global, split_initial
+from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
     l2_norm,
     make_grid,
@@ -99,22 +99,27 @@ class TestWaveComponents:
         assert np.max(np.abs(np.conj(to_samples(wp)) - to_samples(wm))) < 1e-12
 
 
+def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
+    fields = (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
+    return nonlinear_rhs(state.system, state.grid, fields)
+
+
 class TestNonlinearRhs:
     def test_zero_u_freezes_wave_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=8)
         state = SystemState(System.KGS, zero_field(grid_2d_small), state.wplus, state.wminus)
-        du, dwp, dwm = nonlinear_rhs(state)
-        assert np.max(np.abs(dwp.coeffs)) < 1e-14
-        assert np.max(np.abs(dwm.coeffs)) < 1e-14
-        assert np.max(np.abs(du.coeffs)) < 1e-14
+        du, dwp, dwm = rhs_of(state)
+        assert np.max(np.abs(dwp)) < 1e-14
+        assert np.max(np.abs(dwm)) < 1e-14
+        assert np.max(np.abs(du)) < 1e-14
 
     def test_zero_wave_freezes_u_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=9)
         state = SystemState(
             System.KGS, state.u, zero_field(grid_2d_small), zero_field(grid_2d_small)
         )
-        du, _, _ = nonlinear_rhs(state)
-        assert np.max(np.abs(du.coeffs)) < 1e-14
+        du, _, _ = rhs_of(state)
+        assert np.max(np.abs(du)) < 1e-14
 
     def test_single_mode_hand_convolution_kgs(self):
         # u = e^{ix}, w+ = c e^{i2x}, w- = 0:
@@ -128,29 +133,97 @@ class TestNonlinearRhs:
             spectral_mode(grid, (2,), amplitude=c),
             zero_field(grid),
         )
-        du, dwp, dwm = nonlinear_rhs(state)
+        du, dwp, dwm = rhs_of(state)
         k3 = np.argmin(np.abs(grid.k_axis - 3))
-        assert du.coeffs[k3] == pytest.approx(0.5j * c * grid.volume, rel=1e-12)
-        assert dwp.coeffs[0] == pytest.approx(1j * grid.volume, rel=1e-12)
-        assert dwm.coeffs[0] == pytest.approx(-1j * grid.volume, rel=1e-12)
+        assert du[k3] == pytest.approx(0.5j * c * grid.volume, rel=1e-12)
+        assert dwp[0] == pytest.approx(1j * grid.volume, rel=1e-12)
+        assert dwm[0] == pytest.approx(-1j * grid.volume, rel=1e-12)
 
     def test_three_mode_hand_convolution_zakharov(self):
         # u = a e^{ix} + b e^{i2x}: |u|^2 = |a|^2+|b|^2 + a conj(b) e^{-ix} + conj(a) b e^{ix}.
-        # dn_pm = +/- i A^{-1}(Lap |u|^2 + Re n_pm); Lap kills the mean.
+        # n+ = c e^{i3x}, n- = 0: Re n+ = (c e^{i3x} + conj(c) e^{-i3x})/2.
+        # du = -(i/2) u n+; dn_pm = +/- i A^{-1}(Lap |u|^2 + Re n_pm); Lap kills the mean.
         grid = make_grid(1, 16)
-        a, b = 0.5 + 0.1j, -0.2 + 0.4j
+        a, b, c = 0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.7j
         u = spectral_mode(grid, (1,), a) + spectral_mode(grid, (2,), b)
-        state = SystemState(System.ZAKHAROV, u, zero_field(grid), zero_field(grid))
-        _, dnp, dnm = nonlinear_rhs(state)
-        k1 = np.argmin(np.abs(grid.k_axis - 1))
-        km1 = np.argmin(np.abs(grid.k_axis + 1))
+        nplus = spectral_mode(grid, (3,), c)
+        state = SystemState(System.ZAKHAROV, u, nplus, zero_field(grid))
+        du, dnp, dnm = rhs_of(state)
+        k = {m: np.argmin(np.abs(grid.k_axis - m)) for m in (-3, -1, 1, 3, 4, 5)}
         bracket1 = math.sqrt(2.0)
+        bracket3 = math.sqrt(10.0)
         expected_k1 = 1j * (-1.0 / bracket1) * (np.conj(a) * b) * grid.volume
         expected_km1 = 1j * (-1.0 / bracket1) * (a * np.conj(b)) * grid.volume
-        assert dnp.coeffs[k1] == pytest.approx(expected_k1, rel=1e-12)
-        assert dnp.coeffs[km1] == pytest.approx(expected_km1, rel=1e-12)
-        assert dnm.coeffs[k1] == pytest.approx(-expected_k1, rel=1e-12)
-        assert dnp.coeffs[0] == pytest.approx(0.0, abs=1e-13)
+        assert dnp[k[1]] == pytest.approx(expected_k1, rel=1e-12)
+        assert dnp[k[-1]] == pytest.approx(expected_km1, rel=1e-12)
+        assert dnm[k[1]] == pytest.approx(-expected_k1, rel=1e-12)
+        assert dnp[0] == pytest.approx(0.0, abs=1e-13)
+        re_k3 = 0.5 * c * grid.volume / bracket3
+        assert dnp[k[3]] == pytest.approx(1j * re_k3, rel=1e-12)
+        assert dnp[k[-3]] == pytest.approx(1j * np.conj(re_k3), rel=1e-12)
+        assert dnm[k[3]] == pytest.approx(0.0, abs=1e-13)
+        assert du[k[4]] == pytest.approx(-0.5j * a * c * grid.volume, rel=1e-12)
+        assert du[k[5]] == pytest.approx(-0.5j * b * c * grid.volume, rel=1e-12)
+
+
+FFT_FUNCTIONS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+class TestTransformCount:
+    @pytest.mark.parametrize(
+        "kind, expected", [("kgs", 4), ("zakharov", 4), ("damped", 4), ("window", 8)]
+    )
+    def test_fft_calls_per_rhs_call(self, kind, expected, monkeypatch, grid_2d_small):
+        # Count numpy.fft/scipy.fft calls made inside the right sides handed
+        # to the stepper; an edit that adds transforms fails here.
+        import numpy.fft
+        import scipy.fft
+
+        from dispersmooth import dissipative, evolution, highlow
+
+        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0}
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                counts["fft"] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for module in (numpy.fft, scipy.fft):
+            for name in FFT_FUNCTIONS:
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+
+        module = {"damped": dissipative, "window": highlow}.get(kind, evolution)
+        stepper = module.lawson_rk4_run
+
+        def counting_stepper(fields, rhs, *args, **kwargs):
+            def counted_rhs(y):
+                before = counts["fft"]
+                out = rhs(y)
+                counts["rhs"] += 1
+                counts["fft_in_rhs"] += counts["fft"] - before
+                return out
+
+            return stepper(fields, counted_rhs, *args, **kwargs)
+
+        monkeypatch.setattr(module, "lawson_rk4_run", counting_stepper)
+        system = System.ZAKHAROV if kind == "zakharov" else System.KGS
+        state = random_state(system, grid_2d_small, seed=15)
+        config = IntegratorConfig(dt=1e-2, t_end=2e-2)
+        if kind == "damped":
+            damped = DampedState(state.u, wave_field(state), wave_field(state))
+            integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
+        elif kind == "window":
+            window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=2e-2)
+            advance_window(split_initial(state.u, (state.wplus, state.wminus), 4.0), window)
+        else:
+            integrate(state, config)
+        assert counts["rhs"] == 8
+        assert counts["fft_in_rhs"] == expected * counts["rhs"]
 
 
 class TestIntegrate:

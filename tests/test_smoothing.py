@@ -32,6 +32,7 @@ from dispersmooth.smoothing import (
 )
 from dispersmooth.spectral import (
     Grid,
+    SpectralField,
     l2_norm,
     make_grid,
     sobolev_norm,
@@ -117,7 +118,8 @@ class TestDuhamelResidual:
         # residual(t) = t * N(state0) + O(t^2): check both size and t^2 scaling.
         grid = make_grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
-        du0 = nonlinear_rhs(state)[0]
+        fields = (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
+        du0 = SpectralField(grid, nonlinear_rhs(System.KGS, grid, fields)[0])
         errs = []
         for t in (1e-2, 5e-3):
             traj = integrate(state, IntegratorConfig(dt=t / 8, t_end=t, record_every=10**9))

@@ -1,5 +1,6 @@
 """Tests for grids, transforms, multipliers, norms, projections, products."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    coupling_products,
+    cubic_pairing,
     dealias,
-    dealiased_product,
     dyadic_shells,
     fit_spectral_slope,
     fourier_multiplier,
@@ -22,6 +24,7 @@ from dispersmooth.spectral import (
     lowpass_projection,
     make_grid,
     random_sobolev_field,
+    real_part,
     riesz_potential,
     shell_projection,
     sobolev_norm,
@@ -116,6 +119,14 @@ class TestTransform:
         grid = make_grid(2, 16)
         with pytest.raises(GridMismatchError):
             to_coefficients(np.zeros((8, 8)), grid)
+
+    def test_field_copies_a_writeable_caller_array(self):
+        a = np.zeros(8, dtype=complex)
+        f = SpectralField(make_grid(1, 8), a)
+        assert a.flags.writeable
+        a[1] = 1.0
+        assert np.all(f.coeffs == 0)
+        assert not f.coeffs.flags.writeable
 
 
 class TestMultipliers:
@@ -228,21 +239,47 @@ class TestProjections:
         assert np.max(np.abs(killed.coeffs)) < 1e-12
 
 
+def convolution_oracle(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
+    """Truncated convolution ``sum_{k1 + k2 = k} f(k1) g(k2) / volume`` on the dealias band.
+
+    Direct sum over shifts, no transform; exact for inputs inside the band,
+    whose shifted copies never wrap back into it.
+    """
+    cutoff = grid.n_per_dim // 3
+    axes = tuple(range(grid.dim))
+    out = np.zeros(grid.shape, dtype=complex)
+    for k1 in itertools.product(range(-cutoff, cutoff + 1), repeat=grid.dim):
+        out += f[k1] * np.roll(g, k1, axis=axes)
+    return np.where(grid.dealias_mask, out, 0.0) / grid.volume
+
+
+def conjugate_coefficients(f: np.ndarray) -> np.ndarray:
+    """Coefficients of ``conj(f(x))``: ``conj f(-k)`` in FFT layout."""
+    return np.conj(np.roll(np.flip(f), 1, axis=tuple(range(f.ndim))))
+
+
 class TestDealiasedProduct:
     def test_product_with_zero(self):
         grid = make_grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=7)
-        p = dealiased_product(f, zero_field(grid))
-        assert np.max(np.abs(p.coeffs)) < 1e-13
+        uw, _ = coupling_products(grid, f.coeffs, zero_field(grid).coeffs)
+        assert np.max(np.abs(uw)) < 1e-13
+        uw, abs2 = coupling_products(grid, zero_field(grid).coeffs, f.coeffs)
+        assert np.max(np.abs(uw)) == 0.0 and np.max(np.abs(abs2)) == 0.0
 
     def test_two_modes_within_band(self):
         grid = make_grid(1, 16)
-        p = dealiased_product(plane_wave(grid, (2,)), plane_wave(grid, (3,)))
+        uw, abs2 = coupling_products(
+            grid, plane_wave(grid, (2,)).coeffs, plane_wave(grid, (3,)).coeffs
+        )
         k5 = np.argmin(np.abs(grid.k_axis - 5))
-        assert p.coeffs[k5] == pytest.approx(TWO_PI, rel=1e-12)
-        rest = p.coeffs.copy()
+        assert uw[k5] == pytest.approx(TWO_PI, rel=1e-12)
+        rest = uw.copy()
         rest[k5] = 0
         assert np.max(np.abs(rest)) < 1e-11
+        # |e^{2ix}|^2 = 1: only the zero mode, of coefficient 2 pi.
+        assert abs2[0] == pytest.approx(TWO_PI, rel=1e-12)
+        assert np.max(np.abs(abs2[1:])) < 1e-11
 
     def test_matches_direct_convolution_oracle(self):
         # Oracle: O(n^2) truncated convolution sum, for band-limited inputs.
@@ -261,27 +298,54 @@ class TestDealiasedProduct:
                 if -cutoff <= k2 <= cutoff:
                     acc += f.coeffs[index[k1]] * g.coeffs[index[k2]]
             conv[index[k_out]] = acc / grid.volume
-        p = dealiased_product(f, g)
-        assert np.max(np.abs(p.coeffs - conv)) < 1e-12 * max(1.0, np.max(np.abs(conv)))
+        uw, _ = coupling_products(grid, f.coeffs, g.coeffs)
+        assert np.max(np.abs(uw - conv)) < 1e-12 * max(1.0, np.max(np.abs(conv)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_both_outputs_match_oracle_in_every_dimension(self, dim, seed):
+        grid = make_grid(dim, {1: 32, 2: 16, 3: 8, 4: 8}[dim])
+        kids = np.random.SeedSequence(seed).spawn(2)
+        u = dealias(random_sobolev_field(grid, 0.0, seed=kids[0])).coeffs
+        wave = dealias(random_sobolev_field(grid, 0.0, seed=kids[1])).coeffs
+        uw, abs2 = coupling_products(grid, u, wave)
+        for got, want in (
+            (uw, convolution_oracle(u, wave, grid)),
+            (abs2, convolution_oracle(u, conjugate_coefficients(u), grid)),
+        ):
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_commutative_and_bilinear(self):
         grid = make_grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=10)
-        g = random_sobolev_field(grid, 0.0, seed=11)
-        h = random_sobolev_field(grid, 0.0, seed=12)
-        fg = dealiased_product(f, g)
-        gf = dealiased_product(g, f)
-        assert np.max(np.abs(fg.coeffs - gf.coeffs)) < 1e-12
-        lhs = dealiased_product(f + 2.0 * h, g)
-        rhs = dealiased_product(f, g) + 2.0 * dealiased_product(h, g)
-        scale = max(1.0, np.max(np.abs(lhs.coeffs)))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12 * scale
+        f = random_sobolev_field(grid, 0.0, seed=10).coeffs
+        g = random_sobolev_field(grid, 0.0, seed=11).coeffs
+        h = random_sobolev_field(grid, 0.0, seed=12).coeffs
+        fg, _ = coupling_products(grid, f, g)
+        gf, _ = coupling_products(grid, g, f)
+        assert np.max(np.abs(fg - gf)) < 1e-12
+        lhs, _ = coupling_products(grid, f + 2.0 * h, g)
+        rhs = fg + 2.0 * coupling_products(grid, h, g)[0]
+        scale = max(1.0, np.max(np.abs(lhs)))
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
     def test_grid_mismatch_rejected(self):
-        f = random_sobolev_field(make_grid(1, 16), 0.0, seed=0)
-        g = random_sobolev_field(make_grid(1, 32), 0.0, seed=0)
+        f = random_sobolev_field(make_grid(1, 16), 0.0, seed=0).coeffs
+        g = random_sobolev_field(make_grid(1, 32), 0.0, seed=0).coeffs
         with pytest.raises(GridMismatchError):
-            dealiased_product(f, g)
+            coupling_products(make_grid(1, 16), f, g)
+
+    def test_real_part_matches_physical_space(self):
+        grid = make_grid(2, 16)
+        f = random_sobolev_field(grid, 0.0, seed=19)
+        re = to_coefficients(to_samples(f).real.astype(complex), grid).coeffs
+        assert np.max(np.abs(real_part(f.coeffs) - re)) < 1e-12 * np.max(np.abs(re))
+
+    def test_cubic_pairing_matches_quadrature(self):
+        grid = make_grid(2, 16)
+        u = dealias(random_sobolev_field(grid, 0.0, seed=20))
+        v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
+        direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
+        assert cubic_pairing(u, v) == pytest.approx(direct, rel=1e-10)
 
 
 class TestRandomField:
