@@ -26,6 +26,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -225,6 +226,9 @@ def _validate(config: RunConfig) -> RunConfig:
         ) from None
     if config.grid.dimension not in (1, 2, 3, 4):
         raise ConfigurationError("[grid] dimension must be in 1..4")
+    for key in ("amplitude", "wave_amplitude"):
+        if not math.isfinite(getattr(config.system, key) or 0.0):
+            raise ConfigurationError(f"[system] {key} must be finite, got {getattr(config.system, key)}")
     if config.experiment in ("smoothing-scan", "xsb-constant"):
         # Route the theorem hypotheses through the closed-form exponents.
         try:

@@ -87,6 +87,8 @@ class IntegratorConfig:
         time_grid(self.t_end, self.dt)  # rejects a bad t_end or dt
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        if not self.blowup_threshold > 0:
+            raise ConfigurationError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,8 @@ def time_grid(t_end: float, dt: float) -> tuple[int, float]:
         raise ConfigurationError(f"t_end must be finite and positive, got {t_end}")
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be finite and positive, got {dt}")
-    if not math.isfinite(t_end / dt):
-        raise ConfigurationError(f"t_end/dt overflows: t_end = {t_end}, dt = {dt}")
+    if not t_end / dt < 1e9:  # from 1e9 steps on, the 1e-9 tolerance exceeds one step
+        raise ConfigurationError(f"t_end/dt must be below 1e9: t_end = {t_end}, dt = {dt}")
     n_steps = math.ceil(t_end / dt * (1.0 - 1e-9))
     return n_steps, t_end / n_steps
 

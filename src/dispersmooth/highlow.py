@@ -21,8 +21,8 @@ with ``m = min(s, r)``.  The low pair's energy
 
 is coercive when the u-mass is below a threshold set by the optimal
 four-dimensional Gagliardo-Nirenberg constants ``C1`` (L^4) and ``C2``
-(L^{8/3}); those constants are configuration inputs, with a Gaussian
-trial-family estimator providing lower brackets.
+(L^{8/3}); those constants are configuration inputs, with the exact
+Gaussian quotients as lower brackets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError
 from .evolution import (
@@ -91,6 +90,8 @@ class HighLowConfig:
             )
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError(f"delta must be finite and positive, got {self.delta}")
+        if not self.blowup_threshold > 0:
+            raise ConfigurationError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
     @property
     def m(self) -> float:
@@ -305,34 +306,15 @@ def low_energy(
     return LowEnergyReport(energy=quad_part - cubic, coercivity_surrogate=quad_part)
 
 
-def gaussian_gns_constants(sigma_grid: np.ndarray | None = None) -> tuple[float, float]:
+def gaussian_gns_constants() -> tuple[float, float]:
     """Lower brackets for the optimal 4-d Gagliardo-Nirenberg constants.
 
-    Maximizes the two Rayleigh quotients over the Gaussian trial family
-    ``exp(-|x|^2 / (2 sigma^2))`` by radial quadrature (both quotients are
-    scale-invariant in four dimensions, so the maximum over widths is flat;
-    the sweep is a consistency check).  True optima are larger, so these are
-    brackets from below.
+    The exact Gaussian quotients ``||f||_4 / ||grad f||_2`` and
+    ``||f||_{8/3} / (||f||_2 ||grad f||_2)^{1/2}``, scale-invariant in four
+    dimensions; the optimal constants (Weinstein 1983) are suprema over all
+    ``f``, so these bracket them from below.
     """
-    if sigma_grid is None:
-        sigma_grid = np.linspace(0.5, 2.0, 7)
-    surface = 2.0 * math.pi**2  # unit 3-sphere area in R^4
-
-    def radial(fn) -> float:
-        value, _ = quad(lambda rho: fn(rho) * rho**3 * surface, 0.0, 50.0, limit=200)
-        return value
-
-    best_c1 = 0.0
-    best_c2 = 0.0
-    for sigma in sigma_grid:
-        gauss = lambda rho: math.exp(-(rho**2) / (2 * sigma**2))
-        l2 = math.sqrt(radial(lambda r: gauss(r) ** 2))
-        l4 = radial(lambda r: gauss(r) ** 4) ** 0.25
-        l83 = radial(lambda r: gauss(r) ** (8.0 / 3.0)) ** (3.0 / 8.0)
-        grad_l2 = math.sqrt(radial(lambda r: (r / sigma**2 * gauss(r)) ** 2))
-        best_c1 = max(best_c1, l4 / grad_l2)
-        best_c2 = max(best_c2, l83 / math.sqrt(l2 * grad_l2))
-    return best_c1, best_c2
+    return 1.0 / (2.0 * math.sqrt(math.pi)), (3.0 * math.pi / 4.0) ** 0.75 / (math.pi * 2.0**0.25)
 
 
 @dataclass(frozen=True)

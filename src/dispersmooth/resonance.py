@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigurationError,
@@ -398,6 +397,7 @@ def calc_lemma_check(
     bounded; with ``enforce_hypotheses=False`` the quantity can be evaluated
     outside that region (where it grows without bound) as a negative control.
     """
+    from scipy.integrate import quad  # here, to keep scipy off the CLI import path
     if enforce_hypotheses:
         if not alpha > 1:
             raise HypothesisError(f"lemma requires alpha > 1, got {alpha}")

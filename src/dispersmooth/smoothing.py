@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .errors import (
     AdmissibilityError,
@@ -201,6 +200,17 @@ class SpaceTimeField:
         return float(len(self.times) * (self.times[1] - self.times[0]))
 
 
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Periodic Tukey window: ``scipy.signal.windows.tukey(m, alpha, sym=False)``, to the bit."""
+    if alpha == 1.0:  # scipy's Hann form
+        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:m]
+    width = math.floor(alpha * m / 2.0)
+    head, tail = np.arange(width + 1.0), np.arange(m - width, m + 1.0)
+    rise = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / m)))
+    fall = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * tail / alpha / m)))
+    return np.concatenate((rise, np.ones(m - 2 * width - 1), fall))[:m]
+
+
 def space_time_field(
     trajectory: list[SystemState], component: str = "u", taper: float = 0.5
 ) -> SpaceTimeField:
@@ -210,6 +220,8 @@ def space_time_field(
     with spacing ``2 pi / T_w``; dispersion surfaces of retained modes must
     fit inside it for the modulation weights to be meaningful.
     """
+    if not 0 < taper <= 1:
+        raise ConfigurationError(f"taper must be in (0, 1], got {taper}")
     if len(trajectory) < 4:
         raise ConfigurationError("need at least 4 time samples for a tau transform")
     times = np.array([s.t for s in trajectory])
@@ -219,7 +231,7 @@ def space_time_field(
     grid = trajectory[0].grid
     stack = np.stack([getattr(s, component).coeffs for s in trajectory], axis=-1)
     n_t = stack.shape[-1]
-    window = tukey(n_t, alpha=taper, sym=False)
+    window = _tukey(n_t, taper)
     windowed = stack * window
     coeffs = np.fft.fft(windowed, axis=-1) * dt[0]
     tau = 2.0 * math.pi * np.fft.fftfreq(n_t, d=dt[0])

@@ -1,9 +1,14 @@
 """End-to-end CLI tests: subcommands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dispersmooth
 from dispersmooth.cli import main
 from dispersmooth.smoothing import worker_count
 
@@ -64,6 +69,20 @@ dt = 5e-3
 cutoff = 4
 windows = 2
 compare_direct = true
+"""
+
+XSB_SMALL = """
+[grid]
+n_per_dim = 32
+
+[system]
+kind = kgs
+s = 0.0
+r = 0.0
+
+[resonance]
+time_modes = 16
+ensemble = 2
 """
 
 
@@ -141,6 +160,7 @@ class TestExitCodes:
             ("t_end = 0.05", "t_end = -1"),
             ("dt = 5e-3", "dt = inf"),
             ("dt = 5e-3", "dt = 1e-320"),
+            ("dt = 5e-3", "dt = 1e-300"),
         ],
     )
     def test_bad_time_grid_is_2(self, tmp_path, capsys, line, bad):
@@ -163,6 +183,24 @@ class TestExitCodes:
         assert "configuration error" in err
         assert key in err
 
+    @pytest.mark.parametrize(
+        "line, bad, key",
+        [
+            ("[integrator]", "[integrator]\nblowup_threshold = nan", "blowup_threshold"),
+            ("[integrator]", "[integrator]\nblowup_threshold = 0", "blowup_threshold"),
+            ("[integrator]", "[integrator]\nblowup_threshold = -1", "blowup_threshold"),
+            ("amplitude = 0.5", "amplitude = nan", "amplitude"),
+            ("amplitude = 0.5", "amplitude = inf", "amplitude"),
+            ("amplitude = 0.5", "amplitude = 0.5\nwave_amplitude = -inf", "wave_amplitude"),
+        ],
+    )
+    def test_bad_guard_or_amplitude_is_2_and_named(self, tmp_path, capsys, line, bad, key):
+        config = write_config(tmp_path, SIMULATE_SMALL.replace(line, bad))
+        assert main(["simulate", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err
+
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
         blocker = tmp_path / "blocked"
@@ -170,6 +208,34 @@ class TestExitCodes:
         code = main(["simulate", "--config", config, "--out", str(blocker / "x"), "--quiet"])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # highlow and xsb-constant are the experiments that once imported scipy.
+        calls = [
+            [name, "--config", write_config(tmp_path, text, f"{name}.ini")]
+            + ["--out", str(tmp_path / name), "--quiet"]
+            for name, text in (("highlow", HIGHLOW_SMALL), ("xsb-constant", XSB_SMALL))
+        ]
+        script = (
+            "import sys\n"
+            "from dispersmooth import cli\n"
+            f"for argv in {calls!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not scipy, scipy\n"
+        )
+        src = str(Path(dispersmooth.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestOtherExperiments:
@@ -249,22 +315,7 @@ ensemble = 2
         assert len(lines) == 5  # 2 members x 2 components
 
     def test_xsb_constant_small(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[grid]
-n_per_dim = 32
-
-[system]
-kind = kgs
-s = 0.0
-r = 0.0
-
-[resonance]
-time_modes = 16
-ensemble = 2
-""",
-        )
+        config = write_config(tmp_path, XSB_SMALL)
         out = tmp_path / "out"
         assert main(["xsb-constant", "--config", config, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())

@@ -327,7 +327,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "t_end, dt, n_steps, dt_eff",
-        [(0.02, 1e-3, 20, 1e-3), (1.0, 0.3, 4, 0.25), (0.05, 1.0, 1, 0.05)],
+        [(0.02, 1e-3, 20, 1e-3), (1.0, 0.3, 4, 0.25), (0.05, 1.0, 1, 0.05), (1.0, 1e-8, 10**8, 1e-8)],
     )
     def test_time_grid_ends_at_t_end(self, t_end, dt, n_steps, dt_eff):
         assert time_grid(t_end, dt) == (n_steps, pytest.approx(dt_eff, rel=1e-12))

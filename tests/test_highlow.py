@@ -206,6 +206,11 @@ class TestMassThreshold:
 
 
 class TestRunGlobal:
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+    def test_bad_blowup_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigurationError, match="blowup_threshold"):
+            HighLowConfig(cutoff=4, s=0.95, r=0.95, blowup_threshold=threshold)
+
     def test_horizon_shorter_than_window_is_single_window(self, grid_2d):
         u0, pair = highlow_data(grid_2d, seed=50)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=1e-4)

@@ -204,6 +204,23 @@ class TestXsbNorm:
         with pytest.raises(ConfigurationError):
             space_time_field(states, "u")
 
+    @pytest.mark.parametrize("taper", [0.25, 0.5, 0.75, 1.0])
+    def test_window_is_scipy_periodic_tukey(self, grid_2d_small, taper):
+        from scipy.signal.windows import tukey
+
+        z = zero_field(grid_2d_small)
+        for m in (4, 5, 8, 13, 31, 64):
+            states = [SystemState(System.KGS, z, z, z, t=0.01 * j) for j in range(m)]
+            window = space_time_field(states, "u", taper=taper).window
+            assert np.array_equal(window, tukey(m, taper, sym=False))
+
+    @pytest.mark.parametrize("taper", [0.0, -0.5, 1.5, float("nan")])
+    def test_taper_outside_unit_interval_rejected(self, grid_2d_small, taper):
+        z = zero_field(grid_2d_small)
+        states = [SystemState(System.KGS, z, z, z, t=0.01 * j) for j in range(8)]
+        with pytest.raises(ConfigurationError, match="taper"):
+            space_time_field(states, "u", taper=taper)
+
 
 class TestSmoothingScan:
     def test_residual_scales_quadratically_in_amplitude(self):
