@@ -250,7 +250,7 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     ss = np.random.SeedSequence((damp.forcing_seed, 17))
     kids = ss.spawn(2)
     f = g = None
-    if damp.forcing_amplitude > 0:
+    if damp.forcing_amplitude != 0:
         f = damp.forcing_amplitude * dealias(random_sobolev_field(grid, 2.0, seed=kids[0]))
         g = damp.forcing_amplitude * dealias(
             random_sobolev_field(grid, 2.0, seed=kids[1], real=True)

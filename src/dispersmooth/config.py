@@ -226,9 +226,11 @@ def _validate(config: RunConfig) -> RunConfig:
         ) from None
     if config.grid.dimension not in (1, 2, 3, 4):
         raise ConfigurationError("[grid] dimension must be in 1..4")
-    for key in ("amplitude", "wave_amplitude"):
-        if not math.isfinite(getattr(config.system, key) or 0.0):
-            raise ConfigurationError(f"[system] {key} must be finite, got {getattr(config.system, key)}")
+    finite = (("system", "amplitude"), ("system", "wave_amplitude"), ("damping", "forcing_amplitude"))
+    for section, key in finite:
+        value = getattr(getattr(config, section), key)
+        if not math.isfinite(value or 0.0):
+            raise ConfigurationError(f"[{section}] {key} must be finite, got {value}")
     if config.experiment in ("smoothing-scan", "xsb-constant"):
         # Route the theorem hypotheses through the closed-form exponents.
         try:

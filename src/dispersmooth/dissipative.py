@@ -34,7 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .evolution import IntegratorConfig, Recorder, Trajectory, lawson_rk4_run, time_grid
+from .evolution import (
+    Dispersion,
+    Fields,
+    Flow,
+    IntegratorConfig,
+    Recorder,
+    Trajectory,
+    lawson_rk4_run,
+    linear_flow,
+    propagator_symbol,
+    time_grid,
+)
 from .spectral import (
     Grid,
     SpectralField,
@@ -58,11 +69,13 @@ class DampedParams:
     g: SpectralField | None = None
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0 and self.delta > 0):
-            raise ConfigurationError("damping coefficients must be positive")
+        for key in ("gamma", "delta", "a"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
         if self.a is None:
             object.__setattr__(self, "a", min(self.gamma, self.delta) / 4.0)
-        if not (0 < self.a < self.delta):
+        if not self.a < self.delta:
             raise ConfigurationError("auxiliary constant requires 0 < a < delta")
 
     @property
@@ -94,10 +107,12 @@ class DampedState:
 # Exact linear flow
 # ---------------------------------------------------------------------------
 
-def _vw_block(grid: Grid, params: DampedParams, t: float) -> tuple[np.ndarray, ...]:
-    """Per-mode matrix exponential of the homogeneous (v, w) system.
+def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
+    """`linear_flow` of the homogeneous linear system by time ``t`` on ``(u, v, w)``.
 
-    The block is ``[[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
+    Per mode, ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the
+    (v, w) pair advances by the matrix exponential of the block
+    ``M = [[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
     ``c = 1 + a(a - delta)``; trace ``-delta`` and determinant ``1 + |xi|^2``
     give eigenvalues ``-delta/2 +- q`` with ``q = sqrt(delta^2/4 - 1 - |xi|^2)``
     (complex for the underdamped modes).
@@ -122,35 +137,23 @@ def _vw_block(grid: Grid, params: DampedParams, t: float) -> tuple[np.ndarray, .
     m12 = decay * sh_over_q
     m21 = decay * (-cap) * sh_over_q
     m22 = decay * (ch + bottom_right * sh_over_q)
-    return m11, m12, m21, m22
-
-
-def _u_symbol(grid: Grid, params: DampedParams, t: float) -> np.ndarray:
-    sym = np.exp((-params.gamma - 1j * grid.xi_squared) * t)
-    sym = sym.astype(complex)
-    sym[grid.nyquist_mask] = 0.0
-    return sym
+    for entry in (m11, m12, m21, m22):
+        entry[grid.nyquist_mask] = 0.0
+    u_sym = math.exp(-params.gamma * t) * propagator_symbol(grid, Dispersion.SCHRODINGER, t)
+    return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
 
 
 def damped_linear_propagate(
     state: DampedState, params: DampedParams, t: float
 ) -> DampedState:
-    """Exact flow of the homogeneous linear system by time ``t``.
+    """Exact flow of the homogeneous linear system by time ``t`` (`damped_flow`).
 
-    Per mode: ``u_hat -> exp(-gamma t - i t |xi|^2) u_hat`` and the (v, w)
-    pair advances by the 2x2 matrix exponential.  All Sobolev norms decay
-    exponentially (rate at least ``min(gamma, a, delta - a)/2`` in the
-    underdamped regime ``delta <= 2``).
+    All Sobolev norms decay exponentially (rate at least
+    ``min(gamma, a, delta - a)/2`` in the underdamped regime ``delta <= 2``).
     """
     grid = state.grid
-    u = SpectralField(grid, state.u.coeffs * _u_symbol(grid, params, t))
-    m11, m12, m21, m22 = _vw_block(grid, params, t)
-    nyq = grid.nyquist_mask
-    v_new = m11 * state.v.coeffs + m12 * state.w.coeffs
-    w_new = m21 * state.v.coeffs + m22 * state.w.coeffs
-    v_new[nyq] = 0.0
-    w_new[nyq] = 0.0
-    return DampedState(u, SpectralField(grid, v_new), SpectralField(grid, w_new), state.t + t)
+    fields = damped_flow(grid, params, t)((state.u.coeffs, state.v.coeffs, state.w.coeffs))
+    return DampedState(*(SpectralField(grid, a) for a in fields), state.t + t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +173,7 @@ def integrate_damped(
     f, g = params.forcing(grid)
     n_steps, dt = time_grid(config.t_end, config.dt)
 
-    u_half = _u_symbol(grid, params, dt / 2)
-    m11, m12, m21, m22 = _vw_block(grid, params, dt / 2)
-    nyq = grid.nyquist_mask
-
-    def half_step(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        v_new = m11 * fields[1] + m12 * fields[2]
-        w_new = m21 * fields[1] + m22 * fields[2]
-        v_new[nyq] = 0.0
-        w_new[nyq] = 0.0
-        return (u_half * fields[0], v_new, w_new)
-
-    def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    def rhs(fields: Fields) -> Fields:
         uv, abs2 = coupling_products(grid, fields[0], fields[1])
         return 1j * uv - 1j * f.coeffs, np.zeros_like(fields[1]), abs2 + g.coeffs
 
@@ -197,7 +189,7 @@ def integrate_damped(
     lawson_rk4_run(
         (state.u.coeffs, state.v.coeffs, state.w.coeffs),
         rhs,
-        half_step,
+        damped_flow(grid, params, dt / 2),
         dt,
         n_steps,
         recorder,

@@ -39,10 +39,9 @@ from .evolution import (
     Recorder,
     SystemState,
     System,
-    diagonal_half_step,
+    free_flow,
     integrate,
     lawson_rk4_run,
-    linear_propagate,
     nonlinear_rhs,
     time_grid,
 )
@@ -214,7 +213,7 @@ def _integrate_window(
         state.lam_plus.coeffs,
         state.lam_minus.coeffs,
     )
-    half_step = diagonal_half_step(grid, 2 * SYSTEM_DISPERSIONS, dt)
+    half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, dt / 2)
     return lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
 
 
@@ -237,9 +236,9 @@ def _reassemble(
     phi_d, psi_p_d, psi_m_d, mu_d, lam_p_d, lam_m_d = (
         SpectralField(grid, f) for f in evolved
     )
-    high = (state.mu, state.lam_plus, state.lam_minus)
+    high = (state.mu.coeffs, state.lam_plus.coeffs, state.lam_minus.coeffs)
     mu_free, lam_p_free, lam_m_free = (
-        linear_propagate(f, dispersion, delta) for f, dispersion in zip(high, SYSTEM_DISPERSIONS)
+        SpectralField(grid, f) for f in free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
     )
     incr_u = mu_d - mu_free
     incr_p = lam_p_d - lam_p_free

@@ -367,7 +367,7 @@ def real_part(coeffs: np.ndarray) -> np.ndarray:
     No transform is needed: on the sampled lattice conjugation maps mode ``k``
     to mode ``-k``, and the unpaired Nyquist plane is zero.
     """
-    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+    return 0.5 * (coeffs + conjugate(coeffs))
 
 
 def _dealiased(samples: np.ndarray, grid: Grid) -> np.ndarray:
@@ -408,18 +408,18 @@ def random_sobolev_field(
     coeffs = envelope * g
     coeffs[grid.nyquist_mask] = 0.0
     if real:
-        coeffs = (coeffs + np.conj(_reflect(coeffs))) / math.sqrt(2.0)
+        coeffs = (coeffs + conjugate(coeffs)) / math.sqrt(2.0)
     return SpectralField(grid, coeffs)
 
 
-def _reflect(arr: np.ndarray) -> np.ndarray:
-    """Coefficient array of ``u(-x)``: index map ``k -> -k`` in FFT layout."""
-    out = arr
-    for axis in range(arr.ndim):
-        n = arr.shape[axis]
+def conjugate(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of ``conj f``: ``conj f(-k)``, with ``-k`` taken in FFT layout."""
+    out = coeffs
+    for axis in range(coeffs.ndim):
+        n = coeffs.shape[axis]
         idx = (-np.arange(n)) % n
         out = np.take(out, idx, axis=axis)
-    return out
+    return np.conj(out)
 
 
 def shell_average_spectrum(f: SpectralField) -> tuple[np.ndarray, np.ndarray]:

@@ -71,6 +71,24 @@ windows = 2
 compare_direct = true
 """
 
+ATTRACTOR_SMALL = """
+[grid]
+n_per_dim = 16
+
+[system]
+amplitude = 0.3
+
+[integrator]
+dt = 1e-2
+t_end = 2.0
+record_every = 20
+
+[damping]
+gamma = 0.5
+delta = 0.5
+forcing_amplitude = 0.2
+"""
+
 XSB_SMALL = """
 [grid]
 n_per_dim = 32
@@ -201,6 +219,25 @@ class TestExitCodes:
         assert "configuration error" in err
         assert key in err
 
+    @pytest.mark.parametrize(
+        "line, bad, key",
+        [
+            ("gamma = 0.5", "gamma = inf", "gamma"),
+            ("gamma = 0.5", "gamma = nan", "gamma"),
+            ("delta = 0.5", "delta = inf", "delta"),
+            ("delta = 0.5", "delta = 0.5\na = nan", "a"),
+            ("forcing_amplitude = 0.2", "forcing_amplitude = nan", "forcing_amplitude"),
+            ("forcing_amplitude = 0.2", "forcing_amplitude = inf", "forcing_amplitude"),
+            ("forcing_amplitude = 0.2", "forcing_amplitude = -inf", "forcing_amplitude"),
+        ],
+    )
+    def test_non_finite_damping_is_2_and_named(self, tmp_path, capsys, line, bad, key):
+        config = write_config(tmp_path, ATTRACTOR_SMALL.replace(line, bad))
+        assert main(["attractor", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f" {key} must be finite" in err
+
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
         blocker = tmp_path / "blocked"
@@ -322,27 +359,18 @@ ensemble = 2
         assert manifest["results"]["max_ratio"] > 0
 
     def test_attractor_smoke(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[grid]
-n_per_dim = 16
-
-[system]
-amplitude = 0.3
-
-[integrator]
-dt = 1e-2
-t_end = 2.0
-record_every = 20
-
-[damping]
-gamma = 0.5
-delta = 0.5
-forcing_amplitude = 0.2
-""",
-        )
+        config = write_config(tmp_path, ATTRACTOR_SMALL)
         out = tmp_path / "out"
         assert main(["attractor", "--config", config, "--out", str(out), "--quiet"]) == 0
         lines = (out / "attractor.csv").read_text().splitlines()
         assert lines[0].startswith("t,H,dH_closed,dH_fd,mass,lin_u_H1")
+
+    def test_negative_forcing_amplitude_flips_the_forcing(self, tmp_path):
+        csv = {}
+        for amplitude in ("-0.3", "0", "0.3"):
+            text = ATTRACTOR_SMALL.replace("forcing_amplitude = 0.2", f"forcing_amplitude = {amplitude}")
+            out = tmp_path / amplitude
+            assert main(["attractor", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+            csv[amplitude] = (out / "attractor.csv").read_bytes()
+        assert csv["-0.3"] != csv["0"]
+        assert csv["-0.3"] != csv["0.3"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersmooth import dissipative, evolution, highlow
 from dispersmooth.dissipative import DampedParams, DampedState, integrate_damped
 from dispersmooth.errors import BlowUpError
 from dispersmooth.evolution import (
@@ -16,7 +17,6 @@ from dispersmooth.evolution import (
     integrate,
     join_wave_pair,
     linear_propagate,
-    linear_propagate_state,
     nonlinear_rhs,
     reality_defect,
     split_wave_pair,
@@ -29,6 +29,7 @@ from dispersmooth.spectral import (
     make_grid,
     random_sobolev_field,
     sobolev_norm,
+    to_coefficients,
     to_samples,
     zero_field,
 )
@@ -172,19 +173,36 @@ FFT_FUNCTIONS = (
 )
 
 
+def run_kind(kind, grid, seed, steps):
+    """Run one of the four right sides through its integrator over ``steps`` steps of 1e-2."""
+    system = System.ZAKHAROV if kind == "zakharov" else System.KGS
+    state = random_state(system, grid, seed=seed)
+    config = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2)
+    if kind == "damped":
+        damped = DampedState(state.u, wave_field(state), wave_field(state))
+        integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
+    elif kind == "window":
+        window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=steps * 1e-2)
+        advance_window(split_initial(state.u, (state.wplus, state.wminus), 4.0), window)
+    else:
+        integrate(state, config)
+
+
+KINDS = {"kgs": evolution, "zakharov": evolution, "damped": dissipative, "window": highlow}
+
+
 class TestTransformCount:
     @pytest.mark.parametrize(
         "kind, expected", [("kgs", 4), ("zakharov", 4), ("damped", 4), ("window", 8)]
     )
     def test_fft_calls_per_rhs_call(self, kind, expected, monkeypatch, grid_2d_small):
         # Count numpy.fft/scipy.fft calls made inside the right sides handed
-        # to the stepper; an edit that adds transforms fails here.
+        # to the stepper, and the stepper's calls of the half-step flow; an
+        # edit that adds transforms or half-steps fails here.
         import numpy.fft
         import scipy.fft
 
-        from dispersmooth import dissipative, evolution, highlow
-
-        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0}
+        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0, "half_step": 0}
 
         def counted(fn):
             def call(*args, **kwargs):
@@ -197,10 +215,10 @@ class TestTransformCount:
             for name in FFT_FUNCTIONS:
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
 
-        module = {"damped": dissipative, "window": highlow}.get(kind, evolution)
+        module = KINDS[kind]
         stepper = module.lawson_rk4_run
 
-        def counting_stepper(fields, rhs, *args, **kwargs):
+        def counting_stepper(fields, rhs, half_step, *args, **kwargs):
             def counted_rhs(y):
                 before = counts["fft"]
                 out = rhs(y)
@@ -208,22 +226,59 @@ class TestTransformCount:
                 counts["fft_in_rhs"] += counts["fft"] - before
                 return out
 
-            return stepper(fields, counted_rhs, *args, **kwargs)
+            def counted_half_step(y):
+                counts["half_step"] += 1
+                return half_step(y)
+
+            return stepper(fields, counted_rhs, counted_half_step, *args, **kwargs)
 
         monkeypatch.setattr(module, "lawson_rk4_run", counting_stepper)
-        system = System.ZAKHAROV if kind == "zakharov" else System.KGS
-        state = random_state(system, grid_2d_small, seed=15)
-        config = IntegratorConfig(dt=1e-2, t_end=2e-2)
-        if kind == "damped":
-            damped = DampedState(state.u, wave_field(state), wave_field(state))
-            integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
-        elif kind == "window":
-            window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=2e-2)
-            advance_window(split_initial(state.u, (state.wplus, state.wminus), 4.0), window)
-        else:
-            integrate(state, config)
+        run_kind(kind, grid_2d_small, seed=15, steps=2)
         assert counts["rhs"] == 8
+        assert counts["half_step"] == 8
         assert counts["fft_in_rhs"] == expected * counts["rhs"]
+
+
+def seven_application_run(fields, rhs, half_step, dt, n_steps):
+    """The Lawson RK4 step in its seven-application form, the oracle for `lawson_rk4_run`."""
+    y = fields
+    for _ in range(n_steps):
+        n1 = rhs(y)
+        y2 = half_step(tuple(a + (0.5 * dt) * b for a, b in zip(y, n1)))
+        n2 = rhs(y2)
+        py = half_step(y)
+        y3 = tuple(a + (0.5 * dt) * b for a, b in zip(py, n2))
+        n3 = rhs(y3)
+        ppy = half_step(py)
+        y4 = half_step(tuple(a + dt * b for a, b in zip(py, n3)))
+        n4 = rhs(y4)
+        pn1 = half_step(half_step(n1))
+        pn23 = half_step(tuple(a + b for a, b in zip(n2, n3)))
+        y = tuple(
+            base + (dt / 6.0) * (k1 + 2.0 * k23 + k4)
+            for base, k1, k23, k4 in zip(ppy, pn1, pn23, n4)
+        )
+    return y
+
+
+class TestStepperOracle:
+    @pytest.mark.parametrize("kind, n", [("kgs", 32), ("zakharov", 32), ("damped", 32), ("window", 16)])
+    def test_matches_seven_application_step(self, kind, n, monkeypatch):
+        # P is linear, so the four-application step is the same scheme.
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        finals = []
+
+        def both(fields, rhs, half_step, dt, n_steps, observer=None):
+            new = stepper(fields, rhs, half_step, dt, n_steps, observer)
+            finals.append((new, seven_application_run(fields, rhs, half_step, dt, n_steps)))
+            return new
+
+        monkeypatch.setattr(module, "lawson_rk4_run", both)
+        run_kind(kind, make_grid(2, n), seed=16, steps=10)
+        ((new, old),) = finals
+        for a, b in zip(new, old):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 class TestIntegrate:
@@ -242,9 +297,9 @@ class TestIntegrate:
         # Zakharov keeps its bounded correction term even without u, so the
         # wave part is exactly linear only for the KGS system.
         if system is System.KGS:
-            exact = linear_propagate_state(state, final.t)
-            scale = max(1.0, np.max(np.abs(exact.wplus.coeffs)))
-            assert np.max(np.abs(final.wplus.coeffs - exact.wplus.coeffs)) < 1e-12 * scale
+            exact = linear_propagate(state.wplus, Dispersion.KG_PLUS, final.t)
+            scale = max(1.0, np.max(np.abs(exact.coeffs)))
+            assert np.max(np.abs(final.wplus.coeffs - exact.coeffs)) < 1e-12 * scale
             assert l2_norm(final.u) == 0.0
         else:
             assert l2_norm(final.u) == 0.0
@@ -281,6 +336,17 @@ class TestIntegrate:
         traj = integrate(state, IntegratorConfig(dt=5e-3, t_end=0.3, record_every=20))
         for s in traj:
             assert reality_defect(s) < 1e-8
+
+        # The defect against conj(w+) taken through the samples, along the run
+        # and for a pair that is not real.
+        def by_transform(s):
+            return l2_norm(to_coefficients(np.conj(to_samples(s.wplus)), s.grid) - s.wminus)
+
+        skew = random_sobolev_field(grid_2d_small, 1.0, seed=19)
+        skew_state = SystemState(system, state.u, state.wplus, skew)
+        assert reality_defect(skew_state) == pytest.approx(by_transform(skew_state), rel=1e-12)
+        for s in traj:
+            assert reality_defect(s) == pytest.approx(by_transform(s), abs=1e-14 * l2_norm(s.wplus))
 
     @pytest.mark.parametrize("integrator", ["integrate", "integrate_damped", "run_global"])
     def test_blowup_guard_aborts_with_diagnostics(self, integrator, grid_2d_small):
