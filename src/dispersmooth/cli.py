@@ -13,6 +13,7 @@ DISPERSMOOTH_THREADS caps the worker count for ensemble experiments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -41,7 +42,7 @@ from .evolution import (
     integrate,
     random_system_state,
 )
-from .highlow import HighLowConfig, run_global, step_rule
+from .highlow import HighLowConfig, run_global
 from .reporting import ExperimentResult, write_outputs
 from .resonance import bilinear_constant_estimate, resonant_shell_sample
 from .smoothing import (
@@ -185,31 +186,22 @@ def _run_highlow(config: RunConfig, seed: int) -> ExperimentResult:
         wave_amplitude=config.system.wave_amplitude,
     )
     hl = config.highlow
-    delta = hl.delta
-    if delta is None:
-        delta = step_rule(
-            hl.cutoff, min(config.system.s, config.system.r), hl.r0, hl.window_constant
-        )
-    t_end = config.integrator.t_end
-    if hl.windows is not None:
-        t_end = hl.windows * delta
     hl_config = HighLowConfig(
         cutoff=hl.cutoff,
         s=config.system.s,
         r=config.system.r,
-        s0=hl.s0,
         r0=hl.r0,
         window_constant=hl.window_constant,
-        delta=delta,
+        delta=hl.delta,
         dt=config.integrator.dt,
-        t_end=t_end,
+        t_end=config.integrator.t_end,
         gns_c1=hl.gns_c1,
         gns_c2=hl.gns_c2,
         blowup_threshold=config.integrator.blowup_threshold,
     )
-    report = run_global(
-        state.u, (state.wplus, state.wminus), hl_config, compare_direct=hl.compare_direct
-    )
+    if hl.windows is not None:
+        hl_config = dataclasses.replace(hl_config, t_end=hl.windows * hl_config.delta)
+    report = run_global(state.u, state.wplus, hl_config, compare_direct=hl.compare_direct)
     rows = []
     for i, log in enumerate(report.windows):
         diff = report.diff_vs_direct[i] if report.diff_vs_direct is not None else None
@@ -239,7 +231,7 @@ def _run_highlow(config: RunConfig, seed: int) -> ExperimentResult:
             "initial_mass": report.initial_mass,
             "below_threshold": report.below_threshold,
             "warnings": report.warnings,
-            "delta": delta,
+            "delta": hl_config.delta,
         },
     )
 

@@ -45,6 +45,13 @@ EXPERIMENTS = (
 )
 
 
+def _require_positive(section, key: str) -> None:
+    """Reject a count below 1, naming its key."""
+    value = getattr(section, key)
+    if value < 1:
+        raise ConfigurationError(f"{key} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class RunSection:
     experiment: str | None = None
@@ -75,6 +82,9 @@ class SmoothingSection:
     b: float = 0.55
     ensemble: int = 8
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "ensemble")
+
 
 @dataclass(frozen=True)
 class CounterexampleSection:
@@ -88,7 +98,6 @@ class CounterexampleSection:
 @dataclass(frozen=True)
 class HighLowSection:
     cutoff: float = 8.0
-    s0: float = 0.55
     r0: float = 0.55
     window_constant: float = 0.1
     delta: float | None = None
@@ -98,8 +107,8 @@ class HighLowSection:
     compare_direct: bool = False
 
     def __post_init__(self) -> None:
-        if self.windows is not None and self.windows < 1:
-            raise ConfigurationError(f"windows must be >= 1, got {self.windows}")
+        if self.windows is not None:
+            _require_positive(self, "windows")
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,10 @@ class ResonanceSection:
     ensemble: int = 8
     adversarial: bool = False
     alpha: float = 0.4
+
+    def __post_init__(self) -> None:
+        for key in ("count", "time_modes", "ensemble"):
+            _require_positive(self, key)
 
 
 @dataclass(frozen=True)

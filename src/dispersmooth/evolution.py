@@ -1,15 +1,17 @@
 """Time integration of the transformed coupled systems.
 
-The unknowns are ``(u, w+, w-)`` where the wave pair comes from
-``w_pm = v +/- i A^{-1} v_t`` (Klein-Gordon-Schrodinger) or the analogous
-``n_pm`` (Zakharov), with ``A = (1 - Laplacian)^{1/2}``.  The linear flow is
-applied exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component
-and ``exp(-/+ i t <xi>)`` for the two wave branches -- so the fourth-order
-scheme (classical Runge-Kutta in the interaction picture) sees no dispersive
-stiffness.  Quadratic nonlinearities are evaluated pseudo-spectrally
-with 2/3-rule dealiasing (`spectral.coupling_products`); conservation
-identities hold exactly for the truncated flow when the data is band-limited
-below the dealias cutoff, so the observed mass/Hamiltonian drift is pure
+The unknowns are ``(u, w+)``, where ``w+ = v + i A^{-1} v_t`` comes from the
+real wave ``v`` (Klein-Gordon-Schrodinger) or the analogous ``n+`` (Zakharov),
+with ``A = (1 - Laplacian)^{1/2}``.  The wave is real, so the minus branch
+``w- = v - i A^{-1} v_t`` is the conjugate ``conj w+``: it is derived where it
+is read (`SystemState.wminus`), never integrated.  The linear flow is applied
+exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component and
+``exp(-i t <xi>)`` for ``w+`` -- so the fourth-order scheme (classical
+Runge-Kutta in the interaction picture) sees no dispersive stiffness.
+Quadratic nonlinearities are evaluated pseudo-spectrally with 2/3-rule
+dealiasing (`spectral.coupling_products`); conservation identities hold
+exactly for the truncated flow when the data is band-limited below the
+dealias cutoff, so the observed mass/Hamiltonian drift is pure
 time-discretization error.
 """
 
@@ -57,17 +59,21 @@ class Dispersion(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SystemState:
-    """Transformed-system unknowns ``(u, w+, w-)`` at one time."""
+    """Transformed-system unknowns ``(u, w+)`` at one time; ``w-`` is derived."""
 
     system: System
     u: SpectralField
     wplus: SpectralField
-    wminus: SpectralField
-    t: float = 0.0
+    t: float = field(default=0.0, kw_only=True)
 
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+    @property
+    def wminus(self) -> SpectralField:
+        """The minus branch ``conj w+`` of the real wave."""
+        return SpectralField(self.grid, conjugate(self.wplus.coeffs))
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,6 @@ class ConservationReport:
     mass: float
     hamiltonian: float
     zero_mode_mass_of_wave: float | None
-    norms: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def linear_flow(symbols: Sequence[Mapping[int, np.ndarray]]) -> Flow:
     return flow
 
 
-SYSTEM_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS, Dispersion.KG_MINUS)
+SYSTEM_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS)
 
 
 def free_flow(grid: Grid, dispersions: tuple[Dispersion, ...], t: float) -> Flow:
@@ -151,31 +156,25 @@ def free_flow(grid: Grid, dispersions: tuple[Dispersion, ...], t: float) -> Flow
 
 
 # ---------------------------------------------------------------------------
-# Wave-pair algebra
+# Wave algebra
 # ---------------------------------------------------------------------------
 
-def join_wave_pair(v: SpectralField, v_t: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """``w_pm = v +/- i A^{-1} v_t``."""
-    shift = bessel_potential(v_t, -1.0)
-    return v + 1j * shift, v - 1j * shift
+def join_wave(v: SpectralField, v_t: SpectralField) -> SpectralField:
+    """``w+ = v + i A^{-1} v_t`` of a real wave ``(v, v_t)``."""
+    return v + 1j * bessel_potential(v_t, -1.0)
 
 
-def split_wave_pair(wplus: SpectralField, wminus: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Recover ``v = (w+ + w-)/2`` and ``v_t = A (w+ - w-)/(2i)``."""
-    v = 0.5 * (wplus + wminus)
-    v_t = bessel_potential((wplus - wminus) * (-0.5j), 1.0)
+def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Recover ``v = Re w+`` and ``v_t = A Im w+``."""
+    conj = conjugate(wplus.coeffs)
+    v = SpectralField(wplus.grid, 0.5 * (wplus.coeffs + conj))
+    v_t = bessel_potential(SpectralField(wplus.grid, -0.5j * (wplus.coeffs - conj)), 1.0)
     return v, v_t
 
 
 def wave_field(state: SystemState) -> SpectralField:
-    """The physical wave unknown ``(w+ + w-)/2``."""
-    return 0.5 * (state.wplus + state.wminus)
-
-
-def reality_defect(state: SystemState) -> float:
-    """L2 distance between ``conj(w+)`` and ``w-``; zero for real wave data."""
-    conj_plus = SpectralField(state.grid, conjugate(state.wplus.coeffs))
-    return l2_norm(conj_plus - state.wminus)
+    """The physical wave unknown ``Re w+``."""
+    return SpectralField(state.grid, real_part(state.wplus.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +182,29 @@ def reality_defect(state: SystemState) -> float:
 # ---------------------------------------------------------------------------
 
 def nonlinear_rhs(system: System, grid: Grid, fields: Fields) -> Fields:
-    """Nonlinear time-derivative contributions ``(du, dw+, dw-)`` of coefficient arrays.
+    """Nonlinear time-derivative contributions ``(du, dw+)`` of coefficient arrays.
 
-    Klein-Gordon-Schrodinger::
+    With ``w- = conj w+`` the wave sum is ``w+ + w- = 2 Re w+``, and for
+    Zakharov ``Re n- = Re n+``.  Klein-Gordon-Schrodinger::
 
-        du   = (i/2) u (w+ + w-)
-        dw_pm = +/- i A^{-1} |u|^2
+        du  = i u Re w+
+        dw+ = i A^{-1} |u|^2
 
     Zakharov (the bounded correction term keeps the linear stage diagonal)::
 
-        du   = -(i/2) u (n+ + n-)
-        dn_pm = +/- i A^{-1} ( Laplacian |u|^2 + Re n_pm )
+        du  = -i u Re n+
+        dn+ = i A^{-1} ( Laplacian |u|^2 + Re n+ )
 
     Both products come dealiased from `coupling_products` (four transforms);
     Re is taken in coefficient space (`real_part`).
     """
-    u, wplus, wminus = fields
-    uw, abs2 = coupling_products(grid, u, wplus + wminus)
+    u, wplus = fields
+    re = real_part(wplus)
+    uw, abs2 = coupling_products(grid, u, re)
     inverse_a = grid.bracket**-1.0
     if system is System.KGS:
-        kick = 1j * inverse_a * abs2
-        return 0.5j * uw, kick, -kick
-    lap_abs2 = -grid.xi_squared * abs2
-    return (
-        -0.5j * uw,
-        1j * inverse_a * (lap_abs2 + real_part(wplus)),
-        -1j * inverse_a * (lap_abs2 + real_part(wminus)),
-    )
+        return 1j * uw, 1j * inverse_a * abs2
+    return -1j * uw, 1j * inverse_a * (-grid.xi_squared * abs2 + re)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +322,6 @@ class Recorder:
         )
 
 
-def _state_fields(state: SystemState) -> Fields:
-    return (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
-
-
-def _fields_state(state: SystemState, fields: Fields, t: float) -> SystemState:
-    grid = state.grid
-    return SystemState(
-        state.system,
-        SpectralField(grid, fields[0]),
-        SpectralField(grid, fields[1]),
-        SpectralField(grid, fields[2]),
-        t,
-    )
-
-
 def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     """Integrate over ``config.t_end``; returns the recorded states (initial one included).
 
@@ -354,7 +334,7 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
         return nonlinear_rhs(state.system, grid, fields)
 
     recorder = Recorder(
-        ("u", "wplus", "wminus"),
+        ("u", "wplus"),
         grid,
         state.t,
         dt,
@@ -363,8 +343,13 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
         config.blowup_threshold,
     )
     half_step = free_flow(grid, SYSTEM_DISPERSIONS, dt / 2)
-    lawson_rk4_run(_state_fields(state), rhs, half_step, dt, n_steps, recorder)
-    return recorder.trajectory(state, lambda t, fields: _fields_state(state, fields, t))
+    lawson_rk4_run((state.u.coeffs, state.wplus.coeffs), rhs, half_step, dt, n_steps, recorder)
+
+    def wrap(t: float, fields: Fields) -> SystemState:
+        u, wplus = (SpectralField(grid, f) for f in fields)
+        return SystemState(state.system, u, wplus, t=t)
+
+    return recorder.trajectory(state, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +357,7 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def conserved_quantities(state: SystemState) -> ConservationReport:
-    """Mass, Hamiltonian, and per-field Sobolev norms of a state.
+    """Mass and Hamiltonian of a state.
 
     Klein-Gordon-Schrodinger::
 
@@ -388,7 +373,7 @@ def conserved_quantities(state: SystemState) -> ConservationReport:
     itself a constant of the motion.
     """
     mass = l2_norm(state.u)
-    v, v_t = split_wave_pair(state.wplus, state.wminus)
+    v, v_t = split_wave(state.wplus)
     grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
     cubic = cubic_pairing(state.u, v)
 
@@ -408,16 +393,7 @@ def conserved_quantities(state: SystemState) -> ConservationReport:
         wave_kinetic = l2_norm(riesz_potential(v_t, -1.0)) ** 2
         hamiltonian = grad_u_sq + 0.5 * (l2_norm(v) ** 2 + wave_kinetic) + cubic
         zero_mode = float(zero_mode_mean(v_t).real)
-
-    norms = {
-        "u_L2": mass,
-        "u_H1": sobolev_norm(state.u, 1.0),
-        "wplus_L2": l2_norm(state.wplus),
-        "wplus_H1": sobolev_norm(state.wplus, 1.0),
-        "wminus_L2": l2_norm(state.wminus),
-        "wminus_H1": sobolev_norm(state.wminus, 1.0),
-    }
-    return ConservationReport(mass, hamiltonian, zero_mode, norms)
+    return ConservationReport(mass, hamiltonian, zero_mode)
 
 
 def random_system_state(
@@ -431,9 +407,9 @@ def random_system_state(
     zero_mean_wave_velocity: bool = True,
     band_limit: bool = True,
 ) -> SystemState:
-    """Reproducible random state with a real wave pair.
+    """Reproducible random state with a real wave.
 
-    ``u`` is a random H^s field; the wave pair comes from real random
+    ``u`` is a random H^s field; ``w+`` comes from real random
     ``(v, v_t)`` in H^r x H^{max(r-1, 0)}.  The wave velocity is mean-zero by
     default (its mean is a separate conserved quantity on the torus) and the
     state is band-limited below the dealias cutoff so the truncated flow
@@ -452,17 +428,10 @@ def random_system_state(
     )
     if zero_mean_wave_velocity:
         v_t = remove_mean(v_t)
-    wplus, wminus = join_wave_pair(v, v_t)
-    state = SystemState(system, u, wplus, wminus, 0.0)
+    state = SystemState(system, u, join_wave(v, v_t))
     return band_limit_state(state) if band_limit else state
 
 
 def band_limit_state(state: SystemState) -> SystemState:
     """Project every component onto the dealias band (see module docstring)."""
-    return SystemState(
-        state.system,
-        dealias(state.u),
-        dealias(state.wplus),
-        dealias(state.wminus),
-        state.t,
-    )
+    return SystemState(state.system, dealias(state.u), dealias(state.wplus), t=state.t)

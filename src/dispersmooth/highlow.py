@@ -6,13 +6,16 @@ then restarts with the *nonlinear part* of the high evolution absorbed into
 the low pair while the high data continues as a pure linear flow::
 
     phi_1 = phi(delta) + [mu(delta) - exp(i delta Lap) mu_0]
-    psi_1 = psi(delta) + [lambda(delta) - exp(-/+ i delta A) lambda_0]
-    mu_1  = exp(i delta Lap) mu_0,     lambda_1 = exp(-/+ i delta A) lambda_0
+    psi_1 = psi(delta) + [lambda(delta) - exp(-i delta A) lambda_0]
+    mu_1  = exp(i delta Lap) mu_0,     lambda_1 = exp(-i delta A) lambda_0
 
-The wave unknowns are carried as two-branch pairs; the split right sides sum
-exactly (bilinearity) to the direct-system right sides, so the reassembled
-total ``(phi + mu, psi +- + lambda +-)`` telescopes to the unsplit solution
-at matched steps up to roundoff.
+The wave unknowns are the plus branches ``psi+`` and ``lambda+`` of real
+waves (the split is symmetric under ``xi -> -xi``, so both halves stay real
+and their minus branches are the conjugates), and the window carries the four
+fields ``(phi, psi+, mu, lambda+)``.  The split right sides sum exactly
+(bilinearity) to the direct-system right sides, so the reassembled total
+``(phi + mu, psi+ + lambda+)`` telescopes to the unsplit solution at matched
+steps up to roundoff.
 
 The window length follows the step rule ``delta = c N^(-2(1-m)/r0 - 0.01)``
 with ``m = min(s, r)``.  The low pair's energy
@@ -51,6 +54,7 @@ from .spectral import (
     cubic_pairing,
     l2_norm,
     lowpass_projection,
+    real_part,
     sobolev_norm,
 )
 
@@ -60,15 +64,14 @@ class HighLowConfig:
     """Scheme parameters.
 
     ``s, r`` are the data regularities (the d=4 global theory wants both
-    above 9/10); ``s0, r0`` are the auxiliary low regularities, default
-    0.55 ("1/2 plus"); ``delta`` defaults to the step rule; ``dt`` is the
-    inner integrator step, shortened to divide the window exactly.
+    above 9/10); ``r0`` is the auxiliary low regularity of the step rule,
+    default 0.55 ("1/2 plus"); ``delta`` defaults to the step rule; ``dt`` is
+    the inner integrator step, shortened to divide the window exactly.
     """
 
     cutoff: float
     s: float
     r: float
-    s0: float = 0.55
     r0: float = 0.55
     window_constant: float = 0.1
     delta: float | None = None
@@ -97,22 +100,22 @@ class HighLowConfig:
         return min(self.s, self.r)
 
     def constants(self) -> tuple[float, float]:
-        if self.gns_c1 is not None and self.gns_c2 is not None:
-            return self.gns_c1, self.gns_c2
+        """``(C1, C2)``: the configured values, else the Gaussian brackets."""
         c1, c2 = gaussian_gns_constants()
-        return (self.gns_c1 or c1, self.gns_c2 or c2)
+        return (
+            c1 if self.gns_c1 is None else self.gns_c1,
+            c2 if self.gns_c2 is None else self.gns_c2,
+        )
 
 
 @dataclass(frozen=True)
 class HighLowState:
-    """Low pair (phi, psi+-), high pair (mu, lambda+-), window counter."""
+    """Low pair (phi, psi+), high pair (mu, lambda+), window counter."""
 
     phi: SpectralField
     psi_plus: SpectralField
-    psi_minus: SpectralField
     mu: SpectralField
     lam_plus: SpectralField
-    lam_minus: SpectralField
     window_index: int = 0
     t: float = 0.0
 
@@ -120,13 +123,9 @@ class HighLowState:
     def grid(self) -> Grid:
         return self.phi.grid
 
-    def total(self) -> tuple[SpectralField, SpectralField, SpectralField]:
-        """The running solution ``(phi + mu, psi+- + lambda+-)``."""
-        return (
-            self.phi + self.mu,
-            self.psi_plus + self.lam_plus,
-            self.psi_minus + self.lam_minus,
-        )
+    def total(self) -> tuple[SpectralField, SpectralField]:
+        """The running solution ``(phi + mu, psi+ + lambda+)``."""
+        return self.phi + self.mu, self.psi_plus + self.lam_plus
 
 
 def step_rule(cutoff: float, m: float, r0: float, constant: float = 0.1) -> float:
@@ -136,11 +135,7 @@ def step_rule(cutoff: float, m: float, r0: float, constant: float = 0.1) -> floa
     return constant * cutoff ** (-2.0 * (1.0 - m) / r0 - 0.01)
 
 
-def split_initial(
-    u0: SpectralField,
-    wave_pair: tuple[SpectralField, SpectralField],
-    cutoff: float,
-) -> HighLowState:
+def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> HighLowState:
     """Frequency split: low pair keeps ``|xi| <= N``, high pair the rest.
 
     Reconstruction ``phi0 + mu0 = u0`` is exact, and the splitting bounds
@@ -150,18 +145,9 @@ def split_initial(
 
     hold numerically for s0 <= s <= 1 (similarly for the wave slot).
     """
-    wp, wm = wave_pair
     phi = lowpass_projection(u0, cutoff)
-    psi_p = lowpass_projection(wp, cutoff)
-    psi_m = lowpass_projection(wm, cutoff)
-    return HighLowState(
-        phi=phi,
-        psi_plus=psi_p,
-        psi_minus=psi_m,
-        mu=u0 - phi,
-        lam_plus=wp - psi_p,
-        lam_minus=wm - psi_m,
-    )
+    psi = lowpass_projection(wplus, cutoff)
+    return HighLowState(phi=phi, psi_plus=psi, mu=u0 - phi, lam_plus=wplus - psi)
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +157,25 @@ def split_initial(
 def _window_rhs(grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Nonlinear right sides of the coupled low/high system.
 
-    Low:  the KGS right side of (phi, psi+-).
-    High: the KGS right side of the totals (phi + mu, psi+- + lam+-) minus
+    Low:  the KGS right side of (phi, psi+).
+    High: the KGS right side of the totals (phi + mu, psi+ + lam+) minus
           the low side, that is
 
-          d mu     = (i/2) mu (psi+ + psi- + lam+ + lam-) + (i/2) phi (lam+ + lam-)
-          d lam_pm = +/- i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
+          d mu   = i mu Re(psi+ + lam+) + i phi Re lam+
+          d lam+ = i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
 
     so the two sides sum to the direct-system right side by construction.
     """
-    low = fields[:3]
+    low = fields[:2]
     d_low = nonlinear_rhs(System.KGS, grid, low)
-    d_total = nonlinear_rhs(System.KGS, grid, tuple(a + b for a, b in zip(low, fields[3:])))
+    d_total = nonlinear_rhs(System.KGS, grid, tuple(a + b for a, b in zip(low, fields[2:])))
     return d_low + tuple(t - l for t, l in zip(d_total, d_low))
 
 
 def _integrate_window(
     state: HighLowState, config: HighLowConfig
 ) -> tuple[np.ndarray, ...]:
-    """Evolve the coupled six-field system over one window of length delta."""
+    """Evolve the coupled four-field system over one window of length delta."""
     grid = state.grid
     n_inner, dt = time_grid(config.delta, config.dt)
 
@@ -197,7 +183,7 @@ def _integrate_window(
         return _window_rhs(grid, fields)
 
     guard = Recorder(
-        ("phi", "psi_plus", "psi_minus", "mu", "lam_plus", "lam_minus"),
+        ("phi", "psi_plus", "mu", "lam_plus"),
         grid,
         state.t,
         dt,
@@ -205,14 +191,7 @@ def _integrate_window(
         n_inner,
         config.blowup_threshold,
     )
-    start = (
-        state.phi.coeffs,
-        state.psi_plus.coeffs,
-        state.psi_minus.coeffs,
-        state.mu.coeffs,
-        state.lam_plus.coeffs,
-        state.lam_minus.coeffs,
-    )
+    start = (state.phi.coeffs, state.psi_plus.coeffs, state.mu.coeffs, state.lam_plus.coeffs)
     half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, dt / 2)
     return lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
 
@@ -233,27 +212,22 @@ def _reassemble(
 ) -> tuple[HighLowState, WindowLog]:
     grid = state.grid
     delta = config.delta
-    phi_d, psi_p_d, psi_m_d, mu_d, lam_p_d, lam_m_d = (
-        SpectralField(grid, f) for f in evolved
-    )
-    high = (state.mu.coeffs, state.lam_plus.coeffs, state.lam_minus.coeffs)
-    mu_free, lam_p_free, lam_m_free = (
+    phi_d, psi_d, mu_d, lam_d = (SpectralField(grid, f) for f in evolved)
+    high = (state.mu.coeffs, state.lam_plus.coeffs)
+    mu_free, lam_free = (
         SpectralField(grid, f) for f in free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
     )
     incr_u = mu_d - mu_free
-    incr_p = lam_p_d - lam_p_free
-    incr_m = lam_m_d - lam_m_free
+    incr_w = lam_d - lam_free
     new_state = HighLowState(
         phi=phi_d + incr_u,
-        psi_plus=psi_p_d + incr_p,
-        psi_minus=psi_m_d + incr_m,
+        psi_plus=psi_d + incr_w,
         mu=mu_free,
-        lam_plus=lam_p_free,
-        lam_minus=lam_m_free,
+        lam_plus=lam_free,
         window_index=state.window_index + 1,
         t=state.t + delta,
     )
-    energy = low_energy(new_state.phi, new_state.psi_plus, new_state.psi_minus)
+    energy = low_energy(new_state.phi, new_state.psi_plus)
     log = WindowLog(
         window_index=new_state.window_index,
         t_end=new_state.t,
@@ -261,7 +235,7 @@ def _reassemble(
         coercivity_surrogate=energy.coercivity_surrogate,
         mass_low=l2_norm(new_state.phi),
         increment_u_h1=sobolev_norm(incr_u, 1.0),
-        increment_wave_h1=sobolev_norm(incr_p, 1.0),
+        increment_wave_h1=sobolev_norm(incr_w, 1.0),
     )
     return new_state, log
 
@@ -286,17 +260,14 @@ class LowEnergyReport:
     coercivity_surrogate: float
 
 
-def low_energy(
-    phi: SpectralField, psi_plus: SpectralField, psi_minus: SpectralField
-) -> LowEnergyReport:
+def low_energy(phi: SpectralField, psi_plus: SpectralField) -> LowEnergyReport:
     """Low-pair energy ``||A psi||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re psi``.
 
-    ``psi`` is the plus branch; its A-norm equals the minus branch's for real
-    wave data.  Also returns the coercivity surrogate (the two quadratic
-    terms alone), which the energy approximates from below once the u-mass is
-    small.
+    ``psi`` is the plus branch of the real low wave.  Also returns the
+    coercivity surrogate (the two quadratic terms alone), which the energy
+    approximates from below once the u-mass is small.
     """
-    wave_field = 0.5 * (psi_plus + psi_minus)  # Re psi for real data
+    wave_field = SpectralField(phi.grid, real_part(psi_plus.coeffs))
     quad_part = (
         sobolev_norm(psi_plus, 1.0) ** 2
         + 2.0 * sobolev_norm(phi, 1.0, homogeneous=True) ** 2
@@ -335,7 +306,9 @@ class MassThreshold:
 
 def mass_threshold(c1: float, c2: float) -> MassThreshold:
     if not (c1 > 0 and c2 > 0):
-        raise ConfigurationError("Gagliardo-Nirenberg constants must be positive")
+        raise ConfigurationError(
+            f"Gagliardo-Nirenberg constants must be positive, got gns_c1 = {c1}, gns_c2 = {c2}"
+        )
     return MassThreshold(
         quotient_form=math.sqrt(2.0) / (c1 * c2**2),
         product_form=math.sqrt(2.0) * c1 * c2**2,
@@ -360,7 +333,7 @@ class HighLowReport:
 
 def run_global(
     u0: SpectralField,
-    wave_pair: tuple[SpectralField, SpectralField],
+    wplus: SpectralField,
     config: HighLowConfig,
     compare_direct: bool = False,
 ) -> HighLowReport:
@@ -371,7 +344,7 @@ def run_global(
     same inner steps and the relative L2 difference of the totals is logged
     per window (they agree to roundoff; the telescoping identity is exact).
     """
-    state = split_initial(u0, wave_pair, config.cutoff)
+    state = split_initial(u0, wplus, config.cutoff)
     c1, c2 = config.constants()
     threshold = mass_threshold(c1, c2)
     mass0 = l2_norm(u0)
@@ -390,11 +363,7 @@ def run_global(
 
     # Windows keep their length delta; the last one may end past t_end.
     n_windows, _ = time_grid(config.t_end, config.delta)
-    direct_state = (
-        SystemState(System.KGS, u0, wave_pair[0], wave_pair[1], 0.0)
-        if compare_direct
-        else None
-    )
+    direct_state = SystemState(System.KGS, u0, wplus) if compare_direct else None
     diffs: list[float] | None = [] if compare_direct else None
 
     logs: list[WindowLog] = []
@@ -404,7 +373,7 @@ def run_global(
         logs.append(log)
         if compare_direct and direct_state is not None:
             direct_state = _direct_window(direct_state, config)
-            direct = (direct_state.u, direct_state.wplus, direct_state.wminus)
+            direct = (direct_state.u, direct_state.wplus)
             num = sum(l2_norm(t - d) for t, d in zip(state.total(), direct))
             den = sum(l2_norm(d) for d in direct)
             diffs.append(num / den if den > 0 else 0.0)

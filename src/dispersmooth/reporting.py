@@ -4,6 +4,8 @@ Outputs are a pure function of (config, seed, code version): CSV files are
 written with 17 significant digits (lossless float round trip) and fixed
 newlines, so reruns are byte-identical.  The manifest additionally records
 wall time, which is informational and excluded from the determinism contract.
+Checkpoints keep the three-block layout ``(u, w+, w-)``; the state carries
+``(u, w+)`` only, so ``w-`` is written as ``conj w+`` and checked on load.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import CheckpointFormatError, ConfigurationError
 from .evolution import System, SystemState
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, l2_norm
 
 _MAGIC = b"ZKGS"
 _VERSION = 1
@@ -122,7 +124,8 @@ def save_checkpoint(state: SystemState, path: str | Path) -> None:
     Layout: ``ZKGS`` (4 bytes), format version (u32 LE), system id (u8),
     dimension (u8), n_per_dim (u32 LE), box_length (f64 LE), t (f64 LE),
     then each field's coefficients as interleaved (re, im) f64 LE pairs in
-    row-major lattice order, fields in the order (u, w+, w-).
+    row-major lattice order, fields in the order (u, w+, w-), where the
+    stored ``w-`` is the derived ``conj w+``.
     """
     grid = state.grid
     header = _MAGIC + struct.pack(
@@ -142,7 +145,11 @@ def save_checkpoint(state: SystemState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SystemState:
-    """Inverse of `save_checkpoint`; rejects wrong magic/version, truncation."""
+    """Inverse of `save_checkpoint`.
+
+    Rejects wrong magic/version, truncation, and a ``w-`` block that is not
+    ``conj w+`` to 1e-12 relative (a wave that is not real).
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != _MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic (not a checkpoint)")
@@ -172,4 +179,11 @@ def load_checkpoint(path: str | Path) -> SystemState:
         chunk = body[i * count * 16 : (i + 1) * count * 16]
         coeffs = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape).astype(np.complex128)
         fields.append(SpectralField(grid, coeffs))
-    return SystemState(_IDS_SYSTEM[system_id], fields[0], fields[1], fields[2], t)
+    state = SystemState(_IDS_SYSTEM[system_id], fields[0], fields[1], t=t)
+    defect = l2_norm(fields[2] - state.wminus)
+    if not defect <= 1e-12 * l2_norm(state.wplus):
+        raise CheckpointFormatError(
+            f"{path}: the w- block is not conj(w+) (L2 defect {defect:.3e});"
+            " the wave must be real"
+        )
+    return state

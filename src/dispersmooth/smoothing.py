@@ -34,7 +34,7 @@ from .evolution import (
     SystemState,
     band_limit_state,
     integrate,
-    join_wave_pair,
+    join_wave,
     linear_propagate,
 )
 from .spectral import (
@@ -310,20 +310,15 @@ def _scan_member(
     # for the homogeneous wave norms).
     v0 = remove_mean(v0)
     v1 = remove_mean(v1)
-    wp0, wm0 = join_wave_pair(v0, v1)
-    state = band_limit_state(
-        SystemState(params.system, u0, wp0, wm0, 0.0)
-    )
-    # Unit-norm data: u in H^s, wave pair in H^r (scaled jointly), then
-    # multiplied by the requested amplitudes (zero amplitude = absent field).
+    state = band_limit_state(SystemState(params.system, u0, join_wave(v0, v1)))
+    # Unit-norm data: u in H^s, wave in H^r, then multiplied by the
+    # requested amplitudes (zero amplitude = absent field).
     u_norm = sobolev_norm(state.u, params.s)
     w_norm = sobolev_norm(state.wplus, params.r)
     state = SystemState(
         params.system,
         (amplitude / u_norm) * state.u,
         (wave_amplitude / w_norm) * state.wplus,
-        (wave_amplitude / w_norm) * state.wminus,
-        0.0,
     )
     traj = integrate(state, IntegratorConfig(dt=dt, t_end=t_end, record_every=10**9))
     data_size = amplitude + wave_amplitude  # ||u0||_{H^s} + ||w0||_{H^r}

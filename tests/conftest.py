@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave_pair
+from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave
 from dispersmooth.spectral import (
     Grid,
     SpectralField,
@@ -30,7 +30,7 @@ def random_state(
     amplitude: float = 1.0,
     zero_mean_wave_velocity: bool = False,
 ) -> SystemState:
-    """Random band-limited state with a real wave pair, for integration tests."""
+    """Random band-limited state with a real wave, for integration tests."""
     u = amplitude * random_sobolev_field(grid, s, seed=np.random.SeedSequence((seed, 0)))
     v = amplitude * random_sobolev_field(
         grid, r, seed=np.random.SeedSequence((seed, 1)), real=True
@@ -42,8 +42,7 @@ def random_state(
         coeffs = v_t.coeffs.copy()
         coeffs[(0,) * grid.dim] = 0.0
         v_t = SpectralField(grid, coeffs)
-    wplus, wminus = join_wave_pair(v, v_t)
-    return band_limit_state(SystemState(system, u, wplus, wminus, 0.0))
+    return band_limit_state(SystemState(system, u, join_wave(v, v_t)))
 
 
 @pytest.fixture

@@ -293,7 +293,7 @@ def test_criterion_7_highlow_oracle_equivalence():
         config = HighLowConfig(
             cutoff=cutoff, s=0.95, r=0.95, dt=2e-3, t_end=10 * delta
         )
-        rep = run_global(state.u, (state.wplus, state.wminus), config, compare_direct=True)
+        rep = run_global(state.u, state.wplus, config, compare_direct=True)
         worst = max(rep.diff_vs_direct)
         ok = len(rep.windows) == 10 and worst < 1e-6
         checks.append(ok)
@@ -303,15 +303,14 @@ def test_criterion_7_highlow_oracle_equivalence():
     from dispersmooth.highlow import _integrate_window, _reassemble
 
     config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
-    split = split_initial(state.u, (state.wplus, state.wminus), 8.0)
+    split = split_initial(state.u, state.wplus, 8.0)
     evolved = _integrate_window(split, config)
     reassembled, _ = _reassemble(split, config, evolved)
     total = reassembled.total()
     scale = max(1.0, float(np.max(np.abs(evolved[0]))))
     tele = max(
-        float(np.max(np.abs(total[0].coeffs - (evolved[0] + evolved[3])))),
-        float(np.max(np.abs(total[1].coeffs - (evolved[1] + evolved[4])))),
-        float(np.max(np.abs(total[2].coeffs - (evolved[2] + evolved[5])))),
+        float(np.max(np.abs(total[0].coeffs - (evolved[0] + evolved[2])))),
+        float(np.max(np.abs(total[1].coeffs - (evolved[1] + evolved[3])))),
     )
     ok = tele <= 1e-12 * scale
     checks.append(ok)
@@ -322,7 +321,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     s = r = 0.95
     for seed in range(400, 420):
         draw = random_system_state(System.KGS, grid, s, r, seed=seed)
-        sp = split_initial(draw.u, (draw.wplus, draw.wminus), 8.0)
+        sp = split_initial(draw.u, draw.wplus, 8.0)
         u_hs = sobolev_norm(draw.u, s)
         w_hr = sobolev_norm(draw.wplus, r)
         ok_bounds &= sobolev_norm(sp.phi, 1.0) <= 8.0 ** (1 - s) * u_hs * (1 + 1e-12)
@@ -337,7 +336,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     for cutoff in (8.0, 16.0, 32.0):
         config = HighLowConfig(cutoff=cutoff, s=0.95, r=0.95, dt=2e-3)
         config = HighLowConfig(cutoff=cutoff, s=0.95, r=0.95, dt=2e-3, t_end=config.delta)
-        rep = run_global(state.u, (state.wplus, state.wminus), config)
+        rep = run_global(state.u, state.wplus, config)
         log = rep.windows[0]
         increments[cutoff] = (log.increment_u_h1, log.increment_wave_h1)
     ok_mono = all(
@@ -356,7 +355,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     state4 = random_system_state(System.KGS, grid4, 0.95, 0.95, seed=500, amplitude=0.3)
     config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3)
     config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3, t_end=2 * config4.delta)
-    rep4 = run_global(state4.u, (state4.wplus, state4.wminus), config4)
+    rep4 = run_global(state4.u, state4.wplus, config4)
     ok4 = rep4.below_threshold and len(rep4.windows) == 2 and all(
         math.isfinite(w.energy_low) for w in rep4.windows
     )

@@ -192,6 +192,9 @@ class TestExitCodes:
             ("windows = 2\ndelta = -1", "delta"),
             ("windows = 2\ndelta = nan", "delta"),
             ("windows = 0", "windows"),
+            ("windows = 2\ngns_c1 = 0", "gns_c1"),
+            ("windows = 2\ngns_c2 = 0", "gns_c2"),
+            ("windows = 2\ns0 = 123", "s0"),
         ],
     )
     def test_bad_highlow_window_is_2_and_named(self, tmp_path, capsys, bad, key):
@@ -237,6 +240,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert f" {key} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "experiment, text, key",
+        [
+            ("smoothing-scan", "[system]\ns = 0.0\nr = 0.0\n[smoothing]\nensemble = 0\n", "ensemble"),
+            ("smoothing-scan", "[system]\ns = 0.0\nr = 0.0\n[smoothing]\nensemble = -1\n", "ensemble"),
+            ("xsb-constant", XSB_SMALL.replace("ensemble = 2", "ensemble = 0"), "ensemble"),
+            ("xsb-constant", XSB_SMALL.replace("time_modes = 16", "time_modes = 0"), "time_modes"),
+            ("resonance-geometry", "[resonance]\ncount = -5\n", "count"),
+        ],
+    )
+    def test_count_below_one_is_2_and_named(self, tmp_path, capsys, experiment, text, key):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, text)
+        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"{key} must be >= 1" in err
+        assert not out.exists()
 
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)

@@ -149,6 +149,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
 
+    def test_non_real_wave_rejected(self, tmp_path):
+        # The third block must be conj(w+): a w- of its own is not a real wave.
+        state = self._state()
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(state, path)
+        raw = path.read_bytes()
+        block = state.grid.mode_count * 16
+        skew = np.ascontiguousarray(1.001 * state.wminus.coeffs, dtype="<c16").tobytes()
+        path.write_bytes(raw[: len(raw) - block] + skew)
+        with pytest.raises(CheckpointFormatError, match="w-"):
+            load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         state = self._state()
         path = tmp_path / "state.ckpt"

@@ -14,20 +14,24 @@ from dispersmooth.evolution import (
     System,
     SystemState,
     conserved_quantities,
+    free_flow,
     integrate,
-    join_wave_pair,
+    join_wave,
     linear_propagate,
     nonlinear_rhs,
-    reality_defect,
-    split_wave_pair,
+    split_wave,
     time_grid,
     wave_field,
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
+    bessel_potential,
+    conjugate,
+    coupling_products,
     l2_norm,
     make_grid,
     random_sobolev_field,
+    real_part,
     sobolev_norm,
     to_coefficients,
     to_samples,
@@ -80,91 +84,92 @@ class TestLinearPropagate:
 class TestWaveComponents:
     def test_zero_velocity_gives_equal_branches(self, grid_2d_small):
         v = random_sobolev_field(grid_2d_small, 1.0, seed=3, real=True)
-        wp, wm = join_wave_pair(v, zero_field(grid_2d_small))
-        assert np.max(np.abs(wp.coeffs - v.coeffs)) < 1e-14
-        assert np.max(np.abs(wm.coeffs - v.coeffs)) < 1e-14
+        z = zero_field(grid_2d_small)
+        state = SystemState(System.KGS, z, join_wave(v, z))
+        assert np.max(np.abs(state.wplus.coeffs - v.coeffs)) < 1e-14
+        assert np.max(np.abs(state.wminus.coeffs - v.coeffs)) < 1e-14
 
     def test_roundtrip_exact(self, grid_2d_small):
-        v = random_sobolev_field(grid_2d_small, 1.0, seed=4)
-        v_t = random_sobolev_field(grid_2d_small, 0.0, seed=5)
-        wp, wm = join_wave_pair(v, v_t)
-        v2, v_t2 = split_wave_pair(wp, wm)
+        v = random_sobolev_field(grid_2d_small, 1.0, seed=4, real=True)
+        v_t = random_sobolev_field(grid_2d_small, 0.0, seed=5, real=True)
+        v2, v_t2 = split_wave(join_wave(v, v_t))
         assert np.max(np.abs(v2.coeffs - v.coeffs)) < 1e-12 * np.max(np.abs(v.coeffs))
         assert np.max(np.abs(v_t2.coeffs - v_t.coeffs)) < 1e-12 * np.max(np.abs(v_t.coeffs))
 
-    def test_real_data_conjugate_symmetry(self, grid_2d_small):
-        # For real (v, v_t) the minus branch is the pointwise conjugate of plus.
+    def test_derived_minus_branch_is_its_definition(self, grid_2d_small):
+        # For real (v, v_t) the derived w- = conj w+ is w- = v - i A^{-1} v_t.
         v = random_sobolev_field(grid_2d_small, 1.0, seed=6, real=True)
         v_t = random_sobolev_field(grid_2d_small, 0.0, seed=7, real=True)
-        wp, wm = join_wave_pair(v, v_t)
-        assert np.max(np.abs(np.conj(to_samples(wp)) - to_samples(wm))) < 1e-12
+        state = SystemState(System.KGS, zero_field(grid_2d_small), join_wave(v, v_t))
+        minus = v - 1j * bessel_potential(v_t, -1.0)
+        scale = np.max(np.abs(minus.coeffs))
+        assert np.max(np.abs(state.wminus.coeffs - minus.coeffs)) < 1e-12 * scale
+
+    def test_time_is_keyword_only(self, grid_2d_small):
+        # A leftover three-field call must not bind w- to t.
+        z = zero_field(grid_2d_small)
+        with pytest.raises(TypeError):
+            SystemState(System.KGS, z, z, z)
 
 
 def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
-    fields = (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
-    return nonlinear_rhs(state.system, state.grid, fields)
+    return nonlinear_rhs(state.system, state.grid, (state.u.coeffs, state.wplus.coeffs))
 
 
 class TestNonlinearRhs:
     def test_zero_u_freezes_wave_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=8)
-        state = SystemState(System.KGS, zero_field(grid_2d_small), state.wplus, state.wminus)
-        du, dwp, dwm = rhs_of(state)
+        state = SystemState(System.KGS, zero_field(grid_2d_small), state.wplus)
+        du, dwp = rhs_of(state)
         assert np.max(np.abs(dwp)) < 1e-14
-        assert np.max(np.abs(dwm)) < 1e-14
         assert np.max(np.abs(du)) < 1e-14
 
     def test_zero_wave_freezes_u_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=9)
-        state = SystemState(
-            System.KGS, state.u, zero_field(grid_2d_small), zero_field(grid_2d_small)
-        )
-        du, _, _ = rhs_of(state)
+        state = SystemState(System.KGS, state.u, zero_field(grid_2d_small))
+        du, _ = rhs_of(state)
         assert np.max(np.abs(du)) < 1e-14
 
     def test_single_mode_hand_convolution_kgs(self):
-        # u = e^{ix}, w+ = c e^{i2x}, w- = 0:
-        #   du    = (i/2) c e^{i3x}
-        #   dw_pm = +/- i <0>^{-1} * coefficient of |u|^2 = +/- i at mode 0
+        # u = e^{ix}, w+ = c e^{i2x}, w- = conj(c) e^{-i2x}:
+        #   du  = (i/2) u (w+ + w-) = (i/2) (c e^{i3x} + conj(c) e^{-ix})
+        #   dw+ = i <0>^{-1} * coefficient of |u|^2 = i at mode 0
         grid = make_grid(1, 16)
         c = 0.3 - 0.2j
         state = SystemState(
-            System.KGS,
-            spectral_mode(grid, (1,)),
-            spectral_mode(grid, (2,), amplitude=c),
-            zero_field(grid),
+            System.KGS, spectral_mode(grid, (1,)), spectral_mode(grid, (2,), amplitude=c)
         )
-        du, dwp, dwm = rhs_of(state)
-        k3 = np.argmin(np.abs(grid.k_axis - 3))
+        du, dwp = rhs_of(state)
+        k3, km1 = (np.argmin(np.abs(grid.k_axis - m)) for m in (3, -1))
         assert du[k3] == pytest.approx(0.5j * c * grid.volume, rel=1e-12)
+        assert du[km1] == pytest.approx(0.5j * np.conj(c) * grid.volume, rel=1e-12)
         assert dwp[0] == pytest.approx(1j * grid.volume, rel=1e-12)
-        assert dwm[0] == pytest.approx(-1j * grid.volume, rel=1e-12)
 
     def test_three_mode_hand_convolution_zakharov(self):
         # u = a e^{ix} + b e^{i2x}: |u|^2 = |a|^2+|b|^2 + a conj(b) e^{-ix} + conj(a) b e^{ix}.
-        # n+ = c e^{i3x}, n- = 0: Re n+ = (c e^{i3x} + conj(c) e^{-i3x})/2.
-        # du = -(i/2) u n+; dn_pm = +/- i A^{-1}(Lap |u|^2 + Re n_pm); Lap kills the mean.
+        # n+ = c e^{i3x}, n- = conj(c) e^{-i3x}: Re n+ = (n+ + n-)/2.
+        # du = -(i/2) u (n+ + n-); dn+ = i A^{-1}(Lap |u|^2 + Re n+); Lap kills the mean.
         grid = make_grid(1, 16)
         a, b, c = 0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.7j
         u = spectral_mode(grid, (1,), a) + spectral_mode(grid, (2,), b)
         nplus = spectral_mode(grid, (3,), c)
-        state = SystemState(System.ZAKHAROV, u, nplus, zero_field(grid))
-        du, dnp, dnm = rhs_of(state)
-        k = {m: np.argmin(np.abs(grid.k_axis - m)) for m in (-3, -1, 1, 3, 4, 5)}
+        state = SystemState(System.ZAKHAROV, u, nplus)
+        du, dnp = rhs_of(state)
+        k = {m: np.argmin(np.abs(grid.k_axis - m)) for m in (-3, -2, -1, 1, 3, 4, 5)}
         bracket1 = math.sqrt(2.0)
         bracket3 = math.sqrt(10.0)
         expected_k1 = 1j * (-1.0 / bracket1) * (np.conj(a) * b) * grid.volume
         expected_km1 = 1j * (-1.0 / bracket1) * (a * np.conj(b)) * grid.volume
         assert dnp[k[1]] == pytest.approx(expected_k1, rel=1e-12)
         assert dnp[k[-1]] == pytest.approx(expected_km1, rel=1e-12)
-        assert dnm[k[1]] == pytest.approx(-expected_k1, rel=1e-12)
         assert dnp[0] == pytest.approx(0.0, abs=1e-13)
         re_k3 = 0.5 * c * grid.volume / bracket3
         assert dnp[k[3]] == pytest.approx(1j * re_k3, rel=1e-12)
         assert dnp[k[-3]] == pytest.approx(1j * np.conj(re_k3), rel=1e-12)
-        assert dnm[k[3]] == pytest.approx(0.0, abs=1e-13)
         assert du[k[4]] == pytest.approx(-0.5j * a * c * grid.volume, rel=1e-12)
         assert du[k[5]] == pytest.approx(-0.5j * b * c * grid.volume, rel=1e-12)
+        assert du[k[-2]] == pytest.approx(-0.5j * a * np.conj(c) * grid.volume, rel=1e-12)
+        assert du[k[-1]] == pytest.approx(-0.5j * b * np.conj(c) * grid.volume, rel=1e-12)
 
 
 FFT_FUNCTIONS = (
@@ -183,7 +188,7 @@ def run_kind(kind, grid, seed, steps):
         integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
     elif kind == "window":
         window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=steps * 1e-2)
-        advance_window(split_initial(state.u, (state.wplus, state.wminus), 4.0), window)
+        advance_window(split_initial(state.u, state.wplus, 4.0), window)
     else:
         integrate(state, config)
 
@@ -281,17 +286,83 @@ class TestStepperOracle:
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+def three_field_rhs(system, grid, fields):
+    """The right side on ``(u, w+, w-)`` with ``w-`` integrated as a field of its own."""
+    u, wplus, wminus = fields
+    uw, abs2 = coupling_products(grid, u, wplus + wminus)
+    inverse_a = grid.bracket**-1.0
+    if system is System.KGS:
+        kick = 1j * inverse_a * abs2
+        return 0.5j * uw, kick, -kick
+    lap_abs2 = -grid.xi_squared * abs2
+    return (
+        -0.5j * uw,
+        1j * inverse_a * (lap_abs2 + real_part(wplus)),
+        -1j * inverse_a * (lap_abs2 + real_part(wminus)),
+    )
+
+
+def six_field_window_rhs(grid, fields):
+    """The high-low window right side on ``(phi, psi+, psi-, mu, lam+, lam-)``."""
+    low = fields[:3]
+    d_low = three_field_rhs(System.KGS, grid, low)
+    d_total = three_field_rhs(System.KGS, grid, tuple(a + b for a, b in zip(low, fields[3:])))
+    return d_low + tuple(t - l for t, l in zip(d_total, d_low))
+
+
+THREE_FIELD_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS, Dispersion.KG_MINUS)
+
+
+class TestThreeFieldOracle:
+    @pytest.mark.parametrize("kind, n", [("kgs", 32), ("zakharov", 32), ("window", 16)])
+    def test_matches_step_with_integrated_minus_branch(self, kind, n, monkeypatch):
+        # Carrying w+ alone and deriving w- = conj w+ is the same scheme as
+        # integrating w- as a field of its own, which keeps it conj w+.
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        runs = []
+
+        def record(fields, rhs, half_step, dt, n_steps, observer=None):
+            new = stepper(fields, rhs, half_step, dt, n_steps, observer)
+            runs.append((fields, new, dt, n_steps))
+            return new
+
+        monkeypatch.setattr(module, "lawson_rk4_run", record)
+        grid = make_grid(2, n)
+        run_kind(kind, grid, seed=17, steps=10)
+        ((start, new, dt, n_steps),) = runs
+        plus = [0, 1, 3, 4] if kind == "window" else [0, 1]
+        minus_of = {2: 1, 5: 4} if kind == "window" else {2: 1}
+        old_start = [None] * (len(plus) + len(minus_of))
+        for i, f in zip(plus, start):
+            old_start[i] = f
+        for m, p in minus_of.items():
+            old_start[m] = conjugate(old_start[p])
+        if kind == "window":
+            rhs = lambda y: six_field_window_rhs(grid, y)
+            dispersions = 2 * THREE_FIELD_DISPERSIONS
+        else:
+            system = System.ZAKHAROV if kind == "zakharov" else System.KGS
+            rhs = lambda y: three_field_rhs(system, grid, y)
+            dispersions = THREE_FIELD_DISPERSIONS
+        old = stepper(tuple(old_start), rhs, free_flow(grid, dispersions, dt / 2), dt, n_steps)
+        for i, a in zip(plus, new):
+            assert np.max(np.abs(a - old[i])) <= 1e-13 * np.max(np.abs(old[i]))
+        for m, p in minus_of.items():
+            assert np.max(np.abs(old[m] - conjugate(old[p]))) <= 1e-13 * np.max(np.abs(old[p]))
+
+
 class TestIntegrate:
     def test_zero_data_stays_zero(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        state = SystemState(System.KGS, z, z, z)
+        state = SystemState(System.KGS, z, z)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1))
         assert all(l2_norm(s.u) == 0 and l2_norm(s.wplus) == 0 for s in traj)
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_zero_u_decouples_wave(self, system, grid_2d_small):
         base = random_state(system, grid_2d_small, seed=10)
-        state = SystemState(system, zero_field(grid_2d_small), base.wplus, base.wminus)
+        state = SystemState(system, zero_field(grid_2d_small), base.wplus)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.2))
         final = traj[-1]
         # Zakharov keeps its bounded correction term even without u, so the
@@ -320,9 +391,7 @@ class TestIntegrate:
     def test_phase_gauge_invariance(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=12, amplitude=0.8)
         theta = 0.7
-        rotated = SystemState(
-            System.KGS, np.exp(1j * theta) * state.u, state.wplus, state.wminus
-        )
+        rotated = SystemState(System.KGS, np.exp(1j * theta) * state.u, state.wplus)
         config = IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10**9)
         a = integrate(state, config)[-1]
         b = integrate(rotated, config)[-1]
@@ -331,29 +400,19 @@ class TestIntegrate:
         assert np.max(np.abs(b.wplus.coeffs - a.wplus.coeffs)) < 1e-10 * scale
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
-    def test_reality_invariant_along_trajectory(self, system, grid_2d_small):
+    def test_wminus_is_sample_space_conjugate_along_trajectory(self, system, grid_2d_small):
         state = random_state(system, grid_2d_small, seed=13, amplitude=0.7)
         traj = integrate(state, IntegratorConfig(dt=5e-3, t_end=0.3, record_every=20))
         for s in traj:
-            assert reality_defect(s) < 1e-8
-
-        # The defect against conj(w+) taken through the samples, along the run
-        # and for a pair that is not real.
-        def by_transform(s):
-            return l2_norm(to_coefficients(np.conj(to_samples(s.wplus)), s.grid) - s.wminus)
-
-        skew = random_sobolev_field(grid_2d_small, 1.0, seed=19)
-        skew_state = SystemState(system, state.u, state.wplus, skew)
-        assert reality_defect(skew_state) == pytest.approx(by_transform(skew_state), rel=1e-12)
-        for s in traj:
-            assert reality_defect(s) == pytest.approx(by_transform(s), abs=1e-14 * l2_norm(s.wplus))
+            by_samples = to_coefficients(np.conj(to_samples(s.wplus)), s.grid)
+            assert l2_norm(s.wminus - by_samples) <= 1e-14 * l2_norm(s.wplus)
 
     @pytest.mark.parametrize("integrator", ["integrate", "integrate_damped", "run_global"])
     def test_blowup_guard_aborts_with_diagnostics(self, integrator, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=14)
         guard = IntegratorConfig(dt=1e-2, t_end=0.1, blowup_threshold=1e-9)
         if integrator == "integrate":
-            fields = {"u": state.u, "wplus": state.wplus, "wminus": state.wminus}
+            fields = {"u": state.u, "wplus": state.wplus}
             run = lambda: integrate(state, guard)
         elif integrator == "integrate_damped":
             damped = DampedState(state.u, wave_field(state), wave_field(state))
@@ -371,12 +430,9 @@ class TestIntegrate:
                 gns_c2=1.0,
                 blowup_threshold=1e-9,
             )
-            split = split_initial(state.u, (state.wplus, state.wminus), config.cutoff)
-            fields = {
-                name: getattr(split, name)
-                for name in ("phi", "psi_plus", "psi_minus", "mu", "lam_plus", "lam_minus")
-            }
-            run = lambda: run_global(state.u, (state.wplus, state.wminus), config)
+            split = split_initial(state.u, state.wplus, config.cutoff)
+            fields = {name: getattr(split, name) for name in ("phi", "psi_plus", "mu", "lam_plus")}
+            run = lambda: run_global(state.u, state.wplus, config)
         with pytest.raises(BlowUpError) as err:
             run()
         assert err.value.t == pytest.approx(1e-2)
@@ -402,7 +458,7 @@ class TestIntegrate:
 class TestConservedQuantities:
     def test_zero_state(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        report = conserved_quantities(SystemState(System.KGS, z, z, z))
+        report = conserved_quantities(SystemState(System.KGS, z, z))
         assert report.mass == 0.0
         assert report.hamiltonian == 0.0
 
@@ -411,7 +467,7 @@ class TestConservedQuantities:
         grid = make_grid(2, 16)
         u = spectral_mode(grid, (3, 0))
         u = (1.0 / l2_norm(u)) * u  # unit mass
-        state = SystemState(system, u, zero_field(grid), zero_field(grid))
+        state = SystemState(system, u, zero_field(grid))
         report = conserved_quantities(state)
         assert report.mass == pytest.approx(1.0, rel=1e-12)
         assert report.hamiltonian == pytest.approx(9.0, rel=1e-10)
@@ -423,8 +479,7 @@ class TestConservedQuantities:
         from dispersmooth.spectral import SpectralField
 
         v_t = SpectralField(grid_2d_small, v_t_coeffs)
-        wp, wm = join_wave_pair(v, v_t)
-        state = SystemState(System.ZAKHAROV, zero_field(grid_2d_small), wp, wm)
+        state = SystemState(System.ZAKHAROV, zero_field(grid_2d_small), join_wave(v, v_t))
         report = conserved_quantities(state)
         assert report.zero_mode_mass_of_wave == pytest.approx(2.5, rel=1e-12)
 

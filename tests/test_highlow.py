@@ -11,7 +11,6 @@ from dispersmooth.evolution import (
     System,
     SystemState,
     integrate,
-    join_wave_pair,
 )
 from dispersmooth.highlow import (
     HighLowConfig,
@@ -40,27 +39,26 @@ from conftest import random_state
 
 def highlow_data(grid, seed, s=0.95, r=0.95, amplitude=0.5):
     state = random_state(System.KGS, grid, seed=seed, s=s, r=r, amplitude=amplitude)
-    return state.u, (state.wplus, state.wminus)
+    return state.u, state.wplus
 
 
 class TestSplitInitial:
     def test_exact_reconstruction(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=30)
-        state = split_initial(u0, pair, 8.0)
-        total_u, total_p, total_m = state.total()
+        u0, wplus = highlow_data(grid_2d, seed=30)
+        state = split_initial(u0, wplus, 8.0)
+        total_u, total_w = state.total()
         assert np.max(np.abs(total_u.coeffs - u0.coeffs)) < 1e-14
-        assert np.max(np.abs(total_p.coeffs - pair[0].coeffs)) < 1e-14
-        assert np.max(np.abs(total_m.coeffs - pair[1].coeffs)) < 1e-14
+        assert np.max(np.abs(total_w.coeffs - wplus.coeffs)) < 1e-14
 
     def test_cutoff_above_lattice_gives_zero_high_part(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=31)
-        state = split_initial(u0, pair, 1e6)
+        u0, wplus = highlow_data(grid_2d, seed=31)
+        state = split_initial(u0, wplus, 1e6)
         assert l2_norm(state.mu) == 0.0
         assert l2_norm(state.lam_plus) == 0.0
 
     def test_tiny_cutoff_keeps_only_zero_mode(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=32)
-        state = split_initial(u0, pair, 1e-9)
+        u0, wplus = highlow_data(grid_2d, seed=32)
+        state = split_initial(u0, wplus, 1e-9)
         nonzero = np.nonzero(state.phi.coeffs)
         assert all(len(set(axis.tolist())) <= 1 and (len(axis) == 0 or axis[0] == 0) for axis in nonzero)
 
@@ -68,10 +66,10 @@ class TestSplitInitial:
     def test_splitting_bounds_hold(self, grid_2d, cutoff):
         s = r = 0.95
         for seed in range(33, 43):
-            u0, pair = highlow_data(grid_2d, seed=seed, s=s, r=r)
-            state = split_initial(u0, pair, cutoff)
+            u0, wplus = highlow_data(grid_2d, seed=seed, s=s, r=r)
+            state = split_initial(u0, wplus, cutoff)
             u_hs = sobolev_norm(u0, s)
-            w_hr = sobolev_norm(pair[0], r)
+            w_hr = sobolev_norm(wplus, r)
             assert sobolev_norm(state.phi, 1.0) <= cutoff ** (1 - s) * u_hs * (1 + 1e-12)
             assert sobolev_norm(state.psi_plus, 1.0) <= cutoff ** (1 - r) * w_hr * (1 + 1e-12)
             assert sobolev_norm(state.mu, 0.55) <= cutoff ** (0.55 - s) * u_hs * (1 + 1e-12)
@@ -100,18 +98,18 @@ class TestStepRule:
 
 class TestAdvanceWindow:
     def test_zero_high_part_reduces_to_low_system(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=44)
+        u0, wplus = highlow_data(grid_2d, seed=44)
         u0 = lowpass_projection(u0, 6.0)
-        pair = (lowpass_projection(pair[0], 6.0), lowpass_projection(pair[1], 6.0))
+        wplus = lowpass_projection(wplus, 6.0)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=1e-3)
-        state = split_initial(u0, pair, 8.0)
+        state = split_initial(u0, wplus, 8.0)
         assert l2_norm(state.mu) == 0.0
         out = advance_window(state, config)
         assert l2_norm(out.mu) == 0.0
         assert l2_norm(out.lam_plus) == 0.0
         # The low pair evolved alone must match the direct solve of the same data.
         direct = integrate(
-            SystemState(System.KGS, u0, pair[0], pair[1]),
+            SystemState(System.KGS, u0, wplus),
             IntegratorConfig(
                 dt=config.delta / math.ceil(config.delta / config.dt),
                 t_end=config.delta,
@@ -122,53 +120,53 @@ class TestAdvanceWindow:
         assert l2_norm(out.psi_plus - direct.wplus) < 1e-11
 
     def test_telescoping_identity_exact(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=45)
+        u0, wplus = highlow_data(grid_2d, seed=45)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
-        state = split_initial(u0, pair, 8.0)
+        state = split_initial(u0, wplus, 8.0)
         from dispersmooth.highlow import _integrate_window, _reassemble
 
         evolved = _integrate_window(state, config)
         new_state, _ = _reassemble(state, config, evolved)
         total_after = new_state.total()
-        phi_d, psi_p_d, psi_m_d, mu_d, lam_p_d, lam_m_d = evolved
+        phi_d, psi_d, mu_d, lam_d = evolved
         scale = max(1.0, np.max(np.abs(phi_d)))
         assert np.max(np.abs(total_after[0].coeffs - (phi_d + mu_d))) < 1e-12 * scale
-        assert np.max(np.abs(total_after[1].coeffs - (psi_p_d + lam_p_d))) < 1e-12 * scale
+        assert np.max(np.abs(total_after[1].coeffs - (psi_d + lam_d))) < 1e-12 * scale
 
     def test_one_window_matches_direct_solver(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=46)
+        u0, wplus = highlow_data(grid_2d, seed=46)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
-        state = split_initial(u0, pair, 8.0)
+        state = split_initial(u0, wplus, 8.0)
         out = advance_window(state, config)
         n_inner = math.ceil(config.delta / config.dt)
         direct = integrate(
-            SystemState(System.KGS, u0, pair[0], pair[1]),
+            SystemState(System.KGS, u0, wplus),
             IntegratorConfig(
                 dt=config.delta / n_inner, t_end=config.delta, record_every=10**9
             ),
         )[-1]
-        total_u, total_p, _ = out.total()
+        total_u, total_p = out.total()
         assert l2_norm(total_u - direct.u) < 1e-10
         assert l2_norm(total_p - direct.wplus) < 1e-10
 
 
 class TestLowEnergy:
     def test_zero_u_leaves_wave_energy(self, grid_2d_small):
-        _, pair = highlow_data(grid_2d_small, seed=47)
-        report = low_energy(zero_field(grid_2d_small), pair[0], pair[1])
-        assert report.energy == pytest.approx(sobolev_norm(pair[0], 1.0) ** 2, rel=1e-12)
+        _, wplus = highlow_data(grid_2d_small, seed=47)
+        report = low_energy(zero_field(grid_2d_small), wplus)
+        assert report.energy == pytest.approx(sobolev_norm(wplus, 1.0) ** 2, rel=1e-12)
 
     def test_zero_wave_leaves_gradient_energy(self, grid_2d_small):
         u0, _ = highlow_data(grid_2d_small, seed=48)
         z = zero_field(grid_2d_small)
-        report = low_energy(u0, z, z)
+        report = low_energy(u0, z)
         assert report.energy == pytest.approx(
             2.0 * sobolev_norm(u0, 1.0, homogeneous=True) ** 2, rel=1e-12
         )
 
     def test_small_data_energy_close_to_surrogate(self, grid_2d_small):
-        u0, pair = highlow_data(grid_2d_small, seed=49, amplitude=0.05)
-        report = low_energy(u0, pair[0], pair[1])
+        u0, wplus = highlow_data(grid_2d_small, seed=49, amplitude=0.05)
+        report = low_energy(u0, wplus)
         c1, c2 = gaussian_gns_constants()
         c0 = l2_norm(u0) * c1 * c2**2 / math.sqrt(2.0)
         bound = (
@@ -176,7 +174,7 @@ class TestLowEnergy:
             * math.sqrt(2.0)
             * c0
             * sobolev_norm(u0, 1.0, homogeneous=True)
-            * sobolev_norm(pair[0], 1.0)
+            * sobolev_norm(wplus, 1.0)
         )
         assert abs(report.energy - report.coercivity_surrogate) <= max(bound, 1e-12)
 
@@ -212,36 +210,36 @@ class TestRunGlobal:
             HighLowConfig(cutoff=4, s=0.95, r=0.95, blowup_threshold=threshold)
 
     def test_horizon_shorter_than_window_is_single_window(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=50)
+        u0, wplus = highlow_data(grid_2d, seed=50)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=1e-4)
-        report = run_global(u0, pair, config)
+        report = run_global(u0, wplus, config)
         assert len(report.windows) == 1
-        single = advance_window(split_initial(u0, pair, 8.0), config)
+        single = advance_window(split_initial(u0, wplus, 8.0), config)
         assert l2_norm(report.final_state.phi - single.phi) == 0.0
 
     def test_band_limited_data_keeps_high_part_empty(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=51)
+        u0, wplus = highlow_data(grid_2d, seed=51)
         u0 = lowpass_projection(u0, 4.0)
-        pair = (lowpass_projection(pair[0], 4.0), lowpass_projection(pair[1], 4.0))
+        wplus = lowpass_projection(wplus, 4.0)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=0.05)
-        report = run_global(u0, pair, config, compare_direct=True)
+        report = run_global(u0, wplus, config, compare_direct=True)
         assert l2_norm(report.final_state.mu) == 0.0
         assert all(d < 1e-10 for d in report.diff_vs_direct)
 
     def test_oracle_equivalence_over_windows(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=52)
+        u0, wplus = highlow_data(grid_2d, seed=52)
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
         config = HighLowConfig(
             cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=3 * config.delta
         )
-        report = run_global(u0, pair, config, compare_direct=True)
+        report = run_global(u0, wplus, config, compare_direct=True)
         assert len(report.windows) == 3
         assert all(d < 1e-6 for d in report.diff_vs_direct)
 
     def test_threshold_warning_emitted(self, grid_2d):
-        u0, pair = highlow_data(grid_2d, seed=53, amplitude=0.5)
+        u0, wplus = highlow_data(grid_2d, seed=53, amplitude=0.5)
         u0 = 1e3 * u0
         config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=1e-4)
-        report = run_global(u0, pair, config)
+        report = run_global(u0, wplus, config)
         assert not report.below_threshold
         assert report.warnings

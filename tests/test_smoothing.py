@@ -109,7 +109,7 @@ class TestDuhamelResidual:
 
     def test_zero_u_gives_zero_u_residual(self, grid_2d_small):
         base = random_state(System.KGS, grid_2d_small, seed=21)
-        state = SystemState(System.KGS, zero_field(grid_2d_small), base.wplus, base.wminus)
+        state = SystemState(System.KGS, zero_field(grid_2d_small), base.wplus)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1))
         res = duhamel_residual(traj, "u")
         assert all(l2_norm(r) < 1e-14 for r in res)
@@ -118,7 +118,7 @@ class TestDuhamelResidual:
         # residual(t) = t * N(state0) + O(t^2): check both size and t^2 scaling.
         grid = make_grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
-        fields = (state.u.coeffs, state.wplus.coeffs, state.wminus.coeffs)
+        fields = (state.u.coeffs, state.wplus.coeffs)
         du0 = SpectralField(grid, nonlinear_rhs(System.KGS, grid, fields)[0])
         errs = []
         for t in (1e-2, 5e-3):
@@ -148,15 +148,14 @@ class TestXsbNorm:
                 System.KGS,
                 linear_propagate(u0, Dispersion.SCHRODINGER, j * dt),
                 z,
-                z,
-                j * dt,
+                t=j * dt,
             )
             for j in range(n_t)
         ]
 
     def test_zero_field_norm(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        states = [SystemState(System.KGS, z, z, z, t=0.01 * j) for j in range(8)]
+        states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(8)]
         stf = space_time_field(states, "u")
         assert xsb_norm(stf, 0.7, 0.55) == 0.0
 
@@ -188,7 +187,7 @@ class TestXsbNorm:
         traj = self._single_mode_trajectory()
         stf = space_time_field(traj, "u")
         lifted = [
-            SystemState(s.system, bessel_potential(s.u, 0.8), s.wplus, s.wminus, s.t)
+            SystemState(s.system, bessel_potential(s.u, 0.8), s.wplus, t=s.t)
             for s in traj
         ]
         stf_lifted = space_time_field(lifted, "u")
@@ -199,7 +198,7 @@ class TestXsbNorm:
     def test_nonuniform_times_rejected(self, grid_2d_small):
         z = zero_field(grid_2d_small)
         states = [
-            SystemState(System.KGS, z, z, z, t=t) for t in (0.0, 0.1, 0.25, 0.3)
+            SystemState(System.KGS, z, z, t=t) for t in (0.0, 0.1, 0.25, 0.3)
         ]
         with pytest.raises(ConfigurationError):
             space_time_field(states, "u")
@@ -210,14 +209,14 @@ class TestXsbNorm:
 
         z = zero_field(grid_2d_small)
         for m in (4, 5, 8, 13, 31, 64):
-            states = [SystemState(System.KGS, z, z, z, t=0.01 * j) for j in range(m)]
+            states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(m)]
             window = space_time_field(states, "u", taper=taper).window
             assert np.array_equal(window, tukey(m, taper, sym=False))
 
     @pytest.mark.parametrize("taper", [0.0, -0.5, 1.5, float("nan")])
     def test_taper_outside_unit_interval_rejected(self, grid_2d_small, taper):
         z = zero_field(grid_2d_small)
-        states = [SystemState(System.KGS, z, z, z, t=0.01 * j) for j in range(8)]
+        states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(8)]
         with pytest.raises(ConfigurationError, match="taper"):
             space_time_field(states, "u", taper=taper)
 
