@@ -316,7 +316,7 @@ def _run_xsb_constant(config: RunConfig, seed: int) -> ExperimentResult:
         res.time_modes,
         ensemble=res.ensemble,
         adversarial=res.adversarial,
-        branch=res.branch if res.branch in (1, -1) else 1,
+        branch=res.branch,
         seed=seed,
         tau_spacing=res.tau_spacing,
     )

@@ -135,6 +135,8 @@ class ResonanceSection:
     def __post_init__(self) -> None:
         for key in ("count", "time_modes", "ensemble"):
             _require_positive(self, key)
+        if self.branch not in (1, -1):
+            raise ConfigurationError(f"branch must be 1 or -1, got {self.branch}")
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,9 @@ from .evolution import (
     time_grid,
 )
 from .spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
-    coupling_products,
     cubic_pairing,
     inner_product,
     l2_norm,
@@ -173,9 +173,17 @@ def integrate_damped(
     f, g = params.forcing(grid)
     n_steps, dt = time_grid(config.t_end, config.dt)
 
+    kernel = CouplingKernel(grid)
+    i_f = 1j * f.coeffs
+    dv = np.zeros(grid.shape, dtype=np.complex128)  # v_t has no nonlinear term
+    dv.flags.writeable = False
+
     def rhs(fields: Fields) -> Fields:
-        uv, abs2 = coupling_products(grid, fields[0], fields[1])
-        return 1j * uv - 1j * f.coeffs, np.zeros_like(fields[1]), abs2 + g.coeffs
+        uv, abs2 = kernel(fields[0], fields[1])
+        uv *= 1j
+        uv -= i_f
+        abs2 += g.coeffs
+        return uv, dv, abs2
 
     recorder = Recorder(
         ("u", "v", "w"),

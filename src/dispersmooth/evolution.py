@@ -9,7 +9,7 @@ exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component and
 ``exp(-i t <xi>)`` for ``w+`` -- so the fourth-order scheme (classical
 Runge-Kutta in the interaction picture) sees no dispersive stiffness.
 Quadratic nonlinearities are evaluated pseudo-spectrally with 2/3-rule
-dealiasing (`spectral.coupling_products`); conservation identities hold
+dealiasing (`spectral.CouplingKernel`); conservation identities hold
 exactly for the truncated flow when the data is band-limited below the
 dealias cutoff, so the observed mass/Hamiltonian drift is pure
 time-discretization error.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -27,16 +28,17 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
 from .spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
     bessel_potential,
     conjugate,
-    coupling_products,
     cubic_pairing,
     dealias,
     l2_norm,
     real_part,
     riesz_potential,
+    scale,
     sobolev_norm,
     zero_mode_mean,
 )
@@ -133,13 +135,14 @@ def linear_flow(symbols: Sequence[Mapping[int, np.ndarray]]) -> Flow:
     """Exact linear flow on coefficient arrays, from its per-mode symbols.
 
     Field ``i`` becomes ``sum_j symbols[i][j] * fields[j]``: one term per
-    field for a diagonal flow, two for a coupled 2x2 block.  Every symbol
-    carries a zero Nyquist plane.
+    field for a diagonal flow, two for a coupled 2x2 block, summed in place
+    into the first term.  Every symbol carries a zero Nyquist plane.
     """
 
     def flow(fields: Fields) -> Fields:
         return tuple(
-            functools.reduce(np.add, [sym * fields[j] for j, sym in row.items()]) for row in symbols
+            functools.reduce(operator.iadd, [sym * fields[j] for j, sym in row.items()])
+            for row in symbols
         )
 
     return flow
@@ -181,7 +184,9 @@ def wave_field(state: SystemState) -> SpectralField:
 # Nonlinear right sides (the non-dispersive terms, as du/dt contributions)
 # ---------------------------------------------------------------------------
 
-def nonlinear_rhs(system: System, grid: Grid, fields: Fields) -> Fields:
+def nonlinear_rhs(
+    system: System, grid: Grid, fields: Fields, kernel: CouplingKernel | None = None
+) -> Fields:
     """Nonlinear time-derivative contributions ``(du, dw+)`` of coefficient arrays.
 
     With ``w- = conj w+`` the wave sum is ``w+ + w- = 2 Re w+``, and for
@@ -193,18 +198,28 @@ def nonlinear_rhs(system: System, grid: Grid, fields: Fields) -> Fields:
     Zakharov (the bounded correction term keeps the linear stage diagonal)::
 
         du  = -i u Re n+
-        dn+ = i A^{-1} ( Laplacian |u|^2 + Re n+ )
+        dn+ = i ( -|xi|^2 A^{-1} |u|^2 + A^{-1} Re n+ )
 
-    Both products come dealiased from `coupling_products` (four transforms);
-    Re is taken in coefficient space (`real_part`).
+    Re is taken in coefficient space (`real_part`, no transform).  Both
+    products come dealiased from ``kernel``, the run's `CouplingKernel` (a
+    fresh one when None): two complex inverse transforms, one complex and one
+    real forward transform.  The symbols are applied in place, so a call
+    allocates the two returned arrays and ``Re w+`` only.
     """
+    kernel = CouplingKernel(grid) if kernel is None else kernel
     u, wplus = fields
     re = real_part(wplus)
-    uw, abs2 = coupling_products(grid, u, re)
-    inverse_a = grid.bracket**-1.0
+    du, dw = kernel(u, re)
+    symbols = kernel.symbols
     if system is System.KGS:
-        return 1j * uw, 1j * inverse_a * abs2
-    return -1j * uw, 1j * inverse_a * (-grid.xi_squared * abs2 + re)
+        du *= 1j
+        scale(dw, symbols.inverse_bracket)
+    else:
+        du *= -1j
+        scale(dw, symbols.neg_lap_inverse_bracket)
+        dw += scale(re, symbols.inverse_bracket)
+    dw *= 1j
+    return du, dw
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +345,10 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     grid = state.grid
     n_steps, dt = time_grid(config.t_end, config.dt)
 
+    kernel = CouplingKernel(grid)
+
     def rhs(fields: Fields) -> Fields:
-        return nonlinear_rhs(state.system, grid, fields)
+        return nonlinear_rhs(state.system, grid, fields, kernel)
 
     recorder = Recorder(
         ("u", "wplus"),

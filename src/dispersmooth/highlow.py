@@ -49,6 +49,7 @@ from .evolution import (
     time_grid,
 )
 from .spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
     cubic_pairing,
@@ -154,7 +155,7 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 # Coupled window evolution
 # ---------------------------------------------------------------------------
 
-def _window_rhs(grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _window_rhs(kernel: CouplingKernel, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Nonlinear right sides of the coupled low/high system.
 
     Low:  the KGS right side of (phi, psi+).
@@ -167,9 +168,12 @@ def _window_rhs(grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray,
     so the two sides sum to the direct-system right side by construction.
     """
     low = fields[:2]
-    d_low = nonlinear_rhs(System.KGS, grid, low)
-    d_total = nonlinear_rhs(System.KGS, grid, tuple(a + b for a, b in zip(low, fields[2:])))
-    return d_low + tuple(t - l for t, l in zip(d_total, d_low))
+    total = tuple(a + b for a, b in zip(low, fields[2:]))
+    d_low = nonlinear_rhs(System.KGS, kernel.grid, low, kernel)
+    d_high = nonlinear_rhs(System.KGS, kernel.grid, total, kernel)
+    for high, part in zip(d_high, d_low):
+        high -= part
+    return d_low + d_high
 
 
 def _integrate_window(
@@ -178,9 +182,10 @@ def _integrate_window(
     """Evolve the coupled four-field system over one window of length delta."""
     grid = state.grid
     n_inner, dt = time_grid(config.delta, config.dt)
+    kernel = CouplingKernel(grid)
 
     def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        return _window_rhs(grid, fields)
+        return _window_rhs(kernel, fields)
 
     guard = Recorder(
         ("phi", "psi_plus", "mu", "lam_plus"),

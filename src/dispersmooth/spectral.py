@@ -12,11 +12,14 @@ The wavenumber lattice is ``xi = k / L`` for integers ``k in [-n/2, n/2)`` per
 axis (numpy FFT ordering).  The Nyquist plane ``k = -n/2`` has no symmetric
 partner, so every Fourier multiplier annihilates it; this keeps conjugate
 symmetry of real fields exact.  All functions are pure and fields are
-immutable, so values are safe to share across workers.
+immutable, so values are safe to share across workers.  The one exception is
+`CouplingKernel`, whose transform buffers belong to a single run.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -176,20 +179,12 @@ def to_coefficients(samples: np.ndarray, grid: Grid) -> SpectralField:
         raise GridMismatchError(
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
-    return SpectralField(grid, _coefficients(samples, grid))
+    return SpectralField(grid, np.fft.fftn(samples) * grid.dx**grid.dim)
 
 
 def to_samples(f: SpectralField) -> np.ndarray:
     """Inverse transform; exact round-trip with `to_coefficients`."""
-    return _samples(f.coeffs, f.grid)
-
-
-def _coefficients(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.fftn(samples) * grid.dx**grid.dim
-
-
-def _samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.ifftn(coeffs) / grid.dx**grid.dim
+    return np.fft.ifftn(f.coeffs) / f.grid.dx**f.grid.dim
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +332,129 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
+@dataclass(frozen=True)
+class GridSymbols:
+    """Read-only per-grid arrays of the coupling kernel and the coupled right sides.
+
+    ``dealias_scale`` is the dealias mask times ``1/dx^d``: it takes the
+    forward transform of a product of two inverse transforms to dealiased
+    coefficients.  ``half_dealias_scale`` is its half spectrum (the first
+    ``n//2 + 1`` entries of the last axis, the layout of `numpy.fft.rfftn`).
+    ``inverse_bracket`` is ``A^{-1} = <xi>^{-1}`` and
+    ``neg_lap_inverse_bracket`` is ``-|xi|^2 A^{-1}``.
+    """
+
+    dealias_scale: np.ndarray
+    half_dealias_scale: np.ndarray
+    inverse_bracket: np.ndarray
+    neg_lap_inverse_bracket: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def grid_symbols(grid: Grid) -> GridSymbols:
+    """The `GridSymbols` of a grid, built once and shared by every run on it."""
+    half = grid.n_per_dim // 2 + 1
+    dealias_scale = grid.dealias_mask / grid.dx**grid.dim
+    inverse_bracket = 1.0 / grid.bracket
+    symbols = GridSymbols(
+        dealias_scale,
+        np.ascontiguousarray(dealias_scale[..., :half]),
+        inverse_bracket,
+        -grid.xi_squared * inverse_bracket,
+    )
+    for a in vars(symbols).values():
+        a.flags.writeable = False
+    return symbols
+
+
+def scale(coeffs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Multiply complex ``coeffs`` in place by a real symbol; returns ``coeffs``.
+
+    The real and imaginary parts are scaled separately: a complex-by-float
+    multiply would cast the symbol through a temporary buffer.
+    """
+    np.multiply(coeffs.real, symbol, out=coeffs.real)
+    np.multiply(coeffs.imag, symbol, out=coeffs.imag)
+    return coeffs
+
+
+class CouplingKernel:
+    """Dealiased ``u * wave`` and ``|u|^2`` for one run on one grid.
+
+    A call costs two complex inverse transforms (``u`` and the wave), one
+    complex forward transform (the product) and one real forward transform
+    (``|u|^2``, whose half spectrum is expanded by conjugate symmetry).  The
+    kernel writes every transform into buffers of its own, so a call
+    allocates only the two arrays it returns.  The buffers make a kernel
+    unsafe to share between threads: each run builds its own.  The
+    symbols (`grid_symbols`) are shared.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.symbols = grid_symbols(grid)
+        self._axes = tuple(range(grid.dim))
+        self._u = np.empty(grid.shape, dtype=np.complex128)
+        self._wave = np.empty(grid.shape, dtype=np.complex128)
+        self._abs2 = np.empty(grid.shape)
+        n = grid.n_per_dim
+        self._half = np.empty(grid.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        # |u|^2 is real: mode -k of each mode k past the half spectrum lies in it.
+        self._mirror = [
+            (target + (slice(n // 2 + 1, None),), source + (slice(n // 2 - 1, 0, -1),))
+            for target, source in _reflections(grid.dim - 1)
+        ]
+
+    def __call__(self, u: np.ndarray, wave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays."""
+        if u.shape != self.grid.shape or wave.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"coefficient shapes {u.shape}, {wave.shape} do not match grid {self.grid.shape}"
+            )
+        u_x = np.fft.ifftn(u, axes=self._axes, out=self._u)
+        product = np.fft.ifftn(wave, axes=self._axes, out=self._wave)
+        product *= u_x
+        uw = np.fft.fftn(product, axes=self._axes, out=np.empty_like(product))
+        return scale(uw, self.symbols.dealias_scale), self._abs2_of_u()
+
+    def abs2(self, u: np.ndarray) -> np.ndarray:
+        """Coefficients of ``|u|^2`` alone."""
+        np.fft.ifftn(u, axes=self._axes, out=self._u)
+        return self._abs2_of_u()
+
+    def _abs2_of_u(self) -> np.ndarray:
+        """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites."""
+        u_x, abs2, half = self._u, self._abs2, self._half
+        np.multiply(u_x.real, u_x.real, out=abs2)
+        imag = u_x.imag
+        imag *= imag
+        abs2 += imag
+        scale(np.fft.rfftn(abs2, axes=self._axes, out=half), self.symbols.half_dealias_scale)
+        out = np.empty(self.grid.shape, dtype=np.complex128)
+        out[..., : half.shape[-1]] = half
+        np.conjugate(half, out=half)
+        for target, source in self._mirror:
+            out[target] = half[source]
+        return out
+
+
 def coupling_products(
     grid: Grid, u: np.ndarray, wave: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
 
-    These are the two quadratic terms of every coupled system, at two inverse
-    and two forward transforms.  Each equals the exact truncated convolution
-    when the inputs lie inside the dealias band.
+    These are the two quadratic terms of every coupled system, from one call
+    of a fresh `CouplingKernel` (a run keeps its own kernel instead).  Each
+    equals the exact truncated convolution when the inputs lie inside the
+    dealias band.
     """
-    if u.shape != grid.shape or wave.shape != grid.shape:
-        raise GridMismatchError(
-            f"coefficient shapes {u.shape}, {wave.shape} do not match grid {grid.shape}"
-        )
-    u_x = _samples(u, grid)
-    return _dealiased(u_x * _samples(wave, grid), grid), _dealiased_abs2(u_x, grid)
+    return CouplingKernel(grid)(u, wave)
 
 
 def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
     """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term."""
     _check_same_grid(u, v)
-    abs2 = SpectralField(u.grid, _dealiased_abs2(to_samples(u), u.grid))
+    abs2 = SpectralField(u.grid, CouplingKernel(u.grid).abs2(u.coeffs))
     return inner_product(abs2, v).real
 
 
@@ -367,15 +464,10 @@ def real_part(coeffs: np.ndarray) -> np.ndarray:
     No transform is needed: on the sampled lattice conjugation maps mode ``k``
     to mode ``-k``, and the unpaired Nyquist plane is zero.
     """
-    return 0.5 * (coeffs + conjugate(coeffs))
-
-
-def _dealiased(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.where(grid.dealias_mask, _coefficients(samples, grid), 0.0)
-
-
-def _dealiased_abs2(u_samples: np.ndarray, grid: Grid) -> np.ndarray:
-    return _dealiased(u_samples.real**2 + u_samples.imag**2, grid)
+    out = conjugate(coeffs)
+    out += coeffs
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +506,24 @@ def random_sobolev_field(
 
 def conjugate(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of ``conj f``: ``conj f(-k)``, with ``-k`` taken in FFT layout."""
-    out = coeffs
-    for axis in range(coeffs.ndim):
-        n = coeffs.shape[axis]
-        idx = (-np.arange(n)) % n
-        out = np.take(out, idx, axis=axis)
-    return np.conj(out)
+    out = np.empty_like(coeffs)
+    for target, source in _reflections(coeffs.ndim):
+        out[target] = coeffs[source]
+    return np.conjugate(out, out=out)
+
+
+@functools.lru_cache(maxsize=None)
+def _reflections(ndim: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """``(target, source)`` slice pairs that take every mode ``k`` to ``-k``.
+
+    Per axis of FFT layout, index 0 maps to itself and ``1 .. n-1`` to
+    ``n-1 .. 1``; the ``2**ndim`` pairs cover the array without an index array.
+    """
+    axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    return tuple(
+        (tuple(t for t, _ in pairs), tuple(src for _, src in pairs))
+        for pairs in itertools.product(axis, repeat=ndim)
+    )
 
 
 def shell_average_spectrum(f: SpectralField) -> tuple[np.ndarray, np.ndarray]:

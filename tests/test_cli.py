@@ -260,6 +260,17 @@ class TestExitCodes:
         assert f"{key} must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["xsb-constant", "resonance-geometry"])
+    @pytest.mark.parametrize("branch", [7, 0])
+    def test_bad_resonance_branch_is_2_and_named(self, tmp_path, capsys, experiment, branch):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, XSB_SMALL + f"branch = {branch}\n")
+        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"branch must be 1 or -1, got {branch}" in err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
         blocker = tmp_path / "blocked"

@@ -180,6 +180,35 @@ class TestIntegrateDamped:
             samples = to_samples(s.v)
             assert np.max(np.abs(samples.imag)) < 1e-8 * max(1.0, np.max(np.abs(samples.real)))
 
+    def test_rhs_returns_one_read_only_zero_dv_per_run(self, monkeypatch):
+        # v_t has no nonlinear term: the right side hands back the same
+        # read-only zero array on every call instead of allocating one.
+        from dispersmooth import dissipative
+
+        seen = []
+        stepper = dissipative.lawson_rk4_run
+
+        def recording_stepper(fields, rhs, *args, **kwargs):
+            def recorded_rhs(y):
+                out = rhs(y)
+                seen.append(out[1])
+                return out
+
+            return stepper(fields, recorded_rhs, *args, **kwargs)
+
+        monkeypatch.setattr(dissipative, "lawson_rk4_run", recording_stepper)
+        grid = make_grid(2, 16)
+        f, g = forcing_fields(grid)
+        integrate_damped(
+            damped_state(grid, seed=9),
+            DampedParams(gamma=0.5, delta=0.5, f=f, g=g),
+            IntegratorConfig(dt=1e-2, t_end=0.03),
+        )
+        assert len(seen) == 12
+        assert all(dv is seen[0] for dv in seen)
+        assert not seen[0].flags.writeable
+        assert not np.any(seen[0])
+
 
 class TestEnergy:
     def test_zero_state_energy(self):

@@ -25,6 +25,7 @@ from dispersmooth.evolution import (
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
+    CouplingKernel,
     bessel_potential,
     conjugate,
     coupling_products,
@@ -207,18 +208,23 @@ class TestTransformCount:
         import numpy.fft
         import scipy.fft
 
-        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0, "half_step": 0}
+        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0, "half_step": 0, "allocating_in_rhs": 0}
+        by_name_in_rhs = dict.fromkeys(FFT_FUNCTIONS, 0)
+        in_rhs = [False]
 
-        def counted(fn):
+        def counted(fn, name):
             def call(*args, **kwargs):
                 counts["fft"] += 1
+                if in_rhs[0]:
+                    by_name_in_rhs[name] += 1
+                    counts["allocating_in_rhs"] += kwargs.get("out") is None
                 return fn(*args, **kwargs)
 
             return call
 
         for module in (numpy.fft, scipy.fft):
             for name in FFT_FUNCTIONS:
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
 
         module = KINDS[kind]
         stepper = module.lawson_rk4_run
@@ -226,7 +232,9 @@ class TestTransformCount:
         def counting_stepper(fields, rhs, half_step, *args, **kwargs):
             def counted_rhs(y):
                 before = counts["fft"]
+                in_rhs[0] = True
                 out = rhs(y)
+                in_rhs[0] = False
                 counts["rhs"] += 1
                 counts["fft_in_rhs"] += counts["fft"] - before
                 return out
@@ -242,6 +250,68 @@ class TestTransformCount:
         assert counts["rhs"] == 8
         assert counts["half_step"] == 8
         assert counts["fft_in_rhs"] == expected * counts["rhs"]
+        # Per coupling product: u and the wave to samples (complex), their
+        # product back (complex), |u|^2 back through the real transform.
+        products = expected // 4 * counts["rhs"]
+        assert {k: v for k, v in by_name_in_rhs.items() if v} == {
+            "ifftn": 2 * products,
+            "fftn": products,
+            "rfftn": products,
+        }
+        # Every one of them writes into a buffer (out=) instead of allocating.
+        assert counts["allocating_in_rhs"] == 0
+
+
+class TestCouplingKernelRuns:
+    def test_rhs_allocates_only_its_outputs_and_real_part(self):
+        # After warm-up, one KGS right side allocates du, dw+ and Re w+ and
+        # nothing else: every transform writes into the run's kernel buffers.
+        import tracemalloc
+
+        grid = make_grid(2, 128)
+        state = random_state(System.KGS, grid, seed=21)
+        fields = (state.u.coeffs, state.wplus.coeffs)
+        kernel = CouplingKernel(grid)
+        for _ in range(3):
+            nonlinear_rhs(System.KGS, grid, fields, kernel)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = nonlinear_rhs(System.KGS, grid, fields, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        array_bytes = state.u.coeffs.nbytes
+        assert all(a.nbytes == array_bytes for a in out)
+        assert 3 * array_bytes <= peak <= 3 * array_bytes + 16 * 1024
+
+    def test_pooled_runs_equal_serial_runs(self):
+        # Smoothing-scan members integrate at the same time on one grid; each
+        # run owns its kernel buffers, so pooled runs are bit-identical to
+        # serial ones.  More threads than cores and a short switch interval
+        # interleave the runs as much as possible.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        grid = make_grid(2, 64)
+        states = [random_state(System.KGS, grid, seed=30 + i) for i in range(4)]
+        config = IntegratorConfig(dt=1e-3, t_end=0.03, record_every=10**9)
+
+        def final(state):
+            end = integrate(state, config)[-1]
+            return end.u.coeffs, end.wplus.coeffs
+
+        serial = [final(state) for state in states]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                pooled = list(pool.map(final, states, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, pooled):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def seven_application_run(fields, rhs, half_step, dt, n_steps):

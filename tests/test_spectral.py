@@ -13,6 +13,7 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    conjugate,
     coupling_products,
     cubic_pairing,
     dealias,
@@ -339,6 +340,11 @@ class TestDealiasedProduct:
         f = random_sobolev_field(grid, 0.0, seed=19)
         re = to_coefficients(to_samples(f).real.astype(complex), grid).coeffs
         assert np.max(np.abs(real_part(f.coeffs) - re)) < 1e-12 * np.max(np.abs(re))
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8), (4, 8)])
+    def test_conjugate_matches_reflection_oracle(self, dim, n):
+        f = random_sobolev_field(make_grid(dim, n), 0.0, seed=dim).coeffs
+        assert np.array_equal(conjugate(f), conjugate_coefficients(f))
 
     def test_cubic_pairing_matches_quadrature(self):
         grid = make_grid(2, 16)
