@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,10 @@ from .spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
+    conjugate,
     cubic_pairing,
+    full_spectrum,
+    half_spectrum,
     inner_product,
     l2_norm,
     sobolev_norm,
@@ -77,6 +81,8 @@ class DampedParams:
             object.__setattr__(self, "a", min(self.gamma, self.delta) / 4.0)
         if not self.a < self.delta:
             raise ConfigurationError("auxiliary constant requires 0 < a < delta")
+        if self.g is not None:
+            _require_real(self.g, "g")
 
     @property
     def spring_constant(self) -> float:
@@ -91,7 +97,13 @@ class DampedParams:
 
 @dataclass(frozen=True)
 class DampedState:
-    """Fields ``(u, v, w)`` at one time; v and w stay real for real data."""
+    """Fields ``(u, v, w)`` at one time, as full spectra.
+
+    ``v`` and ``w`` are real fields (``f(-k) = conj f(k)`` to 1e-12 relative
+    in L2, see `_require_real`); `integrate_damped` and
+    `damped_linear_propagate` reject a state whose ``v`` or ``w`` is not,
+    since they carry both as half spectra.
+    """
 
     u: SpectralField
     v: SpectralField
@@ -103,6 +115,23 @@ class DampedState:
         return self.u.grid
 
 
+def _require_real(f: SpectralField, name: str) -> None:
+    """Reject a field that is not real: ``f - conj f`` above 1e-12 relative in L2."""
+    defect = l2_norm(SpectralField(f.grid, f.coeffs - conjugate(f.coeffs)))
+    if not defect <= 1e-12 * l2_norm(f):
+        raise ConfigurationError(
+            f"{name} must be a real field; its conjugate-symmetry defect is"
+            f" {defect:.3e} in L2 against a norm of {l2_norm(f):.3e}"
+        )
+
+
+def _carried(state: DampedState) -> Fields:
+    """``(u, v, w)`` as the damped flow carries them: ``v`` and ``w`` as half spectra."""
+    for name in ("v", "w"):
+        _require_real(getattr(state, name), name)
+    return state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Exact linear flow
 # ---------------------------------------------------------------------------
@@ -110,17 +139,21 @@ class DampedState:
 def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
     """`linear_flow` of the homogeneous linear system by time ``t`` on ``(u, v, w)``.
 
-    Per mode, ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the
+    ``u`` is a full spectrum; the real ``v`` and ``w`` are half spectra
+    (`half_spectrum`), on which the block acts mode by mode.  Per mode,
+    ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the
     (v, w) pair advances by the matrix exponential of the block
     ``M = [[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
     ``c = 1 + a(a - delta)``; trace ``-delta`` and determinant ``1 + |xi|^2``
     give eigenvalues ``-delta/2 +- q`` with ``q = sqrt(delta^2/4 - 1 - |xi|^2)``
-    (complex for the underdamped modes).
+    (complex for the underdamped modes).  The block entries are real, so it
+    maps real fields to real fields.
     """
     a, delta = params.a, params.delta
-    cap = params.spring_constant + grid.xi_squared
+    xi_squared = half_spectrum(grid.xi_squared)
+    cap = params.spring_constant + xi_squared
     half_trace = -delta / 2.0
-    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + grid.xi_squared), dtype=complex))
+    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + xi_squared), dtype=complex))
     qt = q * t
     ch = np.cosh(qt)
     small = np.abs(qt) < 1e-8
@@ -137,8 +170,9 @@ def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
     m12 = decay * sh_over_q
     m21 = decay * (-cap) * sh_over_q
     m22 = decay * (ch + bottom_right * sh_over_q)
+    nyquist = half_spectrum(grid.nyquist_mask)
     for entry in (m11, m12, m21, m22):
-        entry[grid.nyquist_mask] = 0.0
+        entry[nyquist] = 0.0
     u_sym = math.exp(-params.gamma * t) * propagator_symbol(grid, Dispersion.SCHRODINGER, t)
     return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
 
@@ -152,8 +186,12 @@ def damped_linear_propagate(
     ``min(gamma, a, delta - a)/2`` in the underdamped regime ``delta <= 2``).
     """
     grid = state.grid
-    fields = damped_flow(grid, params, t)((state.u.coeffs, state.v.coeffs, state.w.coeffs))
-    return DampedState(*(SpectralField(grid, a) for a in fields), state.t + t)
+    u, v, w = damped_flow(grid, params, t)(_carried(state))
+    return DampedState(*_fields(grid, (u, full_spectrum(v), full_spectrum(w))), state.t + t)
+
+
+def _fields(grid: Grid, arrays: Fields) -> tuple[SpectralField, ...]:
+    return tuple(SpectralField(grid, a) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +203,30 @@ def integrate_damped(
 ) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
+    The run carries ``u`` as a full spectrum and the real ``v`` and ``w`` as
+    half spectra (`damped_flow`); a state whose ``v`` or ``w`` is not real is
+    rejected with `ConfigurationError`.  Recorded states are full spectra.
+
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
     exactly; in general ``d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u)``
     holds along trajectories up to the time-discretization error.
     """
     grid = state.grid
+    fields = _carried(state)
     f, g = params.forcing(grid)
     n_steps, dt = time_grid(config.t_end, config.dt)
 
     kernel = CouplingKernel(grid)
     i_f = 1j * f.coeffs
-    dv = np.zeros(grid.shape, dtype=np.complex128)  # v_t has no nonlinear term
+    g_half = half_spectrum(g.coeffs)
+    dv = np.zeros_like(g_half)  # v_t has no nonlinear term
     dv.flags.writeable = False
 
     def rhs(fields: Fields) -> Fields:
         uv, abs2 = kernel(fields[0], fields[1])
         uv *= 1j
         uv -= i_f
-        abs2 += g.coeffs
-        return uv, dv, abs2
+        return uv, dv, abs2 + g_half
 
     recorder = Recorder(
         ("u", "v", "w"),
@@ -194,22 +237,60 @@ def integrate_damped(
         config.record_every,
         config.blowup_threshold,
     )
-    lawson_rk4_run(
-        (state.u.coeffs, state.v.coeffs, state.w.coeffs),
-        rhs,
-        damped_flow(grid, params, dt / 2),
-        dt,
-        n_steps,
-        recorder,
-    )
-    return recorder.trajectory(
-        state, lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)
-    )
+    lawson_rk4_run(fields, rhs, damped_flow(grid, params, dt / 2), dt, n_steps, recorder)
+    return recorder.trajectory(state, lambda t, fields: DampedState(*_fields(grid, fields), t))
 
 
 # ---------------------------------------------------------------------------
 # Energy functional and its exact dissipation rate
 # ---------------------------------------------------------------------------
+
+class _EnergyTerms(NamedTuple):
+    """The norms and pairings of one state that `energy_H` and `energy_H_rate` share."""
+
+    grad_u: float  # ||grad u||^2
+    v: float  # ||v||^2
+    grad_v: float  # ||grad v||^2
+    w: float  # ||w||^2
+    cubic: float  # int |u|^2 v dx
+    f_u: float  # Re int f conj(u) dx
+    g_w: float  # Re int g conj(w) dx
+
+    @classmethod
+    def of(cls, state: DampedState, params: DampedParams) -> "_EnergyTerms":
+        f, g = params.forcing(state.grid)
+        return cls(
+            sobolev_norm(state.u, 1.0, homogeneous=True) ** 2,
+            l2_norm(state.v) ** 2,
+            sobolev_norm(state.v, 1.0, homogeneous=True) ** 2,
+            l2_norm(state.w) ** 2,
+            cubic_pairing(state.u, state.v),
+            inner_product(f, state.u).real,
+            inner_product(g, state.w).real,
+        )
+
+    def energy(self, params: DampedParams) -> float:
+        return (
+            2.0 * self.grad_u
+            + params.spring_constant * self.v
+            + self.grad_v
+            + self.w
+            - 2.0 * self.cubic
+            + 4.0 * self.f_u
+        )
+
+    def rate(self, params: DampedParams) -> float:
+        gamma, a, delta = params.gamma, params.a, params.delta
+        return (
+            -4.0 * gamma * self.grad_u
+            - 2.0 * a * params.spring_constant * self.v
+            - 2.0 * a * self.grad_v
+            - 2.0 * (delta - a) * self.w
+            + (4.0 * gamma + 2.0 * a) * self.cubic
+            - 4.0 * gamma * self.f_u
+            + 2.0 * self.g_w
+        )
+
 
 def energy_H(state: DampedState, params: DampedParams) -> float:
     """The Lyapunov-type energy of the damped flow (see module docstring).
@@ -217,15 +298,7 @@ def energy_H(state: DampedState, params: DampedParams) -> float:
     The forcing pairing is taken as ``4 Re int f conj(u) dx``, which keeps H
     real and matches the dissipation rate below term by term.
     """
-    f, _ = params.forcing(state.grid)
-    return (
-        2.0 * sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
-        + params.spring_constant * l2_norm(state.v) ** 2
-        + sobolev_norm(state.v, 1.0, homogeneous=True) ** 2
-        + l2_norm(state.w) ** 2
-        - 2.0 * cubic_pairing(state.u, state.v)
-        + 4.0 * inner_product(f, state.u).real
-    )
+    return _EnergyTerms.of(state, params).energy(params)
 
 
 def energy_H_rate(state: DampedState, params: DampedParams) -> float:
@@ -234,17 +307,7 @@ def energy_H_rate(state: DampedState, params: DampedParams) -> float:
     Along numerical trajectories a second-order centered difference of
     `energy_H` reproduces this to O(dt^2).
     """
-    gamma, a, delta = params.gamma, params.a, params.delta
-    f, g = params.forcing(state.grid)
-    return (
-        -4.0 * gamma * sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
-        - 2.0 * a * params.spring_constant * l2_norm(state.v) ** 2
-        - 2.0 * a * sobolev_norm(state.v, 1.0, homogeneous=True) ** 2
-        - 2.0 * (delta - a) * l2_norm(state.w) ** 2
-        + (4.0 * gamma + 2.0 * a) * cubic_pairing(state.u, state.v)
-        - 4.0 * gamma * inner_product(f, state.u).real
-        + 2.0 * inner_product(g, state.w).real
-    )
+    return _EnergyTerms.of(state, params).rate(params)
 
 
 def mass_rate(state: DampedState, params: DampedParams) -> float:
@@ -287,7 +350,7 @@ class AttractorReport:
 
 
 def attractor_diagnostics(
-    trajectory: list[DampedState],
+    trajectory: Trajectory,
     params: DampedParams,
     probe_exponents: tuple[float, float, float] = (1.4, 2.8, 1.8),
 ) -> AttractorReport:
@@ -300,31 +363,38 @@ def attractor_diagnostics(
     probe exponents, which stay bounded while the linear part decays (the
     compactness proxy: the probes sit strictly below the 3/2-, 3-, 2-
     limits).  A run much shorter than the damping timescale is flagged
-    inconclusive.
+    inconclusive.  ``trajectory`` comes from `integrate_damped`: the linear
+    part advances from record to record by the run's step indices and
+    ``dt``, with one `damped_flow` per distinct step gap.
     """
-    first = trajectory[0]
+    grid = trajectory[0].grid
     rows: list[AttractorRow] = []
-    energies = [energy_H(s, params) for s in trajectory]
+    terms = [_EnergyTerms.of(s, params) for s in trajectory]
+    energies = [t.energy(params) for t in terms]
+    e_rate = [t.rate(params) for t in terms]
     times = np.array([s.t for s in trajectory])
-    e_rate = [energy_H_rate(s, params) for s in trajectory]
 
+    flows: dict[int, Flow] = {}
+    linear = _carried(trajectory[0])
+    previous = trajectory.steps[0]
     ball_norms = []
     lin_norms = []
-    for idx, state in enumerate(trajectory):
-        linear = damped_linear_propagate(first, params, state.t - first.t)
-        residual_u = state.u - linear.u
-        residual_v = state.v - linear.v
-        residual_w = state.w - linear.w
+    for idx, (state, step) in enumerate(zip(trajectory, trajectory.steps)):
+        gap, previous = step - previous, step
+        if gap not in flows:
+            flows[gap] = damped_flow(grid, params, gap * trajectory.dt)
+        linear = flows[gap](linear)
+        lin_u, lin_v, lin_w = _fields(
+            grid, (linear[0], full_spectrum(linear[1]), full_spectrum(linear[2]))
+        )
         if 0 < idx < len(trajectory) - 1:
             dt_pair = trajectory[idx + 1].t - trajectory[idx - 1].t
             rate_fd = (energies[idx + 1] - energies[idx - 1]) / dt_pair
         else:
             rate_fd = math.nan
-        lin_total = (
-            sobolev_norm(linear.u, 1.0)
-            + sobolev_norm(linear.v, 1.0)
-            + l2_norm(linear.w)
-        )
+        linear_u_h1 = sobolev_norm(lin_u, 1.0)
+        linear_v_h1 = sobolev_norm(lin_v, 1.0)
+        linear_w_l2 = l2_norm(lin_w)
         rows.append(
             AttractorRow(
                 t=state.t,
@@ -332,18 +402,18 @@ def attractor_diagnostics(
                 rate_closed=e_rate[idx],
                 rate_fd=rate_fd,
                 mass=l2_norm(state.u),
-                linear_u_h1=sobolev_norm(linear.u, 1.0),
-                linear_v_h1=sobolev_norm(linear.v, 1.0),
-                linear_w_l2=l2_norm(linear.w),
-                nonlinear_u=sobolev_norm(residual_u, probe_exponents[0]),
-                nonlinear_v=sobolev_norm(residual_v, probe_exponents[1]),
-                nonlinear_w=sobolev_norm(residual_w, probe_exponents[2]),
+                linear_u_h1=linear_u_h1,
+                linear_v_h1=linear_v_h1,
+                linear_w_l2=linear_w_l2,
+                nonlinear_u=sobolev_norm(state.u - lin_u, probe_exponents[0]),
+                nonlinear_v=sobolev_norm(state.v - lin_v, probe_exponents[1]),
+                nonlinear_w=sobolev_norm(state.w - lin_w, probe_exponents[2]),
             )
         )
         ball_norms.append(
             sobolev_norm(state.u, 1.0) + sobolev_norm(state.v, 1.0) + l2_norm(state.w)
         )
-        lin_norms.append(lin_total)
+        lin_norms.append(linear_u_h1 + linear_v_h1 + linear_w_l2)
 
     damping_scale = min(params.gamma, params.a, params.delta - params.a)
     span = times[-1] - times[0]

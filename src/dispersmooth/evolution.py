@@ -35,10 +35,11 @@ from .spectral import (
     conjugate,
     cubic_pairing,
     dealias,
+    full_spectrum,
+    half_real_part,
     l2_norm,
     real_part,
     riesz_potential,
-    scale,
     sobolev_norm,
     zero_mode_mean,
 )
@@ -200,24 +201,29 @@ def nonlinear_rhs(
         du  = -i u Re n+
         dn+ = i ( -|xi|^2 A^{-1} |u|^2 + A^{-1} Re n+ )
 
-    Re is taken in coefficient space (`real_part`, no transform).  Both
+    ``Re w+`` is real, so it is formed on the half spectrum alone, in
+    coefficient space (`half_real_part`, no transform), and the kernel takes
+    it to samples by a real inverse transform.  ``dw+`` is combined on the
+    half spectrum and expanded to the full one once (`full_spectrum`).  Both
     products come dealiased from ``kernel``, the run's `CouplingKernel` (a
-    fresh one when None): two complex inverse transforms, one complex and one
-    real forward transform.  The symbols are applied in place, so a call
-    allocates the two returned arrays and ``Re w+`` only.
+    fresh one when None).  The symbols are applied in place, so a call
+    allocates the two returned arrays and the half spectrum of ``Re w+``
+    only.
     """
     kernel = CouplingKernel(grid) if kernel is None else kernel
     u, wplus = fields
-    re = real_part(wplus)
-    du, dw = kernel(u, re)
+    re = half_real_part(wplus)
+    du, abs2 = kernel(u, re)
     symbols = kernel.symbols
     if system is System.KGS:
         du *= 1j
-        scale(dw, symbols.inverse_bracket)
+        abs2 *= symbols.half_inverse_bracket
     else:
         du *= -1j
-        scale(dw, symbols.neg_lap_inverse_bracket)
-        dw += scale(re, symbols.inverse_bracket)
+        abs2 *= symbols.half_neg_lap_inverse_bracket
+        re *= symbols.half_inverse_bracket
+        abs2 += re
+    dw = full_spectrum(abs2)
     dw *= 1j
     return du, dw
 
@@ -302,7 +308,10 @@ class Recorder:
     After each step it takes every field's L2 norm (Parseval) and raises
     `BlowUpError`, naming them all, once one is non-finite or above
     ``threshold``.  It keeps ``(step, t, fields)`` every ``record_every``
-    steps and at the last step.
+    steps and at the last step.  A field with ``n//2 + 1`` entries on its
+    last axis is a real field's half spectrum (`half_spectrum`): its norm
+    counts the interior columns twice, and it is recorded expanded to the
+    full spectrum.  Records are read-only.
     """
 
     names: tuple[str, ...]
@@ -316,16 +325,24 @@ class Recorder:
 
     def __call__(self, step: int, fields: Fields) -> None:
         t = self.t0 + step * self.dt
-        norms = {
-            f"{name}_L2": float(np.sqrt(np.sum(np.abs(a) ** 2) / self.grid.volume))
-            for name, a in zip(self.names, fields)
-        }
+        norms = {f"{name}_L2": self._norm(a) for name, a in zip(self.names, fields)}
         if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
             raise BlowUpError(t, norms, self.threshold)
         if step % self.record_every == 0 or step == self.n_steps:
+            fields = tuple(full_spectrum(a) if self._is_half(a) else a for a in fields)
             for a in fields:  # a read-only record becomes a field without a copy
                 a.flags.writeable = False
             self.records.append((step, t, fields))
+
+    def _is_half(self, a: np.ndarray) -> bool:
+        return a.shape[-1] != self.grid.n_per_dim
+
+    def _norm(self, a: np.ndarray) -> float:
+        sq = np.abs(a) ** 2
+        total = np.sum(sq)
+        if self._is_half(a):
+            total += np.sum(sq[..., 1 : self.grid.n_per_dim // 2])
+        return float(np.sqrt(total / self.grid.volume))
 
     def trajectory(self, initial, wrap: Callable[[float, Fields], object]) -> Trajectory:
         """The initial state followed by ``wrap(t, fields)`` of each record."""

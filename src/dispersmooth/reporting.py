@@ -147,8 +147,10 @@ def save_checkpoint(state: SystemState, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> SystemState:
     """Inverse of `save_checkpoint`.
 
-    Rejects wrong magic/version, truncation, and a ``w-`` block that is not
-    ``conj w+`` to 1e-12 relative (a wave that is not real).
+    Rejects wrong magic/version, a grid descriptor outside `Grid`'s rules, a
+    payload of the wrong length (both checked before any array is built),
+    and a ``w-`` block that is not ``conj w+`` to 1e-12 relative (a wave that
+    is not real).
     """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != _MAGIC:
@@ -166,14 +168,22 @@ def load_checkpoint(path: str | Path) -> SystemState:
         )
     if system_id not in _IDS_SYSTEM:
         raise CheckpointFormatError(f"{path}: unknown system id {system_id}")
-    grid = Grid(dim, n_per_dim, box_length)
-    count = grid.mode_count
+    # The header is untrusted: check it, and the payload length it implies,
+    # before `Grid` allocates its n^d lattice arrays.
+    if dim not in (1, 2, 3, 4):
+        raise CheckpointFormatError(f"{path}: dim = {dim} is not in 1..4")
+    if n_per_dim < 8 or n_per_dim & (n_per_dim - 1):
+        raise CheckpointFormatError(f"{path}: n_per_dim = {n_per_dim} is not a power of two >= 8")
+    if not (math.isfinite(box_length) and box_length > 0):
+        raise CheckpointFormatError(f"{path}: box_length = {box_length} is not finite and positive")
+    count = n_per_dim**dim
     body = raw[4 + head :]
     expected = 3 * count * 16
     if len(body) != expected:
         raise CheckpointFormatError(
             f"{path}: payload has {len(body)} bytes, expected {expected}"
         )
+    grid = Grid(dim, n_per_dim, box_length)
     fields = []
     for i in range(3):
         chunk = body[i * count * 16 : (i + 1) * count * 16]

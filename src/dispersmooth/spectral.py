@@ -334,108 +334,120 @@ def dealias(f: SpectralField) -> SpectralField:
 
 @dataclass(frozen=True)
 class GridSymbols:
-    """Read-only per-grid arrays of the coupling kernel and the coupled right sides.
+    """Read-only per-grid symbols of the coupling kernel and the coupled right sides.
 
     ``dealias_scale`` is the dealias mask times ``1/dx^d``: it takes the
     forward transform of a product of two inverse transforms to dealiased
-    coefficients.  ``half_dealias_scale`` is its half spectrum (the first
-    ``n//2 + 1`` entries of the last axis, the layout of `numpy.fft.rfftn`).
-    ``inverse_bracket`` is ``A^{-1} = <xi>^{-1}`` and
-    ``neg_lap_inverse_bracket`` is ``-|xi|^2 A^{-1}``.
+    coefficients.  The ``half_`` arrays are half spectra (the first
+    ``n//2 + 1`` entries of the last axis, the layout of `numpy.fft.rfftn`):
+    the same scale, ``A^{-1} = <xi>^{-1}`` and ``-|xi|^2 A^{-1}``.  The
+    symbols are real but stored as complex arrays with a zero imaginary
+    part: an in-place ``coeffs *= symbol`` then runs over contiguous memory
+    with no cast, and gives the same bits as scaling the real and imaginary
+    parts on their own.
     """
 
     dealias_scale: np.ndarray
     half_dealias_scale: np.ndarray
-    inverse_bracket: np.ndarray
-    neg_lap_inverse_bracket: np.ndarray
+    half_inverse_bracket: np.ndarray
+    half_neg_lap_inverse_bracket: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def grid_symbols(grid: Grid) -> GridSymbols:
     """The `GridSymbols` of a grid, built once and shared by every run on it."""
-    half = grid.n_per_dim // 2 + 1
     dealias_scale = grid.dealias_mask / grid.dx**grid.dim
-    inverse_bracket = 1.0 / grid.bracket
-    symbols = GridSymbols(
+    inverse_bracket = 1.0 / half_spectrum(grid.bracket)
+    symbols = [
         dealias_scale,
-        np.ascontiguousarray(dealias_scale[..., :half]),
+        half_spectrum(dealias_scale),
         inverse_bracket,
-        -grid.xi_squared * inverse_bracket,
-    )
-    for a in vars(symbols).values():
+        -half_spectrum(grid.xi_squared) * inverse_bracket,
+    ]
+    symbols = [np.ascontiguousarray(a, dtype=np.complex128) for a in symbols]
+    for a in symbols:
         a.flags.writeable = False
-    return symbols
-
-
-def scale(coeffs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Multiply complex ``coeffs`` in place by a real symbol; returns ``coeffs``.
-
-    The real and imaginary parts are scaled separately: a complex-by-float
-    multiply would cast the symbol through a temporary buffer.
-    """
-    np.multiply(coeffs.real, symbol, out=coeffs.real)
-    np.multiply(coeffs.imag, symbol, out=coeffs.imag)
-    return coeffs
+    return GridSymbols(*symbols)
 
 
 class CouplingKernel:
-    """Dealiased ``u * wave`` and ``|u|^2`` for one run on one grid.
+    """Dealiased ``u * wave`` and ``|u|^2`` of a real wave, for one run on one grid.
 
-    A call costs two complex inverse transforms (``u`` and the wave), one
-    complex forward transform (the product) and one real forward transform
-    (``|u|^2``, whose half spectrum is expanded by conjugate symmetry).  The
-    kernel writes every transform into buffers of its own, so a call
-    allocates only the two arrays it returns.  The buffers make a kernel
-    unsafe to share between threads: each run builds its own.  The
-    symbols (`grid_symbols`) are shared.
+    The wave is real, so it comes as its half spectrum (`half_spectrum`),
+    and ``|u|^2`` goes back as one.  A call takes ``u`` to samples (complex
+    inverse transform), the wave to samples (real inverse), their product
+    back (complex forward) and ``|u|^2`` back (real forward).  Each
+    transform runs as its 1-D passes (`numpy.fft.fft`, `ifft`, `rfft`,
+    `irfft`) in the axis order of numpy's n-d functions, so its result is
+    bit-identical to theirs without their per-call wrapper cost.  Every pass
+    writes into the kernel's own buffers, so a call allocates only the
+    product it returns; the returned ``|u|^2`` is a kernel buffer, valid
+    until the next call.  The buffers make a kernel unsafe to share between
+    threads: each run builds its own.  The symbols (`grid_symbols`) are
+    shared.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.symbols = grid_symbols(grid)
-        self._axes = tuple(range(grid.dim))
         self._u = np.empty(grid.shape, dtype=np.complex128)
-        self._wave = np.empty(grid.shape, dtype=np.complex128)
-        self._abs2 = np.empty(grid.shape)
-        n = grid.n_per_dim
-        self._half = np.empty(grid.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        # |u|^2 is real: mode -k of each mode k past the half spectrum lies in it.
-        self._mirror = [
-            (target + (slice(n // 2 + 1, None),), source + (slice(n // 2 - 1, 0, -1),))
-            for target, source in _reflections(grid.dim - 1)
-        ]
+        self._wave = np.empty(grid.shape)
+        self._half = np.empty(self.symbols.half_dealias_scale.shape, dtype=np.complex128)
 
     def __call__(self, u: np.ndarray, wave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays."""
-        if u.shape != self.grid.shape or wave.shape != self.grid.shape:
+        """Coefficients of ``u * wave`` and the half spectrum of ``|u|^2``.
+
+        ``u`` is a full coefficient array and ``wave`` the half spectrum of a
+        real field.
+        """
+        if u.shape != self.grid.shape or wave.shape != self._half.shape:
             raise GridMismatchError(
-                f"coefficient shapes {u.shape}, {wave.shape} do not match grid {self.grid.shape}"
+                f"coefficient shapes {u.shape}, {wave.shape} do not match grid"
+                f" {self.grid.shape} and its half spectrum {self._half.shape}"
             )
-        u_x = np.fft.ifftn(u, axes=self._axes, out=self._u)
-        product = np.fft.ifftn(wave, axes=self._axes, out=self._wave)
-        product *= u_x
-        uw = np.fft.fftn(product, axes=self._axes, out=np.empty_like(product))
-        return scale(uw, self.symbols.dealias_scale), self._abs2_of_u()
+        u_x = self._inverse(u)
+        wave_x = self._real_inverse(wave)
+        product = np.empty_like(u_x)
+        np.multiply(u_x.real, wave_x, out=product.real)
+        np.multiply(u_x.imag, wave_x, out=product.imag)
+        for axis in reversed(range(self.grid.dim)):
+            np.fft.fft(product, axis=axis, out=product)
+        product *= self.symbols.dealias_scale
+        return product, self._abs2_of_u()  # last: it reuses the wave buffer
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
-        """Coefficients of ``|u|^2`` alone."""
-        np.fft.ifftn(u, axes=self._axes, out=self._u)
+        """Half spectrum of ``|u|^2`` alone (a kernel buffer)."""
+        self._inverse(u)
         return self._abs2_of_u()
 
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        """Samples of ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
+        for axis in reversed(range(self.grid.dim)):
+            u = np.fft.ifft(u, axis=axis, out=self._u)
+        return u
+
+    def _real_inverse(self, wave: np.ndarray) -> np.ndarray:
+        """Samples of a real field from its half spectrum: `numpy.fft.irfftn`."""
+        last = self.grid.dim - 1
+        for axis in range(last):
+            wave = np.fft.ifft(wave, axis=axis, out=self._half)
+        return np.fft.irfft(wave, n=self.grid.n_per_dim, axis=last, out=self._wave)
+
     def _abs2_of_u(self) -> np.ndarray:
-        """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites."""
-        u_x, abs2, half = self._u, self._abs2, self._half
-        np.multiply(u_x.real, u_x.real, out=abs2)
-        imag = u_x.imag
-        imag *= imag
-        abs2 += imag
-        scale(np.fft.rfftn(abs2, axes=self._axes, out=half), self.symbols.half_dealias_scale)
-        out = np.empty(self.grid.shape, dtype=np.complex128)
-        out[..., : half.shape[-1]] = half
-        np.conjugate(half, out=half)
-        for target, source in self._mirror:
-            out[target] = half[source]
-        return out
+        """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites.
+
+        The samples go into the wave buffer; the forward transform is
+        `numpy.fft.rfftn`: the last axis first.
+        """
+        abs2, half = self._wave, self._half
+        pairs = self._u.view(np.float64)  # (re, im) interleaved on the last axis
+        pairs *= pairs
+        np.add(pairs[..., 0::2], pairs[..., 1::2], out=abs2)
+        np.fft.rfft(abs2, axis=self.grid.dim - 1, out=half)
+        for axis in reversed(range(self.grid.dim - 1)):
+            np.fft.fft(half, axis=axis, out=half)
+        half *= self.symbols.half_dealias_scale
+        return half
 
 
 def coupling_products(
@@ -443,31 +455,98 @@ def coupling_products(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
 
-    These are the two quadratic terms of every coupled system, from one call
-    of a fresh `CouplingKernel` (a run keeps its own kernel instead).  Each
-    equals the exact truncated convolution when the inputs lie inside the
-    dealias band.
+    These are the two quadratic terms of every coupled system, from a fresh
+    `CouplingKernel` (a run keeps its own kernel instead).  The wave may be
+    complex: the product is bilinear, so it is ``u Re(wave) + i u Im(wave)``,
+    one kernel call per part.  Each equals the exact truncated convolution
+    when the inputs lie inside the dealias band.
     """
-    return CouplingKernel(grid)(u, wave)
+    kernel = CouplingKernel(grid)
+    product, abs2 = kernel(u, half_real_part(wave))
+    abs2 = full_spectrum(abs2)
+    imag_product, _ = kernel(u, half_real_part(-1j * wave))
+    product += 1j * imag_product
+    return product, abs2
 
 
 def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
     """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term."""
     _check_same_grid(u, v)
-    abs2 = SpectralField(u.grid, CouplingKernel(u.grid).abs2(u.coeffs))
+    abs2 = SpectralField(u.grid, full_spectrum(CouplingKernel(u.grid).abs2(u.coeffs)))
     return inner_product(abs2, v).real
+
+
+# ---------------------------------------------------------------------------
+# Real fields and half spectra
+# ---------------------------------------------------------------------------
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The half spectrum of a real field: a view of the first ``n//2 + 1`` entries
+    of the last axis, the layout of `numpy.fft.rfftn`.
+
+    A real field's coefficients satisfy ``f(-k) = conj f(k)``, so its half
+    spectrum holds all of them (`full_spectrum`).  In Parseval sums the
+    interior columns ``1 .. n//2 - 1`` of the last axis stand for two modes.
+    """
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Full coefficients of the real field with half spectrum ``half``."""
+    n = 2 * (half.shape[-1] - 1)
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : half.shape[-1]] = half
+    for target, source in _half_reflections(half.ndim, n, mirror=True):
+        out[target] = half[source]
+    # Conjugating the whole array and copying the half spectrum back costs no
+    # temporary; a ufunc on the strided mirror columns would allocate buffers.
+    np.conjugate(out, out=out)
+    out[..., : half.shape[-1]] = half
+    return out
+
+
+def half_real_part(coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum of ``Re f`` from the full coefficients of ``f`` (see `real_part`)."""
+    n = coeffs.shape[-1]
+    out = np.empty(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    for target, source in _half_reflections(coeffs.ndim, n, mirror=False):
+        out[target] = coeffs[source]
+    np.conjugate(out, out=out)
+    out += half_spectrum(coeffs)
+    out *= 0.5
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _half_reflections(
+    ndim: int, n: int, mirror: bool
+) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """``(target, source)`` slice pairs that reflect ``k`` to ``-k`` across a half spectrum.
+
+    With ``mirror`` the pairs fill the columns ``n//2 + 1 ..`` of a full
+    array from the half spectrum's interior columns; without it they fill a
+    half spectrum from the full array's columns ``0`` and ``n-1 .. n//2``.
+    The other axes reflect as in `conjugate`.
+    """
+    if mirror:
+        last = ((slice(n // 2 + 1, None), slice(n // 2 - 1, 0, -1)),)
+    else:
+        last = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
+    return tuple(
+        (target + (t,), source + (src,))
+        for target, source in _reflections(ndim - 1)
+        for t, src in last
+    )
 
 
 def real_part(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2``.
 
     No transform is needed: on the sampled lattice conjugation maps mode ``k``
-    to mode ``-k``, and the unpaired Nyquist plane is zero.
+    to mode ``-k``, and the unpaired Nyquist plane is zero.  ``Re f`` is
+    real, so this is the expansion of `half_real_part`.
     """
-    out = conjugate(coeffs)
-    out += coeffs
-    out *= 0.5
-    return out
+    return full_spectrum(half_real_part(coeffs))
 
 
 # ---------------------------------------------------------------------------

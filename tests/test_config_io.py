@@ -1,5 +1,7 @@
 """Tests for configuration loading, CSV determinism, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -167,4 +169,35 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(CheckpointFormatError, match="bytes"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _header(dim, n_per_dim, box_length=1.0):
+        return b"ZKGS" + struct.pack("<IBBIdd", 1, 1, dim, n_per_dim, box_length, 0.0)
+
+    def test_huge_claimed_grid_rejected_before_allocation(self, tmp_path):
+        # A header claiming a 4-d grid of 2^20 modes per axis must be
+        # rejected from its payload length alone, without building the grid.
+        import tracemalloc
+
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(self._header(4, 2**20) + b"\x00" * 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize(
+        "dim, n_per_dim, box_length, field",
+        [(7, 16, 1.0, "dim"), (0, 16, 1.0, "dim"), (2, 12, 1.0, "n_per_dim"),
+         (2, 4, 1.0, "n_per_dim"), (2, 16, -1.0, "box_length"), (2, 16, float("nan"), "box_length")],
+    )
+    def test_bad_grid_descriptor_is_a_format_error(self, tmp_path, dim, n_per_dim, box_length, field):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self._header(dim, n_per_dim, box_length))
+        with pytest.raises(CheckpointFormatError, match=field):
             load_checkpoint(path)

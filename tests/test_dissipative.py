@@ -15,11 +15,20 @@ from dispersmooth.dissipative import (
     integrate_damped,
     mass_rate,
 )
-from dispersmooth.errors import ConfigurationError
-from dispersmooth.evolution import IntegratorConfig
+from dispersmooth.errors import BlowUpError, ConfigurationError
+from dispersmooth.evolution import (
+    Dispersion,
+    IntegratorConfig,
+    Recorder,
+    lawson_rk4_run,
+    linear_flow,
+    propagator_symbol,
+    time_grid,
+)
 from dispersmooth.spectral import (
     SpectralField,
     dealias,
+    half_spectrum,
     l2_norm,
     lowpass_projection,
     make_grid,
@@ -316,3 +325,154 @@ class TestAttractorDiagnostics:
         )
         report = attractor_diagnostics(traj, params)
         assert report.inconclusive
+
+
+def full_spectrum_damped_flow(grid, params, t):
+    """The damped linear flow with the (v, w) block on every mode of the full spectrum."""
+    a, delta = params.a, params.delta
+    cap = params.spring_constant + grid.xi_squared
+    half_trace = -delta / 2.0
+    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + grid.xi_squared), dtype=complex))
+    qt = q * t
+    ch = np.cosh(qt)
+    small = np.abs(qt) < 1e-8
+    sh_over_q = np.where(
+        small,
+        t * (1.0 + qt**2 / 6.0),
+        np.sinh(np.where(small, 1.0, qt)) / np.where(small, 1.0, q),
+    )
+    decay = math.exp(half_trace * t)
+    top_left = -a - half_trace
+    bottom_right = -(delta - a) - half_trace
+    m11 = decay * (ch + top_left * sh_over_q)
+    m12 = decay * sh_over_q
+    m21 = decay * (-cap) * sh_over_q
+    m22 = decay * (ch + bottom_right * sh_over_q)
+    for entry in (m11, m12, m21, m22):
+        entry[grid.nyquist_mask] = 0.0
+    u_sym = math.exp(-params.gamma * t) * propagator_symbol(grid, Dispersion.SCHRODINGER, t)
+    return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
+
+
+def full_spectrum_damped_run(state, params, config):
+    """Oracle: the damped stepper on full spectra, with products from n-d complex transforms."""
+    grid = state.grid
+    f, g = params.forcing(grid)
+    n_steps, dt = time_grid(config.t_end, config.dt)
+    scale = grid.dealias_mask / grid.dx**grid.dim
+
+    def rhs(fields):
+        u_x = np.fft.ifftn(fields[0])
+        uv = np.fft.fftn(u_x * np.fft.ifftn(fields[1])) * scale
+        abs2 = np.fft.fftn(np.abs(u_x) ** 2) * scale
+        return 1j * uv - 1j * f.coeffs, np.zeros_like(uv), abs2 + g.coeffs
+
+    start = (state.u.coeffs, state.v.coeffs, state.w.coeffs)
+    flow = full_spectrum_damped_flow(grid, params, dt / 2)
+    return lawson_rk4_run(start, rhs, flow, dt, n_steps)
+
+
+class TestHalfSpectrumRun:
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
+    def test_matches_full_spectrum_oracle(self, dim, n):
+        grid = make_grid(dim, n)
+        f, g = forcing_fields(grid, seed=20 + dim)
+        params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
+        state = damped_state(grid, seed=20 + dim)
+        config = IntegratorConfig(dt=1e-2, t_end=0.1)
+        end = integrate_damped(state, params, config)[-1]
+        want = full_spectrum_damped_run(state, params, config)
+        for got, oracle in zip((end.u, end.v, end.w), want):
+            assert np.max(np.abs(got.coeffs - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_guard_norms_equal_full_parseval_norms(self):
+        # Half spectra count their interior columns twice: the guard reports
+        # the norms of the full fields.
+        grid = make_grid(2, 16)
+        state = damped_state(grid, seed=24)
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e-300)
+        carried = (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs))
+        with pytest.raises(BlowUpError) as info:
+            recorder(1, carried)
+        for name in ("u", "v", "w"):
+            full = l2_norm(getattr(state, name))
+            assert info.value.norms[f"{name}_L2"] == pytest.approx(full, rel=1e-14)
+
+    def test_records_are_full_and_read_only(self):
+        grid = make_grid(2, 16)
+        state = damped_state(grid, seed=25)
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e12)
+        recorder(1, (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs)))
+        (_, _, fields), = recorder.records
+        for a, field in zip(fields, (state.u, state.v, state.w)):
+            assert not a.flags.writeable
+            assert np.array_equal(a, field.coeffs)
+
+
+class TestRealFieldContract:
+    @pytest.mark.parametrize("name", ["v", "w"])
+    def test_non_real_wave_rejected_by_name(self, name):
+        grid = make_grid(2, 16)
+        state = damped_state(grid, seed=26)
+        skew = 1e-9 * random_sobolev_field(grid, 1.5, seed=27)  # not conjugate-symmetric
+        fields = {"u": state.u, "v": state.v, "w": state.w}
+        fields[name] = fields[name] + skew
+        bad = DampedState(**fields)
+        params = DampedParams(gamma=0.5, delta=0.5)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real field"):
+            integrate_damped(bad, params, IntegratorConfig(dt=1e-2, t_end=0.02))
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real field"):
+            damped_linear_propagate(bad, params, 0.1)
+
+    def test_roundoff_defect_accepted(self):
+        grid = make_grid(2, 16)
+        state = damped_state(grid, seed=28)
+        skew = 1e-15 * l2_norm(state.v) / l2_norm(state.u) * state.u  # defect below 1e-12
+        state = DampedState(state.u, state.v + skew, state.w)
+        params = DampedParams(gamma=0.5, delta=0.5)
+        traj = integrate_damped(state, params, IntegratorConfig(dt=1e-2, t_end=0.02))
+        assert traj.steps == [0, 1, 2]
+
+    def test_non_real_g_rejected(self):
+        grid = make_grid(2, 16)
+        f, g = forcing_fields(grid)
+        with pytest.raises(ConfigurationError, match="^g must be a real field"):
+            DampedParams(gamma=0.5, delta=0.5, f=f, g=g + 1e-9 * f)
+        DampedParams(gamma=0.5, delta=0.5, f=f, g=g)  # a complex f is fine
+
+
+class TestAttractorDiagnosticsOracle:
+    def test_matches_per_record_formulas(self):
+        # The parent formulas: the linear part propagated from t0 to each
+        # record, H and dH/dt each evaluated on their own.  30 steps recorded
+        # every 7 leave a last gap of 2 steps.
+        grid = make_grid(2, 16)
+        f, g = forcing_fields(grid)
+        params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
+        state = damped_state(grid, seed=29)
+        traj = integrate_damped(state, params, IntegratorConfig(dt=1e-2, t_end=0.3, record_every=7))
+        assert traj.steps == [0, 7, 14, 21, 28, 30]
+        report = attractor_diagnostics(traj, params)
+        first = traj[0]
+        energies = [energy_H(s, params) for s in traj]
+        for idx, (s, row) in enumerate(zip(traj, report.rows)):
+            linear = damped_linear_propagate(first, params, s.t - first.t)
+            if 0 < idx < len(traj) - 1:
+                rate_fd = (energies[idx + 1] - energies[idx - 1]) / (traj[idx + 1].t - traj[idx - 1].t)
+            else:
+                rate_fd = math.nan
+            want = {
+                "energy": energies[idx],
+                "rate_closed": energy_H_rate(s, params),
+                "rate_fd": rate_fd,
+                "mass": l2_norm(s.u),
+                "linear_u_h1": sobolev_norm(linear.u, 1.0),
+                "linear_v_h1": sobolev_norm(linear.v, 1.0),
+                "linear_w_l2": l2_norm(linear.w),
+                "nonlinear_u": sobolev_norm(s.u - linear.u, 1.4),
+                "nonlinear_v": sobolev_norm(s.v - linear.v, 2.8),
+                "nonlinear_w": sobolev_norm(s.w - linear.w, 1.8),
+            }
+            assert row.t == s.t
+            for key, value in want.items():
+                assert getattr(row, key) == pytest.approx(value, rel=1e-12, abs=1e-300, nan_ok=True), key

@@ -29,6 +29,8 @@ from dispersmooth.spectral import (
     bessel_potential,
     conjugate,
     coupling_products,
+    grid_symbols,
+    half_real_part,
     l2_norm,
     make_grid,
     random_sobolev_field,
@@ -249,23 +251,52 @@ class TestTransformCount:
         run_kind(kind, grid_2d_small, seed=15, steps=2)
         assert counts["rhs"] == 8
         assert counts["half_step"] == 8
-        assert counts["fft_in_rhs"] == expected * counts["rhs"]
-        # Per coupling product: u and the wave to samples (complex), their
-        # product back (complex), |u|^2 back through the real transform.
+        # ``expected`` transforms per call, each run as one 1-D pass per axis.
+        d = grid_2d_small.dim
+        assert counts["fft_in_rhs"] == expected * d * counts["rhs"]
+        # Per coupling product: u to samples (d complex inverse passes), the
+        # real wave to samples from its half spectrum (d - 1 complex inverse
+        # passes, then one real inverse), their product back (d complex
+        # forward passes) and |u|^2 back (one real forward pass, then d - 1
+        # complex forward passes).
         products = expected // 4 * counts["rhs"]
         assert {k: v for k, v in by_name_in_rhs.items() if v} == {
-            "ifftn": 2 * products,
-            "fftn": products,
-            "rfftn": products,
+            "ifft": (2 * d - 1) * products,
+            "irfft": products,
+            "fft": (2 * d - 1) * products,
+            "rfft": products,
         }
         # Every one of them writes into a buffer (out=) instead of allocating.
         assert counts["allocating_in_rhs"] == 0
 
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8), (4, 8)])
+    def test_kernel_passes_equal_numpy_nd_transforms(self, dim, n):
+        # The kernel's 1-D passes run in the axis order of numpy's n-d
+        # functions, so its outputs equal the same arithmetic on
+        # ifftn/irfftn/fftn/rfftn bit for bit.
+        grid = make_grid(dim, n)
+        u = random_sobolev_field(grid, 0.0, seed=40 + dim).coeffs
+        wave = half_real_part(random_sobolev_field(grid, 0.0, seed=50 + dim).coeffs)
+        axes = tuple(range(dim))
+        u_x = np.fft.ifftn(u)
+        wave_x = np.fft.irfftn(wave, s=grid.shape, axes=axes)
+        product = np.empty_like(u_x)
+        product.real = u_x.real * wave_x
+        product.imag = u_x.imag * wave_x
+        symbols = grid_symbols(grid)
+        want_uw = np.fft.fftn(product) * symbols.dealias_scale
+        abs2 = u_x.real * u_x.real + u_x.imag * u_x.imag
+        want_abs2 = np.fft.rfftn(abs2) * symbols.half_dealias_scale
+        uw, got_abs2 = CouplingKernel(grid)(u, wave)
+        assert np.array_equal(uw, want_uw)
+        assert np.array_equal(got_abs2, want_abs2)
+
 
 class TestCouplingKernelRuns:
     def test_rhs_allocates_only_its_outputs_and_real_part(self):
-        # After warm-up, one KGS right side allocates du, dw+ and Re w+ and
-        # nothing else: every transform writes into the run's kernel buffers.
+        # After warm-up, one KGS right side allocates du, dw+ and the half
+        # spectrum of Re w+ and nothing else: every transform writes into the
+        # run's kernel buffers, and |u|^2 stays in one of them.
         import tracemalloc
 
         grid = make_grid(2, 128)
@@ -283,8 +314,9 @@ class TestCouplingKernelRuns:
         finally:
             tracemalloc.stop()
         array_bytes = state.u.coeffs.nbytes
+        half_bytes = array_bytes // grid.n_per_dim * (grid.n_per_dim // 2 + 1)
         assert all(a.nbytes == array_bytes for a in out)
-        assert 3 * array_bytes <= peak <= 3 * array_bytes + 16 * 1024
+        assert 2 * array_bytes + half_bytes <= peak <= 2 * array_bytes + half_bytes + 16 * 1024
 
     def test_pooled_runs_equal_serial_runs(self):
         # Smoothing-scan members integrate at the same time on one grid; each
