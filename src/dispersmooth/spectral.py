@@ -498,8 +498,9 @@ def full_spectrum(half: np.ndarray) -> np.ndarray:
     out[..., : half.shape[-1]] = half
     for target, source in _half_reflections(half.ndim, n, mirror=True):
         out[target] = half[source]
-    # Conjugating the whole array and copying the half spectrum back costs no
-    # temporary; a ufunc on the strided mirror columns would allocate buffers.
+    # Conjugating the whole array (initialised, so no garbage is read) and
+    # copying the half spectrum back costs no temporary; a ufunc on the
+    # strided mirror columns would allocate iterator buffers.
     np.conjugate(out, out=out)
     out[..., : half.shape[-1]] = half
     return out
