@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .config import EXPERIMENTS, RunConfig, load_config
+from .config import EXPERIMENTS, RunConfig, load_config, require_seed
 from .dissipative import (
     DampedParams,
     DampedState,
@@ -384,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed is not None:
+            require_seed(args.seed, "--seed")
         config = load_config(args.config, experiment=args.experiment)
         seed = args.seed if args.seed is not None else config.run.seed
         out_dir = args.out or config.run.out_dir or f"runs/{args.experiment}"

@@ -52,6 +52,12 @@ def _require_positive(section, key: str) -> None:
         raise ConfigurationError(f"{key} must be >= 1, got {value}")
 
 
+def require_seed(value: int, name: str) -> None:
+    """Reject a negative seed (`numpy.random.SeedSequence` takes none), naming it."""
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RunSection:
     experiment: str | None = None
@@ -246,6 +252,8 @@ def _validate(config: RunConfig) -> RunConfig:
         value = getattr(getattr(config, section), key)
         if not math.isfinite(value or 0.0):
             raise ConfigurationError(f"[{section}] {key} must be finite, got {value}")
+    require_seed(config.run.seed, "[run] seed")
+    require_seed(config.damping.forcing_seed, "[damping] forcing_seed")
     if config.experiment in ("smoothing-scan", "xsb-constant"):
         # Route the theorem hypotheses through the closed-form exponents.
         try:

@@ -218,15 +218,16 @@ def integrate_damped(
 
     kernel = CouplingKernel(grid)
     i_f = 1j * f.coeffs
-    g_half = half_spectrum(g.coeffs)
-    dv = np.zeros_like(g_half)  # v_t has no nonlinear term
-    dv.flags.writeable = False
+    g_half = np.ascontiguousarray(half_spectrum(g.coeffs))  # a strided operand would be copied
 
-    def rhs(fields: Fields) -> Fields:
-        uv, abs2 = kernel(fields[0], fields[1])
-        uv *= 1j
-        uv -= i_f
-        return uv, dv, abs2 + g_half
+    def rhs(fields: Fields, out: Fields) -> Fields:
+        du, dv, dw = out
+        _, abs2 = kernel(fields[0], fields[1], out=du)
+        du *= 1j
+        du -= i_f
+        dv.fill(0.0)  # v_t has no nonlinear term
+        np.add(abs2, g_half, out=dw)
+        return out
 
     recorder = Recorder(
         ("u", "v", "w"),

@@ -18,9 +18,7 @@ time-discretization error.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -36,7 +34,6 @@ from .spectral import (
     cubic_pairing,
     dealias,
     full_spectrum,
-    half_real_part,
     l2_norm,
     real_part,
     riesz_potential,
@@ -46,7 +43,7 @@ from .spectral import (
 
 
 Fields = tuple[np.ndarray, ...]
-Flow = Callable[[Fields], Fields]
+Flow = Callable[..., Fields]  # flow(fields, out) -> out: fills every component of out
 
 
 class System(str, enum.Enum):
@@ -135,16 +132,24 @@ def linear_propagate(f: SpectralField, dispersion: Dispersion, t: float) -> Spec
 def linear_flow(symbols: Sequence[Mapping[int, np.ndarray]]) -> Flow:
     """Exact linear flow on coefficient arrays, from its per-mode symbols.
 
-    Field ``i`` becomes ``sum_j symbols[i][j] * fields[j]``: one term per
-    field for a diagonal flow, two for a coupled 2x2 block, summed in place
-    into the first term.  Every symbol carries a zero Nyquist plane.
+    ``flow(fields, out=None)`` writes ``sum_j symbols[i][j] * fields[j]``
+    into ``out[i]`` (fresh arrays when None, never ``fields`` for a coupled
+    flow): one term for a diagonal flow, two for a 2x2 block, whose second
+    goes through the flow's one scratch row, so a flow belongs to one run.
+    Every symbol carries a zero Nyquist plane.
     """
+    coupled = [sym for row in symbols for sym in list(row.values())[1:]]
+    scratch = np.empty_like(coupled[0]) if coupled else None
 
-    def flow(fields: Fields) -> Fields:
-        return tuple(
-            functools.reduce(operator.iadd, [sym * fields[j] for j, sym in row.items()])
-            for row in symbols
-        )
+    def flow(fields: Fields, out: Fields | None = None) -> Fields:
+        if out is None:
+            out = tuple(np.empty_like(next(iter(row.values()))) for row in symbols)
+        for target, row in zip(out, symbols):
+            (j, sym), *rest = row.items()
+            np.multiply(sym, fields[j], out=target)
+            for j, sym in rest:
+                target += np.multiply(sym, fields[j], out=scratch)
+        return out
 
     return flow
 
@@ -186,7 +191,8 @@ def wave_field(state: SystemState) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 def nonlinear_rhs(
-    system: System, grid: Grid, fields: Fields, kernel: CouplingKernel | None = None
+    system: System, grid: Grid, fields: Fields, kernel: CouplingKernel | None = None,
+    out: Fields | None = None,
 ) -> Fields:
     """Nonlinear time-derivative contributions ``(du, dw+)`` of coefficient arrays.
 
@@ -202,18 +208,19 @@ def nonlinear_rhs(
         dn+ = i ( -|xi|^2 A^{-1} |u|^2 + A^{-1} Re n+ )
 
     ``Re w+`` is real, so it is formed on the half spectrum alone, in
-    coefficient space (`half_real_part`, no transform), and the kernel takes
-    it to samples by a real inverse transform.  ``dw+`` is combined on the
-    half spectrum and expanded to the full one once (`full_spectrum`).  Both
-    products come dealiased from ``kernel``, the run's `CouplingKernel` (a
-    fresh one when None).  The symbols are applied in place, so a call
-    allocates the two returned arrays and the half spectrum of ``Re w+``
-    only.
+    coefficient space (`half_real_part`, no transform, in a kernel buffer),
+    and the kernel takes it to samples by a real inverse transform.  ``dw+``
+    is combined on the half spectrum and expanded to the full one once
+    (`full_spectrum`).  Both products come dealiased from ``kernel``, the
+    run's `CouplingKernel` (a fresh one when None).  The results go into
+    ``out`` (fresh arrays when None) and the symbols are applied in place,
+    so with ``out`` given a call allocates no array.
     """
     kernel = CouplingKernel(grid) if kernel is None else kernel
     u, wplus = fields
-    re = half_real_part(wplus)
-    du, abs2 = kernel(u, re)
+    du, dw = (np.empty_like(u), np.empty_like(wplus)) if out is None else out
+    re = kernel.half_real_part(wplus)
+    _, abs2 = kernel(u, re, out=du)
     symbols = kernel.symbols
     if system is System.KGS:
         du *= 1j
@@ -223,7 +230,7 @@ def nonlinear_rhs(
         abs2 *= symbols.half_neg_lap_inverse_bracket
         re *= symbols.half_inverse_bracket
         abs2 += re
-    dw = full_spectrum(abs2)
+    full_spectrum(abs2, out=dw)
     dw *= 1j
     return du, dw
 
@@ -254,23 +261,41 @@ def lawson_rk4_run(
 
     P is linear, so these are the Lawson stages P(y + dt/2 N1), P(y) + dt/2 N2
     and P(P(y) + dt N3).  Fourth-order accurate; exact on the linear subflow.
+
+    The run's workspace is ``Y`` (a copy of ``fields``), ``PY, PN1, N1 .. N4``
+    and a stage buffer per field.  ``rhs(fields, out)`` and ``half_step(fields,
+    out)`` fill every component of ``out``, a workspace tuple apart from
+    ``fields``, and each sum is formed in place in the operation order shown,
+    so a step allocates no array and gives the bits of an allocating one.
+    ``observer(step, Y)`` sees the workspace, which the next step overwrites.
     """
-    h = 0.5 * dt
-    y = fields
+    h, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+    y = tuple(np.array(a, dtype=np.complex128) for a in fields)
+    py, pn1, n1, n2, n3, n4, stage = (tuple(np.empty_like(a) for a in y) for _ in range(7))
     for step in range(n_steps):
-        n1 = rhs(y)
-        py = half_step(y)
-        pn1 = half_step(n1)
-        n2 = rhs(tuple(a + h * b for a, b in zip(py, pn1)))
-        n3 = rhs(tuple(a + h * b for a, b in zip(py, n2)))
-        n4 = rhs(half_step(tuple(a + dt * b for a, b in zip(py, n3))))
-        mid = tuple(
-            a + (dt / 6.0) * b + (dt / 3.0) * (c + d) for a, b, c, d in zip(py, pn1, n2, n3)
-        )
-        y = tuple(a + (dt / 6.0) * b for a, b in zip(half_step(mid), n4))
+        rhs(y, n1)
+        half_step(y, py)
+        half_step(n1, pn1)
+        rhs(_add_scaled(stage, py, h, pn1), n2)
+        rhs(_add_scaled(stage, py, h, n2), n3)
+        half_step(_add_scaled(stage, py, dt, n3), y)
+        rhs(y, n4)
+        _add_scaled(stage, py, sixth, pn1)
+        for mid, b, c in zip(stage, n2, n3):
+            mid += np.multiply(third, np.add(b, c, out=b), out=b)
+        half_step(stage, y)
+        for a, b in zip(y, n4):
+            a += np.multiply(sixth, b, out=b)
         if observer is not None:
             observer(step + 1, y)
     return y
+
+
+def _add_scaled(out: Fields, a: Fields, scale: float, b: Fields) -> Fields:
+    """``out = a + scale * b`` per field, formed in ``out`` in that operation order."""
+    for target, x, z in zip(out, a, b):
+        np.add(x, np.multiply(scale, z, out=target), out=target)
+    return out
 
 
 def time_grid(t_end: float, dt: float) -> tuple[int, float]:
@@ -311,7 +336,8 @@ class Recorder:
     steps and at the last step.  A field with ``n//2 + 1`` entries on its
     last axis is a real field's half spectrum (`half_spectrum`): its norm
     counts the interior columns twice, and it is recorded expanded to the
-    full spectrum.  Records are read-only.
+    full spectrum.  Records are read-only copies.  A norm is an `numpy.einsum`
+    over the float pairs: no temporaries, and no BLAS threads (``vdot``).
     """
 
     names: tuple[str, ...]
@@ -329,7 +355,7 @@ class Recorder:
         if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
             raise BlowUpError(t, norms, self.threshold)
         if step % self.record_every == 0 or step == self.n_steps:
-            fields = tuple(full_spectrum(a) if self._is_half(a) else a for a in fields)
+            fields = tuple(full_spectrum(a) if self._is_half(a) else a.copy() for a in fields)
             for a in fields:  # a read-only record becomes a field without a copy
                 a.flags.writeable = False
             self.records.append((step, t, fields))
@@ -338,10 +364,11 @@ class Recorder:
         return a.shape[-1] != self.grid.n_per_dim
 
     def _norm(self, a: np.ndarray) -> float:
-        sq = np.abs(a) ** 2
-        total = np.sum(sq)
+        pairs, axes = a.view(np.float64), list(range(a.ndim))
+        total = np.einsum(pairs, axes, pairs, axes, [])
         if self._is_half(a):
-            total += np.sum(sq[..., 1 : self.grid.n_per_dim // 2])
+            interior = pairs[..., 2 : self.grid.n_per_dim]  # columns 1 .. n//2 - 1
+            total += np.einsum(interior, axes, interior, axes, [])
         return float(np.sqrt(total / self.grid.volume))
 
     def trajectory(self, initial, wrap: Callable[[float, Fields], object]) -> Trajectory:
@@ -364,8 +391,8 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
 
     kernel = CouplingKernel(grid)
 
-    def rhs(fields: Fields) -> Fields:
-        return nonlinear_rhs(state.system, grid, fields, kernel)
+    def rhs(fields: Fields, out: Fields) -> Fields:
+        return nonlinear_rhs(state.system, grid, fields, kernel, out)
 
     recorder = Recorder(
         ("u", "wplus"),

@@ -155,27 +155,6 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 # Coupled window evolution
 # ---------------------------------------------------------------------------
 
-def _window_rhs(kernel: CouplingKernel, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Nonlinear right sides of the coupled low/high system.
-
-    Low:  the KGS right side of (phi, psi+).
-    High: the KGS right side of the totals (phi + mu, psi+ + lam+) minus
-          the low side, that is
-
-          d mu   = i mu Re(psi+ + lam+) + i phi Re lam+
-          d lam+ = i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
-
-    so the two sides sum to the direct-system right side by construction.
-    """
-    low = fields[:2]
-    total = tuple(a + b for a, b in zip(low, fields[2:]))
-    d_low = nonlinear_rhs(System.KGS, kernel.grid, low, kernel)
-    d_high = nonlinear_rhs(System.KGS, kernel.grid, total, kernel)
-    for high, part in zip(d_high, d_low):
-        high -= part
-    return d_low + d_high
-
-
 def _integrate_window(
     state: HighLowState, config: HighLowConfig
 ) -> tuple[np.ndarray, ...]:
@@ -183,9 +162,28 @@ def _integrate_window(
     grid = state.grid
     n_inner, dt = time_grid(config.delta, config.dt)
     kernel = CouplingKernel(grid)
+    total = (np.empty_like(state.phi.coeffs), np.empty_like(state.psi_plus.coeffs))
 
-    def rhs(fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        return _window_rhs(kernel, fields)
+    def rhs(fields: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Nonlinear right sides of the coupled low/high system, into ``out``.
+
+        Low:  the KGS right side of (phi, psi+).
+        High: the KGS right side of the totals (phi + mu, psi+ + lam+),
+              formed in ``total``, minus the low side, that is
+
+              d mu   = i mu Re(psi+ + lam+) + i phi Re lam+
+              d lam+ = i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
+
+        so the two sides sum to the direct-system right side by construction.
+        """
+        low = fields[:2]
+        for target, a, b in zip(total, low, fields[2:]):
+            np.add(a, b, out=target)
+        d_low = nonlinear_rhs(System.KGS, grid, low, kernel, out[:2])
+        d_high = nonlinear_rhs(System.KGS, grid, total, kernel, out[2:])
+        for high, part in zip(d_high, d_low):
+            high -= part
+        return out
 
     guard = Recorder(
         ("phi", "psi_plus", "mu", "lam_plus"),

@@ -379,12 +379,13 @@ class CouplingKernel:
     back (complex forward) and ``|u|^2`` back (real forward).  Each
     transform runs as its 1-D passes (`numpy.fft.fft`, `ifft`, `rfft`,
     `irfft`) in the axis order of numpy's n-d functions, so its result is
-    bit-identical to theirs without their per-call wrapper cost.  Every pass
-    writes into the kernel's own buffers, so a call allocates only the
-    product it returns; the returned ``|u|^2`` is a kernel buffer, valid
-    until the next call.  The buffers make a kernel unsafe to share between
-    threads: each run builds its own.  The symbols (`grid_symbols`) are
-    shared.
+    bit-identical to theirs without their per-call wrapper cost.  Every
+    pass writes into the kernel's own buffers or the caller's ``out``, so a
+    call allocates nothing once ``out`` is given; the returned ``|u|^2`` is
+    a kernel buffer, valid until the next call, and so is the wave factor
+    that `half_real_part` forms.  The buffers make a kernel unsafe to share
+    between threads: each run builds its own.  The symbols (`grid_symbols`)
+    are shared.
     """
 
     def __init__(self, grid: Grid):
@@ -393,27 +394,38 @@ class CouplingKernel:
         self._u = np.empty(grid.shape, dtype=np.complex128)
         self._wave = np.empty(grid.shape)
         self._half = np.empty(self.symbols.half_dealias_scale.shape, dtype=np.complex128)
+        self._real_half = np.empty_like(self._half)
 
-    def __call__(self, u: np.ndarray, wave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(
+        self, u: np.ndarray, wave: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients of ``u * wave`` and the half spectrum of ``|u|^2``.
 
         ``u`` is a full coefficient array and ``wave`` the half spectrum of a
-        real field.
+        real field.  The product goes into ``out``, a C-contiguous complex
+        array of the grid's shape (a fresh one when None).
         """
-        if u.shape != self.grid.shape or wave.shape != self._half.shape:
+        out = np.empty(self.grid.shape, dtype=np.complex128) if out is None else out
+        shapes = (u.shape, wave.shape, out.shape)
+        if shapes != (self.grid.shape, self._half.shape, self.grid.shape) or not out.flags.c_contiguous:
             raise GridMismatchError(
-                f"coefficient shapes {u.shape}, {wave.shape} do not match grid"
+                f"shapes {shapes} of u, wave and a C-contiguous out do not match grid"
                 f" {self.grid.shape} and its half spectrum {self._half.shape}"
             )
-        u_x = self._inverse(u)
-        wave_x = self._real_inverse(wave)
-        product = np.empty_like(u_x)
-        np.multiply(u_x.real, wave_x, out=product.real)
-        np.multiply(u_x.imag, wave_x, out=product.imag)
+        u_x = self._inverse(u).reshape(-1).view(np.float64)
+        wave_x = self._real_inverse(wave).reshape(-1)
+        # 1-D strided views of the real and imaginary parts run as one plain loop.
+        product = out.reshape(-1).view(np.float64)
+        np.multiply(u_x[0::2], wave_x, out=product[0::2])
+        np.multiply(u_x[1::2], wave_x, out=product[1::2])
         for axis in reversed(range(self.grid.dim)):
-            np.fft.fft(product, axis=axis, out=product)
-        product *= self.symbols.dealias_scale
-        return product, self._abs2_of_u()  # last: it reuses the wave buffer
+            np.fft.fft(out, axis=axis, out=out)
+        out *= self.symbols.dealias_scale
+        return out, self._abs2_of_u()  # last: it reuses the wave buffer
+
+    def half_real_part(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half spectrum of ``Re f`` (`half_real_part`) in a kernel buffer, fit to be a wave."""
+        return half_real_part(coeffs, out=self._real_half, scratch=self._half)
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
         """Half spectrum of ``|u|^2`` alone (a kernel buffer)."""
@@ -440,9 +452,9 @@ class CouplingKernel:
         `numpy.fft.rfftn`: the last axis first.
         """
         abs2, half = self._wave, self._half
-        pairs = self._u.view(np.float64)  # (re, im) interleaved on the last axis
+        pairs = self._u.reshape(-1).view(np.float64)  # (re, im) interleaved
         pairs *= pairs
-        np.add(pairs[..., 0::2], pairs[..., 1::2], out=abs2)
+        np.add(pairs[0::2], pairs[1::2], out=abs2.reshape(-1))
         np.fft.rfft(abs2, axis=self.grid.dim - 1, out=half)
         for axis in reversed(range(self.grid.dim - 1)):
             np.fft.fft(half, axis=axis, out=half)
@@ -491,10 +503,10 @@ def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """Full coefficients of the real field with half spectrum ``half``."""
+def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Full coefficients of the real field with half spectrum ``half`` (into ``out``)."""
     n = 2 * (half.shape[-1] - 1)
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
     out[..., : half.shape[-1]] = half
     for target, source in _half_reflections(half.ndim, n, mirror=True):
         out[target] = half[source]
@@ -506,14 +518,22 @@ def full_spectrum(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_real_part(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum of ``Re f`` from the full coefficients of ``f`` (see `real_part`)."""
+def half_real_part(
+    coeffs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Half spectrum of ``Re f`` from the full coefficients of ``f`` (see `real_part`).
+
+    Into ``out``, with the reflected part in ``scratch`` (both fresh when None):
+    copied to contiguous buffers first, since a ufunc buffers strided operands.
+    """
     n = coeffs.shape[-1]
-    out = np.empty(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    out = np.empty(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
     for target, source in _half_reflections(coeffs.ndim, n, mirror=False):
-        out[target] = coeffs[source]
-    np.conjugate(out, out=out)
-    out += half_spectrum(coeffs)
+        scratch[target] = coeffs[source]
+    np.conjugate(scratch, out=scratch)
+    np.copyto(out, half_spectrum(coeffs))
+    np.add(scratch, out, out=out)
     out *= 0.5
     return out
 

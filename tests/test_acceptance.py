@@ -157,6 +157,35 @@ def test_criterion_4_conservation():
     assert all(checks)
 
 
+def test_conservation_drift_order_fit():
+    # Not a criterion: criterion 4 compares one dt halving with [12, 20];
+    # this fits the slope of log drift against log dt over a three-step
+    # ladder, on criterion 4's data, with records at the same times on
+    # every rung.  A fourth-order scheme gives orders of 4 or more.
+    grid = make_grid(2, 64)
+    dts = (4e-3, 2e-3, 1e-3)
+    orders = {}
+    for system in (System.KGS, System.ZAKHAROV):
+        state = random_system_state(system, grid, 1.0, 1.0, seed=101, amplitude=25.0)
+        c0 = conserved_quantities(state)
+        drifts = {"mass": [], "Hamiltonian": []}
+        for dt in dts:
+            traj = integrate(state, IntegratorConfig(dt=dt, t_end=1.0, record_every=round(0.05 / dt)))
+            later = [conserved_quantities(s) for s in traj[1:]]
+            drifts["mass"].append(max(abs(c.mass - c0.mass) for c in later) / c0.mass)
+            drifts["Hamiltonian"].append(
+                max(abs(c.hamiltonian - c0.hamiltonian) for c in later) / abs(c0.hamiltonian)
+            )
+        for name, drift in drifts.items():
+            orders[f"{system.value} {name}"] = np.polyfit(np.log(dts), np.log(drift), 1)[0]
+    message = "fitted drift orders over dt = 4e-3, 2e-3, 1e-3: " + ", ".join(
+        f"{key} {order:.2f}" for key, order in orders.items()
+    )
+    ok = all(order >= 3.8 for order in orders.values())
+    report(4, ok, message)
+    assert ok, message
+
+
 # ---------------------------------------------------------------------------
 # Criteria 5 and 6 share one forced long run.
 # ---------------------------------------------------------------------------

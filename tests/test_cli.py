@@ -271,6 +271,41 @@ class TestExitCodes:
         assert f"branch must be 1 or -1, got {branch}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("simulate", SIMULATE_SMALL),
+            ("smoothing-scan", "[system]\ns = 0.0\nr = 0.0\n"),
+            ("attractor", ATTRACTOR_SMALL),
+            ("highlow", HIGHLOW_SMALL),
+        ],
+    )
+    def test_negative_seed_flag_is_2_and_named(self, tmp_path, capsys, experiment, text):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, text)
+        argv = [experiment, "--config", config, "--out", str(out), "--quiet", "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "--seed must be >= 0, got -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, text, line, bad, key",
+        [
+            ("simulate", SIMULATE_SMALL, "seed = 11", "seed = -5", "[run] seed"),
+            ("attractor", ATTRACTOR_SMALL, "gamma = 0.5", "gamma = 0.5\nforcing_seed = -3", "[damping] forcing_seed"),
+        ],
+    )
+    def test_negative_seed_key_is_2_and_named(self, tmp_path, capsys, experiment, text, line, bad, key):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, text.replace(line, bad))
+        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"{key} must be >= 0, got {bad[-2:]}" in err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
         blocker = tmp_path / "blocked"

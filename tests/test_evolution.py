@@ -181,11 +181,11 @@ FFT_FUNCTIONS = (
 )
 
 
-def run_kind(kind, grid, seed, steps):
+def run_kind(kind, grid, seed, steps, record_every=1):
     """Run one of the four right sides through its integrator over ``steps`` steps of 1e-2."""
     system = System.ZAKHAROV if kind == "zakharov" else System.KGS
     state = random_state(system, grid, seed=seed)
-    config = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2)
+    config = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2, record_every=record_every)
     if kind == "damped":
         damped = DampedState(state.u, wave_field(state), wave_field(state))
         integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
@@ -232,18 +232,18 @@ class TestTransformCount:
         stepper = module.lawson_rk4_run
 
         def counting_stepper(fields, rhs, half_step, *args, **kwargs):
-            def counted_rhs(y):
+            def counted_rhs(y, out):
                 before = counts["fft"]
                 in_rhs[0] = True
-                out = rhs(y)
+                rhs(y, out)
                 in_rhs[0] = False
                 counts["rhs"] += 1
                 counts["fft_in_rhs"] += counts["fft"] - before
                 return out
 
-            def counted_half_step(y):
+            def counted_half_step(y, out):
                 counts["half_step"] += 1
-                return half_step(y)
+                return half_step(y, out)
 
             return stepper(fields, counted_rhs, counted_half_step, *args, **kwargs)
 
@@ -292,31 +292,40 @@ class TestTransformCount:
         assert np.array_equal(got_abs2, want_abs2)
 
 
+SMALL_OBJECTS = 4096  # bytes of Python objects (tuples, floats) a call may make
+
+
+def traced_peak(call):
+    """Peak bytes allocated while ``call()`` runs, after two warm-up calls."""
+    import tracemalloc
+
+    call()
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestCouplingKernelRuns:
     def test_rhs_allocates_only_its_outputs_and_real_part(self):
-        # After warm-up, one KGS right side allocates du, dw+ and the half
-        # spectrum of Re w+ and nothing else: every transform writes into the
-        # run's kernel buffers, and |u|^2 stays in one of them.
-        import tracemalloc
-
+        # After warm-up, one KGS right side allocates du and dw+ and no
+        # other array: every transform writes into the run's kernel buffers,
+        # and Re w+ and |u|^2 stay in them.  Given its outputs, it allocates
+        # no array at all.
         grid = make_grid(2, 128)
         state = random_state(System.KGS, grid, seed=21)
         fields = (state.u.coeffs, state.wplus.coeffs)
         kernel = CouplingKernel(grid)
-        for _ in range(3):
-            nonlinear_rhs(System.KGS, grid, fields, kernel)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = nonlinear_rhs(System.KGS, grid, fields, kernel)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        out = nonlinear_rhs(System.KGS, grid, fields, kernel)
         array_bytes = state.u.coeffs.nbytes
-        half_bytes = array_bytes // grid.n_per_dim * (grid.n_per_dim // 2 + 1)
         assert all(a.nbytes == array_bytes for a in out)
-        assert 2 * array_bytes + half_bytes <= peak <= 2 * array_bytes + half_bytes + 16 * 1024
+        peak = traced_peak(lambda: nonlinear_rhs(System.KGS, grid, fields, kernel))
+        assert 2 * array_bytes <= peak <= 2 * array_bytes + SMALL_OBJECTS
+        assert traced_peak(lambda: nonlinear_rhs(System.KGS, grid, fields, kernel, out)) <= SMALL_OBJECTS
 
     def test_pooled_runs_equal_serial_runs(self):
         # Smoothing-scan members integrate at the same time on one grid; each
@@ -346,8 +355,25 @@ class TestCouplingKernelRuns:
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def allocating(flow):
+    """A stepper callback ``flow(y, out)`` called as ``flow(y)`` with fresh outputs."""
+    return lambda y: flow(y, tuple(np.empty_like(a) for a in y))
+
+
+def writing(values_of):
+    """A stepper callback ``flow(y, out)`` from a function that returns fresh arrays."""
+
+    def flow(y, out):
+        for target, value in zip(out, values_of(y)):
+            target[...] = value
+        return out
+
+    return flow
+
+
 def seven_application_run(fields, rhs, half_step, dt, n_steps):
     """The Lawson RK4 step in its seven-application form, the oracle for `lawson_rk4_run`."""
+    rhs, half_step = allocating(rhs), allocating(half_step)
     y = fields
     for _ in range(n_steps):
         n1 = rhs(y)
@@ -368,8 +394,31 @@ def seven_application_run(fields, rhs, half_step, dt, n_steps):
     return y
 
 
+def allocating_four_application_run(fields, rhs, half_step, dt, n_steps):
+    """The four-application step with a fresh array for every result, as it was
+    before the stepper got its workspace: the bit-identity oracle."""
+    rhs, half_step = allocating(rhs), allocating(half_step)
+    h = 0.5 * dt
+    y = fields
+    for _ in range(n_steps):
+        n1 = rhs(y)
+        py = half_step(y)
+        pn1 = half_step(n1)
+        n2 = rhs(tuple(a + h * b for a, b in zip(py, pn1)))
+        n3 = rhs(tuple(a + h * b for a, b in zip(py, n2)))
+        n4 = rhs(half_step(tuple(a + dt * b for a, b in zip(py, n3))))
+        mid = tuple(
+            a + (dt / 6.0) * b + (dt / 3.0) * (c + d) for a, b, c, d in zip(py, pn1, n2, n3)
+        )
+        y = tuple(a + (dt / 6.0) * b for a, b in zip(half_step(mid), n4))
+    return y
+
+
+STEPPER_KINDS = [("kgs", 32), ("zakharov", 32), ("damped", 32), ("window", 16)]
+
+
 class TestStepperOracle:
-    @pytest.mark.parametrize("kind, n", [("kgs", 32), ("zakharov", 32), ("damped", 32), ("window", 16)])
+    @pytest.mark.parametrize("kind, n", STEPPER_KINDS)
     def test_matches_seven_application_step(self, kind, n, monkeypatch):
         # P is linear, so the four-application step is the same scheme.
         module = KINDS[kind]
@@ -386,6 +435,57 @@ class TestStepperOracle:
         ((new, old),) = finals
         for a, b in zip(new, old):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("kind, n", STEPPER_KINDS)
+    def test_bit_identical_to_allocating_step(self, kind, n, monkeypatch):
+        # The workspace forms every combination in place in the operation
+        # order of the allocating step, so the bits agree.
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        finals = []
+
+        def both(fields, rhs, half_step, dt, n_steps, observer=None):
+            new = stepper(fields, rhs, half_step, dt, n_steps, observer)
+            old = allocating_four_application_run(fields, rhs, half_step, dt, n_steps)
+            finals.append((new, old))
+            return new
+
+        monkeypatch.setattr(module, "lawson_rk4_run", both)
+        run_kind(kind, make_grid(2, n), seed=19, steps=10)
+        ((new, old),) = finals
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("kind, n", [("kgs", 128), ("damped", 64)])
+    def test_step_allocates_nothing_after_warm_up(self, kind, n, monkeypatch):
+        # Between two observer calls (a whole step: four right sides, four
+        # half-steps, the stage sums and the guard) no array is allocated.
+        import tracemalloc
+
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        traced = {}
+
+        def measuring(fields, rhs, half_step, dt, n_steps, observer=None):
+            def observe(step, y):
+                observer(step, y)
+                if step == 2:  # two warm-up steps
+                    tracemalloc.start()
+                    traced["before"] = tracemalloc.get_traced_memory()[0]
+                elif step == 3:
+                    traced["peak"] = tracemalloc.get_traced_memory()[1] - traced["before"]
+                    tracemalloc.stop()
+
+            return stepper(fields, rhs, half_step, dt, n_steps, observe)
+
+        monkeypatch.setattr(module, "lawson_rk4_run", measuring)
+        try:
+            run_kind(kind, make_grid(2, n), seed=20, steps=4, record_every=10**9)
+        finally:
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+        assert traced["peak"] <= SMALL_OBJECTS
 
 
 def three_field_rhs(system, grid, fields):
@@ -441,11 +541,11 @@ class TestThreeFieldOracle:
         for m, p in minus_of.items():
             old_start[m] = conjugate(old_start[p])
         if kind == "window":
-            rhs = lambda y: six_field_window_rhs(grid, y)
+            rhs = writing(lambda y: six_field_window_rhs(grid, y))
             dispersions = 2 * THREE_FIELD_DISPERSIONS
         else:
             system = System.ZAKHAROV if kind == "zakharov" else System.KGS
-            rhs = lambda y: three_field_rhs(system, grid, y)
+            rhs = writing(lambda y: three_field_rhs(system, grid, y))
             dispersions = THREE_FIELD_DISPERSIONS
         old = stepper(tuple(old_start), rhs, free_flow(grid, dispersions, dt / 2), dt, n_steps)
         for i, a in zip(plus, new):
