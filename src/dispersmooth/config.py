@@ -255,9 +255,10 @@ def _validate(config: RunConfig) -> RunConfig:
     require_seed(config.run.seed, "[run] seed")
     require_seed(config.damping.forcing_seed, "[damping] forcing_seed")
     if config.experiment in ("smoothing-scan", "xsb-constant"):
-        # Route the theorem hypotheses through the closed-form exponents.
+        # Route the theorem hypotheses through the closed-form exponents; the
+        # probes are checked against them by `SmoothingParams`.
         try:
-            alpha_max, beta_max = smoothing_exponents(
+            smoothing_exponents(
                 System(config.system.kind),
                 config.grid.dimension,
                 config.system.s,
@@ -265,15 +266,6 @@ def _validate(config: RunConfig) -> RunConfig:
             )
         except AdmissibilityError as err:
             raise ConfigurationError(f"[system] s/r rejected: {err}") from None
-        if config.experiment == "smoothing-scan":
-            if not config.smoothing.alpha_probe < alpha_max:
-                raise ConfigurationError(
-                    f"[smoothing] alpha_probe must be below alpha_max={alpha_max}"
-                )
-            if not config.smoothing.beta_probe < beta_max:
-                raise ConfigurationError(
-                    f"[smoothing] beta_probe must be below beta_max={beta_max}"
-                )
     if config.experiment == "counterexample":
         for n in config.counterexample.n_values:
             if n < 4 or n & (n - 1):

@@ -311,14 +311,6 @@ def energy_H_rate(state: DampedState, params: DampedParams) -> float:
     return _EnergyTerms.of(state, params).rate(params)
 
 
-def mass_rate(state: DampedState, params: DampedParams) -> float:
-    """Closed form ``d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u)``."""
-    f, _ = params.forcing(state.grid)
-    return -2.0 * params.gamma * l2_norm(state.u) ** 2 + 2.0 * inner_product(
-        f, state.u
-    ).imag
-
-
 # ---------------------------------------------------------------------------
 # Attractor diagnostics
 # ---------------------------------------------------------------------------

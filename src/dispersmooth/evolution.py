@@ -35,7 +35,8 @@ from .spectral import (
     dealias,
     full_spectrum,
     l2_norm,
-    real_part,
+    random_sobolev_field,
+    remove_mean,
     riesz_potential,
     sobolev_norm,
     zero_mode_mean,
@@ -179,11 +180,6 @@ def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
     v = SpectralField(wplus.grid, 0.5 * (wplus.coeffs + conj))
     v_t = bessel_potential(SpectralField(wplus.grid, -0.5j * (wplus.coeffs - conj)), 1.0)
     return v, v_t
-
-
-def wave_field(state: SystemState) -> SpectralField:
-    """The physical wave unknown ``Re w+``."""
-    return SpectralField(state.grid, real_part(state.wplus.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +461,15 @@ def random_system_state(
     seed: int,
     amplitude: float = 1.0,
     wave_amplitude: float | None = None,
-    zero_mean_wave_velocity: bool = True,
-    band_limit: bool = True,
 ) -> SystemState:
     """Reproducible random state with a real wave.
 
     ``u`` is a random H^s field; ``w+`` comes from real random
-    ``(v, v_t)`` in H^r x H^{max(r-1, 0)}.  The wave velocity is mean-zero by
-    default (its mean is a separate conserved quantity on the torus) and the
-    state is band-limited below the dealias cutoff so the truncated flow
-    conserves mass and energy exactly.
+    ``(v, v_t)`` in H^r x H^{max(r-1, 0)}.  The wave velocity is mean-zero
+    (its mean is a separate conserved quantity on the torus) and the state is
+    band-limited below the dealias cutoff so the truncated flow conserves
+    mass and energy exactly.
     """
-    from .spectral import random_sobolev_field, remove_mean
-
     if wave_amplitude is None:
         wave_amplitude = amplitude
     ss = np.random.SeedSequence(seed)
@@ -487,10 +479,7 @@ def random_system_state(
     v_t = wave_amplitude * random_sobolev_field(
         grid, max(r - 1.0, 0.0), seed=kids[2], real=True
     )
-    if zero_mean_wave_velocity:
-        v_t = remove_mean(v_t)
-    state = SystemState(system, u, join_wave(v, v_t))
-    return band_limit_state(state) if band_limit else state
+    return band_limit_state(SystemState(system, u, join_wave(v, remove_mean(v_t))))
 
 
 def band_limit_state(state: SystemState) -> SystemState:

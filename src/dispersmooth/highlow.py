@@ -83,8 +83,8 @@ class HighLowConfig:
     blowup_threshold: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ConfigurationError("cutoff N must be positive")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ConfigurationError(f"cutoff must be finite and positive, got {self.cutoff}")
         if self.delta is None:
             object.__setattr__(
                 self,

@@ -37,6 +37,7 @@ from .evolution import (
     join_wave,
     linear_propagate,
 )
+from .resonance import lattice_xi_tau, xsb_weight
 from .spectral import (
     Grid,
     SpectralField,
@@ -69,6 +70,9 @@ _COMPONENT_DISPERSION = {
     "wplus": Dispersion.KG_PLUS,
     "wminus": Dispersion.KG_MINUS,
 }
+
+# The wave branch of each dispersion in `xsb_weight`: ``w+`` rides ``tau = -|xi|``.
+_BRANCH = {Dispersion.SCHRODINGER: None, Dispersion.KG_PLUS: -1, Dispersion.KG_MINUS: +1}
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +242,6 @@ def space_time_field(
     return SpaceTimeField(grid, times, coeffs, tau, window, taper)
 
 
-def _modulation_weight(
-    stf: SpaceTimeField, dispersion: Dispersion, b: float
-) -> np.ndarray:
-    tau = stf.tau.reshape((1,) * stf.grid.dim + (-1,))
-    if dispersion is Dispersion.SCHRODINGER:
-        surface = tau + stf.grid.xi_squared[..., None]
-    elif dispersion is Dispersion.KG_PLUS:
-        surface = tau + stf.grid.xi_norm[..., None]
-    else:
-        surface = tau - stf.grid.xi_norm[..., None]
-    return (1.0 + surface**2) ** (b / 2.0)
-
-
 def xsb_norm(
     stf: SpaceTimeField, s: float, b: float, dispersion: Dispersion = Dispersion.SCHRODINGER
 ) -> float:
@@ -261,7 +252,7 @@ def xsb_norm(
     ``<xi>``; the two are comparable).  With ``s = b = 0`` this is exactly the
     space-time L2 norm of the windowed samples.
     """
-    weight = stf.grid.bracket[..., None] ** s * _modulation_weight(stf, dispersion, b)
+    weight = xsb_weight(stf.grid.xi_squared[..., None], stf.tau, s, b, _BRANCH[dispersion])
     total = np.sum(np.abs(weight * stf.coeffs) ** 2)
     return math.sqrt(total / (stf.grid.volume * stf.t_span))
 
@@ -468,26 +459,18 @@ def sharpness_counterexample(
     axes_v = [narrow] + [wide] * (d - 1) + [wide]
     spacings = [h_narrow] + [h_wide] * (d - 1) + [h_wide]
 
-    def box_norm_sq(axes: list[np.ndarray], space_weight: float, disp: str) -> float:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xi_sq = sum(a**2 for a in mesh[:-1])
-        tau = mesh[-1]
-        bracket = np.sqrt(1.0 + xi_sq)
-        if disp == "schrodinger":
-            modulation = np.sqrt(1.0 + (tau + xi_sq) ** 2)
-        else:
-            modulation = np.sqrt(1.0 + (tau - branch * np.sqrt(xi_sq)) ** 2)
-        w = bracket ** (2 * space_weight) * modulation ** (2 * b)
+    def box_norm_sq(axes: list[np.ndarray], space_weight: float, box_branch: int | None) -> float:
+        w = xsb_weight(*lattice_xi_tau(*axes), 2 * space_weight, 2 * b, box_branch)
         return float(np.sum(w)) * math.prod(spacings)
 
-    u_norm = math.sqrt(box_norm_sq(axes_u, s, "schrodinger"))
-    v_norm = math.sqrt(box_norm_sq(axes_v, r, "wave"))
+    u_norm = math.sqrt(box_norm_sq(axes_u, s, None))
+    v_norm = math.sqrt(box_norm_sq(axes_v, r, branch))
 
     # Indicator convolution factorizes per axis into exact discrete triangles.
     ones = np.ones(m)
     conv_axes = []
     conv_offsets = []
-    for j, (au, av, h) in enumerate(zip(axes_u, axes_v, spacings)):
+    for au, av, h in zip(axes_u, axes_v, spacings):
         conv_axes.append(np.convolve(ones, ones) * h)
         conv_offsets.append((au[0] + av[0]) + h * np.arange(2 * m - 1))
     conv = conv_axes[0]
@@ -495,14 +478,8 @@ def sharpness_counterexample(
         conv = np.multiply.outer(conv, c)
     conv *= (2.0 * math.pi) ** (-(d + 1))
 
-    mesh = np.meshgrid(*conv_offsets, indexing="ij")
-    xi_sq = sum(a**2 for a in mesh[:-1])
-    tau = mesh[-1]
-    bracket_w = np.sqrt(1.0 + xi_sq) ** (2 * (s + alpha))
-    modulation_w = np.sqrt(1.0 + (tau + xi_sq) ** 2) ** (2 * (b - 1.0))
-    product_norm = math.sqrt(
-        float(np.sum(bracket_w * modulation_w * conv**2)) * math.prod(spacings)
-    )
+    w = xsb_weight(*lattice_xi_tau(*conv_offsets), 2 * (s + alpha), 2 * (b - 1.0))
+    product_norm = math.sqrt(float(np.sum(w * conv**2)) * math.prod(spacings))
     return CounterexampleResult(
         big_n=big_n,
         ratio=product_norm / (u_norm * v_norm),

@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigurationError, GridMismatchError, ResourceLimitError
 
 _TWO_PI = 2.0 * math.pi
+
+#: Largest lattice `Grid` accepts: 2**24 modes, a 256 MiB complex field.
+MAX_MODES = 2**24
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -43,10 +46,11 @@ class Grid:
     dim : int
         Spatial dimension, 1 through 4.
     n_per_dim : int
-        Modes per dimension; a power of two >= 8.
+        Modes per dimension; a power of two >= 8, with at most `MAX_MODES`
+        modes in all.
     box_length : float
-        The period is ``2*pi*box_length`` per axis; wavenumbers are spaced
-        ``1/box_length``.
+        Finite and positive.  The period is ``2*pi*box_length`` per axis;
+        wavenumbers are spaced ``1/box_length``.
     """
 
     dim: int
@@ -69,9 +73,14 @@ class Grid:
             raise ConfigurationError(
                 f"n_per_dim must be a power of two >= 8, got {self.n_per_dim}"
             )
-        if not (self.box_length > 0):
+        if not (math.isfinite(self.box_length) and self.box_length > 0):
             raise ConfigurationError(
-                f"box_length must be positive, got {self.box_length}"
+                f"box_length must be finite and positive, got {self.box_length}"
+            )
+        if self.mode_count > MAX_MODES:
+            raise ResourceLimitError(
+                f"a {self.n_per_dim}^{self.dim} lattice has {self.mode_count} modes;"
+                f" the limit is {MAX_MODES}"
             )
         n = self.n_per_dim
         k = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
@@ -115,11 +124,6 @@ class Grid:
     def dealias_cutoff(self) -> float:
         """Largest retained wavenumber magnitude per axis after dealiasing."""
         return (self.n_per_dim // 3) / self.box_length
-
-
-def make_grid(dim: int, n_per_dim: int, box_length: float = 1.0) -> Grid:
-    """Build a periodic grid; see `Grid` for the validation rules."""
-    return Grid(dim, n_per_dim, box_length)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,12 @@ def zero_field(grid: Grid) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 def to_coefficients(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward transform of physical samples (row-major over the lattice)."""
+    """Forward transform of physical samples (row-major over the lattice).
+
+    No run calls this pair; it stays public because it is the module
+    docstring's transform convention in code, and perfbench's transform-pair
+    layer wraps it.
+    """
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise GridMismatchError(
@@ -183,7 +192,7 @@ def to_coefficients(samples: np.ndarray, grid: Grid) -> SpectralField:
 
 
 def to_samples(f: SpectralField) -> np.ndarray:
-    """Inverse transform; exact round-trip with `to_coefficients`."""
+    """Inverse transform; exact round-trip with `to_coefficients` (public for the same reason)."""
     return np.fft.ifftn(f.coeffs) / f.grid.dx**f.grid.dim
 
 
@@ -287,40 +296,6 @@ def lowpass_projection(f: SpectralField, cutoff: float) -> SpectralField:
         raise ConfigurationError(f"lowpass cutoff must be positive, got {cutoff}")
     out = np.where(f.grid.xi_norm <= cutoff, f.coeffs, 0.0)
     return SpectralField(f.grid, out)
-
-
-@dataclass(frozen=True)
-class DyadicShellSet:
-    """Dyadic (Littlewood-Paley) partition of the wavenumber lattice.
-
-    Shell 0 covers ``|xi| <= 1``; shell ``j >= 1`` covers
-    ``2**(j-1) < |xi| <= 2**j``.  Shells are disjoint and cover every mode.
-    """
-
-    grid: Grid
-    count: int
-
-    def bounds(self, j: int) -> tuple[float, float]:
-        if not 0 <= j < self.count:
-            raise ConfigurationError(f"shell index {j} outside 0..{self.count - 1}")
-        return (0.0, 1.0) if j == 0 else (2.0 ** (j - 1), 2.0**j)
-
-    def mask(self, j: int) -> np.ndarray:
-        lo, hi = self.bounds(j)
-        r = self.grid.xi_norm
-        return (r <= hi) if j == 0 else (r > lo) & (r <= hi)
-
-
-def dyadic_shells(grid: Grid) -> DyadicShellSet:
-    max_xi = float(np.max(grid.xi_norm))
-    top = max(0, math.ceil(math.log2(max_xi))) if max_xi > 1 else 0
-    return DyadicShellSet(grid, top + 1)
-
-
-def shell_projection(f: SpectralField, j: int, shells: DyadicShellSet | None = None) -> SpectralField:
-    """Restrict to the dyadic shell ``|xi| ~ 2**j``; the shells partition."""
-    shells = shells if shells is not None else dyadic_shells(f.grid)
-    return SpectralField(f.grid, np.where(shells.mask(j), f.coeffs, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -460,25 +435,6 @@ class CouplingKernel:
             np.fft.fft(half, axis=axis, out=half)
         half *= self.symbols.half_dealias_scale
         return half
-
-
-def coupling_products(
-    grid: Grid, u: np.ndarray, wave: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
-
-    These are the two quadratic terms of every coupled system, from a fresh
-    `CouplingKernel` (a run keeps its own kernel instead).  The wave may be
-    complex: the product is bilinear, so it is ``u Re(wave) + i u Im(wave)``,
-    one kernel call per part.  Each equals the exact truncated convolution
-    when the inputs lie inside the dealias band.
-    """
-    kernel = CouplingKernel(grid)
-    product, abs2 = kernel(u, half_real_part(wave))
-    abs2 = full_spectrum(abs2)
-    imag_product, _ = kernel(u, half_real_part(-1j * wave))
-    product += 1j * imag_product
-    return product, abs2
 
 
 def cubic_pairing(u: SpectralField, v: SpectralField) -> float:

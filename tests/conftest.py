@@ -5,11 +5,13 @@ import pytest
 
 from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave
 from dispersmooth.spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
-    make_grid,
+    full_spectrum,
+    half_real_part,
     random_sobolev_field,
-    to_coefficients,
+    real_part,
 )
 
 
@@ -45,11 +47,34 @@ def random_state(
     return band_limit_state(SystemState(system, u, join_wave(v, v_t)))
 
 
+def wave_field(state: SystemState) -> SpectralField:
+    """The physical wave unknown ``Re w+``."""
+    return SpectralField(state.grid, real_part(state.wplus.coeffs))
+
+
+def coupling_products(
+    grid: Grid, u: np.ndarray, wave: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
+
+    An oracle over `CouplingKernel`, whose wave is real: the product is
+    bilinear, so a complex wave is ``u Re(wave) + i u Im(wave)``, one kernel
+    call per part.  Each equals the exact truncated convolution when the
+    inputs lie inside the dealias band.
+    """
+    kernel = CouplingKernel(grid)
+    product, abs2 = kernel(u, half_real_part(wave))
+    abs2 = full_spectrum(abs2)
+    imag_product, _ = kernel(u, half_real_part(-1j * wave))
+    product += 1j * imag_product
+    return product, abs2
+
+
 @pytest.fixture
 def grid_2d_small() -> Grid:
-    return make_grid(2, 16)
+    return Grid(2, 16)
 
 
 @pytest.fixture
 def grid_2d() -> Grid:
-    return make_grid(2, 32)
+    return Grid(2, 32)

@@ -54,7 +54,6 @@ from dispersmooth.spectral import (
     dealias,
     l2_norm,
     lowpass_projection,
-    make_grid,
     random_sobolev_field,
     sobolev_norm,
 )
@@ -122,7 +121,7 @@ def test_criterion_3_empirical_smoothing():
 
 
 def test_criterion_4_conservation():
-    grid = make_grid(2, 64)
+    grid = Grid(2, 64)
     checks = []
     for system in (System.KGS, System.ZAKHAROV):
         state = random_system_state(system, grid, 1.0, 1.0, seed=101, amplitude=25.0)
@@ -162,7 +161,7 @@ def test_conservation_drift_order_fit():
     # this fits the slope of log drift against log dt over a three-step
     # ladder, on criterion 4's data, with records at the same times on
     # every rung.  A fourth-order scheme gives orders of 4 or more.
-    grid = make_grid(2, 64)
+    grid = Grid(2, 64)
     dts = (4e-3, 2e-3, 1e-3)
     orders = {}
     for system in (System.KGS, System.ZAKHAROV):
@@ -192,7 +191,7 @@ def test_conservation_drift_order_fit():
 
 @pytest.fixture(scope="module")
 def forced_setup():
-    grid = make_grid(2, 64)
+    grid = Grid(2, 64)
     ssf = np.random.SeedSequence((77, 0))
     kf = ssf.spawn(2)
     f = 0.3 * dealias(random_sobolev_field(grid, 2.0, seed=kf[0]))
@@ -312,7 +311,7 @@ def test_criterion_6_compactness_proxy(forced_runs):
 
 
 def test_criterion_7_highlow_oracle_equivalence():
-    grid = make_grid(2, 64)
+    grid = Grid(2, 64)
     checks = []
 
     # Reassembled totals vs direct solve over 10 windows, N in {8, 16}.
@@ -380,7 +379,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     )
 
     # d=4 smoke run below the mass threshold.
-    grid4 = make_grid(4, 16)
+    grid4 = Grid(4, 16)
     state4 = random_system_state(System.KGS, grid4, 0.95, 0.95, seed=500, amplitude=0.3)
     config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3)
     config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3, t_end=2 * config4.delta)

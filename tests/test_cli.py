@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,9 @@ class TestWorkerCount:
     def test_garbage_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("DISPERSMOOTH_THREADS", "many")
         assert worker_count() >= 1
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -306,6 +310,57 @@ class TestExitCodes:
         assert f"{key} must be >= 0, got {bad[-2:]}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0"])
+    def test_bad_box_length_is_2_and_named(self, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        text = SIMULATE_SMALL.replace("n_per_dim = 16", f"n_per_dim = 16\nbox_length = {bad}")
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"box_length must be finite and positive, got {float(bad)}" in err
+        assert not out.exists()
+
+    def test_oversize_lattice_is_2_before_any_allocation(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = SIMULATE_SMALL.replace("dimension = 2\nn_per_dim = 16", "dimension = 4\nn_per_dim = 1048576")
+        config = write_config(tmp_path, text)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", config, "--out", str(out), "--quiet"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "the limit is 16777216" in capsys.readouterr().err
+        assert peak < 2**20  # a single 1048576-point axis would take 8 MiB
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-4"])
+    def test_bad_highlow_cutoff_is_2_and_named(self, tmp_path, capsys, bad):
+        config = write_config(tmp_path, HIGHLOW_SMALL.replace("cutoff = 4", f"cutoff = {bad}"))
+        assert main(["highlow", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"cutoff must be finite and positive, got {float(bad)}" in err
+        assert "delta" not in err
+
+    @pytest.mark.parametrize(
+        "line, bad, key",
+        [
+            ("alpha_probe = 0.4", "alpha_probe = 0.6", "alpha_probe 0.6 must be below alpha_max"),
+            ("beta_probe = 1.2", "beta_probe = 2.0", "beta_probe 2.0 must be below beta_max"),
+        ],
+    )
+    def test_inadmissible_probe_is_2_and_named(self, tmp_path, capsys, line, bad, key):
+        text = (CONFIGS / "smoothing_scan.ini").read_text()
+        assert line in text
+        out = tmp_path / "out"
+        config = write_config(tmp_path, text.replace(line, bad))
+        assert main(["smoothing-scan", "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
         blocker = tmp_path / "blocked"
@@ -313,6 +368,19 @@ class TestExitCodes:
         code = main(["simulate", "--config", config, "--out", str(blocker / "x"), "--quiet"])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(dispersmooth.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 class TestColdStart:
@@ -331,15 +399,19 @@ class TestColdStart:
             "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "assert not scipy, scipy\n"
         )
-        src = str(Path(dispersmooth.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=300,
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+
+    def test_lemma_check_runs_with_scipy_blocked(self):
+        # scipy is a test extra only: the package must work where it is absent.
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from dispersmooth.resonance import calc_lemma_check\n"
+            "result = calc_lemma_check(1.5, 1.0, [0.0], [0.0, 5.0, 50.0])\n"
+            "assert 0 < result.min_ratio <= result.max_ratio < 10, result\n"
         )
+        done = run_fresh(script)
         assert done.returncode == 0, done.stderr
 
 

@@ -16,7 +16,7 @@ from dispersmooth.reporting import (
     write_csv,
     write_outputs,
 )
-from dispersmooth.spectral import make_grid
+from dispersmooth.spectral import Grid
 
 MINIMAL_SIMULATE = """
 [run]
@@ -95,7 +95,7 @@ class TestCsvWriting:
         assert format_value(float("nan")) == "nan"
 
     def test_write_outputs_deterministic_bytes(self, tmp_path):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         state = random_system_state(System.KGS, grid, 1.0, 1.0, seed=3)
         rng = np.random.default_rng(5)
         rows = [(i, float(x)) for i, x in enumerate(rng.standard_normal(20))]
@@ -118,7 +118,7 @@ class TestCsvWriting:
 
 class TestCheckpoint:
     def _state(self):
-        grid = make_grid(2, 16, box_length=1.5)
+        grid = Grid(2, 16, box_length=1.5)
         return random_system_state(System.ZAKHAROV, grid, 0.5, 0.5, seed=11)
 
     def test_roundtrip_bit_identical(self, tmp_path):

@@ -13,7 +13,6 @@ from dispersmooth.dissipative import (
     energy_H,
     energy_H_rate,
     integrate_damped,
-    mass_rate,
 )
 from dispersmooth.errors import BlowUpError, ConfigurationError
 from dispersmooth.evolution import (
@@ -26,12 +25,13 @@ from dispersmooth.evolution import (
     time_grid,
 )
 from dispersmooth.spectral import (
+    Grid,
     SpectralField,
     dealias,
     half_spectrum,
+    inner_product,
     l2_norm,
     lowpass_projection,
-    make_grid,
     random_sobolev_field,
     sobolev_norm,
     to_samples,
@@ -74,7 +74,7 @@ class TestParams:
 
 class TestLinearPropagate:
     def test_zero_time_identity(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = damped_state(grid, seed=1)
         params = DampedParams(gamma=0.5, delta=0.5)
         out = damped_linear_propagate(state, params, 0.0)
@@ -82,7 +82,7 @@ class TestLinearPropagate:
         assert np.max(np.abs(out.v.coeffs - state.v.coeffs)) < 1e-14
 
     def test_u_amplitude_decays_at_gamma(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         u = spectral_mode(grid, (3,))
         state = DampedState(u, zero_field(grid), zero_field(grid))
         params = DampedParams(gamma=0.7, delta=1.0)
@@ -91,7 +91,7 @@ class TestLinearPropagate:
 
     def test_vw_block_matches_fine_step_oracle(self):
         # Oracle: classical RK4 on the per-mode 2x2 ODE with a tiny step.
-        grid = make_grid(1, 8)
+        grid = Grid(1, 8)
         params = DampedParams(gamma=0.3, delta=0.9, a=0.2)
         state = damped_state(grid, seed=2)
         t = 1.3
@@ -120,7 +120,7 @@ class TestLinearPropagate:
         assert np.max(np.abs(out.w.coeffs - w)) < 1e-10 * scale
 
     def test_group_law(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.4, delta=1.1)
         state = damped_state(grid, seed=3)
         one = damped_linear_propagate(damped_linear_propagate(state, params, 0.4), params, 0.8)
@@ -129,7 +129,7 @@ class TestLinearPropagate:
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11 * max(1.0, np.max(np.abs(b.coeffs)))
 
     def test_exponential_decay_rate(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=4)
         t = 20.0
@@ -142,7 +142,7 @@ class TestLinearPropagate:
 
 class TestIntegrateDamped:
     def test_zero_data_zero_forcing_stays_zero(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         z = zero_field(grid)
         params = DampedParams(gamma=0.5, delta=0.5)
         traj = integrate_damped(
@@ -151,7 +151,7 @@ class TestIntegrateDamped:
         assert all(l2_norm(s.u) == 0 and l2_norm(s.v) == 0 for s in traj)
 
     def test_unforced_mass_law_exact(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         params = DampedParams(gamma=0.6, delta=0.8)
         state = damped_state(grid, seed=6, band=grid.dealias_cutoff / 2)
         traj = integrate_damped(
@@ -163,7 +163,7 @@ class TestIntegrateDamped:
             assert abs(l2_norm(s.u) - expected) < 1e-8 * m0
 
     def test_forced_mass_rate_matches_fd_oracle(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         f, g = forcing_fields(grid)
         params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
         state = damped_state(grid, seed=7, band=grid.dealias_cutoff / 2)
@@ -174,11 +174,13 @@ class TestIntegrateDamped:
         masses = [l2_norm(s.u) ** 2 for s in traj]
         mid = len(traj) // 2
         fd = (masses[mid + 1] - masses[mid - 1]) / (2 * dt)
-        closed = mass_rate(traj[mid], params)
+        # Closed form: d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u).
+        u = traj[mid].u
+        closed = -2.0 * params.gamma * l2_norm(u) ** 2 + 2.0 * inner_product(f, u).imag
         assert fd == pytest.approx(closed, rel=1e-4)
 
     def test_v_stays_real(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f, g = forcing_fields(grid)
         params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
         state = damped_state(grid, seed=8)
@@ -207,7 +209,7 @@ class TestIntegrateDamped:
             return stepper(fields, recorded_rhs, *args, **kwargs)
 
         monkeypatch.setattr(dissipative, "lawson_rk4_run", recording_stepper)
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f, g = forcing_fields(grid)
         integrate_damped(
             damped_state(grid, seed=9),
@@ -220,14 +222,14 @@ class TestIntegrateDamped:
 
 class TestEnergy:
     def test_zero_state_energy(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         z = zero_field(grid)
         params = DampedParams(gamma=0.5, delta=0.5)
         assert energy_H(DampedState(z, z, z), params) == 0.0
         assert energy_H_rate(DampedState(z, z, z), params) == 0.0
 
     def test_quadratic_form_without_u(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.8, a=0.1)
         state = damped_state(grid, seed=9)
         state = DampedState(zero_field(grid), state.v, state.w)
@@ -239,7 +241,7 @@ class TestEnergy:
         assert energy_H(state, params) == pytest.approx(expected, rel=1e-12)
 
     def test_unforced_rate_without_u_is_negative(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.8, a=0.1)
         state = damped_state(grid, seed=10)
         state = DampedState(zero_field(grid), state.v, state.w)
@@ -255,7 +257,7 @@ class TestEnergy:
     def test_energy_matches_physical_space_quadrature_oracle(self):
         # Oracle: every term evaluated by quadrature on physical samples;
         # exact for data band-limited to n/4 (cubic degree 3n/4 < n).
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         f, _ = forcing_fields(grid)
         f = lowpass_projection(f, grid.n_per_dim / 4)
         params = DampedParams(gamma=0.5, delta=0.8, a=0.1, f=f)
@@ -285,7 +287,7 @@ class TestEnergy:
         assert energy_H(state, params) == pytest.approx(expected, rel=1e-10)
 
     def test_rate_matches_centered_differences_along_trajectory(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         f, g = forcing_fields(grid)
         params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
         state = damped_state(grid, seed=12, band=grid.dealias_cutoff / 2)
@@ -302,7 +304,7 @@ class TestEnergy:
 
 class TestAttractorDiagnostics:
     def test_unforced_run_decays(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=13, band=grid.dealias_cutoff / 2)
         traj = integrate_damped(
@@ -316,7 +318,7 @@ class TestAttractorDiagnostics:
         assert report.linear_decay_rate >= floor
 
     def test_short_run_marked_inconclusive(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=14)
         traj = integrate_damped(
@@ -376,7 +378,7 @@ def full_spectrum_damped_run(state, params, config):
 class TestHalfSpectrumRun:
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
     def test_matches_full_spectrum_oracle(self, dim, n):
-        grid = make_grid(dim, n)
+        grid = Grid(dim, n)
         f, g = forcing_fields(grid, seed=20 + dim)
         params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
         state = damped_state(grid, seed=20 + dim)
@@ -389,7 +391,7 @@ class TestHalfSpectrumRun:
     def test_guard_norms_equal_full_parseval_norms(self):
         # Half spectra count their interior columns twice: the guard reports
         # the norms of the full fields.
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = damped_state(grid, seed=24)
         recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e-300)
         carried = (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs))
@@ -400,7 +402,7 @@ class TestHalfSpectrumRun:
             assert info.value.norms[f"{name}_L2"] == pytest.approx(full, rel=1e-14)
 
     def test_records_are_full_and_read_only(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = damped_state(grid, seed=25)
         recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e12)
         recorder(1, (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs)))
@@ -413,7 +415,7 @@ class TestHalfSpectrumRun:
 class TestRealFieldContract:
     @pytest.mark.parametrize("name", ["v", "w"])
     def test_non_real_wave_rejected_by_name(self, name):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = damped_state(grid, seed=26)
         skew = 1e-9 * random_sobolev_field(grid, 1.5, seed=27)  # not conjugate-symmetric
         fields = {"u": state.u, "v": state.v, "w": state.w}
@@ -426,7 +428,7 @@ class TestRealFieldContract:
             damped_linear_propagate(bad, params, 0.1)
 
     def test_roundoff_defect_accepted(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = damped_state(grid, seed=28)
         skew = 1e-15 * l2_norm(state.v) / l2_norm(state.u) * state.u  # defect below 1e-12
         state = DampedState(state.u, state.v + skew, state.w)
@@ -435,7 +437,7 @@ class TestRealFieldContract:
         assert traj.steps == [0, 1, 2]
 
     def test_non_real_g_rejected(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f, g = forcing_fields(grid)
         with pytest.raises(ConfigurationError, match="^g must be a real field"):
             DampedParams(gamma=0.5, delta=0.5, f=f, g=g + 1e-9 * f)
@@ -447,7 +449,7 @@ class TestAttractorDiagnosticsOracle:
         # The parent formulas: the linear part propagated from t0 to each
         # record, H and dH/dt each evaluated on their own.  30 steps recorded
         # every 7 leave a last gap of 2 steps.
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f, g = forcing_fields(grid)
         params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
         state = damped_state(grid, seed=29)

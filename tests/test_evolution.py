@@ -21,18 +21,16 @@ from dispersmooth.evolution import (
     nonlinear_rhs,
     split_wave,
     time_grid,
-    wave_field,
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
     CouplingKernel,
+    Grid,
     bessel_potential,
     conjugate,
-    coupling_products,
     grid_symbols,
     half_real_part,
     l2_norm,
-    make_grid,
     random_sobolev_field,
     real_part,
     sobolev_norm,
@@ -41,7 +39,7 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import random_state, spectral_mode
+from conftest import coupling_products, random_state, spectral_mode, wave_field
 
 
 class TestLinearPropagate:
@@ -51,7 +49,7 @@ class TestLinearPropagate:
         assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
     def test_schrodinger_phase_on_single_mode(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = spectral_mode(grid, (3,))
         t = 0.37
         g = linear_propagate(f, Dispersion.SCHRODINGER, t)
@@ -59,7 +57,7 @@ class TestLinearPropagate:
         assert g.coeffs[k3] == pytest.approx(f.coeffs[k3] * np.exp(-9j * t), rel=1e-12)
 
     def test_kg_branches_use_exact_bessel_symbol(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = spectral_mode(grid, (2,))
         t = 0.5
         k2 = np.argmin(np.abs(grid.k_axis - 2))
@@ -137,7 +135,7 @@ class TestNonlinearRhs:
         # u = e^{ix}, w+ = c e^{i2x}, w- = conj(c) e^{-i2x}:
         #   du  = (i/2) u (w+ + w-) = (i/2) (c e^{i3x} + conj(c) e^{-ix})
         #   dw+ = i <0>^{-1} * coefficient of |u|^2 = i at mode 0
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         c = 0.3 - 0.2j
         state = SystemState(
             System.KGS, spectral_mode(grid, (1,)), spectral_mode(grid, (2,), amplitude=c)
@@ -152,7 +150,7 @@ class TestNonlinearRhs:
         # u = a e^{ix} + b e^{i2x}: |u|^2 = |a|^2+|b|^2 + a conj(b) e^{-ix} + conj(a) b e^{ix}.
         # n+ = c e^{i3x}, n- = conj(c) e^{-i3x}: Re n+ = (n+ + n-)/2.
         # du = -(i/2) u (n+ + n-); dn+ = i A^{-1}(Lap |u|^2 + Re n+); Lap kills the mean.
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         a, b, c = 0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.7j
         u = spectral_mode(grid, (1,), a) + spectral_mode(grid, (2,), b)
         nplus = spectral_mode(grid, (3,), c)
@@ -274,7 +272,7 @@ class TestTransformCount:
         # The kernel's 1-D passes run in the axis order of numpy's n-d
         # functions, so its outputs equal the same arithmetic on
         # ifftn/irfftn/fftn/rfftn bit for bit.
-        grid = make_grid(dim, n)
+        grid = Grid(dim, n)
         u = random_sobolev_field(grid, 0.0, seed=40 + dim).coeffs
         wave = half_real_part(random_sobolev_field(grid, 0.0, seed=50 + dim).coeffs)
         axes = tuple(range(dim))
@@ -316,7 +314,7 @@ class TestCouplingKernelRuns:
         # other array: every transform writes into the run's kernel buffers,
         # and Re w+ and |u|^2 stay in them.  Given its outputs, it allocates
         # no array at all.
-        grid = make_grid(2, 128)
+        grid = Grid(2, 128)
         state = random_state(System.KGS, grid, seed=21)
         fields = (state.u.coeffs, state.wplus.coeffs)
         kernel = CouplingKernel(grid)
@@ -335,7 +333,7 @@ class TestCouplingKernelRuns:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        grid = make_grid(2, 64)
+        grid = Grid(2, 64)
         states = [random_state(System.KGS, grid, seed=30 + i) for i in range(4)]
         config = IntegratorConfig(dt=1e-3, t_end=0.03, record_every=10**9)
 
@@ -431,7 +429,7 @@ class TestStepperOracle:
             return new
 
         monkeypatch.setattr(module, "lawson_rk4_run", both)
-        run_kind(kind, make_grid(2, n), seed=16, steps=10)
+        run_kind(kind, Grid(2, n), seed=16, steps=10)
         ((new, old),) = finals
         for a, b in zip(new, old):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
@@ -451,7 +449,7 @@ class TestStepperOracle:
             return new
 
         monkeypatch.setattr(module, "lawson_rk4_run", both)
-        run_kind(kind, make_grid(2, n), seed=19, steps=10)
+        run_kind(kind, Grid(2, n), seed=19, steps=10)
         ((new, old),) = finals
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
@@ -481,7 +479,7 @@ class TestStepperOracle:
 
         monkeypatch.setattr(module, "lawson_rk4_run", measuring)
         try:
-            run_kind(kind, make_grid(2, n), seed=20, steps=4, record_every=10**9)
+            run_kind(kind, Grid(2, n), seed=20, steps=4, record_every=10**9)
         finally:
             if tracemalloc.is_tracing():
                 tracemalloc.stop()
@@ -530,7 +528,7 @@ class TestThreeFieldOracle:
             return new
 
         monkeypatch.setattr(module, "lawson_rk4_run", record)
-        grid = make_grid(2, n)
+        grid = Grid(2, n)
         run_kind(kind, grid, seed=17, steps=10)
         ((start, new, dt, n_steps),) = runs
         plus = [0, 1, 3, 4] if kind == "window" else [0, 1]
@@ -580,7 +578,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_fourth_order_self_refinement(self, system):
-        grid = make_grid(1, 32)
+        grid = Grid(1, 32)
         state = random_state(system, grid, seed=11, s=2.0, r=2.0, amplitude=0.5)
         t_end = 0.25
         ref = integrate(state, IntegratorConfig(dt=t_end / 1024, t_end=t_end, record_every=10**9))[-1]
@@ -666,7 +664,7 @@ class TestConservedQuantities:
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_single_mode_energy_is_gradient_term(self, system):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         u = spectral_mode(grid, (3, 0))
         u = (1.0 / l2_norm(u)) * u  # unit mass
         state = SystemState(system, u, zero_field(grid))
@@ -687,7 +685,7 @@ class TestConservedQuantities:
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_short_run_drift_is_small(self, system):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         state = random_state(
             system, grid, seed=18, s=2.0, r=2.0, amplitude=1.0, zero_mean_wave_velocity=True
         )

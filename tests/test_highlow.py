@@ -24,10 +24,10 @@ from dispersmooth.highlow import (
     step_rule,
 )
 from dispersmooth.spectral import (
+    Grid,
     dealias,
     l2_norm,
     lowpass_projection,
-    make_grid,
     random_sobolev_field,
     remove_mean,
     sobolev_norm,

@@ -141,7 +141,31 @@ class TestBilinearConstant:
             bilinear_constant_estimate(0.0, 0.0, 0.4, 0.55, Grid(3, 128), 64, ensemble=1)
 
 
+def quad_lemma_ratios(alpha, beta, a_grid, b_grid, truncation=1e4):
+    """The lemma ratios by adaptive `quad` over the same range, with the same tail bound."""
+    p = alpha + beta
+    span = max(np.max(np.abs(a_grid)), np.max(np.abs(b_grid)))
+    tail = 2.0 * (truncation - span) ** (1.0 - p) / (p - 1.0)
+    ratios = np.zeros((len(a_grid), len(b_grid)))
+    for i, a in enumerate(a_grid):
+        for j, c in enumerate(b_grid):
+            integrand = lambda y: (1 + (y - a) ** 2) ** (-alpha / 2) * (1 + (y - c) ** 2) ** (-beta / 2)
+            value, _ = quad(integrand, -truncation, truncation, points=sorted({a, c}), limit=400)
+            ratios[i, j] = (value + tail) * (1 + (a - c) ** 2) ** (beta / 2)
+    return ratios
+
+
 class TestCalcLemmaCheck:
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(a, b) for a in (0.9, 1.1, 1.5, 2.0) for b in (0.0, 0.5, 1.0, 2.0) if a + b > 1],
+    )
+    def test_matches_adaptive_quadrature(self, alpha, beta):
+        a_grid, b_grid = [0.0, -3.5, 7.25], [0.0, 0.3, 5.0, 50.0, -640.5, 999.0]
+        got = calc_lemma_check(alpha, beta, a_grid, b_grid, enforce_hypotheses=False).ratios
+        want = quad_lemma_ratios(alpha, beta, a_grid, b_grid)
+        assert np.max(np.abs(got - want) / want) < 1e-7
+
     def test_beta_zero_is_translation_invariant(self):
         result = calc_lemma_check(1.5, 0.0, [0.0], [0.0, 5.0, 50.0])
         assert result.max_ratio == pytest.approx(result.min_ratio, rel=1e-6)

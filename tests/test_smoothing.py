@@ -34,7 +34,6 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     l2_norm,
-    make_grid,
     sobolev_norm,
     to_samples,
     zero_field,
@@ -116,7 +115,7 @@ class TestDuhamelResidual:
 
     def test_first_order_quadrature_oracle(self):
         # residual(t) = t * N(state0) + O(t^2): check both size and t^2 scaling.
-        grid = make_grid(1, 32)
+        grid = Grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
         fields = (state.u.coeffs, state.wplus.coeffs)
         du0 = SpectralField(grid, nonlinear_rhs(System.KGS, grid, fields)[0])
@@ -139,7 +138,7 @@ class TestXsbNorm:
         # Exact linear Schrodinger flow of one mode, sampled uniformly.
         from dispersmooth.evolution import linear_propagate
 
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         u0 = spectral_mode(grid, k)
         z = zero_field(grid)
         dt = t_end / n_t

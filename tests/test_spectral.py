@@ -8,32 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersmooth.errors import ConfigurationError, GridMismatchError
+from dispersmooth.errors import ConfigurationError, GridMismatchError, ResourceLimitError
 from dispersmooth.spectral import (
+    MAX_MODES,
     Grid,
     SpectralField,
     bessel_potential,
     conjugate,
-    coupling_products,
     cubic_pairing,
     dealias,
-    dyadic_shells,
     fit_spectral_slope,
     fourier_multiplier,
     inner_product,
     l2_norm,
     lowpass_projection,
-    make_grid,
     random_sobolev_field,
     real_part,
     riesz_potential,
-    shell_projection,
     sobolev_norm,
     to_coefficients,
     to_samples,
     zero_field,
     zero_mode_mean,
 )
+
+from conftest import coupling_products
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,31 +47,42 @@ def plane_wave(grid: Grid, k: tuple[int, ...], amplitude: complex = 1.0) -> Spec
 
 class TestGrid:
     def test_wavenumbers_d1_n8(self):
-        grid = make_grid(1, 8)
+        grid = Grid(1, 8)
         assert sorted(grid.k_axis.astype(int)) == [-4, -3, -2, -1, 0, 1, 2, 3]
 
     def test_mode_count_d2_n16(self):
-        assert make_grid(2, 16).mode_count == 256
+        assert Grid(2, 16).mode_count == 256
 
     def test_wavenumber_spacing_scales_with_box(self):
-        grid = make_grid(2, 16, box_length=2.0)
+        grid = Grid(2, 16, box_length=2.0)
         spacing = np.min(np.diff(np.sort(np.unique(grid.xi_axis))))
         assert spacing == pytest.approx(0.5)
 
     def test_lattice_reflection_symmetric_without_nyquist(self):
-        grid = make_grid(1, 8)
+        grid = Grid(1, 8)
         ks = set(grid.k_axis.astype(int)) - {-4}
         assert ks == {-k for k in ks}
 
     @pytest.mark.parametrize("dim,n", [(0, 16), (5, 16), (2, 12), (2, 4)])
     def test_invalid_configuration_rejected(self, dim, n):
         with pytest.raises(ConfigurationError):
-            make_grid(dim, n)
+            Grid(dim, n)
+
+    @pytest.mark.parametrize("box_length", [0.0, -1.0, math.inf, math.nan])
+    def test_box_length_must_be_finite_and_positive(self, box_length):
+        with pytest.raises(ConfigurationError, match="box_length must be finite and positive"):
+            Grid(2, 16, box_length)
+
+    @pytest.mark.parametrize("dim, n", [(1, 2**25), (4, 128), (4, 2**20)])
+    def test_lattice_above_mode_limit_rejected(self, dim, n):
+        assert 32**4 <= MAX_MODES < n**dim  # 32^4 stays accepted
+        with pytest.raises(ResourceLimitError, match=f"the limit is {MAX_MODES}"):
+            Grid(dim, n)
 
 
 class TestTransform:
     def test_single_mode_has_single_coefficient(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = plane_wave(grid, (3,))
         coeffs = f.coeffs.copy()
         k3 = np.argmin(np.abs(grid.k_axis - 3))
@@ -81,12 +91,12 @@ class TestTransform:
         assert np.max(np.abs(coeffs)) < 1e-12
 
     def test_zero_samples_give_zero_coefficients(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = to_coefficients(np.zeros(grid.shape), grid)
         assert np.all(f.coeffs == 0)
 
     def test_constant_field_normalization(self):
-        grid = make_grid(2, 16, box_length=1.5)
+        grid = Grid(2, 16, box_length=1.5)
         c = 2.0 - 1.0j
         f = to_coefficients(np.full(grid.shape, c), grid)
         assert f.coeffs[0, 0] == pytest.approx(c * grid.volume, rel=1e-12)
@@ -96,7 +106,7 @@ class TestTransform:
 
     def test_roundtrip_matches_direct_dft_oracle(self):
         # Oracle: O(n^2) direct evaluation of the quadrature sum.
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         x = np.arange(16) * grid.dx
@@ -110,20 +120,20 @@ class TestTransform:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_identity(self, seed):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         back = to_samples(to_coefficients(samples, grid))
         assert np.max(np.abs(back - samples)) < 1e-12
 
     def test_size_mismatch_rejected(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         with pytest.raises(GridMismatchError):
             to_coefficients(np.zeros((8, 8)), grid)
 
     def test_field_copies_a_writeable_caller_array(self):
         a = np.zeros(8, dtype=complex)
-        f = SpectralField(make_grid(1, 8), a)
+        f = SpectralField(Grid(1, 8), a)
         assert a.flags.writeable
         a[1] = 1.0
         assert np.all(f.coeffs == 0)
@@ -132,26 +142,26 @@ class TestTransform:
 
 class TestMultipliers:
     def test_zeroth_order_is_identity(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 1.0, seed=0)
         g = bessel_potential(f, 0.0)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-14
 
     def test_inverse_symbols_cancel(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=1)  # Nyquist-free by construction
         g = bessel_potential(bessel_potential(f, 1.7), -1.7)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_bessel_squared_on_plane_wave(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = plane_wave(grid, (3,))
         g = bessel_potential(f, 2.0)
         k3 = np.argmin(np.abs(grid.k_axis - 3))
         assert g.coeffs[k3] == pytest.approx(10.0 * f.coeffs[k3], rel=1e-12)
 
     def test_singular_symbol_rejected(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = plane_wave(grid, (1,))
         bad = grid.xi_norm.copy()
         bad[0] = np.inf
@@ -159,7 +169,7 @@ class TestMultipliers:
             fourier_multiplier(f, bad)
 
     def test_negative_riesz_zero_mode_policy(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = to_coefficients(np.full(grid.shape, 3.0), grid)
         g = riesz_potential(f, -1.0)
         assert np.all(g.coeffs == 0)
@@ -168,17 +178,17 @@ class TestMultipliers:
 
 class TestSobolevNorm:
     def test_single_mode_value(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = plane_wave(grid, (3,))
         expected = math.sqrt(10.0) * math.sqrt(TWO_PI)  # <3>^1 * ||e^{i3x}||_{L2}
         assert sobolev_norm(f, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_field(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         assert sobolev_norm(zero_field(grid), 2.5) == 0.0
 
     def test_l2_matches_spatial_quadrature_oracle(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         f = random_sobolev_field(grid, 0.5, seed=3)
         samples = to_samples(f)
         quadrature = math.sqrt(np.sum(np.abs(samples) ** 2) * grid.dx**grid.dim)
@@ -187,7 +197,7 @@ class TestSobolevNorm:
     @given(seed=st.integers(0, 2**31 - 1), s=st.floats(-1.5, 2.5))
     @settings(max_examples=15, deadline=None)
     def test_parseval_invariant(self, seed, s):
-        grid = make_grid(1, 32)
+        grid = Grid(1, 32)
         f = random_sobolev_field(grid, s, seed=seed)
         samples = to_samples(f)
         spatial = np.sum(np.abs(samples) ** 2) * grid.dx
@@ -195,44 +205,27 @@ class TestSobolevNorm:
         assert spectral == pytest.approx(spatial, rel=1e-10)
 
     def test_homogeneous_drops_mean(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = to_coefficients(np.full(grid.shape, 5.0), grid)
         assert sobolev_norm(f, 1.0, homogeneous=True) == 0.0
 
 
 class TestProjections:
     def test_lowpass_idempotent(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         f = random_sobolev_field(grid, 0.0, seed=4)
         once = lowpass_projection(f, 5.0)
         twice = lowpass_projection(once, 5.0)
         assert np.array_equal(once.coeffs, twice.coeffs)
 
-    def test_shells_partition_field(self):
-        grid = make_grid(2, 32)
-        f = random_sobolev_field(grid, 0.0, seed=5)
-        shells = dyadic_shells(grid)
-        total = zero_field(grid)
-        for j in range(shells.count):
-            total = total + shell_projection(f, j, shells)
-        assert np.max(np.abs(total.coeffs - f.coeffs)) < 1e-12
-
-    def test_shell_masks_disjoint(self):
-        grid = make_grid(2, 32)
-        shells = dyadic_shells(grid)
-        cover = np.zeros(grid.shape, dtype=int)
-        for j in range(shells.count):
-            cover += shells.mask(j).astype(int)
-        assert np.all(cover == 1)
-
     def test_lowpass_plus_complement_reproduces(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=6)
         g = lowpass_projection(f, 4.0) + (f - lowpass_projection(f, 4.0))
         assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
     def test_lowpass_on_plane_wave(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = plane_wave(grid, (3,))
         kept = lowpass_projection(f, 4.0)
         killed = lowpass_projection(f, 2.0)
@@ -261,7 +254,7 @@ def conjugate_coefficients(f: np.ndarray) -> np.ndarray:
 
 class TestDealiasedProduct:
     def test_product_with_zero(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=7)
         uw, _ = coupling_products(grid, f.coeffs, zero_field(grid).coeffs)
         assert np.max(np.abs(uw)) < 1e-13
@@ -269,7 +262,7 @@ class TestDealiasedProduct:
         assert np.max(np.abs(uw)) == 0.0 and np.max(np.abs(abs2)) == 0.0
 
     def test_two_modes_within_band(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         uw, abs2 = coupling_products(
             grid, plane_wave(grid, (2,)).coeffs, plane_wave(grid, (3,)).coeffs
         )
@@ -284,7 +277,7 @@ class TestDealiasedProduct:
 
     def test_matches_direct_convolution_oracle(self):
         # Oracle: O(n^2) truncated convolution sum, for band-limited inputs.
-        grid = make_grid(1, 32)
+        grid = Grid(1, 32)
         cutoff = grid.n_per_dim // 3
         f = dealias(random_sobolev_field(grid, 0.0, seed=8))
         g = dealias(random_sobolev_field(grid, 0.0, seed=9))
@@ -305,7 +298,7 @@ class TestDealiasedProduct:
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_both_outputs_match_oracle_in_every_dimension(self, dim, seed):
-        grid = make_grid(dim, {1: 32, 2: 16, 3: 8, 4: 8}[dim])
+        grid = Grid(dim, {1: 32, 2: 16, 3: 8, 4: 8}[dim])
         kids = np.random.SeedSequence(seed).spawn(2)
         u = dealias(random_sobolev_field(grid, 0.0, seed=kids[0])).coeffs
         wave = dealias(random_sobolev_field(grid, 0.0, seed=kids[1])).coeffs
@@ -317,7 +310,7 @@ class TestDealiasedProduct:
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_commutative_and_bilinear(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=10).coeffs
         g = random_sobolev_field(grid, 0.0, seed=11).coeffs
         h = random_sobolev_field(grid, 0.0, seed=12).coeffs
@@ -330,24 +323,24 @@ class TestDealiasedProduct:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
     def test_grid_mismatch_rejected(self):
-        f = random_sobolev_field(make_grid(1, 16), 0.0, seed=0).coeffs
-        g = random_sobolev_field(make_grid(1, 32), 0.0, seed=0).coeffs
+        f = random_sobolev_field(Grid(1, 16), 0.0, seed=0).coeffs
+        g = random_sobolev_field(Grid(1, 32), 0.0, seed=0).coeffs
         with pytest.raises(GridMismatchError):
-            coupling_products(make_grid(1, 16), f, g)
+            coupling_products(Grid(1, 16), f, g)
 
     def test_real_part_matches_physical_space(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=19)
         re = to_coefficients(to_samples(f).real.astype(complex), grid).coeffs
         assert np.max(np.abs(real_part(f.coeffs) - re)) < 1e-12 * np.max(np.abs(re))
 
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8), (4, 8)])
     def test_conjugate_matches_reflection_oracle(self, dim, n):
-        f = random_sobolev_field(make_grid(dim, n), 0.0, seed=dim).coeffs
+        f = random_sobolev_field(Grid(dim, n), 0.0, seed=dim).coeffs
         assert np.array_equal(conjugate(f), conjugate_coefficients(f))
 
     def test_cubic_pairing_matches_quadrature(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         u = dealias(random_sobolev_field(grid, 0.0, seed=20))
         v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
         direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
@@ -356,27 +349,27 @@ class TestDealiasedProduct:
 
 class TestRandomField:
     def test_deterministic_given_seed(self):
-        grid = make_grid(2, 32)
+        grid = Grid(2, 32)
         a = random_sobolev_field(grid, 0.5, seed=42)
         b = random_sobolev_field(grid, 0.5, seed=42)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_spectral_slope_matches_envelope(self, s):
-        grid = make_grid(2, 128)
+        grid = Grid(2, 128)
         f = random_sobolev_field(grid, s, seed=13)
         slope = fit_spectral_slope(f, grid.n_per_dim / 8, grid.n_per_dim / 3)
         expected = -(s + grid.dim / 2 + 0.05)
         assert slope == pytest.approx(expected, abs=0.1)
 
     def test_smooth_field_h1_dominated_by_low_shells(self):
-        grid = make_grid(1, 64)
+        grid = Grid(1, 64)
         f = random_sobolev_field(grid, 10.0, seed=14)
         low = lowpass_projection(f, 4.0)
         assert sobolev_norm(low, 1.0) >= 0.99 * sobolev_norm(f, 1.0)
 
     def test_real_option_gives_real_samples(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 1.0, seed=15, real=True)
         samples = to_samples(f)
         assert np.max(np.abs(samples.imag)) < 1e-12 * np.max(np.abs(samples.real))
@@ -384,13 +377,13 @@ class TestRandomField:
 
 class TestInnerProduct:
     def test_matches_quadrature(self):
-        grid = make_grid(2, 16)
+        grid = Grid(2, 16)
         f = random_sobolev_field(grid, 0.0, seed=16)
         g = random_sobolev_field(grid, 0.0, seed=17)
         direct = np.sum(to_samples(f) * np.conj(to_samples(g))) * grid.dx**2
         assert inner_product(f, g) == pytest.approx(direct, rel=1e-10)
 
     def test_l2_norm_consistency(self):
-        grid = make_grid(1, 16)
+        grid = Grid(1, 16)
         f = random_sobolev_field(grid, 0.0, seed=18)
         assert math.sqrt(inner_product(f, f).real) == pytest.approx(l2_norm(f), rel=1e-12)
