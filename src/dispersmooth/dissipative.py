@@ -51,9 +51,10 @@ from .spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
+    band_limited,
     conjugate,
     cubic_pairing,
-    full_spectrum,
+    from_box,
     half_spectrum,
     inner_product,
     l2_norm,
@@ -102,7 +103,7 @@ class DampedState:
     ``v`` and ``w`` are real fields (``f(-k) = conj f(k)`` to 1e-12 relative
     in L2, see `_require_real`); `integrate_damped` and
     `damped_linear_propagate` reject a state whose ``v`` or ``w`` is not,
-    since they carry both as half spectra.
+    since they carry both as half spectra on the box (`band_limited`).
     """
 
     u: SpectralField
@@ -126,10 +127,11 @@ def _require_real(f: SpectralField, name: str) -> None:
 
 
 def _carried(state: DampedState) -> Fields:
-    """``(u, v, w)`` as the damped flow carries them: ``v`` and ``w`` as half spectra."""
+    """``(u, v, w)`` as the damped flow carries them: box arrays, ``v`` and ``w`` half spectra."""
     for name in ("v", "w"):
         _require_real(getattr(state, name), name)
-    return state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs)
+    u, v, w = (band_limited(getattr(state, name), name) for name in ("u", "v", "w"))
+    return u, half_spectrum(v), half_spectrum(w)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def _carried(state: DampedState) -> Fields:
 def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
     """`linear_flow` of the homogeneous linear system by time ``t`` on ``(u, v, w)``.
 
-    ``u`` is a full spectrum; the real ``v`` and ``w`` are half spectra
-    (`half_spectrum`), on which the block acts mode by mode.  Per mode,
+    ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
+    spectra (`half_spectrum`), on which the block acts mode by mode.  Per mode,
     ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the
     (v, w) pair advances by the matrix exponential of the block
     ``M = [[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
@@ -150,7 +152,7 @@ def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
     maps real fields to real fields.
     """
     a, delta = params.a, params.delta
-    xi_squared = half_spectrum(grid.xi_squared)
+    xi_squared = half_spectrum(grid.box(grid.xi_squared))
     cap = params.spring_constant + xi_squared
     half_trace = -delta / 2.0
     q = np.sqrt(np.asarray(half_trace**2 - (1.0 + xi_squared), dtype=complex))
@@ -170,10 +172,8 @@ def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
     m12 = decay * sh_over_q
     m21 = decay * (-cap) * sh_over_q
     m22 = decay * (ch + bottom_right * sh_over_q)
-    nyquist = half_spectrum(grid.nyquist_mask)
-    for entry in (m11, m12, m21, m22):
-        entry[nyquist] = 0.0
-    u_sym = math.exp(-params.gamma * t) * propagator_symbol(grid, Dispersion.SCHRODINGER, t)
+    schrodinger = grid.box(propagator_symbol(grid, Dispersion.SCHRODINGER, t))
+    u_sym = math.exp(-params.gamma * t) * schrodinger
     return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
 
 
@@ -186,12 +186,11 @@ def damped_linear_propagate(
     ``min(gamma, a, delta - a)/2`` in the underdamped regime ``delta <= 2``).
     """
     grid = state.grid
-    u, v, w = damped_flow(grid, params, t)(_carried(state))
-    return DampedState(*_fields(grid, (u, full_spectrum(v), full_spectrum(w))), state.t + t)
+    return DampedState(*_fields(grid, damped_flow(grid, params, t)(_carried(state))), state.t + t)
 
 
 def _fields(grid: Grid, arrays: Fields) -> tuple[SpectralField, ...]:
-    return tuple(SpectralField(grid, a) for a in arrays)
+    return tuple(SpectralField(grid, from_box(a, grid)) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +202,10 @@ def integrate_damped(
 ) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
-    The run carries ``u`` as a full spectrum and the real ``v`` and ``w`` as
-    half spectra (`damped_flow`); a state whose ``v`` or ``w`` is not real is
-    rejected with `ConfigurationError`.  Recorded states are full spectra.
+    The run carries ``u`` on the dealias box and the real ``v`` and ``w`` as
+    box half spectra (`damped_flow`); a state whose ``v`` or ``w`` is not
+    real, or a state or forcing that is not band-limited, is rejected with
+    `ConfigurationError`.  Recorded states are full spectra.
 
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
     exactly; in general ``d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u)``
@@ -217,8 +217,8 @@ def integrate_damped(
     n_steps, dt = time_grid(config.t_end, config.dt)
 
     kernel = CouplingKernel(grid)
-    i_f = 1j * f.coeffs
-    g_half = np.ascontiguousarray(half_spectrum(g.coeffs))  # a strided operand would be copied
+    i_f = 1j * band_limited(f, "f")
+    g_half = np.ascontiguousarray(half_spectrum(band_limited(g, "g")))  # a strided one is copied
 
     def rhs(fields: Fields, out: Fields) -> Fields:
         du, dv, dw = out
@@ -239,7 +239,8 @@ def integrate_damped(
         config.blowup_threshold,
     )
     lawson_rk4_run(fields, rhs, damped_flow(grid, params, dt / 2), dt, n_steps, recorder)
-    return recorder.trajectory(state, lambda t, fields: DampedState(*_fields(grid, fields), t))
+    full = lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)  # noqa: E731
+    return recorder.trajectory(state, full)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +378,7 @@ def attractor_diagnostics(
         if gap not in flows:
             flows[gap] = damped_flow(grid, params, gap * trajectory.dt)
         linear = flows[gap](linear)
-        lin_u, lin_v, lin_w = _fields(
-            grid, (linear[0], full_spectrum(linear[1]), full_spectrum(linear[2]))
-        )
+        lin_u, lin_v, lin_w = _fields(grid, linear)
         if 0 < idx < len(trajectory) - 1:
             dt_pair = trajectory[idx + 1].t - trajectory[idx - 1].t
             rate_fd = (energies[idx + 1] - energies[idx - 1]) / dt_pair

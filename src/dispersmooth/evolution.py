@@ -12,7 +12,8 @@ Quadratic nonlinearities are evaluated pseudo-spectrally with 2/3-rule
 dealiasing (`spectral.CouplingKernel`); conservation identities hold
 exactly for the truncated flow when the data is band-limited below the
 dealias cutoff, so the observed mass/Hamiltonian drift is pure
-time-discretization error.
+time-discretization error.  Runs carry the dealias box alone (`Grid.box`),
+reject data that is not band-limited (`band_limited`) and record full spectra.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from .spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
+    band_limited,
     bessel_potential,
     conjugate,
     cubic_pairing,
     dealias,
+    from_box,
     full_spectrum,
     l2_norm,
     random_sobolev_field,
@@ -137,7 +140,7 @@ def linear_flow(symbols: Sequence[Mapping[int, np.ndarray]]) -> Flow:
     into ``out[i]`` (fresh arrays when None, never ``fields`` for a coupled
     flow): one term for a diagonal flow, two for a 2x2 block, whose second
     goes through the flow's one scratch row, so a flow belongs to one run.
-    Every symbol carries a zero Nyquist plane.
+    Runs pass box symbols (`Grid.box`).
     """
     coupled = [sym for row in symbols for sym in list(row.values())[1:]]
     scratch = np.empty_like(coupled[0]) if coupled else None
@@ -159,10 +162,9 @@ SYSTEM_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS)
 
 
 def free_flow(grid: Grid, dispersions: tuple[Dispersion, ...], t: float) -> Flow:
-    """`linear_flow` over time ``t`` of fields with one dispersion relation each."""
-    return linear_flow(
-        [{i: propagator_symbol(grid, dispersion, t)} for i, dispersion in enumerate(dispersions)]
-    )
+    """`linear_flow` over time ``t`` of box fields with one dispersion relation each."""
+    symbols = [grid.box(propagator_symbol(grid, dispersion, t)) for dispersion in dispersions]
+    return linear_flow([{i: symbol} for i, symbol in enumerate(symbols)])
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ def nonlinear_rhs(
     system: System, grid: Grid, fields: Fields, kernel: CouplingKernel | None = None,
     out: Fields | None = None,
 ) -> Fields:
-    """Nonlinear time-derivative contributions ``(du, dw+)`` of coefficient arrays.
+    """Nonlinear time-derivative contributions ``(du, dw+)`` of box arrays (`Grid.box`).
 
     With ``w- = conj w+`` the wave sum is ``w+ + w- = 2 Re w+``, and for
     Zakharov ``Re n- = Re n+``.  Klein-Gordon-Schrodinger::
@@ -206,7 +208,7 @@ def nonlinear_rhs(
     ``Re w+`` is real, so it is formed on the half spectrum alone, in
     coefficient space (`half_real_part`, no transform, in a kernel buffer),
     and the kernel takes it to samples by a real inverse transform.  ``dw+``
-    is combined on the half spectrum and expanded to the full one once
+    is combined on the half spectrum and expanded to the full box once
     (`full_spectrum`).  Both products come dealiased from ``kernel``, the
     run's `CouplingKernel` (a fresh one when None).  The results go into
     ``out`` (fresh arrays when None) and the symbols are applied in place,
@@ -329,11 +331,10 @@ class Recorder:
     After each step it takes every field's L2 norm (Parseval) and raises
     `BlowUpError`, naming them all, once one is non-finite or above
     ``threshold``.  It keeps ``(step, t, fields)`` every ``record_every``
-    steps and at the last step.  A field with ``n//2 + 1`` entries on its
-    last axis is a real field's half spectrum (`half_spectrum`): its norm
-    counts the interior columns twice, and it is recorded expanded to the
-    full spectrum.  Records are read-only copies.  A norm is an `numpy.einsum`
-    over the float pairs: no temporaries, and no BLAS threads (``vdot``).
+    steps and at the last step.  Fields are box arrays (`Grid.box`), or box
+    half spectra of real fields, whose norm counts the columns ``1 .. c``
+    twice; records are full spectra (`from_box`), read-only.  A norm is an
+    `numpy.einsum` over the float pairs: no temporaries, and no BLAS threads.
     """
 
     names: tuple[str, ...]
@@ -351,19 +352,16 @@ class Recorder:
         if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
             raise BlowUpError(t, norms, self.threshold)
         if step % self.record_every == 0 or step == self.n_steps:
-            fields = tuple(full_spectrum(a) if self._is_half(a) else a.copy() for a in fields)
+            fields = tuple(from_box(a, self.grid) for a in fields)
             for a in fields:  # a read-only record becomes a field without a copy
                 a.flags.writeable = False
             self.records.append((step, t, fields))
 
-    def _is_half(self, a: np.ndarray) -> bool:
-        return a.shape[-1] != self.grid.n_per_dim
-
     def _norm(self, a: np.ndarray) -> float:
         pairs, axes = a.view(np.float64), list(range(a.ndim))
         total = np.einsum(pairs, axes, pairs, axes, [])
-        if self._is_half(a):
-            interior = pairs[..., 2 : self.grid.n_per_dim]  # columns 1 .. n//2 - 1
+        if a.shape[-1] != self.grid.box_shape[-1]:  # a half spectrum
+            interior = pairs[..., 2:]  # columns 1 .. c
             total += np.einsum(interior, axes, interior, axes, [])
         return float(np.sqrt(total / self.grid.volume))
 
@@ -381,6 +379,7 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     """Integrate over ``config.t_end``; returns the recorded states (initial one included).
 
     The steps are those of `time_grid`; `Recorder` records and guards the run.
+    A field that is not band-limited is rejected (`band_limited`).
     """
     grid = state.grid
     n_steps, dt = time_grid(config.t_end, config.dt)
@@ -399,8 +398,9 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
         config.record_every,
         config.blowup_threshold,
     )
+    fields = (band_limited(state.u, "u"), band_limited(state.wplus, "wplus"))
     half_step = free_flow(grid, SYSTEM_DISPERSIONS, dt / 2)
-    lawson_rk4_run((state.u.coeffs, state.wplus.coeffs), rhs, half_step, dt, n_steps, recorder)
+    lawson_rk4_run(fields, rhs, half_step, dt, n_steps, recorder)
 
     def wrap(t: float, fields: Fields) -> SystemState:
         u, wplus = (SpectralField(grid, f) for f in fields)

@@ -52,7 +52,9 @@ from .spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
+    band_limited,
     cubic_pairing,
+    from_box,
     l2_norm,
     lowpass_projection,
     real_part,
@@ -158,11 +160,13 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 def _integrate_window(
     state: HighLowState, config: HighLowConfig
 ) -> tuple[np.ndarray, ...]:
-    """Evolve the coupled four-field system over one window of length delta."""
+    """Evolve the coupled four-field system over one window of length delta (on the box)."""
     grid = state.grid
     n_inner, dt = time_grid(config.delta, config.dt)
+    names = ("phi", "psi_plus", "mu", "lam_plus")
+    start = tuple(band_limited(getattr(state, name), name) for name in names)
     kernel = CouplingKernel(grid)
-    total = (np.empty_like(state.phi.coeffs), np.empty_like(state.psi_plus.coeffs))
+    total = (np.empty_like(start[0]), np.empty_like(start[1]))
 
     def rhs(fields: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         """Nonlinear right sides of the coupled low/high system, into ``out``.
@@ -185,18 +189,10 @@ def _integrate_window(
             high -= part
         return out
 
-    guard = Recorder(
-        ("phi", "psi_plus", "mu", "lam_plus"),
-        grid,
-        state.t,
-        dt,
-        n_inner,
-        n_inner,
-        config.blowup_threshold,
-    )
-    start = (state.phi.coeffs, state.psi_plus.coeffs, state.mu.coeffs, state.lam_plus.coeffs)
+    guard = Recorder(names, grid, state.t, dt, n_inner, n_inner, config.blowup_threshold)
     half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, dt / 2)
-    return lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
+    evolved = lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
+    return tuple(from_box(a, grid) for a in evolved)
 
 
 @dataclass(frozen=True)
@@ -216,10 +212,9 @@ def _reassemble(
     grid = state.grid
     delta = config.delta
     phi_d, psi_d, mu_d, lam_d = (SpectralField(grid, f) for f in evolved)
-    high = (state.mu.coeffs, state.lam_plus.coeffs)
-    mu_free, lam_free = (
-        SpectralField(grid, f) for f in free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
-    )
+    high = (grid.box(state.mu.coeffs), grid.box(state.lam_plus.coeffs))
+    free = free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
+    mu_free, lam_free = (SpectralField(grid, from_box(f, grid)) for f in free)
     incr_u = mu_d - mu_free
     incr_w = lam_d - lam_free
     new_state = HighLowState(

@@ -65,6 +65,8 @@ class Grid:
     bracket: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    box_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    box_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)  # see `box`
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3, 4):
@@ -87,7 +89,8 @@ class Grid:
         object.__setattr__(self, "k_axis", k)
         object.__setattr__(self, "xi_axis", k / self.box_length)
 
-        axes = np.meshgrid(*([self.xi_axis] * self.dim), indexing="ij")
+        # Sparse (broadcast) axes: only the lattice arrays themselves are full.
+        axes = np.meshgrid(*([self.xi_axis] * self.dim), indexing="ij", sparse=True)
         xi_sq = sum(a**2 for a in axes)
         object.__setattr__(self, "xi_squared", xi_sq)
         object.__setattr__(self, "xi_norm", np.sqrt(xi_sq))
@@ -96,11 +99,14 @@ class Grid:
         cutoff = n // 3  # 2/3 rule; n is a power of two so 3*cutoff < n
         keep = np.ones(self.shape, dtype=bool)
         nyq = np.zeros(self.shape, dtype=bool)
-        for axis_k in np.meshgrid(*([k] * self.dim), indexing="ij"):
+        for axis_k in np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True):
             keep &= np.abs(axis_k) <= cutoff
             nyq |= axis_k == -n // 2
         object.__setattr__(self, "dealias_mask", keep)
         object.__setattr__(self, "nyquist_mask", nyq)
+        box_axis = np.r_[0 : cutoff + 1, n - cutoff : n]
+        object.__setattr__(self, "box_index", np.ix_(*([box_axis] * self.dim)))
+        object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * self.dim)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -124,6 +130,11 @@ class Grid:
     def dealias_cutoff(self) -> float:
         """Largest retained wavenumber magnitude per axis after dealiasing."""
         return (self.n_per_dim // 3) / self.box_length
+
+    def box(self, coeffs: np.ndarray) -> np.ndarray:
+        """The entries of a lattice array on the dealias box ``|k_i| <= c``, ``c = n//3``,
+        in FFT order (per axis ``k = 0 .. c, -c .. -1``): the layout of every run."""
+        return coeffs[self.box_index]
 
 
 @dataclass(frozen=True)
@@ -307,23 +318,40 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
+def band_limited(f: SpectralField, name: str) -> np.ndarray:
+    """``f`` on the dealias box (`Grid.box`); a `ConfigurationError` naming ``name``
+    if its L2 norm outside the box is above roundoff (1e-12 of its own)."""
+    grid = f.grid
+    outside = np.where(grid.dealias_mask, 0.0, f.coeffs)
+    norm = l2_norm(SpectralField(grid, outside)) if np.any(outside) else 0.0  # 0: the usual case
+    if norm and not norm <= 1e-12 * l2_norm(f):
+        raise ConfigurationError(
+            f"{name} is not band-limited: L2 norm {norm:.3e} outside the dealias box"
+            f" |k_i| <= {grid.n_per_dim // 3}, against {l2_norm(f):.3e}; project it with dealias"
+        )
+    return grid.box(f.coeffs)
+
+
+def from_box(box: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full coefficients (``+0`` outside the box) of a box array or a box half spectrum."""
+    if box.shape != grid.box_shape:
+        box = full_spectrum(box, out=np.empty(grid.box_shape, dtype=np.complex128))
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    out[grid.box_index] = box
+    return out
+
+
 @dataclass(frozen=True)
 class GridSymbols:
-    """Read-only per-grid symbols of the coupling kernel and the coupled right sides.
+    """Read-only box half-spectrum symbols of the coupled right sides.
 
-    ``dealias_scale`` is the dealias mask times ``1/dx^d``: it takes the
-    forward transform of a product of two inverse transforms to dealiased
-    coefficients.  The ``half_`` arrays are half spectra (the first
-    ``n//2 + 1`` entries of the last axis, the layout of `numpy.fft.rfftn`):
-    the same scale, ``A^{-1} = <xi>^{-1}`` and ``-|xi|^2 A^{-1}``.  The
-    symbols are real but stored as complex arrays with a zero imaginary
-    part: an in-place ``coeffs *= symbol`` then runs over contiguous memory
-    with no cast, and gives the same bits as scaling the real and imaginary
-    parts on their own.
+    ``A^{-1} = <xi>^{-1}`` and ``-|xi|^2 A^{-1}`` on the half spectrum of
+    the dealias box (`half_spectrum` of `Grid.box`).  The symbols are real
+    but stored as complex arrays with a zero imaginary part: an in-place
+    ``coeffs *= symbol`` then runs over contiguous memory with no cast, and
+    gives the same bits as scaling the real and imaginary parts on their own.
     """
 
-    dealias_scale: np.ndarray
-    half_dealias_scale: np.ndarray
     half_inverse_bracket: np.ndarray
     half_neg_lap_inverse_bracket: np.ndarray
 
@@ -331,14 +359,8 @@ class GridSymbols:
 @functools.lru_cache(maxsize=8)
 def grid_symbols(grid: Grid) -> GridSymbols:
     """The `GridSymbols` of a grid, built once and shared by every run on it."""
-    dealias_scale = grid.dealias_mask / grid.dx**grid.dim
-    inverse_bracket = 1.0 / half_spectrum(grid.bracket)
-    symbols = [
-        dealias_scale,
-        half_spectrum(dealias_scale),
-        inverse_bracket,
-        -half_spectrum(grid.xi_squared) * inverse_bracket,
-    ]
+    inverse_bracket = 1.0 / half_spectrum(grid.box(grid.bracket))
+    symbols = [inverse_bracket, -half_spectrum(grid.box(grid.xi_squared)) * inverse_bracket]
     symbols = [np.ascontiguousarray(a, dtype=np.complex128) for a in symbols]
     for a in symbols:
         a.flags.writeable = False
@@ -346,79 +368,106 @@ def grid_symbols(grid: Grid) -> GridSymbols:
 
 
 class CouplingKernel:
-    """Dealiased ``u * wave`` and ``|u|^2`` of a real wave, for one run on one grid.
+    """Dealiased ``u * wave`` and ``|u|^2`` of a real wave on the dealias box, for one run.
 
-    The wave is real, so it comes as its half spectrum (`half_spectrum`),
-    and ``|u|^2`` goes back as one.  A call takes ``u`` to samples (complex
-    inverse transform), the wave to samples (real inverse), their product
-    back (complex forward) and ``|u|^2`` back (real forward).  Each
-    transform runs as its 1-D passes (`numpy.fft.fft`, `ifft`, `rfft`,
-    `irfft`) in the axis order of numpy's n-d functions, so its result is
-    bit-identical to theirs without their per-call wrapper cost.  Every
-    pass writes into the kernel's own buffers or the caller's ``out``, so a
-    call allocates nothing once ``out`` is given; the returned ``|u|^2`` is
-    a kernel buffer, valid until the next call, and so is the wave factor
-    that `half_real_part` forms.  The buffers make a kernel unsafe to share
-    between threads: each run builds its own.  The symbols (`grid_symbols`)
-    are shared.
+    ``u`` and the product are box arrays (`Grid.box`); the real wave and
+    ``|u|^2`` are box half spectra (`half_spectrum`).  A call takes ``u`` and
+    the wave to samples (complex and real inverse transforms), and their
+    product and ``|u|^2`` back (complex and real forward).  Each transform
+    runs as one call per 1-D pass (`numpy.fft.fft`, `ifft`, `rfft`,
+    `irfft`), in the axis order of numpy's n-d functions, on the lines that
+    hold box modes only: an inverse pass reads a staging buffer that the box
+    lines are scattered into (its other entries stay zero), and a forward
+    pass's box entries are gathered before the next pass.  Lines transform
+    on their own, so the results are the box entries of numpy's n-d
+    transforms bit for bit, and the scale ``1/dx^d`` is a scalar.  Every
+    pass writes into the kernel's buffers or the caller's ``out``, so a call
+    allocates nothing once ``out`` is given; the returned ``|u|^2`` and the
+    wave factor of `half_real_part` are kernel buffers, valid until the next
+    call.  The buffers make a kernel unsafe to share between threads.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.symbols = grid_symbols(grid)
-        self._u = np.empty(grid.shape, dtype=np.complex128)
-        self._wave = np.empty(grid.shape)
-        self._half = np.empty(self.symbols.half_dealias_scale.shape, dtype=np.complex128)
+        n, c, d = grid.n_per_dim, grid.n_per_dim // 3, grid.dim
+        m, h, N, M = 2 * c + 1, c + 1, (grid.n_per_dim,), (2 * c + 1,)
+        self._scale = 1.0 / grid.dx**d
+        # Per axis, (lattice, box) index pairs of the blocks k = 0..c and k = -c..-1.
+        blocks = ((slice(0, h), slice(0, h)), (slice(n - c, n), slice(h, m)))
+        self._scatter = [[((slice(None),) * a + (lat,), (slice(None),) * a + (box,))
+                          for lat, box in blocks] for a in range(d)]
+        self._gather = [[(box, lat) for lat, box in pairs] for pairs in self._scatter]
+        Z = lambda *shape: np.zeros(shape, dtype=np.complex128)  # noqa: E731
+        self._u, self._product, self._wave = Z(*grid.shape), Z(*grid.shape), np.empty(grid.shape)
+        # Complex inverse: before the pass over axis a, the axes < a hold box entries.
+        self._stages = [Z(*M * a, *N * (d - a)) for a in range(d)]
+        self._passes = [self._u] + [Z(*s.shape) for s in self._stages[1:]]
+        # Real inverse: complex passes over axes 0 .. d-2, then the real one.
+        self._real_stages = [Z(*N * (a + 1), *M * (d - 2 - a), h) for a in range(d - 1)]
+        self._real_passes = [Z(*s.shape) for s in self._real_stages]
+        self._real_stages.append(Z(*N * (d - 1), n // 2 + 1))
+        # Forward: the box entries gathered after each pass.
+        self._gathers = [None] + [Z(*N * a, *M * (d - a)) for a in range(1, d)]
+        self._rfft = Z(*N * (d - 1), n // 2 + 1)
+        self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d)]
+        self._half = self._half_gathers[0]
         self._real_half = np.empty_like(self._half)
 
     def __call__(
         self, u: np.ndarray, wave: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of ``u * wave`` and the half spectrum of ``|u|^2``.
+        """Box coefficients of ``u * wave`` and the box half spectrum of ``|u|^2``.
 
-        ``u`` is a full coefficient array and ``wave`` the half spectrum of a
-        real field.  The product goes into ``out``, a C-contiguous complex
-        array of the grid's shape (a fresh one when None).
+        ``u`` is a box array and ``wave`` the box half spectrum of a real
+        field.  The product goes into ``out``, a C-contiguous complex box
+        array (a fresh one when None).
         """
-        out = np.empty(self.grid.shape, dtype=np.complex128) if out is None else out
+        box = self.grid.box_shape
+        out = np.empty(box, dtype=np.complex128) if out is None else out
         shapes = (u.shape, wave.shape, out.shape)
-        if shapes != (self.grid.shape, self._half.shape, self.grid.shape) or not out.flags.c_contiguous:
+        if shapes != (box, self._half.shape, box) or not out.flags.c_contiguous:
             raise GridMismatchError(
-                f"shapes {shapes} of u, wave and a C-contiguous out do not match grid"
-                f" {self.grid.shape} and its half spectrum {self._half.shape}"
+                f"shapes {shapes} of u, wave and a C-contiguous out do not match the"
+                f" dealias box {box} and its half spectrum {self._half.shape}"
             )
         u_x = self._inverse(u).reshape(-1).view(np.float64)
         wave_x = self._real_inverse(wave).reshape(-1)
         # 1-D strided views of the real and imaginary parts run as one plain loop.
-        product = out.reshape(-1).view(np.float64)
+        product = self._product.reshape(-1).view(np.float64)
         np.multiply(u_x[0::2], wave_x, out=product[0::2])
         np.multiply(u_x[1::2], wave_x, out=product[1::2])
+        lines = self._product
         for axis in reversed(range(self.grid.dim)):
-            np.fft.fft(out, axis=axis, out=out)
-        out *= self.symbols.dealias_scale
+            np.fft.fft(lines, axis=axis, out=lines)
+            lines = _copy(self._gathers[axis] if axis else out, lines, self._gather[axis])
+        out *= self._scale
         return out, self._abs2_of_u()  # last: it reuses the wave buffer
 
     def half_real_part(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half spectrum of ``Re f`` (`half_real_part`) in a kernel buffer, fit to be a wave."""
+        """Box half spectrum of ``Re f`` (`half_real_part`) in a kernel buffer, fit to be a wave."""
         return half_real_part(coeffs, out=self._real_half, scratch=self._half)
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum of ``|u|^2`` alone (a kernel buffer)."""
+        """Box half spectrum of ``|u|^2`` alone (a kernel buffer)."""
         self._inverse(u)
         return self._abs2_of_u()
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        """Samples of ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
+        """Samples of box ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
         for axis in reversed(range(self.grid.dim)):
-            u = np.fft.ifft(u, axis=axis, out=self._u)
+            stage = _copy(self._stages[axis], u, self._scatter[axis])
+            u = np.fft.ifft(stage, axis=axis, out=self._passes[axis])
         return u
 
     def _real_inverse(self, wave: np.ndarray) -> np.ndarray:
-        """Samples of a real field from its half spectrum: `numpy.fft.irfftn`."""
+        """Samples of a real field from its box half spectrum: `numpy.fft.irfftn`."""
         last = self.grid.dim - 1
         for axis in range(last):
-            wave = np.fft.ifft(wave, axis=axis, out=self._half)
-        return np.fft.irfft(wave, n=self.grid.n_per_dim, axis=last, out=self._wave)
+            stage = _copy(self._real_stages[axis], wave, self._scatter[axis])
+            wave = np.fft.ifft(stage, axis=axis, out=self._real_passes[axis])
+        stage = _copy(self._real_stages[last], wave, self._scatter[last][:1])  # k >= 0 only
+        return np.fft.irfft(stage, n=self.grid.n_per_dim, axis=last, out=self._wave)
 
     def _abs2_of_u(self) -> np.ndarray:
         """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites.
@@ -426,22 +475,31 @@ class CouplingKernel:
         The samples go into the wave buffer; the forward transform is
         `numpy.fft.rfftn`: the last axis first.
         """
-        abs2, half = self._wave, self._half
+        abs2, last = self._wave, self.grid.dim - 1
         pairs = self._u.reshape(-1).view(np.float64)  # (re, im) interleaved
         pairs *= pairs
         np.add(pairs[0::2], pairs[1::2], out=abs2.reshape(-1))
-        np.fft.rfft(abs2, axis=self.grid.dim - 1, out=half)
-        for axis in reversed(range(self.grid.dim - 1)):
+        np.fft.rfft(abs2, axis=last, out=self._rfft)
+        half = _copy(self._half_gathers[last], self._rfft, self._gather[last][:1])
+        for axis in reversed(range(last)):
             np.fft.fft(half, axis=axis, out=half)
-        half *= self.symbols.half_dealias_scale
+            half = _copy(self._half_gathers[axis], half, self._gather[axis])
+        half *= self._scale
         return half
+
+
+def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
+    """``target[t] = source[s]`` for each index pair ``(t, s)``; returns ``target``."""
+    for t, s in pairs:
+        target[t] = source[s]
+    return target
 
 
 def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
     """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term."""
     _check_same_grid(u, v)
-    abs2 = SpectralField(u.grid, full_spectrum(CouplingKernel(u.grid).abs2(u.coeffs)))
-    return inner_product(abs2, v).real
+    abs2 = CouplingKernel(u.grid).abs2(band_limited(u, "u"))
+    return inner_product(SpectralField(u.grid, from_box(abs2, u.grid)), v).real
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +512,18 @@ def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
 
     A real field's coefficients satisfy ``f(-k) = conj f(k)``, so its half
     spectrum holds all of them (`full_spectrum`).  In Parseval sums the
-    interior columns ``1 .. n//2 - 1`` of the last axis stand for two modes.
+    interior columns ``1 .. (n-1)//2`` of the last axis stand for two modes.
+    An odd ``n`` is the dealias box (`Grid.box`), which has no Nyquist column.
     """
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
 def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Full coefficients of the real field with half spectrum ``half`` (into ``out``)."""
-    n = 2 * (half.shape[-1] - 1)
+    """Full coefficients of the real field with half spectrum ``half`` (into ``out``).
+
+    The full size is ``out``'s, so a box half spectrum needs ``out``; else ``2 (h - 1)``.
+    """
+    n = 2 * (half.shape[-1] - 1) if out is None else out.shape[-1]
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
     out[..., : half.shape[-1]] = half
     for target, source in _half_reflections(half.ndim, n, mirror=True):
@@ -500,15 +562,17 @@ def _half_reflections(
 ) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
     """``(target, source)`` slice pairs that reflect ``k`` to ``-k`` across a half spectrum.
 
-    With ``mirror`` the pairs fill the columns ``n//2 + 1 ..`` of a full
-    array from the half spectrum's interior columns; without it they fill a
-    half spectrum from the full array's columns ``0`` and ``n-1 .. n//2``.
-    The other axes reflect as in `conjugate`.
+    With ``h = n//2 + 1`` half columns and ``mirror``, the pairs fill the
+    columns ``h ..`` of a full array from the half spectrum's interior
+    columns; without it they fill a half spectrum from the full array's
+    columns ``0`` and ``n-1 .. n-h+1``.  ``n`` is even on the lattice and odd
+    on the dealias box.  The other axes reflect as in `conjugate`.
     """
+    h = n // 2 + 1
     if mirror:
-        last = ((slice(n // 2 + 1, None), slice(n // 2 - 1, 0, -1)),)
+        last = ((slice(h, None), slice(n - h, 0, -1)),)
     else:
-        last = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
+        last = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n - h, -1)))
     return tuple(
         (target + (t,), source + (src,))
         for target, source in _reflections(ndim - 1)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave
+from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave, nonlinear_rhs
 from dispersmooth.spectral import (
-    CouplingKernel,
     Grid,
     SpectralField,
+    from_box,
     full_spectrum,
     half_real_part,
+    half_spectrum,
     random_sobolev_field,
     real_part,
 )
@@ -55,19 +56,37 @@ def wave_field(state: SystemState) -> SpectralField:
 def coupling_products(
     grid: Grid, u: np.ndarray, wave: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from coefficient arrays.
+    """Dealiased coefficients of ``u * wave`` and ``|u|^2`` from full coefficient arrays.
 
-    An oracle over `CouplingKernel`, whose wave is real: the product is
-    bilinear, so a complex wave is ``u Re(wave) + i u Im(wave)``, one kernel
-    call per part.  Each equals the exact truncated convolution when the
-    inputs lie inside the dealias band.
+    The full-lattice oracle of `CouplingKernel`: numpy's n-d transforms of
+    the whole lattice, the kernel's arithmetic on the samples, and the
+    2/3-rule mask.  The kernel's wave is real; the product is bilinear, so
+    a complex wave adds ``i u Im(wave)`` as a second product.  Each equals
+    the exact truncated convolution when the inputs lie inside the dealias
+    band.
     """
-    kernel = CouplingKernel(grid)
-    product, abs2 = kernel(u, half_real_part(wave))
-    abs2 = full_spectrum(abs2)
-    imag_product, _ = kernel(u, half_real_part(-1j * wave))
-    product += 1j * imag_product
-    return product, abs2
+    axes = tuple(range(grid.dim))
+    scale = np.asarray(grid.dealias_mask / grid.dx**grid.dim, dtype=complex)
+    u_x = np.fft.ifftn(u)
+
+    def product(half_wave):
+        wave_x = np.fft.irfftn(half_wave, s=grid.shape, axes=axes)
+        samples = np.empty_like(u_x)
+        samples.real = u_x.real * wave_x
+        samples.imag = u_x.imag * wave_x
+        return np.fft.fftn(samples) * scale
+
+    uw = product(half_real_part(wave))
+    imag = half_real_part(-1j * wave)
+    if np.any(imag):
+        uw += 1j * product(imag)
+    abs2 = np.fft.rfftn(u_x.real * u_x.real + u_x.imag * u_x.imag) * half_spectrum(scale)
+    return uw, full_spectrum(abs2)
+
+
+def full_rhs(system: System, grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """`nonlinear_rhs` of full coefficient arrays: run on their boxes, expanded back."""
+    return tuple(from_box(a, grid) for a in nonlinear_rhs(system, grid, tuple(map(grid.box, fields))))
 
 
 @pytest.fixture

@@ -375,6 +375,12 @@ def full_spectrum_damped_run(state, params, config):
     return lawson_rk4_run(start, rhs, flow, dt, n_steps)
 
 
+def carried_on_box(state):
+    """``(u, v, w)`` in the layout of a damped run: box arrays, ``v`` and ``w`` as half spectra."""
+    u, v, w = (state.grid.box(f.coeffs) for f in (state.u, state.v, state.w))
+    return u, half_spectrum(v), half_spectrum(w)
+
+
 class TestHalfSpectrumRun:
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8)])
     def test_matches_full_spectrum_oracle(self, dim, n):
@@ -389,12 +395,12 @@ class TestHalfSpectrumRun:
             assert np.max(np.abs(got.coeffs - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_guard_norms_equal_full_parseval_norms(self):
-        # Half spectra count their interior columns twice: the guard reports
-        # the norms of the full fields.
+        # Box half spectra count their columns 1 .. c twice: the guard
+        # reports the norms of the full fields.
         grid = Grid(2, 16)
         state = damped_state(grid, seed=24)
         recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e-300)
-        carried = (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs))
+        carried = carried_on_box(state)
         with pytest.raises(BlowUpError) as info:
             recorder(1, carried)
         for name in ("u", "v", "w"):
@@ -405,11 +411,12 @@ class TestHalfSpectrumRun:
         grid = Grid(2, 16)
         state = damped_state(grid, seed=25)
         recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e12)
-        recorder(1, (state.u.coeffs, half_spectrum(state.v.coeffs), half_spectrum(state.w.coeffs)))
+        recorder(1, carried_on_box(state))
         (_, _, fields), = recorder.records
         for a, field in zip(fields, (state.u, state.v, state.w)):
             assert not a.flags.writeable
             assert np.array_equal(a, field.coeffs)
+            assert not a[~grid.dealias_mask].view(np.uint64).any()  # +0 outside the box
 
 
 class TestRealFieldContract:

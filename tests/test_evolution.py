@@ -1,5 +1,6 @@
 """Tests for linear propagators, nonlinear right sides, and time integration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from dispersmooth import dissipative, evolution, highlow
 from dispersmooth.dissipative import DampedParams, DampedState, integrate_damped
-from dispersmooth.errors import BlowUpError
+from dispersmooth.errors import BlowUpError, ConfigurationError
 from dispersmooth.evolution import (
     Dispersion,
     IntegratorConfig,
@@ -28,8 +29,9 @@ from dispersmooth.spectral import (
     Grid,
     bessel_potential,
     conjugate,
-    grid_symbols,
-    half_real_part,
+    dealias,
+    from_box,
+    half_spectrum,
     l2_norm,
     random_sobolev_field,
     real_part,
@@ -39,7 +41,7 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import coupling_products, random_state, spectral_mode, wave_field
+from conftest import coupling_products, full_rhs, random_state, spectral_mode, wave_field
 
 
 class TestLinearPropagate:
@@ -114,7 +116,7 @@ class TestWaveComponents:
 
 
 def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
-    return nonlinear_rhs(state.system, state.grid, (state.u.coeffs, state.wplus.coeffs))
+    return full_rhs(state.system, state.grid, (state.u.coeffs, state.wplus.coeffs))
 
 
 class TestNonlinearRhs:
@@ -267,27 +269,21 @@ class TestTransformCount:
         # Every one of them writes into a buffer (out=) instead of allocating.
         assert counts["allocating_in_rhs"] == 0
 
-    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8), (4, 8)])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (1, 32), (2, 8), (2, 32), (3, 8), (3, 16), (4, 8), (4, 16)])
     def test_kernel_passes_equal_numpy_nd_transforms(self, dim, n):
-        # The kernel's 1-D passes run in the axis order of numpy's n-d
-        # functions, so its outputs equal the same arithmetic on
-        # ifftn/irfftn/fftn/rfftn bit for bit.
+        # The kernel's pruned 1-D passes run in the axis order of numpy's
+        # n-d functions and transform each line on its own, so in band its
+        # outputs equal the full-lattice oracle's ifftn/irfftn/fftn/rfftn
+        # bit for bit; outside the box the expanded outputs are exactly +0.
         grid = Grid(dim, n)
-        u = random_sobolev_field(grid, 0.0, seed=40 + dim).coeffs
-        wave = half_real_part(random_sobolev_field(grid, 0.0, seed=50 + dim).coeffs)
-        axes = tuple(range(dim))
-        u_x = np.fft.ifftn(u)
-        wave_x = np.fft.irfftn(wave, s=grid.shape, axes=axes)
-        product = np.empty_like(u_x)
-        product.real = u_x.real * wave_x
-        product.imag = u_x.imag * wave_x
-        symbols = grid_symbols(grid)
-        want_uw = np.fft.fftn(product) * symbols.dealias_scale
-        abs2 = u_x.real * u_x.real + u_x.imag * u_x.imag
-        want_abs2 = np.fft.rfftn(abs2) * symbols.half_dealias_scale
-        uw, got_abs2 = CouplingKernel(grid)(u, wave)
-        assert np.array_equal(uw, want_uw)
-        assert np.array_equal(got_abs2, want_abs2)
+        u = dealias(random_sobolev_field(grid, 0.0, seed=40 + dim)).coeffs
+        wave = real_part(dealias(random_sobolev_field(grid, 0.0, seed=50 + dim)).coeffs)
+        want_uw, want_abs2 = coupling_products(grid, u, wave)
+        uw, abs2 = CouplingKernel(grid)(grid.box(u), np.ascontiguousarray(half_spectrum(grid.box(wave))))
+        band = grid.dealias_mask
+        for got, want in ((from_box(uw, grid), want_uw), (from_box(abs2, grid), want_abs2)):
+            assert got[band].tobytes() == want[band].tobytes()
+            assert not got[~band].view(np.uint64).any()  # +0, both parts
 
 
 SMALL_OBJECTS = 4096  # bytes of Python objects (tuples, floats) a call may make
@@ -316,10 +312,10 @@ class TestCouplingKernelRuns:
         # no array at all.
         grid = Grid(2, 128)
         state = random_state(System.KGS, grid, seed=21)
-        fields = (state.u.coeffs, state.wplus.coeffs)
+        fields = (grid.box(state.u.coeffs), grid.box(state.wplus.coeffs))
         kernel = CouplingKernel(grid)
         out = nonlinear_rhs(System.KGS, grid, fields, kernel)
-        array_bytes = state.u.coeffs.nbytes
+        array_bytes = fields[0].nbytes
         assert all(a.nbytes == array_bytes for a in out)
         peak = traced_peak(lambda: nonlinear_rhs(System.KGS, grid, fields, kernel))
         assert 2 * array_bytes <= peak <= 2 * array_bytes + SMALL_OBJECTS
@@ -437,12 +433,14 @@ class TestStepperOracle:
     @pytest.mark.parametrize("kind, n", STEPPER_KINDS)
     def test_bit_identical_to_allocating_step(self, kind, n, monkeypatch):
         # The workspace forms every combination in place in the operation
-        # order of the allocating step, so the bits agree.
+        # order of the allocating step, so the bits agree.  Both run on the
+        # box layout the integrators hand to the stepper.
         module = KINDS[kind]
         stepper = module.lawson_rk4_run
         finals = []
 
         def both(fields, rhs, half_step, dt, n_steps, observer=None):
+            assert fields[0].shape == Grid(2, n).box_shape
             new = stepper(fields, rhs, half_step, dt, n_steps, observer)
             old = allocating_four_application_run(fields, rhs, half_step, dt, n_steps)
             finals.append((new, old))
@@ -487,19 +485,24 @@ class TestStepperOracle:
 
 
 def three_field_rhs(system, grid, fields):
-    """The right side on ``(u, w+, w-)`` with ``w-`` integrated as a field of its own."""
-    u, wplus, wminus = fields
+    """The right side on ``(u, w+, w-)`` with ``w-`` integrated as a field of its own.
+
+    Box arrays in and out, from the full-lattice oracle.
+    """
+    u, wplus, wminus = (from_box(a, grid) for a in fields)
     uw, abs2 = coupling_products(grid, u, wplus + wminus)
     inverse_a = grid.bracket**-1.0
     if system is System.KGS:
         kick = 1j * inverse_a * abs2
-        return 0.5j * uw, kick, -kick
-    lap_abs2 = -grid.xi_squared * abs2
-    return (
-        -0.5j * uw,
-        1j * inverse_a * (lap_abs2 + real_part(wplus)),
-        -1j * inverse_a * (lap_abs2 + real_part(wminus)),
-    )
+        out = 0.5j * uw, kick, -kick
+    else:
+        lap_abs2 = -grid.xi_squared * abs2
+        out = (
+            -0.5j * uw,
+            1j * inverse_a * (lap_abs2 + real_part(wplus)),
+            -1j * inverse_a * (lap_abs2 + real_part(wminus)),
+        )
+    return tuple(map(grid.box, out))
 
 
 def six_field_window_rhs(grid, fields):
@@ -641,6 +644,24 @@ class TestIntegrate:
         for name, f in fields.items():
             assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=0.2)
 
+    @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
+    def test_records_are_exactly_plus_zero_outside_the_box(self, kind, grid_2d_small, monkeypatch):
+        # Runs carry the box alone; records expand it with +0 (both parts,
+        # no sign bit) everywhere else.
+        module = KINDS[kind]
+        recorders = []
+
+        class Kept(module.Recorder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                recorders.append(self)
+
+        monkeypatch.setattr(module, "Recorder", Kept)
+        run_kind(kind, grid_2d_small, seed=22, steps=3)
+        records = [a for r in recorders for _, _, fields in r.records for a in fields]
+        outside = ~grid_2d_small.dealias_mask
+        assert records and all(not a[outside].view(np.uint64).any() for a in records)
+
     def test_last_step_recorded_when_record_every_does_not_divide(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=15, amplitude=0.5)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.05, record_every=2))
@@ -653,6 +674,52 @@ class TestIntegrate:
     )
     def test_time_grid_ends_at_t_end(self, t_end, dt, n_steps, dt_eff):
         assert time_grid(t_end, dt) == (n_steps, pytest.approx(dt_eff, rel=1e-12))
+
+
+def out_of_box(grid: Grid, scale: float):
+    """A real field of L2 norm ``scale`` on the mode pair ``k = (c + 1, 0), -k``, just outside the box."""
+    k = grid.n_per_dim // 3 + 1
+    pair = spectral_mode(grid, (k, 0)) + spectral_mode(grid, (-k, 0))
+    return (scale / l2_norm(pair)) * pair
+
+
+class TestBandLimitedInput:
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("kgs", "u"), ("kgs", "wplus"), ("damped", "u"), ("damped", "v"), ("damped", "w"),
+         ("damped", "f"), ("damped", "g"), ("window", "phi"), ("window", "psi_plus"),
+         ("window", "mu"), ("window", "lam_plus")],
+    )
+    def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
+        state = random_state(System.KGS, grid_2d_small, seed=23)
+        config = IntegratorConfig(dt=1e-2, t_end=0.02)
+        bump = out_of_box(grid_2d_small, 1e-6 * l2_norm(state.u))
+        if kind == "kgs":
+            fields = {"u": state.u, "wplus": state.wplus}
+            fields[name] = fields[name] + bump
+            run = lambda: integrate(SystemState(System.KGS, **fields), config)
+        elif kind == "damped":
+            wave = wave_field(state)
+            fields = {"u": state.u, "v": wave, "w": wave, "f": None, "g": None}
+            fields[name] = bump if name in ("f", "g") else fields[name] + bump
+            params = DampedParams(gamma=0.5, delta=0.5, f=fields.pop("f"), g=fields.pop("g"))
+            run = lambda: integrate_damped(DampedState(**fields), params, config)
+        else:
+            split = split_initial(state.u, state.wplus, 4.0)
+            split = dataclasses.replace(split, **{name: getattr(split, name) + bump})
+            window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=0.02)
+            run = lambda: advance_window(split, window)
+        with pytest.raises(ConfigurationError, match=f"^{name} is not band-limited"):
+            run()
+
+    def test_roundoff_outside_the_box_accepted_and_dropped(self, grid_2d_small):
+        state = random_state(System.KGS, grid_2d_small, seed=24)
+        bump = out_of_box(grid_2d_small, 1e-14 * l2_norm(state.u))
+        bumped = SystemState(System.KGS, state.u + bump, state.wplus)
+        config = IntegratorConfig(dt=1e-2, t_end=0.02)
+        a, b = (integrate(s, config)[-1] for s in (state, bumped))
+        assert np.array_equal(a.u.coeffs, b.u.coeffs)
+        assert np.array_equal(a.wplus.coeffs, b.wplus.coeffs)
 
 
 class TestConservedQuantities:

@@ -1,6 +1,7 @@
 """Tests for smoothing exponents, residuals, space-time norms, counterexample."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from dispersmooth.evolution import (
     System,
     SystemState,
     integrate,
-    nonlinear_rhs,
 )
+from dispersmooth.resonance import xsb_weight
 from dispersmooth.smoothing import (
     CounterexampleResult,
     SmoothingParams,
@@ -27,8 +28,6 @@ from dispersmooth.smoothing import (
     sharpness_counterexample,
     smoothing_exponents,
     smoothing_scan,
-    space_time_field,
-    xsb_norm,
 )
 from dispersmooth.spectral import (
     Grid,
@@ -39,7 +38,7 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import random_state, spectral_mode
+from conftest import full_rhs, random_state, spectral_mode
 
 
 class TestSmoothingExponents:
@@ -118,7 +117,7 @@ class TestDuhamelResidual:
         grid = Grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
         fields = (state.u.coeffs, state.wplus.coeffs)
-        du0 = SpectralField(grid, nonlinear_rhs(System.KGS, grid, fields)[0])
+        du0 = SpectralField(grid, full_rhs(System.KGS, grid, fields)[0])
         errs = []
         for t in (1e-2, 5e-3):
             traj = integrate(state, IntegratorConfig(dt=t / 8, t_end=t, record_every=10**9))
@@ -131,6 +130,88 @@ class TestDuhamelResidual:
         state = random_state(System.KGS, grid_2d_small, seed=23)
         with pytest.raises(ConfigurationError):
             duhamel_residual([state], "v")
+
+
+# ---------------------------------------------------------------------------
+# Windowed space-time fields and their X^{s,b} norm: test-side instruments
+# ---------------------------------------------------------------------------
+
+# The wave branch of each dispersion in `xsb_weight`: ``w+`` rides ``tau = -|xi|``.
+_BRANCH = {Dispersion.SCHRODINGER: None, Dispersion.KG_PLUS: -1, Dispersion.KG_MINUS: +1}
+
+
+@dataclass(frozen=True)
+class SpaceTimeField:
+    """A field sampled on a uniform time window, with its (xi, tau) transform.
+
+    ``coeffs`` has shape ``grid.shape + (n_t,)``; the last axis is the
+    discrete transform in time of the windowed samples (raised-cosine taper,
+    recorded in ``window``).  Results computed from it are window-dependent.
+    """
+
+    grid: Grid
+    times: np.ndarray = field(compare=False)
+    coeffs: np.ndarray = field(compare=False)
+    tau: np.ndarray = field(compare=False)
+    window: np.ndarray = field(compare=False)
+    taper: float
+
+    @property
+    def t_span(self) -> float:
+        return float(len(self.times) * (self.times[1] - self.times[0]))
+
+
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Periodic Tukey window: ``scipy.signal.windows.tukey(m, alpha, sym=False)``, to the bit."""
+    if alpha == 1.0:  # scipy's Hann form
+        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:m]
+    width = math.floor(alpha * m / 2.0)
+    head, tail = np.arange(width + 1.0), np.arange(m - width, m + 1.0)
+    rise = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / m)))
+    fall = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * tail / alpha / m)))
+    return np.concatenate((rise, np.ones(m - 2 * width - 1), fall))[:m]
+
+
+def space_time_field(
+    trajectory: list[SystemState], component: str = "u", taper: float = 0.5
+) -> SpaceTimeField:
+    """Window a recorded trajectory in time and transform to (xi, tau).
+
+    Requires uniform time samples.  The tau lattice spans ``2 pi / dt_samp``
+    with spacing ``2 pi / T_w``; dispersion surfaces of retained modes must
+    fit inside it for the modulation weights to be meaningful.
+    """
+    if not 0 < taper <= 1:
+        raise ConfigurationError(f"taper must be in (0, 1], got {taper}")
+    if len(trajectory) < 4:
+        raise ConfigurationError("need at least 4 time samples for a tau transform")
+    times = np.array([s.t for s in trajectory])
+    dt = np.diff(times)
+    if not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-12):
+        raise ConfigurationError("time samples must be uniform")
+    grid = trajectory[0].grid
+    stack = np.stack([getattr(s, component).coeffs for s in trajectory], axis=-1)
+    n_t = stack.shape[-1]
+    window = _tukey(n_t, taper)
+    windowed = stack * window
+    coeffs = np.fft.fft(windowed, axis=-1) * dt[0]
+    tau = 2.0 * math.pi * np.fft.fftfreq(n_t, d=dt[0])
+    return SpaceTimeField(grid, times, coeffs, tau, window, taper)
+
+
+def xsb_norm(
+    stf: SpaceTimeField, s: float, b: float, dispersion: Dispersion = Dispersion.SCHRODINGER
+) -> float:
+    """Weighted space-time norm ``|| <xi>^s <tau - h(xi)>^b u_hat(xi, tau) ||``.
+
+    ``h`` is the dispersion surface: ``-|xi|^2`` for the Schrodinger weight and
+    ``-/+ |xi|`` for the two wave branches (the wave weight uses ``|xi|``, not
+    ``<xi>``; the two are comparable).  With ``s = b = 0`` this is exactly the
+    space-time L2 norm of the windowed samples.
+    """
+    weight = xsb_weight(stf.grid.xi_squared[..., None], stf.tau, s, b, _BRANCH[dispersion])
+    total = np.sum(np.abs(weight * stf.coeffs) ** 2)
+    return math.sqrt(total / (stf.grid.volume * stf.t_span))
 
 
 class TestXsbNorm:

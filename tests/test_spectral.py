@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dispersmooth.errors import ConfigurationError, GridMismatchError, ResourceLimitError
 from dispersmooth.spectral import (
     MAX_MODES,
+    CouplingKernel,
     Grid,
     SpectralField,
     bessel_potential,
@@ -19,6 +20,7 @@ from dispersmooth.spectral import (
     dealias,
     fit_spectral_slope,
     fourier_multiplier,
+    half_spectrum,
     inner_product,
     l2_norm,
     lowpass_projection,
@@ -78,6 +80,32 @@ class TestGrid:
         assert 32**4 <= MAX_MODES < n**dim  # 32^4 stays accepted
         with pytest.raises(ResourceLimitError, match=f"the limit is {MAX_MODES}"):
             Grid(dim, n)
+
+    @pytest.mark.parametrize("dim, n, box_length", [(1, 16, 1.0), (2, 16, 1.5), (3, 8, 0.7), (4, 8, 2.0)])
+    def test_lattice_arrays_equal_dense_meshgrid_oracle(self, dim, n, box_length):
+        grid = Grid(dim, n, box_length)
+        axes = np.meshgrid(*([grid.xi_axis] * dim), indexing="ij")
+        ks = np.meshgrid(*([grid.k_axis] * dim), indexing="ij")
+        xi_sq = sum(a**2 for a in axes)
+        assert np.array_equal(grid.xi_squared, xi_sq)
+        assert np.array_equal(grid.xi_norm, np.sqrt(xi_sq))
+        assert np.array_equal(grid.bracket, np.sqrt(1.0 + xi_sq))
+        assert np.array_equal(grid.dealias_mask, np.logical_and.reduce([np.abs(k) <= n // 3 for k in ks]))
+        assert np.array_equal(grid.nyquist_mask, np.logical_or.reduce([k == -n // 2 for k in ks]))
+
+    def test_grid_builds_no_dense_meshgrid(self):
+        # Broadcast axes: the peak is the kept lattice arrays (three float64
+        # lattices of 8 MiB and two boolean masks of 1 MiB at 32^4) and a
+        # temporary or two, not one float lattice per axis.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            Grid(4, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestTransform:
@@ -323,10 +351,10 @@ class TestDealiasedProduct:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
     def test_grid_mismatch_rejected(self):
-        f = random_sobolev_field(Grid(1, 16), 0.0, seed=0).coeffs
-        g = random_sobolev_field(Grid(1, 32), 0.0, seed=0).coeffs
+        f = Grid(1, 16).box(random_sobolev_field(Grid(1, 16), 0.0, seed=0).coeffs)
+        g = Grid(1, 32).box(random_sobolev_field(Grid(1, 32), 0.0, seed=0).coeffs)
         with pytest.raises(GridMismatchError):
-            coupling_products(Grid(1, 16), f, g)
+            CouplingKernel(Grid(1, 16))(f, half_spectrum(g))
 
     def test_real_part_matches_physical_space(self):
         grid = Grid(2, 16)
