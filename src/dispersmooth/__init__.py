@@ -2,7 +2,7 @@
 
 Subpackages cover: spectral primitives (`spectral`), exact-propagator time
 integration of the transformed Klein-Gordon-Schrodinger and Zakharov systems
-(`evolution`), nonlinear-smoothing diagnostics with discrete space-time norms
+(`evolution`), nonlinear-smoothing diagnostics and the sharpness counterexample
 (`smoothing`), the high-low frequency globalization scheme (`highlow`), the
 damped/forced system with its energy identities (`dissipative`), resonance
 geometry and bilinear-constant studies (`resonance`), and configuration /

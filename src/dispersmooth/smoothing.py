@@ -1,15 +1,10 @@
 """Nonlinear-smoothing diagnostics.
 
 Tools to measure how much smoother the nonlinear part of the flow is than its
-data: Duhamel residuals against the free flow, discrete space-time
-(Bourgain-type) norms on windowed trajectories, the closed-form supremal
+data: Duhamel residuals against the free flow, the closed-form supremal
 smoothing exponents with their admissibility hypotheses, ensemble smoothing
 scans over random rough data, and the frequency-box counterexample that pins
 the half-derivative ceiling for the Schrodinger component.
-
-The time-restricted space-time norm (an infimum over extensions) is not
-computable exactly; a fixed raised-cosine window provides one concrete
-extension, and results are reported as window-dependent surrogates.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +65,6 @@ _COMPONENT_DISPERSION = {
     "wplus": Dispersion.KG_PLUS,
     "wminus": Dispersion.KG_MINUS,
 }
-
-# The wave branch of each dispersion in `xsb_weight`: ``w+`` rides ``tau = -|xi|``.
-_BRANCH = {Dispersion.SCHRODINGER: None, Dispersion.KG_PLUS: -1, Dispersion.KG_MINUS: +1}
 
 
 # ---------------------------------------------------------------------------
@@ -177,84 +169,6 @@ def duhamel_residual(
         free = linear_propagate(data, dispersion, state.t - first.t)
         out.append(getattr(state, component) - free)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Space-time fields and X^{s,b}-type norms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """A field sampled on a uniform time window, with its (xi, tau) transform.
-
-    ``coeffs`` has shape ``grid.shape + (n_t,)``; the last axis is the
-    discrete transform in time of the windowed samples (raised-cosine taper,
-    recorded in ``window``).  Results computed from it are window-dependent.
-    """
-
-    grid: Grid
-    times: np.ndarray = field(compare=False)
-    coeffs: np.ndarray = field(compare=False)
-    tau: np.ndarray = field(compare=False)
-    window: np.ndarray = field(compare=False)
-    taper: float
-
-    @property
-    def t_span(self) -> float:
-        return float(len(self.times) * (self.times[1] - self.times[0]))
-
-
-def _tukey(m: int, alpha: float) -> np.ndarray:
-    """Periodic Tukey window: ``scipy.signal.windows.tukey(m, alpha, sym=False)``, to the bit."""
-    if alpha == 1.0:  # scipy's Hann form
-        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:m]
-    width = math.floor(alpha * m / 2.0)
-    head, tail = np.arange(width + 1.0), np.arange(m - width, m + 1.0)
-    rise = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / m)))
-    fall = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * tail / alpha / m)))
-    return np.concatenate((rise, np.ones(m - 2 * width - 1), fall))[:m]
-
-
-def space_time_field(
-    trajectory: list[SystemState], component: str = "u", taper: float = 0.5
-) -> SpaceTimeField:
-    """Window a recorded trajectory in time and transform to (xi, tau).
-
-    Requires uniform time samples.  The tau lattice spans ``2 pi / dt_samp``
-    with spacing ``2 pi / T_w``; dispersion surfaces of retained modes must
-    fit inside it for the modulation weights to be meaningful.
-    """
-    if not 0 < taper <= 1:
-        raise ConfigurationError(f"taper must be in (0, 1], got {taper}")
-    if len(trajectory) < 4:
-        raise ConfigurationError("need at least 4 time samples for a tau transform")
-    times = np.array([s.t for s in trajectory])
-    dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-12):
-        raise ConfigurationError("time samples must be uniform")
-    grid = trajectory[0].grid
-    stack = np.stack([getattr(s, component).coeffs for s in trajectory], axis=-1)
-    n_t = stack.shape[-1]
-    window = _tukey(n_t, taper)
-    windowed = stack * window
-    coeffs = np.fft.fft(windowed, axis=-1) * dt[0]
-    tau = 2.0 * math.pi * np.fft.fftfreq(n_t, d=dt[0])
-    return SpaceTimeField(grid, times, coeffs, tau, window, taper)
-
-
-def xsb_norm(
-    stf: SpaceTimeField, s: float, b: float, dispersion: Dispersion = Dispersion.SCHRODINGER
-) -> float:
-    """Weighted space-time norm ``|| <xi>^s <tau - h(xi)>^b u_hat(xi, tau) ||``.
-
-    ``h`` is the dispersion surface: ``-|xi|^2`` for the Schrodinger weight and
-    ``-/+ |xi|`` for the two wave branches (the wave weight uses ``|xi|``, not
-    ``<xi>``; the two are comparable).  With ``s = b = 0`` this is exactly the
-    space-time L2 norm of the windowed samples.
-    """
-    weight = xsb_weight(stf.grid.xi_squared[..., None], stf.tau, s, b, _BRANCH[dispersion])
-    total = np.sum(np.abs(weight * stf.coeffs) ** 2)
-    return math.sqrt(total / (stf.grid.volume * stf.t_span))
 
 
 # ---------------------------------------------------------------------------
