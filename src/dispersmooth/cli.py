@@ -13,7 +13,6 @@ DISPERSMOOTH_THREADS caps the worker count for ensemble experiments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -42,7 +41,7 @@ from .evolution import (
     integrate,
     random_system_state,
 )
-from .highlow import HighLowConfig, run_global
+from .highlow import run_global
 from .reporting import ExperimentResult, write_outputs
 from .resonance import bilinear_constant_estimate, resonant_shell_sample
 from .smoothing import (
@@ -112,15 +111,13 @@ def _run_smoothing_scan(config: RunConfig, seed: int) -> ExperimentResult:
         config.system.r,
         alpha_probe=config.smoothing.alpha_probe,
         beta_probe=config.smoothing.beta_probe,
-        b=config.smoothing.b,
     )
     report = smoothing_scan(
         params,
         ensemble_size=config.smoothing.ensemble,
         seed=seed,
         grid=_grid(config),
-        t_end=config.integrator.t_end,
-        dt=config.integrator.dt,
+        integrator=config.integrator,
         amplitude=config.system.amplitude,
         wave_amplitude=config.system.wave_amplitude,
     )
@@ -185,23 +182,8 @@ def _run_highlow(config: RunConfig, seed: int) -> ExperimentResult:
         amplitude=config.system.amplitude,
         wave_amplitude=config.system.wave_amplitude,
     )
-    hl = config.highlow
-    hl_config = HighLowConfig(
-        cutoff=hl.cutoff,
-        s=config.system.s,
-        r=config.system.r,
-        r0=hl.r0,
-        window_constant=hl.window_constant,
-        delta=hl.delta,
-        dt=config.integrator.dt,
-        t_end=config.integrator.t_end,
-        gns_c1=hl.gns_c1,
-        gns_c2=hl.gns_c2,
-        blowup_threshold=config.integrator.blowup_threshold,
-    )
-    if hl.windows is not None:
-        hl_config = dataclasses.replace(hl_config, t_end=hl.windows * hl_config.delta)
-    report = run_global(state.u, state.wplus, hl_config, compare_direct=hl.compare_direct)
+    m = min(config.system.s, config.system.r)
+    report = run_global(state.u, state.wplus, m, config.highlow, config.integrator)
     rows = []
     for i, log in enumerate(report.windows):
         diff = report.diff_vs_direct[i] if report.diff_vs_direct is not None else None
@@ -216,22 +198,23 @@ def _run_highlow(config: RunConfig, seed: int) -> ExperimentResult:
                 diff,
             )
         )
+    threshold = report.threshold
     return ExperimentResult(
         experiment="highlow",
         csv_name="highlow.csv",
         header=["window", "t", "E_low", "mass_low", "w_H1", "z_H1", "diff_vs_direct"],
         rows=rows,
-        manifest_extra={
-            "mass_threshold_quotient_form": report.threshold.quotient_form,
-            "mass_threshold_product_form": report.threshold.product_form,
-            "threshold_note": (
+        manifest_extra={  # the threshold fields are None where it does not apply (d != 4)
+            "mass_threshold_quotient_form": threshold and threshold.quotient_form,
+            "mass_threshold_product_form": threshold and threshold.product_form,
+            "threshold_note": threshold and (
                 "the two printed threshold forms disagree; the quotient form is"
                 " operative here and both are reported"
             ),
             "initial_mass": report.initial_mass,
             "below_threshold": report.below_threshold,
             "warnings": report.warnings,
-            "delta": hl_config.delta,
+            "delta": report.delta,
         },
     )
 

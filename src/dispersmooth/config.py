@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .errors import AdmissibilityError, ConfigurationError
 from .evolution import IntegratorConfig, System
+from .highlow import HighLowConfig
 from .smoothing import smoothing_exponents
 
 EXPERIMENTS = (
@@ -102,22 +103,6 @@ class CounterexampleSection:
 
 
 @dataclass(frozen=True)
-class HighLowSection:
-    cutoff: float = 8.0
-    r0: float = 0.55
-    window_constant: float = 0.1
-    delta: float | None = None
-    windows: int | None = None
-    gns_c1: float | None = None
-    gns_c2: float | None = None
-    compare_direct: bool = False
-
-    def __post_init__(self) -> None:
-        if self.windows is not None:
-            _require_positive(self, "windows")
-
-
-@dataclass(frozen=True)
 class DampingSection:
     gamma: float = 0.5
     delta: float = 0.5
@@ -159,7 +144,7 @@ class RunConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     smoothing: SmoothingSection = field(default_factory=SmoothingSection)
     counterexample: CounterexampleSection = field(default_factory=CounterexampleSection)
-    highlow: HighLowSection = field(default_factory=HighLowSection)
+    highlow: HighLowConfig = field(default_factory=HighLowConfig)
     damping: DampingSection = field(default_factory=DampingSection)
     resonance: ResonanceSection = field(default_factory=ResonanceSection)
     output: OutputSection = field(default_factory=OutputSection)
@@ -177,7 +162,7 @@ _SECTIONS = {
     "integrator": IntegratorConfig,
     "smoothing": SmoothingSection,
     "counterexample": CounterexampleSection,
-    "highlow": HighLowSection,
+    "highlow": HighLowConfig,
     "damping": DampingSection,
     "resonance": ResonanceSection,
     "output": OutputSection,

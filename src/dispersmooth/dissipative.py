@@ -45,7 +45,6 @@ from .evolution import (
     lawson_rk4_run,
     linear_flow,
     propagator_symbol,
-    time_grid,
 )
 from .spectral import (
     CouplingKernel,
@@ -214,8 +213,6 @@ def integrate_damped(
     grid = state.grid
     fields = _carried(state)
     f, g = params.forcing(grid)
-    n_steps, dt = time_grid(config.t_end, config.dt)
-
     kernel = CouplingKernel(grid)
     i_f = 1j * band_limited(f, "f")
     g_half = np.ascontiguousarray(half_spectrum(band_limited(g, "g")))  # a strided one is copied
@@ -229,16 +226,9 @@ def integrate_damped(
         np.add(abs2, g_half, out=dw)
         return out
 
-    recorder = Recorder(
-        ("u", "v", "w"),
-        grid,
-        state.t,
-        dt,
-        n_steps,
-        config.record_every,
-        config.blowup_threshold,
-    )
-    lawson_rk4_run(fields, rhs, damped_flow(grid, params, dt / 2), dt, n_steps, recorder)
+    recorder = Recorder(("u", "v", "w"), grid, state.t, config)
+    half_step = damped_flow(grid, params, recorder.dt / 2)
+    lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
     full = lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)  # noqa: E731
     return recorder.trajectory(state, full)
 

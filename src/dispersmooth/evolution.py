@@ -326,32 +326,35 @@ class Trajectory(list):
 
 @dataclass
 class Recorder:
-    """Observer for `lawson_rk4_run`: the blow-up guard and the recorder.
+    """Observer for `lawson_rk4_run`: the blow-up guard and the recorder of one run.
 
-    After each step it takes every field's L2 norm (Parseval) and raises
-    `BlowUpError`, naming them all, once one is non-finite or above
-    ``threshold``.  It keeps ``(step, t, fields)`` every ``record_every``
-    steps and at the last step.  Fields are box arrays (`Grid.box`), or box
-    half spectra of real fields, whose norm counts the columns ``1 .. c``
-    twice; records are full spectra (`from_box`), read-only.  A norm is an
-    `numpy.einsum` over the float pairs: no temporaries, and no BLAS threads.
+    The run covers ``config.t_end`` from ``t0`` in the ``n_steps`` steps of
+    length ``dt`` of `time_grid`.  After each step the recorder takes every
+    field's L2 norm (Parseval) and raises `BlowUpError`, naming them all,
+    once one is non-finite or above ``config.blowup_threshold``.  It keeps
+    ``(step, t, fields)`` every ``config.record_every`` steps and at the last
+    step.  Fields are box arrays (`Grid.box`), or box half spectra of real
+    fields, whose norm counts the columns ``1 .. c`` twice; records are full
+    spectra (`from_box`), read-only.  A norm is an `numpy.einsum` over the
+    float pairs: no temporaries, and no BLAS threads.
     """
 
     names: tuple[str, ...]
     grid: Grid
     t0: float
-    dt: float
-    n_steps: int
-    record_every: int
-    threshold: float
+    config: IntegratorConfig
     records: list[tuple[int, float, Fields]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.n_steps, self.dt = time_grid(self.config.t_end, self.config.dt)
 
     def __call__(self, step: int, fields: Fields) -> None:
         t = self.t0 + step * self.dt
         norms = {f"{name}_L2": self._norm(a) for name, a in zip(self.names, fields)}
-        if any(not math.isfinite(v) or v > self.threshold for v in norms.values()):
-            raise BlowUpError(t, norms, self.threshold)
-        if step % self.record_every == 0 or step == self.n_steps:
+        threshold = self.config.blowup_threshold
+        if any(not math.isfinite(v) or v > threshold for v in norms.values()):
+            raise BlowUpError(t, norms, threshold)
+        if step % self.config.record_every == 0 or step == self.n_steps:
             fields = tuple(from_box(a, self.grid) for a in fields)
             for a in fields:  # a read-only record becomes a field without a copy
                 a.flags.writeable = False
@@ -382,25 +385,15 @@ def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     A field that is not band-limited is rejected (`band_limited`).
     """
     grid = state.grid
-    n_steps, dt = time_grid(config.t_end, config.dt)
-
     kernel = CouplingKernel(grid)
 
     def rhs(fields: Fields, out: Fields) -> Fields:
         return nonlinear_rhs(state.system, grid, fields, kernel, out)
 
-    recorder = Recorder(
-        ("u", "wplus"),
-        grid,
-        state.t,
-        dt,
-        n_steps,
-        config.record_every,
-        config.blowup_threshold,
-    )
+    recorder = Recorder(("u", "wplus"), grid, state.t, config)
     fields = (band_limited(state.u, "u"), band_limited(state.wplus, "wplus"))
-    half_step = free_flow(grid, SYSTEM_DISPERSIONS, dt / 2)
-    lawson_rk4_run(fields, rhs, half_step, dt, n_steps, recorder)
+    half_step = free_flow(grid, SYSTEM_DISPERSIONS, recorder.dt / 2)
+    lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
 
     def wrap(t: float, fields: Fields) -> SystemState:
         u, wplus = (SpectralField(grid, f) for f in fields)

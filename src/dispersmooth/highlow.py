@@ -31,7 +31,7 @@ Gaussian quotients as lower brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,43 +64,37 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class HighLowConfig:
-    """Scheme parameters.
+    """Scheme parameters; also the ``[highlow]`` configuration section.
 
-    ``s, r`` are the data regularities (the d=4 global theory wants both
-    above 9/10); ``r0`` is the auxiliary low regularity of the step rule,
-    default 0.55 ("1/2 plus"); ``delta`` defaults to the step rule; ``dt`` is
-    the inner integrator step, shortened to divide the window exactly.
+    ``cutoff`` is the split frequency N.  The window length is ``delta``,
+    else the step rule with its constant ``window_constant`` and auxiliary
+    low regularity ``r0``, default 0.55 ("1/2 plus"); the window count is
+    ``windows``, else as many as cover ``[integrator] t_end`` (see
+    `run_global`).  ``gns_c1, gns_c2`` override the Gaussian brackets of
+    the Gagliardo-Nirenberg constants, and ``compare_direct`` runs the
+    unsplit system alongside.
     """
 
-    cutoff: float
-    s: float
-    r: float
+    cutoff: float = 8.0
     r0: float = 0.55
     window_constant: float = 0.1
     delta: float | None = None
-    dt: float = 1e-3
-    t_end: float = 1.0
+    windows: int | None = None
     gns_c1: float | None = None
     gns_c2: float | None = None
-    blowup_threshold: float = 1e12
+    compare_direct: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
-            raise ConfigurationError(f"cutoff must be finite and positive, got {self.cutoff}")
-        if self.delta is None:
-            object.__setattr__(
-                self,
-                "delta",
-                step_rule(self.cutoff, self.m, self.r0, self.window_constant),
+        for key in ("cutoff", "r0", "window_constant", "delta", "gns_c1", "gns_c2"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
+        if self.delta is None and self.cutoff < 1:
+            raise ConfigurationError(
+                f"cutoff must be >= 1 for the step rule (no delta is set), got {self.cutoff}"
             )
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ConfigurationError(f"delta must be finite and positive, got {self.delta}")
-        if not self.blowup_threshold > 0:
-            raise ConfigurationError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
-
-    @property
-    def m(self) -> float:
-        return min(self.s, self.r)
+        if self.windows is not None and self.windows < 1:
+            raise ConfigurationError(f"windows must be >= 1, got {self.windows}")
 
     def constants(self) -> tuple[float, float]:
         """``(C1, C2)``: the configured values, else the Gaussian brackets."""
@@ -157,12 +151,9 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 # Coupled window evolution
 # ---------------------------------------------------------------------------
 
-def _integrate_window(
-    state: HighLowState, config: HighLowConfig
-) -> tuple[np.ndarray, ...]:
-    """Evolve the coupled four-field system over one window of length delta (on the box)."""
+def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np.ndarray, ...]:
+    """Evolve the coupled four-field system over ``window.t_end`` (on the box); full spectra."""
     grid = state.grid
-    n_inner, dt = time_grid(config.delta, config.dt)
     names = ("phi", "psi_plus", "mu", "lam_plus")
     start = tuple(band_limited(getattr(state, name), name) for name in names)
     kernel = CouplingKernel(grid)
@@ -189,10 +180,10 @@ def _integrate_window(
             high -= part
         return out
 
-    guard = Recorder(names, grid, state.t, dt, n_inner, n_inner, config.blowup_threshold)
-    half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, dt / 2)
-    evolved = lawson_rk4_run(start, rhs, half_step, dt, n_inner, guard)
-    return tuple(from_box(a, grid) for a in evolved)
+    guard = Recorder(names, grid, state.t, replace(window, record_every=10**9))  # the last step
+    half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, guard.dt / 2)
+    lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
+    return guard.records[-1][2]
 
 
 @dataclass(frozen=True)
@@ -207,10 +198,9 @@ class WindowLog:
 
 
 def _reassemble(
-    state: HighLowState, config: HighLowConfig, evolved: tuple[np.ndarray, ...]
+    state: HighLowState, delta: float, evolved: tuple[np.ndarray, ...]
 ) -> tuple[HighLowState, WindowLog]:
     grid = state.grid
-    delta = config.delta
     phi_d, psi_d, mu_d, lam_d = (SpectralField(grid, f) for f in evolved)
     high = (grid.box(state.mu.coeffs), grid.box(state.lam_plus.coeffs))
     free = free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
@@ -238,14 +228,14 @@ def _reassemble(
     return new_state, log
 
 
-def advance_window(state: HighLowState, config: HighLowConfig) -> HighLowState:
-    """One window: coupled evolution over delta, then reassembly.
+def advance_window(state: HighLowState, window: IntegratorConfig) -> tuple[HighLowState, WindowLog]:
+    """One window of length ``delta = window.t_end``: coupled evolution on the
+    steps of ``window``, then reassembly, with the window's diagnostics.
 
     The identity ``phi_1 + mu_1 = phi(delta) + mu(delta)`` holds exactly
     (the free flow added to the low slot is subtracted from the high slot).
     """
-    new_state, _ = _reassemble(state, config, _integrate_window(state, config))
-    return new_state
+    return _reassemble(state, window.t_end, _integrate_window(state, window))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +310,10 @@ def mass_threshold(c1: float, c2: float) -> MassThreshold:
 @dataclass(frozen=True)
 class HighLowReport:
     config: HighLowConfig
-    threshold: MassThreshold
+    delta: float
+    threshold: MassThreshold | None  # None: not applicable (d != 4)
     initial_mass: float
-    below_threshold: bool
+    below_threshold: bool | None
     windows: list[WindowLog]
     final_state: HighLowState
     diff_vs_direct: list[float] | None
@@ -332,26 +323,41 @@ class HighLowReport:
 def run_global(
     u0: SpectralField,
     wplus: SpectralField,
+    m: float,
     config: HighLowConfig,
-    compare_direct: bool = False,
+    integrator: IntegratorConfig,
 ) -> HighLowReport:
-    """Iterate `advance_window` to the horizon, logging per-window diagnostics.
+    """Iterate `advance_window`, logging per-window diagnostics.
 
-    The mass threshold is advisory: a run above it proceeds with a warning.
-    With ``compare_direct`` the unsplit system is integrated alongside at the
-    same inner steps and the relative L2 difference of the totals is logged
+    The window length is ``config.delta``, else `step_rule` at the data
+    regularity ``m = min(s, r)``; the window count is ``config.windows``,
+    else as many as cover ``integrator.t_end`` (windows keep their length,
+    so the last one may end past it).  Every window runs on the steps of
+    ``integrator`` over ``delta`` (`time_grid`) under its blow-up guard.
+    With ``config.compare_direct`` the unsplit system is integrated alongside
+    on the same steps and the relative L2 difference of the totals is logged
     per window (they agree to roundoff; the telescoping identity is exact).
+
+    The mass threshold comes from the 4-d Gagliardo-Nirenberg constants.  In
+    d = 4 it is advisory: a run above it proceeds with a warning.  In any
+    other dimension it does not apply: the report gives None and a warning.
     """
-    state = split_initial(u0, wplus, config.cutoff)
-    c1, c2 = config.constants()
-    threshold = mass_threshold(c1, c2)
-    mass0 = l2_norm(u0)
+    delta = config.delta
+    if delta is None:
+        delta = step_rule(config.cutoff, m, config.r0, config.window_constant)
+    window = replace(integrator, t_end=delta, record_every=10**9)
+    n_windows = config.windows or time_grid(integrator.t_end, delta)[0]
+    mass0, dim = l2_norm(u0), u0.grid.dim
+    threshold = mass_threshold(*config.constants()) if dim == 4 else None
     warnings = []
-    if u0.grid.dim == 4 and config.m <= 0.9:
+    if threshold is None:
         warnings.append(
-            f"d=4 global theory wants s, r > 9/10; got m = {config.m}"
+            f"the mass threshold is built from the 4-d Gagliardo-Nirenberg constants;"
+            f" it does not apply in d = {dim} and is not reported"
         )
-    if mass0 >= threshold.operative:
+    elif m <= 0.9:
+        warnings.append(f"d=4 global theory wants s, r > 9/10; got m = {m}")
+    if threshold is not None and mass0 >= threshold.operative:
         warnings.append(
             f"initial mass {mass0:.6g} is not below the operative threshold "
             f"{threshold.operative:.6g} (quotient form); the product form is "
@@ -359,40 +365,27 @@ def run_global(
             "and are both reported"
         )
 
-    # Windows keep their length delta; the last one may end past t_end.
-    n_windows, _ = time_grid(config.t_end, config.delta)
-    direct_state = SystemState(System.KGS, u0, wplus) if compare_direct else None
-    diffs: list[float] | None = [] if compare_direct else None
-
+    state = split_initial(u0, wplus, config.cutoff)
+    direct = SystemState(System.KGS, u0, wplus)
+    diffs: list[float] | None = [] if config.compare_direct else None
     logs: list[WindowLog] = []
     for _ in range(n_windows):
-        evolved = _integrate_window(state, config)
-        state, log = _reassemble(state, config, evolved)
+        state, log = advance_window(state, window)
         logs.append(log)
-        if compare_direct and direct_state is not None:
-            direct_state = _direct_window(direct_state, config)
-            direct = (direct_state.u, direct_state.wplus)
-            num = sum(l2_norm(t - d) for t, d in zip(state.total(), direct))
-            den = sum(l2_norm(d) for d in direct)
+        if diffs is not None:
+            direct = integrate(direct, window)[-1]
+            totals = zip(state.total(), (direct.u, direct.wplus))
+            num = sum(l2_norm(t - d) for t, d in totals)
+            den = l2_norm(direct.u) + l2_norm(direct.wplus)
             diffs.append(num / den if den > 0 else 0.0)
     return HighLowReport(
         config=config,
+        delta=delta,
         threshold=threshold,
         initial_mass=mass0,
-        below_threshold=mass0 < threshold.operative,
+        below_threshold=None if threshold is None else mass0 < threshold.operative,
         windows=logs,
         final_state=state,
         diff_vs_direct=diffs,
         warnings=warnings,
     )
-
-
-def _direct_window(state: SystemState, config: HighLowConfig) -> SystemState:
-    """Advance the unsplit system by one window on the window's own time grid."""
-    window = IntegratorConfig(
-        dt=config.dt,
-        t_end=config.delta,
-        record_every=10**9,
-        blowup_threshold=config.blowup_threshold,
-    )
-    return integrate(state, window)[-1]

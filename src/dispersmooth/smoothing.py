@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class SmoothingParams:
     r: float
     alpha_probe: float
     beta_probe: float
-    b: float = 0.55
 
     def __post_init__(self) -> None:
         alpha_max, beta_max = smoothing_exponents(self.system, self.d, self.s, self.r)
@@ -198,8 +197,7 @@ def _scan_member(
     params: SmoothingParams,
     grid: Grid,
     member_seed: int,
-    t_end: float,
-    dt: float,
+    integrator: IntegratorConfig,
     amplitude: float,
     wave_amplitude: float,
 ) -> list[ScanRow]:
@@ -225,7 +223,7 @@ def _scan_member(
         (amplitude / u_norm) * state.u,
         (wave_amplitude / w_norm) * state.wplus,
     )
-    traj = integrate(state, IntegratorConfig(dt=dt, t_end=t_end, record_every=10**9))
+    traj = integrate(state, replace(integrator, record_every=10**9))
     data_size = amplitude + wave_amplitude  # ||u0||_{H^s} + ||w0||_{H^r}
 
     n = grid.n_per_dim
@@ -265,14 +263,14 @@ def smoothing_scan(
     ensemble_size: int,
     seed: int,
     grid: Grid | None = None,
-    t_end: float = 0.5,
-    dt: float = 2e-3,
+    integrator: IntegratorConfig = IntegratorConfig(dt=2e-3, t_end=0.5),
     amplitude: float = 1.0,
     wave_amplitude: float | None = None,
 ) -> SmoothingScanReport:
     """Measure the smoothing gain on an ensemble of random unit-norm data.
 
-    For each member: integrate to ``t_end``, form the Duhamel residuals of the
+    For each member: integrate over ``integrator.t_end`` on the steps and
+    under the blow-up guard of ``integrator``, form the Duhamel residuals of the
     Schrodinger and wave components, and report (a) the residual Sobolev norm
     at the probe regularity normalized by the squared data size, and (b) the
     slope gain: spectral decay exponent of the residual minus that of the
@@ -287,7 +285,7 @@ def smoothing_scan(
         wave_amplitude = amplitude
     member_seeds = [seed + i for i in range(ensemble_size)]
 
-    jobs = [(params, grid, m, t_end, dt, amplitude, wave_amplitude) for m in member_seeds]
+    jobs = [(params, grid, m, integrator, amplitude, wave_amplitude) for m in member_seeds]
     workers = min(worker_count(), ensemble_size)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -448,11 +448,6 @@ class CouplingKernel:
         """Box half spectrum of ``Re f`` (`half_real_part`) in a kernel buffer, fit to be a wave."""
         return half_real_part(coeffs, out=self._real_half, scratch=self._half)
 
-    def abs2(self, u: np.ndarray) -> np.ndarray:
-        """Box half spectrum of ``|u|^2`` alone (a kernel buffer)."""
-        self._inverse(u)
-        return self._abs2_of_u()
-
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """Samples of box ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
         for axis in reversed(range(self.grid.dim)):
@@ -496,10 +491,18 @@ def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
 
 
 def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
-    """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term."""
+    """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term.
+
+    ``|u|^2`` is formed from numpy's n-d transforms of the whole lattice with
+    the arithmetic of `CouplingKernel`, so in the dealias band it is the
+    kernel's bit for bit; it needs no kernel buffers and takes any ``u``.
+    """
     _check_same_grid(u, v)
-    abs2 = CouplingKernel(u.grid).abs2(band_limited(u, "u"))
-    return inner_product(SpectralField(u.grid, from_box(abs2, u.grid)), v).real
+    grid = u.grid
+    samples = np.fft.ifftn(u.coeffs)
+    scale = np.asarray(half_spectrum(grid.dealias_mask) / grid.dx**grid.dim, dtype=complex)
+    abs2 = np.fft.rfftn(samples.real * samples.real + samples.imag * samples.imag) * scale
+    return inner_product(SpectralField(grid, full_spectrum(abs2)), v).real
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ def test_criterion_2_smoothing_exponent_formulas():
 def test_criterion_3_empirical_smoothing():
     params = SmoothingParams(System.KGS, 2, 0.0, 0.0, alpha_probe=0.4, beta_probe=1.2)
     grid = Grid(2, 128)
-    scan = smoothing_scan(params, ensemble_size=8, seed=2024, grid=grid, t_end=0.5, dt=2e-3)
+    integrator = IntegratorConfig(dt=2e-3, t_end=0.5)
+    scan = smoothing_scan(params, ensemble_size=8, seed=2024, grid=grid, integrator=integrator)
     u_gain = scan.gain_mean["u"]
     w_gain = scan.gain_mean["wplus"]
     ok_u = u_gain >= 0.35
@@ -106,7 +107,7 @@ def test_criterion_3_empirical_smoothing():
     norms = {}
     for amplitude in (1e-2, 1e-3):
         rep = smoothing_scan(
-            params, ensemble_size=1, seed=2024, grid=grid, t_end=0.5, dt=2e-3, amplitude=amplitude
+            params, ensemble_size=1, seed=2024, grid=grid, integrator=integrator, amplitude=amplitude
         )
         norms[amplitude] = {
             row.component: row.residual_norm for row in rep.rows
@@ -316,12 +317,10 @@ def test_criterion_7_highlow_oracle_equivalence():
 
     # Reassembled totals vs direct solve over 10 windows, N in {8, 16}.
     state = random_system_state(System.KGS, grid, 0.95, 0.95, seed=301, amplitude=0.5)
+    integrator = IntegratorConfig(dt=2e-3)
     for cutoff in (8.0, 16.0):
-        delta = step_rule(cutoff, 0.95, 0.55)
-        config = HighLowConfig(
-            cutoff=cutoff, s=0.95, r=0.95, dt=2e-3, t_end=10 * delta
-        )
-        rep = run_global(state.u, state.wplus, config, compare_direct=True)
+        config = HighLowConfig(cutoff=cutoff, windows=10, compare_direct=True)
+        rep = run_global(state.u, state.wplus, 0.95, config, integrator)
         worst = max(rep.diff_vs_direct)
         ok = len(rep.windows) == 10 and worst < 1e-6
         checks.append(ok)
@@ -330,10 +329,10 @@ def test_criterion_7_highlow_oracle_equivalence():
     # Telescoping identity at one window, exact to 1e-12.
     from dispersmooth.highlow import _integrate_window, _reassemble
 
-    config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
+    delta = step_rule(8.0, 0.95, 0.55)
     split = split_initial(state.u, state.wplus, 8.0)
-    evolved = _integrate_window(split, config)
-    reassembled, _ = _reassemble(split, config, evolved)
+    evolved = _integrate_window(split, IntegratorConfig(dt=2e-3, t_end=delta))
+    reassembled, _ = _reassemble(split, delta, evolved)
     total = reassembled.total()
     scale = max(1.0, float(np.max(np.abs(evolved[0]))))
     tele = max(
@@ -362,9 +361,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     # Per-window nonlinear increments decrease monotonically in N.
     increments = {}
     for cutoff in (8.0, 16.0, 32.0):
-        config = HighLowConfig(cutoff=cutoff, s=0.95, r=0.95, dt=2e-3)
-        config = HighLowConfig(cutoff=cutoff, s=0.95, r=0.95, dt=2e-3, t_end=config.delta)
-        rep = run_global(state.u, state.wplus, config)
+        rep = run_global(state.u, state.wplus, 0.95, HighLowConfig(cutoff=cutoff, windows=1), integrator)
         log = rep.windows[0]
         increments[cutoff] = (log.increment_u_h1, log.increment_wave_h1)
     ok_mono = all(
@@ -381,9 +378,8 @@ def test_criterion_7_highlow_oracle_equivalence():
     # d=4 smoke run below the mass threshold.
     grid4 = Grid(4, 16)
     state4 = random_system_state(System.KGS, grid4, 0.95, 0.95, seed=500, amplitude=0.3)
-    config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3)
-    config4 = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=5e-3, t_end=2 * config4.delta)
-    rep4 = run_global(state4.u, state4.wplus, config4)
+    config4 = HighLowConfig(cutoff=4.0, windows=2)
+    rep4 = run_global(state4.u, state4.wplus, 0.95, config4, IntegratorConfig(dt=5e-3))
     ok4 = rep4.below_threshold and len(rep4.windows) == 2 and all(
         math.isfinite(w.energy_low) for w in rep4.windows
     )

@@ -75,6 +75,25 @@ windows = 2
 compare_direct = true
 """
 
+SCAN_SMALL = """
+[grid]
+n_per_dim = 32
+
+[system]
+kind = kgs
+s = 0.0
+r = 0.0
+
+[integrator]
+dt = 5e-3
+t_end = 0.1
+
+[smoothing]
+alpha_probe = 0.4
+beta_probe = 1.2
+ensemble = 2
+"""
+
 ATTRACTOR_SMALL = """
 [grid]
 n_per_dim = 16
@@ -165,11 +184,15 @@ class TestExitCodes:
         assert main(["smoothing-scan", "--config", config, "--quiet"]) == 2
         assert "s > -1/4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", ["simulate", "highlow"])
-    def test_blowup_is_3(self, tmp_path, capsys, experiment):
-        small = {"simulate": SIMULATE_SMALL, "highlow": HIGHLOW_SMALL}[experiment]
+    @pytest.mark.parametrize(
+        "experiment, threshold",
+        [("simulate", "1e-9"), ("highlow", "1e-9"), ("smoothing-scan", "1e-30")],
+    )
+    def test_blowup_is_3(self, tmp_path, capsys, experiment, threshold):
+        small = {"simulate": SIMULATE_SMALL, "highlow": HIGHLOW_SMALL, "smoothing-scan": SCAN_SMALL}
         config = write_config(
-            tmp_path, small.replace("[integrator]", "[integrator]\nblowup_threshold = 1e-9")
+            tmp_path,
+            small[experiment].replace("[integrator]", f"[integrator]\nblowup_threshold = {threshold}"),
         )
         assert main([experiment, "--config", config, "--quiet"]) == 3
         assert "numerical abort" in capsys.readouterr().err
@@ -343,6 +366,12 @@ class TestExitCodes:
         assert f"cutoff must be finite and positive, got {float(bad)}" in err
         assert "delta" not in err
 
+    def test_highlow_cutoff_below_one_without_delta_is_2_and_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, HIGHLOW_SMALL.replace("cutoff = 4", "cutoff = 0.5"))
+        assert main(["highlow", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "section [highlow]: cutoff must be >= 1 for the step rule (no delta is set), got 0.5" in err
+
     @pytest.mark.parametrize(
         "line, bad, key",
         [
@@ -453,38 +482,28 @@ count = 50
         assert lines[0] == "xi2_1,xi2_2,A"
         assert len(lines) == 51
 
-    def test_highlow_smoke(self, tmp_path):
-        config = write_config(tmp_path, HIGHLOW_SMALL)
+    @pytest.mark.parametrize("dimension", [2, 4])
+    def test_highlow_smoke(self, tmp_path, dimension):
+        grid = f"[grid]\ndimension = {dimension}\nn_per_dim = {16 if dimension == 2 else 8}"
+        config = write_config(tmp_path, HIGHLOW_SMALL.replace("[grid]\nn_per_dim = 16", grid))
         out = tmp_path / "out"
         assert main(["highlow", "--config", config, "--out", str(out), "--quiet"]) == 0
         lines = (out / "highlow.csv").read_text().splitlines()
         assert lines[0] == "window,t,E_low,mass_low,w_H1,z_H1,diff_vs_direct"
         assert len(lines) == 3
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "mass_threshold_quotient_form" in manifest["results"]
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert "mass_threshold_quotient_form" in results
+        fields = ("mass_threshold_quotient_form", "mass_threshold_product_form",
+                  "threshold_note", "below_threshold")
+        if dimension == 4:  # the threshold's own dimension
+            assert all(results[key] is not None for key in fields)
+            assert results["below_threshold"] is True
+        else:  # not applicable: null, with a warning
+            assert all(results[key] is None for key in fields)
+            assert any("does not apply in d = 2" in w for w in results["warnings"])
 
     def test_smoothing_scan_small(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[grid]
-n_per_dim = 32
-
-[system]
-kind = kgs
-s = 0.0
-r = 0.0
-
-[integrator]
-dt = 5e-3
-t_end = 0.1
-
-[smoothing]
-alpha_probe = 0.4
-beta_probe = 1.2
-ensemble = 2
-""",
-        )
+        config = write_config(tmp_path, SCAN_SMALL)
         out = tmp_path / "out"
         assert main(["smoothing-scan", "--config", config, "--out", str(out), "--quiet"]) == 0
         lines = (out / "scan.csv").read_text().splitlines()

@@ -399,7 +399,7 @@ class TestHalfSpectrumRun:
         # reports the norms of the full fields.
         grid = Grid(2, 16)
         state = damped_state(grid, seed=24)
-        recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e-300)
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1, blowup_threshold=1e-300))
         carried = carried_on_box(state)
         with pytest.raises(BlowUpError) as info:
             recorder(1, carried)
@@ -410,7 +410,7 @@ class TestHalfSpectrumRun:
     def test_records_are_full_and_read_only(self):
         grid = Grid(2, 16)
         state = damped_state(grid, seed=25)
-        recorder = Recorder(("u", "v", "w"), grid, 0.0, 0.1, 1, 1, 1e12)
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1))
         recorder(1, carried_on_box(state))
         (_, _, fields), = recorder.records
         for a, field in zip(fields, (state.u, state.v, state.w)):

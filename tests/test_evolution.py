@@ -190,8 +190,7 @@ def run_kind(kind, grid, seed, steps, record_every=1):
         damped = DampedState(state.u, wave_field(state), wave_field(state))
         integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
     elif kind == "window":
-        window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=steps * 1e-2)
-        advance_window(split_initial(state.u, state.wplus, 4.0), window)
+        advance_window(split_initial(state.u, state.wplus, 4.0), config)
     else:
         integrate(state, config)
 
@@ -622,20 +621,10 @@ class TestIntegrate:
             fields = {"u": damped.u, "v": damped.v, "w": damped.w}
             run = lambda: integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), guard)
         else:
-            config = HighLowConfig(
-                cutoff=4,
-                s=0.95,
-                r=0.95,
-                delta=0.1,
-                dt=1e-2,
-                t_end=0.1,
-                gns_c1=1.0,
-                gns_c2=1.0,
-                blowup_threshold=1e-9,
-            )
+            config = HighLowConfig(cutoff=4, delta=0.1, gns_c1=1.0, gns_c2=1.0)
             split = split_initial(state.u, state.wplus, config.cutoff)
             fields = {name: getattr(split, name) for name in ("phi", "psi_plus", "mu", "lam_plus")}
-            run = lambda: run_global(state.u, state.wplus, config)
+            run = lambda: run_global(state.u, state.wplus, 0.95, config, guard)
         with pytest.raises(BlowUpError) as err:
             run()
         assert err.value.t == pytest.approx(1e-2)
@@ -675,6 +664,11 @@ class TestIntegrate:
     def test_time_grid_ends_at_t_end(self, t_end, dt, n_steps, dt_eff):
         assert time_grid(t_end, dt) == (n_steps, pytest.approx(dt_eff, rel=1e-12))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+    def test_bad_blowup_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigurationError, match="blowup_threshold"):
+            IntegratorConfig(blowup_threshold=threshold)
+
 
 def out_of_box(grid: Grid, scale: float):
     """A real field of L2 norm ``scale`` on the mode pair ``k = (c + 1, 0), -k``, just outside the box."""
@@ -707,8 +701,7 @@ class TestBandLimitedInput:
         else:
             split = split_initial(state.u, state.wplus, 4.0)
             split = dataclasses.replace(split, **{name: getattr(split, name) + bump})
-            window = HighLowConfig(cutoff=4.0, s=0.95, r=0.95, dt=1e-2, delta=0.02)
-            run = lambda: advance_window(split, window)
+            run = lambda: advance_window(split, config)
         with pytest.raises(ConfigurationError, match=f"^{name} is not band-limited"):
             run()
 

@@ -42,6 +42,11 @@ def highlow_data(grid, seed, s=0.95, r=0.95, amplitude=0.5):
     return state.u, state.wplus
 
 
+def window(cutoff, dt, m=0.95):
+    """The `IntegratorConfig` of one step-rule window at data regularity ``m``."""
+    return IntegratorConfig(dt=dt, t_end=step_rule(cutoff, m, 0.55))
+
+
 class TestSplitInitial:
     def test_exact_reconstruction(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=30)
@@ -101,18 +106,18 @@ class TestAdvanceWindow:
         u0, wplus = highlow_data(grid_2d, seed=44)
         u0 = lowpass_projection(u0, 6.0)
         wplus = lowpass_projection(wplus, 6.0)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=1e-3)
+        config = window(8.0, dt=1e-3)
         state = split_initial(u0, wplus, 8.0)
         assert l2_norm(state.mu) == 0.0
-        out = advance_window(state, config)
+        out, _ = advance_window(state, config)
         assert l2_norm(out.mu) == 0.0
         assert l2_norm(out.lam_plus) == 0.0
         # The low pair evolved alone must match the direct solve of the same data.
         direct = integrate(
             SystemState(System.KGS, u0, wplus),
             IntegratorConfig(
-                dt=config.delta / math.ceil(config.delta / config.dt),
-                t_end=config.delta,
+                dt=config.t_end / math.ceil(config.t_end / config.dt),
+                t_end=config.t_end,
                 record_every=10**9,
             ),
         )[-1]
@@ -121,12 +126,12 @@ class TestAdvanceWindow:
 
     def test_telescoping_identity_exact(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=45)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
+        config = window(8.0, dt=2e-3)
         state = split_initial(u0, wplus, 8.0)
         from dispersmooth.highlow import _integrate_window, _reassemble
 
         evolved = _integrate_window(state, config)
-        new_state, _ = _reassemble(state, config, evolved)
+        new_state, _ = _reassemble(state, config.t_end, evolved)
         total_after = new_state.total()
         phi_d, psi_d, mu_d, lam_d = evolved
         scale = max(1.0, np.max(np.abs(phi_d)))
@@ -135,14 +140,14 @@ class TestAdvanceWindow:
 
     def test_one_window_matches_direct_solver(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=46)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
+        config = window(8.0, dt=2e-3)
         state = split_initial(u0, wplus, 8.0)
-        out = advance_window(state, config)
-        n_inner = math.ceil(config.delta / config.dt)
+        out, _ = advance_window(state, config)
+        n_inner = math.ceil(config.t_end / config.dt)
         direct = integrate(
             SystemState(System.KGS, u0, wplus),
             IntegratorConfig(
-                dt=config.delta / n_inner, t_end=config.delta, record_every=10**9
+                dt=config.t_end / n_inner, t_end=config.t_end, record_every=10**9
             ),
         )[-1]
         total_u, total_p = out.total()
@@ -203,43 +208,94 @@ class TestMassThreshold:
             mass_threshold(0.0, 1.0)
 
 
-class TestRunGlobal:
-    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
-    def test_bad_blowup_threshold_rejected(self, threshold):
-        with pytest.raises(ConfigurationError, match="blowup_threshold"):
-            HighLowConfig(cutoff=4, s=0.95, r=0.95, blowup_threshold=threshold)
+class TestHighLowConfig:
+    def test_defaults_are_the_section_defaults(self):
+        config = HighLowConfig()
+        assert (config.cutoff, config.r0, config.window_constant) == (8.0, 0.55, 0.1)
+        assert (config.delta, config.windows, config.gns_c1, config.gns_c2) == (None,) * 4
+        assert config.compare_direct is False
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cutoff", 0.0), ("r0", 0.0), ("window_constant", float("nan")), ("delta", -1.0),
+         ("gns_c1", 0.0), ("gns_c2", float("inf")), ("windows", 0)],
+    )
+    def test_bad_value_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            HighLowConfig(**{key: value})
+
+    def test_cutoff_below_one_needs_a_delta(self):
+        with pytest.raises(ConfigurationError, match="^cutoff must be >= 1 for the step rule"):
+            HighLowConfig(cutoff=0.5)
+        assert HighLowConfig(cutoff=0.5, delta=0.1).cutoff == 0.5
+
+
+class TestRunGlobal:
     def test_horizon_shorter_than_window_is_single_window(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=50)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=1e-4)
-        report = run_global(u0, wplus, config)
+        integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
+        report = run_global(u0, wplus, 0.95, HighLowConfig(cutoff=8.0), integrator)
         assert len(report.windows) == 1
-        single = advance_window(split_initial(u0, wplus, 8.0), config)
+        single, log = advance_window(split_initial(u0, wplus, 8.0), window(8.0, dt=2e-3))
         assert l2_norm(report.final_state.phi - single.phi) == 0.0
+        assert report.windows == [log]
+
+    @pytest.mark.parametrize("t_end", [1e-4, 1.0, 50.0])
+    def test_windows_key_sets_the_count_whatever_t_end(self, grid_2d_small, t_end):
+        u0, wplus = highlow_data(grid_2d_small, seed=54)
+        config = HighLowConfig(cutoff=4.0, delta=0.01, windows=3)
+        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=5e-3, t_end=t_end))
+        assert len(report.windows) == 3
+        assert report.final_state.t == pytest.approx(0.03, rel=1e-12)
+
+    def test_delta_defaults_to_the_step_rule_at_m(self, grid_2d_small):
+        u0, wplus = highlow_data(grid_2d_small, seed=55)
+        config = HighLowConfig(cutoff=4.0, windows=1)
+        report = run_global(u0, wplus, 0.9, config, IntegratorConfig(dt=5e-3))
+        assert report.delta == step_rule(4.0, 0.9, 0.55, 0.1)
+        assert report.windows[0].t_end == report.delta
 
     def test_band_limited_data_keeps_high_part_empty(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=51)
         u0 = lowpass_projection(u0, 4.0)
         wplus = lowpass_projection(wplus, 4.0)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=0.05)
-        report = run_global(u0, wplus, config, compare_direct=True)
+        config = HighLowConfig(cutoff=8.0, compare_direct=True)
+        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=2e-3, t_end=0.05))
         assert l2_norm(report.final_state.mu) == 0.0
         assert all(d < 1e-10 for d in report.diff_vs_direct)
 
     def test_oracle_equivalence_over_windows(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=52)
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3)
-        config = HighLowConfig(
-            cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=3 * config.delta
-        )
-        report = run_global(u0, wplus, config, compare_direct=True)
+        config = HighLowConfig(cutoff=8.0, windows=3, compare_direct=True)
+        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=2e-3))
         assert len(report.windows) == 3
         assert all(d < 1e-6 for d in report.diff_vs_direct)
 
-    def test_threshold_warning_emitted(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=53, amplitude=0.5)
+    def test_dt_not_dividing_delta_matches_direct_to_roundoff(self, grid_2d_small):
+        # The window and the direct check share one shortened step grid.
+        u0, wplus = highlow_data(grid_2d_small, seed=56)
+        config = HighLowConfig(cutoff=4.0, delta=0.05, windows=3, compare_direct=True)
+        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=0.003))
+        assert 0.05 / 0.003 != math.ceil(0.05 / 0.003)
+        assert max(report.diff_vs_direct) <= 1e-12
+
+    def test_threshold_warning_emitted(self):
+        u0, wplus = highlow_data(Grid(4, 8), seed=53, amplitude=0.5)
         u0 = 1e3 * u0
-        config = HighLowConfig(cutoff=8.0, s=0.95, r=0.95, dt=2e-3, t_end=1e-4)
-        report = run_global(u0, wplus, config)
+        integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
+        report = run_global(u0, wplus, 0.95, HighLowConfig(cutoff=2.0), integrator)
+        assert report.threshold is not None
         assert not report.below_threshold
         assert report.warnings
+        assert "not below the operative threshold" in report.warnings[-1]
+
+    def test_threshold_not_applicable_outside_d4(self, grid_2d):
+        u0, wplus = highlow_data(grid_2d, seed=53, amplitude=0.5)
+        integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
+        report = run_global(1e3 * u0, wplus, 0.95, HighLowConfig(cutoff=8.0), integrator)
+        assert report.threshold is None
+        assert report.below_threshold is None
+        assert report.warnings == [
+            "the mass threshold is built from the 4-d Gagliardo-Nirenberg constants;"
+            " it does not apply in d = 2 and is not reported"
+        ]

@@ -305,8 +305,9 @@ class TestSmoothingScan:
     def test_residual_scales_quadratically_in_amplitude(self):
         params = SmoothingParams(System.KGS, 2, 0.0, 0.0, alpha_probe=0.4, beta_probe=1.2)
         grid = Grid(2, 32)
+        scan = IntegratorConfig(dt=2e-3, t_end=0.3)
         reports = {
-            amp: smoothing_scan(params, 1, seed=77, grid=grid, t_end=0.3, dt=2e-3, amplitude=amp)
+            amp: smoothing_scan(params, 1, seed=77, grid=grid, integrator=scan, amplitude=amp)
             for amp in (1e-2, 1e-3)
         }
         for comp in ("u", "wplus"):
@@ -319,7 +320,7 @@ class TestSmoothingScan:
         params = SmoothingParams(System.KGS, 2, 0.0, 0.0, alpha_probe=0.4, beta_probe=1.2)
         grid = Grid(2, 32)
         rep = smoothing_scan(
-            params, 1, seed=78, grid=grid, t_end=0.1, dt=2e-3,
+            params, 1, seed=78, grid=grid, integrator=IntegratorConfig(dt=2e-3, t_end=0.1),
             amplitude=0.0, wave_amplitude=1.0,
         )
         u_rows = [r for r in rep.rows if r.component == "u"]
