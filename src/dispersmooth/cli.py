@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import EXPERIMENTS, RunConfig, load_config, require_seed
 from .dissipative import (
+    PROBE_EXPONENTS,
     DampedParams,
     DampedState,
     attractor_diagnostics,
@@ -261,18 +262,9 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     return ExperimentResult(
         experiment="attractor",
         csv_name="attractor.csv",
-        header=[
-            "t",
-            "H",
-            "dH_closed",
-            "dH_fd",
-            "mass",
-            "lin_u_H1",
-            "lin_v_H1",
-            "lin_w_L2",
-            "nl_u_H14",
-            "nl_v_H28",
-            "nl_w_H18",
+        header=[  # the probe columns read nl_u_H14, nl_v_H28, nl_w_H18
+            "t", "H", "dH_closed", "dH_fd", "mass", "lin_u_H1", "lin_v_H1", "lin_w_L2",
+            *(f"nl_{name}_H{p:g}".replace(".", "") for name, p in zip("uvw", PROBE_EXPONENTS)),
         ],
         rows=rows,
         manifest_extra={

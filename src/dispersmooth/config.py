@@ -128,6 +128,9 @@ class ResonanceSection:
             _require_positive(self, key)
         if self.branch not in (1, -1):
             raise ConfigurationError(f"branch must be 1 or -1, got {self.branch}")
+        spacing = self.tau_spacing
+        if spacing is not None and not (math.isfinite(spacing) and spacing > 0):
+            raise ConfigurationError(f"tau_spacing must be finite and positive, got {spacing}")
 
 
 @dataclass(frozen=True)

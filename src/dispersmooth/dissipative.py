@@ -36,18 +36,17 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .evolution import (
-    Dispersion,
     Fields,
     Flow,
     IntegratorConfig,
     Recorder,
+    System,
     Trajectory,
+    block_flow,
     lawson_rk4_run,
-    linear_flow,
-    propagator_symbol,
+    nonlinear_rhs,
 )
 from .spectral import (
-    CouplingKernel,
     Grid,
     SpectralField,
     band_limited,
@@ -134,67 +133,25 @@ def _carried(state: DampedState) -> Fields:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear flow
+# Exact linear flow and integration
 # ---------------------------------------------------------------------------
-
-def damped_flow(grid: Grid, params: DampedParams, t: float) -> Flow:
-    """`linear_flow` of the homogeneous linear system by time ``t`` on ``(u, v, w)``.
-
-    ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
-    spectra (`half_spectrum`), on which the block acts mode by mode.  Per mode,
-    ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the
-    (v, w) pair advances by the matrix exponential of the block
-    ``M = [[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
-    ``c = 1 + a(a - delta)``; trace ``-delta`` and determinant ``1 + |xi|^2``
-    give eigenvalues ``-delta/2 +- q`` with ``q = sqrt(delta^2/4 - 1 - |xi|^2)``
-    (complex for the underdamped modes).  The block entries are real, so it
-    maps real fields to real fields.
-    """
-    a, delta = params.a, params.delta
-    xi_squared = half_spectrum(grid.box(grid.xi_squared))
-    cap = params.spring_constant + xi_squared
-    half_trace = -delta / 2.0
-    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + xi_squared), dtype=complex))
-    qt = q * t
-    ch = np.cosh(qt)
-    small = np.abs(qt) < 1e-8
-    sh_over_q = np.where(
-        small,
-        t * (1.0 + qt**2 / 6.0),
-        np.sinh(np.where(small, 1.0, qt)) / np.where(small, 1.0, q),
-    )
-    decay = math.exp(half_trace * t)
-    # Entries of M - (trace/2) I feeding exp(tM) = e^{t tr/2}(cosh I + sinh/q (M - tr/2 I)).
-    top_left = -a - half_trace
-    bottom_right = -(delta - a) - half_trace
-    m11 = decay * (ch + top_left * sh_over_q)
-    m12 = decay * sh_over_q
-    m21 = decay * (-cap) * sh_over_q
-    m22 = decay * (ch + bottom_right * sh_over_q)
-    schrodinger = grid.box(propagator_symbol(grid, Dispersion.SCHRODINGER, t))
-    u_sym = math.exp(-params.gamma * t) * schrodinger
-    return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
-
 
 def damped_linear_propagate(
     state: DampedState, params: DampedParams, t: float
 ) -> DampedState:
-    """Exact flow of the homogeneous linear system by time ``t`` (`damped_flow`).
+    """Exact flow of the homogeneous linear system by time ``t`` (`block_flow`).
 
     All Sobolev norms decay exponentially (rate at least
     ``min(gamma, a, delta - a)/2`` in the underdamped regime ``delta <= 2``).
     """
     grid = state.grid
-    return DampedState(*_fields(grid, damped_flow(grid, params, t)(_carried(state))), state.t + t)
+    flow = block_flow(grid, t, params.gamma, params.a, params.delta)
+    return DampedState(*_fields(grid, flow(_carried(state))), state.t + t)
 
 
 def _fields(grid: Grid, arrays: Fields) -> tuple[SpectralField, ...]:
     return tuple(SpectralField(grid, from_box(a, grid)) for a in arrays)
 
-
-# ---------------------------------------------------------------------------
-# Integration
-# ---------------------------------------------------------------------------
 
 def integrate_damped(
     state: DampedState, params: DampedParams, config: IntegratorConfig
@@ -202,8 +159,9 @@ def integrate_damped(
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
     The run carries ``u`` on the dealias box and the real ``v`` and ``w`` as
-    box half spectra (`damped_flow`); a state whose ``v`` or ``w`` is not
-    real, or a state or forcing that is not band-limited, is rejected with
+    box half spectra (`block_flow`), with the KGS right side plus the forcing
+    (`nonlinear_rhs`); a state whose ``v`` or ``w`` is not real, or a state
+    or forcing that is not band-limited, is rejected with
     `ConfigurationError`.  Recorded states are full spectra.
 
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
@@ -213,21 +171,10 @@ def integrate_damped(
     grid = state.grid
     fields = _carried(state)
     f, g = params.forcing(grid)
-    kernel = CouplingKernel(grid)
-    i_f = 1j * band_limited(f, "f")
     g_half = np.ascontiguousarray(half_spectrum(band_limited(g, "g")))  # a strided one is copied
-
-    def rhs(fields: Fields, out: Fields) -> Fields:
-        du, dv, dw = out
-        _, abs2 = kernel(fields[0], fields[1], out=du)
-        du *= 1j
-        du -= i_f
-        dv.fill(0.0)  # v_t has no nonlinear term
-        np.add(abs2, g_half, out=dw)
-        return out
-
+    rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * band_limited(f, "f"), g_half))
     recorder = Recorder(("u", "v", "w"), grid, state.t, config)
-    half_step = damped_flow(grid, params, recorder.dt / 2)
+    half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
     lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
     full = lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)  # noqa: E731
     return recorder.trajectory(state, full)
@@ -306,6 +253,11 @@ def energy_H_rate(state: DampedState, params: DampedParams) -> float:
 # Attractor diagnostics
 # ---------------------------------------------------------------------------
 
+#: Sobolev exponents of the nonlinear-part probes of ``(u, v, w)``, below the
+#: 3/2-, 3- and 2-smoothing limits (the CSV columns ``nl_u_H14, nl_v_H28, nl_w_H18``).
+PROBE_EXPONENTS = (1.4, 2.8, 1.8)
+
+
 @dataclass(frozen=True)
 class AttractorRow:
     t: float
@@ -324,7 +276,6 @@ class AttractorRow:
 @dataclass(frozen=True)
 class AttractorReport:
     rows: list[AttractorRow]
-    probe_exponents: tuple[float, float, float]
     absorbing_radius: float
     entry_time: float | None
     persistent: bool
@@ -333,23 +284,19 @@ class AttractorReport:
     inconclusive: bool
 
 
-def attractor_diagnostics(
-    trajectory: Trajectory,
-    params: DampedParams,
-    probe_exponents: tuple[float, float, float] = (1.4, 2.8, 1.8),
-) -> AttractorReport:
+def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> AttractorReport:
     """Absorbing-ball entry and smoothness of the nonlinear part along a run.
 
     Splits each recorded state into the exact homogeneous linear flow of the
     initial data plus the remainder, and reports (a) entry into and
     persistence within a candidate absorbing ball whose radius is estimated
     from the tail of the run, and (b) the remainder's Sobolev norms at the
-    probe exponents, which stay bounded while the linear part decays (the
+    `PROBE_EXPONENTS`, which stay bounded while the linear part decays (the
     compactness proxy: the probes sit strictly below the 3/2-, 3-, 2-
     limits).  A run much shorter than the damping timescale is flagged
     inconclusive.  ``trajectory`` comes from `integrate_damped`: the linear
     part advances from record to record by the run's step indices and
-    ``dt``, with one `damped_flow` per distinct step gap.
+    ``dt``, with one `block_flow` per distinct step gap.
     """
     grid = trajectory[0].grid
     rows: list[AttractorRow] = []
@@ -366,7 +313,7 @@ def attractor_diagnostics(
     for idx, (state, step) in enumerate(zip(trajectory, trajectory.steps)):
         gap, previous = step - previous, step
         if gap not in flows:
-            flows[gap] = damped_flow(grid, params, gap * trajectory.dt)
+            flows[gap] = block_flow(grid, gap * trajectory.dt, params.gamma, params.a, params.delta)
         linear = flows[gap](linear)
         lin_u, lin_v, lin_w = _fields(grid, linear)
         if 0 < idx < len(trajectory) - 1:
@@ -387,9 +334,9 @@ def attractor_diagnostics(
                 linear_u_h1=linear_u_h1,
                 linear_v_h1=linear_v_h1,
                 linear_w_l2=linear_w_l2,
-                nonlinear_u=sobolev_norm(state.u - lin_u, probe_exponents[0]),
-                nonlinear_v=sobolev_norm(state.v - lin_v, probe_exponents[1]),
-                nonlinear_w=sobolev_norm(state.w - lin_w, probe_exponents[2]),
+                nonlinear_u=sobolev_norm(state.u - lin_u, PROBE_EXPONENTS[0]),
+                nonlinear_v=sobolev_norm(state.v - lin_v, PROBE_EXPONENTS[1]),
+                nonlinear_w=sobolev_norm(state.w - lin_w, PROBE_EXPONENTS[2]),
             )
         )
         ball_norms.append(
@@ -433,7 +380,6 @@ def attractor_diagnostics(
                 bounded = False  # monotone growth over the whole tail
     return AttractorReport(
         rows=rows,
-        probe_exponents=probe_exponents,
         absorbing_radius=radius,
         entry_time=entry_time,
         persistent=persistent,

@@ -1,19 +1,22 @@
-"""Time integration of the transformed coupled systems.
+"""Time integration of the coupled systems.
 
-The unknowns are ``(u, w+)``, where ``w+ = v + i A^{-1} v_t`` comes from the
-real wave ``v`` (Klein-Gordon-Schrodinger) or the analogous ``n+`` (Zakharov),
-with ``A = (1 - Laplacian)^{1/2}``.  The wave is real, so the minus branch
-``w- = v - i A^{-1} v_t`` is the conjugate ``conj w+``: it is derived where it
-is read (`SystemState.wminus`), never integrated.  The linear flow is applied
-exactly per mode -- ``exp(-i t |xi|^2)`` for the Schrodinger component and
-``exp(-i t <xi>)`` for ``w+`` -- so the fourth-order scheme (classical
-Runge-Kutta in the interaction picture) sees no dispersive stiffness.
-Quadratic nonlinearities are evaluated pseudo-spectrally with 2/3-rule
-dealiasing (`spectral.CouplingKernel`); conservation identities hold
-exactly for the truncated flow when the data is band-limited below the
-dealias cutoff, so the observed mass/Hamiltonian drift is pure
-time-discretization error.  Runs carry the dealias box alone (`Grid.box`),
-reject data that is not band-limited (`band_limited`) and record full spectra.
+A state is ``(u, w+)``, where ``w+ = v + i A^{-1} v_t`` comes from the real
+wave ``v`` (Klein-Gordon-Schrodinger) or the analogous ``n+`` (Zakharov),
+with ``A = (1 - Laplacian)^{1/2}``; the minus branch ``w- = conj w+`` is
+derived (`SystemState.wminus`).  A run carries ``(u, v, w)`` with ``w = v_t``,
+the layout of the damped system (`dissipative`), of which KGS is the case
+without damping or forcing: ``u`` on the dealias box (`Grid.box`), the real
+``v`` and ``w`` as box half spectra.  The linear flow is exact per mode
+(`block_flow`) -- ``exp(-i t |xi|^2)`` for ``u`` and a 2x2 block for
+``(v, w)``, which the change of variables ``(v, v_t) -> w+`` maps to
+``exp(-i t <xi>)`` -- so the fourth-order scheme (classical Runge-Kutta in the
+interaction picture) sees no dispersive stiffness.  Quadratic
+nonlinearities are evaluated pseudo-spectrally with 2/3-rule dealiasing
+(`spectral.CouplingKernel`); conservation identities hold exactly for the
+truncated flow when the data is band-limited below the dealias cutoff, so
+the observed mass/Hamiltonian drift is pure time-discretization error.
+Runs reject data that is not band-limited (`band_limited`) and record full
+spectra of ``(u, w+)`` (`wave_records`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .spectral import (
     dealias,
     from_box,
     full_spectrum,
+    half_spectrum,
     l2_norm,
     random_sobolev_field,
     remove_mean,
@@ -133,38 +137,63 @@ def linear_propagate(f: SpectralField, dispersion: Dispersion, t: float) -> Spec
     return SpectralField(f.grid, f.coeffs * propagator_symbol(f.grid, dispersion, t))
 
 
-def linear_flow(symbols: Sequence[Mapping[int, np.ndarray]]) -> Flow:
-    """Exact linear flow on coefficient arrays, from its per-mode symbols.
+def block_flow(
+    grid: Grid, t: float, gamma: float = 0.0, a: float = 0.0, delta: float = 0.0
+) -> Flow:
+    """The exact linear flow over time ``t`` of carried ``(u, v, w)`` triples, one or more.
 
-    ``flow(fields, out=None)`` writes ``sum_j symbols[i][j] * fields[j]``
-    into ``out[i]`` (fresh arrays when None, never ``fields`` for a coupled
-    flow): one term for a diagonal flow, two for a 2x2 block, whose second
-    goes through the flow's one scratch row, so a flow belongs to one run.
-    Runs pass box symbols (`Grid.box`).
+    ``flow(fields, out=None)`` writes into ``out`` (fresh arrays when None,
+    never ``fields``); the block's second term goes through the flow's one
+    scratch array, so a flow belongs to one run.  ``u`` is a box array
+    (`Grid.box`); the real ``v`` and ``w`` are box half spectra
+    (`half_spectrum`), on which the block acts mode by mode.  Per mode,
+    ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the (v, w) pair
+    advances by the matrix exponential of the block
+    ``M = [[-a, 1], [-(c + |xi|^2), -(delta - a)]]`` with
+    ``c = 1 + a(a - delta)``; trace ``-delta`` and determinant ``1 + |xi|^2``
+    give eigenvalues ``-delta/2 +- q`` with ``q = sqrt(delta^2/4 - 1 - |xi|^2)``
+    (complex for the underdamped modes).  The block entries are real, so it
+    maps real fields to real fields.  Without damping it is the free
+    Klein-Gordon flow of ``(v, v_t)``, ``M = [[0, 1], [-<xi>^2, 0]]``.  A flow
+    that overflows (a very large ``delta`` for ``t``) is a `ConfigurationError`.
     """
-    coupled = [sym for row in symbols for sym in list(row.values())[1:]]
-    scratch = np.empty_like(coupled[0]) if coupled else None
+    xi_squared = half_spectrum(grid.box(grid.xi_squared))
+    cap = 1.0 + a * (a - delta) + xi_squared
+    half_trace = -delta / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.sqrt(np.asarray(np.float64(half_trace) ** 2 - (1.0 + xi_squared), dtype=complex))
+        qt = q * t
+        ch = np.cosh(qt)
+        small = np.abs(qt) < 1e-8
+        sh_over_q = np.where(
+            small,
+            t * (1.0 + qt**2 / 6.0),
+            np.sinh(np.where(small, 1.0, qt)) / np.where(small, 1.0, q),
+        )
+        decay = math.exp(half_trace * t)
+        # Rows of exp(tM) = e^{t tr/2}(cosh I + sinh/q (M - tr/2 I)).
+        rows = (
+            (decay * (ch + (-a - half_trace) * sh_over_q), decay * sh_over_q),
+            (decay * (-cap) * sh_over_q, decay * (ch + (-(delta - a) - half_trace) * sh_over_q)),
+        )
+    if not all(np.all(np.isfinite(m)) for row in rows for m in row):
+        raise ConfigurationError(
+            f"the exact linear flow over t = {t:.3g} overflows at delta = {delta:g}"
+            f" (a = {a:g}); lower delta or dt"
+        )
+    scratch = np.empty_like(rows[0][0])
+    u_sym = math.exp(-gamma * t) * grid.box(propagator_symbol(grid, Dispersion.SCHRODINGER, t))
 
     def flow(fields: Fields, out: Fields | None = None) -> Fields:
-        if out is None:
-            out = tuple(np.empty_like(next(iter(row.values()))) for row in symbols)
-        for target, row in zip(out, symbols):
-            (j, sym), *rest = row.items()
-            np.multiply(sym, fields[j], out=target)
-            for j, sym in rest:
-                target += np.multiply(sym, fields[j], out=scratch)
+        out = tuple(np.empty_like(a) for a in fields) if out is None else out
+        for i in range(0, len(fields), 3):
+            np.multiply(u_sym, fields[i], out=out[i])
+            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
+                np.multiply(first, fields[i + 1], out=target)
+                target += np.multiply(second, fields[i + 2], out=scratch)
         return out
 
     return flow
-
-
-SYSTEM_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS)
-
-
-def free_flow(grid: Grid, dispersions: tuple[Dispersion, ...], t: float) -> Flow:
-    """`linear_flow` over time ``t`` of box fields with one dispersion relation each."""
-    symbols = [grid.box(propagator_symbol(grid, dispersion, t)) for dispersion in dispersions]
-    return linear_flow([{i: symbol} for i, symbol in enumerate(symbols)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,53 +213,83 @@ def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
     return v, v_t
 
 
+def carried(
+    u: SpectralField, wplus: SpectralField, names: tuple[str, str] = ("u", "wplus")
+) -> Fields:
+    """``(u, v, v_t)`` of ``(u, w+)`` as a run carries them (`split_wave`): a box
+    array and two box half spectra; a field that is not band-limited is
+    rejected under its name (`band_limited`)."""
+    band_limited(wplus, names[1])
+    boxes = (half_spectrum(u.grid.box(f.coeffs)) for f in split_wave(wplus))
+    return (band_limited(u, names[0]), *boxes)
+
+
+def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
+    """The records of carried ``(u, v, v_t)`` triples: full ``(u, w+)`` pairs (`Recorder`).
+
+    ``w+ = v + i A^{-1} v_t`` is formed on the box from the expanded half
+    spectra with the arithmetic of `join_wave`, and expanded once (`from_box`).
+    """
+    inverse_bracket = grid.box(grid.bracket) ** -1.0
+
+    def records(fields: Fields) -> Fields:
+        out = []
+        for u, *wave in zip(fields[0::3], fields[1::3], fields[2::3]):
+            v, v_t = (full_spectrum(a, out=np.empty(grid.box_shape, dtype=complex)) for a in wave)
+            out += [from_box(u, grid), from_box(v + 1j * (v_t * inverse_bracket), grid)]
+        return tuple(out)
+
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Nonlinear right sides (the non-dispersive terms, as du/dt contributions)
 # ---------------------------------------------------------------------------
 
 def nonlinear_rhs(
-    system: System, grid: Grid, fields: Fields, kernel: CouplingKernel | None = None,
-    out: Fields | None = None,
-) -> Fields:
-    """Nonlinear time-derivative contributions ``(du, dw+)`` of box arrays (`Grid.box`).
+    system: System, grid: Grid, kernel: CouplingKernel | None = None, forcing: Fields | None = None
+) -> Flow:
+    """The nonlinear right side ``rhs(fields, out=None)`` of carried ``(u, v, w)`` (`block_flow`).
 
-    With ``w- = conj w+`` the wave sum is ``w+ + w- = 2 Re w+``, and for
-    Zakharov ``Re n- = Re n+``.  Klein-Gordon-Schrodinger::
+    Klein-Gordon-Schrodinger (``w = v_t``), and with ``forcing = (i f, g)``
+    (a box array and a box half spectrum) the damped system::
 
-        du  = i u Re w+
-        dw+ = i A^{-1} |u|^2
+        du = i u v  [- i f],    dv = 0,    dw = |u|^2  [+ g]
 
-    Zakharov (the bounded correction term keeps the linear stage diagonal)::
+    Zakharov (``w = n_t``; the bounded term ``+ v`` keeps the Klein-Gordon
+    linear stage of `block_flow`)::
 
-        du  = -i u Re n+
-        dn+ = i ( -|xi|^2 A^{-1} |u|^2 + A^{-1} Re n+ )
+        du = -i u v,    dv = 0,    dw = -|xi|^2 |u|^2 + v
 
-    ``Re w+`` is real, so it is formed on the half spectrum alone, in
-    coefficient space (`half_real_part`, no transform, in a kernel buffer),
-    and the kernel takes it to samples by a real inverse transform.  ``dw+``
-    is combined on the half spectrum and expanded to the full box once
-    (`full_spectrum`).  Both products come dealiased from ``kernel``, the
-    run's `CouplingKernel` (a fresh one when None).  The results go into
-    ``out`` (fresh arrays when None) and the symbols are applied in place,
-    so with ``out`` given a call allocates no array.
+    Both products come dealiased from ``kernel``, the run's `CouplingKernel`
+    (a fresh one when None), ``u v`` straight into ``du``.  The results go
+    into ``out`` (fresh arrays when None) and every term is applied in
+    place, so with ``out`` given a call allocates no array.
     """
     kernel = CouplingKernel(grid) if kernel is None else kernel
-    u, wplus = fields
-    du, dw = (np.empty_like(u), np.empty_like(wplus)) if out is None else out
-    re = kernel.half_real_part(wplus)
-    _, abs2 = kernel(u, re, out=du)
-    symbols = kernel.symbols
-    if system is System.KGS:
-        du *= 1j
-        abs2 *= symbols.half_inverse_bracket
-    else:
-        du *= -1j
-        abs2 *= symbols.half_neg_lap_inverse_bracket
-        re *= symbols.half_inverse_bracket
-        abs2 += re
-    full_spectrum(abs2, out=dw)
-    dw *= 1j
-    return du, dw
+    zakharov = system is System.ZAKHAROV
+    # Complex with a zero imaginary part: the in-place product needs no cast.
+    neg_lap = np.ascontiguousarray(-half_spectrum(grid.box(grid.xi_squared)), dtype=np.complex128)
+
+    def rhs(fields: Fields, out: Fields | None = None) -> Fields:
+        u, v = fields[:2]
+        out = tuple(np.empty_like(a) for a in fields) if out is None else out
+        du, dv, dw = out
+        _, abs2 = kernel(u, v, out=du)
+        dv.fill(0.0)
+        if zakharov:
+            du *= -1j
+            np.multiply(abs2, neg_lap, out=dw)
+            dw += v
+        else:
+            du *= 1j
+            np.copyto(dw, abs2)
+        if forcing is not None:
+            du -= forcing[0]
+            dw += forcing[1]
+        return out
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +389,21 @@ class Recorder:
 
     The run covers ``config.t_end`` from ``t0`` in the ``n_steps`` steps of
     length ``dt`` of `time_grid`.  After each step the recorder takes every
-    field's L2 norm (Parseval) and raises `BlowUpError`, naming them all,
-    once one is non-finite or above ``config.blowup_threshold``.  It keeps
-    ``(step, t, fields)`` every ``config.record_every`` steps and at the last
-    step.  Fields are box arrays (`Grid.box`), or box half spectra of real
-    fields, whose norm counts the columns ``1 .. c`` twice; records are full
-    spectra (`from_box`), read-only.  A norm is an `numpy.einsum` over the
-    float pairs: no temporaries, and no BLAS threads.
+    carried field's L2 norm (Parseval) and raises `BlowUpError`, naming them
+    all, once one is non-finite or above ``config.blowup_threshold``.  It
+    keeps ``(step, t, record)`` every ``config.record_every`` steps and at
+    the last step.  Fields are box arrays (`Grid.box`), or box half spectra
+    of real fields, whose norm counts the columns ``1 .. c`` twice; a record
+    is ``expand(fields)`` (`wave_records`), else the full spectra
+    (`from_box`), read-only.  A norm is an `numpy.einsum` over the float
+    pairs: no temporaries, and no BLAS threads.
     """
 
     names: tuple[str, ...]
     grid: Grid
     t0: float
     config: IntegratorConfig
+    expand: Callable[[Fields], Fields] | None = None
     records: list[tuple[int, float, Fields]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -355,7 +416,8 @@ class Recorder:
         if any(not math.isfinite(v) or v > threshold for v in norms.values()):
             raise BlowUpError(t, norms, threshold)
         if step % self.config.record_every == 0 or step == self.n_steps:
-            fields = tuple(from_box(a, self.grid) for a in fields)
+            expand = self.expand or (lambda fields: tuple(from_box(a, self.grid) for a in fields))
+            fields = expand(fields)
             for a in fields:  # a read-only record becomes a field without a copy
                 a.flags.writeable = False
             self.records.append((step, t, fields))
@@ -381,25 +443,18 @@ class Recorder:
 def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
     """Integrate over ``config.t_end``; returns the recorded states (initial one included).
 
-    The steps are those of `time_grid`; `Recorder` records and guards the run.
-    A field that is not band-limited is rejected (`band_limited`).
+    The run carries ``(u, v, v_t)`` (`carried`) on the steps of `time_grid`;
+    `Recorder` guards it and records ``(u, w+)`` (`wave_records`).  A field
+    that is not band-limited is rejected (`band_limited`).
     """
     grid = state.grid
-    kernel = CouplingKernel(grid)
-
-    def rhs(fields: Fields, out: Fields) -> Fields:
-        return nonlinear_rhs(state.system, grid, fields, kernel, out)
-
-    recorder = Recorder(("u", "wplus"), grid, state.t, config)
-    fields = (band_limited(state.u, "u"), band_limited(state.wplus, "wplus"))
-    half_step = free_flow(grid, SYSTEM_DISPERSIONS, recorder.dt / 2)
+    recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, wave_records(grid))
+    rhs, half_step = nonlinear_rhs(state.system, grid), block_flow(grid, recorder.dt / 2)
+    fields = carried(state.u, state.wplus)
     lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-
-    def wrap(t: float, fields: Fields) -> SystemState:
-        u, wplus = (SpectralField(grid, f) for f in fields)
-        return SystemState(state.system, u, wplus, t=t)
-
-    return recorder.trajectory(state, wrap)
+    return recorder.trajectory(
+        state, lambda t, f: SystemState(state.system, *(SpectralField(grid, a) for a in f), t=t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +527,4 @@ def random_system_state(
     v_t = wave_amplitude * random_sobolev_field(
         grid, max(r - 1.0, 0.0), seed=kids[2], real=True
     )
-    return band_limit_state(SystemState(system, u, join_wave(v, remove_mean(v_t))))
-
-
-def band_limit_state(state: SystemState) -> SystemState:
-    """Project every component onto the dealias band (see module docstring)."""
-    return SystemState(state.system, dealias(state.u), dealias(state.wplus), t=state.t)
+    return SystemState(system, dealias(u), dealias(join_wave(v, remove_mean(v_t))))

@@ -10,9 +10,10 @@ the low pair while the high data continues as a pure linear flow::
     mu_1  = exp(i delta Lap) mu_0,     lambda_1 = exp(-i delta A) lambda_0
 
 The wave unknowns are the plus branches ``psi+`` and ``lambda+`` of real
-waves (the split is symmetric under ``xi -> -xi``, so both halves stay real
-and their minus branches are the conjugates), and the window carries the four
-fields ``(phi, psi+, mu, lambda+)``.  The split right sides sum exactly
+waves (the split is symmetric under ``xi -> -xi``, so both halves stay
+real), and the window carries each pair in the run layout of `evolution`:
+the six arrays ``(phi, psi_v, psi_w, mu, lam_v, lam_w)``, with ``psi_w``
+and ``lam_w`` the wave velocities.  The split right sides sum exactly
 (bilinearity) to the direct-system right sides, so the reassembled total
 ``(phi + mu, psi+ + lambda+)`` telescopes to the unsplit solution at matched
 steps up to roundoff.
@@ -37,24 +38,24 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .evolution import (
-    SYSTEM_DISPERSIONS,
+    Dispersion,
     IntegratorConfig,
     Recorder,
     SystemState,
     System,
-    free_flow,
+    block_flow,
+    carried,
     integrate,
     lawson_rk4_run,
+    linear_propagate,
     nonlinear_rhs,
     time_grid,
+    wave_records,
 )
 from .spectral import (
-    CouplingKernel,
     Grid,
     SpectralField,
-    band_limited,
     cubic_pairing,
-    from_box,
     l2_norm,
     lowpass_projection,
     real_part,
@@ -126,10 +127,19 @@ class HighLowState:
 
 
 def step_rule(cutoff: float, m: float, r0: float, constant: float = 0.1) -> float:
-    """Window length ``delta = c * N^(-2(1-m)/r0 - 0.01)``."""
+    """Window length ``delta = c * N^(-2(1-m)/r0 - 0.01)``, rejected unless finite and positive."""
     if cutoff < 1:
         raise ConfigurationError("step rule requires N >= 1")
-    return constant * cutoff ** (-2.0 * (1.0 - m) / r0 - 0.01)
+    try:
+        delta = constant * cutoff ** (-2.0 * (1.0 - m) / r0 - 0.01)
+    except OverflowError:
+        delta = math.inf
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigurationError(
+            f"the [highlow] step rule gives delta = {delta} at cutoff = {cutoff}, m = {m},"
+            f" r0 = {r0}; set [highlow] delta"
+        )
+    return delta
 
 
 def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> HighLowState:
@@ -152,38 +162,36 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 # ---------------------------------------------------------------------------
 
 def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np.ndarray, ...]:
-    """Evolve the coupled four-field system over ``window.t_end`` (on the box); full spectra."""
+    """Evolve the coupled system over ``window.t_end``; full ``(phi, psi+, mu, lam+)``.
+
+    The run carries the six arrays ``(phi, psi_v, psi_w, mu, lam_v, lam_w)``:
+    each pair as ``(u, v, v_t)`` (`carried`), on the flow of `block_flow`.
+    """
     grid = state.grid
-    names = ("phi", "psi_plus", "mu", "lam_plus")
-    start = tuple(band_limited(getattr(state, name), name) for name in names)
-    kernel = CouplingKernel(grid)
-    total = (np.empty_like(start[0]), np.empty_like(start[1]))
+    start = carried(state.phi, state.psi_plus, ("phi", "psi_plus"))
+    start += carried(state.mu, state.lam_plus, ("mu", "lam_plus"))
+    kgs = nonlinear_rhs(System.KGS, grid)
+    total = tuple(np.empty_like(a) for a in start[:3])
 
     def rhs(fields: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Nonlinear right sides of the coupled low/high system, into ``out``.
-
-        Low:  the KGS right side of (phi, psi+).
-        High: the KGS right side of the totals (phi + mu, psi+ + lam+),
-              formed in ``total``, minus the low side, that is
-
-              d mu   = i mu Re(psi+ + lam+) + i phi Re lam+
-              d lam+ = i A^{-1} (|mu|^2 + 2 Re(mu conj(phi)))
-
-        so the two sides sum to the direct-system right side by construction.
-        """
-        low = fields[:2]
-        for target, a, b in zip(total, low, fields[2:]):
+        """The KGS right side of the low triple, and that of the totals (formed in
+        ``total``) minus it for the high one: ``d mu = i mu (psi_v + lam_v) + i phi lam_v``,
+        ``d lam_w = |mu|^2 + 2 Re(mu conj(phi))``.  The two sum to the direct
+        right side by construction."""
+        low = fields[:3]
+        for target, a, b in zip(total, low, fields[3:]):
             np.add(a, b, out=target)
-        d_low = nonlinear_rhs(System.KGS, grid, low, kernel, out[:2])
-        d_high = nonlinear_rhs(System.KGS, grid, total, kernel, out[2:])
-        for high, part in zip(d_high, d_low):
+        kgs(low, out[:3])
+        kgs(total, out[3:])
+        for high, part in zip(out[3:], out[:3]):
             high -= part
         return out
 
-    guard = Recorder(names, grid, state.t, replace(window, record_every=10**9))  # the last step
-    half_step = free_flow(grid, 2 * SYSTEM_DISPERSIONS, guard.dt / 2)
+    names = ("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w")
+    guard = Recorder(names, grid, state.t, replace(window, record_every=10**9), wave_records(grid))
+    half_step = block_flow(grid, guard.dt / 2)
     lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
-    return guard.records[-1][2]
+    return guard.records[-1][2]  # the last step
 
 
 @dataclass(frozen=True)
@@ -202,9 +210,8 @@ def _reassemble(
 ) -> tuple[HighLowState, WindowLog]:
     grid = state.grid
     phi_d, psi_d, mu_d, lam_d = (SpectralField(grid, f) for f in evolved)
-    high = (grid.box(state.mu.coeffs), grid.box(state.lam_plus.coeffs))
-    free = free_flow(grid, SYSTEM_DISPERSIONS, delta)(high)
-    mu_free, lam_free = (SpectralField(grid, from_box(f, grid)) for f in free)
+    mu_free = linear_propagate(state.mu, Dispersion.SCHRODINGER, delta)
+    lam_free = linear_propagate(state.lam_plus, Dispersion.KG_PLUS, delta)
     incr_u = mu_d - mu_free
     incr_w = lam_d - lam_free
     new_state = HighLowState(

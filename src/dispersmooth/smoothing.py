@@ -27,17 +27,15 @@ from .evolution import (
     IntegratorConfig,
     System,
     SystemState,
-    band_limit_state,
     integrate,
-    join_wave,
     linear_propagate,
+    random_system_state,
 )
 from .resonance import lattice_xi_tau, xsb_weight
 from .spectral import (
     Grid,
     SpectralField,
     fit_spectral_slope,
-    random_sobolev_field,
     remove_mean,
     sobolev_norm,
 )
@@ -201,19 +199,13 @@ def _scan_member(
     amplitude: float,
     wave_amplitude: float,
 ) -> list[ScanRow]:
-    ss = np.random.SeedSequence(member_seed)
-    kids = ss.spawn(3)
-    u0 = random_sobolev_field(grid, params.s, seed=kids[0])
-    v0 = random_sobolev_field(grid, params.r, seed=kids[1], real=True)
-    v1 = random_sobolev_field(grid, max(params.r - 1.0, 0.0), seed=kids[2], real=True)
+    state = random_system_state(params.system, grid, params.s, params.r, member_seed)
     # Mean-zero wave data: on the torus the wave zero mode is a constant
     # background potential that only phase-rotates u, leaving a residual
     # proportional to the data itself; the whole-space setting has no such
     # discrete mode, so the scan removes it (cf. the mean-zero convention
-    # for the homogeneous wave norms).
-    v0 = remove_mean(v0)
-    v1 = remove_mean(v1)
-    state = band_limit_state(SystemState(params.system, u0, join_wave(v0, v1)))
+    # for the homogeneous wave norms).  It is the zero mode of w+.
+    state = SystemState(params.system, state.u, remove_mean(state.wplus))
     # Unit-norm data: u in H^s, wave in H^r, then multiplied by the
     # requested amplitudes (zero amplitude = absent field).
     u_norm = sobolev_norm(state.u, params.s)

@@ -79,6 +79,12 @@ class Grid:
             raise ConfigurationError(
                 f"box_length must be finite and positive, got {self.box_length}"
             )
+        lg = math.log10(self.box_length)  # keeps dx^d, (2 pi L)^d and |xi|^2 in float range
+        if not (abs(self.dim * lg) < 290 and abs(math.log10(self.n_per_dim) - lg) < 150):
+            raise ConfigurationError(
+                f"box_length = {self.box_length} puts dx^d, the volume (2 pi L)^d or"
+                f" |xi|^2 outside the float range"
+            )
         if self.mode_count > MAX_MODES:
             raise ResourceLimitError(
                 f"a {self.n_per_dim}^{self.dim} lattice has {self.mode_count} modes;"
@@ -341,32 +347,6 @@ def from_box(box: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GridSymbols:
-    """Read-only box half-spectrum symbols of the coupled right sides.
-
-    ``A^{-1} = <xi>^{-1}`` and ``-|xi|^2 A^{-1}`` on the half spectrum of
-    the dealias box (`half_spectrum` of `Grid.box`).  The symbols are real
-    but stored as complex arrays with a zero imaginary part: an in-place
-    ``coeffs *= symbol`` then runs over contiguous memory with no cast, and
-    gives the same bits as scaling the real and imaginary parts on their own.
-    """
-
-    half_inverse_bracket: np.ndarray
-    half_neg_lap_inverse_bracket: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def grid_symbols(grid: Grid) -> GridSymbols:
-    """The `GridSymbols` of a grid, built once and shared by every run on it."""
-    inverse_bracket = 1.0 / half_spectrum(grid.box(grid.bracket))
-    symbols = [inverse_bracket, -half_spectrum(grid.box(grid.xi_squared)) * inverse_bracket]
-    symbols = [np.ascontiguousarray(a, dtype=np.complex128) for a in symbols]
-    for a in symbols:
-        a.flags.writeable = False
-    return GridSymbols(*symbols)
-
-
 class CouplingKernel:
     """Dealiased ``u * wave`` and ``|u|^2`` of a real wave on the dealias box, for one run.
 
@@ -382,14 +362,13 @@ class CouplingKernel:
     on their own, so the results are the box entries of numpy's n-d
     transforms bit for bit, and the scale ``1/dx^d`` is a scalar.  Every
     pass writes into the kernel's buffers or the caller's ``out``, so a call
-    allocates nothing once ``out`` is given; the returned ``|u|^2`` and the
-    wave factor of `half_real_part` are kernel buffers, valid until the next
-    call.  The buffers make a kernel unsafe to share between threads.
+    allocates nothing once ``out`` is given; the returned ``|u|^2`` is a
+    kernel buffer, valid until the next call.  The buffers make a kernel
+    unsafe to share between threads.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.symbols = grid_symbols(grid)
         n, c, d = grid.n_per_dim, grid.n_per_dim // 3, grid.dim
         m, h, N, M = 2 * c + 1, c + 1, (grid.n_per_dim,), (2 * c + 1,)
         self._scale = 1.0 / grid.dx**d
@@ -411,8 +390,6 @@ class CouplingKernel:
         self._gathers = [None] + [Z(*N * a, *M * (d - a)) for a in range(1, d)]
         self._rfft = Z(*N * (d - 1), n // 2 + 1)
         self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d)]
-        self._half = self._half_gathers[0]
-        self._real_half = np.empty_like(self._half)
 
     def __call__(
         self, u: np.ndarray, wave: np.ndarray, out: np.ndarray | None = None
@@ -426,10 +403,11 @@ class CouplingKernel:
         box = self.grid.box_shape
         out = np.empty(box, dtype=np.complex128) if out is None else out
         shapes = (u.shape, wave.shape, out.shape)
-        if shapes != (box, self._half.shape, box) or not out.flags.c_contiguous:
+        half = self._half_gathers[0].shape
+        if shapes != (box, half, box) or not out.flags.c_contiguous:
             raise GridMismatchError(
                 f"shapes {shapes} of u, wave and a C-contiguous out do not match the"
-                f" dealias box {box} and its half spectrum {self._half.shape}"
+                f" dealias box {box} and its half spectrum {half}"
             )
         u_x = self._inverse(u).reshape(-1).view(np.float64)
         wave_x = self._real_inverse(wave).reshape(-1)
@@ -443,10 +421,6 @@ class CouplingKernel:
             lines = _copy(self._gathers[axis] if axis else out, lines, self._gather[axis])
         out *= self._scale
         return out, self._abs2_of_u()  # last: it reuses the wave buffer
-
-    def half_real_part(self, coeffs: np.ndarray) -> np.ndarray:
-        """Box half spectrum of ``Re f`` (`half_real_part`) in a kernel buffer, fit to be a wave."""
-        return half_real_part(coeffs, out=self._real_half, scratch=self._half)
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """Samples of box ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
@@ -529,7 +503,7 @@ def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     n = 2 * (half.shape[-1] - 1) if out is None else out.shape[-1]
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
     out[..., : half.shape[-1]] = half
-    for target, source in _half_reflections(half.ndim, n, mirror=True):
+    for target, source in _half_reflections(half.ndim, n):
         out[target] = half[source]
     # Conjugating the whole array (initialised, so no garbage is read) and
     # copying the half spectrum back costs no temporary; a ufunc on the
@@ -539,58 +513,28 @@ def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def half_real_part(
-    coeffs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Half spectrum of ``Re f`` from the full coefficients of ``f`` (see `real_part`).
-
-    Into ``out``, with the reflected part in ``scratch`` (both fresh when None):
-    copied to contiguous buffers first, since a ufunc buffers strided operands.
-    """
-    n = coeffs.shape[-1]
-    out = np.empty(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128) if out is None else out
-    scratch = np.empty_like(out) if scratch is None else scratch
-    for target, source in _half_reflections(coeffs.ndim, n, mirror=False):
-        scratch[target] = coeffs[source]
-    np.conjugate(scratch, out=scratch)
-    np.copyto(out, half_spectrum(coeffs))
-    np.add(scratch, out, out=out)
-    out *= 0.5
-    return out
-
-
 @functools.lru_cache(maxsize=None)
-def _half_reflections(
-    ndim: int, n: int, mirror: bool
-) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
-    """``(target, source)`` slice pairs that reflect ``k`` to ``-k`` across a half spectrum.
+def _half_reflections(ndim: int, n: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """``(target, source)`` slice pairs that fill the columns ``h = n//2 + 1 ..`` of a
+    full array from the interior columns of its half spectrum, reflecting ``k`` to ``-k``.
 
-    With ``h = n//2 + 1`` half columns and ``mirror``, the pairs fill the
-    columns ``h ..`` of a full array from the half spectrum's interior
-    columns; without it they fill a half spectrum from the full array's
-    columns ``0`` and ``n-1 .. n-h+1``.  ``n`` is even on the lattice and odd
-    on the dealias box.  The other axes reflect as in `conjugate`.
+    ``n`` is even on the lattice and odd on the dealias box.  The other axes
+    reflect as in `conjugate`.
     """
     h = n // 2 + 1
-    if mirror:
-        last = ((slice(h, None), slice(n - h, 0, -1)),)
-    else:
-        last = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n - h, -1)))
     return tuple(
-        (target + (t,), source + (src,))
+        (target + (slice(h, None),), source + (slice(n - h, 0, -1),))
         for target, source in _reflections(ndim - 1)
-        for t, src in last
     )
 
 
 def real_part(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2``.
+    """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2`` (`conjugate`).
 
     No transform is needed: on the sampled lattice conjugation maps mode ``k``
-    to mode ``-k``, and the unpaired Nyquist plane is zero.  ``Re f`` is
-    real, so this is the expansion of `half_real_part`.
+    to mode ``-k``, and the unpaired Nyquist plane is zero.
     """
-    return full_spectrum(half_real_part(coeffs))
+    return 0.5 * (coeffs + conjugate(coeffs))
 
 
 # ---------------------------------------------------------------------------

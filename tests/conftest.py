@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from dispersmooth.evolution import System, SystemState, band_limit_state, join_wave, nonlinear_rhs
+from dispersmooth.evolution import (
+    System,
+    SystemState,
+    carried,
+    join_wave,
+    nonlinear_rhs,
+)
 from dispersmooth.spectral import (
     Grid,
     SpectralField,
+    dealias,
     from_box,
     full_spectrum,
-    half_real_part,
     half_spectrum,
     random_sobolev_field,
     real_part,
@@ -45,7 +51,7 @@ def random_state(
         coeffs = v_t.coeffs.copy()
         coeffs[(0,) * grid.dim] = 0.0
         v_t = SpectralField(grid, coeffs)
-    return band_limit_state(SystemState(system, u, join_wave(v, v_t)))
+    return SystemState(system, dealias(u), dealias(join_wave(v, v_t)))
 
 
 def wave_field(state: SystemState) -> SpectralField:
@@ -76,17 +82,18 @@ def coupling_products(
         samples.imag = u_x.imag * wave_x
         return np.fft.fftn(samples) * scale
 
-    uw = product(half_real_part(wave))
-    imag = half_real_part(-1j * wave)
+    uw = product(half_spectrum(real_part(wave)))
+    imag = half_spectrum(real_part(-1j * wave))
     if np.any(imag):
         uw += 1j * product(imag)
     abs2 = np.fft.rfftn(u_x.real * u_x.real + u_x.imag * u_x.imag) * half_spectrum(scale)
     return uw, full_spectrum(abs2)
 
 
-def full_rhs(system: System, grid: Grid, fields: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """`nonlinear_rhs` of full coefficient arrays: run on their boxes, expanded back."""
-    return tuple(from_box(a, grid) for a in nonlinear_rhs(system, grid, tuple(map(grid.box, fields))))
+def full_rhs(state: SystemState) -> tuple[np.ndarray, ...]:
+    """``(du, dv, dw)`` of `nonlinear_rhs` on a state's carried ``(u, v, v_t)``, as full spectra."""
+    grid = state.grid
+    return tuple(from_box(a, grid) for a in nonlinear_rhs(state.system, grid)(carried(state.u, state.wplus)))
 
 
 @pytest.fixture

@@ -343,6 +343,42 @@ class TestExitCodes:
         assert f"box_length must be finite and positive, got {float(bad)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["1e-300", "1e300"])
+    def test_box_length_outside_float_range_is_2_and_named(self, tmp_path, capsys, bad):
+        # 1/dx^d divides by zero at 1e-300 and (2 pi L)^d overflows at 1e300.
+        out = tmp_path / "out"
+        text = SIMULATE_SMALL.replace("n_per_dim = 16", f"n_per_dim = 16\nbox_length = {bad}")
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"box_length = {float(bad)} puts dx^d, the volume (2 pi L)^d or |xi|^2 outside the float range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s", ["200", "-200"])
+    def test_step_rule_out_of_range_is_2_and_named(self, tmp_path, capsys, s):
+        # A large m overflows N^(-2(1-m)/r0 - 0.01); a very negative one underflows it to 0.
+        text = HIGHLOW_SMALL.replace("s = 0.95\nr = 0.95", f"s = {s}\nr = {s}")
+        config = write_config(tmp_path, text)
+        assert main(["highlow", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: the [highlow] step rule gives delta = " in err
+        assert "set [highlow] delta" in err
+
+    def test_overflowing_damped_flow_is_2_and_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, ATTRACTOR_SMALL.replace("delta = 0.5", "delta = 1e200"))
+        assert main(["attractor", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: the exact linear flow over t = 0.005 overflows at delta = 1e+200" in err
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "0"])
+    def test_bad_tau_spacing_is_2_and_named(self, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, XSB_SMALL + f"tau_spacing = {bad}\n")
+        assert main(["xsb-constant", "--config", config, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"section [resonance]: tau_spacing must be finite and positive, got {float(bad)}" in err
+        assert not out.exists()
+
     def test_oversize_lattice_is_2_before_any_allocation(self, tmp_path, capsys):
         out = tmp_path / "out"
         text = SIMULATE_SMALL.replace("dimension = 2\nn_per_dim = 16", "dimension = 4\nn_per_dim = 1048576")

@@ -20,7 +20,6 @@ from dispersmooth.evolution import (
     IntegratorConfig,
     Recorder,
     lawson_rk4_run,
-    linear_flow,
     propagator_symbol,
     time_grid,
 )
@@ -352,7 +351,14 @@ def full_spectrum_damped_flow(grid, params, t):
     for entry in (m11, m12, m21, m22):
         entry[grid.nyquist_mask] = 0.0
     u_sym = math.exp(-params.gamma * t) * propagator_symbol(grid, Dispersion.SCHRODINGER, t)
-    return linear_flow([{0: u_sym}, {1: m11, 2: m12}, {1: m21, 2: m22}])
+
+    def flow(fields, out):
+        u, v, w = fields
+        for target, value in zip(out, (u_sym * u, m11 * v + m12 * w, m21 * v + m22 * w)):
+            target[...] = value
+        return out
+
+    return flow
 
 
 def full_spectrum_damped_run(state, params, config):

@@ -14,19 +14,22 @@ from dispersmooth.evolution import (
     IntegratorConfig,
     System,
     SystemState,
+    carried,
     conserved_quantities,
-    free_flow,
     integrate,
     join_wave,
     linear_propagate,
     nonlinear_rhs,
+    propagator_symbol,
     split_wave,
     time_grid,
+    wave_records,
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
     CouplingKernel,
     Grid,
+    SpectralField,
     bessel_potential,
     conjugate,
     dealias,
@@ -116,59 +119,61 @@ class TestWaveComponents:
 
 
 def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
-    return full_rhs(state.system, state.grid, (state.u.coeffs, state.wplus.coeffs))
+    """``(du, dv, dw)`` of a state's carried ``(u, v, v_t)``, as full spectra."""
+    return full_rhs(state)
 
 
 class TestNonlinearRhs:
     def test_zero_u_freezes_wave_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=8)
         state = SystemState(System.KGS, zero_field(grid_2d_small), state.wplus)
-        du, dwp = rhs_of(state)
-        assert np.max(np.abs(dwp)) < 1e-14
+        du, dv, dw = rhs_of(state)
+        assert np.max(np.abs(dw)) < 1e-14
+        assert not np.any(dv)
         assert np.max(np.abs(du)) < 1e-14
 
     def test_zero_wave_freezes_u_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=9)
         state = SystemState(System.KGS, state.u, zero_field(grid_2d_small))
-        du, _ = rhs_of(state)
+        du, _, _ = rhs_of(state)
         assert np.max(np.abs(du)) < 1e-14
 
     def test_single_mode_hand_convolution_kgs(self):
-        # u = e^{ix}, w+ = c e^{i2x}, w- = conj(c) e^{-i2x}:
-        #   du  = (i/2) u (w+ + w-) = (i/2) (c e^{i3x} + conj(c) e^{-ix})
-        #   dw+ = i <0>^{-1} * coefficient of |u|^2 = i at mode 0
+        # u = e^{ix}, w+ = c e^{i2x}, so v = Re w+ = (c e^{i2x} + conj(c) e^{-i2x}) / 2:
+        #   du = i u v = (i/2) (c e^{i3x} + conj(c) e^{-ix})
+        #   dv = 0, dw = |u|^2 = 1 at mode 0
         grid = Grid(1, 16)
         c = 0.3 - 0.2j
         state = SystemState(
             System.KGS, spectral_mode(grid, (1,)), spectral_mode(grid, (2,), amplitude=c)
         )
-        du, dwp = rhs_of(state)
+        du, dv, dw = rhs_of(state)
         k3, km1 = (np.argmin(np.abs(grid.k_axis - m)) for m in (3, -1))
         assert du[k3] == pytest.approx(0.5j * c * grid.volume, rel=1e-12)
         assert du[km1] == pytest.approx(0.5j * np.conj(c) * grid.volume, rel=1e-12)
-        assert dwp[0] == pytest.approx(1j * grid.volume, rel=1e-12)
+        assert dw[0] == pytest.approx(grid.volume, rel=1e-12)
+        assert not np.any(dv)
 
     def test_three_mode_hand_convolution_zakharov(self):
         # u = a e^{ix} + b e^{i2x}: |u|^2 = |a|^2+|b|^2 + a conj(b) e^{-ix} + conj(a) b e^{ix}.
-        # n+ = c e^{i3x}, n- = conj(c) e^{-i3x}: Re n+ = (n+ + n-)/2.
-        # du = -(i/2) u (n+ + n-); dn+ = i A^{-1}(Lap |u|^2 + Re n+); Lap kills the mean.
+        # n+ = c e^{i3x}, n- = conj(c) e^{-i3x}: n = Re n+ = (n+ + n-)/2.
+        # du = -i u n; dn = 0; dn_t = Lap |u|^2 + n; Lap kills the mean.
         grid = Grid(1, 16)
         a, b, c = 0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.7j
         u = spectral_mode(grid, (1,), a) + spectral_mode(grid, (2,), b)
         nplus = spectral_mode(grid, (3,), c)
         state = SystemState(System.ZAKHAROV, u, nplus)
-        du, dnp = rhs_of(state)
+        du, dn, dnt = rhs_of(state)
         k = {m: np.argmin(np.abs(grid.k_axis - m)) for m in (-3, -2, -1, 1, 3, 4, 5)}
-        bracket1 = math.sqrt(2.0)
-        bracket3 = math.sqrt(10.0)
-        expected_k1 = 1j * (-1.0 / bracket1) * (np.conj(a) * b) * grid.volume
-        expected_km1 = 1j * (-1.0 / bracket1) * (a * np.conj(b)) * grid.volume
-        assert dnp[k[1]] == pytest.approx(expected_k1, rel=1e-12)
-        assert dnp[k[-1]] == pytest.approx(expected_km1, rel=1e-12)
-        assert dnp[0] == pytest.approx(0.0, abs=1e-13)
-        re_k3 = 0.5 * c * grid.volume / bracket3
-        assert dnp[k[3]] == pytest.approx(1j * re_k3, rel=1e-12)
-        assert dnp[k[-3]] == pytest.approx(1j * np.conj(re_k3), rel=1e-12)
+        expected_k1 = -(np.conj(a) * b) * grid.volume  # |xi|^2 = 1
+        expected_km1 = -(a * np.conj(b)) * grid.volume
+        assert dnt[k[1]] == pytest.approx(expected_k1, rel=1e-12)
+        assert dnt[k[-1]] == pytest.approx(expected_km1, rel=1e-12)
+        assert dnt[0] == pytest.approx(0.0, abs=1e-13)
+        re_k3 = 0.5 * c * grid.volume
+        assert dnt[k[3]] == pytest.approx(re_k3, rel=1e-12)
+        assert dnt[k[-3]] == pytest.approx(np.conj(re_k3), rel=1e-12)
+        assert not np.any(dn)
         assert du[k[4]] == pytest.approx(-0.5j * a * c * grid.volume, rel=1e-12)
         assert du[k[5]] == pytest.approx(-0.5j * b * c * grid.volume, rel=1e-12)
         assert du[k[-2]] == pytest.approx(-0.5j * a * np.conj(c) * grid.volume, rel=1e-12)
@@ -304,21 +309,21 @@ def traced_peak(call):
 
 
 class TestCouplingKernelRuns:
-    def test_rhs_allocates_only_its_outputs_and_real_part(self):
-        # After warm-up, one KGS right side allocates du and dw+ and no
+    def test_rhs_allocates_only_its_outputs(self):
+        # After warm-up, one KGS right side allocates du, dv and dw and no
         # other array: every transform writes into the run's kernel buffers,
-        # and Re w+ and |u|^2 stay in them.  Given its outputs, it allocates
-        # no array at all.
+        # and |u|^2 stays in them.  Given its outputs, it allocates no array
+        # at all.
         grid = Grid(2, 128)
         state = random_state(System.KGS, grid, seed=21)
-        fields = (grid.box(state.u.coeffs), grid.box(state.wplus.coeffs))
-        kernel = CouplingKernel(grid)
-        out = nonlinear_rhs(System.KGS, grid, fields, kernel)
-        array_bytes = fields[0].nbytes
-        assert all(a.nbytes == array_bytes for a in out)
-        peak = traced_peak(lambda: nonlinear_rhs(System.KGS, grid, fields, kernel))
-        assert 2 * array_bytes <= peak <= 2 * array_bytes + SMALL_OBJECTS
-        assert traced_peak(lambda: nonlinear_rhs(System.KGS, grid, fields, kernel, out)) <= SMALL_OBJECTS
+        fields = carried(state.u, state.wplus)
+        rhs = nonlinear_rhs(System.KGS, grid, CouplingKernel(grid))
+        out = rhs(fields)
+        assert all(a.nbytes == f.nbytes for a, f in zip(out, fields))
+        array_bytes = sum(a.nbytes for a in out)
+        peak = traced_peak(lambda: rhs(fields))
+        assert array_bytes <= peak <= array_bytes + SMALL_OBJECTS
+        assert traced_peak(lambda: rhs(fields, out)) <= SMALL_OBJECTS
 
     def test_pooled_runs_equal_serial_runs(self):
         # Smoothing-scan members integrate at the same time on one grid; each
@@ -515,11 +520,25 @@ def six_field_window_rhs(grid, fields):
 THREE_FIELD_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS, Dispersion.KG_MINUS)
 
 
+def free_flow(grid, dispersions, t):
+    """The diagonal exact flow over ``t`` of box fields with one dispersion relation each."""
+    symbols = [grid.box(propagator_symbol(grid, dispersion, t)) for dispersion in dispersions]
+    return writing(lambda y: [symbol * a for symbol, a in zip(symbols, y)])
+
+
+def three_fields(grid, fields):
+    """``(u, w+, w-)`` box arrays of each carried ``(u, v, v_t)`` triple, ``w+`` as recorded."""
+    records = [grid.box(a) for a in wave_records(grid)(fields)]
+    return tuple(a for u, wplus in zip(records[0::2], records[1::2]) for a in (u, wplus, conjugate(wplus)))
+
+
 class TestThreeFieldOracle:
     @pytest.mark.parametrize("kind, n", [("kgs", 32), ("zakharov", 32), ("window", 16)])
     def test_matches_step_with_integrated_minus_branch(self, kind, n, monkeypatch):
-        # Carrying w+ alone and deriving w- = conj w+ is the same scheme as
-        # integrating w- as a field of its own, which keeps it conj w+.
+        # Carrying the real wave as (v, v_t) is the same scheme as
+        # integrating (w+, w-) as fields of their own under the diagonal
+        # flow, which keeps w- = conj w+: the change of variables commutes
+        # with the linear flow.
         module = KINDS[kind]
         stepper = module.lawson_rk4_run
         runs = []
@@ -535,11 +554,6 @@ class TestThreeFieldOracle:
         ((start, new, dt, n_steps),) = runs
         plus = [0, 1, 3, 4] if kind == "window" else [0, 1]
         minus_of = {2: 1, 5: 4} if kind == "window" else {2: 1}
-        old_start = [None] * (len(plus) + len(minus_of))
-        for i, f in zip(plus, start):
-            old_start[i] = f
-        for m, p in minus_of.items():
-            old_start[m] = conjugate(old_start[p])
         if kind == "window":
             rhs = writing(lambda y: six_field_window_rhs(grid, y))
             dispersions = 2 * THREE_FIELD_DISPERSIONS
@@ -547,9 +561,10 @@ class TestThreeFieldOracle:
             system = System.ZAKHAROV if kind == "zakharov" else System.KGS
             rhs = writing(lambda y: three_field_rhs(system, grid, y))
             dispersions = THREE_FIELD_DISPERSIONS
-        old = stepper(tuple(old_start), rhs, free_flow(grid, dispersions, dt / 2), dt, n_steps)
-        for i, a in zip(plus, new):
-            assert np.max(np.abs(a - old[i])) <= 1e-13 * np.max(np.abs(old[i]))
+        old = stepper(three_fields(grid, start), rhs, free_flow(grid, dispersions, dt / 2), dt, n_steps)
+        new = three_fields(grid, new)
+        for i in plus:
+            assert np.max(np.abs(new[i] - old[i])) <= 1e-13 * np.max(np.abs(old[i]))
         for m, p in minus_of.items():
             assert np.max(np.abs(old[m] - conjugate(old[p]))) <= 1e-13 * np.max(np.abs(old[p]))
 
@@ -614,7 +629,7 @@ class TestIntegrate:
         state = random_state(System.KGS, grid_2d_small, seed=14)
         guard = IntegratorConfig(dt=1e-2, t_end=0.1, blowup_threshold=1e-9)
         if integrator == "integrate":
-            fields = {"u": state.u, "wplus": state.wplus}
+            fields = dict(zip(("u", "v", "v_t"), (state.u, *split_wave(state.wplus))))
             run = lambda: integrate(state, guard)
         elif integrator == "integrate_damped":
             damped = DampedState(state.u, wave_field(state), wave_field(state))
@@ -623,7 +638,9 @@ class TestIntegrate:
         else:
             config = HighLowConfig(cutoff=4, delta=0.1, gns_c1=1.0, gns_c2=1.0)
             split = split_initial(state.u, state.wplus, config.cutoff)
-            fields = {name: getattr(split, name) for name in ("phi", "psi_plus", "mu", "lam_plus")}
+            pairs = ((split.phi, split.psi_plus), (split.mu, split.lam_plus))
+            values = [f for u, wplus in pairs for f in (u, *split_wave(wplus))]
+            fields = dict(zip(("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w"), values))
             run = lambda: run_global(state.u, state.wplus, 0.95, config, guard)
         with pytest.raises(BlowUpError) as err:
             run()
@@ -650,6 +667,17 @@ class TestIntegrate:
         records = [a for r in recorders for _, _, fields in r.records for a in fields]
         outside = ~grid_2d_small.dealias_mask
         assert records and all(not a[outside].view(np.uint64).any() for a in records)
+
+    def test_records_form_wplus_with_join_wave(self, grid_2d_small):
+        # A record forms w+ on the box from the carried (v, v_t) with the
+        # arithmetic of join_wave, so it equals join_wave of their expansions.
+        grid = grid_2d_small
+        state = random_state(System.KGS, grid, seed=26)
+        fields = carried(state.u, state.wplus)
+        u, wplus = wave_records(grid)(fields)
+        v, v_t = (SpectralField(grid, from_box(a, grid)) for a in fields[1:])
+        assert u.tobytes() == from_box(fields[0], grid).tobytes()
+        assert wplus.tobytes() == from_box(grid.box(join_wave(v, v_t).coeffs), grid).tobytes()
 
     def test_last_step_recorded_when_record_every_does_not_divide(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=15, amplitude=0.5)
@@ -736,8 +764,6 @@ class TestConservedQuantities:
         v = random_sobolev_field(grid_2d_small, 1.0, seed=17, real=True)
         v_t_coeffs = np.zeros(grid_2d_small.shape, dtype=complex)
         v_t_coeffs[0, 0] = 2.5 * grid_2d_small.volume
-        from dispersmooth.spectral import SpectralField
-
         v_t = SpectralField(grid_2d_small, v_t_coeffs)
         state = SystemState(System.ZAKHAROV, zero_field(grid_2d_small), join_wave(v, v_t))
         report = conserved_quantities(state)

@@ -116,8 +116,7 @@ class TestDuhamelResidual:
         # residual(t) = t * N(state0) + O(t^2): check both size and t^2 scaling.
         grid = Grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
-        fields = (state.u.coeffs, state.wplus.coeffs)
-        du0 = SpectralField(grid, full_rhs(System.KGS, grid, fields)[0])
+        du0 = SpectralField(grid, full_rhs(state)[0])
         errs = []
         for t in (1e-2, 5e-3):
             traj = integrate(state, IntegratorConfig(dt=t / 8, t_end=t, record_every=10**9))
