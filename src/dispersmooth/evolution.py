@@ -227,16 +227,22 @@ def carried(
 def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
     """The records of carried ``(u, v, v_t)`` triples: full ``(u, w+)`` pairs (`Recorder`).
 
-    ``w+ = v + i A^{-1} v_t`` is formed on the box from the expanded half
-    spectra with the arithmetic of `join_wave`, and expanded once (`from_box`).
+    ``w+ = v + i A^{-1} v_t`` is formed on the half spectrum with the
+    arithmetic of `join_wave`.  The other columns of the box are those of
+    ``w+(-k) = conj(v - i A^{-1} v_t)(k)``, which the expansion of the
+    minus branch (`full_spectrum`) reflects into place; `from_box` then
+    expands the box once.
     """
-    inverse_bracket = grid.box(grid.bracket) ** -1.0
+    inverse_bracket = half_spectrum(grid.box(grid.bracket)) ** -1.0
+    h = inverse_bracket.shape[-1]
 
     def records(fields: Fields) -> Fields:
         out = []
-        for u, *wave in zip(fields[0::3], fields[1::3], fields[2::3]):
-            v, v_t = (full_spectrum(a, out=np.empty(grid.box_shape, dtype=complex)) for a in wave)
-            out += [from_box(u, grid), from_box(v + 1j * (v_t * inverse_bracket), grid)]
+        for u, v, v_t in zip(fields[0::3], fields[1::3], fields[2::3]):
+            kick = 1j * (v_t * inverse_bracket)
+            wplus = full_spectrum(v - kick, out=np.empty(grid.box_shape, dtype=complex))
+            wplus[..., :h] = v + kick
+            out += [from_box(u, grid), from_box(wplus, grid)]
         return tuple(out)
 
     return records
