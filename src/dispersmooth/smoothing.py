@@ -152,7 +152,7 @@ class SmoothingParams:
 def duhamel_residual(
     trajectory: list[SystemState], component: str = "u"
 ) -> list[SpectralField]:
-    """Nonlinear part ``component(t) - free_flow(t) component(0)`` along a run.
+    """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
 
     The residual at the initial time is exactly zero.
     """
