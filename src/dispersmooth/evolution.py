@@ -252,9 +252,7 @@ def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
 # Nonlinear right sides (the non-dispersive terms, as du/dt contributions)
 # ---------------------------------------------------------------------------
 
-def nonlinear_rhs(
-    system: System, grid: Grid, kernel: CouplingKernel | None = None, forcing: Fields | None = None
-) -> Flow:
+def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> Flow:
     """The nonlinear right side ``rhs(fields, out=None)`` of carried ``(u, v, w)`` (`block_flow`).
 
     Klein-Gordon-Schrodinger (``w = v_t``), and with ``forcing = (i f, g)``
@@ -267,12 +265,12 @@ def nonlinear_rhs(
 
         du = -i u v,    dv = 0,    dw = -|xi|^2 |u|^2 + v
 
-    Both products come dealiased from ``kernel``, the run's `CouplingKernel`
-    (a fresh one when None), ``u v`` straight into ``du``.  The results go
-    into ``out`` (fresh arrays when None) and every term is applied in
-    place, so with ``out`` given a call allocates no array.
+    Both products come dealiased from the right side's own `CouplingKernel`,
+    ``u v`` straight into ``du``.  The results go into ``out`` (fresh arrays
+    when None) and every term is applied in place, so with ``out`` given a
+    call allocates no array.
     """
-    kernel = CouplingKernel(grid) if kernel is None else kernel
+    kernel = CouplingKernel(grid)
     zakharov = system is System.ZAKHAROV
     # Complex with a zero imaginary part: the in-place product needs no cast.
     neg_lap = np.ascontiguousarray(-half_spectrum(grid.box(grid.xi_squared)), dtype=np.complex128)

@@ -171,11 +171,11 @@ def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np
     start = carried(state.phi, state.psi_plus, ("phi", "psi_plus"))
     start += carried(state.mu, state.lam_plus, ("mu", "lam_plus"))
     kgs = nonlinear_rhs(System.KGS, grid)
-    total = tuple(np.empty_like(a) for a in start[:3])
+    total = tuple(np.empty_like(a) for a in start[:2])  # the right side reads (u, v) alone
 
     def rhs(fields: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """The KGS right side of the low triple, and that of the totals (formed in
-        ``total``) minus it for the high one: ``d mu = i mu (psi_v + lam_v) + i phi lam_v``,
+        """The KGS right side of the low triple, and that of the ``(u, v)`` totals
+        (formed in ``total``) minus it for the high one: ``d mu = i mu (psi_v + lam_v) + i phi lam_v``,
         ``d lam_w = |mu|^2 + 2 Re(mu conj(phi))``.  The two sum to the direct
         right side by construction."""
         low = fields[:3]

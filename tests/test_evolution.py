@@ -317,7 +317,7 @@ class TestCouplingKernelRuns:
         grid = Grid(2, 128)
         state = random_state(System.KGS, grid, seed=21)
         fields = carried(state.u, state.wplus)
-        rhs = nonlinear_rhs(System.KGS, grid, CouplingKernel(grid))
+        rhs = nonlinear_rhs(System.KGS, grid)
         out = rhs(fields)
         assert all(a.nbytes == f.nbytes for a, f in zip(out, fields))
         array_bytes = sum(a.nbytes for a in out)
@@ -649,6 +649,21 @@ class TestIntegrate:
         # One short step barely moves the per-field L2 norms.
         for name, f in fields.items():
             assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=0.2)
+
+    def test_blowup_threshold_bounds_the_wave_velocity(self, grid_2d_small):
+        # The guard bounds the carried v_t, not w+ = v + i A^{-1} v_t: with
+        # v = 0, ||w+|| = ||v_t|| / <k> for a wave at one |k|, and a threshold
+        # between the two aborts the run at its first step.
+        grid = grid_2d_small
+        v_t = spectral_mode(grid, (5, 5)) + spectral_mode(grid, (-5, -5))
+        state = SystemState(System.KGS, zero_field(grid), join_wave(zero_field(grid), v_t))
+        threshold = math.sqrt(l2_norm(v_t) * l2_norm(state.wplus))
+        assert l2_norm(state.wplus) < threshold < l2_norm(v_t)
+        with pytest.raises(BlowUpError) as err:
+            integrate(state, IntegratorConfig(dt=1e-3, t_end=1e-2, blowup_threshold=threshold))
+        assert err.value.t == pytest.approx(1e-3)
+        assert err.value.norms["v_t_L2"] > threshold
+        assert err.value.norms["u_L2"] == 0.0 and err.value.norms["v_L2"] < threshold
 
     @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
     def test_records_are_exactly_plus_zero_outside_the_box(self, kind, grid_2d_small, monkeypatch):
