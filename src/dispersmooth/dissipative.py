@@ -173,11 +173,11 @@ def integrate_damped(
     f, g = params.forcing(grid)
     g_half = np.ascontiguousarray(half_spectrum(band_limited(g, "g")))  # a strided one is copied
     rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * band_limited(f, "f"), g_half))
-    recorder = Recorder(("u", "v", "w"), grid, state.t, config)
+    record = lambda t, fields: DampedState(*_fields(grid, fields), t)  # noqa: E731
+    recorder = Recorder(("u", "v", "w"), grid, state.t, config, record)
     half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
     lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-    full = lambda t, fields: DampedState(*(SpectralField(grid, a) for a in fields), t)  # noqa: E731
-    return recorder.trajectory(state, full)
+    return recorder.trajectory(state)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ class _EnergyTerms(NamedTuple):
             l2_norm(state.v) ** 2,
             sobolev_norm(state.v, 1.0, homogeneous=True) ** 2,
             l2_norm(state.w) ** 2,
-            cubic_pairing(state.u, state.v),
+            cubic_pairing(state.u.coeffs, state.v.coeffs, state.grid),
             inner_product(f, state.u).real,
             inner_product(g, state.w).real,
         )

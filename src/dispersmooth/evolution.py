@@ -16,7 +16,8 @@ nonlinearities are evaluated pseudo-spectrally with 2/3-rule dealiasing
 truncated flow when the data is band-limited below the dealias cutoff, so
 the observed mass/Hamiltonian drift is pure time-discretization error.
 Runs reject data that is not band-limited (`band_limited`) and record full
-spectra of ``(u, w+)`` (`wave_records`).
+spectra of ``(u, w+)`` (`wave_records`), or what the caller makes of the
+carried fields: `conserved_quantities` takes them as they are.
 """
 
 from __future__ import annotations
@@ -35,18 +36,15 @@ from .spectral import (
     SpectralField,
     band_limited,
     bessel_potential,
+    box_norm,
     conjugate,
     cubic_pairing,
     dealias,
     from_box,
     full_spectrum,
     half_spectrum,
-    l2_norm,
     random_sobolev_field,
     remove_mean,
-    riesz_potential,
-    sobolev_norm,
-    zero_mode_mean,
 )
 
 
@@ -225,7 +223,7 @@ def carried(
 
 
 def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
-    """The records of carried ``(u, v, v_t)`` triples: full ``(u, w+)`` pairs (`Recorder`).
+    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`).
 
     ``w+ = v + i A^{-1} v_t`` is formed on the half spectrum with the
     arithmetic of `join_wave`.  The other columns of the box are those of
@@ -377,14 +375,16 @@ def time_grid(t_end: float, dt: float) -> tuple[int, float]:
 
 
 class Trajectory(list):
-    """Recorded states, the initial one first, with their step indices and the
-    run's effective step ``dt`` and step count ``n_steps``."""
+    """Records, the initial one first, with their step indices, the run's
+    effective step ``dt`` and step count ``n_steps``, and its ``final`` state
+    (the last record, unless the records are not states)."""
 
     def __init__(self, states: list, steps: list[int], dt: float, n_steps: int):
         super().__init__(states)
         self.steps = steps
         self.dt = dt
         self.n_steps = n_steps
+        self.final = states[-1]
 
 
 @dataclass
@@ -393,80 +393,80 @@ class Recorder:
 
     The run covers ``config.t_end`` from ``t0`` in the ``n_steps`` steps of
     length ``dt`` of `time_grid`.  After each step the recorder takes every
-    carried field's L2 norm (Parseval) and raises `BlowUpError`, naming them
+    carried field's L2 norm (`box_norm`) and raises `BlowUpError`, naming them
     all, once one is non-finite or above ``config.blowup_threshold``.  It
-    keeps ``(step, t, record)`` every ``config.record_every`` steps and at
-    the last step.  Fields are box arrays (`Grid.box`), or box half spectra
-    of real fields, whose norm counts the columns ``1 .. c`` twice; a record
-    is ``expand(fields)`` (`wave_records`), else the full spectra
-    (`from_box`), read-only.  A norm is an `numpy.einsum` over the float
-    pairs: no temporaries, and no BLAS threads.
+    keeps ``(step, t, record(t, fields))`` every ``config.record_every``
+    steps and at the last step.  Fields are box arrays (`Grid.box`), or box
+    half spectra of real fields; a record that keeps them must copy or
+    expand them (`from_box`, `wave_records`), since the next step overwrites
+    them.
     """
 
     names: tuple[str, ...]
     grid: Grid
     t0: float
     config: IntegratorConfig
-    expand: Callable[[Fields], Fields] | None = None
-    records: list[tuple[int, float, Fields]] = field(default_factory=list)
+    record: Callable[[float, Fields], object]
+    records: list[tuple[int, float, object]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.n_steps, self.dt = time_grid(self.config.t_end, self.config.dt)
 
     def __call__(self, step: int, fields: Fields) -> None:
         t = self.t0 + step * self.dt
-        norms = {f"{name}_L2": self._norm(a) for name, a in zip(self.names, fields)}
+        norms = {f"{name}_L2": box_norm(a, self.grid) for name, a in zip(self.names, fields)}
         threshold = self.config.blowup_threshold
         if any(not math.isfinite(v) or v > threshold for v in norms.values()):
             raise BlowUpError(t, norms, threshold)
         if step % self.config.record_every == 0 or step == self.n_steps:
-            expand = self.expand or (lambda fields: tuple(from_box(a, self.grid) for a in fields))
-            fields = expand(fields)
-            for a in fields:  # a read-only record becomes a field without a copy
-                a.flags.writeable = False
-            self.records.append((step, t, fields))
+            self.records.append((step, t, self.record(t, fields)))
 
-    def _norm(self, a: np.ndarray) -> float:
-        pairs, axes = a.view(np.float64), list(range(a.ndim))
-        total = np.einsum(pairs, axes, pairs, axes, [])
-        if a.shape[-1] != self.grid.box_shape[-1]:  # a half spectrum
-            interior = pairs[..., 2:]  # columns 1 .. c
-            total += np.einsum(interior, axes, interior, axes, [])
-        return float(np.sqrt(total / self.grid.volume))
-
-    def trajectory(self, initial, wrap: Callable[[float, Fields], object]) -> Trajectory:
-        """The initial state followed by ``wrap(t, fields)`` of each record."""
+    def trajectory(self, initial) -> Trajectory:
+        """The initial record followed by the recorded ones."""
         return Trajectory(
-            [initial] + [wrap(t, fields) for _, t, fields in self.records],
+            [initial] + [record for _, _, record in self.records],
             [0] + [step for step, _, _ in self.records],
             self.dt,
             self.n_steps,
         )
 
 
-def integrate(state: SystemState, config: IntegratorConfig) -> Trajectory:
-    """Integrate over ``config.t_end``; returns the recorded states (initial one included).
+def integrate(
+    state: SystemState,
+    config: IntegratorConfig,
+    record: Callable[[float, Fields], object] | None = None,
+) -> Trajectory:
+    """Integrate over ``config.t_end``; returns the records (initial one included).
 
     The run carries ``(u, v, v_t)`` (`carried`) on the steps of `time_grid`;
-    `Recorder` guards it and records ``(u, w+)`` (`wave_records`).  A field
-    that is not band-limited is rejected (`band_limited`).
+    `Recorder` guards it and keeps ``record(t, fields)`` of the carried
+    fields, the initial ones included: by default the state ``(u, w+)``
+    (`wave_records`).  `Trajectory.final` is the last state either way; a
+    run with its own ``record`` expands that state alone.  A field that is
+    not band-limited is rejected (`band_limited`).
     """
-    grid = state.grid
-    recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, wave_records(grid))
+    grid, expand = state.grid, wave_records(state.grid)
+
+    def full(t: float, fields: Fields) -> SystemState:
+        return SystemState(state.system, *(SpectralField(grid, a) for a in expand(fields)), t=t)
+
+    recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, record or full)
     rhs, half_step = nonlinear_rhs(state.system, grid), block_flow(grid, recorder.dt / 2)
     fields = carried(state.u, state.wplus)
-    lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-    return recorder.trajectory(
-        state, lambda t, f: SystemState(state.system, *(SpectralField(grid, a) for a in f), t=t)
-    )
+    initial = state if record is None else record(state.t, fields)
+    last = lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
+    trajectory = recorder.trajectory(initial)
+    if record is not None:
+        trajectory.final = full(recorder.records[-1][1], last)
+    return trajectory
 
 
 # ---------------------------------------------------------------------------
 # Conserved quantities
 # ---------------------------------------------------------------------------
 
-def conserved_quantities(state: SystemState) -> ConservationReport:
-    """Mass and Hamiltonian of a state.
+def conserved_quantities(system: System, grid: Grid, fields: Fields) -> ConservationReport:
+    """Mass and Hamiltonian of carried ``(u, v, v_t)`` (`carried` takes a state there).
 
     Klein-Gordon-Schrodinger::
 
@@ -476,33 +476,23 @@ def conserved_quantities(state: SystemState) -> ConservationReport:
 
         E = ||grad u||^2 + (||n||^2 + ||(-Lap)^{-1/2} n_t||^2)/2 + int |u|^2 n
 
-    The cubic term is `cubic_pairing` of ``u`` with the wave field.  For
-    Zakharov the zero mode of ``n_t`` is excluded from the homogeneous norm
-    (mean-zero convention) and reported separately; on the torus that mean is
-    itself a constant of the motion.
+    The norms are box sums (`box_norm`) and the cubic term is `cubic_pairing`
+    of ``u`` with the wave field.  For Zakharov the zero mode of ``n_t`` is
+    excluded from the homogeneous norm (mean-zero convention) and reported
+    separately; on the torus that mean is itself a constant of the motion.
     """
-    mass = l2_norm(state.u)
-    v, v_t = split_wave(state.wplus)
-    grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
-    cubic = cubic_pairing(state.u, v)
-
-    if state.system is System.KGS:
-        hamiltonian = (
-            grad_u_sq
-            + 0.5
-            * (
-                l2_norm(v) ** 2
-                + l2_norm(v_t) ** 2
-                + sobolev_norm(v, 1.0, homogeneous=True) ** 2
-            )
-            - cubic
-        )
-        zero_mode: float | None = None
+    u, v, v_t = fields
+    grad_u_sq = box_norm(u, grid, 1.0, homogeneous=True) ** 2
+    cubic = cubic_pairing(u, v, grid)
+    zero_mode: float | None = None
+    if system is System.KGS:
+        wave = box_norm(v, grid, 1.0) ** 2 + box_norm(v_t, grid) ** 2  # ||v||_{H^1}^2 + ||v_t||^2
+        hamiltonian = grad_u_sq + 0.5 * wave - cubic
     else:
-        wave_kinetic = l2_norm(riesz_potential(v_t, -1.0)) ** 2
-        hamiltonian = grad_u_sq + 0.5 * (l2_norm(v) ** 2 + wave_kinetic) + cubic
-        zero_mode = float(zero_mode_mean(v_t).real)
-    return ConservationReport(mass, hamiltonian, zero_mode)
+        wave_kinetic = box_norm(v_t, grid, -1.0, homogeneous=True) ** 2
+        hamiltonian = grad_u_sq + 0.5 * (box_norm(v, grid) ** 2 + wave_kinetic) + cubic
+        zero_mode = float(v_t[(0,) * grid.dim].real) / grid.volume
+    return ConservationReport(box_norm(u, grid), hamiltonian, zero_mode)
 
 
 def random_system_state(

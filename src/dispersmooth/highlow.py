@@ -188,7 +188,8 @@ def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np
         return out
 
     names = ("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w")
-    guard = Recorder(names, grid, state.t, replace(window, record_every=10**9), wave_records(grid))
+    expand, once = wave_records(grid), replace(window, record_every=10**9)
+    guard = Recorder(names, grid, state.t, once, lambda t, fields: expand(fields))
     half_step = block_flow(grid, guard.dt / 2)
     lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
     return guard.records[-1][2]  # the last step
@@ -262,12 +263,11 @@ def low_energy(phi: SpectralField, psi_plus: SpectralField) -> LowEnergyReport:
     coercivity surrogate (the two quadratic terms alone), which the energy
     approximates from below once the u-mass is small.
     """
-    wave_field = SpectralField(phi.grid, real_part(psi_plus.coeffs))
     quad_part = (
         sobolev_norm(psi_plus, 1.0) ** 2
         + 2.0 * sobolev_norm(phi, 1.0, homogeneous=True) ** 2
     )
-    cubic = 2.0 * cubic_pairing(phi, wave_field)
+    cubic = 2.0 * cubic_pairing(phi.coeffs, real_part(psi_plus.coeffs), phi.grid)
     return LowEnergyReport(energy=quad_part - cubic, coercivity_surrogate=quad_part)
 
 

@@ -275,6 +275,8 @@ def bilinear_constant_estimate(
     if tau_spacing is None:
         # Cover the Schrodinger surface over the band with slack.
         tau_spacing = max(1.0, 4.0 * d * (band * dxi) ** 2 / time_modes)
+    elif not (math.isfinite(tau_spacing) and tau_spacing > 0):
+        raise ConfigurationError(f"tau_spacing must be finite and positive, got {tau_spacing}")
     tau = (np.arange(time_modes) - time_modes // 2) * tau_spacing
     tau_max = float(np.max(np.abs(tau)))
     rng = np.random.default_rng(seed)

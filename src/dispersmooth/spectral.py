@@ -67,6 +67,7 @@ class Grid:
     nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
     box_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     box_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)  # see `box`
+    box_weights: dict = field(init=False, repr=False, compare=False)  # of `box_norm`
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3, 4):
@@ -113,6 +114,7 @@ class Grid:
         box_axis = np.r_[0 : cutoff + 1, n - cutoff : n]
         object.__setattr__(self, "box_index", np.ix_(*([box_axis] * self.dim)))
         object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * self.dim)
+        object.__setattr__(self, "box_weights", {})
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -221,8 +223,7 @@ def fourier_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
     """Multiply coefficients pointwise by ``symbol(xi)``.
 
     The symbol must be finite on the whole lattice (singular symbols need an
-    explicit zero-mode policy first; see `riesz_symbol`).  The Nyquist plane
-    is zeroed.
+    explicit zero-mode policy first).  The Nyquist plane is zeroed.
     """
     symbol = np.asarray(symbol)
     if symbol.shape != f.grid.shape:
@@ -241,31 +242,9 @@ def bessel_symbol(grid: Grid, order: float) -> np.ndarray:
     return grid.bracket**order
 
 
-def riesz_symbol(grid: Grid, order: float) -> np.ndarray:
-    """Symbol ``|xi|**order`` with the zero mode set to 0.
-
-    On the torus the homogeneous operator with negative order is only defined
-    on mean-zero data; callers report the zero-mode mass separately (see
-    `zero_mode_mean`).
-    """
-    r = grid.xi_norm
-    safe = np.where(r > 0, r, 1.0)
-    return np.where(r > 0, safe**order, 0.0)
-
-
 def bessel_potential(f: SpectralField, order: float) -> SpectralField:
     """Apply ``(1 - Laplacian)**(order/2)``."""
     return fourier_multiplier(f, bessel_symbol(f.grid, order))
-
-
-def riesz_potential(f: SpectralField, order: float) -> SpectralField:
-    """Apply ``|xi|**order`` (zero mode annihilated for negative order)."""
-    return fourier_multiplier(f, riesz_symbol(f.grid, order))
-
-
-def zero_mode_mean(f: SpectralField) -> complex:
-    """Spatial mean of the field (the zero-mode coefficient over the volume)."""
-    return complex(f.coeffs[(0,) * f.grid.dim]) / f.grid.volume
 
 
 def remove_mean(f: SpectralField) -> SpectralField:
@@ -339,11 +318,13 @@ def band_limited(f: SpectralField, name: str) -> np.ndarray:
 
 
 def from_box(box: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full coefficients (``+0`` outside the box) of a box array or a box half spectrum."""
+    """Full coefficients (``+0`` outside the box) of a box array or a box half spectrum,
+    read-only: a new array that a `SpectralField` takes without a copy."""
     if box.shape != grid.box_shape:
         box = full_spectrum(box, out=np.empty(grid.box_shape, dtype=np.complex128))
     out = np.zeros(grid.shape, dtype=np.complex128)
     out[grid.box_index] = box
+    out.flags.writeable = False
     return out
 
 
@@ -464,19 +445,74 @@ def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
     return target
 
 
-def cubic_pairing(u: SpectralField, v: SpectralField) -> float:
-    """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``: the cubic energy term.
+def cubic_pairing(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
+    """``int P(|u|^2) v dx`` of a real ``v``, ``P`` the dealias projection: the cubic energy term.
 
-    ``|u|^2`` is formed from numpy's n-d transforms of the whole lattice with
-    the arithmetic of `CouplingKernel`, so in the dealias band it is the
-    kernel's bit for bit; it needs no kernel buffers and takes any ``u``.
+    ``u`` is full coefficients, band-limited or not, or a box array (`Grid.box`);
+    ``v`` is the full coefficients of a real field or a box half spectrum, which
+    holds ``P v``.  By discrete Parseval the pairing is ``dx^d sum_x |u(x)|^2
+    (P v)(x)`` over the lattice samples, exactly for any ``u``, so it takes
+    inverse transforms only (`_box_samples` for box arrays) and no buffer
+    outlives a call.
     """
-    _check_same_grid(u, v)
-    grid = u.grid
-    samples = np.fft.ifftn(u.coeffs)
-    scale = np.asarray(half_spectrum(grid.dealias_mask) / grid.dx**grid.dim, dtype=complex)
-    abs2 = np.fft.rfftn(samples.real * samples.real + samples.imag * samples.imag) * scale
-    return inner_product(SpectralField(grid, full_spectrum(abs2)), v).real
+    if v.shape == grid.shape:
+        v = half_spectrum(grid.box(v))
+    u_x = np.fft.ifftn(u) if u.shape == grid.shape else _box_samples(u, grid)
+    pairs = u_x.reshape(-1).view(np.float64)  # (re, im) interleaved, squared in place
+    pairs *= pairs
+    abs2, v_x = np.add(pairs[0::2], pairs[1::2]), _box_samples(v, grid).reshape(-1)
+    total = np.einsum(abs2, [0], v_x, [0], [])
+    scale = grid.dx**grid.dim  # each of u_x, u_x and v_x carries it
+    return float(total / scale / scale)
+
+
+def _box_samples(box: np.ndarray, grid: Grid) -> np.ndarray:
+    """``dx^d`` times the samples of a box array, or of the real field of a box half
+    spectrum: `numpy.fft.ifftn` (`irfftn`) of its expansion into one zero array.
+
+    Each complex pass runs in place, on the lines that hold box modes only (as
+    in `CouplingKernel`); the other lines are zero and stay zero.
+    """
+    n, c, d = grid.n_per_dim, grid.n_per_dim // 3, grid.dim
+    real = box.shape != grid.box_shape
+    out = np.zeros(grid.shape[:-1] + (n // 2 + 1 if real else n,), dtype=np.complex128)
+    out[grid.box_index[:-1] + (grid.box_index[-1][..., : box.shape[-1]],)] = box
+    blocks, whole = (slice(0, c + 1), slice(n - c, n)), (slice(None),)
+    for axis in range(d - 1) if real else reversed(range(d)):  # numpy's pass order
+        pending = [blocks if (a > axis if real else a < axis) else whole for a in range(d)]
+        if real:
+            pending[-1] = blocks[:1]  # a half spectrum has no columns -c .. -1
+        for lines in itertools.product(*pending):
+            view = out[lines]
+            np.fft.ifft(view, axis=axis, out=view)
+    return np.fft.irfft(out, n=n, axis=d - 1) if real else out
+
+
+def box_norm(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False) -> float:
+    """`sobolev_norm` of a box array or a box half spectrum (`Grid.box`, `half_spectrum`).
+
+    One `numpy.einsum` over the float pairs of ``a`` and a read-only weight
+    per float, ``<xi>^{2s}`` (``|xi|^{2s}``, 0 at the zero mode, when
+    homogeneous), with a half spectrum's columns ``1 .. c`` counted twice:
+    no temporaries, and no BLAS threads.  The weights are cached on the
+    `Grid` object, so they live as long as the run that made it.
+    """
+    pairs = a.reshape(-1).view(np.float64)
+    key = (s, a.shape != grid.box_shape, homogeneous)
+    weight = grid.box_weights.get(key)
+    if weight is None:
+        weight = grid.box_weights[key] = _box_weight(grid, *key)
+    return math.sqrt(np.einsum(pairs, [0], pairs, [0], weight, [0], []) / grid.volume)
+
+
+def _box_weight(grid: Grid, s: float, half: bool, homogeneous: bool) -> np.ndarray:
+    base = grid.box(grid.xi_squared) + (0.0 if homogeneous else 1.0)
+    weight = np.where(base > 0, np.where(base > 0, base, 1.0) ** s, 0.0)
+    if half:
+        weight = half_spectrum(weight) * np.where(np.arange(weight.shape[-1] // 2 + 1), 2.0, 1.0)
+    weight = np.repeat(weight.reshape(-1), 2)  # one entry per float of (re, im)
+    weight.flags.writeable = False
+    return weight
 
 
 # ---------------------------------------------------------------------------

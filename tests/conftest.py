@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from dispersmooth.evolution import (
+    ConservationReport,
     System,
     SystemState,
     carried,
+    conserved_quantities,
     join_wave,
     nonlinear_rhs,
+    split_wave,
 )
 from dispersmooth.spectral import (
     Grid,
     SpectralField,
+    _check_same_grid,
     dealias,
     from_box,
     full_spectrum,
     half_spectrum,
+    fourier_multiplier,
+    inner_product,
+    l2_norm,
     random_sobolev_field,
     real_part,
+    sobolev_norm,
 )
 
 
@@ -104,3 +112,58 @@ def grid_2d_small() -> Grid:
 @pytest.fixture
 def grid_2d() -> Grid:
     return Grid(2, 32)
+
+
+def riesz_potential(f: SpectralField, order: float) -> SpectralField:
+    """Apply ``|xi|**order`` with the zero mode set to 0: on the torus the homogeneous
+    operator of negative order acts on mean-zero data (see `zero_mode_mean`)."""
+    r = f.grid.xi_norm
+    return fourier_multiplier(f, np.where(r > 0, np.where(r > 0, r, 1.0) ** order, 0.0))
+
+
+def zero_mode_mean(f: SpectralField) -> complex:
+    """Spatial mean of the field (the zero-mode coefficient over the volume)."""
+    return complex(f.coeffs[(0,) * f.grid.dim]) / f.grid.volume
+
+
+def conserved(state: SystemState) -> ConservationReport:
+    """`conserved_quantities` of a state, through its carried ``(u, v, v_t)``."""
+    return conserved_quantities(state.system, state.grid, carried(state.u, state.wplus))
+
+
+def spectral_cubic_pairing(u: SpectralField, v: SpectralField) -> float:
+    """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``, in coefficient space.
+
+    The oracle of `cubic_pairing`: ``|u|^2`` from numpy's n-d transforms of
+    the whole lattice with the arithmetic of `CouplingKernel`, the 2/3-rule
+    mask, and the Parseval pairing; it takes any ``u`` and ``v``.
+    """
+    _check_same_grid(u, v)
+    grid = u.grid
+    samples = np.fft.ifftn(u.coeffs)
+    scale = np.asarray(half_spectrum(grid.dealias_mask) / grid.dx**grid.dim, dtype=complex)
+    abs2 = np.fft.rfftn(samples.real * samples.real + samples.imag * samples.imag) * scale
+    return inner_product(SpectralField(grid, full_spectrum(abs2)), v).real
+
+
+def state_conserved_quantities(state: SystemState) -> ConservationReport:
+    """The oracle of `conserved_quantities`: the same quantities from a state's full
+    spectra, with `split_wave`, `sobolev_norm` and `spectral_cubic_pairing`."""
+    mass = l2_norm(state.u)
+    v, v_t = split_wave(state.wplus)
+    grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
+    cubic = spectral_cubic_pairing(state.u, v)
+    if state.system is System.KGS:
+        wave = l2_norm(v) ** 2 + l2_norm(v_t) ** 2 + sobolev_norm(v, 1.0, homogeneous=True) ** 2
+        return ConservationReport(mass, grad_u_sq + 0.5 * wave - cubic, None)
+    wave_kinetic = l2_norm(riesz_potential(v_t, -1.0)) ** 2
+    hamiltonian = grad_u_sq + 0.5 * (l2_norm(v) ** 2 + wave_kinetic) + cubic
+    return ConservationReport(mass, hamiltonian, float(zero_mode_mean(v_t).real))
+
+
+def simulate_row(state: SystemState, s: float, r: float) -> tuple[float, ...]:
+    """The oracle of a simulate CSV row after ``step``: ``t``, mass, Hamiltonian and the
+    ``H^s``/``H^r`` norms of ``u``, ``w+`` and ``w-``, each from full spectra."""
+    report = state_conserved_quantities(state)
+    norms = (sobolev_norm(f, e) for f, e in ((state.u, s), (state.wplus, r), (state.wminus, r)))
+    return (state.t, report.mass, report.hamiltonian, *norms)

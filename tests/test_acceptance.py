@@ -27,7 +27,6 @@ from dispersmooth.dissipative import (
 from dispersmooth.evolution import (
     IntegratorConfig,
     System,
-    conserved_quantities,
     integrate,
     random_system_state,
 )
@@ -58,6 +57,8 @@ from dispersmooth.spectral import (
     random_sobolev_field,
     sobolev_norm,
 )
+
+from conftest import conserved
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -127,13 +128,13 @@ def test_criterion_4_conservation():
     checks = []
     for system in (System.KGS, System.ZAKHAROV):
         state = random_system_state(system, grid, 1.0, 1.0, seed=101, amplitude=25.0)
-        c0 = conserved_quantities(state)
+        c0 = conserved(state)
         drift = {}
         for dt in (1e-3, 5e-4):
             traj = integrate(state, IntegratorConfig(dt=dt, t_end=1.0, record_every=50))
-            mass = max(abs(conserved_quantities(s).mass - c0.mass) / c0.mass for s in traj[1:])
+            mass = max(abs(conserved(s).mass - c0.mass) / c0.mass for s in traj[1:])
             ham = max(
-                abs(conserved_quantities(s).hamiltonian - c0.hamiltonian)
+                abs(conserved(s).hamiltonian - c0.hamiltonian)
                 / abs(c0.hamiltonian)
                 for s in traj[1:]
             )
@@ -168,11 +169,11 @@ def test_conservation_drift_order_fit():
     orders = {}
     for system in (System.KGS, System.ZAKHAROV):
         state = random_system_state(system, grid, 1.0, 1.0, seed=101, amplitude=25.0)
-        c0 = conserved_quantities(state)
+        c0 = conserved(state)
         drifts = {"mass": [], "Hamiltonian": []}
         for dt in dts:
             traj = integrate(state, IntegratorConfig(dt=dt, t_end=1.0, record_every=round(0.05 / dt)))
-            later = [conserved_quantities(s) for s in traj[1:]]
+            later = [conserved(s) for s in traj[1:]]
             drifts["mass"].append(max(abs(c.mass - c0.mass) for c in later) / c0.mass)
             drifts["Hamiltonian"].append(
                 max(abs(c.hamiltonian - c0.hamiltonian) for c in later) / abs(c0.hamiltonian)

@@ -10,8 +10,14 @@ from pathlib import Path
 import pytest
 
 import dispersmooth
+from dispersmooth import evolution, spectral
 from dispersmooth.cli import main
+from dispersmooth.config import load_config
+from dispersmooth.evolution import System, integrate, random_system_state
+from dispersmooth.reporting import format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
+
+from conftest import simulate_row
 
 
 class TestWorkerCount:
@@ -165,6 +171,56 @@ class TestSimulate:
         main(["simulate", "--config", config, "--out", str(out_b), "--quiet"])
         assert (out_a / "timeseries.csv").read_bytes() != (out_b / "timeseries.csv").read_bytes()
         assert json.loads((out_a / "manifest.json").read_text())["seed"] == 99
+
+
+    @pytest.mark.parametrize("kind", ["kgs", "zakharov"])
+    def test_rows_and_checkpoint_match_the_full_records(self, tmp_path, kind):
+        # The rows come from the carried box fields inside the run; the oracle
+        # takes integrate's full records through the full-spectrum arithmetic.
+        text = SIMULATE_SMALL.replace("n_per_dim = 16", "n_per_dim = 64").replace("kgs", kind)
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 0
+        state = random_system_state(System(kind), spectral.Grid(2, 64), 1.5, 1.5, seed=11, amplitude=0.5)
+        trajectory = integrate(state, load_config(config, experiment="simulate").integrator)
+        lines = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(trajectory) == 6
+        for line, step, record in zip(lines, trajectory.steps, trajectory):
+            got, want = line.split(","), simulate_row(record, 1.5, 1.5)
+            assert got[:2] == [format_value(step), format_value(record.t)]
+            for value, expected in zip(got[2:], want[1:]):
+                assert float(value) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        save_checkpoint(trajectory[-1], tmp_path / "want.ckpt")
+        assert (out / "state.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
+    def test_one_full_spectrum_expansion_per_run(self, tmp_path, monkeypatch):
+        shapes = []
+        expand = spectral.from_box
+
+        def counted(box, grid):
+            shapes.append(box.shape)
+            return expand(box, grid)
+
+        for module in (spectral, evolution):
+            monkeypatch.setattr(module, "from_box", counted)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_SMALL), "--out", str(out), "--quiet"]) == 0
+        assert len((out / "timeseries.csv").read_text().splitlines()) == 7  # header, 6 records
+        assert len(shapes) == 2  # u and w+ of the final state, for the checkpoint
+
+    @pytest.mark.parametrize("amplitude", ["0.5", "0.0"])
+    def test_manifest_records_the_largest_relative_drifts(self, tmp_path, amplitude):
+        text = SIMULATE_SMALL.replace("amplitude = 0.5", f"amplitude = {amplitude}")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        lines = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()[1:]]
+        for key, column in (("max_relative_mass_drift", 2), ("max_relative_hamiltonian_drift", 3)):
+            values = [float(line[column]) for line in lines]
+            if values[0] == 0.0:  # no relative drift of a zero state
+                assert amplitude == "0.0" and results[key] is None
+            else:
+                assert results[key] == max(abs(v - values[0]) for v in values) / abs(values[0])
+                assert 0.0 < results[key] < 1e-6
 
 
 class TestExitCodes:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersmooth import dissipative
 from dispersmooth.dissipative import (
     DampedParams,
     DampedState,
@@ -405,7 +406,8 @@ class TestHalfSpectrumRun:
         # reports the norms of the full fields.
         grid = Grid(2, 16)
         state = damped_state(grid, seed=24)
-        recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1, blowup_threshold=1e-300))
+        config = IntegratorConfig(0.1, 0.1, blowup_threshold=1e-300)
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, config, lambda t, f: None)
         carried = carried_on_box(state)
         with pytest.raises(BlowUpError) as info:
             recorder(1, carried)
@@ -416,10 +418,13 @@ class TestHalfSpectrumRun:
     def test_records_are_full_and_read_only(self):
         grid = Grid(2, 16)
         state = damped_state(grid, seed=25)
-        recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1))
+        # The records of a damped run hold the read-only from_box expansions.
+        record = lambda t, f: dissipative._fields(grid, f)  # noqa: E731
+        recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1), record)
         recorder(1, carried_on_box(state))
         (_, _, fields), = recorder.records
-        for a, field in zip(fields, (state.u, state.v, state.w)):
+        for f, field in zip(fields, (state.u, state.v, state.w)):
+            a = f.coeffs
             assert not a.flags.writeable
             assert np.array_equal(a, field.coeffs)
             assert not a[~grid.dealias_mask].view(np.uint64).any()  # +0 outside the box

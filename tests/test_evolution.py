@@ -15,7 +15,6 @@ from dispersmooth.evolution import (
     System,
     SystemState,
     carried,
-    conserved_quantities,
     integrate,
     join_wave,
     linear_propagate,
@@ -44,7 +43,15 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import coupling_products, full_rhs, random_state, spectral_mode, wave_field
+from conftest import (
+    conserved,
+    coupling_products,
+    full_rhs,
+    random_state,
+    spectral_mode,
+    state_conserved_quantities,
+    wave_field,
+)
 
 
 class TestLinearPropagate:
@@ -679,7 +686,13 @@ class TestIntegrate:
 
         monkeypatch.setattr(module, "Recorder", Kept)
         run_kind(kind, grid_2d_small, seed=22, steps=3)
-        records = [a for r in recorders for _, _, fields in r.records for a in fields]
+
+        def arrays(record):  # a window's record is its arrays; a run's is a state
+            if isinstance(record, tuple):
+                return record
+            return [f.coeffs for f in vars(record).values() if isinstance(f, SpectralField)]
+
+        records = [a for r in recorders for _, _, record in r.records for a in arrays(record)]
         outside = ~grid_2d_small.dealias_mask
         assert records and all(not a[outside].view(np.uint64).any() for a in records)
 
@@ -761,7 +774,7 @@ class TestBandLimitedInput:
 class TestConservedQuantities:
     def test_zero_state(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        report = conserved_quantities(SystemState(System.KGS, z, z))
+        report = conserved(SystemState(System.KGS, z, z))
         assert report.mass == 0.0
         assert report.hamiltonian == 0.0
 
@@ -771,18 +784,26 @@ class TestConservedQuantities:
         u = spectral_mode(grid, (3, 0))
         u = (1.0 / l2_norm(u)) * u  # unit mass
         state = SystemState(system, u, zero_field(grid))
-        report = conserved_quantities(state)
+        report = conserved(state)
         assert report.mass == pytest.approx(1.0, rel=1e-12)
         assert report.hamiltonian == pytest.approx(9.0, rel=1e-10)
 
     def test_zakharov_zero_mode_reported(self, grid_2d_small):
-        v = random_sobolev_field(grid_2d_small, 1.0, seed=17, real=True)
+        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=17, real=True))
         v_t_coeffs = np.zeros(grid_2d_small.shape, dtype=complex)
         v_t_coeffs[0, 0] = 2.5 * grid_2d_small.volume
         v_t = SpectralField(grid_2d_small, v_t_coeffs)
         state = SystemState(System.ZAKHAROV, zero_field(grid_2d_small), join_wave(v, v_t))
-        report = conserved_quantities(state)
+        report = conserved(state)
         assert report.zero_mode_mass_of_wave == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
+    def test_box_sums_match_full_spectrum_oracle(self, system):
+        state = random_state(system, Grid(2, 32), seed=22, s=1.0, r=1.0)
+        got, want = conserved(state), state_conserved_quantities(state)
+        assert got.mass == pytest.approx(want.mass, rel=1e-13)
+        assert got.hamiltonian == pytest.approx(want.hamiltonian, rel=1e-13)
+        assert got.zero_mode_mass_of_wave == pytest.approx(want.zero_mode_mass_of_wave, rel=1e-13)
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_short_run_drift_is_small(self, system):
@@ -791,7 +812,7 @@ class TestConservedQuantities:
             system, grid, seed=18, s=2.0, r=2.0, amplitude=1.0, zero_mean_wave_velocity=True
         )
         traj = integrate(state, IntegratorConfig(dt=2e-3, t_end=0.2, record_every=50))
-        e0 = conserved_quantities(traj[0])
-        e1 = conserved_quantities(traj[-1])
+        e0 = conserved(traj[0])
+        e1 = conserved(traj[-1])
         assert abs(e1.mass - e0.mass) / e0.mass < 1e-9
         assert abs(e1.hamiltonian - e0.hamiltonian) / abs(e0.hamiltonian) < 1e-7

@@ -136,6 +136,11 @@ class TestBilinearConstant:
         )
         assert all(math.isfinite(x.ratio) and x.ratio > 0 for x in stats.samples)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0])
+    def test_bad_tau_spacing_is_named(self, bad):
+        with pytest.raises(ConfigurationError, match="tau_spacing"):
+            bilinear_constant_estimate(0.0, 0.0, 0.4, 0.55, Grid(2, 8), 8, ensemble=1, tau_spacing=bad)
+
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             bilinear_constant_estimate(0.0, 0.0, 0.4, 0.55, Grid(3, 128), 64, ensemble=1)

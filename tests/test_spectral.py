@@ -15,6 +15,7 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    box_norm,
     conjugate,
     cubic_pairing,
     dealias,
@@ -26,15 +27,13 @@ from dispersmooth.spectral import (
     lowpass_projection,
     random_sobolev_field,
     real_part,
-    riesz_potential,
     sobolev_norm,
     to_coefficients,
     to_samples,
     zero_field,
-    zero_mode_mean,
 )
 
-from conftest import coupling_products
+from conftest import coupling_products, riesz_potential, spectral_cubic_pairing, zero_mode_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -372,7 +371,34 @@ class TestDealiasedProduct:
         u = dealias(random_sobolev_field(grid, 0.0, seed=20))
         v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
         direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
-        assert cubic_pairing(u, v) == pytest.approx(direct, rel=1e-10)
+        assert cubic_pairing(u.coeffs, v.coeffs, grid) == pytest.approx(direct, rel=1e-10)
+
+
+class TestBoxDiagnostics:
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8), (4, 8)])
+    @pytest.mark.parametrize("band_limited", [True, False])
+    def test_cubic_pairing_matches_spectral_oracle(self, dim, n, band_limited):
+        grid = Grid(dim, n)
+        u = random_sobolev_field(grid, 0.0, seed=30 + dim)
+        u = dealias(u) if band_limited else u
+        v = random_sobolev_field(grid, 0.0, seed=40 + dim, real=True)
+        want = spectral_cubic_pairing(u, v)
+        scale = np.sum(np.abs(to_samples(u)) ** 2 * np.abs(to_samples(dealias(v)))) * grid.dx**dim
+        box_v = half_spectrum(grid.box(v.coeffs))
+        pairs = [(u.coeffs, v.coeffs), (u.coeffs, box_v)]
+        if band_limited:
+            pairs.append((grid.box(u.coeffs), box_v))
+        for a, b in pairs:
+            assert abs(cubic_pairing(a, b, grid) - want) <= 1e-12 * abs(want)
+        assert abs(want) > 1e-3 * scale  # the relative bound is not one on a cancelled sum
+
+    @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.5, False), (-1.0, True), (1.0, True)])
+    def test_box_norm_matches_sobolev_norm(self, s, homogeneous):
+        grid = Grid(2, 32)
+        f = dealias(random_sobolev_field(grid, 0.0, seed=50, real=True))
+        want = sobolev_norm(f, s, homogeneous=homogeneous)
+        for box in (grid.box(f.coeffs), half_spectrum(grid.box(f.coeffs))):
+            assert box_norm(box, grid, s, homogeneous) == pytest.approx(want, rel=1e-13)
 
 
 class TestRandomField:
