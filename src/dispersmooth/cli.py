@@ -13,20 +13,13 @@ DISPERSMOOTH_THREADS caps the worker count for ensemble experiments.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
 import numpy as np
 
 from .config import EXPERIMENTS, RunConfig, load_config, require_seed
-from .dissipative import (
-    PROBE_EXPONENTS,
-    DampedParams,
-    DampedState,
-    attractor_diagnostics,
-    integrate_damped,
-)
+from .dissipative import PROBE_EXPONENTS, DampedParams, attractor_diagnostics, integrate_damped
 from .errors import (
     AdmissibilityError,
     BlowUpError,
@@ -39,12 +32,14 @@ from .errors import (
 )
 from .evolution import (
     System,
+    SystemState,
     conserved_quantities,
     integrate,
     random_system_state,
+    wave_norm,
 )
 from .highlow import run_global
-from .reporting import ExperimentResult, write_outputs
+from .reporting import Checkpoint, ExperimentResult, write_outputs
 from .resonance import bilinear_constant_estimate, resonant_shell_sample
 from .smoothing import (
     SmoothingParams,
@@ -70,7 +65,7 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
         """The CSV row but its step, from the carried ``(u, v, v_t)``: for the real
         wave ``||w+||_{H^r} = ||w-||_{H^r} = (||v||_{H^r}^2 + ||v_t||_{H^{r-1}}^2)^{1/2}``."""
         report = conserved_quantities(system, grid, fields)
-        wave = math.hypot(box_norm(fields[1], grid, r), box_norm(fields[2], grid, r - 1.0))
+        wave = wave_norm(fields[1], fields[2], grid, r)
         return t, report.mass, report.hamiltonian, box_norm(fields[0], grid, s), wave, wave
 
     trajectory = integrate(state, config.integrator, row)
@@ -82,7 +77,7 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
 
     checkpoints = []
     if config.output.checkpoint:
-        checkpoints.append(("state.ckpt", trajectory.final))
+        checkpoints.append(("state.ckpt", Checkpoint.of(trajectory.final)))
     return ExperimentResult(
         experiment="simulate",
         csv_name="timeseries.csv",
@@ -178,7 +173,7 @@ def _run_highlow(config: RunConfig, seed: int) -> ExperimentResult:
         wave_amplitude=config.system.wave_amplitude,
     )
     m = min(config.system.s, config.system.r)
-    report = run_global(state.u, state.wplus, m, config.highlow, config.integrator)
+    report = run_global(state, m, config.highlow, config.integrator)
     rows = []
     for i, log in enumerate(report.windows):
         diff = report.diff_vs_direct[i] if report.diff_vs_direct is not None else None
@@ -230,7 +225,8 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     u_seed, v_seed, w_seed = ss_data.spawn(3)
     amp = config.system.amplitude
     band = grid.dealias_cutoff / 2
-    state = DampedState(
+    state = SystemState.from_full(
+        System.KGS,
         lowpass_projection(amp * random_sobolev_field(grid, 1.5, seed=u_seed), band),
         lowpass_projection(amp * random_sobolev_field(grid, 1.5, seed=v_seed, real=True), band),
         lowpass_projection(amp * random_sobolev_field(grid, 0.5, seed=w_seed, real=True), band),

@@ -233,9 +233,19 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigurationError(
             f"[system] kind must be 'kgs' or 'zakharov', got {config.system.kind!r}"
         ) from None
+    if config.experiment in ("highlow", "attractor") and config.system.kind != "kgs":
+        raise ConfigurationError(
+            f"[system] kind must be 'kgs' for {config.experiment}, got {config.system.kind!r}"
+        )
     if config.grid.dimension not in (1, 2, 3, 4):
         raise ConfigurationError("[grid] dimension must be in 1..4")
-    finite = (("system", "amplitude"), ("system", "wave_amplitude"), ("damping", "forcing_amplitude"))
+    finite = (
+        ("system", "s"),
+        ("system", "r"),
+        ("system", "amplitude"),
+        ("system", "wave_amplitude"),
+        ("damping", "forcing_amplitude"),
+    )
     for section, key in finite:
         value = getattr(getattr(config, section), key)
         if not math.isfinite(value or 0.0):

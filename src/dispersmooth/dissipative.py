@@ -41,23 +41,22 @@ from .evolution import (
     IntegratorConfig,
     Recorder,
     System,
+    SystemState,
     Trajectory,
     block_flow,
     lawson_rk4_run,
     nonlinear_rhs,
+    state_records,
 )
 from .spectral import (
     Grid,
     SpectralField,
     band_limited,
-    conjugate,
+    box_inner,
+    box_norm,
     cubic_pairing,
-    from_box,
     half_spectrum,
-    inner_product,
-    l2_norm,
-    sobolev_norm,
-    zero_field,
+    require_real,
 )
 
 
@@ -81,102 +80,44 @@ class DampedParams:
         if not self.a < self.delta:
             raise ConfigurationError("auxiliary constant requires 0 < a < delta")
         if self.g is not None:
-            _require_real(self.g, "g")
+            require_real(self.g, "g")
 
     @property
     def spring_constant(self) -> float:
         """Coefficient ``1 + a (a - delta)`` of the v-restoring term."""
         return 1.0 + self.a * (self.a - self.delta)
 
-    def forcing(self, grid: Grid) -> tuple[SpectralField, SpectralField]:
-        f = self.f if self.f is not None else zero_field(grid)
-        g = self.g if self.g is not None else zero_field(grid)
-        return f, g
-
-
-@dataclass(frozen=True)
-class DampedState:
-    """Fields ``(u, v, w)`` at one time, as full spectra.
-
-    ``v`` and ``w`` are real fields (``f(-k) = conj f(k)`` to 1e-12 relative
-    in L2, see `_require_real`); `integrate_damped` and
-    `damped_linear_propagate` reject a state whose ``v`` or ``w`` is not,
-    since they carry both as half spectra on the box (`band_limited`).
-    """
-
-    u: SpectralField
-    v: SpectralField
-    w: SpectralField
-    t: float = 0.0
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-
-def _require_real(f: SpectralField, name: str) -> None:
-    """Reject a field that is not real: ``f - conj f`` above 1e-12 relative in L2."""
-    defect = l2_norm(SpectralField(f.grid, f.coeffs - conjugate(f.coeffs)))
-    if not defect <= 1e-12 * l2_norm(f):
-        raise ConfigurationError(
-            f"{name} must be a real field; its conjugate-symmetry defect is"
-            f" {defect:.3e} in L2 against a norm of {l2_norm(f):.3e}"
-        )
-
-
-def _carried(state: DampedState) -> Fields:
-    """``(u, v, w)`` as the damped flow carries them: box arrays, ``v`` and ``w`` half spectra."""
-    for name in ("v", "w"):
-        _require_real(getattr(state, name), name)
-    u, v, w = (band_limited(getattr(state, name), name) for name in ("u", "v", "w"))
-    return u, half_spectrum(v), half_spectrum(w)
+    def forcing(self, grid: Grid) -> Fields:
+        """``(f, g)`` as a run carries them: a box array and a box half spectrum
+        (zeros where absent); a field that is not band-limited is rejected by name."""
+        f = np.zeros(grid.box_shape, complex) if self.f is None else band_limited(self.f, "f")
+        g = np.zeros(grid.box_shape, complex) if self.g is None else band_limited(self.g, "g")
+        return f, np.ascontiguousarray(half_spectrum(g))
 
 
 # ---------------------------------------------------------------------------
-# Exact linear flow and integration
+# Integration
 # ---------------------------------------------------------------------------
-
-def damped_linear_propagate(
-    state: DampedState, params: DampedParams, t: float
-) -> DampedState:
-    """Exact flow of the homogeneous linear system by time ``t`` (`block_flow`).
-
-    All Sobolev norms decay exponentially (rate at least
-    ``min(gamma, a, delta - a)/2`` in the underdamped regime ``delta <= 2``).
-    """
-    grid = state.grid
-    flow = block_flow(grid, t, params.gamma, params.a, params.delta)
-    return DampedState(*_fields(grid, flow(_carried(state))), state.t + t)
-
-
-def _fields(grid: Grid, arrays: Fields) -> tuple[SpectralField, ...]:
-    return tuple(SpectralField(grid, from_box(a, grid)) for a in arrays)
-
 
 def integrate_damped(
-    state: DampedState, params: DampedParams, config: IntegratorConfig
+    state: SystemState, params: DampedParams, config: IntegratorConfig
 ) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
-    The run carries ``u`` on the dealias box and the real ``v`` and ``w`` as
-    box half spectra (`block_flow`), with the KGS right side plus the forcing
-    (`nonlinear_rhs`); a state whose ``v`` or ``w`` is not real, or a state
-    or forcing that is not band-limited, is rejected with
-    `ConfigurationError`.  Recorded states are full spectra.
+    The run carries the state's ``(u, v, w)``, ``w = a v + v_t`` (`block_flow`),
+    with the KGS right side plus the forcing (`nonlinear_rhs`), and records
+    states (`state_records`).
 
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
     exactly; in general ``d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u)``
     holds along trajectories up to the time-discretization error.
     """
     grid = state.grid
-    fields = _carried(state)
     f, g = params.forcing(grid)
-    g_half = np.ascontiguousarray(half_spectrum(band_limited(g, "g")))  # a strided one is copied
-    rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * band_limited(f, "f"), g_half))
-    record = lambda t, fields: DampedState(*_fields(grid, fields), t)  # noqa: E731
-    recorder = Recorder(("u", "v", "w"), grid, state.t, config, record)
+    rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * f, g))
+    recorder = Recorder(("u", "v", "w"), grid, state.t, config, state_records(state.system, grid))
     half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
-    lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
+    lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
     return recorder.trajectory(state)
 
 
@@ -196,16 +137,17 @@ class _EnergyTerms(NamedTuple):
     g_w: float  # Re int g conj(w) dx
 
     @classmethod
-    def of(cls, state: DampedState, params: DampedParams) -> "_EnergyTerms":
-        f, g = params.forcing(state.grid)
+    def of(cls, state: SystemState, forcing: Fields) -> "_EnergyTerms":
+        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`)."""
+        (f, g), grid = forcing, state.grid
         return cls(
-            sobolev_norm(state.u, 1.0, homogeneous=True) ** 2,
-            l2_norm(state.v) ** 2,
-            sobolev_norm(state.v, 1.0, homogeneous=True) ** 2,
-            l2_norm(state.w) ** 2,
-            cubic_pairing(state.u.coeffs, state.v.coeffs, state.grid),
-            inner_product(f, state.u).real,
-            inner_product(g, state.w).real,
+            box_norm(state.u, grid, 1.0, homogeneous=True) ** 2,
+            box_norm(state.v, grid) ** 2,
+            box_norm(state.v, grid, 1.0, homogeneous=True) ** 2,
+            box_norm(state.w, grid) ** 2,
+            cubic_pairing(state.u, state.v, grid),
+            box_inner(f, state.u, grid),
+            box_inner(g, state.w, grid),
         )
 
     def energy(self, params: DampedParams) -> float:
@@ -231,22 +173,22 @@ class _EnergyTerms(NamedTuple):
         )
 
 
-def energy_H(state: DampedState, params: DampedParams) -> float:
+def energy_H(state: SystemState, params: DampedParams) -> float:
     """The Lyapunov-type energy of the damped flow (see module docstring).
 
     The forcing pairing is taken as ``4 Re int f conj(u) dx``, which keeps H
     real and matches the dissipation rate below term by term.
     """
-    return _EnergyTerms.of(state, params).energy(params)
+    return _EnergyTerms.of(state, params.forcing(state.grid)).energy(params)
 
 
-def energy_H_rate(state: DampedState, params: DampedParams) -> float:
+def energy_H_rate(state: SystemState, params: DampedParams) -> float:
     """Closed-form ``dH/dt`` along the flow; exact for band-limited states.
 
     Along numerical trajectories a second-order centered difference of
     `energy_H` reproduces this to O(dt^2).
     """
-    return _EnergyTerms.of(state, params).rate(params)
+    return _EnergyTerms.of(state, params.forcing(state.grid)).rate(params)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +238,19 @@ def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> Attra
     limits).  A run much shorter than the damping timescale is flagged
     inconclusive.  ``trajectory`` comes from `integrate_damped`: the linear
     part advances from record to record by the run's step indices and
-    ``dt``, with one `block_flow` per distinct step gap.
+    ``dt``, with one `block_flow` per distinct step gap.  Every norm is a
+    box sum (`box_norm`).
     """
     grid = trajectory[0].grid
     rows: list[AttractorRow] = []
-    terms = [_EnergyTerms.of(s, params) for s in trajectory]
+    forcing = params.forcing(grid)
+    terms = [_EnergyTerms.of(s, forcing) for s in trajectory]
     energies = [t.energy(params) for t in terms]
     e_rate = [t.rate(params) for t in terms]
     times = np.array([s.t for s in trajectory])
 
     flows: dict[int, Flow] = {}
-    linear = _carried(trajectory[0])
+    linear = trajectory[0].fields
     previous = trajectory.steps[0]
     ball_norms = []
     lin_norms = []
@@ -315,32 +259,32 @@ def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> Attra
         if gap not in flows:
             flows[gap] = block_flow(grid, gap * trajectory.dt, params.gamma, params.a, params.delta)
         linear = flows[gap](linear)
-        lin_u, lin_v, lin_w = _fields(grid, linear)
+        lin_u, lin_v, lin_w = linear
         if 0 < idx < len(trajectory) - 1:
             dt_pair = trajectory[idx + 1].t - trajectory[idx - 1].t
             rate_fd = (energies[idx + 1] - energies[idx - 1]) / dt_pair
         else:
             rate_fd = math.nan
-        linear_u_h1 = sobolev_norm(lin_u, 1.0)
-        linear_v_h1 = sobolev_norm(lin_v, 1.0)
-        linear_w_l2 = l2_norm(lin_w)
+        linear_u_h1 = box_norm(lin_u, grid, 1.0)
+        linear_v_h1 = box_norm(lin_v, grid, 1.0)
+        linear_w_l2 = box_norm(lin_w, grid)
         rows.append(
             AttractorRow(
                 t=state.t,
                 energy=energies[idx],
                 rate_closed=e_rate[idx],
                 rate_fd=rate_fd,
-                mass=l2_norm(state.u),
+                mass=box_norm(state.u, grid),
                 linear_u_h1=linear_u_h1,
                 linear_v_h1=linear_v_h1,
                 linear_w_l2=linear_w_l2,
-                nonlinear_u=sobolev_norm(state.u - lin_u, PROBE_EXPONENTS[0]),
-                nonlinear_v=sobolev_norm(state.v - lin_v, PROBE_EXPONENTS[1]),
-                nonlinear_w=sobolev_norm(state.w - lin_w, PROBE_EXPONENTS[2]),
+                nonlinear_u=box_norm(state.u - lin_u, grid, PROBE_EXPONENTS[0]),
+                nonlinear_v=box_norm(state.v - lin_v, grid, PROBE_EXPONENTS[1]),
+                nonlinear_w=box_norm(state.w - lin_w, grid, PROBE_EXPONENTS[2]),
             )
         )
         ball_norms.append(
-            sobolev_norm(state.u, 1.0) + sobolev_norm(state.v, 1.0) + l2_norm(state.w)
+            box_norm(state.u, grid, 1.0) + box_norm(state.v, grid, 1.0) + box_norm(state.w, grid)
         )
         lin_norms.append(linear_u_h1 + linear_v_h1 + linear_w_l2)
 

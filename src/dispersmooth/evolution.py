@@ -1,23 +1,23 @@
 """Time integration of the coupled systems.
 
-A state is ``(u, w+)``, where ``w+ = v + i A^{-1} v_t`` comes from the real
-wave ``v`` (Klein-Gordon-Schrodinger) or the analogous ``n+`` (Zakharov),
-with ``A = (1 - Laplacian)^{1/2}``; the minus branch ``w- = conj w+`` is
-derived (`SystemState.wminus`).  A run carries ``(u, v, w)`` with ``w = v_t``,
-the layout of the damped system (`dissipative`), of which KGS is the case
-without damping or forcing: ``u`` on the dealias box (`Grid.box`), the real
-``v`` and ``w`` as box half spectra.  The linear flow is exact per mode
+A state (`SystemState`) is ``(u, v, w)`` at one time, the layout every run
+carries from its data to its last record: ``u`` on the dealias box
+(`Grid.box`), the real wave ``v`` (Klein-Gordon-Schrodinger) or ``n``
+(Zakharov) and ``w`` as box half spectra, with ``w = v_t`` (``n_t``); the
+damped system (`dissipative`) carries ``w = a v + v_t``, and KGS is its case
+without damping or forcing.  The linear flow is exact per mode
 (`block_flow`) -- ``exp(-i t |xi|^2)`` for ``u`` and a 2x2 block for
-``(v, w)``, which the change of variables ``(v, v_t) -> w+`` maps to
-``exp(-i t <xi>)`` -- so the fourth-order scheme (classical Runge-Kutta in the
-interaction picture) sees no dispersive stiffness.  Quadratic
-nonlinearities are evaluated pseudo-spectrally with 2/3-rule dealiasing
-(`spectral.CouplingKernel`); conservation identities hold exactly for the
-truncated flow when the data is band-limited below the dealias cutoff, so
-the observed mass/Hamiltonian drift is pure time-discretization error.
-Runs reject data that is not band-limited (`band_limited`) and record full
-spectra of ``(u, w+)`` (`wave_records`), or what the caller makes of the
-carried fields: `conserved_quantities` takes them as they are.
+``(v, w)``, which the change of variables ``(v, v_t) -> w+ = v + i A^{-1}
+v_t``, ``A = (1 - Laplacian)^{1/2}``, maps to ``exp(-i t <xi>)`` -- so the
+fourth-order scheme (classical Runge-Kutta in the interaction picture) sees
+no dispersive stiffness.  Quadratic nonlinearities are evaluated
+pseudo-spectrally with 2/3-rule dealiasing (`spectral.CouplingKernel`);
+conservation identities hold exactly for the truncated flow when the data is
+band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
+is pure time-discretization error.  Full spectra meet a state at two edges
+only: `SystemState.from_full` builds one from full fields, rejecting data
+that is not band-limited or a wave that is not real, and `wave_records`
+expands one into ``(u, w+)``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .spectral import (
     half_spectrum,
     random_sobolev_field,
     remove_mean,
+    require_real,
 )
 
 
@@ -57,29 +58,38 @@ class System(str, enum.Enum):
     ZAKHAROV = "zakharov"
 
 
-class Dispersion(str, enum.Enum):
-    SCHRODINGER = "schrodinger"
-    KG_PLUS = "kg_plus"
-    KG_MINUS = "kg_minus"
-
-
 @dataclass(frozen=True)
 class SystemState:
-    """Transformed-system unknowns ``(u, w+)`` at one time; ``w-`` is derived."""
+    """The carried unknowns ``(u, v, w)`` of ``system`` on ``grid`` at time ``t``.
+
+    ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
+    spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
+    damped run.  Runs never write into a state's arrays.
+    """
 
     system: System
-    u: SpectralField
-    wplus: SpectralField
+    grid: Grid
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     t: float = field(default=0.0, kw_only=True)
 
     @property
-    def grid(self) -> Grid:
-        return self.u.grid
+    def fields(self) -> Fields:
+        return self.u, self.v, self.w
 
-    @property
-    def wminus(self) -> SpectralField:
-        """The minus branch ``conj w+`` of the real wave."""
-        return SpectralField(self.grid, conjugate(self.wplus.coeffs))
+    @classmethod
+    def from_full(
+        cls, system: System, u: SpectralField, v: SpectralField, w: SpectralField, t: float = 0.0
+    ) -> "SystemState":
+        """The state of full fields ``(u, v, w)``; data ``(u, w+)`` comes in through
+        `split_wave`.  A ``v`` or ``w`` that is not real (`require_real`), or a
+        field that is not band-limited (`band_limited`), is rejected by name."""
+        require_real(v, "v")
+        require_real(w, "w")
+        boxes = [band_limited(f, name) for f, name in ((u, "u"), (v, "v"), (w, "w"))]
+        halves = (np.ascontiguousarray(half_spectrum(a)) for a in boxes[1:])
+        return cls(system, u.grid, boxes[0], *halves, t=t)
 
 
 @dataclass(frozen=True)
@@ -112,28 +122,8 @@ class ConservationReport:
 
 
 # ---------------------------------------------------------------------------
-# Linear propagators
+# The exact linear flow
 # ---------------------------------------------------------------------------
-
-def propagator_symbol(grid: Grid, dispersion: Dispersion, t: float) -> np.ndarray:
-    """Exact one-parameter linear flow multiplier; Nyquist plane zeroed."""
-    if dispersion is Dispersion.SCHRODINGER:
-        sym = np.exp(-1j * t * grid.xi_squared)
-    elif dispersion is Dispersion.KG_PLUS:
-        sym = np.exp(-1j * t * grid.bracket)
-    elif dispersion is Dispersion.KG_MINUS:
-        sym = np.exp(1j * t * grid.bracket)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown dispersion {dispersion}")
-    sym = sym.astype(np.complex128)
-    sym[grid.nyquist_mask] = 0.0
-    return sym
-
-
-def linear_propagate(f: SpectralField, dispersion: Dispersion, t: float) -> SpectralField:
-    """Free evolution by time ``t`` under the chosen dispersion relation."""
-    return SpectralField(f.grid, f.coeffs * propagator_symbol(f.grid, dispersion, t))
-
 
 def block_flow(
     grid: Grid, t: float, gamma: float = 0.0, a: float = 0.0, delta: float = 0.0
@@ -155,7 +145,8 @@ def block_flow(
     Klein-Gordon flow of ``(v, v_t)``, ``M = [[0, 1], [-<xi>^2, 0]]``.  A flow
     that overflows (a very large ``delta`` for ``t``) is a `ConfigurationError`.
     """
-    xi_squared = half_spectrum(grid.box(grid.xi_squared))
+    box_xi_squared = grid.box(grid.xi_squared)
+    xi_squared = half_spectrum(box_xi_squared)
     cap = 1.0 + a * (a - delta) + xi_squared
     half_trace = -delta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +171,7 @@ def block_flow(
             f" (a = {a:g}); lower delta or dt"
         )
     scratch = np.empty_like(rows[0][0])
-    u_sym = math.exp(-gamma * t) * grid.box(propagator_symbol(grid, Dispersion.SCHRODINGER, t))
+    u_sym = math.exp(-gamma * t) * np.exp(-1j * t * box_xi_squared)
 
     def flow(fields: Fields, out: Fields | None = None) -> Fields:
         out = tuple(np.empty_like(a) for a in fields) if out is None else out
@@ -211,19 +202,15 @@ def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
     return v, v_t
 
 
-def carried(
-    u: SpectralField, wplus: SpectralField, names: tuple[str, str] = ("u", "wplus")
-) -> Fields:
-    """``(u, v, v_t)`` of ``(u, w+)`` as a run carries them (`split_wave`): a box
-    array and two box half spectra; a field that is not band-limited is
-    rejected under its name (`band_limited`)."""
-    band_limited(wplus, names[1])
-    boxes = (half_spectrum(u.grid.box(f.coeffs)) for f in split_wave(wplus))
-    return (band_limited(u, names[0]), *boxes)
+def wave_norm(v: np.ndarray, v_t: np.ndarray, grid: Grid, s: float = 0.0) -> float:
+    """``||w+||_{H^s}`` of ``w+ = v + i A^{-1} v_t`` from the box half spectra of the
+    real ``(v, v_t)``: ``(||v||_{H^s}^2 + ||v_t||_{H^{s-1}}^2)^{1/2}``, also ``||w-||_{H^s}``."""
+    return math.hypot(box_norm(v, grid, s), box_norm(v_t, grid, s - 1.0))
 
 
 def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
-    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`).
+    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`):
+    the outgoing edge of a state, for checkpoints and spectral fits.
 
     ``w+ = v + i A^{-1} v_t`` is formed on the half spectrum with the
     arithmetic of `join_wave`.  The other columns of the box are those of
@@ -377,7 +364,7 @@ def time_grid(t_end: float, dt: float) -> tuple[int, float]:
 class Trajectory(list):
     """Records, the initial one first, with their step indices, the run's
     effective step ``dt`` and step count ``n_steps``, and its ``final`` state
-    (the last record, unless the records are not states)."""
+    (the last record, unless the records are not states; see `integrate`)."""
 
     def __init__(self, states: list, steps: list[int], dt: float, n_steps: int):
         super().__init__(states)
@@ -397,9 +384,8 @@ class Recorder:
     all, once one is non-finite or above ``config.blowup_threshold``.  It
     keeps ``(step, t, record(t, fields))`` every ``config.record_every``
     steps and at the last step.  Fields are box arrays (`Grid.box`), or box
-    half spectra of real fields; a record that keeps them must copy or
-    expand them (`from_box`, `wave_records`), since the next step overwrites
-    them.
+    half spectra of real fields; a record that keeps them must copy them
+    (`state_records`), since the next step overwrites them.
     """
 
     names: tuple[str, ...]
@@ -431,6 +417,11 @@ class Recorder:
         )
 
 
+def state_records(system: System, grid: Grid) -> Callable[[float, Fields], SystemState]:
+    """The default record of a run: a `SystemState` of copies of the carried fields."""
+    return lambda t, fields: SystemState(system, grid, *(a.copy() for a in fields), t=t)
+
+
 def integrate(
     state: SystemState,
     config: IntegratorConfig,
@@ -438,26 +429,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate over ``config.t_end``; returns the records (initial one included).
 
-    The run carries ``(u, v, v_t)`` (`carried`) on the steps of `time_grid`;
+    The run carries the state's ``(u, v, v_t)`` on the steps of `time_grid`;
     `Recorder` guards it and keeps ``record(t, fields)`` of the carried
-    fields, the initial ones included: by default the state ``(u, w+)``
-    (`wave_records`).  `Trajectory.final` is the last state either way; a
-    run with its own ``record`` expands that state alone.  A field that is
-    not band-limited is rejected (`band_limited`).
+    fields, the initial ones included: by default the state itself
+    (`state_records`).  `Trajectory.final` is the last state either way.
     """
-    grid, expand = state.grid, wave_records(state.grid)
-
-    def full(t: float, fields: Fields) -> SystemState:
-        return SystemState(state.system, *(SpectralField(grid, a) for a in expand(fields)), t=t)
-
-    recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, record or full)
+    grid, copy = state.grid, state_records(state.system, state.grid)
+    recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, record or copy)
     rhs, half_step = nonlinear_rhs(state.system, grid), block_flow(grid, recorder.dt / 2)
-    fields = carried(state.u, state.wplus)
-    initial = state if record is None else record(state.t, fields)
-    last = lawson_rk4_run(fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
+    initial = state if record is None else record(state.t, state.fields)
+    last = lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
     trajectory = recorder.trajectory(initial)
     if record is not None:
-        trajectory.final = full(recorder.records[-1][1], last)
+        trajectory.final = copy(recorder.records[-1][1], last)
     return trajectory
 
 
@@ -466,7 +450,7 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 def conserved_quantities(system: System, grid: Grid, fields: Fields) -> ConservationReport:
-    """Mass and Hamiltonian of carried ``(u, v, v_t)`` (`carried` takes a state there).
+    """Mass and Hamiltonian of carried ``(u, v, v_t)``, a state's `SystemState.fields`.
 
     Klein-Gordon-Schrodinger::
 
@@ -506,8 +490,9 @@ def random_system_state(
 ) -> SystemState:
     """Reproducible random state with a real wave.
 
-    ``u`` is a random H^s field; ``w+`` comes from real random
-    ``(v, v_t)`` in H^r x H^{max(r-1, 0)}.  The wave velocity is mean-zero
+    ``u`` is a random H^s field; the real random ``(v, v_t)`` in
+    H^r x H^{max(r-1, 0)} enter as the data ``w+`` (`join_wave`, then
+    `split_wave` into `SystemState.from_full`).  The wave velocity is mean-zero
     (its mean is a separate conserved quantity on the torus) and the state is
     band-limited below the dealias cutoff so the truncated flow conserves
     mass and energy exactly.
@@ -521,4 +506,5 @@ def random_system_state(
     v_t = wave_amplitude * random_sobolev_field(
         grid, max(r - 1.0, 0.0), seed=kids[2], real=True
     )
-    return SystemState(system, dealias(u), dealias(join_wave(v, remove_mean(v_t))))
+    wplus = dealias(join_wave(v, remove_mean(v_t)))
+    return SystemState.from_full(system, dealias(u), *split_wave(wplus))

@@ -9,19 +9,20 @@ the low pair while the high data continues as a pure linear flow::
     psi_1 = psi(delta) + [lambda(delta) - exp(-i delta A) lambda_0]
     mu_1  = exp(i delta Lap) mu_0,     lambda_1 = exp(-i delta A) lambda_0
 
-The wave unknowns are the plus branches ``psi+`` and ``lambda+`` of real
+The wave unknowns ``psi+`` and ``lambda+`` are the plus branches of real
 waves (the split is symmetric under ``xi -> -xi``, so both halves stay
-real), and the window carries each pair in the run layout of `evolution`:
+real), and each pair is a KGS state of `evolution`, carried across windows:
 the six arrays ``(phi, psi_v, psi_w, mu, lam_v, lam_w)``, with ``psi_w``
-and ``lam_w`` the wave velocities.  The split right sides sum exactly
-(bilinearity) to the direct-system right sides, so the reassembled total
-``(phi + mu, psi+ + lambda+)`` telescopes to the unsplit solution at matched
-steps up to roundoff.
+and ``lam_w`` the wave velocities, and ``exp(-i delta A)`` acting on
+``lambda+`` as `block_flow` on ``(lam_v, lam_w)``.  The split right sides sum
+exactly (bilinearity) to the direct-system right sides, so the reassembled
+total ``(phi + mu, psi+ + lambda+)`` telescopes to the unsplit solution at
+matched steps up to roundoff.
 
 The window length follows the step rule ``delta = c N^(-2(1-m)/r0 - 0.01)``
 with ``m = min(s, r)``.  The low pair's energy
 
-    E = ||A psi||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re(psi) dx
+    E = ||A psi+||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re(psi+) dx
 
 is coercive when the u-mass is below a threshold set by the optimal
 four-dimensional Gagliardo-Nirenberg constants ``C1`` (L^4) and ``C2``
@@ -38,29 +39,18 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .evolution import (
-    Dispersion,
     IntegratorConfig,
     Recorder,
     SystemState,
     System,
     block_flow,
-    carried,
     integrate,
     lawson_rk4_run,
-    linear_propagate,
     nonlinear_rhs,
     time_grid,
-    wave_records,
+    wave_norm,
 )
-from .spectral import (
-    Grid,
-    SpectralField,
-    cubic_pairing,
-    l2_norm,
-    lowpass_projection,
-    real_part,
-    sobolev_norm,
-)
+from .spectral import Grid, box_norm, cubic_pairing, half_spectrum
 
 
 @dataclass(frozen=True)
@@ -108,22 +98,25 @@ class HighLowConfig:
 
 @dataclass(frozen=True)
 class HighLowState:
-    """Low pair (phi, psi+), high pair (mu, lambda+), window counter."""
+    """Low pair ``low = (phi, psi_v, psi_w)``, high pair ``high = (mu, lam_v, lam_w)``,
+    each a KGS `SystemState` at the window boundary, and the window counter."""
 
-    phi: SpectralField
-    psi_plus: SpectralField
-    mu: SpectralField
-    lam_plus: SpectralField
+    low: SystemState
+    high: SystemState
     window_index: int = 0
-    t: float = 0.0
 
     @property
     def grid(self) -> Grid:
-        return self.phi.grid
+        return self.low.grid
 
-    def total(self) -> tuple[SpectralField, SpectralField]:
+    @property
+    def t(self) -> float:
+        return self.low.t
+
+    def total(self) -> SystemState:
         """The running solution ``(phi + mu, psi+ + lambda+)``."""
-        return self.phi + self.mu, self.psi_plus + self.lam_plus
+        fields = (a + b for a, b in zip(self.low.fields, self.high.fields))
+        return SystemState(System.KGS, self.grid, *fields, t=self.t)
 
 
 def step_rule(cutoff: float, m: float, r0: float, constant: float = 0.1) -> float:
@@ -142,8 +135,8 @@ def step_rule(cutoff: float, m: float, r0: float, constant: float = 0.1) -> floa
     return delta
 
 
-def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> HighLowState:
-    """Frequency split: low pair keeps ``|xi| <= N``, high pair the rest.
+def split_initial(state: SystemState, cutoff: float) -> HighLowState:
+    """Frequency split of a KGS state: low pair keeps ``|xi| <= N``, high pair the rest.
 
     Reconstruction ``phi0 + mu0 = u0`` is exact, and the splitting bounds
 
@@ -152,9 +145,15 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 
     hold numerically for s0 <= s <= 1 (similarly for the wave slot).
     """
-    phi = lowpass_projection(u0, cutoff)
-    psi = lowpass_projection(wplus, cutoff)
-    return HighLowState(phi=phi, psi_plus=psi, mu=u0 - phi, lam_plus=wplus - psi)
+    grid = state.grid
+    inside = grid.box(grid.xi_norm) <= cutoff
+    masks = (inside, half_spectrum(inside), half_spectrum(inside))
+    low = [np.where(mask, a, 0.0) for mask, a in zip(masks, state.fields)]
+    high = [a - b for a, b in zip(state.fields, low)]
+    return HighLowState(
+        SystemState(System.KGS, grid, *low, t=state.t),
+        SystemState(System.KGS, grid, *high, t=state.t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +161,10 @@ def split_initial(u0: SpectralField, wplus: SpectralField, cutoff: float) -> Hig
 # ---------------------------------------------------------------------------
 
 def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np.ndarray, ...]:
-    """Evolve the coupled system over ``window.t_end``; full ``(phi, psi+, mu, lam+)``.
-
-    The run carries the six arrays ``(phi, psi_v, psi_w, mu, lam_v, lam_w)``:
-    each pair as ``(u, v, v_t)`` (`carried`), on the flow of `block_flow`.
-    """
+    """Evolve the coupled system over ``window.t_end``; the six arrays
+    ``(phi, psi_v, psi_w, mu, lam_v, lam_w)`` at its end, on the flow of `block_flow`."""
     grid = state.grid
-    start = carried(state.phi, state.psi_plus, ("phi", "psi_plus"))
-    start += carried(state.mu, state.lam_plus, ("mu", "lam_plus"))
+    start = state.low.fields + state.high.fields
     kgs = nonlinear_rhs(System.KGS, grid)
     total = tuple(np.empty_like(a) for a in start[:2])  # the right side reads (u, v) alone
 
@@ -188,11 +183,10 @@ def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np
         return out
 
     names = ("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w")
-    expand, once = wave_records(grid), replace(window, record_every=10**9)
-    guard = Recorder(names, grid, state.t, once, lambda t, fields: expand(fields))
+    once = replace(window, record_every=10**9)
+    guard = Recorder(names, grid, state.t, once, lambda t, fields: None)
     half_step = block_flow(grid, guard.dt / 2)
-    lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
-    return guard.records[-1][2]  # the last step
+    return lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
 
 
 @dataclass(frozen=True)
@@ -209,29 +203,22 @@ class WindowLog:
 def _reassemble(
     state: HighLowState, delta: float, evolved: tuple[np.ndarray, ...]
 ) -> tuple[HighLowState, WindowLog]:
-    grid = state.grid
-    phi_d, psi_d, mu_d, lam_d = (SpectralField(grid, f) for f in evolved)
-    mu_free = linear_propagate(state.mu, Dispersion.SCHRODINGER, delta)
-    lam_free = linear_propagate(state.lam_plus, Dispersion.KG_PLUS, delta)
-    incr_u = mu_d - mu_free
-    incr_w = lam_d - lam_free
+    grid, t = state.grid, state.t + delta
+    free = block_flow(grid, delta)(state.high.fields)
+    increment = [a - b for a, b in zip(evolved[3:], free)]
+    low = SystemState(System.KGS, grid, *(a + b for a, b in zip(evolved[:3], increment)), t=t)
     new_state = HighLowState(
-        phi=phi_d + incr_u,
-        psi_plus=psi_d + incr_w,
-        mu=mu_free,
-        lam_plus=lam_free,
-        window_index=state.window_index + 1,
-        t=state.t + delta,
+        low, SystemState(System.KGS, grid, *free, t=t), state.window_index + 1
     )
-    energy = low_energy(new_state.phi, new_state.psi_plus)
+    energy = low_energy(low)
     log = WindowLog(
         window_index=new_state.window_index,
-        t_end=new_state.t,
+        t_end=t,
         energy_low=energy.energy,
         coercivity_surrogate=energy.coercivity_surrogate,
-        mass_low=l2_norm(new_state.phi),
-        increment_u_h1=sobolev_norm(incr_u, 1.0),
-        increment_wave_h1=sobolev_norm(incr_w, 1.0),
+        mass_low=box_norm(low.u, grid),
+        increment_u_h1=box_norm(increment[0], grid, 1.0),
+        increment_wave_h1=wave_norm(increment[1], increment[2], grid, 1.0),
     )
     return new_state, log
 
@@ -256,18 +243,20 @@ class LowEnergyReport:
     coercivity_surrogate: float
 
 
-def low_energy(phi: SpectralField, psi_plus: SpectralField) -> LowEnergyReport:
-    """Low-pair energy ``||A psi||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re psi``.
+def low_energy(low: SystemState) -> LowEnergyReport:
+    """Low-pair energy ``||A psi+||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re psi+``.
 
-    ``psi`` is the plus branch of the real low wave.  Also returns the
+    ``low`` is the pair ``(phi, psi_v, psi_w)``: ``Re psi+ = psi_v`` and
+    ``||A psi+|| = ||psi+||_{H^1}`` (`wave_norm`).  Also returns the
     coercivity surrogate (the two quadratic terms alone), which the energy
     approximates from below once the u-mass is small.
     """
+    grid = low.grid
     quad_part = (
-        sobolev_norm(psi_plus, 1.0) ** 2
-        + 2.0 * sobolev_norm(phi, 1.0, homogeneous=True) ** 2
+        wave_norm(low.v, low.w, grid, 1.0) ** 2
+        + 2.0 * box_norm(low.u, grid, 1.0, homogeneous=True) ** 2
     )
-    cubic = 2.0 * cubic_pairing(phi.coeffs, real_part(psi_plus.coeffs), phi.grid)
+    cubic = 2.0 * cubic_pairing(low.u, low.v, grid)
     return LowEnergyReport(energy=quad_part - cubic, coercivity_surrogate=quad_part)
 
 
@@ -328,13 +317,9 @@ class HighLowReport:
 
 
 def run_global(
-    u0: SpectralField,
-    wplus: SpectralField,
-    m: float,
-    config: HighLowConfig,
-    integrator: IntegratorConfig,
+    state: SystemState, m: float, config: HighLowConfig, integrator: IntegratorConfig
 ) -> HighLowReport:
-    """Iterate `advance_window`, logging per-window diagnostics.
+    """Iterate `advance_window` from a KGS state, logging per-window diagnostics.
 
     The window length is ``config.delta``, else `step_rule` at the data
     regularity ``m = min(s, r)``; the window count is ``config.windows``,
@@ -342,8 +327,9 @@ def run_global(
     so the last one may end past it).  Every window runs on the steps of
     ``integrator`` over ``delta`` (`time_grid`) under its blow-up guard.
     With ``config.compare_direct`` the unsplit system is integrated alongside
-    on the same steps and the relative L2 difference of the totals is logged
-    per window (they agree to roundoff; the telescoping identity is exact).
+    on the same steps, one `integrate` call per window, and the relative L2
+    difference of the totals ``(u, w+)`` is logged per window (they agree to
+    roundoff; the telescoping identity is exact).
 
     The mass threshold comes from the 4-d Gagliardo-Nirenberg constants.  In
     d = 4 it is advisory: a run above it proceeds with a warning.  In any
@@ -354,7 +340,8 @@ def run_global(
         delta = step_rule(config.cutoff, m, config.r0, config.window_constant)
     window = replace(integrator, t_end=delta, record_every=10**9)
     n_windows = config.windows or time_grid(integrator.t_end, delta)[0]
-    mass0, dim = l2_norm(u0), u0.grid.dim
+    grid = state.grid
+    mass0, dim = box_norm(state.u, grid), grid.dim
     threshold = mass_threshold(*config.constants()) if dim == 4 else None
     warnings = []
     if threshold is None:
@@ -372,18 +359,17 @@ def run_global(
             "and are both reported"
         )
 
-    state = split_initial(u0, wplus, config.cutoff)
-    direct = SystemState(System.KGS, u0, wplus)
+    split, direct = split_initial(state, config.cutoff), state
     diffs: list[float] | None = [] if config.compare_direct else None
     logs: list[WindowLog] = []
     for _ in range(n_windows):
-        state, log = advance_window(state, window)
+        split, log = advance_window(split, window)
         logs.append(log)
         if diffs is not None:
-            direct = integrate(direct, window)[-1]
-            totals = zip(state.total(), (direct.u, direct.wplus))
-            num = sum(l2_norm(t - d) for t, d in totals)
-            den = l2_norm(direct.u) + l2_norm(direct.wplus)
+            direct = integrate(direct, window).final
+            gap = [a - b for a, b in zip(split.total().fields, direct.fields)]
+            num = box_norm(gap[0], grid) + wave_norm(gap[1], gap[2], grid)
+            den = box_norm(direct.u, grid) + wave_norm(direct.v, direct.w, grid)
             diffs.append(num / den if den > 0 else 0.0)
     return HighLowReport(
         config=config,
@@ -392,7 +378,7 @@ def run_global(
         initial_mass=mass0,
         below_threshold=None if threshold is None else mass0 < threshold.operative,
         windows=logs,
-        final_state=state,
+        final_state=split,
         diff_vs_direct=diffs,
         warnings=warnings,
     )

@@ -4,8 +4,10 @@ Outputs are a pure function of (config, seed, code version): CSV files are
 written with 17 significant digits (lossless float round trip) and fixed
 newlines, so reruns are byte-identical.  The manifest additionally records
 wall time, which is informational and excluded from the determinism contract.
-Checkpoints keep the three-block layout ``(u, w+, w-)``; the state carries
-``(u, w+)`` only, so ``w-`` is written as ``conj w+`` and checked on load.
+A checkpoint is the outgoing edge of a state: its full ``(u, w+)``
+(`Checkpoint.of`), kept in the three-block layout ``(u, w+, w-)`` with ``w-``
+written as ``conj w+`` and checked on load.  Save and load work on these full
+arrays, not on a state, so a round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .errors import CheckpointFormatError, ConfigurationError
-from .evolution import System, SystemState
-from .spectral import Grid, SpectralField, l2_norm
+from .evolution import System, SystemState, wave_records
+from .spectral import Grid, SpectralField, conjugate, l2_norm
 
 _MAGIC = b"ZKGS"
 _VERSION = 1
@@ -58,6 +61,21 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+class Checkpoint(NamedTuple):
+    """What a checkpoint holds: a system, its grid, a time and full ``(u, w+)`` coefficients."""
+
+    system: System
+    grid: Grid
+    t: float
+    u: np.ndarray
+    wplus: np.ndarray
+
+    @classmethod
+    def of(cls, state: SystemState) -> "Checkpoint":
+        """The checkpoint of ``state``: its one expansion (`wave_records`)."""
+        return cls(state.system, state.grid, state.t, *wave_records(state.grid)(state.fields))
+
+
 @dataclass
 class ExperimentResult:
     """What an experiment hands to `write_outputs`."""
@@ -67,7 +85,7 @@ class ExperimentResult:
     header: list[str]
     rows: list[tuple]
     manifest_extra: dict = field(default_factory=dict)
-    checkpoints: list[tuple[str, SystemState]] = field(default_factory=list)
+    checkpoints: list[tuple[str, Checkpoint]] = field(default_factory=list)
 
 
 def write_outputs(
@@ -91,9 +109,9 @@ def write_outputs(
     write_csv(csv_path, result.header, result.rows)
     paths["csv"] = csv_path
 
-    for name, state in result.checkpoints:
+    for name, checkpoint in result.checkpoints:
         ckpt_path = out / name
-        save_checkpoint(state, ckpt_path)
+        save_checkpoint(checkpoint, ckpt_path)
         paths[name] = ckpt_path
 
     manifest = {
@@ -118,8 +136,8 @@ def write_outputs(
 # Binary checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(state: SystemState, path: str | Path) -> None:
-    """Serialize a state: magic, version, system id, grid descriptor, t, fields.
+def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+    """Serialize a checkpoint: magic, version, system id, grid descriptor, t, fields.
 
     Layout: ``ZKGS`` (4 bytes), format version (u32 LE), system id (u8),
     dimension (u8), n_per_dim (u32 LE), box_length (f64 LE), t (f64 LE),
@@ -127,30 +145,30 @@ def save_checkpoint(state: SystemState, path: str | Path) -> None:
     row-major lattice order, fields in the order (u, w+, w-), where the
     stored ``w-`` is the derived ``conj w+``.
     """
-    grid = state.grid
+    grid = checkpoint.grid
     header = _MAGIC + struct.pack(
         "<IBBIdd",
         _VERSION,
-        _SYSTEM_IDS[state.system],
+        _SYSTEM_IDS[checkpoint.system],
         grid.dim,
         grid.n_per_dim,
         grid.box_length,
-        state.t,
+        checkpoint.t,
     )
+    wplus = checkpoint.wplus
     blobs = [
-        np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
-        for f in (state.u, state.wplus, state.wminus)
+        np.ascontiguousarray(a, dtype="<c16").tobytes() for a in (checkpoint.u, wplus, conjugate(wplus))
     ]
     Path(path).write_bytes(header + b"".join(blobs))
 
 
-def load_checkpoint(path: str | Path) -> SystemState:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Inverse of `save_checkpoint`.
 
     Rejects wrong magic/version, a grid descriptor outside `Grid`'s rules, a
-    payload of the wrong length (both checked before any array is built),
-    and a ``w-`` block that is not ``conj w+`` to 1e-12 relative (a wave that
-    is not real).
+    payload of the wrong length (both checked before any array is built), a
+    non-finite ``t``, and a ``w-`` block that is not ``conj w+`` to 1e-12
+    relative (a wave that is not real).
     """
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != _MAGIC:
@@ -176,6 +194,8 @@ def load_checkpoint(path: str | Path) -> SystemState:
         raise CheckpointFormatError(f"{path}: n_per_dim = {n_per_dim} is not a power of two >= 8")
     if not (math.isfinite(box_length) and box_length > 0):
         raise CheckpointFormatError(f"{path}: box_length = {box_length} is not finite and positive")
+    if not math.isfinite(t):
+        raise CheckpointFormatError(f"{path}: t = {t} is not finite")
     count = n_per_dim**dim
     body = raw[4 + head :]
     expected = 3 * count * 16
@@ -183,17 +203,20 @@ def load_checkpoint(path: str | Path) -> SystemState:
         raise CheckpointFormatError(
             f"{path}: payload has {len(body)} bytes, expected {expected}"
         )
-    grid = Grid(dim, n_per_dim, box_length)
-    fields = []
-    for i in range(3):
-        chunk = body[i * count * 16 : (i + 1) * count * 16]
-        coeffs = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape).astype(np.complex128)
-        fields.append(SpectralField(grid, coeffs))
-    state = SystemState(_IDS_SYSTEM[system_id], fields[0], fields[1], t=t)
-    defect = l2_norm(fields[2] - state.wminus)
-    if not defect <= 1e-12 * l2_norm(state.wplus):
+    try:
+        grid = Grid(dim, n_per_dim, box_length)
+    except ConfigurationError as err:  # a box_length outside the float range
+        raise CheckpointFormatError(f"{path}: {err}") from None
+    u, wplus, wminus = (
+        np.frombuffer(body[i * count * 16 : (i + 1) * count * 16], dtype="<c16")
+        .reshape(grid.shape)
+        .astype(np.complex128)
+        for i in range(3)
+    )
+    defect = l2_norm(SpectralField(grid, wminus - conjugate(wplus)))
+    if not defect <= 1e-12 * l2_norm(SpectralField(grid, wplus)):
         raise CheckpointFormatError(
             f"{path}: the w- block is not conj(w+) (L2 defect {defect:.3e});"
             " the wave must be real"
         )
-    return state
+    return Checkpoint(_IDS_SYSTEM[system_id], grid, t, u, wplus)

@@ -23,20 +23,21 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolution import (
-    Dispersion,
     IntegratorConfig,
     System,
     SystemState,
+    block_flow,
     integrate,
-    linear_propagate,
     random_system_state,
+    wave_norm,
+    wave_records,
 )
 from .resonance import lattice_xi_tau, xsb_weight
 from .spectral import (
     Grid,
     SpectralField,
+    box_norm,
     fit_spectral_slope,
-    remove_mean,
     sobolev_norm,
 )
 
@@ -56,13 +57,6 @@ def worker_count() -> int:
     if value >= 1:
         return value
     return min(4, os.cpu_count() or 1)
-
-
-_COMPONENT_DISPERSION = {
-    "u": Dispersion.SCHRODINGER,
-    "wplus": Dispersion.KG_PLUS,
-    "wminus": Dispersion.KG_MINUS,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +148,19 @@ def duhamel_residual(
 ) -> list[SpectralField]:
     """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
 
-    The residual at the initial time is exactly zero.
+    ``component`` is ``"u"`` or ``"wplus"``.  The residual is formed on the
+    box, the record minus `block_flow` of the first record, and expanded
+    once (`wave_records`).  The residual at the initial time is exactly zero.
     """
-    if component not in _COMPONENT_DISPERSION:
+    if component not in ("u", "wplus"):
         raise ConfigurationError(f"unknown component {component!r}")
-    dispersion = _COMPONENT_DISPERSION[component]
     first = trajectory[0]
-    data = getattr(first, component)
+    grid, expand = first.grid, wave_records(first.grid)
     out = []
     for state in trajectory:
-        free = linear_propagate(data, dispersion, state.t - first.t)
-        out.append(getattr(state, component) - free)
+        free = block_flow(grid, state.t - first.t)(first.fields)
+        u, wplus = expand([a - b for a, b in zip(state.fields, free)])
+        out.append(SpectralField(grid, u if component == "u" else wplus))
     return out
 
 
@@ -204,18 +200,16 @@ def _scan_member(
     # background potential that only phase-rotates u, leaving a residual
     # proportional to the data itself; the whole-space setting has no such
     # discrete mode, so the scan removes it (cf. the mean-zero convention
-    # for the homogeneous wave norms).  It is the zero mode of w+.
-    state = SystemState(params.system, state.u, remove_mean(state.wplus))
+    # for the homogeneous wave norms).  It is the zero mode of w+: of v and v_t.
+    v, v_t = state.v.copy(), state.w.copy()
+    v[(0,) * grid.dim] = v_t[(0,) * grid.dim] = 0.0
     # Unit-norm data: u in H^s, wave in H^r, then multiplied by the
     # requested amplitudes (zero amplitude = absent field).
-    u_norm = sobolev_norm(state.u, params.s)
-    w_norm = sobolev_norm(state.wplus, params.r)
-    state = SystemState(
-        params.system,
-        (amplitude / u_norm) * state.u,
-        (wave_amplitude / w_norm) * state.wplus,
-    )
+    u_scale = amplitude / box_norm(state.u, grid, params.s)
+    w_scale = wave_amplitude / wave_norm(v, v_t, grid, params.r)
+    state = SystemState(params.system, grid, u_scale * state.u, w_scale * v, w_scale * v_t)
     traj = integrate(state, replace(integrator, record_every=10**9))
+    data = dict(zip(("u", "wplus"), wave_records(grid)(state.fields)))
     data_size = amplitude + wave_amplitude  # ||u0||_{H^s} + ||w0||_{H^r}
 
     n = grid.n_per_dim
@@ -227,7 +221,7 @@ def _scan_member(
     ):
         residual = duhamel_residual(traj, component)[-1]
         res_norm = sobolev_norm(residual, base + probe)
-        data_slope = fit_spectral_slope(getattr(state, component), fit_lo, fit_hi)
+        data_slope = fit_spectral_slope(SpectralField(grid, data[component]), fit_lo, fit_hi)
         res_slope = fit_spectral_slope(residual, fit_lo, fit_hi)
         if data_slope is None or res_slope is None:
             gain = math.inf  # vanishing data or residual: gain not applicable

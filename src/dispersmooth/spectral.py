@@ -1,7 +1,9 @@
 """Grids, transforms, Fourier multipliers, norms, projections, and rough data.
 
-Everything downstream works with `SpectralField` values: complex Fourier
-coefficients on a periodic box of period ``2*pi*L`` per axis.  The transform
+A `SpectralField` holds complex Fourier coefficients on a periodic box of
+period ``2*pi*L`` per axis.  Runs and their diagnostics work on the entries
+of the dealias box instead (`Grid.box`, `half_spectrum`, `box_norm`); full
+spectra meet them only where data comes in and records go out.  The transform
 convention is the quadrature analogue of ``u_hat(xi) = integral u(x) exp(-i xi.x) dx``,
 so a constant field ``c`` has a single zero-mode coefficient ``c * (2 pi L)**d``
 and Parseval reads::
@@ -317,6 +319,19 @@ def band_limited(f: SpectralField, name: str) -> np.ndarray:
     return grid.box(f.coeffs)
 
 
+def require_real(f: SpectralField, name: str) -> None:
+    """Reject a field that is not real: ``f - conj f`` above 1e-12 relative in L2, naming ``name``."""
+    skew = f.coeffs - conjugate(f.coeffs)
+    if not np.any(skew):  # the usual case: exactly real, and no norm to overflow
+        return
+    defect = l2_norm(SpectralField(f.grid, skew))
+    if not defect <= 1e-12 * l2_norm(f):
+        raise ConfigurationError(
+            f"{name} must be a real field; its conjugate-symmetry defect is"
+            f" {defect:.3e} in L2 against a norm of {l2_norm(f):.3e}"
+        )
+
+
 def from_box(box: np.ndarray, grid: Grid) -> np.ndarray:
     """Full coefficients (``+0`` outside the box) of a box array or a box half spectrum,
     read-only: a new array that a `SpectralField` takes without a copy."""
@@ -448,16 +463,12 @@ def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
 def cubic_pairing(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """``int P(|u|^2) v dx`` of a real ``v``, ``P`` the dealias projection: the cubic energy term.
 
-    ``u`` is full coefficients, band-limited or not, or a box array (`Grid.box`);
-    ``v`` is the full coefficients of a real field or a box half spectrum, which
+    ``u`` is a box array (`Grid.box`) and ``v`` a box half spectrum, which
     holds ``P v``.  By discrete Parseval the pairing is ``dx^d sum_x |u(x)|^2
-    (P v)(x)`` over the lattice samples, exactly for any ``u``, so it takes
-    inverse transforms only (`_box_samples` for box arrays) and no buffer
-    outlives a call.
+    (P v)(x)`` over the lattice samples, so it takes inverse transforms only
+    (`_box_samples`) and no buffer outlives a call.
     """
-    if v.shape == grid.shape:
-        v = half_spectrum(grid.box(v))
-    u_x = np.fft.ifftn(u) if u.shape == grid.shape else _box_samples(u, grid)
+    u_x = _box_samples(u, grid)
     pairs = u_x.reshape(-1).view(np.float64)  # (re, im) interleaved, squared in place
     pairs *= pairs
     abs2, v_x = np.add(pairs[0::2], pairs[1::2]), _box_samples(v, grid).reshape(-1)
@@ -489,20 +500,27 @@ def _box_samples(box: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def box_norm(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False) -> float:
-    """`sobolev_norm` of a box array or a box half spectrum (`Grid.box`, `half_spectrum`).
+    """`sobolev_norm` of a box array or a box half spectrum (`Grid.box`, `half_spectrum`)."""
+    return math.sqrt(box_inner(a, a, grid, s, homogeneous))
 
-    One `numpy.einsum` over the float pairs of ``a`` and a read-only weight
-    per float, ``<xi>^{2s}`` (``|xi|^{2s}``, 0 at the zero mode, when
-    homogeneous), with a half spectrum's columns ``1 .. c`` counted twice:
-    no temporaries, and no BLAS threads.  The weights are cached on the
-    `Grid` object, so they live as long as the run that made it.
+
+def box_inner(
+    a: np.ndarray, b: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False
+) -> float:
+    """``Re int A^s a conj(A^s b) dx`` of two box arrays or two box half spectra.
+
+    One `numpy.einsum` over the float pairs of ``a`` and ``b`` and a
+    read-only weight per float, ``<xi>^{2s}`` (``|xi|^{2s}``, 0 at the zero
+    mode, when homogeneous), with a half spectrum's columns ``1 .. c``
+    counted twice: no temporaries, and no BLAS threads.  The weights are
+    cached on the `Grid` object, so they live as long as the run that made it.
     """
-    pairs = a.reshape(-1).view(np.float64)
+    a_pairs, b_pairs = a.reshape(-1).view(np.float64), b.reshape(-1).view(np.float64)
     key = (s, a.shape != grid.box_shape, homogeneous)
     weight = grid.box_weights.get(key)
     if weight is None:
         weight = grid.box_weights[key] = _box_weight(grid, *key)
-    return math.sqrt(np.einsum(pairs, [0], pairs, [0], weight, [0], []) / grid.volume)
+    return np.einsum(a_pairs, [0], b_pairs, [0], weight, [0], []) / grid.volume
 
 
 def _box_weight(grid: Grid, s: float, half: bool, homogeneous: bool) -> np.ndarray:

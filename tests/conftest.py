@@ -1,5 +1,7 @@
 """Shared fixtures and data builders for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,17 @@ from dispersmooth.evolution import (
     ConservationReport,
     System,
     SystemState,
-    carried,
     conserved_quantities,
     join_wave,
     nonlinear_rhs,
     split_wave,
+    wave_records,
 )
 from dispersmooth.spectral import (
     Grid,
     SpectralField,
     _check_same_grid,
+    conjugate,
     dealias,
     from_box,
     full_spectrum,
@@ -59,12 +62,44 @@ def random_state(
         coeffs = v_t.coeffs.copy()
         coeffs[(0,) * grid.dim] = 0.0
         v_t = SpectralField(grid, coeffs)
-    return SystemState(system, dealias(u), dealias(join_wave(v, v_t)))
+    return make_state(system, dealias(u), dealias(join_wave(v, v_t)))
 
 
-def wave_field(state: SystemState) -> SpectralField:
-    """The physical wave unknown ``Re w+``."""
-    return SpectralField(state.grid, real_part(state.wplus.coeffs))
+def make_state(system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0) -> SystemState:
+    """The state of data ``(u, w+)``: `split_wave` into `SystemState.from_full`."""
+    return SystemState.from_full(system, u, *split_wave(wplus), t=t)
+
+
+class Full(NamedTuple):
+    """A state's full spectra: ``u``, ``v``, ``w`` (`from_box`) and ``w+`` (`wave_records`)."""
+
+    u: SpectralField
+    v: SpectralField
+    w: SpectralField
+    wplus: SpectralField
+    t: float
+
+    @property
+    def grid(self) -> Grid:
+        return self.u.grid
+
+    @property
+    def wminus(self) -> SpectralField:
+        return SpectralField(self.grid, conjugate(self.wplus.coeffs))
+
+
+def full(state: SystemState) -> Full:
+    """The full spectra of a state; ``wplus`` reads ``w`` as ``v_t``."""
+    grid = state.grid
+    u, wplus = (SpectralField(grid, a) for a in wave_records(grid)(state.fields))
+    v, w = (SpectralField(grid, from_box(a, grid)) for a in (state.v, state.w))
+    return Full(u, v, w, wplus, state.t)
+
+
+def scaled(state: SystemState, c: complex, wave: complex = None) -> SystemState:
+    """``state`` with ``u`` times ``c`` and the wave times ``wave`` (default ``c``)."""
+    wave = c if wave is None else wave
+    return SystemState(state.system, state.grid, c * state.u, wave * state.v, wave * state.w, t=state.t)
 
 
 def coupling_products(
@@ -101,7 +136,21 @@ def coupling_products(
 def full_rhs(state: SystemState) -> tuple[np.ndarray, ...]:
     """``(du, dv, dw)`` of `nonlinear_rhs` on a state's carried ``(u, v, v_t)``, as full spectra."""
     grid = state.grid
-    return tuple(from_box(a, grid) for a in nonlinear_rhs(state.system, grid)(carried(state.u, state.wplus)))
+    return tuple(from_box(a, grid) for a in nonlinear_rhs(state.system, grid)(state.fields))
+
+
+#: Full-spectrum multipliers of the free flows of ``u``, ``w+`` and ``w- = conj w+``.
+FREE_SYMBOLS = {
+    "schrodinger": lambda grid, t: np.exp(-1j * t * grid.xi_squared),
+    "kg_plus": lambda grid, t: np.exp(-1j * t * grid.bracket),
+    "kg_minus": lambda grid, t: np.exp(1j * t * grid.bracket),
+}
+
+
+def free_flow(f: SpectralField, dispersion: str, t: float) -> SpectralField:
+    """The oracle of `block_flow` without damping: ``f`` times its `FREE_SYMBOLS`
+    multiplier over ``t`` on the whole lattice, Nyquist plane zeroed."""
+    return fourier_multiplier(f, FREE_SYMBOLS[dispersion](f.grid, t))
 
 
 @pytest.fixture
@@ -127,8 +176,8 @@ def zero_mode_mean(f: SpectralField) -> complex:
 
 
 def conserved(state: SystemState) -> ConservationReport:
-    """`conserved_quantities` of a state, through its carried ``(u, v, v_t)``."""
-    return conserved_quantities(state.system, state.grid, carried(state.u, state.wplus))
+    """`conserved_quantities` of a state's carried ``(u, v, v_t)``."""
+    return conserved_quantities(state.system, state.grid, state.fields)
 
 
 def spectral_cubic_pairing(u: SpectralField, v: SpectralField) -> float:
@@ -148,12 +197,13 @@ def spectral_cubic_pairing(u: SpectralField, v: SpectralField) -> float:
 
 def state_conserved_quantities(state: SystemState) -> ConservationReport:
     """The oracle of `conserved_quantities`: the same quantities from a state's full
-    spectra, with `split_wave`, `sobolev_norm` and `spectral_cubic_pairing`."""
+    spectra, with `split_wave` of its ``w+``, `sobolev_norm` and `spectral_cubic_pairing`."""
+    system, state = state.system, full(state)
     mass = l2_norm(state.u)
     v, v_t = split_wave(state.wplus)
     grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
     cubic = spectral_cubic_pairing(state.u, v)
-    if state.system is System.KGS:
+    if system is System.KGS:
         wave = l2_norm(v) ** 2 + l2_norm(v_t) ** 2 + sobolev_norm(v, 1.0, homogeneous=True) ** 2
         return ConservationReport(mass, grad_u_sq + 0.5 * wave - cubic, None)
     wave_kinetic = l2_norm(riesz_potential(v_t, -1.0)) ** 2
@@ -164,6 +214,6 @@ def state_conserved_quantities(state: SystemState) -> ConservationReport:
 def simulate_row(state: SystemState, s: float, r: float) -> tuple[float, ...]:
     """The oracle of a simulate CSV row after ``step``: ``t``, mass, Hamiltonian and the
     ``H^s``/``H^r`` norms of ``u``, ``w+`` and ``w-``, each from full spectra."""
-    report = state_conserved_quantities(state)
+    report, state = state_conserved_quantities(state), full(state)
     norms = (sobolev_norm(f, e) for f, e in ((state.u, s), (state.wplus, r), (state.wminus, r)))
     return (state.t, report.mass, report.hamiltonian, *norms)

@@ -18,7 +18,6 @@ from dispersmooth.cli import main as cli_main
 from dispersmooth.dissipative import (
     PROBE_EXPONENTS,
     DampedParams,
-    DampedState,
     attractor_diagnostics,
     energy_H,
     energy_H_rate,
@@ -27,6 +26,7 @@ from dispersmooth.dissipative import (
 from dispersmooth.evolution import (
     IntegratorConfig,
     System,
+    SystemState,
     integrate,
     random_system_state,
 )
@@ -58,7 +58,7 @@ from dispersmooth.spectral import (
     sobolev_norm,
 )
 
-from conftest import conserved
+from conftest import conserved, full, scaled
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -203,7 +203,8 @@ def forced_setup():
     band = grid.dealias_cutoff / 2
     ss = np.random.SeedSequence((78, 1))
     kids = ss.spawn(3)
-    base = DampedState(
+    base = SystemState.from_full(
+        System.KGS,
         lowpass_projection(random_sobolev_field(grid, 1.5, seed=kids[0]), band),
         lowpass_projection(random_sobolev_field(grid, 1.5, seed=kids[1], real=True), band),
         lowpass_projection(random_sobolev_field(grid, 0.5, seed=kids[2], real=True), band),
@@ -216,17 +217,14 @@ def forced_runs(forced_setup):
     """Three forced runs from initial energies 1, 10, 100 (criteria 5c, 6)."""
     _, params, base = forced_setup
 
-    def scaled(c):
-        return DampedState(c * base.u, c * base.v, c * base.w)
-
     def find_scale(target):
         hi = 1.0
-        while energy_H(scaled(hi), params) < target:
+        while energy_H(scaled(base, hi), params) < target:
             hi *= 2
         lo = 0.0
         for _ in range(60):
             mid = (lo + hi) / 2
-            if energy_H(scaled(mid), params) < target:
+            if energy_H(scaled(base, mid), params) < target:
                 lo = mid
             else:
                 hi = mid
@@ -235,7 +233,7 @@ def forced_runs(forced_setup):
     horizon = 40.0
     runs = {}
     for target in (1.0, 10.0, 100.0):
-        state = scaled(find_scale(target))
+        state = scaled(base, find_scale(target))
         traj = integrate_damped(
             state, params, IntegratorConfig(dt=2e-3, t_end=horizon, record_every=500)
         )
@@ -252,9 +250,9 @@ def test_criterion_5_dissipative_identities(forced_setup, forced_runs):
     traj = integrate_damped(
         base, unforced, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
     )
-    m0 = l2_norm(base.u)
+    m0 = l2_norm(full(base).u)
     worst = max(
-        abs(l2_norm(s.u) - math.exp(-unforced.gamma * s.t) * m0) / m0 for s in traj[1:]
+        abs(l2_norm(full(s).u) - math.exp(-unforced.gamma * s.t) * m0) / m0 for s in traj[1:]
     )
     ok = worst < 1e-8
     checks.append(ok)
@@ -323,7 +321,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     integrator = IntegratorConfig(dt=2e-3)
     for cutoff in (8.0, 16.0):
         config = HighLowConfig(cutoff=cutoff, windows=10, compare_direct=True)
-        rep = run_global(state.u, state.wplus, 0.95, config, integrator)
+        rep = run_global(state, 0.95, config, integrator)
         worst = max(rep.diff_vs_direct)
         ok = len(rep.windows) == 10 and worst < 1e-6
         checks.append(ok)
@@ -333,15 +331,12 @@ def test_criterion_7_highlow_oracle_equivalence():
     from dispersmooth.highlow import _integrate_window, _reassemble
 
     delta = step_rule(8.0, 0.95, 0.55)
-    split = split_initial(state.u, state.wplus, 8.0)
+    split = split_initial(state, 8.0)
     evolved = _integrate_window(split, IntegratorConfig(dt=2e-3, t_end=delta))
     reassembled, _ = _reassemble(split, delta, evolved)
-    total = reassembled.total()
+    total = reassembled.total().fields
     scale = max(1.0, float(np.max(np.abs(evolved[0]))))
-    tele = max(
-        float(np.max(np.abs(total[0].coeffs - (evolved[0] + evolved[2])))),
-        float(np.max(np.abs(total[1].coeffs - (evolved[1] + evolved[3])))),
-    )
+    tele = max(float(np.max(np.abs(total[i] - (evolved[i] + evolved[i + 3])))) for i in range(3))
     ok = tele <= 1e-12 * scale
     checks.append(ok)
     report(7, ok, f"telescoping identity defect {tele:.2e} (exact to 1e-12)")
@@ -351,13 +346,14 @@ def test_criterion_7_highlow_oracle_equivalence():
     s = r = 0.95
     for seed in range(400, 420):
         draw = random_system_state(System.KGS, grid, s, r, seed=seed)
-        sp = split_initial(draw.u, draw.wplus, 8.0)
-        u_hs = sobolev_norm(draw.u, s)
-        w_hr = sobolev_norm(draw.wplus, r)
-        ok_bounds &= sobolev_norm(sp.phi, 1.0) <= 8.0 ** (1 - s) * u_hs * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(sp.psi_plus, 1.0) <= 8.0 ** (1 - r) * w_hr * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(sp.mu, 0.55) <= 8.0 ** (0.55 - s) * u_hs * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(sp.lam_plus, 0.55) <= 8.0 ** (0.55 - r) * w_hr * (1 + 1e-12)
+        sp = split_initial(draw, 8.0)
+        data, low, high = full(draw), full(sp.low), full(sp.high)
+        u_hs = sobolev_norm(data.u, s)
+        w_hr = sobolev_norm(data.wplus, r)
+        ok_bounds &= sobolev_norm(low.u, 1.0) <= 8.0 ** (1 - s) * u_hs * (1 + 1e-12)
+        ok_bounds &= sobolev_norm(low.wplus, 1.0) <= 8.0 ** (1 - r) * w_hr * (1 + 1e-12)
+        ok_bounds &= sobolev_norm(high.u, 0.55) <= 8.0 ** (0.55 - s) * u_hs * (1 + 1e-12)
+        ok_bounds &= sobolev_norm(high.wplus, 0.55) <= 8.0 ** (0.55 - r) * w_hr * (1 + 1e-12)
     checks.append(ok_bounds)
     report(7, ok_bounds, "frequency-splitting norm bounds hold for 20 random draws at N=8")
 
@@ -369,7 +365,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     increments = {}
     for cutoff in (8.0, 16.0, 32.0):
         config = HighLowConfig(cutoff=cutoff, windows=1)
-        log = run_global(state128.u, state128.wplus, 0.95, config, integrator).windows[0]
+        log = run_global(state128, 0.95, config, integrator).windows[0]
         increments[cutoff] = (log.increment_u_h1, log.increment_wave_h1)
     ok_nonzero = all(min(pair) > 0 for pair in increments.values())
     checks.append(ok_nonzero)
@@ -385,7 +381,7 @@ def test_criterion_7_highlow_oracle_equivalence():
     grid4 = Grid(4, 16)
     state4 = random_system_state(System.KGS, grid4, 0.95, 0.95, seed=500, amplitude=0.3)
     config4 = HighLowConfig(cutoff=4.0, windows=2)
-    rep4 = run_global(state4.u, state4.wplus, 0.95, config4, IntegratorConfig(dt=5e-3))
+    rep4 = run_global(state4, 0.95, config4, IntegratorConfig(dt=5e-3))
     ok4 = rep4.below_threshold and len(rep4.windows) == 2 and all(
         math.isfinite(w.energy_low) for w in rep4.windows
     )

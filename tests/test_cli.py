@@ -14,7 +14,7 @@ from dispersmooth import evolution, spectral
 from dispersmooth.cli import main
 from dispersmooth.config import load_config
 from dispersmooth.evolution import System, integrate, random_system_state
-from dispersmooth.reporting import format_value, save_checkpoint
+from dispersmooth.reporting import Checkpoint, format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
 
 from conftest import simulate_row
@@ -189,7 +189,7 @@ class TestSimulate:
             assert got[:2] == [format_value(step), format_value(record.t)]
             for value, expected in zip(got[2:], want[1:]):
                 assert float(value) == pytest.approx(expected, rel=1e-12, abs=0.0)
-        save_checkpoint(trajectory[-1], tmp_path / "want.ckpt")
+        save_checkpoint(Checkpoint.of(trajectory.final), tmp_path / "want.ckpt")
         assert (out / "state.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
     def test_one_full_spectrum_expansion_per_run(self, tmp_path, monkeypatch):
@@ -206,6 +206,25 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_SMALL), "--out", str(out), "--quiet"]) == 0
         assert len((out / "timeseries.csv").read_text().splitlines()) == 7  # header, 6 records
         assert len(shapes) == 2  # u and w+ of the final state, for the checkpoint
+
+    @pytest.mark.parametrize("experiment", ["attractor", "highlow"])
+    def test_no_full_spectrum_expansion_in_attractor_or_highlow(self, tmp_path, monkeypatch, experiment):
+        # Their runs, diagnostics and the direct check of highlow's
+        # compare_direct all work on the carried box.
+        calls = []
+        expand = spectral.from_box
+
+        def counted(box, grid):
+            calls.append(box.shape)
+            return expand(box, grid)
+
+        for module in (spectral, evolution):
+            monkeypatch.setattr(module, "from_box", counted)
+        text = {"attractor": ATTRACTOR_SMALL, "highlow": HIGHLOW_SMALL}[experiment]
+        assert "compare_direct = true" in HIGHLOW_SMALL
+        out = tmp_path / "out"
+        assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("amplitude", ["0.5", "0.0"])
     def test_manifest_records_the_largest_relative_drifts(self, tmp_path, amplitude):
@@ -296,6 +315,10 @@ class TestExitCodes:
             ("amplitude = 0.5", "amplitude = nan", "amplitude"),
             ("amplitude = 0.5", "amplitude = inf", "amplitude"),
             ("amplitude = 0.5", "amplitude = 0.5\nwave_amplitude = -inf", "wave_amplitude"),
+            ("s = 1.5", "s = nan", "[system] s must be finite"),
+            ("s = 1.5", "s = inf", "[system] s must be finite"),
+            ("r = 1.5", "r = nan", "[system] r must be finite"),
+            ("r = 1.5", "r = -inf", "[system] r must be finite"),
         ],
     )
     def test_bad_guard_or_amplitude_is_2_and_named(self, tmp_path, capsys, line, bad, key):
@@ -419,6 +442,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: the [highlow] step rule gives delta = " in err
         assert "set [highlow] delta" in err
+
+    @pytest.mark.parametrize("line, bad", [("s = 0.95", "s = nan"), ("r = 0.95", "r = inf")])
+    def test_non_finite_regularity_is_2_for_highlow(self, tmp_path, capsys, line, bad):
+        config = write_config(tmp_path, HIGHLOW_SMALL.replace(line, bad))
+        assert main(["highlow", "--config", config, "--quiet"]) == 2
+        assert f"configuration error: [system] {bad[0]} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [("highlow", HIGHLOW_SMALL.replace("kind = kgs", "kind = zakharov")),
+         ("attractor", ATTRACTOR_SMALL.replace("[system]", "[system]\nkind = zakharov"))],
+    )
+    def test_non_kgs_kind_is_2_for_highlow_and_attractor(self, tmp_path, capsys, experiment, text):
+        # Both experiments run the KGS system (attractor: its damped form).
+        out = tmp_path / "out"
+        assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: [system] kind must be 'kgs' for {experiment}, got 'zakharov'" in err
+        assert not out.exists()
 
     def test_overflowing_damped_flow_is_2_and_named(self, tmp_path, capsys):
         config = write_config(tmp_path, ATTRACTOR_SMALL.replace("delta = 0.5", "delta = 1e200"))

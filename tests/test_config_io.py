@@ -9,6 +9,7 @@ from dispersmooth.config import load_config, load_config_text
 from dispersmooth.errors import CheckpointFormatError, ConfigurationError
 from dispersmooth.evolution import System, random_system_state
 from dispersmooth.reporting import (
+    Checkpoint,
     ExperimentResult,
     format_value,
     load_checkpoint,
@@ -16,7 +17,7 @@ from dispersmooth.reporting import (
     write_csv,
     write_outputs,
 )
-from dispersmooth.spectral import Grid
+from dispersmooth.spectral import Grid, conjugate
 
 MINIMAL_SIMULATE = """
 [run]
@@ -104,7 +105,7 @@ class TestCsvWriting:
             csv_name="data.csv",
             header=["i", "x"],
             rows=rows,
-            checkpoints=[("state.ckpt", state)],
+            checkpoints=[("state.ckpt", Checkpoint.of(state))],
         )
         paths_a = write_outputs(result, {"k": 1}, tmp_path / "a", seed=5, quiet=True)
         paths_b = write_outputs(result, {"k": 1}, tmp_path / "b", seed=5, quiet=True)
@@ -119,7 +120,7 @@ class TestCsvWriting:
 class TestCheckpoint:
     def _state(self):
         grid = Grid(2, 16, box_length=1.5)
-        return random_system_state(System.ZAKHAROV, grid, 0.5, 0.5, seed=11)
+        return Checkpoint.of(random_system_state(System.ZAKHAROV, grid, 0.5, 0.5, seed=11))
 
     def test_roundtrip_bit_identical(self, tmp_path):
         state = self._state()
@@ -129,9 +130,8 @@ class TestCheckpoint:
         assert loaded.system is System.ZAKHAROV
         assert loaded.grid == state.grid
         assert loaded.t == state.t
-        assert np.array_equal(loaded.u.coeffs, state.u.coeffs)
-        assert np.array_equal(loaded.wplus.coeffs, state.wplus.coeffs)
-        assert np.array_equal(loaded.wminus.coeffs, state.wminus.coeffs)
+        assert np.array_equal(loaded.u, state.u)
+        assert np.array_equal(loaded.wplus, state.wplus)
         save_checkpoint(loaded, tmp_path / "again.ckpt")
         assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
@@ -158,7 +158,7 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         raw = path.read_bytes()
         block = state.grid.mode_count * 16
-        skew = np.ascontiguousarray(1.001 * state.wminus.coeffs, dtype="<c16").tobytes()
+        skew = np.ascontiguousarray(1.001 * conjugate(state.wplus), dtype="<c16").tobytes()
         path.write_bytes(raw[: len(raw) - block] + skew)
         with pytest.raises(CheckpointFormatError, match="w-"):
             load_checkpoint(path)
@@ -172,8 +172,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def _header(dim, n_per_dim, box_length=1.0):
-        return b"ZKGS" + struct.pack("<IBBIdd", 1, 1, dim, n_per_dim, box_length, 0.0)
+    def _header(dim, n_per_dim, box_length=1.0, t=0.0):
+        return b"ZKGS" + struct.pack("<IBBIdd", 1, 1, dim, n_per_dim, box_length, t)
 
     def test_huge_claimed_grid_rejected_before_allocation(self, tmp_path):
         # A header claiming a 4-d grid of 2^20 modes per axis must be
@@ -194,10 +194,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "dim, n_per_dim, box_length, field",
         [(7, 16, 1.0, "dim"), (0, 16, 1.0, "dim"), (2, 12, 1.0, "n_per_dim"),
-         (2, 4, 1.0, "n_per_dim"), (2, 16, -1.0, "box_length"), (2, 16, float("nan"), "box_length")],
+         (2, 4, 1.0, "n_per_dim"), (2, 16, -1.0, "box_length"), (2, 16, float("nan"), "box_length"),
+         (2, 16, 1e300, "box_length"), (2, 16, 1e-300, "box_length"), (2, 16, 1.0, "t")],
     )
     def test_bad_grid_descriptor_is_a_format_error(self, tmp_path, dim, n_per_dim, box_length, field):
+        # The payload has the length of a 16^2 grid, so only the header is at fault;
+        # the "t" row claims t = nan.
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(self._header(dim, n_per_dim, box_length))
-        with pytest.raises(CheckpointFormatError, match=field):
+        t = float("nan") if field == "t" else 0.0
+        path.write_bytes(self._header(dim, n_per_dim, box_length, t) + bytes(3 * 16 * 16**2))
+        with pytest.raises(CheckpointFormatError, match=f": {field} = "):
             load_checkpoint(path)

@@ -1,25 +1,21 @@
-"""Tests for linear propagators, nonlinear right sides, and time integration."""
+"""Tests for the exact linear flow, nonlinear right sides, and time integration."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dispersmooth import dissipative, evolution, highlow
-from dispersmooth.dissipative import DampedParams, DampedState, integrate_damped
+from dispersmooth.dissipative import DampedParams, integrate_damped
 from dispersmooth.errors import BlowUpError, ConfigurationError
 from dispersmooth.evolution import (
-    Dispersion,
     IntegratorConfig,
     System,
     SystemState,
-    carried,
+    block_flow,
     integrate,
     join_wave,
-    linear_propagate,
     nonlinear_rhs,
-    propagator_symbol,
     split_wave,
     time_grid,
     wave_records,
@@ -44,27 +40,47 @@ from dispersmooth.spectral import (
 )
 
 from conftest import (
+    FREE_SYMBOLS,
     conserved,
     coupling_products,
+    free_flow,
+    full,
     full_rhs,
+    make_state,
     random_state,
+    scaled,
     spectral_mode,
     state_conserved_quantities,
-    wave_field,
 )
+
+DISPERSIONS = list(FREE_SYMBOLS)
+
+
+def flowed(f: SpectralField, dispersion: str, t: float) -> SpectralField:
+    """`block_flow` over ``t`` of a band-limited ``f`` carried as ``u`` ("schrodinger"),
+    as the ``w+`` of a real wave ("kg_plus"), or as its ``w- = conj w+`` ("kg_minus")."""
+    z = zero_field(f.grid)
+    if dispersion == "schrodinger":
+        state = make_state(System.KGS, f, z)
+    else:
+        wplus = f if dispersion == "kg_plus" else SpectralField(f.grid, conjugate(f.coeffs))
+        state = make_state(System.KGS, z, wplus)
+    moved = SystemState(System.KGS, f.grid, *block_flow(f.grid, t)(state.fields))
+    out = full(moved)
+    return {"schrodinger": out.u, "kg_plus": out.wplus, "kg_minus": out.wminus}[dispersion]
 
 
 class TestLinearPropagate:
     def test_zero_time_is_identity(self, grid_2d_small):
-        f = random_sobolev_field(grid_2d_small, 0.5, seed=0)
-        g = linear_propagate(f, Dispersion.SCHRODINGER, 0.0)
+        f = dealias(random_sobolev_field(grid_2d_small, 0.5, seed=0))
+        g = flowed(f, "schrodinger", 0.0)
         assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
     def test_schrodinger_phase_on_single_mode(self):
         grid = Grid(1, 16)
         f = spectral_mode(grid, (3,))
         t = 0.37
-        g = linear_propagate(f, Dispersion.SCHRODINGER, t)
+        g = flowed(f, "schrodinger", t)
         k3 = np.argmin(np.abs(grid.k_axis - 3))
         assert g.coeffs[k3] == pytest.approx(f.coeffs[k3] * np.exp(-9j * t), rel=1e-12)
 
@@ -74,31 +90,47 @@ class TestLinearPropagate:
         t = 0.5
         k2 = np.argmin(np.abs(grid.k_axis - 2))
         omega = math.sqrt(1.0 + 4.0)
-        plus = linear_propagate(f, Dispersion.KG_PLUS, t)
-        minus = linear_propagate(f, Dispersion.KG_MINUS, t)
+        plus = flowed(f, "kg_plus", t)
+        minus = flowed(f, "kg_minus", t)
         assert plus.coeffs[k2] == pytest.approx(f.coeffs[k2] * np.exp(-1j * omega * t), rel=1e-12)
         assert minus.coeffs[k2] == pytest.approx(f.coeffs[k2] * np.exp(1j * omega * t), rel=1e-12)
 
-    @pytest.mark.parametrize("dispersion", list(Dispersion))
+    @pytest.mark.parametrize("dispersion", DISPERSIONS)
     def test_unitary_on_sobolev_norms(self, dispersion, grid_2d_small):
-        f = random_sobolev_field(grid_2d_small, 0.0, seed=1)
-        g = linear_propagate(f, dispersion, 0.83)
+        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=1))
+        g = flowed(f, dispersion, 0.83)
         for s in (0.0, 1.0, -0.5):
             assert sobolev_norm(g, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
 
-    @pytest.mark.parametrize("dispersion", list(Dispersion))
+    @pytest.mark.parametrize("dispersion", DISPERSIONS)
     def test_group_law(self, dispersion, grid_2d_small):
-        f = random_sobolev_field(grid_2d_small, 0.0, seed=2)
-        one = linear_propagate(linear_propagate(f, dispersion, 0.3), dispersion, 0.45)
-        two = linear_propagate(f, dispersion, 0.75)
+        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=2))
+        one = flowed(flowed(f, dispersion, 0.3), dispersion, 0.45)
+        two = flowed(f, dispersion, 0.75)
         assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+
+    @pytest.mark.parametrize("dispersion", DISPERSIONS)
+    def test_matches_full_spectrum_multiplier(self, dispersion, grid_2d_small):
+        # The oracle multiplies the whole lattice by exp(-+ i t |xi|^2) or
+        # exp(-+ i t <xi>); the block acts on (v, v_t) of the real wave.
+        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=3))
+        want = free_flow(f, dispersion, 0.61)
+        got = flowed(f, dispersion, 0.61)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
+
+    def test_minus_branch_is_conjugate_of_plus(self, grid_2d_small):
+        # exp(i t <xi>) on w- = conj w+ is the conjugate of exp(-i t <xi>) on w+.
+        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=4))
+        plus = flowed(f, "kg_plus", 0.4)
+        minus = flowed(SpectralField(grid_2d_small, conjugate(f.coeffs)), "kg_minus", 0.4)
+        assert np.max(np.abs(minus.coeffs - conjugate(plus.coeffs))) < 1e-13 * np.max(np.abs(f.coeffs))
 
 
 class TestWaveComponents:
     def test_zero_velocity_gives_equal_branches(self, grid_2d_small):
-        v = random_sobolev_field(grid_2d_small, 1.0, seed=3, real=True)
+        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=3, real=True))
         z = zero_field(grid_2d_small)
-        state = SystemState(System.KGS, z, join_wave(v, z))
+        state = full(make_state(System.KGS, z, join_wave(v, z)))
         assert np.max(np.abs(state.wplus.coeffs - v.coeffs)) < 1e-14
         assert np.max(np.abs(state.wminus.coeffs - v.coeffs)) < 1e-14
 
@@ -110,19 +142,20 @@ class TestWaveComponents:
         assert np.max(np.abs(v_t2.coeffs - v_t.coeffs)) < 1e-12 * np.max(np.abs(v_t.coeffs))
 
     def test_derived_minus_branch_is_its_definition(self, grid_2d_small):
-        # For real (v, v_t) the derived w- = conj w+ is w- = v - i A^{-1} v_t.
-        v = random_sobolev_field(grid_2d_small, 1.0, seed=6, real=True)
-        v_t = random_sobolev_field(grid_2d_small, 0.0, seed=7, real=True)
-        state = SystemState(System.KGS, zero_field(grid_2d_small), join_wave(v, v_t))
+        # For the carried real (v, v_t), conj of the expanded w+ (the w- of
+        # the checkpoint) is w- = v - i A^{-1} v_t.
+        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=6, real=True))
+        v_t = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=7, real=True))
+        state = SystemState.from_full(System.KGS, zero_field(grid_2d_small), v, v_t)
         minus = v - 1j * bessel_potential(v_t, -1.0)
         scale = np.max(np.abs(minus.coeffs))
-        assert np.max(np.abs(state.wminus.coeffs - minus.coeffs)) < 1e-12 * scale
+        assert np.max(np.abs(full(state).wminus.coeffs - minus.coeffs)) < 1e-12 * scale
 
     def test_time_is_keyword_only(self, grid_2d_small):
-        # A leftover three-field call must not bind w- to t.
-        z = zero_field(grid_2d_small)
+        # A positional time must not bind to a field.
+        state = random_state(System.KGS, grid_2d_small, seed=5)
         with pytest.raises(TypeError):
-            SystemState(System.KGS, z, z, z)
+            SystemState(System.KGS, grid_2d_small, *state.fields, 0.5)
 
 
 def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
@@ -133,7 +166,7 @@ def rhs_of(state: SystemState) -> tuple[np.ndarray, ...]:
 class TestNonlinearRhs:
     def test_zero_u_freezes_wave_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=8)
-        state = SystemState(System.KGS, zero_field(grid_2d_small), state.wplus)
+        state = make_state(System.KGS, zero_field(grid_2d_small), full(state).wplus)
         du, dv, dw = rhs_of(state)
         assert np.max(np.abs(dw)) < 1e-14
         assert not np.any(dv)
@@ -141,7 +174,7 @@ class TestNonlinearRhs:
 
     def test_zero_wave_freezes_u_rhs(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=9)
-        state = SystemState(System.KGS, state.u, zero_field(grid_2d_small))
+        state = make_state(System.KGS, full(state).u, zero_field(grid_2d_small))
         du, _, _ = rhs_of(state)
         assert np.max(np.abs(du)) < 1e-14
 
@@ -151,7 +184,7 @@ class TestNonlinearRhs:
         #   dv = 0, dw = |u|^2 = 1 at mode 0
         grid = Grid(1, 16)
         c = 0.3 - 0.2j
-        state = SystemState(
+        state = make_state(
             System.KGS, spectral_mode(grid, (1,)), spectral_mode(grid, (2,), amplitude=c)
         )
         du, dv, dw = rhs_of(state)
@@ -169,7 +202,7 @@ class TestNonlinearRhs:
         a, b, c = 0.5 + 0.1j, -0.2 + 0.4j, 0.3 - 0.7j
         u = spectral_mode(grid, (1,), a) + spectral_mode(grid, (2,), b)
         nplus = spectral_mode(grid, (3,), c)
-        state = SystemState(System.ZAKHAROV, u, nplus)
+        state = make_state(System.ZAKHAROV, u, nplus)
         du, dn, dnt = rhs_of(state)
         k = {m: np.argmin(np.abs(grid.k_axis - m)) for m in (-3, -2, -1, 1, 3, 4, 5)}
         expected_k1 = -(np.conj(a) * b) * grid.volume  # |xi|^2 = 1
@@ -194,17 +227,17 @@ FFT_FUNCTIONS = (
 
 
 def run_kind(kind, grid, seed, steps, record_every=1):
-    """Run one of the four right sides through its integrator over ``steps`` steps of 1e-2."""
+    """Run one of the four right sides through its integrator over ``steps`` steps of 1e-2;
+    the trajectory, or the window's new `HighLowState`."""
     system = System.ZAKHAROV if kind == "zakharov" else System.KGS
     state = random_state(system, grid, seed=seed)
     config = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2, record_every=record_every)
     if kind == "damped":
-        damped = DampedState(state.u, wave_field(state), wave_field(state))
-        integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
-    elif kind == "window":
-        advance_window(split_initial(state.u, state.wplus, 4.0), config)
-    else:
-        integrate(state, config)
+        damped = SystemState(System.KGS, grid, state.u, state.v, state.v)
+        return integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), config)
+    if kind == "window":
+        return advance_window(split_initial(state, 4.0), config)[0]
+    return integrate(state, config)
 
 
 KINDS = {"kgs": evolution, "zakharov": evolution, "damped": dissipative, "window": highlow}
@@ -322,8 +355,7 @@ class TestCouplingKernelRuns:
         # and |u|^2 stays in them.  Given its outputs, it allocates no array
         # at all.
         grid = Grid(2, 128)
-        state = random_state(System.KGS, grid, seed=21)
-        fields = carried(state.u, state.wplus)
+        fields = random_state(System.KGS, grid, seed=21).fields
         rhs = nonlinear_rhs(System.KGS, grid)
         out = rhs(fields)
         assert all(a.nbytes == f.nbytes for a, f in zip(out, fields))
@@ -345,8 +377,7 @@ class TestCouplingKernelRuns:
         config = IntegratorConfig(dt=1e-3, t_end=0.03, record_every=10**9)
 
         def final(state):
-            end = integrate(state, config)[-1]
-            return end.u.coeffs, end.wplus.coeffs
+            return integrate(state, config).final.fields
 
         serial = [final(state) for state in states]
         interval = sys.getswitchinterval()
@@ -524,12 +555,9 @@ def six_field_window_rhs(grid, fields):
     return d_low + tuple(t - l for t, l in zip(d_total, d_low))
 
 
-THREE_FIELD_DISPERSIONS = (Dispersion.SCHRODINGER, Dispersion.KG_PLUS, Dispersion.KG_MINUS)
-
-
-def free_flow(grid, dispersions, t):
-    """The diagonal exact flow over ``t`` of box fields with one dispersion relation each."""
-    symbols = [grid.box(propagator_symbol(grid, dispersion, t)) for dispersion in dispersions]
+def diagonal_flow(grid, t, copies=1):
+    """The diagonal exact flow over ``t`` of box ``(u, w+, w-)`` fields (`FREE_SYMBOLS`)."""
+    symbols = [grid.box(symbol(grid, t)) for symbol in FREE_SYMBOLS.values()] * copies
     return writing(lambda y: [symbol * a for symbol, a in zip(symbols, y)])
 
 
@@ -563,12 +591,11 @@ class TestThreeFieldOracle:
         minus_of = {2: 1, 5: 4} if kind == "window" else {2: 1}
         if kind == "window":
             rhs = writing(lambda y: six_field_window_rhs(grid, y))
-            dispersions = 2 * THREE_FIELD_DISPERSIONS
         else:
             system = System.ZAKHAROV if kind == "zakharov" else System.KGS
             rhs = writing(lambda y: three_field_rhs(system, grid, y))
-            dispersions = THREE_FIELD_DISPERSIONS
-        old = stepper(three_fields(grid, start), rhs, free_flow(grid, dispersions, dt / 2), dt, n_steps)
+        flow = diagonal_flow(grid, dt / 2, copies=len(start) // 3)
+        old = stepper(three_fields(grid, start), rhs, flow, dt, n_steps)
         new = three_fields(grid, new)
         for i in plus:
             assert np.max(np.abs(new[i] - old[i])) <= 1e-13 * np.max(np.abs(old[i]))
@@ -579,20 +606,20 @@ class TestThreeFieldOracle:
 class TestIntegrate:
     def test_zero_data_stays_zero(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        state = SystemState(System.KGS, z, z)
+        state = make_state(System.KGS, z, z)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1))
-        assert all(l2_norm(s.u) == 0 and l2_norm(s.wplus) == 0 for s in traj)
+        assert all(not np.any(a) for s in traj for a in s.fields)
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_zero_u_decouples_wave(self, system, grid_2d_small):
         base = random_state(system, grid_2d_small, seed=10)
-        state = SystemState(system, zero_field(grid_2d_small), base.wplus)
+        state = make_state(system, zero_field(grid_2d_small), full(base).wplus)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.2))
-        final = traj[-1]
+        final = full(traj[-1])
         # Zakharov keeps its bounded correction term even without u, so the
         # wave part is exactly linear only for the KGS system.
         if system is System.KGS:
-            exact = linear_propagate(state.wplus, Dispersion.KG_PLUS, final.t)
+            exact = free_flow(full(state).wplus, "kg_plus", final.t)
             scale = max(1.0, np.max(np.abs(exact.coeffs)))
             assert np.max(np.abs(final.wplus.coeffs - exact.coeffs)) < 1e-12 * scale
             assert l2_norm(final.u) == 0.0
@@ -605,9 +632,10 @@ class TestIntegrate:
         grid = Grid(1, 32)
         state = random_state(system, grid, seed=11, s=2.0, r=2.0, amplitude=0.5)
         t_end = 0.25
-        ref = integrate(state, IntegratorConfig(dt=t_end / 1024, t_end=t_end, record_every=10**9))[-1]
-        coarse = integrate(state, IntegratorConfig(dt=t_end / 16, t_end=t_end, record_every=10**9))[-1]
-        fine = integrate(state, IntegratorConfig(dt=t_end / 32, t_end=t_end, record_every=10**9))[-1]
+        ref, coarse, fine = (
+            full(integrate(state, IntegratorConfig(dt=t_end / n, t_end=t_end, record_every=10**9)).final)
+            for n in (1024, 16, 32)
+        )
         err_coarse = l2_norm(coarse.u - ref.u) + l2_norm(coarse.wplus - ref.wplus)
         err_fine = l2_norm(fine.u - ref.u) + l2_norm(fine.wplus - ref.wplus)
         assert 12.0 <= err_coarse / err_fine <= 20.0
@@ -615,10 +643,9 @@ class TestIntegrate:
     def test_phase_gauge_invariance(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=12, amplitude=0.8)
         theta = 0.7
-        rotated = SystemState(System.KGS, np.exp(1j * theta) * state.u, state.wplus)
+        rotated = scaled(state, np.exp(1j * theta), 1.0)
         config = IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10**9)
-        a = integrate(state, config)[-1]
-        b = integrate(rotated, config)[-1]
+        a, b = (full(integrate(s, config).final) for s in (state, rotated))
         scale = max(1.0, np.max(np.abs(a.u.coeffs)))
         assert np.max(np.abs(b.u.coeffs - np.exp(1j * theta) * a.u.coeffs)) < 1e-10 * scale
         assert np.max(np.abs(b.wplus.coeffs - a.wplus.coeffs)) < 1e-10 * scale
@@ -627,7 +654,7 @@ class TestIntegrate:
     def test_wminus_is_sample_space_conjugate_along_trajectory(self, system, grid_2d_small):
         state = random_state(system, grid_2d_small, seed=13, amplitude=0.7)
         traj = integrate(state, IntegratorConfig(dt=5e-3, t_end=0.3, record_every=20))
-        for s in traj:
+        for s in map(full, traj):
             by_samples = to_coefficients(np.conj(to_samples(s.wplus)), s.grid)
             assert l2_norm(s.wminus - by_samples) <= 1e-14 * l2_norm(s.wplus)
 
@@ -636,19 +663,18 @@ class TestIntegrate:
         state = random_state(System.KGS, grid_2d_small, seed=14)
         guard = IntegratorConfig(dt=1e-2, t_end=0.1, blowup_threshold=1e-9)
         if integrator == "integrate":
-            fields = dict(zip(("u", "v", "v_t"), (state.u, *split_wave(state.wplus))))
+            fields = dict(zip(("u", "v", "v_t"), full(state)[:3]))
             run = lambda: integrate(state, guard)
         elif integrator == "integrate_damped":
-            damped = DampedState(state.u, wave_field(state), wave_field(state))
-            fields = {"u": damped.u, "v": damped.v, "w": damped.w}
+            damped = SystemState(System.KGS, state.grid, state.u, state.v, state.v)
+            fields = dict(zip(("u", "v", "w"), full(damped)[:3]))
             run = lambda: integrate_damped(damped, DampedParams(gamma=0.5, delta=0.5), guard)
         else:
             config = HighLowConfig(cutoff=4, delta=0.1, gns_c1=1.0, gns_c2=1.0)
-            split = split_initial(state.u, state.wplus, config.cutoff)
-            pairs = ((split.phi, split.psi_plus), (split.mu, split.lam_plus))
-            values = [f for u, wplus in pairs for f in (u, *split_wave(wplus))]
+            split = split_initial(state, config.cutoff)
+            values = [f for pair in (split.low, split.high) for f in full(pair)[:3]]
             fields = dict(zip(("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w"), values))
-            run = lambda: run_global(state.u, state.wplus, 0.95, config, guard)
+            run = lambda: run_global(state, 0.95, config, guard)
         with pytest.raises(BlowUpError) as err:
             run()
         assert err.value.t == pytest.approx(1e-2)
@@ -663,9 +689,10 @@ class TestIntegrate:
         # between the two aborts the run at its first step.
         grid = grid_2d_small
         v_t = spectral_mode(grid, (5, 5)) + spectral_mode(grid, (-5, -5))
-        state = SystemState(System.KGS, zero_field(grid), join_wave(zero_field(grid), v_t))
-        threshold = math.sqrt(l2_norm(v_t) * l2_norm(state.wplus))
-        assert l2_norm(state.wplus) < threshold < l2_norm(v_t)
+        state = SystemState.from_full(System.KGS, zero_field(grid), zero_field(grid), v_t)
+        wplus = full(state).wplus
+        threshold = math.sqrt(l2_norm(v_t) * l2_norm(wplus))
+        assert l2_norm(wplus) < threshold < l2_norm(v_t)
         with pytest.raises(BlowUpError) as err:
             integrate(state, IntegratorConfig(dt=1e-3, t_end=1e-2, blowup_threshold=threshold))
         assert err.value.t == pytest.approx(1e-3)
@@ -673,35 +700,23 @@ class TestIntegrate:
         assert err.value.norms["u_L2"] == 0.0 and err.value.norms["v_L2"] < threshold
 
     @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
-    def test_records_are_exactly_plus_zero_outside_the_box(self, kind, grid_2d_small, monkeypatch):
-        # Runs carry the box alone; records expand it with +0 (both parts,
-        # no sign bit) everywhere else.
-        module = KINDS[kind]
-        recorders = []
-
-        class Kept(module.Recorder):
-            def __init__(self, *args):
-                super().__init__(*args)
-                recorders.append(self)
-
-        monkeypatch.setattr(module, "Recorder", Kept)
-        run_kind(kind, grid_2d_small, seed=22, steps=3)
-
-        def arrays(record):  # a window's record is its arrays; a run's is a state
-            if isinstance(record, tuple):
-                return record
-            return [f.coeffs for f in vars(record).values() if isinstance(f, SpectralField)]
-
-        records = [a for r in recorders for _, _, record in r.records for a in arrays(record)]
+    def test_records_are_exactly_plus_zero_outside_the_box(self, kind, grid_2d_small):
+        # Runs record box copies of their own (the next step overwrites the
+        # workspace); an expansion (`wave_records`, `from_box`) fills every
+        # other mode with +0 (both parts, no sign bit).
+        result = run_kind(kind, grid_2d_small, seed=22, steps=3)
+        states = [result.low, result.high] if kind == "window" else list(result)
+        arrays = [a for s in (states if kind == "window" else states[1:]) for a in s.fields]
+        assert len({id(a) for a in arrays}) == len(arrays)  # no record shares an array
+        expanded = [f.coeffs for s in states for f in full(s)[:4]]
         outside = ~grid_2d_small.dealias_mask
-        assert records and all(not a[outside].view(np.uint64).any() for a in records)
+        assert all(not a[outside].view(np.uint64).any() for a in expanded)
 
     def test_records_form_wplus_with_join_wave(self, grid_2d_small):
         # A record forms w+ on the box from the carried (v, v_t) with the
         # arithmetic of join_wave, so it equals join_wave of their expansions.
         grid = grid_2d_small
-        state = random_state(System.KGS, grid, seed=26)
-        fields = carried(state.u, state.wplus)
+        fields = random_state(System.KGS, grid, seed=26).fields
         u, wplus = wave_records(grid)(fields)
         v, v_t = (SpectralField(grid, from_box(a, grid)) for a in fields[1:])
         assert u.tobytes() == from_box(fields[0], grid).tobytes()
@@ -737,44 +752,41 @@ class TestBandLimitedInput:
     @pytest.mark.parametrize(
         "kind, name",
         [("kgs", "u"), ("kgs", "wplus"), ("damped", "u"), ("damped", "v"), ("damped", "w"),
-         ("damped", "f"), ("damped", "g"), ("window", "phi"), ("window", "psi_plus"),
-         ("window", "mu"), ("window", "lam_plus")],
+         ("damped", "f"), ("damped", "g")],
     )
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
-        state = random_state(System.KGS, grid_2d_small, seed=23)
+        # Full spectra enter at `SystemState.from_full` (data (u, w+) through
+        # split_wave, so a bump in w+ shows in its real part v) and at the
+        # damped run's forcing; every run and window takes a carried state.
+        data = full(random_state(System.KGS, grid_2d_small, seed=23))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
-        bump = out_of_box(grid_2d_small, 1e-6 * l2_norm(state.u))
-        if kind == "kgs":
-            fields = {"u": state.u, "wplus": state.wplus}
-            fields[name] = fields[name] + bump
-            run = lambda: integrate(SystemState(System.KGS, **fields), config)
-        elif kind == "damped":
-            wave = wave_field(state)
-            fields = {"u": state.u, "v": wave, "w": wave, "f": None, "g": None}
-            fields[name] = bump if name in ("f", "g") else fields[name] + bump
-            params = DampedParams(gamma=0.5, delta=0.5, f=fields.pop("f"), g=fields.pop("g"))
-            run = lambda: integrate_damped(DampedState(**fields), params, config)
-        else:
-            split = split_initial(state.u, state.wplus, 4.0)
-            split = dataclasses.replace(split, **{name: getattr(split, name) + bump})
-            run = lambda: advance_window(split, config)
-        with pytest.raises(ConfigurationError, match=f"^{name} is not band-limited"):
-            run()
+        bump = out_of_box(grid_2d_small, 1e-6 * l2_norm(data.u))
+        rejected = {"wplus": "v"}.get(name, name)
+        with pytest.raises(ConfigurationError, match=f"^{rejected} is not band-limited"):
+            if kind == "kgs":
+                fields = {"u": data.u, "wplus": data.wplus}
+                fields[name] = fields[name] + bump
+                make_state(System.KGS, fields["u"], fields["wplus"])
+            else:
+                fields = {"u": data.u, "v": data.v, "w": data.v, "f": None, "g": None}
+                fields[name] = bump if name in ("f", "g") else fields[name] + bump
+                params = DampedParams(gamma=0.5, delta=0.5, f=fields.pop("f"), g=fields.pop("g"))
+                state = SystemState.from_full(System.KGS, **fields)
+                integrate_damped(state, params, config)
 
     def test_roundoff_outside_the_box_accepted_and_dropped(self, grid_2d_small):
-        state = random_state(System.KGS, grid_2d_small, seed=24)
-        bump = out_of_box(grid_2d_small, 1e-14 * l2_norm(state.u))
-        bumped = SystemState(System.KGS, state.u + bump, state.wplus)
+        data = full(random_state(System.KGS, grid_2d_small, seed=24))
+        bump = out_of_box(grid_2d_small, 1e-14 * l2_norm(data.u))
+        state, bumped = (make_state(System.KGS, u, data.wplus) for u in (data.u, data.u + bump))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
-        a, b = (integrate(s, config)[-1] for s in (state, bumped))
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert np.array_equal(a.wplus.coeffs, b.wplus.coeffs)
+        a, b = (integrate(s, config).final for s in (state, bumped))
+        assert all(np.array_equal(x, y) for x, y in zip(a.fields, b.fields))
 
 
 class TestConservedQuantities:
     def test_zero_state(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        report = conserved(SystemState(System.KGS, z, z))
+        report = conserved(make_state(System.KGS, z, z))
         assert report.mass == 0.0
         assert report.hamiltonian == 0.0
 
@@ -783,7 +795,7 @@ class TestConservedQuantities:
         grid = Grid(2, 16)
         u = spectral_mode(grid, (3, 0))
         u = (1.0 / l2_norm(u)) * u  # unit mass
-        state = SystemState(system, u, zero_field(grid))
+        state = make_state(system, u, zero_field(grid))
         report = conserved(state)
         assert report.mass == pytest.approx(1.0, rel=1e-12)
         assert report.hamiltonian == pytest.approx(9.0, rel=1e-10)
@@ -793,7 +805,7 @@ class TestConservedQuantities:
         v_t_coeffs = np.zeros(grid_2d_small.shape, dtype=complex)
         v_t_coeffs[0, 0] = 2.5 * grid_2d_small.volume
         v_t = SpectralField(grid_2d_small, v_t_coeffs)
-        state = SystemState(System.ZAKHAROV, zero_field(grid_2d_small), join_wave(v, v_t))
+        state = SystemState.from_full(System.ZAKHAROV, zero_field(grid_2d_small), v, v_t)
         report = conserved(state)
         assert report.zero_mode_mass_of_wave == pytest.approx(2.5, rel=1e-12)
 

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from dispersmooth.errors import ConfigurationError
-from dispersmooth.evolution import (
-    IntegratorConfig,
-    System,
-    SystemState,
-    integrate,
-)
+from dispersmooth.evolution import IntegratorConfig, System, integrate
 from dispersmooth.highlow import (
     HighLowConfig,
-    HighLowState,
     advance_window,
     gaussian_gns_constants,
     low_energy,
@@ -25,21 +19,30 @@ from dispersmooth.highlow import (
 )
 from dispersmooth.spectral import (
     Grid,
-    dealias,
     l2_norm,
     lowpass_projection,
-    random_sobolev_field,
-    remove_mean,
     sobolev_norm,
     zero_field,
 )
 
-from conftest import random_state
+from conftest import full, make_state, random_state, scaled
 
 
 def highlow_data(grid, seed, s=0.95, r=0.95, amplitude=0.5):
-    state = random_state(System.KGS, grid, seed=seed, s=s, r=r, amplitude=amplitude)
+    """Random data ``(u, w+)`` as full spectra."""
+    state = full(random_state(System.KGS, grid, seed=seed, s=s, r=r, amplitude=amplitude))
     return state.u, state.wplus
+
+
+def highlow_state(grid, seed, **kwargs):
+    """The KGS state of `highlow_data`."""
+    return random_state(System.KGS, grid, seed=seed, **{"s": 0.95, "r": 0.95, "amplitude": 0.5, **kwargs})
+
+
+def pairs(state):
+    """Full spectra of the window state's ``(phi, psi+, mu, lam+)``."""
+    low, high = full(state.low), full(state.high)
+    return low.u, low.wplus, high.u, high.wplus
 
 
 def window(cutoff, dt, m=0.95):
@@ -49,36 +52,33 @@ def window(cutoff, dt, m=0.95):
 
 class TestSplitInitial:
     def test_exact_reconstruction(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=30)
-        state = split_initial(u0, wplus, 8.0)
-        total_u, total_w = state.total()
-        assert np.max(np.abs(total_u.coeffs - u0.coeffs)) < 1e-14
-        assert np.max(np.abs(total_w.coeffs - wplus.coeffs)) < 1e-14
+        data = highlow_state(grid_2d, seed=30)
+        state = split_initial(data, 8.0)
+        for total, field in zip(state.total().fields, data.fields):
+            assert np.max(np.abs(total - field)) < 1e-14
 
     def test_cutoff_above_lattice_gives_zero_high_part(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=31)
-        state = split_initial(u0, wplus, 1e6)
-        assert l2_norm(state.mu) == 0.0
-        assert l2_norm(state.lam_plus) == 0.0
+        state = split_initial(highlow_state(grid_2d, seed=31), 1e6)
+        assert not any(np.any(a) for a in state.high.fields)
 
     def test_tiny_cutoff_keeps_only_zero_mode(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=32)
-        state = split_initial(u0, wplus, 1e-9)
-        nonzero = np.nonzero(state.phi.coeffs)
+        state = split_initial(highlow_state(grid_2d, seed=32), 1e-9)
+        nonzero = np.nonzero(full(state.low).u.coeffs)
         assert all(len(set(axis.tolist())) <= 1 and (len(axis) == 0 or axis[0] == 0) for axis in nonzero)
 
     @pytest.mark.parametrize("cutoff", [4.0, 8.0, 16.0])
     def test_splitting_bounds_hold(self, grid_2d, cutoff):
         s = r = 0.95
         for seed in range(33, 43):
-            u0, wplus = highlow_data(grid_2d, seed=seed, s=s, r=r)
-            state = split_initial(u0, wplus, cutoff)
+            data = highlow_state(grid_2d, seed=seed, s=s, r=r)
+            u0, wplus = full(data).u, full(data).wplus
+            phi, psi_plus, mu, lam_plus = pairs(split_initial(data, cutoff))
             u_hs = sobolev_norm(u0, s)
             w_hr = sobolev_norm(wplus, r)
-            assert sobolev_norm(state.phi, 1.0) <= cutoff ** (1 - s) * u_hs * (1 + 1e-12)
-            assert sobolev_norm(state.psi_plus, 1.0) <= cutoff ** (1 - r) * w_hr * (1 + 1e-12)
-            assert sobolev_norm(state.mu, 0.55) <= cutoff ** (0.55 - s) * u_hs * (1 + 1e-12)
-            assert sobolev_norm(state.lam_plus, 0.55) <= cutoff ** (0.55 - r) * w_hr * (1 + 1e-12)
+            assert sobolev_norm(phi, 1.0) <= cutoff ** (1 - s) * u_hs * (1 + 1e-12)
+            assert sobolev_norm(psi_plus, 1.0) <= cutoff ** (1 - r) * w_hr * (1 + 1e-12)
+            assert sobolev_norm(mu, 0.55) <= cutoff ** (0.55 - s) * u_hs * (1 + 1e-12)
+            assert sobolev_norm(lam_plus, 0.55) <= cutoff ** (0.55 - r) * w_hr * (1 + 1e-12)
 
 
 class TestStepRule:
@@ -104,74 +104,69 @@ class TestStepRule:
 class TestAdvanceWindow:
     def test_zero_high_part_reduces_to_low_system(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=44)
-        u0 = lowpass_projection(u0, 6.0)
-        wplus = lowpass_projection(wplus, 6.0)
+        data = make_state(System.KGS, lowpass_projection(u0, 6.0), lowpass_projection(wplus, 6.0))
         config = window(8.0, dt=1e-3)
-        state = split_initial(u0, wplus, 8.0)
-        assert l2_norm(state.mu) == 0.0
+        state = split_initial(data, 8.0)
+        assert not np.any(state.high.u)
         out, _ = advance_window(state, config)
-        assert l2_norm(out.mu) == 0.0
-        assert l2_norm(out.lam_plus) == 0.0
+        assert not any(np.any(a) for a in out.high.fields)
         # The low pair evolved alone must match the direct solve of the same data.
-        direct = integrate(
-            SystemState(System.KGS, u0, wplus),
+        direct = full(integrate(
+            data,
             IntegratorConfig(
                 dt=config.t_end / math.ceil(config.t_end / config.dt),
                 t_end=config.t_end,
                 record_every=10**9,
             ),
-        )[-1]
-        assert l2_norm(out.phi - direct.u) < 1e-11
-        assert l2_norm(out.psi_plus - direct.wplus) < 1e-11
+        ).final)
+        phi, psi_plus = pairs(out)[:2]
+        assert l2_norm(phi - direct.u) < 1e-11
+        assert l2_norm(psi_plus - direct.wplus) < 1e-11
 
     def test_telescoping_identity_exact(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=45)
         config = window(8.0, dt=2e-3)
-        state = split_initial(u0, wplus, 8.0)
+        state = split_initial(highlow_state(grid_2d, seed=45), 8.0)
         from dispersmooth.highlow import _integrate_window, _reassemble
 
         evolved = _integrate_window(state, config)
         new_state, _ = _reassemble(state, config.t_end, evolved)
-        total_after = new_state.total()
-        phi_d, psi_d, mu_d, lam_d = evolved
-        scale = max(1.0, np.max(np.abs(phi_d)))
-        assert np.max(np.abs(total_after[0].coeffs - (phi_d + mu_d))) < 1e-12 * scale
-        assert np.max(np.abs(total_after[1].coeffs - (psi_d + lam_d))) < 1e-12 * scale
+        scale = max(1.0, np.max(np.abs(evolved[0])))
+        for total, low, high in zip(new_state.total().fields, evolved[:3], evolved[3:]):
+            assert np.max(np.abs(total - (low + high))) < 1e-12 * scale
 
     def test_one_window_matches_direct_solver(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=46)
+        data = highlow_state(grid_2d, seed=46)
         config = window(8.0, dt=2e-3)
-        state = split_initial(u0, wplus, 8.0)
-        out, _ = advance_window(state, config)
+        out, _ = advance_window(split_initial(data, 8.0), config)
         n_inner = math.ceil(config.t_end / config.dt)
-        direct = integrate(
-            SystemState(System.KGS, u0, wplus),
+        direct = full(integrate(
+            data,
             IntegratorConfig(
                 dt=config.t_end / n_inner, t_end=config.t_end, record_every=10**9
             ),
-        )[-1]
-        total_u, total_p = out.total()
-        assert l2_norm(total_u - direct.u) < 1e-10
-        assert l2_norm(total_p - direct.wplus) < 1e-10
+        ).final)
+        total = full(out.total())
+        assert l2_norm(total.u - direct.u) < 1e-10
+        assert l2_norm(total.wplus - direct.wplus) < 1e-10
 
 
 class TestLowEnergy:
     def test_zero_u_leaves_wave_energy(self, grid_2d_small):
         _, wplus = highlow_data(grid_2d_small, seed=47)
-        report = low_energy(zero_field(grid_2d_small), wplus)
+        report = low_energy(make_state(System.KGS, zero_field(grid_2d_small), wplus))
         assert report.energy == pytest.approx(sobolev_norm(wplus, 1.0) ** 2, rel=1e-12)
 
     def test_zero_wave_leaves_gradient_energy(self, grid_2d_small):
         u0, _ = highlow_data(grid_2d_small, seed=48)
         z = zero_field(grid_2d_small)
-        report = low_energy(u0, z)
+        report = low_energy(make_state(System.KGS, u0, z))
         assert report.energy == pytest.approx(
             2.0 * sobolev_norm(u0, 1.0, homogeneous=True) ** 2, rel=1e-12
         )
 
     def test_small_data_energy_close_to_surrogate(self, grid_2d_small):
         u0, wplus = highlow_data(grid_2d_small, seed=49, amplitude=0.05)
-        report = low_energy(u0, wplus)
+        report = low_energy(make_state(System.KGS, u0, wplus))
         c1, c2 = gaussian_gns_constants()
         c0 = l2_norm(u0) * c1 * c2**2 / math.sqrt(2.0)
         bound = (
@@ -232,67 +227,65 @@ class TestHighLowConfig:
 
 class TestRunGlobal:
     def test_horizon_shorter_than_window_is_single_window(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=50)
+        data = highlow_state(grid_2d, seed=50)
         integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
-        report = run_global(u0, wplus, 0.95, HighLowConfig(cutoff=8.0), integrator)
+        report = run_global(data, 0.95, HighLowConfig(cutoff=8.0), integrator)
         assert len(report.windows) == 1
-        single, log = advance_window(split_initial(u0, wplus, 8.0), window(8.0, dt=2e-3))
-        assert l2_norm(report.final_state.phi - single.phi) == 0.0
+        single, log = advance_window(split_initial(data, 8.0), window(8.0, dt=2e-3))
+        assert np.array_equal(report.final_state.low.u, single.low.u)
         assert report.windows == [log]
 
     @pytest.mark.parametrize("t_end", [1e-4, 1.0, 50.0])
     def test_windows_key_sets_the_count_whatever_t_end(self, grid_2d_small, t_end):
-        u0, wplus = highlow_data(grid_2d_small, seed=54)
+        data = highlow_state(grid_2d_small, seed=54)
         config = HighLowConfig(cutoff=4.0, delta=0.01, windows=3)
-        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=5e-3, t_end=t_end))
+        report = run_global(data, 0.95, config, IntegratorConfig(dt=5e-3, t_end=t_end))
         assert len(report.windows) == 3
         assert report.final_state.t == pytest.approx(0.03, rel=1e-12)
 
     def test_delta_defaults_to_the_step_rule_at_m(self, grid_2d_small):
-        u0, wplus = highlow_data(grid_2d_small, seed=55)
+        data = highlow_state(grid_2d_small, seed=55)
         config = HighLowConfig(cutoff=4.0, windows=1)
-        report = run_global(u0, wplus, 0.9, config, IntegratorConfig(dt=5e-3))
+        report = run_global(data, 0.9, config, IntegratorConfig(dt=5e-3))
         assert report.delta == step_rule(4.0, 0.9, 0.55, 0.1)
         assert report.windows[0].t_end == report.delta
 
     def test_band_limited_data_keeps_high_part_empty(self, grid_2d):
         u0, wplus = highlow_data(grid_2d, seed=51)
-        u0 = lowpass_projection(u0, 4.0)
-        wplus = lowpass_projection(wplus, 4.0)
+        data = make_state(System.KGS, lowpass_projection(u0, 4.0), lowpass_projection(wplus, 4.0))
         config = HighLowConfig(cutoff=8.0, compare_direct=True)
-        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=2e-3, t_end=0.05))
-        assert l2_norm(report.final_state.mu) == 0.0
+        report = run_global(data, 0.95, config, IntegratorConfig(dt=2e-3, t_end=0.05))
+        assert not np.any(report.final_state.high.u)
         assert all(d < 1e-10 for d in report.diff_vs_direct)
 
     def test_oracle_equivalence_over_windows(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=52)
+        data = highlow_state(grid_2d, seed=52)
         config = HighLowConfig(cutoff=8.0, windows=3, compare_direct=True)
-        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=2e-3))
+        report = run_global(data, 0.95, config, IntegratorConfig(dt=2e-3))
         assert len(report.windows) == 3
         assert all(d < 1e-6 for d in report.diff_vs_direct)
 
     def test_dt_not_dividing_delta_matches_direct_to_roundoff(self, grid_2d_small):
         # The window and the direct check share one shortened step grid.
-        u0, wplus = highlow_data(grid_2d_small, seed=56)
+        data = highlow_state(grid_2d_small, seed=56)
         config = HighLowConfig(cutoff=4.0, delta=0.05, windows=3, compare_direct=True)
-        report = run_global(u0, wplus, 0.95, config, IntegratorConfig(dt=0.003))
+        report = run_global(data, 0.95, config, IntegratorConfig(dt=0.003))
         assert 0.05 / 0.003 != math.ceil(0.05 / 0.003)
         assert max(report.diff_vs_direct) <= 1e-12
 
     def test_threshold_warning_emitted(self):
-        u0, wplus = highlow_data(Grid(4, 8), seed=53, amplitude=0.5)
-        u0 = 1e3 * u0
+        data = scaled(highlow_state(Grid(4, 8), seed=53, amplitude=0.5), 1e3, 1.0)
         integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
-        report = run_global(u0, wplus, 0.95, HighLowConfig(cutoff=2.0), integrator)
+        report = run_global(data, 0.95, HighLowConfig(cutoff=2.0), integrator)
         assert report.threshold is not None
         assert not report.below_threshold
         assert report.warnings
         assert "not below the operative threshold" in report.warnings[-1]
 
     def test_threshold_not_applicable_outside_d4(self, grid_2d):
-        u0, wplus = highlow_data(grid_2d, seed=53, amplitude=0.5)
+        data = scaled(highlow_state(grid_2d, seed=53, amplitude=0.5), 1e3, 1.0)
         integrator = IntegratorConfig(dt=2e-3, t_end=1e-4)
-        report = run_global(1e3 * u0, wplus, 0.95, HighLowConfig(cutoff=8.0), integrator)
+        report = run_global(data, 0.95, HighLowConfig(cutoff=8.0), integrator)
         assert report.threshold is None
         assert report.below_threshold is None
         assert report.warnings == [

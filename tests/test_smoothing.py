@@ -13,13 +13,7 @@ from dispersmooth.errors import (
     ConfigurationError,
     ResolutionError,
 )
-from dispersmooth.evolution import (
-    Dispersion,
-    IntegratorConfig,
-    System,
-    SystemState,
-    integrate,
-)
+from dispersmooth.evolution import IntegratorConfig, System, integrate
 from dispersmooth.resonance import xsb_weight
 from dispersmooth.smoothing import (
     CounterexampleResult,
@@ -38,7 +32,7 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import full_rhs, random_state, spectral_mode
+from conftest import free_flow, full, full_rhs, make_state, random_state, spectral_mode
 
 
 class TestSmoothingExponents:
@@ -107,7 +101,7 @@ class TestDuhamelResidual:
 
     def test_zero_u_gives_zero_u_residual(self, grid_2d_small):
         base = random_state(System.KGS, grid_2d_small, seed=21)
-        state = SystemState(System.KGS, zero_field(grid_2d_small), base.wplus)
+        state = make_state(System.KGS, zero_field(grid_2d_small), full(base).wplus)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1))
         res = duhamel_residual(traj, "u")
         assert all(l2_norm(r) < 1e-14 for r in res)
@@ -130,13 +124,36 @@ class TestDuhamelResidual:
         with pytest.raises(ConfigurationError):
             duhamel_residual([state], "v")
 
+    @pytest.mark.parametrize("component, dispersion", [("u", "schrodinger"), ("wplus", "kg_plus")])
+    def test_matches_full_spectrum_free_flow(self, component, dispersion):
+        # Oracle: the record minus the full-spectrum free flow of the data.
+        grid = Grid(2, 32)
+        state = random_state(System.ZAKHAROV, grid, seed=24, amplitude=0.5)
+        traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5))
+        data = getattr(full(traj[0]), component)
+        for record, residual in zip(traj, duhamel_residual(traj, component)):
+            want = getattr(full(record), component) - free_flow(data, dispersion, record.t)
+            assert l2_norm(residual - want) <= 1e-13 * l2_norm(data)
+
 
 # ---------------------------------------------------------------------------
 # Windowed space-time fields and their X^{s,b} norm: test-side instruments
 # ---------------------------------------------------------------------------
 
 # The wave branch of each dispersion in `xsb_weight`: ``w+`` rides ``tau = -|xi|``.
-_BRANCH = {Dispersion.SCHRODINGER: None, Dispersion.KG_PLUS: -1, Dispersion.KG_MINUS: +1}
+_BRANCH = {"schrodinger": None, "kg_plus": -1, "kg_minus": +1}
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One field of a trajectory at time ``t``: what `space_time_field` reads."""
+
+    u: SpectralField
+    t: float
+
+    @property
+    def grid(self) -> Grid:
+        return self.u.grid
 
 
 @dataclass(frozen=True)
@@ -172,7 +189,7 @@ def _tukey(m: int, alpha: float) -> np.ndarray:
 
 
 def space_time_field(
-    trajectory: list[SystemState], component: str = "u", taper: float = 0.5
+    trajectory: list[Sample], component: str = "u", taper: float = 0.5
 ) -> SpaceTimeField:
     """Window a recorded trajectory in time and transform to (xi, tau).
 
@@ -198,9 +215,7 @@ def space_time_field(
     return SpaceTimeField(grid, times, coeffs, tau, window, taper)
 
 
-def xsb_norm(
-    stf: SpaceTimeField, s: float, b: float, dispersion: Dispersion = Dispersion.SCHRODINGER
-) -> float:
+def xsb_norm(stf: SpaceTimeField, s: float, b: float, dispersion: str = "schrodinger") -> float:
     """Weighted space-time norm ``|| <xi>^s <tau - h(xi)>^b u_hat(xi, tau) ||``.
 
     ``h`` is the dispersion surface: ``-|xi|^2`` for the Schrodinger weight and
@@ -216,25 +231,14 @@ def xsb_norm(
 class TestXsbNorm:
     def _single_mode_trajectory(self, k=(2,), n_t=64, t_end=2.0 * math.pi):
         # Exact linear Schrodinger flow of one mode, sampled uniformly.
-        from dispersmooth.evolution import linear_propagate
-
         grid = Grid(1, 16)
         u0 = spectral_mode(grid, k)
-        z = zero_field(grid)
         dt = t_end / n_t
-        return [
-            SystemState(
-                System.KGS,
-                linear_propagate(u0, Dispersion.SCHRODINGER, j * dt),
-                z,
-                t=j * dt,
-            )
-            for j in range(n_t)
-        ]
+        return [Sample(free_flow(u0, "schrodinger", j * dt), j * dt) for j in range(n_t)]
 
     def test_zero_field_norm(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(8)]
+        states = [Sample(z, 0.01 * j) for j in range(8)]
         stf = space_time_field(states, "u")
         assert xsb_norm(stf, 0.7, 0.55) == 0.0
 
@@ -265,10 +269,7 @@ class TestXsbNorm:
 
         traj = self._single_mode_trajectory()
         stf = space_time_field(traj, "u")
-        lifted = [
-            SystemState(s.system, bessel_potential(s.u, 0.8), s.wplus, t=s.t)
-            for s in traj
-        ]
+        lifted = [Sample(bessel_potential(s.u, 0.8), s.t) for s in traj]
         stf_lifted = space_time_field(lifted, "u")
         a = xsb_norm(stf, 0.8, 0.55)
         b = xsb_norm(stf_lifted, 0.0, 0.55)
@@ -276,9 +277,7 @@ class TestXsbNorm:
 
     def test_nonuniform_times_rejected(self, grid_2d_small):
         z = zero_field(grid_2d_small)
-        states = [
-            SystemState(System.KGS, z, z, t=t) for t in (0.0, 0.1, 0.25, 0.3)
-        ]
+        states = [Sample(z, t) for t in (0.0, 0.1, 0.25, 0.3)]
         with pytest.raises(ConfigurationError):
             space_time_field(states, "u")
 
@@ -288,14 +287,14 @@ class TestXsbNorm:
 
         z = zero_field(grid_2d_small)
         for m in (4, 5, 8, 13, 31, 64):
-            states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(m)]
+            states = [Sample(z, 0.01 * j) for j in range(m)]
             window = space_time_field(states, "u", taper=taper).window
             assert np.array_equal(window, tukey(m, taper, sym=False))
 
     @pytest.mark.parametrize("taper", [0.0, -0.5, 1.5, float("nan")])
     def test_taper_outside_unit_interval_rejected(self, grid_2d_small, taper):
         z = zero_field(grid_2d_small)
-        states = [SystemState(System.KGS, z, z, t=0.01 * j) for j in range(8)]
+        states = [Sample(z, 0.01 * j) for j in range(8)]
         with pytest.raises(ConfigurationError, match="taper"):
             space_time_field(states, "u", taper=taper)
 

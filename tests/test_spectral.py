@@ -15,6 +15,7 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    box_inner,
     box_norm,
     conjugate,
     cubic_pairing,
@@ -371,25 +372,24 @@ class TestDealiasedProduct:
         u = dealias(random_sobolev_field(grid, 0.0, seed=20))
         v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
         direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
-        assert cubic_pairing(u.coeffs, v.coeffs, grid) == pytest.approx(direct, rel=1e-10)
+        box_u, box_v = grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs))
+        assert cubic_pairing(box_u, box_v, grid) == pytest.approx(direct, rel=1e-10)
 
 
 class TestBoxDiagnostics:
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8), (4, 8)])
     @pytest.mark.parametrize("band_limited", [True, False])
     def test_cubic_pairing_matches_spectral_oracle(self, dim, n, band_limited):
+        # u is carried on the box; the box half spectrum of v holds P v, so
+        # the pairing takes a v that is not band-limited as its projection.
         grid = Grid(dim, n)
-        u = random_sobolev_field(grid, 0.0, seed=30 + dim)
-        u = dealias(u) if band_limited else u
+        u = dealias(random_sobolev_field(grid, 0.0, seed=30 + dim))
         v = random_sobolev_field(grid, 0.0, seed=40 + dim, real=True)
+        v = dealias(v) if band_limited else v
         want = spectral_cubic_pairing(u, v)
         scale = np.sum(np.abs(to_samples(u)) ** 2 * np.abs(to_samples(dealias(v)))) * grid.dx**dim
-        box_v = half_spectrum(grid.box(v.coeffs))
-        pairs = [(u.coeffs, v.coeffs), (u.coeffs, box_v)]
-        if band_limited:
-            pairs.append((grid.box(u.coeffs), box_v))
-        for a, b in pairs:
-            assert abs(cubic_pairing(a, b, grid) - want) <= 1e-12 * abs(want)
+        got = cubic_pairing(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
+        assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(want) > 1e-3 * scale  # the relative bound is not one on a cancelled sum
 
     @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.5, False), (-1.0, True), (1.0, True)])
@@ -399,6 +399,16 @@ class TestBoxDiagnostics:
         want = sobolev_norm(f, s, homogeneous=homogeneous)
         for box in (grid.box(f.coeffs), half_spectrum(grid.box(f.coeffs))):
             assert box_norm(box, grid, s, homogeneous) == pytest.approx(want, rel=1e-13)
+
+    def test_box_inner_matches_inner_product(self):
+        grid = Grid(2, 32)
+        f, g = (dealias(random_sobolev_field(grid, 0.0, seed=seed)) for seed in (51, 52))
+        assert box_inner(grid.box(f.coeffs), grid.box(g.coeffs), grid) == pytest.approx(
+            inner_product(f, g).real, rel=1e-13
+        )
+        v, w = (dealias(random_sobolev_field(grid, 0.0, seed=seed, real=True)) for seed in (53, 54))
+        halves = (half_spectrum(grid.box(x.coeffs)) for x in (v, w))
+        assert box_inner(*halves, grid) == pytest.approx(inner_product(v, w).real, rel=1e-13)
 
 
 class TestRandomField:

@@ -61,3 +61,15 @@ def test_stepper_bindings_are_one_function_with_the_wrapped_arguments():
     assert len(steppers) == 1
     parameters = inspect.signature(steppers.pop()).parameters
     assert {*NAMES["STEPPER_CALLABLES"], "n_steps"} <= set(parameters)
+
+
+def test_integrate_takes_a_state_that_names_its_system():
+    # The tracer reads ``.system.value`` of `evolution.integrate`'s first
+    # argument, ``state``, to give every stepper call under it a kind.
+    from dispersmooth.evolution import System, integrate, random_system_state
+    from dispersmooth.spectral import Grid
+
+    assert next(iter(inspect.signature(integrate).parameters)) == "state"
+    for system in System:
+        state = random_system_state(system, Grid(2, 16), 1.0, 1.0, seed=0)
+        assert state.system.value in {"kgs", "zakharov"}
