@@ -58,13 +58,14 @@ class System(str, enum.Enum):
     ZAKHAROV = "zakharov"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemState:
     """The carried unknowns ``(u, v, w)`` of ``system`` on ``grid`` at time ``t``.
 
     ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
     spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
-    damped run.  Runs never write into a state's arrays.
+    damped run.  Runs never write into a state's arrays.  States compare by
+    identity, as arrays give no single truth value.
     """
 
     system: System

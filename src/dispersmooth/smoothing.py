@@ -158,7 +158,8 @@ def duhamel_residual(
     grid, expand = first.grid, wave_records(first.grid)
     out = []
     for state in trajectory:
-        free = block_flow(grid, state.t - first.t)(first.fields)
+        gap = state.t - first.t  # no flow to build over no time: it is the identity
+        free = block_flow(grid, gap)(first.fields) if gap else first.fields
         u, wplus = expand([a - b for a, b in zip(state.fields, free)])
         out.append(SpectralField(grid, u if component == "u" else wplus))
     return out

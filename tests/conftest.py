@@ -96,7 +96,7 @@ def full(state: SystemState) -> Full:
     return Full(u, v, w, wplus, state.t)
 
 
-def scaled(state: SystemState, c: complex, wave: complex = None) -> SystemState:
+def scaled(state: SystemState, c: complex, wave: complex | None = None) -> SystemState:
     """``state`` with ``u`` times ``c`` and the wave times ``wave`` (default ``c``)."""
     wave = c if wave is None else wave
     return SystemState(state.system, state.grid, c * state.u, wave * state.v, wave * state.w, t=state.t)
