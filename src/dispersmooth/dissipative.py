@@ -138,16 +138,19 @@ class _EnergyTerms(NamedTuple):
 
     @classmethod
     def of(cls, state: SystemState, forcing: Fields) -> "_EnergyTerms":
-        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`)."""
+        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`).
+
+        H and its rate are near-cancelled sums of these terms, so each is a
+        pairwise box sum (`box_inner`)."""
         (f, g), grid = forcing, state.grid
         return cls(
-            box_norm(state.u, grid, 1.0, homogeneous=True) ** 2,
-            box_norm(state.v, grid) ** 2,
-            box_norm(state.v, grid, 1.0, homogeneous=True) ** 2,
-            box_norm(state.w, grid) ** 2,
+            box_inner(state.u, state.u, grid, 1.0, homogeneous=True, pairwise=True),
+            box_inner(state.v, state.v, grid, pairwise=True),
+            box_inner(state.v, state.v, grid, 1.0, homogeneous=True, pairwise=True),
+            box_inner(state.w, state.w, grid, pairwise=True),
             cubic_pairing(state.u, state.v, grid),
-            box_inner(f, state.u, grid),
-            box_inner(g, state.w, grid),
+            box_inner(f, state.u, grid, pairwise=True),
+            box_inner(g, state.w, grid, pairwise=True),
         )
 
     def energy(self, params: DampedParams) -> float:

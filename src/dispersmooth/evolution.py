@@ -15,9 +15,10 @@ pseudo-spectrally with 2/3-rule dealiasing (`spectral.CouplingKernel`);
 conservation identities hold exactly for the truncated flow when the data is
 band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
 is pure time-discretization error.  Full spectra meet a state at two edges
-only: `SystemState.from_full` builds one from full fields, rejecting data
-that is not band-limited or a wave that is not real, and `wave_records`
-expands one into ``(u, w+)``.
+only: `SystemState.from_full` (and `SystemState.from_wave`, for data
+``(u, w+)``) builds one from full fields, rejecting data that is not
+band-limited or a wave that is not real, and `wave_records` expands one
+into ``(u, w+)``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,12 @@ class SystemState:
 
     ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
     spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
-    damped run.  Runs never write into a state's arrays.  States compare by
-    identity, as arrays give no single truth value.
+    damped run (`dissipative`).  The state does not record ``a``: everything
+    outside `dissipative` reads ``w`` as ``v_t`` (`wave_records`,
+    `wave_norm`, `conserved_quantities`, `reporting.Checkpoint.of`), so a
+    damped state goes there only through ``v_t = w - a v``.  Runs never write
+    into a state's arrays.  States compare by identity, as arrays give no
+    single truth value.
     """
 
     system: System
@@ -83,14 +88,23 @@ class SystemState:
     def from_full(
         cls, system: System, u: SpectralField, v: SpectralField, w: SpectralField, t: float = 0.0
     ) -> "SystemState":
-        """The state of full fields ``(u, v, w)``; data ``(u, w+)`` comes in through
-        `split_wave`.  A ``v`` or ``w`` that is not real (`require_real`), or a
-        field that is not band-limited (`band_limited`), is rejected by name."""
+        """The state of full fields ``(u, v, w)``.  A ``v`` or ``w`` that is not real
+        (`require_real`), or a field that is not band-limited (`band_limited`),
+        is rejected by name."""
         require_real(v, "v")
         require_real(w, "w")
         boxes = [band_limited(f, name) for f, name in ((u, "u"), (v, "v"), (w, "w"))]
         halves = (np.ascontiguousarray(half_spectrum(a)) for a in boxes[1:])
         return cls(system, u.grid, boxes[0], *halves, t=t)
+
+    @classmethod
+    def from_wave(
+        cls, system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0
+    ) -> "SystemState":
+        """The state of data ``(u, w+)``: `split_wave` into `from_full`, with a ``w+``
+        that is not band-limited rejected as ``wplus``."""
+        band_limited(wplus, "wplus")
+        return cls.from_full(system, u, *split_wave(wplus), t=t)
 
 
 @dataclass(frozen=True)
@@ -145,9 +159,32 @@ def block_flow(
     maps real fields to real fields.  Without damping it is the free
     Klein-Gordon flow of ``(v, v_t)``, ``M = [[0, 1], [-<xi>^2, 0]]``.  A flow
     that overflows (a very large ``delta`` for ``t``) is a `ConfigurationError`.
+    The ``u`` factor and the block's rows are `u_factor` and `wave_block`.
     """
-    box_xi_squared = grid.box(grid.xi_squared)
-    xi_squared = half_spectrum(box_xi_squared)
+    u_sym, rows = u_factor(grid, t, gamma), wave_block(grid, t, a, delta)
+    scratch = np.empty_like(rows[0][0])
+
+    def flow(fields: Fields, out: Fields | None = None) -> Fields:
+        out = tuple(np.empty_like(a) for a in fields) if out is None else out
+        for i in range(0, len(fields), 3):
+            np.multiply(u_sym, fields[i], out=out[i])
+            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
+                np.multiply(first, fields[i + 1], out=target)
+                target += np.multiply(second, fields[i + 2], out=scratch)
+        return out
+
+    return flow
+
+
+def u_factor(grid: Grid, t: float, gamma: float = 0.0) -> np.ndarray:
+    """`block_flow`'s ``u`` factor ``exp(-gamma t) exp(-i t |xi|^2)`` on the box."""
+    return math.exp(-gamma * t) * np.exp(-1j * t * grid.box(grid.xi_squared))
+
+
+def wave_block(grid: Grid, t: float, a: float = 0.0, delta: float = 0.0) -> tuple:
+    """`block_flow`'s ``(v, w)`` block over ``t``: its rows ``((p, q), (r, s))``, box
+    half spectra, so that the flow takes ``(v, w)`` to ``(p v + q w, r v + s w)``."""
+    xi_squared = half_spectrum(grid.box(grid.xi_squared))
     cap = 1.0 + a * (a - delta) + xi_squared
     half_trace = -delta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,19 +208,7 @@ def block_flow(
             f"the exact linear flow over t = {t:.3g} overflows at delta = {delta:g}"
             f" (a = {a:g}); lower delta or dt"
         )
-    scratch = np.empty_like(rows[0][0])
-    u_sym = math.exp(-gamma * t) * np.exp(-1j * t * box_xi_squared)
-
-    def flow(fields: Fields, out: Fields | None = None) -> Fields:
-        out = tuple(np.empty_like(a) for a in fields) if out is None else out
-        for i in range(0, len(fields), 3):
-            np.multiply(u_sym, fields[i], out=out[i])
-            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
-                np.multiply(first, fields[i + 1], out=target)
-                target += np.multiply(second, fields[i + 2], out=scratch)
-        return out
-
-    return flow
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +235,28 @@ def wave_norm(v: np.ndarray, v_t: np.ndarray, grid: Grid, s: float = 0.0) -> flo
 
 
 def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
-    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`):
-    the outgoing edge of a state, for checkpoints and spectral fits.
+    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`,
+    `full_wplus`): the outgoing edge of a state, for checkpoints and spectral fits."""
+    return lambda fields: tuple(
+        x
+        for u, v, v_t in zip(fields[0::3], fields[1::3], fields[2::3])
+        for x in (from_box(u, grid), full_wplus(v, v_t, grid))
+    )
 
-    ``w+ = v + i A^{-1} v_t`` is formed on the half spectrum with the
-    arithmetic of `join_wave`.  The other columns of the box are those of
-    ``w+(-k) = conj(v - i A^{-1} v_t)(k)``, which the expansion of the
-    minus branch (`full_spectrum`) reflects into place; `from_box` then
-    expands the box once.
+
+def full_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full, read-only coefficients of ``w+ = v + i A^{-1} v_t`` from the box half
+    spectra of the real ``(v, v_t)``.
+
+    ``w+`` is formed on the half spectrum with the arithmetic of `join_wave`.
+    The other columns of the box are those of ``w+(-k) = conj(v - i A^{-1}
+    v_t)(k)``, which the expansion of the minus branch (`full_spectrum`)
+    reflects into place; `from_box` then expands the box once.
     """
-    inverse_bracket = half_spectrum(grid.box(grid.bracket)) ** -1.0
-    h = inverse_bracket.shape[-1]
-
-    def records(fields: Fields) -> Fields:
-        out = []
-        for u, v, v_t in zip(fields[0::3], fields[1::3], fields[2::3]):
-            kick = 1j * (v_t * inverse_bracket)
-            wplus = full_spectrum(v - kick, out=np.empty(grid.box_shape, dtype=complex))
-            wplus[..., :h] = v + kick
-            out += [from_box(u, grid), from_box(wplus, grid)]
-        return tuple(out)
-
-    return records
+    kick = 1j * (v_t * half_spectrum(grid.box(grid.bracket)) ** -1.0)
+    wplus = full_spectrum(v - kick, out=np.empty(grid.box_shape, dtype=complex))
+    wplus[..., : kick.shape[-1]] = v + kick
+    return from_box(wplus, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +518,7 @@ def random_system_state(
 
     ``u`` is a random H^s field; the real random ``(v, v_t)`` in
     H^r x H^{max(r-1, 0)} enter as the data ``w+`` (`join_wave`, then
-    `split_wave` into `SystemState.from_full`).  The wave velocity is mean-zero
+    `SystemState.from_wave`).  The wave velocity is mean-zero
     (its mean is a separate conserved quantity on the torus) and the state is
     band-limited below the dealias cutoff so the truncated flow conserves
     mass and energy exactly.
@@ -508,4 +533,4 @@ def random_system_state(
         grid, max(r - 1.0, 0.0), seed=kids[2], real=True
     )
     wplus = dealias(join_wave(v, remove_mean(v_t)))
-    return SystemState.from_full(system, dealias(u), *split_wave(wplus))
+    return SystemState.from_wave(system, dealias(u), wplus)

@@ -360,6 +360,7 @@ def run_global(
         )
 
     split, direct = split_initial(state, config.cutoff), state
+    gap = [np.empty_like(a) for a in state.fields]  # the totals minus the direct state
     diffs: list[float] | None = [] if config.compare_direct else None
     logs: list[WindowLog] = []
     for _ in range(n_windows):
@@ -367,7 +368,8 @@ def run_global(
         logs.append(log)
         if diffs is not None:
             direct = integrate(direct, window).final
-            gap = [a - b for a, b in zip(split.total().fields, direct.fields)]
+            for g, low, high, d in zip(gap, split.low.fields, split.high.fields, direct.fields):
+                np.subtract(np.add(low, high, out=g), d, out=g)
             num = box_norm(gap[0], grid) + wave_norm(gap[1], gap[2], grid)
             den = box_norm(direct.u, grid) + wave_norm(direct.v, direct.w, grid)
             diffs.append(num / den if den > 0 else 0.0)

@@ -72,7 +72,8 @@ class Checkpoint(NamedTuple):
 
     @classmethod
     def of(cls, state: SystemState) -> "Checkpoint":
-        """The checkpoint of ``state``: its one expansion (`wave_records`)."""
+        """The checkpoint of ``state`` (``w = v_t``; see `SystemState`): its one
+        expansion (`wave_records`)."""
         return cls(state.system, state.grid, state.t, *wave_records(state.grid)(state.fields))
 
 

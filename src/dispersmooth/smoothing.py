@@ -26,9 +26,11 @@ from .evolution import (
     IntegratorConfig,
     System,
     SystemState,
-    block_flow,
+    full_wplus,
     integrate,
     random_system_state,
+    u_factor,
+    wave_block,
     wave_norm,
     wave_records,
 )
@@ -38,6 +40,7 @@ from .spectral import (
     SpectralField,
     box_norm,
     fit_spectral_slope,
+    from_box,
     sobolev_norm,
 )
 
@@ -149,19 +152,28 @@ def duhamel_residual(
     """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
 
     ``component`` is ``"u"`` or ``"wplus"``.  The residual is formed on the
-    box, the record minus `block_flow` of the first record, and expanded
-    once (`wave_records`).  The residual at the initial time is exactly zero.
+    box, the record minus the free flow of the first record (the factor of
+    `block_flow` that acts on the component: `u_factor` or `wave_block`),
+    and only the component is expanded (`from_box`, `full_wplus`).  The
+    residual at the initial time is exactly zero.
     """
     if component not in ("u", "wplus"):
         raise ConfigurationError(f"unknown component {component!r}")
     first = trajectory[0]
-    grid, expand = first.grid, wave_records(first.grid)
+    grid = first.grid
     out = []
     for state in trajectory:
         gap = state.t - first.t  # no flow to build over no time: it is the identity
-        free = block_flow(grid, gap)(first.fields) if gap else first.fields
-        u, wplus = expand([a - b for a, b in zip(state.fields, free)])
-        out.append(SpectralField(grid, u if component == "u" else wplus))
+        if component == "u":
+            free = u_factor(grid, gap) * first.u if gap else first.u
+            residual = from_box(state.u - free, grid)
+        else:
+            v, w = first.v, first.w
+            if gap:
+                (p, q), (r, z) = wave_block(grid, gap)
+                v, w = p * first.v + q * first.w, r * first.v + z * first.w
+            residual = full_wplus(state.v - v, state.w - w, grid)
+        out.append(SpectralField(grid, residual))
     return out
 
 

@@ -66,8 +66,8 @@ def random_state(
 
 
 def make_state(system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0) -> SystemState:
-    """The state of data ``(u, w+)``: `split_wave` into `SystemState.from_full`."""
-    return SystemState.from_full(system, u, *split_wave(wplus), t=t)
+    """The state of data ``(u, w+)`` (`SystemState.from_wave`)."""
+    return SystemState.from_wave(system, u, wplus, t=t)
 
 
 class Full(NamedTuple):

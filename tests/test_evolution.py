@@ -756,13 +756,12 @@ class TestBandLimitedInput:
     )
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
         # Full spectra enter at `SystemState.from_full` (data (u, w+) through
-        # split_wave, so a bump in w+ shows in its real part v) and at the
-        # damped run's forcing; every run and window takes a carried state.
+        # `SystemState.from_wave`) and at the damped run's forcing; every run
+        # and window takes a carried state.
         data = full(random_state(System.KGS, grid_2d_small, seed=23))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
         bump = out_of_box(grid_2d_small, 1e-6 * l2_norm(data.u))
-        rejected = {"wplus": "v"}.get(name, name)
-        with pytest.raises(ConfigurationError, match=f"^{rejected} is not band-limited"):
+        with pytest.raises(ConfigurationError, match=f"^{name} is not band-limited"):
             if kind == "kgs":
                 fields = {"u": data.u, "wplus": data.wplus}
                 fields[name] = fields[name] + bump

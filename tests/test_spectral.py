@@ -410,6 +410,21 @@ class TestBoxDiagnostics:
         halves = (half_spectrum(grid.box(x.coeffs)) for x in (v, w))
         assert box_inner(*halves, grid) == pytest.approx(inner_product(v, w).real, rel=1e-13)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_pairwise_box_inner_is_within_a_few_ulps_of_the_exact_sum(self, s):
+        # The weighted squares summed exactly (math.fsum): the pairwise path
+        # rounds a few times, not once per mode as a running sum may.
+        grid = Grid(2, 128)
+        f = dealias(random_sobolev_field(grid, 0.0, seed=55, real=True))
+        for box in (grid.box(f.coeffs), half_spectrum(grid.box(f.coeffs))):
+            pairs = box.reshape(-1).view(np.float64)
+            box_inner(box, box, grid, s)  # caches the weight per float
+            weight = grid.box_weights[(s, box.shape != grid.box_shape, False)]
+            exact = math.fsum(float(p) * float(p) * float(w) for p, w in zip(pairs, weight))
+            got = box_inner(box, box, grid, s, pairwise=True) * grid.volume
+            assert got == pytest.approx(exact, rel=1e-15)
+            assert box_inner(box, box, grid, s) * grid.volume == pytest.approx(exact, rel=1e-13)
+
 
 class TestRandomField:
     def test_deterministic_given_seed(self):
