@@ -138,10 +138,8 @@ class _EnergyTerms(NamedTuple):
 
     @classmethod
     def of(cls, state: SystemState, forcing: Fields) -> "_EnergyTerms":
-        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`).
-
-        H and its rate are near-cancelled sums of these terms, so each is a
-        pairwise box sum (`box_inner`)."""
+        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`),
+        pairwise box sums (`box_inner`): H and its rate nearly cancel them."""
         (f, g), grid = forcing, state.grid
         return cls(
             box_inner(state.u, state.u, grid, 1.0, homogeneous=True, pairwise=True),

@@ -15,10 +15,9 @@ pseudo-spectrally with 2/3-rule dealiasing (`spectral.CouplingKernel`);
 conservation identities hold exactly for the truncated flow when the data is
 band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
 is pure time-discretization error.  Full spectra meet a state at two edges
-only: `SystemState.from_full` (and `SystemState.from_wave`, for data
-``(u, w+)``) builds one from full fields, rejecting data that is not
-band-limited or a wave that is not real, and `wave_records` expands one
-into ``(u, w+)``.
+only: `SystemState.from_full` (`from_wave` for data ``(u, w+)``) builds one,
+rejecting data that is not band-limited or a wave that is not real, and
+`wave_records` expands one into ``(u, w+)``.
 """
 
 from __future__ import annotations
@@ -65,12 +64,10 @@ class SystemState:
 
     ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
     spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
-    damped run (`dissipative`).  The state does not record ``a``: everything
-    outside `dissipative` reads ``w`` as ``v_t`` (`wave_records`,
-    `wave_norm`, `conserved_quantities`, `reporting.Checkpoint.of`), so a
-    damped state goes there only through ``v_t = w - a v``.  Runs never write
-    into a state's arrays.  States compare by identity, as arrays give no
-    single truth value.
+    damped run, which the state does not record: outside `dissipative`, ``w``
+    is read as ``v_t`` (`wave_records`, `conserved_quantities`, `Checkpoint`).
+    Runs never write into a state's arrays.  States compare by identity, as
+    arrays give no single truth value.
     """
 
     system: System
@@ -101,8 +98,7 @@ class SystemState:
     def from_wave(
         cls, system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0
     ) -> "SystemState":
-        """The state of data ``(u, w+)``: `split_wave` into `from_full`, with a ``w+``
-        that is not band-limited rejected as ``wplus``."""
+        """`from_full` of data ``(u, w+)`` (`split_wave`), naming a ``w+`` out of the box."""
         band_limited(wplus, "wplus")
         return cls.from_full(system, u, *split_wave(wplus), t=t)
 
@@ -159,32 +155,9 @@ def block_flow(
     maps real fields to real fields.  Without damping it is the free
     Klein-Gordon flow of ``(v, v_t)``, ``M = [[0, 1], [-<xi>^2, 0]]``.  A flow
     that overflows (a very large ``delta`` for ``t``) is a `ConfigurationError`.
-    The ``u`` factor and the block's rows are `u_factor` and `wave_block`.
     """
-    u_sym, rows = u_factor(grid, t, gamma), wave_block(grid, t, a, delta)
-    scratch = np.empty_like(rows[0][0])
-
-    def flow(fields: Fields, out: Fields | None = None) -> Fields:
-        out = tuple(np.empty_like(a) for a in fields) if out is None else out
-        for i in range(0, len(fields), 3):
-            np.multiply(u_sym, fields[i], out=out[i])
-            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
-                np.multiply(first, fields[i + 1], out=target)
-                target += np.multiply(second, fields[i + 2], out=scratch)
-        return out
-
-    return flow
-
-
-def u_factor(grid: Grid, t: float, gamma: float = 0.0) -> np.ndarray:
-    """`block_flow`'s ``u`` factor ``exp(-gamma t) exp(-i t |xi|^2)`` on the box."""
-    return math.exp(-gamma * t) * np.exp(-1j * t * grid.box(grid.xi_squared))
-
-
-def wave_block(grid: Grid, t: float, a: float = 0.0, delta: float = 0.0) -> tuple:
-    """`block_flow`'s ``(v, w)`` block over ``t``: its rows ``((p, q), (r, s))``, box
-    half spectra, so that the flow takes ``(v, w)`` to ``(p v + q w, r v + s w)``."""
-    xi_squared = half_spectrum(grid.box(grid.xi_squared))
+    box_xi_squared = grid.box(grid.xi_squared)
+    xi_squared = half_spectrum(box_xi_squared)
     cap = 1.0 + a * (a - delta) + xi_squared
     half_trace = -delta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -208,7 +181,19 @@ def wave_block(grid: Grid, t: float, a: float = 0.0, delta: float = 0.0) -> tupl
             f"the exact linear flow over t = {t:.3g} overflows at delta = {delta:g}"
             f" (a = {a:g}); lower delta or dt"
         )
-    return rows
+    scratch = np.empty_like(rows[0][0])
+    u_sym = math.exp(-gamma * t) * np.exp(-1j * t * box_xi_squared)
+
+    def flow(fields: Fields, out: Fields | None = None) -> Fields:
+        out = tuple(np.empty_like(a) for a in fields) if out is None else out
+        for i in range(0, len(fields), 3):
+            np.multiply(u_sym, fields[i], out=out[i])
+            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
+                np.multiply(first, fields[i + 1], out=target)
+                target += np.multiply(second, fields[i + 2], out=scratch)
+        return out
+
+    return flow
 
 
 # ---------------------------------------------------------------------------

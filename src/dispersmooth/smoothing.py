@@ -26,11 +26,10 @@ from .evolution import (
     IntegratorConfig,
     System,
     SystemState,
+    block_flow,
     full_wplus,
     integrate,
     random_system_state,
-    u_factor,
-    wave_block,
     wave_norm,
     wave_records,
 )
@@ -152,10 +151,9 @@ def duhamel_residual(
     """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
 
     ``component`` is ``"u"`` or ``"wplus"``.  The residual is formed on the
-    box, the record minus the free flow of the first record (the factor of
-    `block_flow` that acts on the component: `u_factor` or `wave_block`),
-    and only the component is expanded (`from_box`, `full_wplus`).  The
-    residual at the initial time is exactly zero.
+    box, the record minus `block_flow` of the first record, and only the
+    component is expanded (`from_box`, `full_wplus`).  The residual at the
+    initial time is exactly zero.
     """
     if component not in ("u", "wplus"):
         raise ConfigurationError(f"unknown component {component!r}")
@@ -164,15 +162,9 @@ def duhamel_residual(
     out = []
     for state in trajectory:
         gap = state.t - first.t  # no flow to build over no time: it is the identity
-        if component == "u":
-            free = u_factor(grid, gap) * first.u if gap else first.u
-            residual = from_box(state.u - free, grid)
-        else:
-            v, w = first.v, first.w
-            if gap:
-                (p, q), (r, z) = wave_block(grid, gap)
-                v, w = p * first.v + q * first.w, r * first.v + z * first.w
-            residual = full_wplus(state.v - v, state.w - w, grid)
+        free = block_flow(grid, gap)(first.fields) if gap else first.fields
+        u, v, w = (a - b for a, b in zip(state.fields, free))
+        residual = from_box(u, grid) if component == "u" else full_wplus(v, w, grid)
         out.append(SpectralField(grid, residual))
     return out
 

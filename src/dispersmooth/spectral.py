@@ -499,11 +499,9 @@ def _box_samples(box: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(out, n=n, axis=d - 1) if real else out
 
 
-def box_norm(
-    a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False, pairwise: bool = False
-) -> float:
+def box_norm(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False) -> float:
     """`sobolev_norm` of a box array or a box half spectrum (`Grid.box`, `half_spectrum`)."""
-    return math.sqrt(box_inner(a, a, grid, s, homogeneous, pairwise))
+    return math.sqrt(box_inner(a, a, grid, s, homogeneous))
 
 
 def box_inner(
@@ -521,10 +519,8 @@ def box_inner(
     mode, when homogeneous), with a half spectrum's columns ``1 .. c``
     counted twice: no temporaries, and no BLAS threads.  The weights are
     cached on the `Grid` object, so they live as long as the run that made it.
-    The einsum keeps one running sum, whose rounding error grows with the
-    box; with ``pairwise`` the products are summed by `numpy.add.reduce`
-    instead (pairwise, one temporary), for terms that a near-cancelled sum
-    such as `dissipative.energy_H_rate` combines.
+    With ``pairwise``, `numpy.add.reduce` of the products instead: one
+    temporary, and a rounding error that does not grow with the box.
     """
     a_pairs, b_pairs = a.reshape(-1).view(np.float64), b.reshape(-1).view(np.float64)
     key = (s, a.shape != grid.box_shape, homogeneous)
@@ -532,9 +528,7 @@ def box_inner(
     if weight is None:
         weight = grid.box_weights[key] = _box_weight(grid, *key)
     if pairwise:
-        product = np.multiply(a_pairs, b_pairs)
-        product *= weight
-        return np.add.reduce(product) / grid.volume
+        return np.add.reduce(np.multiply(a_pairs, b_pairs) * weight) / grid.volume
     return np.einsum(a_pairs, [0], b_pairs, [0], weight, [0], []) / grid.volume
 
 
