@@ -519,8 +519,8 @@ def box_inner(
     mode, when homogeneous), with a half spectrum's columns ``1 .. c``
     counted twice: no temporaries, and no BLAS threads.  The weights are
     cached on the `Grid` object, so they live as long as the run that made it.
-    With ``pairwise``, `numpy.add.reduce` of the products instead: one
-    temporary, and a rounding error that does not grow with the box.
+    With ``pairwise``, `numpy.add.reduce` of the products instead: two
+    temporaries, and a rounding error that does not grow with the box.
     """
     a_pairs, b_pairs = a.reshape(-1).view(np.float64), b.reshape(-1).view(np.float64)
     key = (s, a.shape != grid.box_shape, homogeneous)
