@@ -31,6 +31,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolution import (
+    Fields,
     System,
     SystemState,
     conserved_quantities,
@@ -61,10 +62,10 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
     amplitudes = config.system.amplitude, config.system.wave_amplitude
     state = random_system_state(system, grid, s, r, seed, *amplitudes)
 
-    def row(t: float, fields: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-        """The CSV row but its step, from the carried ``(u, v, v_t)``: for the real
-        wave ``||w+||_{H^r} = ||w-||_{H^r} = (||v||_{H^r}^2 + ||v_t||_{H^{r-1}}^2)^{1/2}``."""
-        report = conserved_quantities(system, grid, fields)
+    def row(t: float, fields: Fields, rates: Fields) -> tuple[float, ...]:
+        """The CSV row but its step, from the carried ``(u, v, v_t)`` and their ``rates``: for
+        the real wave ``||w+||_{H^r} = ||w-||_{H^r} = (||v||_{H^r}^2 + ||v_t||_{H^{r-1}}^2)^{1/2}``."""
+        report = conserved_quantities(system, grid, fields, rates[0])
         wave = wave_norm(fields[1], fields[2], grid, r)
         return t, report.mass, report.hamiltonian, box_norm(fields[0], grid, s), wave, wave
 

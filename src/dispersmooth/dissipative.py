@@ -118,7 +118,7 @@ def integrate_damped(
     recorder = Recorder(("u", "v", "w"), grid, state.t, config, state_records(state.system, grid))
     half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
     lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-    return recorder.trajectory(state)
+    return recorder.trajectory()
 
 
 # ---------------------------------------------------------------------------

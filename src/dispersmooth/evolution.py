@@ -36,9 +36,10 @@ from .spectral import (
     SpectralField,
     band_limited,
     bessel_potential,
+    box_inner,
     box_norm,
+    box_weight,
     conjugate,
-    cubic_pairing,
     dealias,
     from_box,
     full_spectrum,
@@ -302,7 +303,7 @@ def lawson_rk4_run(
     half_step: Flow,
     dt: float,
     n_steps: int,
-    observer: Callable[[int, Fields], None] | None = None,
+    observer: Callable[[int, Fields, Fields], None] | None = None,
 ) -> Fields:
     """Classical RK4 in the interaction picture with exact linear half-steps.
 
@@ -318,19 +319,23 @@ def lawson_rk4_run(
 
     P is linear, so these are the Lawson stages P(y + dt/2 N1), P(y) + dt/2 N2
     and P(P(y) + dt N3).  Fourth-order accurate; exact on the linear subflow.
+    First same as last: ``N1 = N(y)`` is formed before the first step and at
+    the end of each, so a run makes ``4 n_steps + 1`` right-side calls.
 
     The run's workspace is ``Y`` (a copy of ``fields``), ``PY, PN1, N1 .. N4``
     and a stage buffer per field.  ``rhs(fields, out)`` and ``half_step(fields,
     out)`` fill every component of ``out``, a workspace tuple apart from
     ``fields``, and each sum is formed in place in the operation order shown,
     so a step allocates no array and gives the bits of an allocating one.
-    ``observer(step, Y)`` sees the workspace, which the next step overwrites.
+    ``observer(step, Y, N1)``, at step 0 and after every step, sees the
+    workspace, ``N1 = N(Y)`` included, which the next step overwrites.
     """
     h, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+    observe = observer or (lambda step, y, n: None)
     y = tuple(np.array(a, dtype=np.complex128) for a in fields)
     py, pn1, n1, n2, n3, n4, stage = (tuple(np.empty_like(a) for a in y) for _ in range(7))
-    for step in range(n_steps):
-        rhs(y, n1)
+    observe(0, y, rhs(y, n1))
+    for step in range(1, n_steps + 1):
         half_step(y, py)
         half_step(n1, pn1)
         rhs(_add_scaled(stage, py, h, pn1), n2)
@@ -343,8 +348,7 @@ def lawson_rk4_run(
         half_step(stage, y)
         for a, b in zip(y, n4):
             a += np.multiply(sixth, b, out=b)
-        if observer is not None:
-            observer(step + 1, y)
+        observe(step, y, rhs(y, n1))
     return y
 
 
@@ -390,69 +394,76 @@ class Recorder:
     """Observer for `lawson_rk4_run`: the blow-up guard and the recorder of one run.
 
     The run covers ``config.t_end`` from ``t0`` in the ``n_steps`` steps of
-    length ``dt`` of `time_grid`.  After each step the recorder takes every
-    carried field's L2 norm (`box_norm`) and raises `BlowUpError`, naming them
-    all, once one is non-finite or above ``config.blowup_threshold``.  It
-    keeps ``(step, t, record(t, fields))`` every ``config.record_every``
-    steps and at the last step.  Fields are box arrays (`Grid.box`), or box
-    half spectra of real fields; a record that keeps them must copy them
-    (`state_records`), since the next step overwrites them.
+    length ``dt`` of `time_grid`.  At step 0 and after each step the recorder
+    takes every carried field's L2 norm (`box_norm`'s sum, with float views
+    and weights resolved once per contiguous workspace) and raises
+    `BlowUpError`, naming them all, once one is non-finite or above
+    ``config.blowup_threshold``.  It keeps ``(step, t, record(t, fields,
+    rates))``, ``rates`` the right side of ``fields``, at step 0, every
+    ``config.record_every`` steps and at the last step.  Fields are box
+    arrays or half spectra (`Grid.box`); a record that keeps them must copy
+    them (`state_records`), since the next step overwrites them.
     """
 
     names: tuple[str, ...]
     grid: Grid
     t0: float
     config: IntegratorConfig
-    record: Callable[[float, Fields], object]
+    record: Callable[[float, Fields, Fields], object]
     records: list[tuple[int, float, object]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.n_steps, self.dt = time_grid(self.config.t_end, self.config.dt)
+        self._fields, self._squares = None, []
 
-    def __call__(self, step: int, fields: Fields) -> None:
-        t = self.t0 + step * self.dt
-        norms = {f"{name}_L2": box_norm(a, self.grid) for name, a in zip(self.names, fields)}
+    def __call__(self, step: int, fields: Fields, rates: Fields) -> None:
+        t, grid = self.t0 + step * self.dt, self.grid
+        if fields is not self._fields:
+            self._fields = fields
+            self._squares = [(a.reshape(-1).view(np.float64), box_weight(a, grid)) for a in fields]
+        sums = (np.einsum(p, [0], p, [0], w, [0], []) / grid.volume for p, w in self._squares)
+        norms = {f"{name}_L2": math.sqrt(x) for name, x in zip(self.names, sums)}
         threshold = self.config.blowup_threshold
         if any(not math.isfinite(v) or v > threshold for v in norms.values()):
             raise BlowUpError(t, norms, threshold)
         if step % self.config.record_every == 0 or step == self.n_steps:
-            self.records.append((step, t, self.record(t, fields)))
+            self.records.append((step, t, self.record(t, fields, rates)))
 
-    def trajectory(self, initial) -> Trajectory:
-        """The initial record followed by the recorded ones."""
+    def trajectory(self) -> Trajectory:
+        """The records, the step-0 one first."""
         return Trajectory(
-            [initial] + [record for _, _, record in self.records],
-            [0] + [step for step, _, _ in self.records],
+            [record for _, _, record in self.records],
+            [step for step, _, _ in self.records],
             self.dt,
             self.n_steps,
         )
 
 
-def state_records(system: System, grid: Grid) -> Callable[[float, Fields], SystemState]:
+def state_records(system: System, grid: Grid) -> Callable[[float, Fields, Fields], SystemState]:
     """The default record of a run: a `SystemState` of copies of the carried fields."""
-    return lambda t, fields: SystemState(system, grid, *(a.copy() for a in fields), t=t)
+    return lambda t, fields, rates: SystemState(system, grid, *(a.copy() for a in fields), t=t)
 
 
 def integrate(
     state: SystemState,
     config: IntegratorConfig,
-    record: Callable[[float, Fields], object] | None = None,
+    record: Callable[[float, Fields, Fields], object] | None = None,
 ) -> Trajectory:
     """Integrate over ``config.t_end``; returns the records (initial one included).
 
     The run carries the state's ``(u, v, v_t)`` on the steps of `time_grid`;
-    `Recorder` guards it and keeps ``record(t, fields)`` of the carried
-    fields, the initial ones included: by default the state itself
+    `Recorder` guards it from step 0 on and keeps ``record(t, fields,
+    rates)`` of the carried fields and their right side (`nonlinear_rhs`),
+    the initial ones included: by default a copy of the state
     (`state_records`).  `Trajectory.final` is the last state either way.
     """
     grid, copy = state.grid, state_records(state.system, state.grid)
     recorder = Recorder(("u", "v", "v_t"), grid, state.t, config, record or copy)
     rhs, half_step = nonlinear_rhs(state.system, grid), block_flow(grid, recorder.dt / 2)
-    initial = state if record is None else record(state.t, state.fields)
     last = lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-    trajectory = recorder.trajectory(initial)
-    if record is not None:
-        trajectory.final = copy(recorder.records[-1][1], last)
+    trajectory = recorder.trajectory()
+    if record is not None:  # the run's workspace is its own from here on
+        trajectory.final = SystemState(state.system, grid, *last, t=recorder.records[-1][1])
     return trajectory
 
 
@@ -460,8 +471,11 @@ def integrate(
 # Conserved quantities
 # ---------------------------------------------------------------------------
 
-def conserved_quantities(system: System, grid: Grid, fields: Fields) -> ConservationReport:
-    """Mass and Hamiltonian of carried ``(u, v, v_t)``, a state's `SystemState.fields`.
+def conserved_quantities(
+    system: System, grid: Grid, fields: Fields, du: np.ndarray
+) -> ConservationReport:
+    """Mass and Hamiltonian of carried ``(u, v, v_t)`` (`SystemState.fields`) with ``du``,
+    the ``u`` component of their unforced right side (`nonlinear_rhs`).
 
     Klein-Gordon-Schrodinger::
 
@@ -471,14 +485,16 @@ def conserved_quantities(system: System, grid: Grid, fields: Fields) -> Conserva
 
         E = ||grad u||^2 + (||n||^2 + ||(-Lap)^{-1/2} n_t||^2)/2 + int |u|^2 n
 
-    The norms are box sums (`box_norm`) and the cubic term is `cubic_pairing`
-    of ``u`` with the wave field.  For Zakharov the zero mode of ``n_t`` is
-    excluded from the homogeneous norm (mean-zero convention) and reported
-    separately; on the torus that mean is itself a constant of the motion.
+    The norms are box sums (`box_norm`), and so is the cubic term, with no
+    transform: ``du = i P(u v)`` (KGS) or ``-i P(u n)`` (Zakharov), and by
+    Parseval ``int |u|^2 v dx = Re <P(u v), u>`` (`cubic_pairing` from the
+    fields alone).  For Zakharov the zero mode of ``n_t`` is excluded from the
+    homogeneous norm (mean-zero convention) and reported separately; on the
+    torus that mean is itself a constant of the motion.
     """
     u, v, v_t = fields
     grad_u_sq = box_norm(u, grid, 1.0, homogeneous=True) ** 2
-    cubic = cubic_pairing(u, v, grid)
+    cubic = box_inner((-1j if system is System.KGS else 1j) * du, u, grid)
     zero_mode: float | None = None
     if system is System.KGS:
         wave = box_norm(v, grid, 1.0) ** 2 + box_norm(v_t, grid) ** 2  # ||v||_{H^1}^2 + ||v_t||^2

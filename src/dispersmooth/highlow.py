@@ -184,7 +184,7 @@ def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np
 
     names = ("phi", "psi_v", "psi_w", "mu", "lam_v", "lam_w")
     once = replace(window, record_every=10**9)
-    guard = Recorder(names, grid, state.t, once, lambda t, fields: None)
+    guard = Recorder(names, grid, state.t, once, lambda t, fields, rates: None)
     half_step = block_flow(grid, guard.dt / 2)
     return lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
 

@@ -523,23 +523,25 @@ def box_inner(
     temporaries, and a rounding error that does not grow with the box.
     """
     a_pairs, b_pairs = a.reshape(-1).view(np.float64), b.reshape(-1).view(np.float64)
-    key = (s, a.shape != grid.box_shape, homogeneous)
-    weight = grid.box_weights.get(key)
-    if weight is None:
-        weight = grid.box_weights[key] = _box_weight(grid, *key)
+    weight = box_weight(a, grid, s, homogeneous)
     if pairwise:
         return np.add.reduce(np.multiply(a_pairs, b_pairs) * weight) / grid.volume
     return np.einsum(a_pairs, [0], b_pairs, [0], weight, [0], []) / grid.volume
 
 
-def _box_weight(grid: Grid, s: float, half: bool, homogeneous: bool) -> np.ndarray:
-    base = grid.box(grid.xi_squared) + (0.0 if homogeneous else 1.0)
-    weight = np.where(base > 0, np.where(base > 0, base, 1.0) ** s, 0.0)
-    if half:
-        weight = half_spectrum(weight) * np.where(np.arange(weight.shape[-1] // 2 + 1), 2.0, 1.0)
-    weight = np.repeat(weight.reshape(-1), 2)  # one entry per float of (re, im)
-    weight.flags.writeable = False
-    return weight
+def box_weight(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False) -> np.ndarray:
+    """`box_inner`'s read-only weight per float of ``a``, a box array or a box half
+    spectrum, cached on the `Grid`."""
+    key = (s, half := a.shape != grid.box_shape, homogeneous)
+    if key not in grid.box_weights:
+        base = grid.box(grid.xi_squared) + (0.0 if homogeneous else 1.0)
+        weight = np.where(base > 0, np.where(base > 0, base, 1.0) ** s, 0.0)
+        if half:
+            weight = half_spectrum(weight) * np.where(np.arange(weight.shape[-1] // 2 + 1), 2.0, 1.0)
+        weight = np.repeat(weight.reshape(-1), 2)  # one entry per float of (re, im)
+        weight.flags.writeable = False
+        grid.box_weights[key] = weight
+    return grid.box_weights[key]
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,9 @@ def zero_mode_mean(f: SpectralField) -> complex:
 
 
 def conserved(state: SystemState) -> ConservationReport:
-    """`conserved_quantities` of a state's carried ``(u, v, v_t)``."""
-    return conserved_quantities(state.system, state.grid, state.fields)
+    """`conserved_quantities` of a state's carried ``(u, v, v_t)`` and their right side."""
+    du = nonlinear_rhs(state.system, state.grid)(state.fields)[0]
+    return conserved_quantities(state.system, state.grid, state.fields, du)
 
 
 def spectral_cubic_pairing(u: SpectralField, v: SpectralField) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -271,6 +272,19 @@ class TestExitCodes:
         )
         assert main([experiment, "--config", config, "--quiet"]) == 3
         assert "numerical abort" in capsys.readouterr().err
+
+    def test_data_above_the_threshold_aborts_at_t0(self, tmp_path, capsys):
+        # The guard sees the data at step 0, so data already above the
+        # threshold aborts before the first step, at the run's start time.
+        text = SIMULATE_SMALL.replace("[integrator]", "[integrator]\nblowup_threshold = 1e-9")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+        message = capsys.readouterr().err.strip()
+        assert re.fullmatch(
+            r"numerical abort: blow-up detected at t=0: u_L2=\S+, v_L2=\S+, v_t_L2=\S+ \(threshold 1\.0e-09\)",
+            message,
+        ), message
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, bad",

@@ -10,9 +10,11 @@ from dispersmooth.dissipative import DampedParams, integrate_damped
 from dispersmooth.errors import BlowUpError, ConfigurationError
 from dispersmooth.evolution import (
     IntegratorConfig,
+    Recorder,
     System,
     SystemState,
     block_flow,
+    conserved_quantities,
     integrate,
     join_wave,
     nonlinear_rhs,
@@ -26,7 +28,9 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    box_norm,
     conjugate,
+    cubic_pairing,
     dealias,
     from_box,
     half_spectrum,
@@ -49,6 +53,7 @@ from conftest import (
     make_state,
     random_state,
     scaled,
+    spectral_cubic_pairing,
     spectral_mode,
     state_conserved_quantities,
 )
@@ -293,7 +298,7 @@ class TestTransformCount:
 
         monkeypatch.setattr(module, "lawson_rk4_run", counting_stepper)
         run_kind(kind, grid_2d_small, seed=15, steps=2)
-        assert counts["rhs"] == 8
+        assert counts["rhs"] == 4 * 2 + 1  # first same as last: the last N(y) is formed too
         assert counts["half_step"] == 8
         # ``expected`` transforms per call, each run as one 1-D pass per axis.
         d = grid_2d_small.dim
@@ -506,8 +511,8 @@ class TestStepperOracle:
         traced = {}
 
         def measuring(fields, rhs, half_step, dt, n_steps, observer=None):
-            def observe(step, y):
-                observer(step, y)
+            def observe(step, y, n):
+                observer(step, y, n)
                 if step == 2:  # two warm-up steps
                     tracemalloc.start()
                     traced["before"] = tracemalloc.get_traced_memory()[0]
@@ -524,6 +529,65 @@ class TestStepperOracle:
             if tracemalloc.is_tracing():
                 tracemalloc.stop()
         assert traced["peak"] <= SMALL_OBJECTS
+
+
+class TestFirstSameAsLast:
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
+    def test_run_makes_four_rhs_calls_per_step_and_one(self, kind, steps, monkeypatch, grid_2d_small):
+        # N1 = N(y) is formed once before the first step and at the end of
+        # every step, the last one included.
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        calls = []
+
+        def counting(fields, rhs, half_step, dt, n_steps, observer=None):
+            def counted(y, out):
+                calls.append(n_steps)
+                return rhs(y, out)
+
+            return stepper(fields, counted, half_step, dt, n_steps, observer)
+
+        monkeypatch.setattr(module, "lawson_rk4_run", counting)
+        run_kind(kind, grid_2d_small, seed=23, steps=steps)
+        assert calls == [steps] * (4 * steps + 1)
+
+    @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
+    def test_observer_sees_the_right_side_of_its_state(self, kind, monkeypatch, grid_2d_small):
+        # At step 0 and after every step the observer's N is a fresh N(Y),
+        # bit for bit.
+        module = KINDS[kind]
+        stepper = module.lawson_rk4_run
+        seen = []
+
+        def checking(fields, rhs, half_step, dt, n_steps, observer=None):
+            def observe(step, y, n):
+                want = rhs(y, tuple(np.empty_like(a) for a in y))
+                seen.append((step, [a.tobytes() == b.tobytes() for a, b in zip(n, want)]))
+                observer(step, y, n)
+
+            return stepper(fields, rhs, half_step, dt, n_steps, observe)
+
+        monkeypatch.setattr(module, "lawson_rk4_run", checking)
+        run_kind(kind, grid_2d_small, seed=24, steps=3)
+        width = 6 if kind == "window" else 3
+        assert seen == [(step, [True] * width) for step in range(4)]
+
+    def test_guard_norms_are_box_norms_of_the_current_workspace(self, grid_2d_small):
+        # The guard resolves each field's float view and weight once, on the
+        # first call with a workspace, and still reads the workspace as it
+        # changes in place: its norms are `box_norm`'s, bit for bit.
+        grid = grid_2d_small
+        workspace = tuple(np.array(a) for a in random_state(System.KGS, grid, seed=25).fields)
+        config = IntegratorConfig(0.1, 0.1, blowup_threshold=1e-300)
+        recorder = Recorder(("u", "v", "v_t"), grid, 0.0, config, lambda t, f, n: None)
+        for scale in (1.0, 3.0, 0.5):
+            for a in workspace:
+                a *= scale
+            with pytest.raises(BlowUpError) as info:
+                recorder(1, workspace, ())
+            want = {f"{name}_L2": box_norm(a, grid) for name, a in zip(("u", "v", "v_t"), workspace)}
+            assert info.value.norms == want
 
 
 def three_field_rhs(system, grid, fields):
@@ -677,16 +741,16 @@ class TestIntegrate:
             run = lambda: run_global(state, 0.95, config, guard)
         with pytest.raises(BlowUpError) as err:
             run()
-        assert err.value.t == pytest.approx(1e-2)
+        # The guard sees the data at step 0: the run aborts before its first step.
+        assert err.value.t == 0.0
         assert set(err.value.norms) == {f"{name}_L2" for name in fields}
-        # One short step barely moves the per-field L2 norms.
         for name, f in fields.items():
-            assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=0.2)
+            assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=1e-13)
 
     def test_blowup_threshold_bounds_the_wave_velocity(self, grid_2d_small):
         # The guard bounds the carried v_t, not w+ = v + i A^{-1} v_t: with
         # v = 0, ||w+|| = ||v_t|| / <k> for a wave at one |k|, and a threshold
-        # between the two aborts the run at its first step.
+        # between the two aborts the run at step 0, on its data.
         grid = grid_2d_small
         v_t = spectral_mode(grid, (5, 5)) + spectral_mode(grid, (-5, -5))
         state = SystemState.from_full(System.KGS, zero_field(grid), zero_field(grid), v_t)
@@ -695,7 +759,7 @@ class TestIntegrate:
         assert l2_norm(wplus) < threshold < l2_norm(v_t)
         with pytest.raises(BlowUpError) as err:
             integrate(state, IntegratorConfig(dt=1e-3, t_end=1e-2, blowup_threshold=threshold))
-        assert err.value.t == pytest.approx(1e-3)
+        assert err.value.t == 0.0
         assert err.value.norms["v_t_L2"] > threshold
         assert err.value.norms["u_L2"] == 0.0 and err.value.norms["v_L2"] < threshold
 
@@ -815,6 +879,23 @@ class TestConservedQuantities:
         assert got.mass == pytest.approx(want.mass, rel=1e-13)
         assert got.hamiltonian == pytest.approx(want.hamiltonian, rel=1e-13)
         assert got.zero_mode_mass_of_wave == pytest.approx(want.zero_mode_mass_of_wave, rel=1e-13)
+
+    @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_cubic_term_comes_from_the_right_side(self, system, dim, n):
+        # The cubic term is Re <P(u v), u>, a box sum of du = +-i P(u v) with
+        # u, linear in du.  Scaling du by a power of two scales the term
+        # exactly and lifts it far above the quadratic part, so the
+        # difference from du = 0 isolates it without cancellation.
+        state = random_state(system, Grid(dim, n), seed=27)
+        grid, fields, scale = state.grid, state.fields, 2.0**30
+        du = nonlinear_rhs(system, grid)(fields)[0]
+        with_term = conserved_quantities(system, grid, fields, scale * du).hamiltonian
+        without = conserved_quantities(system, grid, fields, np.zeros_like(du)).hamiltonian
+        cubic = (without - with_term if system is System.KGS else with_term - without) / scale
+        whole = full(state)
+        assert cubic == pytest.approx(spectral_cubic_pairing(whole.u, whole.v), rel=1e-14, abs=0.0)
+        assert cubic == pytest.approx(cubic_pairing(state.u, state.v, grid), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_short_run_drift_is_small(self, system):
