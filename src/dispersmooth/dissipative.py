@@ -49,12 +49,12 @@ from .evolution import (
     state_records,
 )
 from .spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
     band_limited,
     box_inner,
     box_norm,
-    cubic_pairing,
     half_spectrum,
     require_real,
 )
@@ -137,16 +137,17 @@ class _EnergyTerms(NamedTuple):
     g_w: float  # Re int g conj(w) dx
 
     @classmethod
-    def of(cls, state: SystemState, forcing: Fields) -> "_EnergyTerms":
+    def of(cls, state: SystemState, forcing: Fields, kernel: CouplingKernel) -> "_EnergyTerms":
         """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`),
-        pairwise box sums (`box_inner`): H and its rate nearly cancel them."""
+        pairwise box sums (`box_inner`): H and its rate nearly cancel them.  The
+        cubic term pairs ``P |u|^2`` from ``kernel`` (`CouplingKernel.abs2`) with ``v``."""
         (f, g), grid = forcing, state.grid
         return cls(
             box_inner(state.u, state.u, grid, 1.0, homogeneous=True, pairwise=True),
             box_inner(state.v, state.v, grid, pairwise=True),
             box_inner(state.v, state.v, grid, 1.0, homogeneous=True, pairwise=True),
             box_inner(state.w, state.w, grid, pairwise=True),
-            cubic_pairing(state.u, state.v, grid),
+            box_inner(kernel.abs2(state.u), state.v, grid, pairwise=True),
             box_inner(f, state.u, grid, pairwise=True),
             box_inner(g, state.w, grid, pairwise=True),
         )
@@ -180,7 +181,8 @@ def energy_H(state: SystemState, params: DampedParams) -> float:
     The forcing pairing is taken as ``4 Re int f conj(u) dx``, which keeps H
     real and matches the dissipation rate below term by term.
     """
-    return _EnergyTerms.of(state, params.forcing(state.grid)).energy(params)
+    grid = state.grid
+    return _EnergyTerms.of(state, params.forcing(grid), CouplingKernel(grid)).energy(params)
 
 
 def energy_H_rate(state: SystemState, params: DampedParams) -> float:
@@ -189,7 +191,8 @@ def energy_H_rate(state: SystemState, params: DampedParams) -> float:
     Along numerical trajectories a second-order centered difference of
     `energy_H` reproduces this to O(dt^2).
     """
-    return _EnergyTerms.of(state, params.forcing(state.grid)).rate(params)
+    grid = state.grid
+    return _EnergyTerms.of(state, params.forcing(grid), CouplingKernel(grid)).rate(params)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +247,8 @@ def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> Attra
     """
     grid = trajectory[0].grid
     rows: list[AttractorRow] = []
-    forcing = params.forcing(grid)
-    terms = [_EnergyTerms.of(s, forcing) for s in trajectory]
+    forcing, kernel = params.forcing(grid), CouplingKernel(grid)
+    terms = [_EnergyTerms.of(s, forcing, kernel) for s in trajectory]
     energies = [t.energy(params) for t in terms]
     e_rate = [t.rate(params) for t in terms]
     times = np.array([s.t for s in trajectory])
@@ -291,7 +294,7 @@ def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> Attra
 
     damping_scale = min(params.gamma, params.a, params.delta - params.a)
     span = times[-1] - times[0]
-    inconclusive = span * damping_scale < 4.0
+    inconclusive = bool(span * damping_scale < 4.0)  # a numpy bool is no JSON boolean
 
     tail_start = times[0] + span / 2
     tail = [b for t, b in zip(times, ball_norms) if t >= tail_start]

@@ -16,8 +16,8 @@ conservation identities hold exactly for the truncated flow when the data is
 band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
 is pure time-discretization error.  Full spectra meet a state at two edges
 only: `SystemState.from_full` (`from_wave` for data ``(u, w+)``) builds one,
-rejecting data that is not band-limited or a wave that is not real, and
-`wave_records` expands one into ``(u, w+)``.
+rejecting data that is not band-limited or a wave that is not real, and a
+checkpoint (`reporting.Checkpoint.of`) expands one into ``(u, w+)``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .spectral import (
     box_weight,
     conjugate,
     dealias,
-    from_box,
     full_spectrum,
     half_spectrum,
     random_sobolev_field,
@@ -66,7 +65,7 @@ class SystemState:
     ``u`` is a box array (`Grid.box`); the real ``v`` and ``w`` are box half
     spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
     damped run, which the state does not record: outside `dissipative`, ``w``
-    is read as ``v_t`` (`wave_records`, `conserved_quantities`, `Checkpoint`).
+    is read as ``v_t`` (`box_wplus`, `conserved_quantities`, `Checkpoint`).
     Runs never write into a state's arrays.  States compare by identity, as
     arrays give no single truth value.
     """
@@ -220,29 +219,19 @@ def wave_norm(v: np.ndarray, v_t: np.ndarray, grid: Grid, s: float = 0.0) -> flo
     return math.hypot(box_norm(v, grid, s), box_norm(v_t, grid, s - 1.0))
 
 
-def wave_records(grid: Grid) -> Callable[[Fields], Fields]:
-    """Full ``(u, w+)`` pairs of carried ``(u, v, v_t)`` triples, read-only (`from_box`,
-    `full_wplus`): the outgoing edge of a state, for checkpoints and spectral fits."""
-    return lambda fields: tuple(
-        x
-        for u, v, v_t in zip(fields[0::3], fields[1::3], fields[2::3])
-        for x in (from_box(u, grid), full_wplus(v, v_t, grid))
-    )
-
-
-def full_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full, read-only coefficients of ``w+ = v + i A^{-1} v_t`` from the box half
+def box_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
+    """The box array (`Grid.box`) of ``w+ = v + i A^{-1} v_t`` from the box half
     spectra of the real ``(v, v_t)``.
 
     ``w+`` is formed on the half spectrum with the arithmetic of `join_wave`.
     The other columns of the box are those of ``w+(-k) = conj(v - i A^{-1}
     v_t)(k)``, which the expansion of the minus branch (`full_spectrum`)
-    reflects into place; `from_box` then expands the box once.
+    reflects into place.
     """
     kick = 1j * (v_t * half_spectrum(grid.box(grid.bracket)) ** -1.0)
     wplus = full_spectrum(v - kick, out=np.empty(grid.box_shape, dtype=complex))
     wplus[..., : kick.shape[-1]] = v + kick
-    return from_box(wplus, grid)
+    return wplus
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +476,10 @@ def conserved_quantities(
 
     The norms are box sums (`box_norm`), and so is the cubic term, with no
     transform: ``du = i P(u v)`` (KGS) or ``-i P(u n)`` (Zakharov), and by
-    Parseval ``int |u|^2 v dx = Re <P(u v), u>`` (`cubic_pairing` from the
-    fields alone).  For Zakharov the zero mode of ``n_t`` is excluded from the
-    homogeneous norm (mean-zero convention) and reported separately; on the
-    torus that mean is itself a constant of the motion.
+    Parseval ``int |u|^2 v dx = Re <P(u v), u>``.  For Zakharov the zero mode
+    of ``n_t`` is excluded from the homogeneous norm (mean-zero convention)
+    and reported separately; on the torus that mean is itself a constant of
+    the motion.
     """
     u, v, v_t = fields
     grad_u_sq = box_norm(u, grid, 1.0, homogeneous=True) ** 2

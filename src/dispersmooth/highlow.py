@@ -50,7 +50,7 @@ from .evolution import (
     time_grid,
     wave_norm,
 )
-from .spectral import Grid, box_norm, cubic_pairing, half_spectrum
+from .spectral import CouplingKernel, Grid, box_inner, box_norm, half_spectrum
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,9 @@ class LowEnergyReport:
 def low_energy(low: SystemState) -> LowEnergyReport:
     """Low-pair energy ``||A psi+||^2 + 2 ||grad phi||^2 - 2 int |phi|^2 Re psi+``.
 
-    ``low`` is the pair ``(phi, psi_v, psi_w)``: ``Re psi+ = psi_v`` and
-    ``||A psi+|| = ||psi+||_{H^1}`` (`wave_norm`).  Also returns the
+    ``low`` is the pair ``(phi, psi_v, psi_w)``: ``Re psi+ = psi_v``,
+    ``||A psi+|| = ||psi+||_{H^1}`` (`wave_norm`), and the cubic term pairs
+    ``P |phi|^2`` (`CouplingKernel.abs2`) with ``psi_v``.  Also returns the
     coercivity surrogate (the two quadratic terms alone), which the energy
     approximates from below once the u-mass is small.
     """
@@ -256,7 +257,7 @@ def low_energy(low: SystemState) -> LowEnergyReport:
         wave_norm(low.v, low.w, grid, 1.0) ** 2
         + 2.0 * box_norm(low.u, grid, 1.0, homogeneous=True) ** 2
     )
-    cubic = 2.0 * cubic_pairing(low.u, low.v, grid)
+    cubic = 2.0 * box_inner(CouplingKernel(grid).abs2(low.u), low.v, grid, pairwise=True)
     return LowEnergyReport(energy=quad_part - cubic, coercivity_surrogate=quad_part)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckpointFormatError, ConfigurationError
-from .evolution import System, SystemState, wave_records
-from .spectral import Grid, SpectralField, conjugate, l2_norm
+from .evolution import System, SystemState, box_wplus
+from .spectral import Grid, SpectralField, conjugate, from_box, l2_norm
 
 _MAGIC = b"ZKGS"
 _VERSION = 1
@@ -72,9 +72,10 @@ class Checkpoint(NamedTuple):
 
     @classmethod
     def of(cls, state: SystemState) -> "Checkpoint":
-        """The checkpoint of ``state`` (``w = v_t``; see `SystemState`): its one
-        expansion (`wave_records`)."""
-        return cls(state.system, state.grid, state.t, *wave_records(state.grid)(state.fields))
+        """The checkpoint of ``state`` (``w = v_t``; see `SystemState`): the one
+        expansion of its ``u`` and its `box_wplus` (`from_box`)."""
+        grid, wplus = state.grid, box_wplus(state.v, state.w, state.grid)
+        return cls(state.system, grid, state.t, from_box(state.u, grid), from_box(wplus, grid))
 
 
 @dataclass
@@ -99,6 +100,7 @@ def write_outputs(
 ) -> dict[str, Path]:
     """Write manifest, CSV data, and optional checkpoints under ``out_dir``.
 
+    The manifest is strict JSON: a non-finite float is written as null.
     Returns the written paths.  I/O failures surface as OSError with the
     path in the message.
     """
@@ -125,7 +127,9 @@ def write_outputs(
         **({"results": result.manifest_extra} if result.manifest_extra else {}),
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    # Strict JSON: a round trip turns NaN and +-Infinity into null.
+    manifest = json.loads(json.dumps(manifest, default=str), parse_constant=lambda name: None)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     paths["manifest"] = manifest_path
 
     if not quiet:

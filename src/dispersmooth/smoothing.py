@@ -27,21 +27,13 @@ from .evolution import (
     System,
     SystemState,
     block_flow,
-    full_wplus,
+    box_wplus,
     integrate,
     random_system_state,
     wave_norm,
-    wave_records,
 )
 from .resonance import lattice_xi_tau, xsb_weight
-from .spectral import (
-    Grid,
-    SpectralField,
-    box_norm,
-    fit_spectral_slope,
-    from_box,
-    sobolev_norm,
-)
+from .spectral import Grid, box_norm, fit_spectral_slope
 
 
 def worker_count() -> int:
@@ -147,12 +139,12 @@ class SmoothingParams:
 
 def duhamel_residual(
     trajectory: list[SystemState], component: str = "u"
-) -> list[SpectralField]:
+) -> list[np.ndarray]:
     """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
 
-    ``component`` is ``"u"`` or ``"wplus"``.  The residual is formed on the
-    box, the record minus `block_flow` of the first record, and only the
-    component is expanded (`from_box`, `full_wplus`).  The residual at the
+    ``component`` is ``"u"`` or ``"wplus"``.  The residual is a box array
+    (`Grid.box`): the record minus `block_flow` of the first record, and
+    for ``"wplus"`` the `box_wplus` of that difference.  The residual at the
     initial time is exactly zero.
     """
     if component not in ("u", "wplus"):
@@ -164,8 +156,7 @@ def duhamel_residual(
         gap = state.t - first.t  # no flow to build over no time: it is the identity
         free = block_flow(grid, gap)(first.fields) if gap else first.fields
         u, v, w = (a - b for a, b in zip(state.fields, free))
-        residual = from_box(u, grid) if component == "u" else full_wplus(v, w, grid)
-        out.append(SpectralField(grid, residual))
+        out.append(u if component == "u" else box_wplus(v, w, grid))
     return out
 
 
@@ -214,7 +205,7 @@ def _scan_member(
     w_scale = wave_amplitude / wave_norm(v, v_t, grid, params.r)
     state = SystemState(params.system, grid, u_scale * state.u, w_scale * v, w_scale * v_t)
     traj = integrate(state, replace(integrator, record_every=10**9))
-    data = dict(zip(("u", "wplus"), wave_records(grid)(state.fields)))
+    data = {"u": state.u, "wplus": box_wplus(state.v, state.w, grid)}
     data_size = amplitude + wave_amplitude  # ||u0||_{H^s} + ||w0||_{H^r}
 
     n = grid.n_per_dim
@@ -225,9 +216,9 @@ def _scan_member(
         ("wplus", params.beta_probe, params.r),
     ):
         residual = duhamel_residual(traj, component)[-1]
-        res_norm = sobolev_norm(residual, base + probe)
-        data_slope = fit_spectral_slope(SpectralField(grid, data[component]), fit_lo, fit_hi)
-        res_slope = fit_spectral_slope(residual, fit_lo, fit_hi)
+        res_norm = box_norm(residual, grid, base + probe)
+        data_slope = fit_spectral_slope(data[component], grid, fit_lo, fit_hi)
+        res_slope = fit_spectral_slope(residual, grid, fit_lo, fit_hi)
         if data_slope is None or res_slope is None:
             gain = math.inf  # vanishing data or residual: gain not applicable
         else:

@@ -418,6 +418,16 @@ class CouplingKernel:
         out *= self._scale
         return out, self._abs2_of_u()  # last: it reuses the wave buffer
 
+    def abs2(self, u: np.ndarray) -> np.ndarray:
+        """The box half spectrum of ``|u|^2`` alone, a kernel buffer: the passes of a
+        call that ``|u|^2`` needs, so its bits are those of a call's ``|u|^2``."""
+        if u.shape != self.grid.box_shape:
+            raise GridMismatchError(
+                f"u has shape {u.shape}, not that of the dealias box {self.grid.box_shape}"
+            )
+        self._inverse(u)
+        return self._abs2_of_u()
+
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """Samples of box ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
         for axis in reversed(range(self.grid.dim)):
@@ -458,45 +468,6 @@ def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
     for t, s in pairs:
         target[t] = source[s]
     return target
-
-
-def cubic_pairing(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
-    """``int P(|u|^2) v dx`` of a real ``v``, ``P`` the dealias projection: the cubic energy term.
-
-    ``u`` is a box array (`Grid.box`) and ``v`` a box half spectrum, which
-    holds ``P v``.  By discrete Parseval the pairing is ``dx^d sum_x |u(x)|^2
-    (P v)(x)`` over the lattice samples, so it takes inverse transforms only
-    (`_box_samples`) and no buffer outlives a call.
-    """
-    u_x = _box_samples(u, grid)
-    pairs = u_x.reshape(-1).view(np.float64)  # (re, im) interleaved, squared in place
-    pairs *= pairs
-    abs2, v_x = np.add(pairs[0::2], pairs[1::2]), _box_samples(v, grid).reshape(-1)
-    total = np.einsum(abs2, [0], v_x, [0], [])
-    scale = grid.dx**grid.dim  # each of u_x, u_x and v_x carries it
-    return float(total / scale / scale)
-
-
-def _box_samples(box: np.ndarray, grid: Grid) -> np.ndarray:
-    """``dx^d`` times the samples of a box array, or of the real field of a box half
-    spectrum: `numpy.fft.ifftn` (`irfftn`) of its expansion into one zero array.
-
-    Each complex pass runs in place, on the lines that hold box modes only (as
-    in `CouplingKernel`); the other lines are zero and stay zero.
-    """
-    n, c, d = grid.n_per_dim, grid.n_per_dim // 3, grid.dim
-    real = box.shape != grid.box_shape
-    out = np.zeros(grid.shape[:-1] + (n // 2 + 1 if real else n,), dtype=np.complex128)
-    out[grid.box_index[:-1] + (grid.box_index[-1][..., : box.shape[-1]],)] = box
-    blocks, whole = (slice(0, c + 1), slice(n - c, n)), (slice(None),)
-    for axis in range(d - 1) if real else reversed(range(d)):  # numpy's pass order
-        pending = [blocks if (a > axis if real else a < axis) else whole for a in range(d)]
-        if real:
-            pending[-1] = blocks[:1]  # a half spectrum has no columns -c .. -1
-        for lines in itertools.product(*pending):
-            view = out[lines]
-            np.fft.ifft(view, axis=axis, out=view)
-    return np.fft.irfft(out, n=n, axis=d - 1) if real else out
 
 
 def box_norm(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = False) -> float:
@@ -658,14 +629,15 @@ def _reflections(ndim: int) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]]
     )
 
 
-def shell_average_spectrum(f: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Mean |coefficient| over unit-width annuli ``m <= |k| < m+1``.
+def shell_average_spectrum(box: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean |coefficient| of a box array (`Grid.box`) over unit-width annuli ``m <= |k| < m+1``.
 
     Radii are in integer-lattice units (``|xi| * L``).  Empty annuli are
-    dropped.  Used for spectral slope fits.
+    dropped.  An annulus with ``m <= n//3`` lies inside the box, so there
+    the means are those of the full lattice.  Used for spectral slope fits.
     """
-    r = (f.grid.xi_norm * f.grid.box_length).ravel()
-    mags = np.abs(f.coeffs).ravel()
+    r = (grid.box(grid.xi_norm) * grid.box_length).ravel()
+    mags = np.abs(box).ravel()
     m = np.floor(r).astype(int)
     counts = np.bincount(m)
     sums = np.bincount(m, weights=mags)
@@ -674,12 +646,12 @@ def shell_average_spectrum(f: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return radii, sums[nonzero] / counts[nonzero]
 
 
-def fit_spectral_slope(f: SpectralField, lo: float, hi: float) -> float | None:
-    """Slope of log(shell-averaged |coeffs|) against log|k| over ``[lo, hi]``.
+def fit_spectral_slope(box: np.ndarray, grid: Grid, lo: float, hi: float) -> float | None:
+    """Slope of log(shell-averaged |coeffs|) of a box array against log|k| over ``[lo, hi]``.
 
     Returns None when the field vanishes on the fit range (no slope defined).
     """
-    radii, means = shell_average_spectrum(f)
+    radii, means = shell_average_spectrum(box, grid)
     sel = (radii >= lo) & (radii <= hi) & (means > 0)
     if np.count_nonzero(sel) < 3:
         return None

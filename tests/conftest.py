@@ -9,16 +9,18 @@ from dispersmooth.evolution import (
     ConservationReport,
     System,
     SystemState,
+    box_wplus,
     conserved_quantities,
     join_wave,
     nonlinear_rhs,
     split_wave,
-    wave_records,
 )
 from dispersmooth.spectral import (
+    CouplingKernel,
     Grid,
     SpectralField,
     _check_same_grid,
+    box_inner,
     conjugate,
     dealias,
     from_box,
@@ -71,7 +73,7 @@ def make_state(system: System, u: SpectralField, wplus: SpectralField, t: float 
 
 
 class Full(NamedTuple):
-    """A state's full spectra: ``u``, ``v``, ``w`` (`from_box`) and ``w+`` (`wave_records`)."""
+    """A state's full spectra: ``u``, ``v``, ``w`` (`from_box`) and ``w+`` (`box_wplus`)."""
 
     u: SpectralField
     v: SpectralField
@@ -91,8 +93,10 @@ class Full(NamedTuple):
 def full(state: SystemState) -> Full:
     """The full spectra of a state; ``wplus`` reads ``w`` as ``v_t``."""
     grid = state.grid
-    u, wplus = (SpectralField(grid, a) for a in wave_records(grid)(state.fields))
-    v, w = (SpectralField(grid, from_box(a, grid)) for a in (state.v, state.w))
+    u, v, w, wplus = (
+        SpectralField(grid, from_box(a, grid))
+        for a in (*state.fields, box_wplus(state.v, state.w, grid))
+    )
     return Full(u, v, w, wplus, state.t)
 
 
@@ -181,10 +185,17 @@ def conserved(state: SystemState) -> ConservationReport:
     return conserved_quantities(state.system, state.grid, state.fields, du)
 
 
+def cubic_term(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
+    """``int P(|u|^2) v dx`` of a box array ``u`` and the box half spectrum ``v`` of a
+    real field, as `dissipative` and `highlow` form the cubic energy term: the
+    kernel's ``|u|^2`` (`CouplingKernel.abs2`) paired with ``v`` (`box_inner`)."""
+    return box_inner(CouplingKernel(grid).abs2(u), v, grid, pairwise=True)
+
+
 def spectral_cubic_pairing(u: SpectralField, v: SpectralField) -> float:
     """``Re int |u|^2 conj(v) dx`` with the dealiased ``|u|^2``, in coefficient space.
 
-    The oracle of `cubic_pairing`: ``|u|^2`` from numpy's n-d transforms of
+    The oracle of `cubic_term`: ``|u|^2`` from numpy's n-d transforms of
     the whole lattice with the arithmetic of `CouplingKernel`, the 2/3-rule
     mask, and the Parseval pairing; it takes any ``u`` and ``v``.
     """

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import dispersmooth
-from dispersmooth import evolution, spectral
+from dispersmooth import spectral
 from dispersmooth.cli import main
-from dispersmooth.config import load_config
+from dispersmooth.config import EXPERIMENTS, load_config
 from dispersmooth.evolution import System, integrate, random_system_state
 from dispersmooth.reporting import Checkpoint, format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
@@ -133,6 +133,56 @@ time_modes = 16
 ensemble = 2
 """
 
+COUNTEREXAMPLE_SMALL = """
+[system]
+kind = kgs
+s = 0.0
+r = 0.0
+
+[counterexample]
+alpha = 1.0
+n_values = 8,16,32
+resolution = 4
+"""
+
+RESONANCE_SMALL = """
+[resonance]
+nu = 0.05
+xi1 = 16,0
+branch = -1
+count = 50
+"""
+
+SMALL_CONFIGS = {
+    "simulate": SIMULATE_SMALL,
+    "smoothing-scan": SCAN_SMALL,
+    "counterexample": COUNTEREXAMPLE_SMALL,
+    "highlow": HIGHLOW_SMALL,
+    "attractor": ATTRACTOR_SMALL,
+    "xsb-constant": XSB_SMALL,
+    "resonance-geometry": RESONANCE_SMALL,
+}
+
+
+def count_expansions(monkeypatch) -> list:
+    """The shapes of the package's `from_box` calls from here on, through every binding."""
+    shapes, expand = [], spectral.from_box
+
+    def counted(box, grid):
+        shapes.append(box.shape)
+        return expand(box, grid)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dispersmooth") and getattr(module, "from_box", None) is expand:
+            monkeypatch.setattr(module, "from_box", counted)
+    return shapes
+
+
+def strict_manifest(out: Path) -> dict:
+    """The manifest under ``out`` read as strict JSON: a NaN or Infinity fails the test."""
+    text = (out / "manifest.json").read_text()
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the manifest"))
+
 
 class TestSimulate:
     def test_runs_and_writes_documented_schema(self, tmp_path, capsys):
@@ -194,34 +244,19 @@ class TestSimulate:
         assert (out / "state.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
     def test_one_full_spectrum_expansion_per_run(self, tmp_path, monkeypatch):
-        shapes = []
-        expand = spectral.from_box
-
-        def counted(box, grid):
-            shapes.append(box.shape)
-            return expand(box, grid)
-
-        for module in (spectral, evolution):
-            monkeypatch.setattr(module, "from_box", counted)
+        shapes = count_expansions(monkeypatch)
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_SMALL), "--out", str(out), "--quiet"]) == 0
         assert len((out / "timeseries.csv").read_text().splitlines()) == 7  # header, 6 records
         assert len(shapes) == 2  # u and w+ of the final state, for the checkpoint
 
-    @pytest.mark.parametrize("experiment", ["attractor", "highlow"])
+    @pytest.mark.parametrize("experiment", ["attractor", "highlow", "smoothing-scan"])
     def test_no_full_spectrum_expansion_in_attractor_or_highlow(self, tmp_path, monkeypatch, experiment):
-        # Their runs, diagnostics and the direct check of highlow's
-        # compare_direct all work on the carried box.
-        calls = []
-        expand = spectral.from_box
-
-        def counted(box, grid):
-            calls.append(box.shape)
-            return expand(box, grid)
-
-        for module in (spectral, evolution):
-            monkeypatch.setattr(module, "from_box", counted)
-        text = {"attractor": ATTRACTOR_SMALL, "highlow": HIGHLOW_SMALL}[experiment]
+        # Their runs, diagnostics, the direct check of highlow's
+        # compare_direct and the scan's residuals and fits all work on the
+        # carried box.
+        calls = count_expansions(monkeypatch)
+        text = SMALL_CONFIGS[experiment]
         assert "compare_direct = true" in HIGHLOW_SMALL
         out = tmp_path / "out"
         assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
@@ -241,6 +276,26 @@ class TestSimulate:
             else:
                 assert results[key] == max(abs(v - values[0]) for v in values) / abs(values[0])
                 assert 0.0 < results[key] < 1e-6
+
+
+class TestManifest:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_manifest_is_strict_json(self, tmp_path, experiment):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, SMALL_CONFIGS[experiment])
+        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 0
+        results = strict_manifest(out)["results"]
+        if experiment == "attractor":  # a 2.0 run against a damping time of 8
+            assert results["inconclusive"] is True
+
+    def test_zero_amplitude_scan_writes_null_gains(self, tmp_path):
+        # No data and no residual: the slope gain is not defined (inf in
+        # scan.csv), and the manifest writes its mean as null.
+        text = SCAN_SMALL.replace("r = 0.0", "r = 0.0\namplitude = 0.0")
+        out = tmp_path / "out"
+        assert main(["smoothing-scan", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        assert {line.split(",")[-1] for line in (out / "scan.csv").read_text().splitlines()[1:]} == {"inf"}
+        assert strict_manifest(out)["results"]["gain_mean"] == {"u": None, "wplus": None}
 
 
 class TestExitCodes:
@@ -594,36 +649,14 @@ class TestColdStart:
 
 class TestOtherExperiments:
     def test_counterexample_writes_slope(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[system]
-kind = kgs
-s = 0.0
-r = 0.0
-
-[counterexample]
-alpha = 1.0
-n_values = 8,16,32
-resolution = 4
-""",
-        )
+        config = write_config(tmp_path, COUNTEREXAMPLE_SMALL)
         out = tmp_path / "out"
         assert main(["counterexample", "--config", config, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["loglog_slope"] == pytest.approx(0.5, abs=0.1)
 
     def test_resonance_geometry_point_cloud(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """
-[resonance]
-nu = 0.05
-xi1 = 16,0
-branch = -1
-count = 50
-""",
-        )
+        config = write_config(tmp_path, RESONANCE_SMALL)
         out = tmp_path / "out"
         assert main(["resonance-geometry", "--config", config, "--out", str(out), "--quiet"]) == 0
         lines = (out / "resonance_geometry.csv").read_text().splitlines()

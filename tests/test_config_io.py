@@ -1,11 +1,14 @@
 """Tests for configuration loading, CSV determinism, and checkpoints."""
 
+import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dispersmooth.config import load_config, load_config_text
+from dispersmooth.config import EXPERIMENTS, load_config, load_config_text
 from dispersmooth.errors import CheckpointFormatError, ConfigurationError
 from dispersmooth.evolution import System, random_system_state
 from dispersmooth.reporting import (
@@ -18,6 +21,8 @@ from dispersmooth.reporting import (
     write_outputs,
 )
 from dispersmooth.spectral import Grid, conjugate
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 MINIMAL_SIMULATE = """
 [run]
@@ -86,6 +91,16 @@ r = 0.0
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(tmp_path / "missing.ini")
 
+    def test_every_experiment_has_a_shipped_config(self):
+        named = {load_config(path).experiment for path in SHIPPED_CONFIGS}
+        assert named == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads_as_its_own_experiment(self, path):
+        experiment = load_config(path).run.experiment
+        assert experiment in EXPERIMENTS
+        assert load_config(path, experiment=experiment).experiment == experiment
+
 
 class TestCsvWriting:
     def test_seventeen_digit_roundtrip(self):
@@ -111,6 +126,14 @@ class TestCsvWriting:
         paths_b = write_outputs(result, {"k": 1}, tmp_path / "b", seed=5, quiet=True)
         assert paths_a["csv"].read_bytes() == paths_b["csv"].read_bytes()
         assert paths_a["state.ckpt"].read_bytes() == paths_b["state.ckpt"].read_bytes()
+
+    def test_manifest_writes_non_finite_floats_as_null(self, tmp_path):
+        extra = {"gain": {"u": math.inf, "w": -math.inf}, "rates": [math.nan, 1.5], "ok": True}
+        result = ExperimentResult("simulate", "data.csv", ["i"], [(1,)], manifest_extra=extra)
+        path = write_outputs(result, {"dt": np.float64(math.inf)}, tmp_path, seed=1, quiet=True)["manifest"]
+        manifest = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert manifest["results"] == {"gain": {"u": None, "w": None}, "rates": [None, 1.5], "ok": True}
+        assert manifest["config"] == {"dt": None}
 
     def test_row_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -14,13 +14,13 @@ from dispersmooth.evolution import (
     System,
     SystemState,
     block_flow,
+    box_wplus,
     conserved_quantities,
     integrate,
     join_wave,
     nonlinear_rhs,
     split_wave,
     time_grid,
-    wave_records,
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
 from dispersmooth.spectral import (
@@ -30,7 +30,6 @@ from dispersmooth.spectral import (
     bessel_potential,
     box_norm,
     conjugate,
-    cubic_pairing,
     dealias,
     from_box,
     half_spectrum,
@@ -47,6 +46,7 @@ from conftest import (
     FREE_SYMBOLS,
     conserved,
     coupling_products,
+    cubic_term,
     free_flow,
     full,
     full_rhs,
@@ -627,8 +627,9 @@ def diagonal_flow(grid, t, copies=1):
 
 def three_fields(grid, fields):
     """``(u, w+, w-)`` box arrays of each carried ``(u, v, v_t)`` triple, ``w+`` as recorded."""
-    records = [grid.box(a) for a in wave_records(grid)(fields)]
-    return tuple(a for u, wplus in zip(records[0::2], records[1::2]) for a in (u, wplus, conjugate(wplus)))
+    triples = zip(fields[0::3], fields[1::3], fields[2::3])
+    pairs = ((u, box_wplus(v, v_t, grid)) for u, v, v_t in triples)
+    return tuple(a for u, wplus in pairs for a in (u, wplus, conjugate(wplus)))
 
 
 class TestThreeFieldOracle:
@@ -766,7 +767,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped", "window"])
     def test_records_are_exactly_plus_zero_outside_the_box(self, kind, grid_2d_small):
         # Runs record box copies of their own (the next step overwrites the
-        # workspace); an expansion (`wave_records`, `from_box`) fills every
+        # workspace); an expansion (`from_box`, `box_wplus`) fills every
         # other mode with +0 (both parts, no sign bit).
         result = run_kind(kind, grid_2d_small, seed=22, steps=3)
         states = [result.low, result.high] if kind == "window" else list(result)
@@ -777,14 +778,13 @@ class TestIntegrate:
         assert all(not a[outside].view(np.uint64).any() for a in expanded)
 
     def test_records_form_wplus_with_join_wave(self, grid_2d_small):
-        # A record forms w+ on the box from the carried (v, v_t) with the
+        # box_wplus forms w+ on the box from the carried (v, v_t) with the
         # arithmetic of join_wave, so it equals join_wave of their expansions.
         grid = grid_2d_small
         fields = random_state(System.KGS, grid, seed=26).fields
-        u, wplus = wave_records(grid)(fields)
+        wplus = box_wplus(*fields[1:], grid)
         v, v_t = (SpectralField(grid, from_box(a, grid)) for a in fields[1:])
-        assert u.tobytes() == from_box(fields[0], grid).tobytes()
-        assert wplus.tobytes() == from_box(grid.box(join_wave(v, v_t).coeffs), grid).tobytes()
+        assert wplus.tobytes() == grid.box(join_wave(v, v_t).coeffs).tobytes()
 
     def test_last_step_recorded_when_record_every_does_not_divide(self, grid_2d_small):
         state = random_state(System.KGS, grid_2d_small, seed=15, amplitude=0.5)
@@ -895,7 +895,7 @@ class TestConservedQuantities:
         cubic = (without - with_term if system is System.KGS else with_term - without) / scale
         whole = full(state)
         assert cubic == pytest.approx(spectral_cubic_pairing(whole.u, whole.v), rel=1e-14, abs=0.0)
-        assert cubic == pytest.approx(cubic_pairing(state.u, state.v, grid), rel=1e-14, abs=0.0)
+        assert cubic == pytest.approx(cubic_term(state.u, state.v, grid), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_short_run_drift_is_small(self, system):

@@ -13,7 +13,7 @@ from dispersmooth.errors import (
     ConfigurationError,
     ResolutionError,
 )
-from dispersmooth.evolution import IntegratorConfig, System, integrate
+from dispersmooth.evolution import IntegratorConfig, System, integrate, nonlinear_rhs
 from dispersmooth.resonance import xsb_weight
 from dispersmooth.smoothing import (
     CounterexampleResult,
@@ -26,13 +26,14 @@ from dispersmooth.smoothing import (
 from dispersmooth.spectral import (
     Grid,
     SpectralField,
+    box_norm,
     l2_norm,
     sobolev_norm,
     to_samples,
     zero_field,
 )
 
-from conftest import free_flow, full, full_rhs, make_state, random_state, spectral_mode
+from conftest import free_flow, full, make_state, random_state, spectral_mode
 
 
 class TestSmoothingExponents:
@@ -97,26 +98,26 @@ class TestDuhamelResidual:
         state = random_state(System.KGS, grid_2d_small, seed=20)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.05))
         res = duhamel_residual(traj, "u")
-        assert l2_norm(res[0]) == 0.0
+        assert box_norm(res[0], grid_2d_small) == 0.0
 
     def test_zero_u_gives_zero_u_residual(self, grid_2d_small):
         base = random_state(System.KGS, grid_2d_small, seed=21)
         state = make_state(System.KGS, zero_field(grid_2d_small), full(base).wplus)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1))
         res = duhamel_residual(traj, "u")
-        assert all(l2_norm(r) < 1e-14 for r in res)
+        assert all(box_norm(r, grid_2d_small) < 1e-14 for r in res)
 
     def test_first_order_quadrature_oracle(self):
         # residual(t) = t * N(state0) + O(t^2): check both size and t^2 scaling.
         grid = Grid(1, 32)
         state = random_state(System.KGS, grid, seed=22, s=2.0, r=2.0, amplitude=0.5)
-        du0 = SpectralField(grid, full_rhs(state)[0])
+        du0 = nonlinear_rhs(state.system, grid)(state.fields)[0]
         errs = []
         for t in (1e-2, 5e-3):
             traj = integrate(state, IntegratorConfig(dt=t / 8, t_end=t, record_every=10**9))
             res = duhamel_residual(traj, "u")[-1]
-            errs.append(l2_norm(res - t * du0))
-        assert errs[0] < 0.05 * 1e-2 * l2_norm(du0)
+            errs.append(box_norm(res - t * du0, grid))
+        assert errs[0] < 0.05 * 1e-2 * box_norm(du0, grid)
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_unknown_component_rejected(self, grid_2d_small):
@@ -126,14 +127,15 @@ class TestDuhamelResidual:
 
     @pytest.mark.parametrize("component, dispersion", [("u", "schrodinger"), ("wplus", "kg_plus")])
     def test_matches_full_spectrum_free_flow(self, component, dispersion):
-        # Oracle: the record minus the full-spectrum free flow of the data.
+        # Oracle: the record minus the full-spectrum free flow of the data,
+        # on the box (the residual's layout).
         grid = Grid(2, 32)
         state = random_state(System.ZAKHAROV, grid, seed=24, amplitude=0.5)
         traj = integrate(state, IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5))
         data = getattr(full(traj[0]), component)
         for record, residual in zip(traj, duhamel_residual(traj, component)):
             want = getattr(full(record), component) - free_flow(data, dispersion, record.t)
-            assert l2_norm(residual - want) <= 1e-13 * l2_norm(data)
+            assert box_norm(residual - grid.box(want.coeffs), grid) <= 1e-13 * l2_norm(data)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dispersmooth.spectral import (
     box_inner,
     box_norm,
     conjugate,
-    cubic_pairing,
     dealias,
     fit_spectral_slope,
     fourier_multiplier,
@@ -34,7 +33,13 @@ from dispersmooth.spectral import (
     zero_field,
 )
 
-from conftest import coupling_products, riesz_potential, spectral_cubic_pairing, zero_mode_mean
+from conftest import (
+    coupling_products,
+    cubic_term,
+    riesz_potential,
+    spectral_cubic_pairing,
+    zero_mode_mean,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -373,7 +378,7 @@ class TestDealiasedProduct:
         v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
         direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
         box_u, box_v = grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs))
-        assert cubic_pairing(box_u, box_v, grid) == pytest.approx(direct, rel=1e-10)
+        assert cubic_term(box_u, box_v, grid) == pytest.approx(direct, rel=1e-10)
 
 
 class TestBoxDiagnostics:
@@ -388,9 +393,40 @@ class TestBoxDiagnostics:
         v = dealias(v) if band_limited else v
         want = spectral_cubic_pairing(u, v)
         scale = np.sum(np.abs(to_samples(u)) ** 2 * np.abs(to_samples(dealias(v)))) * grid.dx**dim
-        got = cubic_pairing(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
+        got = cubic_term(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(want) > 1e-3 * scale  # the relative bound is not one on a cancelled sum
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8), (4, 8)])
+    def test_kernel_abs2_is_the_abs2_of_a_call(self, dim, n):
+        # abs2 runs the passes of a call that |u|^2 needs, so it gives the
+        # call's |u|^2 bit for bit, from a kernel that made a call or not.
+        grid = Grid(dim, n)
+        u = grid.box(dealias(random_sobolev_field(grid, 0.0, seed=60 + dim)).coeffs)
+        v = dealias(random_sobolev_field(grid, 0.0, seed=70 + dim, real=True))
+        kernel = CouplingKernel(grid)
+        want = kernel(u, np.ascontiguousarray(half_spectrum(grid.box(v.coeffs))))[1].copy()
+        assert kernel.abs2(u).tobytes() == want.tobytes()
+        assert CouplingKernel(grid).abs2(u).tobytes() == want.tobytes()
+        with pytest.raises(GridMismatchError):
+            kernel.abs2(half_spectrum(u))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cubic_term_is_within_3e15_of_the_exact_sum_of_sampled_products(self, n):
+        # int P(|u|^2) v dx = dx^d sum_x |u(x)|^2 v(x) over the lattice
+        # samples (discrete Parseval); the kernel's |u|^2 paired by a
+        # pairwise sum stays within a few roundings of math.fsum of the
+        # sampled products (a running sum over the samples read 3.3e-15 at
+        # 64^2 and 7.3e-15 at 128^2 on these seeds).
+        grid = Grid(2, n)
+        for seed in range(10):
+            u = dealias(random_sobolev_field(grid, 0.0, seed=100 + seed))
+            v = dealias(random_sobolev_field(grid, 0.0, seed=200 + seed, real=True))
+            u_x, v_x = to_samples(u), to_samples(v).real
+            products = (u_x.real * u_x.real + u_x.imag * u_x.imag) * v_x
+            exact = math.fsum(products.ravel().tolist()) * grid.dx**2
+            got = cubic_term(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
+            assert abs(got - exact) <= 3e-15 * abs(exact)
 
     @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.5, False), (-1.0, True), (1.0, True)])
     def test_box_norm_matches_sobolev_norm(self, s, homogeneous):
@@ -437,7 +473,7 @@ class TestRandomField:
     def test_spectral_slope_matches_envelope(self, s):
         grid = Grid(2, 128)
         f = random_sobolev_field(grid, s, seed=13)
-        slope = fit_spectral_slope(f, grid.n_per_dim / 8, grid.n_per_dim / 3)
+        slope = fit_spectral_slope(grid.box(f.coeffs), grid, grid.n_per_dim / 8, grid.n_per_dim / 3)
         expected = -(s + grid.dim / 2 + 0.05)
         assert slope == pytest.approx(expected, abs=0.1)
 
