@@ -285,7 +285,7 @@ class TestManifest:
         config = write_config(tmp_path, SMALL_CONFIGS[experiment])
         assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 0
         results = strict_manifest(out)["results"]
-        if experiment == "attractor":  # a 2.0 run against a damping time of 8
+        if experiment == "attractor":  # t_end = 2 is under 4 damping times 1/min(gamma, a, delta - a)
             assert results["inconclusive"] is True
 
     def test_zero_amplitude_scan_writes_null_gains(self, tmp_path):
