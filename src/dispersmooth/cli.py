@@ -47,7 +47,7 @@ from .smoothing import (
     sharpness_counterexample,
     smoothing_scan,
 )
-from .spectral import Grid, box_norm, dealias, lowpass_projection, random_sobolev_field
+from .spectral import Grid, box_norm, dealias, half_spectrum, random_sobolev_field
 
 
 def _grid(config: RunConfig) -> Grid:
@@ -225,13 +225,15 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     ss_data = np.random.SeedSequence((seed, 3))
     u_seed, v_seed, w_seed = ss_data.spawn(3)
     amp = config.system.amplitude
-    band = grid.dealias_cutoff / 2
-    state = SystemState.from_full(
-        System.KGS,
-        lowpass_projection(amp * random_sobolev_field(grid, 1.5, seed=u_seed), band),
-        lowpass_projection(amp * random_sobolev_field(grid, 1.5, seed=v_seed, real=True), band),
-        lowpass_projection(amp * random_sobolev_field(grid, 0.5, seed=w_seed, real=True), band),
-    )
+    inside = grid.box(grid.xi_norm) <= grid.dealias_cutoff / 2  # on the box, as `split_initial`
+
+    def draw(kid: np.random.SeedSequence, s: float, real: bool = False) -> np.ndarray:
+        field = random_sobolev_field(grid, s, seed=kid, real=real)
+        return np.where(inside, amp * grid.box(field.coeffs), 0.0)
+
+    v, w = (draw(kid, s, real=True) for kid, s in ((v_seed, 1.5), (w_seed, 0.5)))
+    halves = (np.ascontiguousarray(half_spectrum(a)) for a in (v, w))
+    state = SystemState(System.KGS, grid, draw(u_seed, 1.5), *halves)
     trajectory = integrate_damped(state, params, config.integrator)
     report = attractor_diagnostics(trajectory, params)
     rows = [

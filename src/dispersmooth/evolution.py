@@ -14,8 +14,9 @@ no dispersive stiffness.  Quadratic nonlinearities are evaluated
 pseudo-spectrally with 2/3-rule dealiasing (`spectral.CouplingKernel`);
 conservation identities hold exactly for the truncated flow when the data is
 band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
-is pure time-discretization error.  Full spectra meet a state at two edges
-only: `SystemState.from_full` (`from_wave` for data ``(u, w+)``) builds one,
+is pure time-discretization error.  Random data is drawn on the box
+(`random_sobolev_field`, then `Grid.box`).  Full spectra meet a state at two
+edges only: `SystemState.from_full` builds one from outside full fields,
 rejecting data that is not band-limited or a wave that is not real, and a
 checkpoint (`reporting.Checkpoint.of`) expands one into ``(u, w+)``.
 """
@@ -35,16 +36,12 @@ from .spectral import (
     Grid,
     SpectralField,
     band_limited,
-    bessel_potential,
     box_inner,
     box_norm,
     box_weight,
-    conjugate,
-    dealias,
     full_spectrum,
     half_spectrum,
     random_sobolev_field,
-    remove_mean,
     require_real,
 )
 
@@ -93,14 +90,6 @@ class SystemState:
         boxes = [band_limited(f, name) for f, name in ((u, "u"), (v, "v"), (w, "w"))]
         halves = (np.ascontiguousarray(half_spectrum(a)) for a in boxes[1:])
         return cls(system, u.grid, boxes[0], *halves, t=t)
-
-    @classmethod
-    def from_wave(
-        cls, system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0
-    ) -> "SystemState":
-        """`from_full` of data ``(u, w+)`` (`split_wave`), naming a ``w+`` out of the box."""
-        band_limited(wplus, "wplus")
-        return cls.from_full(system, u, *split_wave(wplus), t=t)
 
 
 @dataclass(frozen=True)
@@ -200,19 +189,6 @@ def block_flow(
 # Wave algebra
 # ---------------------------------------------------------------------------
 
-def join_wave(v: SpectralField, v_t: SpectralField) -> SpectralField:
-    """``w+ = v + i A^{-1} v_t`` of a real wave ``(v, v_t)``."""
-    return v + 1j * bessel_potential(v_t, -1.0)
-
-
-def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Recover ``v = Re w+`` and ``v_t = A Im w+``."""
-    conj = conjugate(wplus.coeffs)
-    v = SpectralField(wplus.grid, 0.5 * (wplus.coeffs + conj))
-    v_t = bessel_potential(SpectralField(wplus.grid, -0.5j * (wplus.coeffs - conj)), 1.0)
-    return v, v_t
-
-
 def wave_norm(v: np.ndarray, v_t: np.ndarray, grid: Grid, s: float = 0.0) -> float:
     """``||w+||_{H^s}`` of ``w+ = v + i A^{-1} v_t`` from the box half spectra of the
     real ``(v, v_t)``: ``(||v||_{H^s}^2 + ||v_t||_{H^{s-1}}^2)^{1/2}``, also ``||w-||_{H^s}``."""
@@ -223,7 +199,7 @@ def box_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
     """The box array (`Grid.box`) of ``w+ = v + i A^{-1} v_t`` from the box half
     spectra of the real ``(v, v_t)``.
 
-    ``w+`` is formed on the half spectrum with the arithmetic of `join_wave`.
+    ``w+`` is formed on the half spectrum as ``v + i (v_t <xi>^{-1})``.
     The other columns of the box are those of ``w+(-k) = conj(v - i A^{-1}
     v_t)(k)``, which the expansion of the minus branch (`full_spectrum`)
     reflects into place.
@@ -504,23 +480,26 @@ def random_system_state(
     amplitude: float = 1.0,
     wave_amplitude: float | None = None,
 ) -> SystemState:
-    """Reproducible random state with a real wave.
+    """Reproducible random state with a real wave, drawn on the dealias box.
 
-    ``u`` is a random H^s field; the real random ``(v, v_t)`` in
-    H^r x H^{max(r-1, 0)} enter as the data ``w+`` (`join_wave`, then
-    `SystemState.from_wave`).  The wave velocity is mean-zero
-    (its mean is a separate conserved quantity on the torus) and the state is
-    band-limited below the dealias cutoff so the truncated flow conserves
-    mass and energy exactly.
+    ``u`` is a random H^s field and ``(v, v_t)`` a real random wave in
+    H^r x H^{max(r-1, 0)} (`random_sobolev_field`), each taken on the box
+    (`Grid.box`), the wave as contiguous half spectra.  The wave velocity is
+    mean-zero (its mean is a separate conserved quantity on the torus), and
+    the state is band-limited below the dealias cutoff so the truncated flow
+    conserves mass and energy exactly.
     """
     if wave_amplitude is None:
         wave_amplitude = amplitude
-    ss = np.random.SeedSequence(seed)
-    kids = ss.spawn(3)
-    u = amplitude * random_sobolev_field(grid, s, seed=kids[0])
-    v = wave_amplitude * random_sobolev_field(grid, r, seed=kids[1], real=True)
-    v_t = wave_amplitude * random_sobolev_field(
-        grid, max(r - 1.0, 0.0), seed=kids[2], real=True
+    kids = np.random.SeedSequence(seed).spawn(3)
+
+    def draw(kid: np.random.SeedSequence, order: float, real: bool) -> np.ndarray:
+        return grid.box(random_sobolev_field(grid, order, seed=kid, real=real).coeffs)
+
+    u = amplitude * draw(kids[0], s, False)
+    v, v_t = (
+        np.ascontiguousarray(half_spectrum(wave_amplitude * draw(kid, order, True)))
+        for kid, order in ((kids[1], r), (kids[2], max(r - 1.0, 0.0)))
     )
-    wplus = dealias(join_wave(v, remove_mean(v_t)))
-    return SystemState.from_wave(system, dealias(u), wplus)
+    v_t[(0,) * grid.dim] = 0.0
+    return SystemState(system, grid, u, v, v_t)

@@ -137,18 +137,14 @@ class SmoothingParams:
 # Duhamel residuals
 # ---------------------------------------------------------------------------
 
-def duhamel_residual(
-    trajectory: list[SystemState], component: str = "u"
-) -> list[np.ndarray]:
-    """Nonlinear part ``component(t) - S(t) component(0)`` along a run, ``S`` the free flow.
+def duhamel_residual(trajectory: list[SystemState]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nonlinear parts ``(u(t) - S(t) u(0), w+(t) - S(t) w+(0))`` along a run, ``S`` the free flow.
 
-    ``component`` is ``"u"`` or ``"wplus"``.  The residual is a box array
-    (`Grid.box`): the record minus `block_flow` of the first record, and
-    for ``"wplus"`` the `box_wplus` of that difference.  The residual at the
+    Each pair holds box arrays (`Grid.box`): the record minus the free flow
+    of the first record (`block_flow`, one per record, for both components),
+    ``u`` and the `box_wplus` of the wave's difference.  The pair at the
     initial time is exactly zero.
     """
-    if component not in ("u", "wplus"):
-        raise ConfigurationError(f"unknown component {component!r}")
     first = trajectory[0]
     grid = first.grid
     out = []
@@ -156,7 +152,7 @@ def duhamel_residual(
         gap = state.t - first.t  # no flow to build over no time: it is the identity
         free = block_flow(grid, gap)(first.fields) if gap else first.fields
         u, v, w = (a - b for a, b in zip(state.fields, free))
-        out.append(u if component == "u" else box_wplus(v, w, grid))
+        out.append((u, box_wplus(v, w, grid)))
     return out
 
 
@@ -211,11 +207,8 @@ def _scan_member(
     n = grid.n_per_dim
     fit_lo, fit_hi = n / 8, n / 3
     rows = []
-    for component, probe, base in (
-        ("u", params.alpha_probe, params.s),
-        ("wplus", params.beta_probe, params.r),
-    ):
-        residual = duhamel_residual(traj, component)[-1]
+    probes = (("u", params.alpha_probe, params.s), ("wplus", params.beta_probe, params.r))
+    for (component, probe, base), residual in zip(probes, duhamel_residual(traj)[-1]):
         res_norm = box_norm(residual, grid, base + probe)
         data_slope = fit_spectral_slope(data[component], grid, fit_lo, fit_hi)
         res_slope = fit_spectral_slope(residual, grid, fit_lo, fit_hi)

@@ -1,4 +1,4 @@
-"""Grids, transforms, Fourier multipliers, norms, projections, and rough data.
+"""Grids, transforms, norms, the coupling kernel, and rough data.
 
 A `SpectralField` holds complex Fourier coefficients on a periodic box of
 period ``2*pi*L`` per axis.  Runs and their diagnostics work on the entries
@@ -12,10 +12,10 @@ and Parseval reads::
 
 The wavenumber lattice is ``xi = k / L`` for integers ``k in [-n/2, n/2)`` per
 axis (numpy FFT ordering).  The Nyquist plane ``k = -n/2`` has no symmetric
-partner, so every Fourier multiplier annihilates it; this keeps conjugate
-symmetry of real fields exact.  All functions are pure and fields are
-immutable, so values are safe to share across workers.  The one exception is
-`CouplingKernel`, whose transform buffers belong to a single run.
+partner: random fields leave it zero and the dealias box excludes it, which
+keeps conjugate symmetry of real fields exact.  All functions are pure and
+fields are immutable, so values are safe to share across workers.  The one
+exception is `CouplingKernel`, whose transform buffers belong to a single run.
 """
 
 from __future__ import annotations
@@ -189,10 +189,6 @@ def _check_same_grid(f: SpectralField, g: SpectralField) -> None:
         raise GridMismatchError("fields live on different grids")
 
 
-def zero_field(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
@@ -218,43 +214,8 @@ def to_samples(f: SpectralField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Multipliers and norms
+# Norms
 # ---------------------------------------------------------------------------
-
-def fourier_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Multiply coefficients pointwise by ``symbol(xi)``.
-
-    The symbol must be finite on the whole lattice (singular symbols need an
-    explicit zero-mode policy first).  The Nyquist plane is zeroed.
-    """
-    symbol = np.asarray(symbol)
-    if symbol.shape != f.grid.shape:
-        raise GridMismatchError("symbol shape does not match grid")
-    if not np.all(np.isfinite(symbol)):
-        raise ConfigurationError(
-            "symbol is singular on the lattice; apply a zero-mode policy first"
-        )
-    out = f.coeffs * symbol
-    out[f.grid.nyquist_mask] = 0.0
-    return SpectralField(f.grid, out)
-
-
-def bessel_symbol(grid: Grid, order: float) -> np.ndarray:
-    """Symbol of ``(1 - Laplacian)**(order/2)``, i.e. ``<xi>**order``."""
-    return grid.bracket**order
-
-
-def bessel_potential(f: SpectralField, order: float) -> SpectralField:
-    """Apply ``(1 - Laplacian)**(order/2)``."""
-    return fourier_multiplier(f, bessel_symbol(f.grid, order))
-
-
-def remove_mean(f: SpectralField) -> SpectralField:
-    """Zero the spatial mean (zero-mode coefficient)."""
-    coeffs = f.coeffs.copy()
-    coeffs[(0,) * f.grid.dim] = 0.0
-    return SpectralField(f.grid, coeffs)
-
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
     """Sobolev norm ``|| <xi>^s u_hat ||`` (or ``|| |xi|^s u_hat ||``).
@@ -275,25 +236,6 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
 
 def l2_norm(f: SpectralField) -> float:
     return sobolev_norm(f, 0.0)
-
-
-def inner_product(f: SpectralField, g: SpectralField) -> complex:
-    """L2 pairing ``integral f * conj(g) dx`` via Parseval."""
-    _check_same_grid(f, g)
-    # An elementwise reduction, not np.vdot: BLAS would start worker threads.
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs))) / f.grid.volume
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-def lowpass_projection(f: SpectralField, cutoff: float) -> SpectralField:
-    """Keep modes with ``|xi| <= cutoff``; idempotent."""
-    if not (cutoff > 0):
-        raise ConfigurationError(f"lowpass cutoff must be positive, got {cutoff}")
-    out = np.where(f.grid.xi_norm <= cutoff, f.coeffs, 0.0)
-    return SpectralField(f.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +504,6 @@ def _half_reflections(ndim: int, n: int) -> tuple[tuple[tuple[slice, ...], tuple
         (target + (slice(h, None),), source + (slice(n - h, 0, -1),))
         for target, source in _reflections(ndim - 1)
     )
-
-
-def real_part(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2`` (`conjugate`).
-
-    No transform is needed: on the sampled lattice conjugation maps mode ``k``
-    to mode ``-k``, and the unpaired Nyquist plane is zero.
-    """
-    return 0.5 * (coeffs + conjugate(coeffs))
 
 
 # ---------------------------------------------------------------------------

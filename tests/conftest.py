@@ -5,34 +5,83 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from dispersmooth.errors import ConfigurationError
 from dispersmooth.evolution import (
     ConservationReport,
     System,
     SystemState,
     box_wplus,
     conserved_quantities,
-    join_wave,
     nonlinear_rhs,
-    split_wave,
 )
 from dispersmooth.spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
     _check_same_grid,
+    band_limited,
     box_inner,
     conjugate,
     dealias,
     from_box,
     full_spectrum,
     half_spectrum,
-    fourier_multiplier,
-    inner_product,
     l2_norm,
     random_sobolev_field,
-    real_part,
     sobolev_norm,
 )
+
+
+# Full-lattice oracles: multipliers, projections and the wave algebra of
+# ``w+ = v + i A^{-1} v_t``, ``A = (1 - Laplacian)^{1/2}``.
+
+def zero_field(grid: Grid) -> SpectralField:
+    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+
+def fourier_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
+    """Multiply coefficients pointwise by ``symbol(xi)``, finite on the whole lattice
+    (singular symbols need an explicit zero-mode policy first), Nyquist plane zeroed."""
+    if not np.all(np.isfinite(symbol)):
+        raise ConfigurationError("symbol is singular on the lattice; apply a zero-mode policy first")
+    out = f.coeffs * symbol
+    out[f.grid.nyquist_mask] = 0.0
+    return SpectralField(f.grid, out)
+
+
+def bessel_potential(f: SpectralField, order: float) -> SpectralField:
+    """Apply ``(1 - Laplacian)**(order/2)``, the multiplier ``<xi>**order``."""
+    return fourier_multiplier(f, f.grid.bracket**order)
+
+
+def inner_product(f: SpectralField, g: SpectralField) -> complex:
+    """L2 pairing ``integral f * conj(g) dx`` via Parseval."""
+    _check_same_grid(f, g)
+    # An elementwise reduction, not np.vdot: BLAS would start worker threads.
+    return complex(np.sum(f.coeffs * np.conj(g.coeffs))) / f.grid.volume
+
+
+def lowpass_projection(f: SpectralField, cutoff: float) -> SpectralField:
+    """Keep modes with ``|xi| <= cutoff``; idempotent."""
+    return SpectralField(f.grid, np.where(f.grid.xi_norm <= cutoff, f.coeffs, 0.0))
+
+
+def real_part(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of ``Re f`` from those of ``f``: ``(f(k) + conj f(-k)) / 2`` (`conjugate`)."""
+    return 0.5 * (coeffs + conjugate(coeffs))
+
+
+def join_wave(v: SpectralField, v_t: SpectralField) -> SpectralField:
+    """``w+ = v + i A^{-1} v_t`` of a real wave ``(v, v_t)``."""
+    return v + 1j * bessel_potential(v_t, -1.0)
+
+
+def split_wave(wplus: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Recover ``v = Re w+`` and ``v_t = A Im w+``."""
+    conj = conjugate(wplus.coeffs)
+    v = SpectralField(wplus.grid, 0.5 * (wplus.coeffs + conj))
+    v_t = bessel_potential(SpectralField(wplus.grid, -0.5j * (wplus.coeffs - conj)), 1.0)
+    return v, v_t
 
 
 def spectral_mode(grid: Grid, k: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
@@ -51,14 +100,16 @@ def random_state(
     r: float = 1.0,
     amplitude: float = 1.0,
     zero_mean_wave_velocity: bool = False,
+    kids: list[np.random.SeedSequence] | None = None,
 ) -> SystemState:
-    """Random band-limited state with a real wave, for integration tests."""
-    u = amplitude * random_sobolev_field(grid, s, seed=np.random.SeedSequence((seed, 0)))
-    v = amplitude * random_sobolev_field(
-        grid, r, seed=np.random.SeedSequence((seed, 1)), real=True
-    )
-    v_t = amplitude * random_sobolev_field(
-        grid, max(r - 1.0, 0.0), seed=np.random.SeedSequence((seed, 2)), real=True
+    """Random band-limited state with a real wave, for integration tests: ``u``, ``v``
+    and ``v_t`` drawn from ``kids`` (by default ``SeedSequence((seed, i))``), the wave
+    joined into ``w+``, dealiased and split again (`make_state`)."""
+    kids = kids or [np.random.SeedSequence((seed, i)) for i in range(3)]
+    u = amplitude * random_sobolev_field(grid, s, seed=kids[0])
+    v, v_t = (
+        amplitude * random_sobolev_field(grid, order, seed=kid, real=True)
+        for kid, order in ((kids[1], r), (kids[2], max(r - 1.0, 0.0)))
     )
     if zero_mean_wave_velocity:
         coeffs = v_t.coeffs.copy()
@@ -68,8 +119,29 @@ def random_state(
 
 
 def make_state(system: System, u: SpectralField, wplus: SpectralField, t: float = 0.0) -> SystemState:
-    """The state of data ``(u, w+)`` (`SystemState.from_wave`)."""
-    return SystemState.from_wave(system, u, wplus, t=t)
+    """The state of data ``(u, w+)``: `SystemState.from_full` of ``u`` and `split_wave`
+    of ``w+``, naming a ``w+`` out of the box."""
+    band_limited(wplus, "wplus")
+    return SystemState.from_full(system, u, *split_wave(wplus), t=t)
+
+
+def joined_system_state(
+    system: System, grid: Grid, s: float, r: float, seed: int, amplitude: float = 1.0
+) -> SystemState:
+    """The oracle of `random_system_state`: its draws on the whole lattice through
+    `random_state`, with a mean-zero velocity."""
+    kids = np.random.SeedSequence(seed).spawn(3)
+    return random_state(system, grid, seed, s, r, amplitude, zero_mean_wave_velocity=True, kids=kids)
+
+
+def lowpass_attractor_state(grid: Grid, seed: int, amplitude: float) -> SystemState:
+    """The oracle of the attractor's data: `SystemState.from_full` of its draws times
+    ``amplitude`` on the whole lattice, projected to half the dealias cutoff."""
+    kids = np.random.SeedSequence((seed, 3)).spawn(3)
+    draws = zip(kids, (1.5, 1.5, 0.5), (False, True, True))
+    fields = (amplitude * random_sobolev_field(grid, s, seed=kid, real=real) for kid, s, real in draws)
+    band = grid.dealias_cutoff / 2
+    return SystemState.from_full(System.KGS, *(lowpass_projection(f, band) for f in fields))
 
 
 class Full(NamedTuple):

@@ -53,12 +53,11 @@ from dispersmooth.spectral import (
     Grid,
     dealias,
     l2_norm,
-    lowpass_projection,
     random_sobolev_field,
     sobolev_norm,
 )
 
-from conftest import conserved, full, scaled
+from conftest import conserved, full, lowpass_projection, scaled
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

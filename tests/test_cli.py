@@ -11,14 +11,14 @@ from pathlib import Path
 import pytest
 
 import dispersmooth
-from dispersmooth import spectral
+from dispersmooth import cli, spectral
 from dispersmooth.cli import main
 from dispersmooth.config import EXPERIMENTS, load_config
-from dispersmooth.evolution import System, integrate, random_system_state
+from dispersmooth.evolution import System, SystemState, integrate, random_system_state
 from dispersmooth.reporting import Checkpoint, format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
 
-from conftest import simulate_row
+from conftest import lowpass_attractor_state, simulate_row
 
 
 class TestWorkerCount:
@@ -164,6 +164,22 @@ SMALL_CONFIGS = {
 }
 
 
+def run_quiet(tmp_path, experiment: str, text: str, *flags: str, code: int = 0) -> Path:
+    """The out directory of a quiet ``experiment`` run on the config ``text``, which must exit ``code``."""
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet", *flags]) == code
+    return out
+
+
+def config_error(tmp_path, capsys, experiment: str, text: str, *flags: str) -> str:
+    """The stderr of a quiet ``experiment`` run on the config ``text``, which must exit 2
+    with a configuration error before it writes its out directory."""
+    assert not run_quiet(tmp_path, experiment, text, *flags, code=2).exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    return err
+
+
 def count_expansions(monkeypatch) -> list:
     """The shapes of the package's `from_box` calls from here on, through every binding."""
     shapes, expand = [], spectral.from_box
@@ -176,6 +192,18 @@ def count_expansions(monkeypatch) -> list:
         if name.startswith("dispersmooth") and getattr(module, "from_box", None) is expand:
             monkeypatch.setattr(module, "from_box", counted)
     return shapes
+
+
+def count_entries(monkeypatch) -> list:
+    """The systems of the package's `SystemState.from_full` calls from here on."""
+    systems, build = [], SystemState.from_full.__func__
+
+    def counted(cls, system, *fields, **kwargs):
+        systems.append(system)
+        return build(cls, system, *fields, **kwargs)
+
+    monkeypatch.setattr(SystemState, "from_full", classmethod(counted))
+    return systems
 
 
 def strict_manifest(out: Path) -> dict:
@@ -206,8 +234,7 @@ class TestSimulate:
 
     def test_dt_not_dividing_t_end_is_shortened(self, tmp_path):
         text = SIMULATE_SMALL.replace("dt = 5e-3", "dt = 0.3").replace("t_end = 0.05", "t_end = 1.0")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "simulate", text)
         last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
         assert int(last[0]) == 4
         assert float(last[1]) == 1.0
@@ -244,29 +271,40 @@ class TestSimulate:
         assert (out / "state.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
     def test_one_full_spectrum_expansion_per_run(self, tmp_path, monkeypatch):
-        shapes = count_expansions(monkeypatch)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_SMALL), "--out", str(out), "--quiet"]) == 0
+        shapes, entries = count_expansions(monkeypatch), count_entries(monkeypatch)
+        out = run_quiet(tmp_path, "simulate", SIMULATE_SMALL)
         assert len((out / "timeseries.csv").read_text().splitlines()) == 7  # header, 6 records
         assert len(shapes) == 2  # u and w+ of the final state, for the checkpoint
+        assert entries == []  # the data are drawn on the box
 
     @pytest.mark.parametrize("experiment", ["attractor", "highlow", "smoothing-scan"])
-    def test_no_full_spectrum_expansion_in_attractor_or_highlow(self, tmp_path, monkeypatch, experiment):
-        # Their runs, diagnostics, the direct check of highlow's
-        # compare_direct and the scan's residuals and fits all work on the
-        # carried box.
-        calls = count_expansions(monkeypatch)
-        text = SMALL_CONFIGS[experiment]
+    def test_no_full_spectrum_in_attractor_highlow_or_scan(self, tmp_path, monkeypatch, experiment):
+        # Their data are drawn on the box, and their runs, diagnostics, the
+        # direct check of highlow's compare_direct and the scan's residuals
+        # and fits all work on the carried box.
+        calls, entries = count_expansions(monkeypatch), count_entries(monkeypatch)
         assert "compare_direct = true" in HIGHLOW_SMALL
-        out = tmp_path / "out"
-        assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
-        assert calls == []
+        run_quiet(tmp_path, experiment, SMALL_CONFIGS[experiment])
+        assert calls == entries == []
+
+    @pytest.mark.parametrize("seed", ["3", "8"])
+    def test_attractor_data_are_the_lowpass_oracle_bit_for_bit(self, tmp_path, monkeypatch, seed):
+        states, run = [], cli.integrate_damped
+
+        def capture(state, *args):
+            states.append(state)
+            return run(state, *args)
+
+        monkeypatch.setattr(cli, "integrate_damped", capture)
+        run_quiet(tmp_path, "attractor", ATTRACTOR_SMALL, "--seed", seed)
+        want = lowpass_attractor_state(spectral.Grid(2, 16), int(seed), 0.3)
+        assert [a.tobytes() for a in states[0].fields] == [a.tobytes() for a in want.fields]
+        assert all(a.flags.c_contiguous for a in states[0].fields)
 
     @pytest.mark.parametrize("amplitude", ["0.5", "0.0"])
     def test_manifest_records_the_largest_relative_drifts(self, tmp_path, amplitude):
         text = SIMULATE_SMALL.replace("amplitude = 0.5", f"amplitude = {amplitude}")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "simulate", text)
         results = json.loads((out / "manifest.json").read_text())["results"]
         lines = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()[1:]]
         for key, column in (("max_relative_mass_drift", 2), ("max_relative_hamiltonian_drift", 3)):
@@ -281,9 +319,7 @@ class TestSimulate:
 class TestManifest:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_manifest_is_strict_json(self, tmp_path, experiment):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, SMALL_CONFIGS[experiment])
-        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, experiment, SMALL_CONFIGS[experiment])
         results = strict_manifest(out)["results"]
         if experiment == "attractor":  # t_end = 2 is under 4 damping times 1/min(gamma, a, delta - a)
             assert results["inconclusive"] is True
@@ -292,8 +328,7 @@ class TestManifest:
         # No data and no residual: the slope gain is not defined (inf in
         # scan.csv), and the manifest writes its mean as null.
         text = SCAN_SMALL.replace("r = 0.0", "r = 0.0\namplitude = 0.0")
-        out = tmp_path / "out"
-        assert main(["smoothing-scan", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "smoothing-scan", text)
         assert {line.split(",")[-1] for line in (out / "scan.csv").read_text().splitlines()[1:]} == {"inf"}
         assert strict_manifest(out)["results"]["gain_mean"] == {"u": None, "wplus": None}
 
@@ -332,8 +367,7 @@ class TestExitCodes:
         # The guard sees the data at step 0, so data already above the
         # threshold aborts before the first step, at the run's start time.
         text = SIMULATE_SMALL.replace("[integrator]", "[integrator]\nblowup_threshold = 1e-9")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+        out = run_quiet(tmp_path, "simulate", text, code=3)
         message = capsys.readouterr().err.strip()
         assert re.fullmatch(
             r"numerical abort: blow-up detected at t=0: u_L2=\S+, v_L2=\S+, v_t_L2=\S+ \(threshold 1\.0e-09\)",
@@ -353,9 +387,7 @@ class TestExitCodes:
         ],
     )
     def test_bad_time_grid_is_2(self, tmp_path, capsys, line, bad):
-        config = write_config(tmp_path, SIMULATE_SMALL.replace(line, bad))
-        assert main(["simulate", "--config", config, "--quiet"]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        config_error(tmp_path, capsys, "simulate", SIMULATE_SMALL.replace(line, bad))
 
     @pytest.mark.parametrize(
         "bad, key",
@@ -369,11 +401,7 @@ class TestExitCodes:
         ],
     )
     def test_bad_highlow_window_is_2_and_named(self, tmp_path, capsys, bad, key):
-        config = write_config(tmp_path, HIGHLOW_SMALL.replace("windows = 2", bad))
-        assert main(["highlow", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert key in err
+        assert key in config_error(tmp_path, capsys, "highlow", HIGHLOW_SMALL.replace("windows = 2", bad))
 
     @pytest.mark.parametrize(
         "line, bad, key",
@@ -391,11 +419,7 @@ class TestExitCodes:
         ],
     )
     def test_bad_guard_or_amplitude_is_2_and_named(self, tmp_path, capsys, line, bad, key):
-        config = write_config(tmp_path, SIMULATE_SMALL.replace(line, bad))
-        assert main(["simulate", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert key in err
+        assert key in config_error(tmp_path, capsys, "simulate", SIMULATE_SMALL.replace(line, bad))
 
     @pytest.mark.parametrize(
         "line, bad, key",
@@ -410,10 +434,7 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_damping_is_2_and_named(self, tmp_path, capsys, line, bad, key):
-        config = write_config(tmp_path, ATTRACTOR_SMALL.replace(line, bad))
-        assert main(["attractor", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
+        err = config_error(tmp_path, capsys, "attractor", ATTRACTOR_SMALL.replace(line, bad))
         assert f" {key} must be finite" in err
 
     @pytest.mark.parametrize(
@@ -427,24 +448,13 @@ class TestExitCodes:
         ],
     )
     def test_count_below_one_is_2_and_named(self, tmp_path, capsys, experiment, text, key):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, text)
-        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert f"{key} must be >= 1" in err
-        assert not out.exists()
+        assert f"{key} must be >= 1" in config_error(tmp_path, capsys, experiment, text)
 
     @pytest.mark.parametrize("experiment", ["xsb-constant", "resonance-geometry"])
     @pytest.mark.parametrize("branch", [7, 0])
     def test_bad_resonance_branch_is_2_and_named(self, tmp_path, capsys, experiment, branch):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, XSB_SMALL + f"branch = {branch}\n")
-        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
+        err = config_error(tmp_path, capsys, experiment, XSB_SMALL + f"branch = {branch}\n")
         assert f"branch must be 1 or -1, got {branch}" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment, text",
@@ -456,14 +466,7 @@ class TestExitCodes:
         ],
     )
     def test_negative_seed_flag_is_2_and_named(self, tmp_path, capsys, experiment, text):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, text)
-        argv = [experiment, "--config", config, "--out", str(out), "--quiet", "--seed", "-1"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert "--seed must be >= 0, got -1" in err
-        assert not out.exists()
+        assert "--seed must be >= 0, got -1" in config_error(tmp_path, capsys, experiment, text, "--seed", "-1")
 
     @pytest.mark.parametrize(
         "experiment, text, line, bad, key",
@@ -473,50 +476,34 @@ class TestExitCodes:
         ],
     )
     def test_negative_seed_key_is_2_and_named(self, tmp_path, capsys, experiment, text, line, bad, key):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, text.replace(line, bad))
-        assert main([experiment, "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
+        err = config_error(tmp_path, capsys, experiment, text.replace(line, bad))
         assert f"{key} must be >= 0, got {bad[-2:]}" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "0"])
     def test_bad_box_length_is_2_and_named(self, tmp_path, capsys, bad):
-        out = tmp_path / "out"
         text = SIMULATE_SMALL.replace("n_per_dim = 16", f"n_per_dim = 16\nbox_length = {bad}")
-        config = write_config(tmp_path, text)
-        assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "simulate", text)
         assert f"box_length must be finite and positive, got {float(bad)}" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["1e-300", "1e300"])
     def test_box_length_outside_float_range_is_2_and_named(self, tmp_path, capsys, bad):
         # 1/dx^d divides by zero at 1e-300 and (2 pi L)^d overflows at 1e300.
-        out = tmp_path / "out"
         text = SIMULATE_SMALL.replace("n_per_dim = 16", f"n_per_dim = 16\nbox_length = {bad}")
-        config = write_config(tmp_path, text)
-        assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "simulate", text)
         assert f"box_length = {float(bad)} puts dx^d, the volume (2 pi L)^d or |xi|^2 outside the float range" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("s", ["200", "-200"])
     def test_step_rule_out_of_range_is_2_and_named(self, tmp_path, capsys, s):
         # A large m overflows N^(-2(1-m)/r0 - 0.01); a very negative one underflows it to 0.
         text = HIGHLOW_SMALL.replace("s = 0.95\nr = 0.95", f"s = {s}\nr = {s}")
-        config = write_config(tmp_path, text)
-        assert main(["highlow", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "highlow", text)
         assert "configuration error: the [highlow] step rule gives delta = " in err
         assert "set [highlow] delta" in err
 
     @pytest.mark.parametrize("line, bad", [("s = 0.95", "s = nan"), ("r = 0.95", "r = inf")])
     def test_non_finite_regularity_is_2_for_highlow(self, tmp_path, capsys, line, bad):
-        config = write_config(tmp_path, HIGHLOW_SMALL.replace(line, bad))
-        assert main(["highlow", "--config", config, "--quiet"]) == 2
-        assert f"configuration error: [system] {bad[0]} must be finite" in capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "highlow", HIGHLOW_SMALL.replace(line, bad))
+        assert f"configuration error: [system] {bad[0]} must be finite" in err
 
     @pytest.mark.parametrize(
         "experiment, text",
@@ -525,26 +512,17 @@ class TestExitCodes:
     )
     def test_non_kgs_kind_is_2_for_highlow_and_attractor(self, tmp_path, capsys, experiment, text):
         # Both experiments run the KGS system (attractor: its damped form).
-        out = tmp_path / "out"
-        assert main([experiment, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, experiment, text)
         assert f"configuration error: [system] kind must be 'kgs' for {experiment}, got 'zakharov'" in err
-        assert not out.exists()
 
     def test_overflowing_damped_flow_is_2_and_named(self, tmp_path, capsys):
-        config = write_config(tmp_path, ATTRACTOR_SMALL.replace("delta = 0.5", "delta = 1e200"))
-        assert main(["attractor", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "attractor", ATTRACTOR_SMALL.replace("delta = 0.5", "delta = 1e200"))
         assert "configuration error: the exact linear flow over t = 0.005 overflows at delta = 1e+200" in err
 
     @pytest.mark.parametrize("bad", ["-1", "nan", "0"])
     def test_bad_tau_spacing_is_2_and_named(self, tmp_path, capsys, bad):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, XSB_SMALL + f"tau_spacing = {bad}\n")
-        assert main(["xsb-constant", "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "xsb-constant", XSB_SMALL + f"tau_spacing = {bad}\n")
         assert f"section [resonance]: tau_spacing must be finite and positive, got {float(bad)}" in err
-        assert not out.exists()
 
     def test_oversize_lattice_is_2_before_any_allocation(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -563,16 +541,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-4"])
     def test_bad_highlow_cutoff_is_2_and_named(self, tmp_path, capsys, bad):
-        config = write_config(tmp_path, HIGHLOW_SMALL.replace("cutoff = 4", f"cutoff = {bad}"))
-        assert main(["highlow", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "highlow", HIGHLOW_SMALL.replace("cutoff = 4", f"cutoff = {bad}"))
         assert f"cutoff must be finite and positive, got {float(bad)}" in err
         assert "delta" not in err
 
     def test_highlow_cutoff_below_one_without_delta_is_2_and_named(self, tmp_path, capsys):
-        config = write_config(tmp_path, HIGHLOW_SMALL.replace("cutoff = 4", "cutoff = 0.5"))
-        assert main(["highlow", "--config", config, "--quiet"]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, "highlow", HIGHLOW_SMALL.replace("cutoff = 4", "cutoff = 0.5"))
         assert "section [highlow]: cutoff must be >= 1 for the step rule (no delta is set), got 0.5" in err
 
     @pytest.mark.parametrize(
@@ -585,13 +559,7 @@ class TestExitCodes:
     def test_inadmissible_probe_is_2_and_named(self, tmp_path, capsys, line, bad, key):
         text = (CONFIGS / "smoothing_scan.ini").read_text()
         assert line in text
-        out = tmp_path / "out"
-        config = write_config(tmp_path, text.replace(line, bad))
-        assert main(["smoothing-scan", "--config", config, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert key in err
-        assert not out.exists()
+        assert key in config_error(tmp_path, capsys, "smoothing-scan", text.replace(line, bad))
 
     def test_io_error_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, SIMULATE_SMALL)
@@ -649,16 +617,12 @@ class TestColdStart:
 
 class TestOtherExperiments:
     def test_counterexample_writes_slope(self, tmp_path):
-        config = write_config(tmp_path, COUNTEREXAMPLE_SMALL)
-        out = tmp_path / "out"
-        assert main(["counterexample", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "counterexample", COUNTEREXAMPLE_SMALL)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["loglog_slope"] == pytest.approx(0.5, abs=0.1)
 
     def test_resonance_geometry_point_cloud(self, tmp_path):
-        config = write_config(tmp_path, RESONANCE_SMALL)
-        out = tmp_path / "out"
-        assert main(["resonance-geometry", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "resonance-geometry", RESONANCE_SMALL)
         lines = (out / "resonance_geometry.csv").read_text().splitlines()
         assert lines[0] == "xi2_1,xi2_2,A"
         assert len(lines) == 51
@@ -666,9 +630,7 @@ class TestOtherExperiments:
     @pytest.mark.parametrize("dimension", [2, 4])
     def test_highlow_smoke(self, tmp_path, dimension):
         grid = f"[grid]\ndimension = {dimension}\nn_per_dim = {16 if dimension == 2 else 8}"
-        config = write_config(tmp_path, HIGHLOW_SMALL.replace("[grid]\nn_per_dim = 16", grid))
-        out = tmp_path / "out"
-        assert main(["highlow", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "highlow", HIGHLOW_SMALL.replace("[grid]\nn_per_dim = 16", grid))
         lines = (out / "highlow.csv").read_text().splitlines()
         assert lines[0] == "window,t,E_low,mass_low,w_H1,z_H1,diff_vs_direct"
         assert len(lines) == 3
@@ -684,24 +646,18 @@ class TestOtherExperiments:
             assert any("does not apply in d = 2" in w for w in results["warnings"])
 
     def test_smoothing_scan_small(self, tmp_path):
-        config = write_config(tmp_path, SCAN_SMALL)
-        out = tmp_path / "out"
-        assert main(["smoothing-scan", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "smoothing-scan", SCAN_SMALL)
         lines = (out / "scan.csv").read_text().splitlines()
         assert lines[0] == "seed,component,alpha_probe,residual_norm,slope_gain"
         assert len(lines) == 5  # 2 members x 2 components
 
     def test_xsb_constant_small(self, tmp_path):
-        config = write_config(tmp_path, XSB_SMALL)
-        out = tmp_path / "out"
-        assert main(["xsb-constant", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "xsb-constant", XSB_SMALL)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["max_ratio"] > 0
 
     def test_attractor_smoke(self, tmp_path):
-        config = write_config(tmp_path, ATTRACTOR_SMALL)
-        out = tmp_path / "out"
-        assert main(["attractor", "--config", config, "--out", str(out), "--quiet"]) == 0
+        out = run_quiet(tmp_path, "attractor", ATTRACTOR_SMALL)
         lines = (out / "attractor.csv").read_text().splitlines()
         assert lines[0].startswith("t,H,dH_closed,dH_fd,mass,lin_u_H1")
 

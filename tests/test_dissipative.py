@@ -27,16 +27,20 @@ from dispersmooth.spectral import (
     Grid,
     SpectralField,
     dealias,
-    inner_product,
     l2_norm,
-    lowpass_projection,
     random_sobolev_field,
     sobolev_norm,
     to_samples,
-    zero_field,
 )
 
-from conftest import FREE_SYMBOLS, full, spectral_mode
+from conftest import (
+    FREE_SYMBOLS,
+    full,
+    inner_product,
+    lowpass_projection,
+    spectral_mode,
+    zero_field,
+)
 
 
 def damped_state(grid, seed, amplitude=1.0, band=None):

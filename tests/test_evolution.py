@@ -17,9 +17,8 @@ from dispersmooth.evolution import (
     box_wplus,
     conserved_quantities,
     integrate,
-    join_wave,
     nonlinear_rhs,
-    split_wave,
+    random_system_state,
     time_grid,
 )
 from dispersmooth.highlow import HighLowConfig, advance_window, run_global, split_initial
@@ -27,7 +26,6 @@ from dispersmooth.spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
-    bessel_potential,
     box_norm,
     conjugate,
     dealias,
@@ -35,27 +33,31 @@ from dispersmooth.spectral import (
     half_spectrum,
     l2_norm,
     random_sobolev_field,
-    real_part,
     sobolev_norm,
     to_coefficients,
     to_samples,
-    zero_field,
 )
 
 from conftest import (
     FREE_SYMBOLS,
+    bessel_potential,
     conserved,
     coupling_products,
     cubic_term,
     free_flow,
     full,
     full_rhs,
+    join_wave,
+    joined_system_state,
     make_state,
     random_state,
+    real_part,
     scaled,
     spectral_cubic_pairing,
     spectral_mode,
+    split_wave,
     state_conserved_quantities,
+    zero_field,
 )
 
 DISPERSIONS = list(FREE_SYMBOLS)
@@ -778,8 +780,8 @@ class TestIntegrate:
         assert all(not a[outside].view(np.uint64).any() for a in expanded)
 
     def test_records_form_wplus_with_join_wave(self, grid_2d_small):
-        # box_wplus forms w+ on the box from the carried (v, v_t) with the
-        # arithmetic of join_wave, so it equals join_wave of their expansions.
+        # box_wplus forms w+ on the box from the carried (v, v_t) with the arithmetic
+        # of the oracle join_wave, so it equals join_wave of their expansions.
         grid = grid_2d_small
         fields = random_state(System.KGS, grid, seed=26).fields
         wplus = box_wplus(*fields[1:], grid)
@@ -820,7 +822,7 @@ class TestBandLimitedInput:
     )
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
         # Full spectra enter at `SystemState.from_full` (data (u, w+) through
-        # `SystemState.from_wave`) and at the damped run's forcing; every run
+        # the oracle `make_state`) and at the damped run's forcing; every run
         # and window takes a carried state.
         data = full(random_state(System.KGS, grid_2d_small, seed=23))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
@@ -844,6 +846,26 @@ class TestBandLimitedInput:
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
         a, b = (integrate(s, config).final for s in (state, bumped))
         assert all(np.array_equal(x, y) for x, y in zip(a.fields, b.fields))
+
+
+class TestRandomSystemState:
+    @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_box_draws_match_the_joined_oracle(self, system, n):
+        # The draws are taken on the box; the oracle joins the wave into w+
+        # on the whole lattice and splits it again, which rounds the wave.
+        grid = Grid(2, n)
+        for seed in (3, 8, 7003):
+            state = random_system_state(system, grid, 1.0, 1.5, seed, amplitude=0.7)
+            want = joined_system_state(system, grid, 1.0, 1.5, seed, amplitude=0.7)
+            assert state.u.tobytes() == want.u.tobytes()
+            for got, ref in zip(state.fields[1:], want.fields[1:]):
+                assert box_norm(got - ref, grid) <= 1e-15 * box_norm(ref, grid)
+            assert state.w[(0,) * grid.dim] == 0.0  # a mean-zero velocity
+            assert all(a.flags.c_contiguous for a in state.fields)
+            expanded = (SpectralField(grid, from_box(a, grid)) for a in state.fields)
+            again = SystemState.from_full(system, *expanded)
+            assert [a.tobytes() for a in again.fields] == [a.tobytes() for a in state.fields]
 
 
 class TestConservedQuantities:

@@ -20,12 +20,10 @@ from dispersmooth.highlow import (
 from dispersmooth.spectral import (
     Grid,
     l2_norm,
-    lowpass_projection,
     sobolev_norm,
-    zero_field,
 )
 
-from conftest import full, make_state, random_state, scaled
+from conftest import full, lowpass_projection, make_state, random_state, scaled, zero_field
 
 
 def highlow_data(grid, seed, s=0.95, r=0.95, amplitude=0.5):

@@ -14,30 +14,30 @@ from dispersmooth.spectral import (
     CouplingKernel,
     Grid,
     SpectralField,
-    bessel_potential,
     box_inner,
     box_norm,
     conjugate,
     dealias,
     fit_spectral_slope,
-    fourier_multiplier,
     half_spectrum,
-    inner_product,
     l2_norm,
-    lowpass_projection,
     random_sobolev_field,
-    real_part,
     sobolev_norm,
     to_coefficients,
     to_samples,
-    zero_field,
 )
 
 from conftest import (
+    bessel_potential,
     coupling_products,
     cubic_term,
+    fourier_multiplier,
+    inner_product,
+    lowpass_projection,
+    real_part,
     riesz_potential,
     spectral_cubic_pairing,
+    zero_field,
     zero_mode_mean,
 )
 
