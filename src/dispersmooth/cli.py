@@ -47,7 +47,7 @@ from .smoothing import (
     sharpness_counterexample,
     smoothing_scan,
 )
-from .spectral import Grid, box_norm, dealias, half_spectrum, random_sobolev_field
+from .spectral import Grid, box_norm, half_spectrum, random_sobolev_field
 
 
 def _grid(config: RunConfig) -> Grid:
@@ -217,19 +217,16 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     kids = ss.spawn(2)
     f = g = None
     if damp.forcing_amplitude != 0:
-        f = damp.forcing_amplitude * dealias(random_sobolev_field(grid, 2.0, seed=kids[0]))
-        g = damp.forcing_amplitude * dealias(
-            random_sobolev_field(grid, 2.0, seed=kids[1], real=True)
-        )
+        f = damp.forcing_amplitude * random_sobolev_field(grid, 2.0, seed=kids[0])
+        g = damp.forcing_amplitude * half_spectrum(random_sobolev_field(grid, 2.0, kids[1], real=True))
     params = DampedParams(gamma=damp.gamma, delta=damp.delta, a=damp.a, f=f, g=g)
     ss_data = np.random.SeedSequence((seed, 3))
     u_seed, v_seed, w_seed = ss_data.spawn(3)
     amp = config.system.amplitude
-    inside = grid.box(grid.xi_norm) <= grid.dealias_cutoff / 2  # on the box, as `split_initial`
+    inside = grid.xi_norm <= grid.dealias_cutoff / 2  # as `split_initial`
 
     def draw(kid: np.random.SeedSequence, s: float, real: bool = False) -> np.ndarray:
-        field = random_sobolev_field(grid, s, seed=kid, real=real)
-        return np.where(inside, amp * grid.box(field.coeffs), 0.0)
+        return np.where(inside, amp * random_sobolev_field(grid, s, seed=kid, real=real), 0.0)
 
     v, w = (draw(kid, s, real=True) for kid, s in ((v_seed, 1.5), (w_seed, 0.5)))
     halves = (np.ascontiguousarray(half_spectrum(a)) for a in (v, w))

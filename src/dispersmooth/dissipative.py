@@ -29,7 +29,7 @@ states, so finite-difference checks are limited only by the time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,27 +48,26 @@ from .evolution import (
     nonlinear_rhs,
     state_records,
 )
-from .spectral import (
-    CouplingKernel,
-    Grid,
-    SpectralField,
-    band_limited,
-    box_inner,
-    box_norm,
-    half_spectrum,
-    require_real,
-)
+from .spectral import CouplingKernel, Grid, box_inner, box_norm, conjugate
 
 
 @dataclass(frozen=True)
 class DampedParams:
-    """Damping/forcing parameters; ``a`` defaults to ``min(gamma, delta)/4``."""
+    """Damping/forcing parameters; ``a`` defaults to ``min(gamma, delta)/4``.
+
+    The forcing is carried as a run carries it (`nonlinear_rhs`): ``f`` a box
+    array (`Grid.box`), ``g`` the box half spectrum of a real field
+    (`half_spectrum`), each zero when absent.  Like a state's fields they
+    are not compared.  A non-finite entry, a ``g`` whose ``k_last = 0`` plane
+    is not Hermitian to 1e-12 relative, or (on a run's grid, `forcing`) a
+    wrong shape is a `ConfigurationError` that names the field.
+    """
 
     gamma: float
     delta: float
     a: float | None = None
-    f: SpectralField | None = None
-    g: SpectralField | None = None
+    f: np.ndarray | None = field(default=None, compare=False)
+    g: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for key in ("gamma", "delta", "a"):
@@ -79,8 +78,21 @@ class DampedParams:
             object.__setattr__(self, "a", min(self.gamma, self.delta) / 4.0)
         if not self.a < self.delta:
             raise ConfigurationError("auxiliary constant requires 0 < a < delta")
+        for key in ("f", "g"):
+            value = getattr(self, key)
+            if value is not None:
+                value = np.ascontiguousarray(value, dtype=np.complex128)
+                if not np.all(np.isfinite(value)):
+                    raise ConfigurationError(f"{key} has a non-finite entry")
+                object.__setattr__(self, key, value)
         if self.g is not None:
-            require_real(self.g, "g")
+            plane = self.g[..., 0]  # the k_last = 0 plane holds both k and -k
+            defect, size = (np.sqrt(np.sum(np.abs(a) ** 2)) for a in (plane - conjugate(plane), plane))
+            if not defect <= 1e-12 * size:
+                raise ConfigurationError(
+                    f"g must be the half spectrum of a real field: its k_last = 0 plane has a"
+                    f" conjugate-symmetry defect of {defect:.3e} against {size:.3e}"
+                )
 
     @property
     def spring_constant(self) -> float:
@@ -88,11 +100,17 @@ class DampedParams:
         return 1.0 + self.a * (self.a - self.delta)
 
     def forcing(self, grid: Grid) -> Fields:
-        """``(f, g)`` as a run carries them: a box array and a box half spectrum
-        (zeros where absent); a field that is not band-limited is rejected by name."""
-        f = np.zeros(grid.box_shape, complex) if self.f is None else band_limited(self.f, "f")
-        g = np.zeros(grid.box_shape, complex) if self.g is None else band_limited(self.g, "g")
-        return f, np.ascontiguousarray(half_spectrum(g))
+        """``(f, g)`` on ``grid``, zeros where absent; a wrong shape is rejected by name."""
+        box = grid.box_shape
+        shapes = (box, box[:-1] + (box[-1] // 2 + 1,))
+        f, g = (np.zeros(shape, complex) if a is None else a for a, shape in zip((self.f, self.g), shapes))
+        for name, a, shape, layout in zip("fg", (f, g), shapes, ("box", "box half spectrum")):
+            if a.shape != shape:
+                raise ConfigurationError(
+                    f"{name} has shape {a.shape}, not {shape}: the {layout} of a"
+                    f" {grid.n_per_dim}^{grid.dim} grid"
+                )
+        return f, g
 
 
 # ---------------------------------------------------------------------------

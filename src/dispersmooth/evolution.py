@@ -15,10 +15,8 @@ pseudo-spectrally with 2/3-rule dealiasing (`spectral.CouplingKernel`);
 conservation identities hold exactly for the truncated flow when the data is
 band-limited below the dealias cutoff, so the observed mass/Hamiltonian drift
 is pure time-discretization error.  Random data is drawn on the box
-(`random_sobolev_field`, then `Grid.box`).  Full spectra meet a state at two
-edges only: `SystemState.from_full` builds one from outside full fields,
-rejecting data that is not band-limited or a wave that is not real, and a
-checkpoint (`reporting.Checkpoint.of`) expands one into ``(u, w+)``.
+(`random_sobolev_field`), and a checkpoint (`reporting.Checkpoint.of`)
+expands a state's ``(u, w+)`` to the whole lattice.
 """
 
 from __future__ import annotations
@@ -34,15 +32,12 @@ from .errors import BlowUpError, ConfigurationError
 from .spectral import (
     CouplingKernel,
     Grid,
-    SpectralField,
-    band_limited,
     box_inner,
     box_norm,
     box_weight,
     full_spectrum,
     half_spectrum,
     random_sobolev_field,
-    require_real,
 )
 
 
@@ -77,19 +72,6 @@ class SystemState:
     @property
     def fields(self) -> Fields:
         return self.u, self.v, self.w
-
-    @classmethod
-    def from_full(
-        cls, system: System, u: SpectralField, v: SpectralField, w: SpectralField, t: float = 0.0
-    ) -> "SystemState":
-        """The state of full fields ``(u, v, w)``.  A ``v`` or ``w`` that is not real
-        (`require_real`), or a field that is not band-limited (`band_limited`),
-        is rejected by name."""
-        require_real(v, "v")
-        require_real(w, "w")
-        boxes = [band_limited(f, name) for f, name in ((u, "u"), (v, "v"), (w, "w"))]
-        halves = (np.ascontiguousarray(half_spectrum(a)) for a in boxes[1:])
-        return cls(system, u.grid, boxes[0], *halves, t=t)
 
 
 @dataclass(frozen=True)
@@ -145,8 +127,7 @@ def block_flow(
     Klein-Gordon flow of ``(v, v_t)``, ``M = [[0, 1], [-<xi>^2, 0]]``.  A flow
     that overflows (a very large ``delta`` for ``t``) is a `ConfigurationError`.
     """
-    box_xi_squared = grid.box(grid.xi_squared)
-    xi_squared = half_spectrum(box_xi_squared)
+    xi_squared = half_spectrum(grid.xi_squared)
     cap = 1.0 + a * (a - delta) + xi_squared
     half_trace = -delta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,7 +152,7 @@ def block_flow(
             f" (a = {a:g}); lower delta or dt"
         )
     scratch = np.empty_like(rows[0][0])
-    u_sym = math.exp(-gamma * t) * np.exp(-1j * t * box_xi_squared)
+    u_sym = math.exp(-gamma * t) * np.exp(-1j * t * grid.xi_squared)
 
     def flow(fields: Fields, out: Fields | None = None) -> Fields:
         out = tuple(np.empty_like(a) for a in fields) if out is None else out
@@ -204,7 +185,7 @@ def box_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
     v_t)(k)``, which the expansion of the minus branch (`full_spectrum`)
     reflects into place.
     """
-    kick = 1j * (v_t * half_spectrum(grid.box(grid.bracket)) ** -1.0)
+    kick = 1j * (v_t * half_spectrum(grid.bracket) ** -1.0)
     wplus = full_spectrum(v - kick, out=np.empty(grid.box_shape, dtype=complex))
     wplus[..., : kick.shape[-1]] = v + kick
     return wplus
@@ -235,7 +216,7 @@ def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> 
     kernel = CouplingKernel(grid)
     zakharov = system is System.ZAKHAROV
     # Complex with a zero imaginary part: the in-place product needs no cast.
-    neg_lap = np.ascontiguousarray(-half_spectrum(grid.box(grid.xi_squared)), dtype=np.complex128)
+    neg_lap = np.ascontiguousarray(-half_spectrum(grid.xi_squared), dtype=np.complex128)
 
     def rhs(fields: Fields, out: Fields | None = None) -> Fields:
         u, v = fields[:2]
@@ -483,7 +464,7 @@ def random_system_state(
     """Reproducible random state with a real wave, drawn on the dealias box.
 
     ``u`` is a random H^s field and ``(v, v_t)`` a real random wave in
-    H^r x H^{max(r-1, 0)} (`random_sobolev_field`), each taken on the box
+    H^r x H^{max(r-1, 0)} (`random_sobolev_field`), each drawn on the box
     (`Grid.box`), the wave as contiguous half spectra.  The wave velocity is
     mean-zero (its mean is a separate conserved quantity on the torus), and
     the state is band-limited below the dealias cutoff so the truncated flow
@@ -492,14 +473,9 @@ def random_system_state(
     if wave_amplitude is None:
         wave_amplitude = amplitude
     kids = np.random.SeedSequence(seed).spawn(3)
-
-    def draw(kid: np.random.SeedSequence, order: float, real: bool) -> np.ndarray:
-        return grid.box(random_sobolev_field(grid, order, seed=kid, real=real).coeffs)
-
-    u = amplitude * draw(kids[0], s, False)
-    v, v_t = (
-        np.ascontiguousarray(half_spectrum(wave_amplitude * draw(kid, order, True)))
-        for kid, order in ((kids[1], r), (kids[2], max(r - 1.0, 0.0)))
-    )
+    u = amplitude * random_sobolev_field(grid, s, seed=kids[0])
+    orders = ((kids[1], r), (kids[2], max(r - 1.0, 0.0)))
+    waves = (wave_amplitude * random_sobolev_field(grid, order, kid, real=True) for kid, order in orders)
+    v, v_t = (np.ascontiguousarray(half_spectrum(a)) for a in waves)
     v_t[(0,) * grid.dim] = 0.0
     return SystemState(system, grid, u, v, v_t)

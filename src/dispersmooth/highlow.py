@@ -146,7 +146,7 @@ def split_initial(state: SystemState, cutoff: float) -> HighLowState:
     hold numerically for s0 <= s <= 1 (similarly for the wave slot).
     """
     grid = state.grid
-    inside = grid.box(grid.xi_norm) <= cutoff
+    inside = grid.xi_norm <= cutoff
     masks = (inside, half_spectrum(inside), half_spectrum(inside))
     low = [np.where(mask, a, 0.0) for mask, a in zip(masks, state.fields)]
     high = [a - b for a, b in zip(state.fields, low)]

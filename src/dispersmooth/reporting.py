@@ -4,10 +4,11 @@ Outputs are a pure function of (config, seed, code version): CSV files are
 written with 17 significant digits (lossless float round trip) and fixed
 newlines, so reruns are byte-identical.  The manifest additionally records
 wall time, which is informational and excluded from the determinism contract.
-A checkpoint is the outgoing edge of a state: its full ``(u, w+)``
-(`Checkpoint.of`), kept in the three-block layout ``(u, w+, w-)`` with ``w-``
-written as ``conj w+`` and checked on load.  Save and load work on these full
-arrays, not on a state, so a round trip is bit-exact.
+A checkpoint is the outgoing edge of a state: its ``u`` and ``w+`` expanded
+from the dealias box to the whole lattice (`Checkpoint.of`), kept in the
+three-block layout ``(u, w+, w-)`` with ``w-`` written as ``conj w+`` and
+checked on load.  Save and load work on these full arrays, not on a state,
+so a round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import CheckpointFormatError, ConfigurationError
 from .evolution import System, SystemState, box_wplus
-from .spectral import Grid, SpectralField, conjugate, from_box, l2_norm
+from .spectral import Grid, conjugate
 
 _MAGIC = b"ZKGS"
 _VERSION = 1
@@ -72,10 +73,13 @@ class Checkpoint(NamedTuple):
 
     @classmethod
     def of(cls, state: SystemState) -> "Checkpoint":
-        """The checkpoint of ``state`` (``w = v_t``; see `SystemState`): the one
-        expansion of its ``u`` and its `box_wplus` (`from_box`)."""
-        grid, wplus = state.grid, box_wplus(state.v, state.w, state.grid)
-        return cls(state.system, grid, state.t, from_box(state.u, grid), from_box(wplus, grid))
+        """The checkpoint of ``state`` (``w = v_t``; see `SystemState`): its ``u`` and
+        its `box_wplus` on the whole lattice, zero outside the box."""
+        grid = state.grid
+        u, wplus = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(2))
+        u[grid.box_index] = state.u
+        wplus[grid.box_index] = box_wplus(state.v, state.w, grid)
+        return cls(state.system, grid, state.t, u, wplus)
 
 
 @dataclass
@@ -192,7 +196,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if system_id not in _IDS_SYSTEM:
         raise CheckpointFormatError(f"{path}: unknown system id {system_id}")
     # The header is untrusted: check it, and the payload length it implies,
-    # before `Grid` allocates its n^d lattice arrays.
+    # before the grid and the arrays are built.
     if dim not in (1, 2, 3, 4):
         raise CheckpointFormatError(f"{path}: dim = {dim} is not in 1..4")
     if n_per_dim < 8 or n_per_dim & (n_per_dim - 1):
@@ -218,8 +222,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         .astype(np.complex128)
         for i in range(3)
     )
-    defect = l2_norm(SpectralField(grid, wminus - conjugate(wplus)))
-    if not defect <= 1e-12 * l2_norm(SpectralField(grid, wplus)):
+    skew = wminus - conjugate(wplus)
+    defect, size = (math.sqrt(np.sum(np.abs(a) ** 2) / grid.volume) for a in (skew, wplus))
+    if not defect <= 1e-12 * size:
         raise CheckpointFormatError(
             f"{path}: the w- block is not conj(w+) (L2 defect {defect:.3e});"
             " the wave must be real"

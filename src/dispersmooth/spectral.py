@@ -1,21 +1,21 @@
 """Grids, transforms, norms, the coupling kernel, and rough data.
 
-A `SpectralField` holds complex Fourier coefficients on a periodic box of
-period ``2*pi*L`` per axis.  Runs and their diagnostics work on the entries
-of the dealias box instead (`Grid.box`, `half_spectrum`, `box_norm`); full
-spectra meet them only where data comes in and records go out.  The transform
-convention is the quadrature analogue of ``u_hat(xi) = integral u(x) exp(-i xi.x) dx``,
-so a constant field ``c`` has a single zero-mode coefficient ``c * (2 pi L)**d``
+Fields live on a periodic box of period ``2*pi*L`` per axis, as complex
+Fourier coefficients on the entries of the dealias box (`Grid.box`), a real
+field as its box half spectrum (`half_spectrum`); `box_norm` and
+`box_inner` are their Parseval sums.  The transform convention is the
+quadrature analogue of ``u_hat(xi) = integral u(x) exp(-i xi.x) dx``, so a
+constant field ``c`` has a single zero-mode coefficient ``c * (2 pi L)**d``
 and Parseval reads::
 
     integral |u|^2 dx = (2 pi L)**(-d) * sum_xi |u_hat(xi)|^2
 
 The wavenumber lattice is ``xi = k / L`` for integers ``k in [-n/2, n/2)`` per
 axis (numpy FFT ordering).  The Nyquist plane ``k = -n/2`` has no symmetric
-partner: random fields leave it zero and the dealias box excludes it, which
-keeps conjugate symmetry of real fields exact.  All functions are pure and
-fields are immutable, so values are safe to share across workers.  The one
-exception is `CouplingKernel`, whose transform buffers belong to a single run.
+partner; the dealias box excludes it, which keeps conjugate symmetry of real
+fields exact.  Functions are pure and leave their inputs alone, so values
+are safe to share across workers.  The one exception is `CouplingKernel`,
+whose transform buffers belong to a single run.
 """
 
 from __future__ import annotations
@@ -60,13 +60,12 @@ class Grid:
     box_length: float = 1.0
 
     # Derived lattice data; excluded from equality so grids compare by shape.
+    # The wavenumber arrays hold the dealias box only (see `box`).
     k_axis: np.ndarray = field(init=False, repr=False, compare=False)
     xi_axis: np.ndarray = field(init=False, repr=False, compare=False)
     xi_squared: np.ndarray = field(init=False, repr=False, compare=False)
     xi_norm: np.ndarray = field(init=False, repr=False, compare=False)
     bracket: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
     box_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     box_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)  # see `box`
     box_weights: dict = field(init=False, repr=False, compare=False)  # of `box_norm`
@@ -98,25 +97,15 @@ class Grid:
         object.__setattr__(self, "k_axis", k)
         object.__setattr__(self, "xi_axis", k / self.box_length)
 
-        # Sparse (broadcast) axes: only the lattice arrays themselves are full.
-        axes = np.meshgrid(*([self.xi_axis] * self.dim), indexing="ij", sparse=True)
-        xi_sq = sum(a**2 for a in axes)
-        object.__setattr__(self, "xi_squared", xi_sq)
-        object.__setattr__(self, "xi_norm", np.sqrt(xi_sq))
-        object.__setattr__(self, "bracket", np.sqrt(1.0 + xi_sq))
-
         cutoff = n // 3  # 2/3 rule; n is a power of two so 3*cutoff < n
-        keep = np.ones(self.shape, dtype=bool)
-        nyq = np.zeros(self.shape, dtype=bool)
-        for axis_k in np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True):
-            keep &= np.abs(axis_k) <= cutoff
-            nyq |= axis_k == -n // 2
-        object.__setattr__(self, "dealias_mask", keep)
-        object.__setattr__(self, "nyquist_mask", nyq)
         box_axis = np.r_[0 : cutoff + 1, n - cutoff : n]
         object.__setattr__(self, "box_index", np.ix_(*([box_axis] * self.dim)))
         object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * self.dim)
         object.__setattr__(self, "box_weights", {})
+        xi_sq = _xi_squared(self.xi_axis[box_axis], self.dim)
+        object.__setattr__(self, "xi_squared", xi_sq)
+        object.__setattr__(self, "xi_norm", np.sqrt(xi_sq))
+        object.__setattr__(self, "bracket", np.sqrt(1.0 + xi_sq))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,143 +136,54 @@ class Grid:
         return coeffs[self.box_index]
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """One complex field stored as Fourier coefficients on a `Grid`."""
-
-    grid: Grid
-    coeffs: np.ndarray = field(compare=False)
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"coefficient shape {arr.shape} does not match grid {self.grid.shape}"
-            )
-        # Fields are immutable values: a writeable caller array is copied, not
-        # frozen under its owner; a read-only one is shared.
-        if arr is self.coeffs and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
-
-def _check_same_grid(f: SpectralField, g: SpectralField) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 # ---------------------------------------------------------------------------
-# Transforms
+# Transforms and the lattice norm
 # ---------------------------------------------------------------------------
 
-def to_coefficients(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward transform of physical samples (row-major over the lattice).
+def to_coefficients(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full coefficients of physical samples (row-major over the lattice).
 
-    No run calls this pair; it stays public because it is the module
-    docstring's transform convention in code, and perfbench's transform-pair
-    layer wraps it.
+    No run calls these three full-lattice functions: they are the module
+    docstring's conventions in code, and perfbench's transform-pair and
+    norm layers wrap them.
     """
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise GridMismatchError(
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
-    return SpectralField(grid, np.fft.fftn(samples) * grid.dx**grid.dim)
+    return np.fft.fftn(samples) * grid.dx**grid.dim
 
 
-def to_samples(f: SpectralField) -> np.ndarray:
-    """Inverse transform; exact round-trip with `to_coefficients` (public for the same reason)."""
-    return np.fft.ifftn(f.coeffs) / f.grid.dx**f.grid.dim
+def to_samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse transform of full coefficients; exact round-trip with `to_coefficients`."""
+    return np.fft.ifftn(coeffs) / grid.dx**grid.dim
 
 
-# ---------------------------------------------------------------------------
-# Norms
-# ---------------------------------------------------------------------------
-
-def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """Sobolev norm ``|| <xi>^s u_hat ||`` (or ``|| |xi|^s u_hat ||``).
+def sobolev_norm(coeffs: np.ndarray, grid: Grid, s: float, homogeneous: bool = False) -> float:
+    """Sobolev norm ``|| <xi>^s u_hat ||`` (or ``|| |xi|^s u_hat ||``) of full coefficients.
 
     Uses the Parseval normalization, so ``s = 0`` returns the spatial L2 norm.
     The homogeneous version drops the zero mode (mean-zero convention on the
-    torus).
+    torus).  `box_norm` is the same norm of a box array.
     """
-    g = f.grid
+    xi_sq = _xi_squared(grid.xi_axis, grid.dim)
     if homogeneous:
-        weight_sq = np.where(g.xi_norm > 0, g.xi_norm, 1.0) ** (2 * s)
-        weight_sq = np.where(g.xi_norm > 0, weight_sq, 0.0)
+        xi_norm = np.sqrt(xi_sq)
+        weight_sq = np.where(xi_norm > 0, np.where(xi_norm > 0, xi_norm, 1.0) ** (2 * s), 0.0)
     else:
-        weight_sq = g.bracket ** (2 * s)
-    total = np.sum(weight_sq * np.abs(f.coeffs) ** 2)
-    return math.sqrt(total.real / g.volume)
+        weight_sq = np.sqrt(1.0 + xi_sq) ** (2 * s)
+    total = np.sum(weight_sq * np.abs(coeffs) ** 2)
+    return math.sqrt(total.real / grid.volume)
 
 
-def l2_norm(f: SpectralField) -> float:
-    return sobolev_norm(f, 0.0)
-
+def _xi_squared(xi_axis: np.ndarray, dim: int) -> np.ndarray:
+    """``|xi|^2`` over the product of ``dim`` copies of ``xi_axis``, summed from sparse axes."""
+    return sum(a**2 for a in np.meshgrid(*([xi_axis] * dim), indexing="ij", sparse=True))
 
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero every mode above the 2/3-rule cutoff (per axis)."""
-    return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
-
-
-def band_limited(f: SpectralField, name: str) -> np.ndarray:
-    """``f`` on the dealias box (`Grid.box`); a `ConfigurationError` naming ``name``
-    if its L2 norm outside the box is above roundoff (1e-12 of its own)."""
-    grid = f.grid
-    outside = np.where(grid.dealias_mask, 0.0, f.coeffs)
-    norm = l2_norm(SpectralField(grid, outside)) if np.any(outside) else 0.0  # 0: the usual case
-    if norm and not norm <= 1e-12 * l2_norm(f):
-        raise ConfigurationError(
-            f"{name} is not band-limited: L2 norm {norm:.3e} outside the dealias box"
-            f" |k_i| <= {grid.n_per_dim // 3}, against {l2_norm(f):.3e}; project it with dealias"
-        )
-    return grid.box(f.coeffs)
-
-
-def require_real(f: SpectralField, name: str) -> None:
-    """Reject a field that is not real: ``f - conj f`` above 1e-12 relative in L2, naming ``name``."""
-    skew = f.coeffs - conjugate(f.coeffs)
-    if not np.any(skew):  # the usual case: exactly real, and no norm to overflow
-        return
-    defect = l2_norm(SpectralField(f.grid, skew))
-    if not defect <= 1e-12 * l2_norm(f):
-        raise ConfigurationError(
-            f"{name} must be a real field; its conjugate-symmetry defect is"
-            f" {defect:.3e} in L2 against a norm of {l2_norm(f):.3e}"
-        )
-
-
-def from_box(box: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full coefficients (``+0`` outside the box) of a box array or a box half spectrum,
-    read-only: a new array that a `SpectralField` takes without a copy."""
-    if box.shape != grid.box_shape:
-        box = full_spectrum(box, out=np.empty(grid.box_shape, dtype=np.complex128))
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    out[grid.box_index] = box
-    out.flags.writeable = False
-    return out
-
 
 class CouplingKernel:
     """Dealiased ``u * wave`` and ``|u|^2`` of a real wave on the dealias box, for one run.
@@ -447,7 +347,7 @@ def box_weight(a: np.ndarray, grid: Grid, s: float = 0.0, homogeneous: bool = Fa
     spectrum, cached on the `Grid`."""
     key = (s, half := a.shape != grid.box_shape, homogeneous)
     if key not in grid.box_weights:
-        base = grid.box(grid.xi_squared) + (0.0 if homogeneous else 1.0)
+        base = grid.xi_squared + (0.0 if homogeneous else 1.0)
         weight = np.where(base > 0, np.where(base > 0, base, 1.0) ** s, 0.0)
         if half:
             weight = half_spectrum(weight) * np.where(np.arange(weight.shape[-1] // 2 + 1), 2.0, 1.0)
@@ -473,13 +373,10 @@ def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
-def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Full coefficients of the real field with half spectrum ``half`` (into ``out``).
-
-    The full size is ``out``'s, so a box half spectrum needs ``out``; else ``2 (h - 1)``.
-    """
-    n = 2 * (half.shape[-1] - 1) if out is None else out.shape[-1]
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128) if out is None else out
+def full_spectrum(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Full coefficients of the real field with half spectrum ``half``, into ``out``,
+    whose last axis gives the full size (odd on the dealias box)."""
+    n = out.shape[-1]
     out[..., : half.shape[-1]] = half
     for target, source in _half_reflections(half.ndim, n):
         out[target] = half[source]
@@ -521,23 +418,24 @@ def random_sobolev_field(
     seed: int | np.random.SeedSequence,
     real: bool = False,
     epsilon0: float = EPSILON0,
-) -> SpectralField:
-    """Random field with coefficients ``<xi>**(-s - d/2 - eps0) * g_xi``.
+) -> np.ndarray:
+    """Random box array (`Grid.box`) with coefficients ``<xi>**(-s - d/2 - eps0) * g_xi``.
 
     ``g_xi`` are independent standard complex Gaussians, so the field lies in
     H^s almost surely while its H^(s+1) norm diverges as the grid is refined.
-    Deterministic for a given seed.  With ``real=True`` the coefficients are
-    Hermitian-symmetrized so physical samples are real.
+    Deterministic for a given seed: the real and the imaginary parts are
+    each drawn over the whole lattice in row-major order, and their box
+    entries kept.  With ``real=True`` the coefficients are
+    Hermitian-symmetrized (`conjugate`; the box is closed under ``k -> -k``)
+    so physical samples are real; a run carries its `half_spectrum`.
     """
     rng = np.random.default_rng(seed)
-    shape = grid.shape
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    envelope = grid.bracket ** (-(s + grid.dim / 2.0 + epsilon0))
-    coeffs = envelope * g
-    coeffs[grid.nyquist_mask] = 0.0
+    parts = [grid.box(rng.standard_normal(grid.shape)) for _ in range(2)]
+    g = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    coeffs = grid.bracket ** (-(s + grid.dim / 2.0 + epsilon0)) * g
     if real:
         coeffs = (coeffs + conjugate(coeffs)) / math.sqrt(2.0)
-    return SpectralField(grid, coeffs)
+    return coeffs
 
 
 def conjugate(coeffs: np.ndarray) -> np.ndarray:
@@ -569,7 +467,7 @@ def shell_average_spectrum(box: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.
     dropped.  An annulus with ``m <= n//3`` lies inside the box, so there
     the means are those of the full lattice.  Used for spectral slope fits.
     """
-    r = (grid.box(grid.xi_norm) * grid.box_length).ravel()
+    r = (grid.xi_norm * grid.box_length).ravel()
     mags = np.abs(box).ravel()
     m = np.floor(r).astype(int)
     counts = np.bincount(m)

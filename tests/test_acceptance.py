@@ -26,7 +26,6 @@ from dispersmooth.dissipative import (
 from dispersmooth.evolution import (
     IntegratorConfig,
     System,
-    SystemState,
     integrate,
     random_system_state,
 )
@@ -49,15 +48,9 @@ from dispersmooth.smoothing import (
     smoothing_exponents,
     smoothing_scan,
 )
-from dispersmooth.spectral import (
-    Grid,
-    dealias,
-    l2_norm,
-    random_sobolev_field,
-    sobolev_norm,
-)
+from dispersmooth.spectral import Grid, half_spectrum, random_sobolev_field
 
-from conftest import conserved, full, lowpass_projection, scaled
+from conftest import conserved, from_full, full, lattice_field, lowpass_projection, norm, scaled
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -196,17 +189,17 @@ def forced_setup():
     grid = Grid(2, 64)
     ssf = np.random.SeedSequence((77, 0))
     kf = ssf.spawn(2)
-    f = 0.3 * dealias(random_sobolev_field(grid, 2.0, seed=kf[0]))
-    g = 0.3 * dealias(random_sobolev_field(grid, 2.0, seed=kf[1], real=True))
+    f = 0.3 * random_sobolev_field(grid, 2.0, seed=kf[0])
+    g = 0.3 * half_spectrum(random_sobolev_field(grid, 2.0, seed=kf[1], real=True))
     params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
     band = grid.dealias_cutoff / 2
     ss = np.random.SeedSequence((78, 1))
     kids = ss.spawn(3)
-    base = SystemState.from_full(
+    base = from_full(
         System.KGS,
-        lowpass_projection(random_sobolev_field(grid, 1.5, seed=kids[0]), band),
-        lowpass_projection(random_sobolev_field(grid, 1.5, seed=kids[1], real=True), band),
-        lowpass_projection(random_sobolev_field(grid, 0.5, seed=kids[2], real=True), band),
+        lowpass_projection(lattice_field(grid, 1.5, seed=kids[0]), band),
+        lowpass_projection(lattice_field(grid, 1.5, seed=kids[1], real=True), band),
+        lowpass_projection(lattice_field(grid, 0.5, seed=kids[2], real=True), band),
     )
     return grid, params, base
 
@@ -249,9 +242,9 @@ def test_criterion_5_dissipative_identities(forced_setup, forced_runs):
     traj = integrate_damped(
         base, unforced, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
     )
-    m0 = l2_norm(full(base).u)
+    m0 = norm(full(base).u)
     worst = max(
-        abs(l2_norm(full(s).u) - math.exp(-unforced.gamma * s.t) * m0) / m0 for s in traj[1:]
+        abs(norm(full(s).u) - math.exp(-unforced.gamma * s.t) * m0) / m0 for s in traj[1:]
     )
     ok = worst < 1e-8
     checks.append(ok)
@@ -347,12 +340,12 @@ def test_criterion_7_highlow_oracle_equivalence():
         draw = random_system_state(System.KGS, grid, s, r, seed=seed)
         sp = split_initial(draw, 8.0)
         data, low, high = full(draw), full(sp.low), full(sp.high)
-        u_hs = sobolev_norm(data.u, s)
-        w_hr = sobolev_norm(data.wplus, r)
-        ok_bounds &= sobolev_norm(low.u, 1.0) <= 8.0 ** (1 - s) * u_hs * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(low.wplus, 1.0) <= 8.0 ** (1 - r) * w_hr * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(high.u, 0.55) <= 8.0 ** (0.55 - s) * u_hs * (1 + 1e-12)
-        ok_bounds &= sobolev_norm(high.wplus, 0.55) <= 8.0 ** (0.55 - r) * w_hr * (1 + 1e-12)
+        u_hs = norm(data.u, s)
+        w_hr = norm(data.wplus, r)
+        ok_bounds &= norm(low.u, 1.0) <= 8.0 ** (1 - s) * u_hs * (1 + 1e-12)
+        ok_bounds &= norm(low.wplus, 1.0) <= 8.0 ** (1 - r) * w_hr * (1 + 1e-12)
+        ok_bounds &= norm(high.u, 0.55) <= 8.0 ** (0.55 - s) * u_hs * (1 + 1e-12)
+        ok_bounds &= norm(high.wplus, 0.55) <= 8.0 ** (0.55 - r) * w_hr * (1 + 1e-12)
     checks.append(ok_bounds)
     report(7, ok_bounds, "frequency-splitting norm bounds hold for 20 random draws at N=8")
 

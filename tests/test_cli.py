@@ -14,7 +14,7 @@ import dispersmooth
 from dispersmooth import cli, spectral
 from dispersmooth.cli import main
 from dispersmooth.config import EXPERIMENTS, load_config
-from dispersmooth.evolution import System, SystemState, integrate, random_system_state
+from dispersmooth.evolution import System, integrate, random_system_state
 from dispersmooth.reporting import Checkpoint, format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
 
@@ -180,30 +180,25 @@ def config_error(tmp_path, capsys, experiment: str, text: str, *flags: str) -> s
     return err
 
 
-def count_expansions(monkeypatch) -> list:
-    """The shapes of the package's `from_box` calls from here on, through every binding."""
-    shapes, expand = [], spectral.from_box
+def count_full_lattice(monkeypatch) -> list:
+    """The names of the package's full-lattice functions called from here on, through
+    every binding: the checkpoint's expansion and the plain-array transforms and norm."""
+    calls = []
 
-    def counted(box, grid):
-        shapes.append(box.shape)
-        return expand(box, grid)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dispersmooth") and getattr(module, "from_box", None) is expand:
-            monkeypatch.setattr(module, "from_box", counted)
-    return shapes
+        return counted
 
-
-def count_entries(monkeypatch) -> list:
-    """The systems of the package's `SystemState.from_full` calls from here on."""
-    systems, build = [], SystemState.from_full.__func__
-
-    def counted(cls, system, *fields, **kwargs):
-        systems.append(system)
-        return build(cls, system, *fields, **kwargs)
-
-    monkeypatch.setattr(SystemState, "from_full", classmethod(counted))
-    return systems
+    for name in ("to_coefficients", "to_samples", "sobolev_norm"):
+        fn, wrapped = getattr(spectral, name), counting(name, getattr(spectral, name))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("dispersmooth") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(Checkpoint, "of", classmethod(counting("Checkpoint.of", Checkpoint.of.__func__)))
+    return calls
 
 
 def strict_manifest(out: Path) -> dict:
@@ -271,21 +266,20 @@ class TestSimulate:
         assert (out / "state.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
     def test_one_full_spectrum_expansion_per_run(self, tmp_path, monkeypatch):
-        shapes, entries = count_expansions(monkeypatch), count_entries(monkeypatch)
+        calls = count_full_lattice(monkeypatch)
         out = run_quiet(tmp_path, "simulate", SIMULATE_SMALL)
         assert len((out / "timeseries.csv").read_text().splitlines()) == 7  # header, 6 records
-        assert len(shapes) == 2  # u and w+ of the final state, for the checkpoint
-        assert entries == []  # the data are drawn on the box
+        assert calls == ["Checkpoint.of"]  # u and w+ of the final state; the data are drawn on the box
 
     @pytest.mark.parametrize("experiment", ["attractor", "highlow", "smoothing-scan"])
     def test_no_full_spectrum_in_attractor_highlow_or_scan(self, tmp_path, monkeypatch, experiment):
         # Their data are drawn on the box, and their runs, diagnostics, the
         # direct check of highlow's compare_direct and the scan's residuals
         # and fits all work on the carried box.
-        calls, entries = count_expansions(monkeypatch), count_entries(monkeypatch)
+        calls = count_full_lattice(monkeypatch)
         assert "compare_direct = true" in HIGHLOW_SMALL
         run_quiet(tmp_path, experiment, SMALL_CONFIGS[experiment])
-        assert calls == entries == []
+        assert calls == []
 
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_attractor_data_are_the_lowpass_oracle_bit_for_bit(self, tmp_path, monkeypatch, seed):

@@ -23,21 +23,20 @@ from dispersmooth.evolution import (
     state_records,
     time_grid,
 )
-from dispersmooth.spectral import (
-    Grid,
-    SpectralField,
-    dealias,
-    l2_norm,
-    random_sobolev_field,
-    sobolev_norm,
-    to_samples,
-)
+from dispersmooth.spectral import Grid, half_spectrum, random_sobolev_field, to_samples
 
 from conftest import (
     FREE_SYMBOLS,
+    SpectralField,
+    dealias,
+    from_box,
+    from_full,
     full,
     inner_product,
+    lattice,
+    lattice_field,
     lowpass_projection,
+    norm,
     spectral_mode,
     zero_field,
 )
@@ -45,16 +44,16 @@ from conftest import (
 
 def damped_state(grid, seed, amplitude=1.0, band=None):
     """Random (u, v, w) with real v, w, band-limited below the dealias cutoff."""
-    return SystemState.from_full(System.KGS, *damped_data(grid, seed, amplitude, band))
+    return from_full(System.KGS, *damped_data(grid, seed, amplitude, band))
 
 
 def damped_data(grid, seed, amplitude=1.0, band=None):
     """The full fields ``(u, v, w)`` of `damped_state`."""
     ss = np.random.SeedSequence((seed, 99))
     kids = ss.spawn(3)
-    u = amplitude * dealias(random_sobolev_field(grid, 1.5, seed=kids[0]))
-    v = amplitude * dealias(random_sobolev_field(grid, 1.5, seed=kids[1], real=True))
-    w = amplitude * dealias(random_sobolev_field(grid, 0.5, seed=kids[2], real=True))
+    u = amplitude * dealias(lattice_field(grid, 1.5, seed=kids[0]))
+    v = amplitude * dealias(lattice_field(grid, 1.5, seed=kids[1], real=True))
+    w = amplitude * dealias(lattice_field(grid, 0.5, seed=kids[2], real=True))
     if band is not None:
         u, v, w = (lowpass_projection(x, band) for x in (u, v, w))
     return u, v, w
@@ -72,11 +71,10 @@ def with_u(state, u):
 
 
 def forcing_fields(grid, seed=5, amplitude=0.3):
-    f = amplitude * dealias(random_sobolev_field(grid, 2.0, seed=np.random.SeedSequence((seed, 0))))
-    g = amplitude * dealias(
-        random_sobolev_field(grid, 2.0, seed=np.random.SeedSequence((seed, 1)), real=True)
-    )
-    return f, g
+    """``(f, g)`` as `DampedParams` takes them: a box array and a box half spectrum."""
+    f = amplitude * random_sobolev_field(grid, 2.0, seed=np.random.SeedSequence((seed, 0)))
+    g = amplitude * random_sobolev_field(grid, 2.0, seed=np.random.SeedSequence((seed, 1)), real=True)
+    return f, half_spectrum(g)
 
 
 class TestParams:
@@ -102,10 +100,10 @@ class TestLinearPropagate:
     def test_u_amplitude_decays_at_gamma(self):
         grid = Grid(1, 16)
         u = spectral_mode(grid, (3,))
-        state = SystemState.from_full(System.KGS, u, zero_field(grid), zero_field(grid))
+        state = from_full(System.KGS, u, zero_field(grid), zero_field(grid))
         params = DampedParams(gamma=0.7, delta=1.0)
         out = damped_linear_flow(state, params, 2.0)
-        assert l2_norm(full(out).u) == pytest.approx(math.exp(-1.4) * l2_norm(u), rel=1e-12)
+        assert norm(full(out).u) == pytest.approx(math.exp(-1.4) * norm(u), rel=1e-12)
 
     def test_vw_block_matches_fine_step_oracle(self):
         # Oracle: classical RK4 on the per-mode 2x2 ODE with a tiny step.
@@ -115,7 +113,7 @@ class TestLinearPropagate:
         t = 1.3
         out = full(damped_linear_flow(state, params, t))
 
-        cap = params.spring_constant + grid.xi_squared
+        cap = params.spring_constant + lattice(grid).xi_squared
         v = full(state).v.coeffs.copy()
         w = full(state).w.coeffs.copy()
         n_steps = 20000
@@ -131,8 +129,8 @@ class TestLinearPropagate:
             k4 = deriv(v + h * k3[0], w + h * k3[1])
             v = v + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             w = w + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        v[grid.nyquist_mask] = 0.0
-        w[grid.nyquist_mask] = 0.0
+        v[lattice(grid).nyquist_mask] = 0.0
+        w[lattice(grid).nyquist_mask] = 0.0
         scale = max(1.0, np.max(np.abs(v)))
         assert np.max(np.abs(out.v.coeffs - v)) < 1e-10 * scale
         assert np.max(np.abs(out.w.coeffs - w)) < 1e-10 * scale
@@ -152,8 +150,8 @@ class TestLinearPropagate:
         state = damped_state(grid, seed=4)
         t = 20.0
         start, end = full(state), full(damped_linear_flow(state, params, t))
-        total0 = sobolev_norm(start.u, 1.0) + sobolev_norm(start.v, 1.0) + l2_norm(start.w)
-        total1 = sobolev_norm(end.u, 1.0) + sobolev_norm(end.v, 1.0) + l2_norm(end.w)
+        total0 = norm(start.u, 1.0) + norm(start.v, 1.0) + norm(start.w)
+        total1 = norm(end.u, 1.0) + norm(end.v, 1.0) + norm(end.w)
         floor = min(params.gamma, params.a, params.delta - params.a) / 2.0
         assert total1 <= total0 * math.exp(-floor * t)
 
@@ -174,7 +172,7 @@ class TestIntegrateDamped:
         z = zero_field(grid)
         params = DampedParams(gamma=0.5, delta=0.5)
         traj = integrate_damped(
-            SystemState.from_full(System.KGS, z, z, z), params, IntegratorConfig(dt=1e-2, t_end=0.1)
+            from_full(System.KGS, z, z, z), params, IntegratorConfig(dt=1e-2, t_end=0.1)
         )
         assert all(not np.any(a) for s in traj for a in s.fields)
 
@@ -185,10 +183,10 @@ class TestIntegrateDamped:
         traj = integrate_damped(
             state, params, IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
         )
-        m0 = l2_norm(full(state).u)
+        m0 = norm(full(state).u)
         for s in map(full, traj):
             expected = math.exp(-params.gamma * s.t) * m0
-            assert abs(l2_norm(s.u) - expected) < 1e-8 * m0
+            assert abs(norm(s.u) - expected) < 1e-8 * m0
 
     def test_forced_mass_rate_matches_fd_oracle(self):
         grid = Grid(2, 32)
@@ -199,12 +197,13 @@ class TestIntegrateDamped:
         traj = integrate_damped(
             state, params, IntegratorConfig(dt=dt, t_end=0.02, record_every=1)
         )
-        masses = [l2_norm(full(s).u) ** 2 for s in traj]
+        masses = [norm(full(s).u) ** 2 for s in traj]
         mid = len(traj) // 2
         fd = (masses[mid + 1] - masses[mid - 1]) / (2 * dt)
         # Closed form: d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u).
         u = full(traj[mid]).u
-        closed = -2.0 * params.gamma * l2_norm(u) ** 2 + 2.0 * inner_product(f, u).imag
+        f_full = SpectralField(grid, from_box(f, grid))
+        closed = -2.0 * params.gamma * norm(u) ** 2 + 2.0 * inner_product(f_full, u).imag
         assert fd == pytest.approx(closed, rel=1e-4)
 
     def test_v_stays_real(self):
@@ -216,7 +215,7 @@ class TestIntegrateDamped:
             state, params, IntegratorConfig(dt=5e-3, t_end=0.5, record_every=20)
         )
         for s in map(full, traj):
-            samples = to_samples(s.v)
+            samples = to_samples(s.v.coeffs, grid)
             assert np.max(np.abs(samples.imag)) < 1e-8 * max(1.0, np.max(np.abs(samples.real)))
 
     def test_rhs_writes_zero_dv_into_its_output(self, monkeypatch):
@@ -253,7 +252,7 @@ class TestEnergy:
         grid = Grid(2, 16)
         z = zero_field(grid)
         params = DampedParams(gamma=0.5, delta=0.5)
-        zero = SystemState.from_full(System.KGS, z, z, z)
+        zero = from_full(System.KGS, z, z, z)
         assert energy_H(zero, params) == 0.0
         assert energy_H_rate(zero, params) == 0.0
 
@@ -264,9 +263,9 @@ class TestEnergy:
         state = with_u(state, np.zeros_like(state.u))
         v, w = full(state)[1:3]
         expected = (
-            params.spring_constant * l2_norm(v) ** 2
-            + sobolev_norm(v, 1.0, homogeneous=True) ** 2
-            + l2_norm(w) ** 2
+            params.spring_constant * norm(v) ** 2
+            + norm(v, 1.0, homogeneous=True) ** 2
+            + norm(w) ** 2
         )
         assert energy_H(state, params) == pytest.approx(expected, rel=1e-12)
 
@@ -278,9 +277,9 @@ class TestEnergy:
         rate = energy_H_rate(state, params)
         v, w = full(state)[1:3]
         expected = (
-            -2 * params.a * params.spring_constant * l2_norm(v) ** 2
-            - 2 * params.a * sobolev_norm(v, 1.0, homogeneous=True) ** 2
-            - 2 * (params.delta - params.a) * l2_norm(w) ** 2
+            -2 * params.a * params.spring_constant * norm(v) ** 2
+            - 2 * params.a * norm(v, 1.0, homogeneous=True) ** 2
+            - 2 * (params.delta - params.a) * norm(w) ** 2
         )
         assert rate == pytest.approx(expected, rel=1e-12)
         assert rate < 0
@@ -289,13 +288,12 @@ class TestEnergy:
         # Oracle: every term evaluated by quadrature on physical samples;
         # exact for data band-limited to n/4 (cubic degree 3n/4 < n).
         grid = Grid(2, 32)
-        f, _ = forcing_fields(grid)
+        f = SpectralField(grid, from_box(forcing_fields(grid)[0], grid))
         f = lowpass_projection(f, grid.n_per_dim / 4)
-        params = DampedParams(gamma=0.5, delta=0.8, a=0.1, f=f)
+        params = DampedParams(gamma=0.5, delta=0.8, a=0.1, f=grid.box(f.coeffs))
         data = damped_data(grid, seed=11, band=grid.n_per_dim / 4)
-        state = SystemState.from_full(System.KGS, *data)
-        u, v, w = (to_samples(x) for x in data)
-        f_phys = to_samples(f)
+        state = from_full(System.KGS, *data)
+        u, v, w, f_phys = (to_samples(x.coeffs, grid) for x in (*data, f))
         cell = grid.dx**2
 
         def grad_sq(field):
@@ -304,8 +302,7 @@ class TestEnergy:
                 sym = 1j * grid.xi_axis
                 shape = [1, 1]
                 shape[axis] = grid.n_per_dim
-                deriv = SpectralField(grid, field.coeffs * sym.reshape(shape))
-                total += np.sum(np.abs(to_samples(deriv)) ** 2) * cell
+                total += np.sum(np.abs(to_samples(field.coeffs * sym.reshape(shape), grid)) ** 2) * cell
             return total
 
         expected = (
@@ -363,9 +360,9 @@ class TestAttractorDiagnostics:
 def full_spectrum_damped_flow(grid, params, t):
     """The damped linear flow with the (v, w) block on every mode of the full spectrum."""
     a, delta = params.a, params.delta
-    cap = params.spring_constant + grid.xi_squared
+    cap = params.spring_constant + lattice(grid).xi_squared
     half_trace = -delta / 2.0
-    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + grid.xi_squared), dtype=complex))
+    q = np.sqrt(np.asarray(half_trace**2 - (1.0 + lattice(grid).xi_squared), dtype=complex))
     qt = q * t
     ch = np.cosh(qt)
     small = np.abs(qt) < 1e-8
@@ -382,9 +379,9 @@ def full_spectrum_damped_flow(grid, params, t):
     m21 = decay * (-cap) * sh_over_q
     m22 = decay * (ch + bottom_right * sh_over_q)
     for entry in (m11, m12, m21, m22):
-        entry[grid.nyquist_mask] = 0.0
+        entry[lattice(grid).nyquist_mask] = 0.0
     u_sym = math.exp(-params.gamma * t) * FREE_SYMBOLS["schrodinger"](grid, t)
-    u_sym[grid.nyquist_mask] = 0.0
+    u_sym[lattice(grid).nyquist_mask] = 0.0
 
     def flow(fields, out):
         u, v, w = fields
@@ -399,15 +396,15 @@ def full_spectrum_damped_run(data, params, config):
     """Oracle: the damped stepper on full spectra ``data = (u, v, w)``, with products from
     n-d complex transforms; ``params`` has both forcing fields."""
     grid = data[0].grid
-    f, g = params.f, params.g
+    f, g = (from_box(a, grid) for a in (params.f, params.g))
     n_steps, dt = time_grid(config.t_end, config.dt)
-    scale = grid.dealias_mask / grid.dx**grid.dim
+    scale = lattice(grid).dealias_mask / grid.dx**grid.dim
 
     def rhs(fields, out):
         u_x = np.fft.ifftn(fields[0])
         uv = np.fft.fftn(u_x * np.fft.ifftn(fields[1])) * scale
         abs2 = np.fft.fftn(np.abs(u_x) ** 2) * scale
-        for target, value in zip(out, (1j * uv - 1j * f.coeffs, 0.0, abs2 + g.coeffs)):
+        for target, value in zip(out, (1j * uv - 1j * f, 0.0, abs2 + g)):
             target[...] = value
         return out
 
@@ -423,7 +420,7 @@ class TestHalfSpectrumRun:
         params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
         data = damped_data(grid, seed=20 + dim)
         config = IntegratorConfig(dt=1e-2, t_end=0.1)
-        end = full(integrate_damped(SystemState.from_full(System.KGS, *data), params, config).final)
+        end = full(integrate_damped(from_full(System.KGS, *data), params, config).final)
         want = full_spectrum_damped_run(data, params, config)
         for got, oracle in zip(end[:3], want):
             assert np.max(np.abs(got.coeffs - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -436,9 +433,9 @@ class TestHalfSpectrumRun:
         config = IntegratorConfig(0.1, 0.1, blowup_threshold=1e-300)
         recorder = Recorder(("u", "v", "w"), grid, 0.0, config, lambda t, f, n: None)
         with pytest.raises(BlowUpError) as info:
-            recorder(1, SystemState.from_full(System.KGS, *data).fields, ())
+            recorder(1, from_full(System.KGS, *data).fields, ())
         for name, field in zip(("u", "v", "w"), data):
-            assert info.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(field), rel=1e-14)
+            assert info.value.norms[f"{name}_L2"] == pytest.approx(norm(field), rel=1e-14)
 
     def test_records_are_box_copies(self):
         # The records of a damped run are states of their own: box copies
@@ -446,7 +443,7 @@ class TestHalfSpectrumRun:
         # expansions give back the full fields.
         grid = Grid(2, 16)
         data = damped_data(grid, seed=25)
-        workspace = [np.array(a) for a in SystemState.from_full(System.KGS, *data).fields]
+        workspace = [np.array(a) for a in from_full(System.KGS, *data).fields]
         recorder = Recorder(("u", "v", "w"), grid, 0.0, IntegratorConfig(0.1, 0.1), state_records(System.KGS, grid))
         recorder(1, workspace, ())
         (_, t, record), = recorder.records
@@ -463,27 +460,44 @@ class TestRealFieldContract:
         # A damped run and its linear flow take a carried state: the
         # constructor is where a wave that is not real is rejected.
         grid = Grid(2, 16)
-        skew = 1e-9 * dealias(random_sobolev_field(grid, 1.5, seed=27))  # not conjugate-symmetric
+        skew = 1e-9 * dealias(lattice_field(grid, 1.5, seed=27))  # not conjugate-symmetric
         fields = dict(zip(("u", "v", "w"), damped_data(grid, seed=26)))
         fields[name] = fields[name] + skew
         with pytest.raises(ConfigurationError, match=f"^{name} must be a real field"):
-            SystemState.from_full(System.KGS, **fields)
+            from_full(System.KGS, **fields)
 
     def test_roundoff_defect_accepted(self):
         grid = Grid(2, 16)
         u, v, w = damped_data(grid, seed=28)
-        skew = 1e-15 * l2_norm(v) / l2_norm(u) * u  # defect below 1e-12
-        state = SystemState.from_full(System.KGS, u, v + skew, w)
+        skew = 1e-15 * norm(v) / norm(u) * u  # defect below 1e-12
+        state = from_full(System.KGS, u, v + skew, w)
         params = DampedParams(gamma=0.5, delta=0.5)
         traj = integrate_damped(state, params, IntegratorConfig(dt=1e-2, t_end=0.02))
         assert traj.steps == [0, 1, 2]
 
     def test_non_real_g_rejected(self):
+        # A half spectrum is real by its shape except on its k_last = 0 plane,
+        # which holds both k and -k; the box draw's g is exactly Hermitian there.
         grid = Grid(2, 16)
         f, g = forcing_fields(grid)
-        with pytest.raises(ConfigurationError, match="^g must be a real field"):
-            DampedParams(gamma=0.5, delta=0.5, f=f, g=g + 1e-9 * f)
+        with pytest.raises(ConfigurationError, match="^g must be the half spectrum of a real field"):
+            DampedParams(gamma=0.5, delta=0.5, f=f, g=g + 1e-9 * half_spectrum(f))
         DampedParams(gamma=0.5, delta=0.5, f=f, g=g)  # a complex f is fine
+
+    @pytest.mark.parametrize("name", ["f", "g"])
+    def test_wrong_box_shape_rejected_by_name(self, name):
+        grid = Grid(2, 16)
+        wrong = dict(zip("fg", forcing_fields(Grid(2, 32))))  # the box of a 32^2 grid
+        params = DampedParams(gamma=0.5, delta=0.5, **{name: wrong[name]})
+        with pytest.raises(ConfigurationError, match=f"^{name} has shape"):
+            integrate_damped(damped_state(grid, seed=1), params, IntegratorConfig(dt=1e-2, t_end=0.02))
+
+    @pytest.mark.parametrize("name", ["f", "g"])
+    def test_non_finite_entry_rejected_by_name(self, name):
+        fields = {key: np.array(a) for key, a in zip("fg", forcing_fields(Grid(2, 16)))}
+        fields[name][1, 1] = np.inf
+        with pytest.raises(ConfigurationError, match=f"^{name} has a non-finite entry"):
+            DampedParams(gamma=0.5, delta=0.5, **fields)
 
 
 class TestAttractorDiagnosticsOracle:
@@ -511,13 +525,13 @@ class TestAttractorDiagnosticsOracle:
                 "energy": energies[idx],
                 "rate_closed": energy_H_rate(record, params),
                 "rate_fd": rate_fd,
-                "mass": l2_norm(s.u),
-                "linear_u_h1": sobolev_norm(linear.u, 1.0),
-                "linear_v_h1": sobolev_norm(linear.v, 1.0),
-                "linear_w_l2": l2_norm(linear.w),
-                "nonlinear_u": sobolev_norm(s.u - linear.u, 1.4),
-                "nonlinear_v": sobolev_norm(s.v - linear.v, 2.8),
-                "nonlinear_w": sobolev_norm(s.w - linear.w, 1.8),
+                "mass": norm(s.u),
+                "linear_u_h1": norm(linear.u, 1.0),
+                "linear_v_h1": norm(linear.v, 1.0),
+                "linear_w_l2": norm(linear.w),
+                "nonlinear_u": norm(s.u - linear.u, 1.4),
+                "nonlinear_v": norm(s.v - linear.v, 2.8),
+                "nonlinear_w": norm(s.w - linear.w, 1.8),
             }
             assert row.t == s.t
             for key, value in want.items():

@@ -25,31 +25,32 @@ from dispersmooth.highlow import HighLowConfig, advance_window, run_global, spli
 from dispersmooth.spectral import (
     CouplingKernel,
     Grid,
-    SpectralField,
     box_norm,
     conjugate,
-    dealias,
-    from_box,
     half_spectrum,
-    l2_norm,
-    random_sobolev_field,
-    sobolev_norm,
     to_coefficients,
     to_samples,
 )
 
 from conftest import (
     FREE_SYMBOLS,
+    SpectralField,
     bessel_potential,
     conserved,
     coupling_products,
     cubic_term,
+    dealias,
     free_flow,
+    from_box,
+    from_full,
     full,
     full_rhs,
     join_wave,
     joined_system_state,
+    lattice,
+    lattice_field,
     make_state,
+    norm,
     random_state,
     real_part,
     scaled,
@@ -79,7 +80,7 @@ def flowed(f: SpectralField, dispersion: str, t: float) -> SpectralField:
 
 class TestLinearPropagate:
     def test_zero_time_is_identity(self, grid_2d_small):
-        f = dealias(random_sobolev_field(grid_2d_small, 0.5, seed=0))
+        f = dealias(lattice_field(grid_2d_small, 0.5, seed=0))
         g = flowed(f, "schrodinger", 0.0)
         assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
@@ -104,14 +105,14 @@ class TestLinearPropagate:
 
     @pytest.mark.parametrize("dispersion", DISPERSIONS)
     def test_unitary_on_sobolev_norms(self, dispersion, grid_2d_small):
-        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=1))
+        f = dealias(lattice_field(grid_2d_small, 0.0, seed=1))
         g = flowed(f, dispersion, 0.83)
         for s in (0.0, 1.0, -0.5):
-            assert sobolev_norm(g, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
+            assert norm(g, s) == pytest.approx(norm(f, s), rel=1e-12)
 
     @pytest.mark.parametrize("dispersion", DISPERSIONS)
     def test_group_law(self, dispersion, grid_2d_small):
-        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=2))
+        f = dealias(lattice_field(grid_2d_small, 0.0, seed=2))
         one = flowed(flowed(f, dispersion, 0.3), dispersion, 0.45)
         two = flowed(f, dispersion, 0.75)
         assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
@@ -120,14 +121,14 @@ class TestLinearPropagate:
     def test_matches_full_spectrum_multiplier(self, dispersion, grid_2d_small):
         # The oracle multiplies the whole lattice by exp(-+ i t |xi|^2) or
         # exp(-+ i t <xi>); the block acts on (v, v_t) of the real wave.
-        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=3))
+        f = dealias(lattice_field(grid_2d_small, 0.0, seed=3))
         want = free_flow(f, dispersion, 0.61)
         got = flowed(f, dispersion, 0.61)
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
 
     def test_minus_branch_is_conjugate_of_plus(self, grid_2d_small):
         # exp(i t <xi>) on w- = conj w+ is the conjugate of exp(-i t <xi>) on w+.
-        f = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=4))
+        f = dealias(lattice_field(grid_2d_small, 0.0, seed=4))
         plus = flowed(f, "kg_plus", 0.4)
         minus = flowed(SpectralField(grid_2d_small, conjugate(f.coeffs)), "kg_minus", 0.4)
         assert np.max(np.abs(minus.coeffs - conjugate(plus.coeffs))) < 1e-13 * np.max(np.abs(f.coeffs))
@@ -135,15 +136,15 @@ class TestLinearPropagate:
 
 class TestWaveComponents:
     def test_zero_velocity_gives_equal_branches(self, grid_2d_small):
-        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=3, real=True))
+        v = dealias(lattice_field(grid_2d_small, 1.0, seed=3, real=True))
         z = zero_field(grid_2d_small)
         state = full(make_state(System.KGS, z, join_wave(v, z)))
         assert np.max(np.abs(state.wplus.coeffs - v.coeffs)) < 1e-14
         assert np.max(np.abs(state.wminus.coeffs - v.coeffs)) < 1e-14
 
     def test_roundtrip_exact(self, grid_2d_small):
-        v = random_sobolev_field(grid_2d_small, 1.0, seed=4, real=True)
-        v_t = random_sobolev_field(grid_2d_small, 0.0, seed=5, real=True)
+        v = lattice_field(grid_2d_small, 1.0, seed=4, real=True)
+        v_t = lattice_field(grid_2d_small, 0.0, seed=5, real=True)
         v2, v_t2 = split_wave(join_wave(v, v_t))
         assert np.max(np.abs(v2.coeffs - v.coeffs)) < 1e-12 * np.max(np.abs(v.coeffs))
         assert np.max(np.abs(v_t2.coeffs - v_t.coeffs)) < 1e-12 * np.max(np.abs(v_t.coeffs))
@@ -151,9 +152,9 @@ class TestWaveComponents:
     def test_derived_minus_branch_is_its_definition(self, grid_2d_small):
         # For the carried real (v, v_t), conj of the expanded w+ (the w- of
         # the checkpoint) is w- = v - i A^{-1} v_t.
-        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=6, real=True))
-        v_t = dealias(random_sobolev_field(grid_2d_small, 0.0, seed=7, real=True))
-        state = SystemState.from_full(System.KGS, zero_field(grid_2d_small), v, v_t)
+        v = dealias(lattice_field(grid_2d_small, 1.0, seed=6, real=True))
+        v_t = dealias(lattice_field(grid_2d_small, 0.0, seed=7, real=True))
+        state = from_full(System.KGS, zero_field(grid_2d_small), v, v_t)
         minus = v - 1j * bessel_potential(v_t, -1.0)
         scale = np.max(np.abs(minus.coeffs))
         assert np.max(np.abs(full(state).wminus.coeffs - minus.coeffs)) < 1e-12 * scale
@@ -327,11 +328,11 @@ class TestTransformCount:
         # outputs equal the full-lattice oracle's ifftn/irfftn/fftn/rfftn
         # bit for bit; outside the box the expanded outputs are exactly +0.
         grid = Grid(dim, n)
-        u = dealias(random_sobolev_field(grid, 0.0, seed=40 + dim)).coeffs
-        wave = real_part(dealias(random_sobolev_field(grid, 0.0, seed=50 + dim)).coeffs)
+        u = dealias(lattice_field(grid, 0.0, seed=40 + dim)).coeffs
+        wave = real_part(dealias(lattice_field(grid, 0.0, seed=50 + dim)).coeffs)
         want_uw, want_abs2 = coupling_products(grid, u, wave)
         uw, abs2 = CouplingKernel(grid)(grid.box(u), np.ascontiguousarray(half_spectrum(grid.box(wave))))
-        band = grid.dealias_mask
+        band = lattice(grid).dealias_mask
         for got, want in ((from_box(uw, grid), want_uw), (from_box(abs2, grid), want_abs2)):
             assert got[band].tobytes() == want[band].tobytes()
             assert not got[~band].view(np.uint64).any()  # +0, both parts
@@ -599,12 +600,12 @@ def three_field_rhs(system, grid, fields):
     """
     u, wplus, wminus = (from_box(a, grid) for a in fields)
     uw, abs2 = coupling_products(grid, u, wplus + wminus)
-    inverse_a = grid.bracket**-1.0
+    inverse_a = lattice(grid).bracket**-1.0
     if system is System.KGS:
         kick = 1j * inverse_a * abs2
         out = 0.5j * uw, kick, -kick
     else:
-        lap_abs2 = -grid.xi_squared * abs2
+        lap_abs2 = -lattice(grid).xi_squared * abs2
         out = (
             -0.5j * uw,
             1j * inverse_a * (lap_abs2 + real_part(wplus)),
@@ -689,10 +690,10 @@ class TestIntegrate:
             exact = free_flow(full(state).wplus, "kg_plus", final.t)
             scale = max(1.0, np.max(np.abs(exact.coeffs)))
             assert np.max(np.abs(final.wplus.coeffs - exact.coeffs)) < 1e-12 * scale
-            assert l2_norm(final.u) == 0.0
+            assert norm(final.u) == 0.0
         else:
-            assert l2_norm(final.u) == 0.0
-            assert l2_norm(final.wplus) > 0.0
+            assert norm(final.u) == 0.0
+            assert norm(final.wplus) > 0.0
 
     @pytest.mark.parametrize("system", [System.KGS, System.ZAKHAROV])
     def test_fourth_order_self_refinement(self, system):
@@ -703,8 +704,8 @@ class TestIntegrate:
             full(integrate(state, IntegratorConfig(dt=t_end / n, t_end=t_end, record_every=10**9)).final)
             for n in (1024, 16, 32)
         )
-        err_coarse = l2_norm(coarse.u - ref.u) + l2_norm(coarse.wplus - ref.wplus)
-        err_fine = l2_norm(fine.u - ref.u) + l2_norm(fine.wplus - ref.wplus)
+        err_coarse = norm(coarse.u - ref.u) + norm(coarse.wplus - ref.wplus)
+        err_fine = norm(fine.u - ref.u) + norm(fine.wplus - ref.wplus)
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
     def test_phase_gauge_invariance(self, grid_2d_small):
@@ -722,8 +723,9 @@ class TestIntegrate:
         state = random_state(system, grid_2d_small, seed=13, amplitude=0.7)
         traj = integrate(state, IntegratorConfig(dt=5e-3, t_end=0.3, record_every=20))
         for s in map(full, traj):
-            by_samples = to_coefficients(np.conj(to_samples(s.wplus)), s.grid)
-            assert l2_norm(s.wminus - by_samples) <= 1e-14 * l2_norm(s.wplus)
+            conj = np.conj(to_samples(s.wplus.coeffs, s.grid))
+            by_samples = SpectralField(s.grid, to_coefficients(conj, s.grid))
+            assert norm(s.wminus - by_samples) <= 1e-14 * norm(s.wplus)
 
     @pytest.mark.parametrize("integrator", ["integrate", "integrate_damped", "run_global"])
     def test_blowup_guard_aborts_with_diagnostics(self, integrator, grid_2d_small):
@@ -748,7 +750,7 @@ class TestIntegrate:
         assert err.value.t == 0.0
         assert set(err.value.norms) == {f"{name}_L2" for name in fields}
         for name, f in fields.items():
-            assert err.value.norms[f"{name}_L2"] == pytest.approx(l2_norm(f), rel=1e-13)
+            assert err.value.norms[f"{name}_L2"] == pytest.approx(norm(f), rel=1e-13)
 
     def test_blowup_threshold_bounds_the_wave_velocity(self, grid_2d_small):
         # The guard bounds the carried v_t, not w+ = v + i A^{-1} v_t: with
@@ -756,10 +758,10 @@ class TestIntegrate:
         # between the two aborts the run at step 0, on its data.
         grid = grid_2d_small
         v_t = spectral_mode(grid, (5, 5)) + spectral_mode(grid, (-5, -5))
-        state = SystemState.from_full(System.KGS, zero_field(grid), zero_field(grid), v_t)
+        state = from_full(System.KGS, zero_field(grid), zero_field(grid), v_t)
         wplus = full(state).wplus
-        threshold = math.sqrt(l2_norm(v_t) * l2_norm(wplus))
-        assert l2_norm(wplus) < threshold < l2_norm(v_t)
+        threshold = math.sqrt(norm(v_t) * norm(wplus))
+        assert norm(wplus) < threshold < norm(v_t)
         with pytest.raises(BlowUpError) as err:
             integrate(state, IntegratorConfig(dt=1e-3, t_end=1e-2, blowup_threshold=threshold))
         assert err.value.t == 0.0
@@ -776,7 +778,7 @@ class TestIntegrate:
         arrays = [a for s in (states if kind == "window" else states[1:]) for a in s.fields]
         assert len({id(a) for a in arrays}) == len(arrays)  # no record shares an array
         expanded = [f.coeffs for s in states for f in full(s)[:4]]
-        outside = ~grid_2d_small.dealias_mask
+        outside = ~lattice(grid_2d_small).dealias_mask
         assert all(not a[outside].view(np.uint64).any() for a in expanded)
 
     def test_records_form_wplus_with_join_wave(self, grid_2d_small):
@@ -811,7 +813,7 @@ def out_of_box(grid: Grid, scale: float):
     """A real field of L2 norm ``scale`` on the mode pair ``k = (c + 1, 0), -k``, just outside the box."""
     k = grid.n_per_dim // 3 + 1
     pair = spectral_mode(grid, (k, 0)) + spectral_mode(grid, (-k, 0))
-    return (scale / l2_norm(pair)) * pair
+    return (scale / norm(pair)) * pair
 
 
 class TestBandLimitedInput:
@@ -821,27 +823,28 @@ class TestBandLimitedInput:
          ("damped", "f"), ("damped", "g")],
     )
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
-        # Full spectra enter at `SystemState.from_full` (data (u, w+) through
-        # the oracle `make_state`) and at the damped run's forcing; every run
-        # and window takes a carried state.
+        # Full spectra enter the tests' states at `from_full` (data (u, w+)
+        # through `make_state`); the damped run's forcing is carried on the
+        # box, so a full-lattice f or g is rejected by its shape.
         data = full(random_state(System.KGS, grid_2d_small, seed=23))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
-        bump = out_of_box(grid_2d_small, 1e-6 * l2_norm(data.u))
-        with pytest.raises(ConfigurationError, match=f"^{name} is not band-limited"):
+        bump = out_of_box(grid_2d_small, 1e-6 * norm(data.u))
+        message = "has shape" if name in ("f", "g") else "is not band-limited"
+        with pytest.raises(ConfigurationError, match=f"^{name} {message}"):
             if kind == "kgs":
                 fields = {"u": data.u, "wplus": data.wplus}
                 fields[name] = fields[name] + bump
                 make_state(System.KGS, fields["u"], fields["wplus"])
             else:
                 fields = {"u": data.u, "v": data.v, "w": data.v, "f": None, "g": None}
-                fields[name] = bump if name in ("f", "g") else fields[name] + bump
+                fields[name] = bump.coeffs if name in ("f", "g") else fields[name] + bump
                 params = DampedParams(gamma=0.5, delta=0.5, f=fields.pop("f"), g=fields.pop("g"))
-                state = SystemState.from_full(System.KGS, **fields)
+                state = from_full(System.KGS, **fields)
                 integrate_damped(state, params, config)
 
     def test_roundoff_outside_the_box_accepted_and_dropped(self, grid_2d_small):
         data = full(random_state(System.KGS, grid_2d_small, seed=24))
-        bump = out_of_box(grid_2d_small, 1e-14 * l2_norm(data.u))
+        bump = out_of_box(grid_2d_small, 1e-14 * norm(data.u))
         state, bumped = (make_state(System.KGS, u, data.wplus) for u in (data.u, data.u + bump))
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
         a, b = (integrate(s, config).final for s in (state, bumped))
@@ -863,9 +866,6 @@ class TestRandomSystemState:
                 assert box_norm(got - ref, grid) <= 1e-15 * box_norm(ref, grid)
             assert state.w[(0,) * grid.dim] == 0.0  # a mean-zero velocity
             assert all(a.flags.c_contiguous for a in state.fields)
-            expanded = (SpectralField(grid, from_box(a, grid)) for a in state.fields)
-            again = SystemState.from_full(system, *expanded)
-            assert [a.tobytes() for a in again.fields] == [a.tobytes() for a in state.fields]
 
 
 class TestConservedQuantities:
@@ -879,18 +879,18 @@ class TestConservedQuantities:
     def test_single_mode_energy_is_gradient_term(self, system):
         grid = Grid(2, 16)
         u = spectral_mode(grid, (3, 0))
-        u = (1.0 / l2_norm(u)) * u  # unit mass
+        u = (1.0 / norm(u)) * u  # unit mass
         state = make_state(system, u, zero_field(grid))
         report = conserved(state)
         assert report.mass == pytest.approx(1.0, rel=1e-12)
         assert report.hamiltonian == pytest.approx(9.0, rel=1e-10)
 
     def test_zakharov_zero_mode_reported(self, grid_2d_small):
-        v = dealias(random_sobolev_field(grid_2d_small, 1.0, seed=17, real=True))
+        v = dealias(lattice_field(grid_2d_small, 1.0, seed=17, real=True))
         v_t_coeffs = np.zeros(grid_2d_small.shape, dtype=complex)
         v_t_coeffs[0, 0] = 2.5 * grid_2d_small.volume
         v_t = SpectralField(grid_2d_small, v_t_coeffs)
-        state = SystemState.from_full(System.ZAKHAROV, zero_field(grid_2d_small), v, v_t)
+        state = from_full(System.ZAKHAROV, zero_field(grid_2d_small), v, v_t)
         report = conserved(state)
         assert report.zero_mode_mass_of_wave == pytest.approx(2.5, rel=1e-12)
 

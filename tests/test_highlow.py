@@ -17,13 +17,9 @@ from dispersmooth.highlow import (
     split_initial,
     step_rule,
 )
-from dispersmooth.spectral import (
-    Grid,
-    l2_norm,
-    sobolev_norm,
-)
+from dispersmooth.spectral import Grid
 
-from conftest import full, lowpass_projection, make_state, random_state, scaled, zero_field
+from conftest import full, lowpass_projection, make_state, norm, random_state, scaled, zero_field
 
 
 def highlow_data(grid, seed, s=0.95, r=0.95, amplitude=0.5):
@@ -71,12 +67,12 @@ class TestSplitInitial:
             data = highlow_state(grid_2d, seed=seed, s=s, r=r)
             u0, wplus = full(data).u, full(data).wplus
             phi, psi_plus, mu, lam_plus = pairs(split_initial(data, cutoff))
-            u_hs = sobolev_norm(u0, s)
-            w_hr = sobolev_norm(wplus, r)
-            assert sobolev_norm(phi, 1.0) <= cutoff ** (1 - s) * u_hs * (1 + 1e-12)
-            assert sobolev_norm(psi_plus, 1.0) <= cutoff ** (1 - r) * w_hr * (1 + 1e-12)
-            assert sobolev_norm(mu, 0.55) <= cutoff ** (0.55 - s) * u_hs * (1 + 1e-12)
-            assert sobolev_norm(lam_plus, 0.55) <= cutoff ** (0.55 - r) * w_hr * (1 + 1e-12)
+            u_hs = norm(u0, s)
+            w_hr = norm(wplus, r)
+            assert norm(phi, 1.0) <= cutoff ** (1 - s) * u_hs * (1 + 1e-12)
+            assert norm(psi_plus, 1.0) <= cutoff ** (1 - r) * w_hr * (1 + 1e-12)
+            assert norm(mu, 0.55) <= cutoff ** (0.55 - s) * u_hs * (1 + 1e-12)
+            assert norm(lam_plus, 0.55) <= cutoff ** (0.55 - r) * w_hr * (1 + 1e-12)
 
 
 class TestStepRule:
@@ -118,8 +114,8 @@ class TestAdvanceWindow:
             ),
         ).final)
         phi, psi_plus = pairs(out)[:2]
-        assert l2_norm(phi - direct.u) < 1e-11
-        assert l2_norm(psi_plus - direct.wplus) < 1e-11
+        assert norm(phi - direct.u) < 1e-11
+        assert norm(psi_plus - direct.wplus) < 1e-11
 
     def test_telescoping_identity_exact(self, grid_2d):
         config = window(8.0, dt=2e-3)
@@ -144,35 +140,35 @@ class TestAdvanceWindow:
             ),
         ).final)
         total = full(out.total())
-        assert l2_norm(total.u - direct.u) < 1e-10
-        assert l2_norm(total.wplus - direct.wplus) < 1e-10
+        assert norm(total.u - direct.u) < 1e-10
+        assert norm(total.wplus - direct.wplus) < 1e-10
 
 
 class TestLowEnergy:
     def test_zero_u_leaves_wave_energy(self, grid_2d_small):
         _, wplus = highlow_data(grid_2d_small, seed=47)
         report = low_energy(make_state(System.KGS, zero_field(grid_2d_small), wplus))
-        assert report.energy == pytest.approx(sobolev_norm(wplus, 1.0) ** 2, rel=1e-12)
+        assert report.energy == pytest.approx(norm(wplus, 1.0) ** 2, rel=1e-12)
 
     def test_zero_wave_leaves_gradient_energy(self, grid_2d_small):
         u0, _ = highlow_data(grid_2d_small, seed=48)
         z = zero_field(grid_2d_small)
         report = low_energy(make_state(System.KGS, u0, z))
         assert report.energy == pytest.approx(
-            2.0 * sobolev_norm(u0, 1.0, homogeneous=True) ** 2, rel=1e-12
+            2.0 * norm(u0, 1.0, homogeneous=True) ** 2, rel=1e-12
         )
 
     def test_small_data_energy_close_to_surrogate(self, grid_2d_small):
         u0, wplus = highlow_data(grid_2d_small, seed=49, amplitude=0.05)
         report = low_energy(make_state(System.KGS, u0, wplus))
         c1, c2 = gaussian_gns_constants()
-        c0 = l2_norm(u0) * c1 * c2**2 / math.sqrt(2.0)
+        c0 = norm(u0) * c1 * c2**2 / math.sqrt(2.0)
         bound = (
             2.0
             * math.sqrt(2.0)
             * c0
-            * sobolev_norm(u0, 1.0, homogeneous=True)
-            * sobolev_norm(wplus, 1.0)
+            * norm(u0, 1.0, homogeneous=True)
+            * norm(wplus, 1.0)
         )
         assert abs(report.energy - report.coercivity_surrogate) <= max(bound, 1e-12)
 

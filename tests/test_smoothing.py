@@ -23,20 +23,16 @@ from dispersmooth.smoothing import (
     smoothing_exponents,
     smoothing_scan,
 )
-from dispersmooth.spectral import (
-    Grid,
-    SpectralField,
-    box_norm,
-    l2_norm,
-    sobolev_norm,
-    to_samples,
-)
+from dispersmooth.spectral import Grid, box_norm
 
 from conftest import (
+    SpectralField,
     bessel_potential,
     free_flow,
     full,
+    lattice,
     make_state,
+    norm,
     random_state,
     spectral_mode,
     zero_field,
@@ -136,7 +132,7 @@ class TestDuhamelResidual:
         for record, pair in zip(traj, duhamel_residual(traj)):
             residual = pair[("u", "wplus").index(component)]
             want = getattr(full(record), component) - free_flow(data, dispersion, record.t)
-            assert box_norm(residual - grid.box(want.coeffs), grid) <= 1e-13 * l2_norm(data)
+            assert box_norm(residual - grid.box(want.coeffs), grid) <= 1e-13 * norm(data)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, dispersion: str = "schrodi
     ``<xi>``; the two are comparable).  With ``s = b = 0`` this is exactly the
     space-time L2 norm of the windowed samples.
     """
-    weight = xsb_weight(stf.grid.xi_squared[..., None], stf.tau, s, b, _BRANCH[dispersion])
+    weight = xsb_weight(lattice(stf.grid).xi_squared[..., None], stf.tau, s, b, _BRANCH[dispersion])
     total = np.sum(np.abs(weight * stf.coeffs) ** 2)
     return math.sqrt(total / (stf.grid.volume * stf.t_span))
 
@@ -251,7 +247,7 @@ class TestXsbNorm:
         direct = 0.0
         dt = traj[1].t - traj[0].t
         for j, state in enumerate(traj):
-            direct += dt * (stf.window[j] * l2_norm(state.u)) ** 2
+            direct += dt * (stf.window[j] * norm(state.u)) ** 2
         assert xsb_norm(stf, 0.0, 0.0) == pytest.approx(math.sqrt(direct), rel=1e-10)
 
     def test_tau_spectrum_concentrates_on_dispersion_surface(self):

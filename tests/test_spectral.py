@@ -1,4 +1,4 @@
-"""Tests for grids, transforms, multipliers, norms, projections, products."""
+"""Tests for grids, transforms, multipliers, norms, projections, products, random data."""
 
 import itertools
 import math
@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersmooth.errors import ConfigurationError, GridMismatchError, ResourceLimitError
+from dispersmooth.evolution import System, SystemState, random_system_state
+from dispersmooth.highlow import split_initial
 from dispersmooth.spectral import (
     MAX_MODES,
     CouplingKernel,
     Grid,
-    SpectralField,
     box_inner,
     box_norm,
+    box_weight,
     conjugate,
-    dealias,
     fit_spectral_slope,
     half_spectrum,
-    l2_norm,
     random_sobolev_field,
     sobolev_norm,
     to_coefficients,
@@ -28,24 +28,21 @@ from dispersmooth.spectral import (
 )
 
 from conftest import (
-    bessel_potential,
     coupling_products,
     cubic_term,
-    fourier_multiplier,
+    dealias,
+    from_box,
     inner_product,
-    lowpass_projection,
-    real_part,
-    riesz_potential,
+    lattice,
+    lattice_field,
     spectral_cubic_pairing,
-    zero_field,
-    zero_mode_mean,
 )
 
 TWO_PI = 2.0 * math.pi
 
 
-def plane_wave(grid: Grid, k: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
-    """exp(i xi.x) for xi = k/L, built via its samples."""
+def plane_wave(grid: Grid, k: tuple[int, ...], amplitude: complex = 1.0) -> np.ndarray:
+    """Full coefficients of exp(i xi.x) for xi = k/L, built via its samples."""
     axes = [np.arange(grid.n_per_dim) * grid.dx for _ in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     phase = sum((ki / grid.box_length) * x for ki, x in zip(k, mesh))
@@ -88,20 +85,22 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim, n, box_length", [(1, 16, 1.0), (2, 16, 1.5), (3, 8, 0.7), (4, 8, 2.0)])
     def test_lattice_arrays_equal_dense_meshgrid_oracle(self, dim, n, box_length):
+        # The wavenumber arrays are the dense lattice's on the dealias box, the
+        # modes |k_i| <= n//3, bit for bit.
         grid = Grid(dim, n, box_length)
         axes = np.meshgrid(*([grid.xi_axis] * dim), indexing="ij")
         ks = np.meshgrid(*([grid.k_axis] * dim), indexing="ij")
         xi_sq = sum(a**2 for a in axes)
-        assert np.array_equal(grid.xi_squared, xi_sq)
-        assert np.array_equal(grid.xi_norm, np.sqrt(xi_sq))
-        assert np.array_equal(grid.bracket, np.sqrt(1.0 + xi_sq))
-        assert np.array_equal(grid.dealias_mask, np.logical_and.reduce([np.abs(k) <= n // 3 for k in ks]))
-        assert np.array_equal(grid.nyquist_mask, np.logical_or.reduce([k == -n // 2 for k in ks]))
+        assert np.array_equal(grid.xi_squared, grid.box(xi_sq))
+        assert np.array_equal(grid.xi_norm, grid.box(np.sqrt(xi_sq)))
+        assert np.array_equal(grid.bracket, grid.box(np.sqrt(1.0 + xi_sq)))
+        inside = np.logical_and.reduce([np.abs(k) <= n // 3 for k in ks])
+        assert grid.box(inside).all() and grid.xi_squared.size == np.count_nonzero(inside)
 
     def test_grid_builds_no_dense_meshgrid(self):
-        # Broadcast axes: the peak is the kept lattice arrays (three float64
-        # lattices of 8 MiB and two boolean masks of 1 MiB at 32^4) and a
-        # temporary or two, not one float lattice per axis.
+        # Broadcast axes on the box: the peak is the three float64 box arrays
+        # (1.5 MiB each at 32^4) and a temporary or two, below one float64
+        # lattice (8 MiB).
         import tracemalloc
 
         tracemalloc.start()
@@ -110,14 +109,13 @@ class TestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestTransform:
     def test_single_mode_has_single_coefficient(self):
         grid = Grid(1, 16)
-        f = plane_wave(grid, (3,))
-        coeffs = f.coeffs.copy()
+        coeffs = plane_wave(grid, (3,))
         k3 = np.argmin(np.abs(grid.k_axis - 3))
         assert coeffs[k3] == pytest.approx(TWO_PI, rel=1e-12)
         coeffs[k3] = 0.0
@@ -125,15 +123,14 @@ class TestTransform:
 
     def test_zero_samples_give_zero_coefficients(self):
         grid = Grid(2, 16)
-        f = to_coefficients(np.zeros(grid.shape), grid)
-        assert np.all(f.coeffs == 0)
+        assert np.all(to_coefficients(np.zeros(grid.shape), grid) == 0)
 
     def test_constant_field_normalization(self):
         grid = Grid(2, 16, box_length=1.5)
         c = 2.0 - 1.0j
         f = to_coefficients(np.full(grid.shape, c), grid)
-        assert f.coeffs[0, 0] == pytest.approx(c * grid.volume, rel=1e-12)
-        off_zero = f.coeffs.copy()
+        assert f[0, 0] == pytest.approx(c * grid.volume, rel=1e-12)
+        off_zero = f.copy()
         off_zero[0, 0] = 0
         assert np.max(np.abs(off_zero)) < 1e-9
 
@@ -148,7 +145,7 @@ class TestTransform:
             [grid.dx * np.sum(samples * np.exp(-1j * w * x)) for w in xi]
         )
         f = to_coefficients(samples, grid)
-        assert np.max(np.abs(f.coeffs - direct)) < 1e-12 * np.max(np.abs(direct))
+        assert np.max(np.abs(f - direct)) < 1e-12 * np.max(np.abs(direct))
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -156,7 +153,7 @@ class TestTransform:
         grid = Grid(2, 16)
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        back = to_samples(to_coefficients(samples, grid))
+        back = to_samples(to_coefficients(samples, grid), grid)
         assert np.max(np.abs(back - samples)) < 1e-12
 
     def test_size_mismatch_rejected(self):
@@ -164,106 +161,82 @@ class TestTransform:
         with pytest.raises(GridMismatchError):
             to_coefficients(np.zeros((8, 8)), grid)
 
-    def test_field_copies_a_writeable_caller_array(self):
-        a = np.zeros(8, dtype=complex)
-        f = SpectralField(Grid(1, 8), a)
-        assert a.flags.writeable
-        a[1] = 1.0
-        assert np.all(f.coeffs == 0)
-        assert not f.coeffs.flags.writeable
-
 
 class TestMultipliers:
+    # The package's Bessel multiplier: `box_weight`, <xi>^{2s} per float of a box array.
     def test_zeroth_order_is_identity(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 1.0, seed=0)
-        g = bessel_potential(f, 0.0)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-14
+        assert np.all(box_weight(random_sobolev_field(grid, 1.0, seed=0), grid, 0.0) == 1.0)
 
     def test_inverse_symbols_cancel(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=1)  # Nyquist-free by construction
-        g = bessel_potential(bessel_potential(f, 1.7), -1.7)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+        f = random_sobolev_field(grid, 0.0, seed=1)
+        assert np.max(np.abs(box_weight(f, grid, 1.7) * box_weight(f, grid, -1.7) - 1.0)) < 1e-12
 
     def test_bessel_squared_on_plane_wave(self):
         grid = Grid(1, 16)
-        f = plane_wave(grid, (3,))
-        g = bessel_potential(f, 2.0)
-        k3 = np.argmin(np.abs(grid.k_axis - 3))
-        assert g.coeffs[k3] == pytest.approx(10.0 * f.coeffs[k3], rel=1e-12)
-
-    def test_singular_symbol_rejected(self):
-        grid = Grid(1, 16)
-        f = plane_wave(grid, (1,))
-        bad = grid.xi_norm.copy()
-        bad[0] = np.inf
-        with pytest.raises(ConfigurationError):
-            fourier_multiplier(f, bad)
+        f = grid.box(plane_wave(grid, (3,)))
+        assert box_weight(f, grid, 1.0).reshape(-1, 2)[3] == pytest.approx([10.0, 10.0], rel=1e-12)
+        assert box_norm(f, grid, 1.0) == pytest.approx(math.sqrt(10.0) * box_norm(f, grid), rel=1e-12)
 
     def test_negative_riesz_zero_mode_policy(self):
         grid = Grid(1, 16)
-        f = to_coefficients(np.full(grid.shape, 3.0), grid)
-        g = riesz_potential(f, -1.0)
-        assert np.all(g.coeffs == 0)
-        assert zero_mode_mean(f) == pytest.approx(3.0)
+        f = grid.box(to_coefficients(np.full(grid.shape, 3.0), grid))
+        assert box_norm(f, grid, -1.0, homogeneous=True) == 0.0
+        assert f[0] / grid.volume == pytest.approx(3.0)
 
 
 class TestSobolevNorm:
     def test_single_mode_value(self):
         grid = Grid(1, 16)
-        f = plane_wave(grid, (3,))
         expected = math.sqrt(10.0) * math.sqrt(TWO_PI)  # <3>^1 * ||e^{i3x}||_{L2}
-        assert sobolev_norm(f, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert sobolev_norm(plane_wave(grid, (3,)), grid, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_field(self):
         grid = Grid(2, 16)
-        assert sobolev_norm(zero_field(grid), 2.5) == 0.0
+        assert sobolev_norm(np.zeros(grid.shape), grid, 2.5) == 0.0
 
     def test_l2_matches_spatial_quadrature_oracle(self):
         grid = Grid(2, 32)
-        f = random_sobolev_field(grid, 0.5, seed=3)
-        samples = to_samples(f)
-        quadrature = math.sqrt(np.sum(np.abs(samples) ** 2) * grid.dx**grid.dim)
-        assert sobolev_norm(f, 0.0) == pytest.approx(quadrature, rel=1e-10)
+        f = lattice_field(grid, 0.5, seed=3).coeffs
+        quadrature = math.sqrt(np.sum(np.abs(to_samples(f, grid)) ** 2) * grid.dx**grid.dim)
+        assert sobolev_norm(f, grid, 0.0) == pytest.approx(quadrature, rel=1e-10)
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.floats(-1.5, 2.5))
     @settings(max_examples=15, deadline=None)
     def test_parseval_invariant(self, seed, s):
         grid = Grid(1, 32)
-        f = random_sobolev_field(grid, s, seed=seed)
-        samples = to_samples(f)
-        spatial = np.sum(np.abs(samples) ** 2) * grid.dx
-        spectral = np.sum(np.abs(f.coeffs) ** 2) / grid.volume
+        f = lattice_field(grid, s, seed=seed).coeffs
+        spatial = np.sum(np.abs(to_samples(f, grid)) ** 2) * grid.dx
+        spectral = np.sum(np.abs(f) ** 2) / grid.volume
         assert spectral == pytest.approx(spatial, rel=1e-10)
 
     def test_homogeneous_drops_mean(self):
         grid = Grid(1, 16)
         f = to_coefficients(np.full(grid.shape, 5.0), grid)
-        assert sobolev_norm(f, 1.0, homogeneous=True) == 0.0
+        assert sobolev_norm(f, grid, 1.0, homogeneous=True) == 0.0
 
 
 class TestProjections:
+    # The package's frequency projection: the low part of `split_initial`, on the box.
     def test_lowpass_idempotent(self):
-        grid = Grid(2, 32)
-        f = random_sobolev_field(grid, 0.0, seed=4)
-        once = lowpass_projection(f, 5.0)
-        twice = lowpass_projection(once, 5.0)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        once = split_initial(random_system_state(System.KGS, Grid(2, 32), 0.0, 0.0, seed=4), 5.0)
+        twice = split_initial(once.low, 5.0)
+        assert all(np.array_equal(a, b) for a, b in zip(once.low.fields, twice.low.fields))
+        assert not any(np.any(a) for a in twice.high.fields)
 
     def test_lowpass_plus_complement_reproduces(self):
-        grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=6)
-        g = lowpass_projection(f, 4.0) + (f - lowpass_projection(f, 4.0))
-        assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
+        state = random_system_state(System.KGS, Grid(2, 16), 0.0, 0.0, seed=6)
+        split = split_initial(state, 4.0)
+        for low, high, field in zip(split.low.fields, split.high.fields, state.fields):
+            assert np.array_equal(low + high, field)
 
     def test_lowpass_on_plane_wave(self):
         grid = Grid(1, 16)
-        f = plane_wave(grid, (3,))
-        kept = lowpass_projection(f, 4.0)
-        killed = lowpass_projection(f, 2.0)
-        assert np.max(np.abs(kept.coeffs - f.coeffs)) < 1e-12
-        assert np.max(np.abs(killed.coeffs)) < 1e-12
+        u, zero = grid.box(plane_wave(grid, (3,))), np.zeros(grid.box_shape[0] // 2 + 1, complex)
+        state = SystemState(System.KGS, grid, u, zero, zero)
+        kept, killed = (split_initial(state, cutoff).low.u for cutoff in (4.0, 2.0))
+        assert np.max(np.abs(kept - u)) < 1e-12 and np.max(np.abs(killed)) < 1e-12
 
 
 def convolution_oracle(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
@@ -277,7 +250,7 @@ def convolution_oracle(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros(grid.shape, dtype=complex)
     for k1 in itertools.product(range(-cutoff, cutoff + 1), repeat=grid.dim):
         out += f[k1] * np.roll(g, k1, axis=axes)
-    return np.where(grid.dealias_mask, out, 0.0) / grid.volume
+    return np.where(lattice(grid).dealias_mask, out, 0.0) / grid.volume
 
 
 def conjugate_coefficients(f: np.ndarray) -> np.ndarray:
@@ -288,17 +261,16 @@ def conjugate_coefficients(f: np.ndarray) -> np.ndarray:
 class TestDealiasedProduct:
     def test_product_with_zero(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=7)
-        uw, _ = coupling_products(grid, f.coeffs, zero_field(grid).coeffs)
+        f = lattice_field(grid, 0.0, seed=7)
+        zero = np.zeros(grid.shape, complex)
+        uw, _ = coupling_products(grid, f.coeffs, zero)
         assert np.max(np.abs(uw)) < 1e-13
-        uw, abs2 = coupling_products(grid, zero_field(grid).coeffs, f.coeffs)
+        uw, abs2 = coupling_products(grid, zero, f.coeffs)
         assert np.max(np.abs(uw)) == 0.0 and np.max(np.abs(abs2)) == 0.0
 
     def test_two_modes_within_band(self):
         grid = Grid(1, 16)
-        uw, abs2 = coupling_products(
-            grid, plane_wave(grid, (2,)).coeffs, plane_wave(grid, (3,)).coeffs
-        )
+        uw, abs2 = coupling_products(grid, plane_wave(grid, (2,)), plane_wave(grid, (3,)))
         k5 = np.argmin(np.abs(grid.k_axis - 5))
         assert uw[k5] == pytest.approx(TWO_PI, rel=1e-12)
         rest = uw.copy()
@@ -312,8 +284,8 @@ class TestDealiasedProduct:
         # Oracle: O(n^2) truncated convolution sum, for band-limited inputs.
         grid = Grid(1, 32)
         cutoff = grid.n_per_dim // 3
-        f = dealias(random_sobolev_field(grid, 0.0, seed=8))
-        g = dealias(random_sobolev_field(grid, 0.0, seed=9))
+        f = dealias(lattice_field(grid, 0.0, seed=8))
+        g = dealias(lattice_field(grid, 0.0, seed=9))
         n = grid.n_per_dim
         ks = grid.k_axis.astype(int)
         index = {k: i for i, k in enumerate(ks)}
@@ -333,8 +305,8 @@ class TestDealiasedProduct:
     def test_both_outputs_match_oracle_in_every_dimension(self, dim, seed):
         grid = Grid(dim, {1: 32, 2: 16, 3: 8, 4: 8}[dim])
         kids = np.random.SeedSequence(seed).spawn(2)
-        u = dealias(random_sobolev_field(grid, 0.0, seed=kids[0])).coeffs
-        wave = dealias(random_sobolev_field(grid, 0.0, seed=kids[1])).coeffs
+        u = dealias(lattice_field(grid, 0.0, seed=kids[0])).coeffs
+        wave = dealias(lattice_field(grid, 0.0, seed=kids[1])).coeffs
         uw, abs2 = coupling_products(grid, u, wave)
         for got, want in (
             (uw, convolution_oracle(u, wave, grid)),
@@ -344,9 +316,9 @@ class TestDealiasedProduct:
 
     def test_commutative_and_bilinear(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=10).coeffs
-        g = random_sobolev_field(grid, 0.0, seed=11).coeffs
-        h = random_sobolev_field(grid, 0.0, seed=12).coeffs
+        f = lattice_field(grid, 0.0, seed=10).coeffs
+        g = lattice_field(grid, 0.0, seed=11).coeffs
+        h = lattice_field(grid, 0.0, seed=12).coeffs
         fg, _ = coupling_products(grid, f, g)
         gf, _ = coupling_products(grid, g, f)
         assert np.max(np.abs(fg - gf)) < 1e-12
@@ -356,27 +328,29 @@ class TestDealiasedProduct:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
     def test_grid_mismatch_rejected(self):
-        f = Grid(1, 16).box(random_sobolev_field(Grid(1, 16), 0.0, seed=0).coeffs)
-        g = Grid(1, 32).box(random_sobolev_field(Grid(1, 32), 0.0, seed=0).coeffs)
+        f = random_sobolev_field(Grid(1, 16), 0.0, seed=0)
+        g = random_sobolev_field(Grid(1, 32), 0.0, seed=0)
         with pytest.raises(GridMismatchError):
             CouplingKernel(Grid(1, 16))(f, half_spectrum(g))
 
     def test_real_part_matches_physical_space(self):
+        # Re f = (f + conj f) / 2, with the coefficients of conj f from `conjugate`.
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=19)
-        re = to_coefficients(to_samples(f).real.astype(complex), grid).coeffs
-        assert np.max(np.abs(real_part(f.coeffs) - re)) < 1e-12 * np.max(np.abs(re))
+        f = lattice_field(grid, 0.0, seed=19).coeffs
+        re = to_coefficients(to_samples(f, grid).real.astype(complex), grid)
+        assert np.max(np.abs(0.5 * (f + conjugate(f)) - re)) < 1e-12 * np.max(np.abs(re))
 
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8), (4, 8)])
     def test_conjugate_matches_reflection_oracle(self, dim, n):
-        f = random_sobolev_field(Grid(dim, n), 0.0, seed=dim).coeffs
+        f = lattice_field(Grid(dim, n), 0.0, seed=dim).coeffs
         assert np.array_equal(conjugate(f), conjugate_coefficients(f))
 
     def test_cubic_pairing_matches_quadrature(self):
         grid = Grid(2, 16)
-        u = dealias(random_sobolev_field(grid, 0.0, seed=20))
-        v = dealias(random_sobolev_field(grid, 0.0, seed=21, real=True))
-        direct = np.sum(np.abs(to_samples(u)) ** 2 * to_samples(v).real) * grid.dx**2
+        u = dealias(lattice_field(grid, 0.0, seed=20))
+        v = dealias(lattice_field(grid, 0.0, seed=21, real=True))
+        u_x, v_x = to_samples(u.coeffs, grid), to_samples(v.coeffs, grid).real
+        direct = np.sum(np.abs(u_x) ** 2 * v_x) * grid.dx**2
         box_u, box_v = grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs))
         assert cubic_term(box_u, box_v, grid) == pytest.approx(direct, rel=1e-10)
 
@@ -388,11 +362,12 @@ class TestBoxDiagnostics:
         # u is carried on the box; the box half spectrum of v holds P v, so
         # the pairing takes a v that is not band-limited as its projection.
         grid = Grid(dim, n)
-        u = dealias(random_sobolev_field(grid, 0.0, seed=30 + dim))
-        v = random_sobolev_field(grid, 0.0, seed=40 + dim, real=True)
+        u = dealias(lattice_field(grid, 0.0, seed=30 + dim))
+        v = lattice_field(grid, 0.0, seed=40 + dim, real=True)
         v = dealias(v) if band_limited else v
         want = spectral_cubic_pairing(u, v)
-        scale = np.sum(np.abs(to_samples(u)) ** 2 * np.abs(to_samples(dealias(v)))) * grid.dx**dim
+        scale = np.sum(np.abs(to_samples(u.coeffs, grid)) ** 2 * np.abs(to_samples(dealias(v).coeffs, grid)))
+        scale *= grid.dx**dim
         got = cubic_term(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(want) > 1e-3 * scale  # the relative bound is not one on a cancelled sum
@@ -402,8 +377,8 @@ class TestBoxDiagnostics:
         # abs2 runs the passes of a call that |u|^2 needs, so it gives the
         # call's |u|^2 bit for bit, from a kernel that made a call or not.
         grid = Grid(dim, n)
-        u = grid.box(dealias(random_sobolev_field(grid, 0.0, seed=60 + dim)).coeffs)
-        v = dealias(random_sobolev_field(grid, 0.0, seed=70 + dim, real=True))
+        u = grid.box(dealias(lattice_field(grid, 0.0, seed=60 + dim)).coeffs)
+        v = dealias(lattice_field(grid, 0.0, seed=70 + dim, real=True))
         kernel = CouplingKernel(grid)
         want = kernel(u, np.ascontiguousarray(half_spectrum(grid.box(v.coeffs))))[1].copy()
         assert kernel.abs2(u).tobytes() == want.tobytes()
@@ -420,9 +395,9 @@ class TestBoxDiagnostics:
         # 64^2 and 7.3e-15 at 128^2 on these seeds).
         grid = Grid(2, n)
         for seed in range(10):
-            u = dealias(random_sobolev_field(grid, 0.0, seed=100 + seed))
-            v = dealias(random_sobolev_field(grid, 0.0, seed=200 + seed, real=True))
-            u_x, v_x = to_samples(u), to_samples(v).real
+            u = dealias(lattice_field(grid, 0.0, seed=100 + seed))
+            v = dealias(lattice_field(grid, 0.0, seed=200 + seed, real=True))
+            u_x, v_x = to_samples(u.coeffs, grid), to_samples(v.coeffs, grid).real
             products = (u_x.real * u_x.real + u_x.imag * u_x.imag) * v_x
             exact = math.fsum(products.ravel().tolist()) * grid.dx**2
             got = cubic_term(grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs)), grid)
@@ -431,18 +406,18 @@ class TestBoxDiagnostics:
     @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.5, False), (-1.0, True), (1.0, True)])
     def test_box_norm_matches_sobolev_norm(self, s, homogeneous):
         grid = Grid(2, 32)
-        f = dealias(random_sobolev_field(grid, 0.0, seed=50, real=True))
-        want = sobolev_norm(f, s, homogeneous=homogeneous)
+        f = dealias(lattice_field(grid, 0.0, seed=50, real=True))
+        want = sobolev_norm(f.coeffs, grid, s, homogeneous=homogeneous)
         for box in (grid.box(f.coeffs), half_spectrum(grid.box(f.coeffs))):
             assert box_norm(box, grid, s, homogeneous) == pytest.approx(want, rel=1e-13)
 
     def test_box_inner_matches_inner_product(self):
         grid = Grid(2, 32)
-        f, g = (dealias(random_sobolev_field(grid, 0.0, seed=seed)) for seed in (51, 52))
+        f, g = (dealias(lattice_field(grid, 0.0, seed=seed)) for seed in (51, 52))
         assert box_inner(grid.box(f.coeffs), grid.box(g.coeffs), grid) == pytest.approx(
             inner_product(f, g).real, rel=1e-13
         )
-        v, w = (dealias(random_sobolev_field(grid, 0.0, seed=seed, real=True)) for seed in (53, 54))
+        v, w = (dealias(lattice_field(grid, 0.0, seed=seed, real=True)) for seed in (53, 54))
         halves = (half_spectrum(grid.box(x.coeffs)) for x in (v, w))
         assert box_inner(*halves, grid) == pytest.approx(inner_product(v, w).real, rel=1e-13)
 
@@ -451,7 +426,7 @@ class TestBoxDiagnostics:
         # The weighted squares summed exactly (math.fsum): the pairwise path
         # rounds a few times, not once per mode as a running sum may.
         grid = Grid(2, 128)
-        f = dealias(random_sobolev_field(grid, 0.0, seed=55, real=True))
+        f = dealias(lattice_field(grid, 0.0, seed=55, real=True))
         for box in (grid.box(f.coeffs), half_spectrum(grid.box(f.coeffs))):
             pairs = box.reshape(-1).view(np.float64)
             box_inner(box, box, grid, s)  # caches the weight per float
@@ -465,40 +440,49 @@ class TestBoxDiagnostics:
 class TestRandomField:
     def test_deterministic_given_seed(self):
         grid = Grid(2, 32)
-        a = random_sobolev_field(grid, 0.5, seed=42)
-        b = random_sobolev_field(grid, 0.5, seed=42)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        a, b = (random_sobolev_field(grid, 0.5, seed=42) for _ in range(2))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32)])
+    def test_box_draw_is_the_box_of_the_lattice_oracle(self, dim, n):
+        grid = Grid(dim, n)
+        for s, seed, real in itertools.product((0.5, 1.0, 2.0), (3, 8, 7003), (False, True)):
+            want = grid.box(lattice_field(grid, s, seed, real=real).coeffs)
+            assert random_sobolev_field(grid, s, seed, real=real).tobytes() == want.tobytes()
+        # The attractor's forcing (`cli`): its amplitude times the box draw.
+        for kid, real in zip(np.random.SeedSequence((5, 17)).spawn(2), (False, True)):
+            want = grid.box((0.3 * dealias(lattice_field(grid, 2.0, kid, real=real))).coeffs)
+            assert (0.3 * random_sobolev_field(grid, 2.0, kid, real=real)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_spectral_slope_matches_envelope(self, s):
         grid = Grid(2, 128)
         f = random_sobolev_field(grid, s, seed=13)
-        slope = fit_spectral_slope(grid.box(f.coeffs), grid, grid.n_per_dim / 8, grid.n_per_dim / 3)
+        slope = fit_spectral_slope(f, grid, grid.n_per_dim / 8, grid.n_per_dim / 3)
         expected = -(s + grid.dim / 2 + 0.05)
         assert slope == pytest.approx(expected, abs=0.1)
 
     def test_smooth_field_h1_dominated_by_low_shells(self):
         grid = Grid(1, 64)
         f = random_sobolev_field(grid, 10.0, seed=14)
-        low = lowpass_projection(f, 4.0)
-        assert sobolev_norm(low, 1.0) >= 0.99 * sobolev_norm(f, 1.0)
+        low = np.where(grid.xi_norm <= 4.0, f, 0.0)
+        assert box_norm(low, grid, 1.0) >= 0.99 * box_norm(f, grid, 1.0)
 
     def test_real_option_gives_real_samples(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 1.0, seed=15, real=True)
-        samples = to_samples(f)
+        samples = to_samples(from_box(random_sobolev_field(grid, 1.0, seed=15, real=True), grid), grid)
         assert np.max(np.abs(samples.imag)) < 1e-12 * np.max(np.abs(samples.real))
 
 
 class TestInnerProduct:
+    # The package's pairing: `box_inner` of box arrays.
     def test_matches_quadrature(self):
         grid = Grid(2, 16)
-        f = random_sobolev_field(grid, 0.0, seed=16)
-        g = random_sobolev_field(grid, 0.0, seed=17)
-        direct = np.sum(to_samples(f) * np.conj(to_samples(g))) * grid.dx**2
-        assert inner_product(f, g) == pytest.approx(direct, rel=1e-10)
+        f, g = (random_sobolev_field(grid, 0.0, seed=seed) for seed in (16, 17))
+        direct = np.sum(to_samples(from_box(f, grid), grid) * np.conj(to_samples(from_box(g, grid), grid)))
+        assert box_inner(f, g, grid) == pytest.approx(direct.real * grid.dx**2, rel=1e-10)
 
     def test_l2_norm_consistency(self):
         grid = Grid(1, 16)
         f = random_sobolev_field(grid, 0.0, seed=18)
-        assert math.sqrt(inner_product(f, f).real) == pytest.approx(l2_norm(f), rel=1e-12)
+        assert math.sqrt(box_inner(f, f, grid, pairwise=True)) == pytest.approx(box_norm(f, grid), rel=1e-12)
