@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,6 +186,76 @@ def _xi_squared(xi_axis: np.ndarray, dim: int) -> np.ndarray:
 # Products
 # ---------------------------------------------------------------------------
 
+class _Passes(NamedTuple):
+    """The 1-D transform passes of `CouplingKernel`, each called as
+    ``pass_(a, fct, axes=[(k,), (), (k,)], out=b)``: the signature of numpy's
+    pocketfft gufuncs, a transform of ``a`` along axis ``k`` into ``b``, times
+    ``fct``.  `numpy.fft.fft`, `ifft`, `rfft` and `irfft` call the same
+    gufuncs with ``fct = 1`` forward and ``1/n`` inverse."""
+
+    fft: Callable
+    ifft: Callable
+    rfft: Callable  # of an even length, as on every `Grid`
+    irfft: Callable
+
+
+def _public_pass(transform: Callable, norm: str, sized: bool = False) -> Callable:
+    """A pass through numpy.fft's public 1-D ``transform``: ``norm`` makes numpy's own
+    factor 1, and the output is multiplied by ``fct`` part by part afterwards, as
+    pocketfft scales; ``sized`` passes the output length (`numpy.fft.irfft`)."""
+
+    def run(a: np.ndarray, fct: float, axes: list, out: np.ndarray) -> np.ndarray:
+        axis = axes[0][0]
+        transform(a, n=out.shape[axis] if sized else None, axis=axis, norm=norm, out=out)
+        if fct != 1:
+            for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
+                np.multiply(part, fct, out=part)
+        return out
+
+    return run
+
+
+#: The passes on numpy.fft's public functions: the reference for `_PASSES`.
+_FALLBACK = _Passes(
+    _public_pass(np.fft.fft, "backward"),
+    _public_pass(np.fft.ifft, "forward"),
+    _public_pass(np.fft.rfft, "backward"),
+    _public_pass(np.fft.irfft, "forward", sized=True),
+)
+
+
+def _select_passes(module) -> _Passes:
+    """The gufuncs ``fft``, ``ifft``, ``rfft_n_even`` and ``irfft`` of ``module``, numpy's
+    private ``numpy.fft._pocketfft_umath``, if it has them all and a probe call of
+    each gives `_FALLBACK`'s bits; `_FALLBACK` otherwise."""
+    try:
+        passes = _Passes(*(getattr(module, name) for name in ("fft", "ifft", "rfft_n_even", "irfft")))
+        if _probe(passes) == _probe(_FALLBACK):
+            return passes
+    except Exception:  # a missing name, a changed signature or a changed dtype rule
+        pass
+    return _FALLBACK
+
+
+def _probe(passes: _Passes) -> bytes:
+    """The output bytes of each pass on a fixed 2 x 8 input, along axis 1 with ``fct = 0.5``."""
+    x = np.arange(16.0).reshape(2, 8) ** 1.5
+    z, axes = x + 1j * x[::-1], [(1,), (), (1,)]
+    outs = [np.empty((2, 8), complex), np.empty((2, 8), complex), np.empty((2, 5), complex), np.empty((2, 8))]
+    for pass_, a, out in zip(passes, (z, z, x, z[:, :5]), outs):
+        pass_(a, 0.5, axes=axes, out=out)
+    return b"".join(out.tobytes() for out in outs)
+
+
+try:
+    from numpy.fft import _pocketfft_umath
+except ImportError:
+    _pocketfft_umath = None
+
+#: The passes every `CouplingKernel` takes when it is made, resolved once.
+_PASSES = _select_passes(_pocketfft_umath)
+
+
 class CouplingKernel:
     """Dealiased ``u * wave`` and ``|u|^2`` of a real wave on the dealias box, for one run.
 
@@ -192,13 +263,16 @@ class CouplingKernel:
     ``|u|^2`` are box half spectra (`half_spectrum`).  A call takes ``u`` and
     the wave to samples (complex and real inverse transforms), and their
     product and ``|u|^2`` back (complex and real forward).  Each transform
-    runs as one call per 1-D pass (`numpy.fft.fft`, `ifft`, `rfft`,
-    `irfft`), in the axis order of numpy's n-d functions, on the lines that
-    hold box modes only: an inverse pass reads a staging buffer that the box
-    lines are scattered into (its other entries stay zero), and a forward
-    pass's box entries are gathered before the next pass.  Lines transform
-    on their own, so the results are the box entries of numpy's n-d
-    transforms bit for bit, and the scale ``1/dx^d`` is a scalar.  Every
+    runs as one call per 1-D pass, in the axis order of numpy's n-d
+    functions, on the lines that hold box modes only: an inverse pass reads
+    a staging buffer that the box lines are scattered into (its other
+    entries stay zero), and a forward pass's box entries are gathered
+    before the next pass.  The passes are numpy's pocketfft gufuncs, called
+    directly (`_PASSES`, or numpy.fft's public functions when those are
+    absent), with numpy.fft's factors: 1 forward and ``1/n`` inverse,
+    except that the last forward pass of each output takes the scale
+    ``1/dx^d``.  Lines transform on their own, so the results are the box
+    entries of numpy's n-d transforms times ``1/dx^d``, bit for bit.  Every
     pass writes into the kernel's buffers or the caller's ``out``, so a call
     allocates nothing once ``out`` is given; the returned ``|u|^2`` is a
     kernel buffer, valid until the next call.  The buffers make a kernel
@@ -209,7 +283,9 @@ class CouplingKernel:
         self.grid = grid
         n, c, d = grid.n_per_dim, grid.n_per_dim // 3, grid.dim
         m, h, N, M = 2 * c + 1, c + 1, (grid.n_per_dim,), (2 * c + 1,)
-        self._scale = 1.0 / grid.dx**d
+        self._fft, self._ifft, self._rfft, self._irfft = _PASSES
+        self._axes = [[(a,), (), (a,)] for a in range(d)]
+        self._inverse_fct, self._scale = 1.0 / n, 1.0 / grid.dx**d
         # Per axis, (lattice, box) index pairs of the blocks k = 0..c and k = -c..-1.
         blocks = ((slice(0, h), slice(0, h)), (slice(n - c, n), slice(h, m)))
         self._scatter = [[((slice(None),) * a + (lat,), (slice(None),) * a + (box,))
@@ -217,6 +293,11 @@ class CouplingKernel:
         self._gather = [[(box, lat) for lat, box in pairs] for pairs in self._scatter]
         Z = lambda *shape: np.zeros(shape, dtype=np.complex128)  # noqa: E731
         self._u, self._product, self._wave = Z(*grid.shape), Z(*grid.shape), np.empty(grid.shape)
+        # Flat views: the real and imaginary parts of the u samples and of the
+        # product as 1-D strided views, which run as one plain loop each.
+        u_pairs, product_pairs = (a.reshape(-1).view(np.float64) for a in (self._u, self._product))
+        self._u_pairs, self._wave_flat = u_pairs, self._wave.reshape(-1)
+        self._u_parts, self._product_parts = (u_pairs[0::2], u_pairs[1::2]), (product_pairs[0::2], product_pairs[1::2])
         # Complex inverse: before the pass over axis a, the axes < a hold box entries.
         self._stages = [Z(*M * a, *N * (d - a)) for a in range(d)]
         self._passes = [self._u] + [Z(*s.shape) for s in self._stages[1:]]
@@ -226,7 +307,7 @@ class CouplingKernel:
         self._real_stages.append(Z(*N * (d - 1), n // 2 + 1))
         # Forward: the box entries gathered after each pass.
         self._gathers = [None] + [Z(*N * a, *M * (d - a)) for a in range(1, d)]
-        self._rfft = Z(*N * (d - 1), n // 2 + 1)
+        self._rfft_out = Z(*N * (d - 1), n // 2 + 1)
         self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d)]
 
     def __call__(
@@ -247,17 +328,15 @@ class CouplingKernel:
                 f"shapes {shapes} of u, wave and a C-contiguous out do not match the"
                 f" dealias box {box} and its half spectrum {half}"
             )
-        u_x = self._inverse(u).reshape(-1).view(np.float64)
-        wave_x = self._real_inverse(wave).reshape(-1)
-        # 1-D strided views of the real and imaginary parts run as one plain loop.
-        product = self._product.reshape(-1).view(np.float64)
-        np.multiply(u_x[0::2], wave_x, out=product[0::2])
-        np.multiply(u_x[1::2], wave_x, out=product[1::2])
+        self._inverse(u)
+        self._real_inverse(wave)
+        (u_re, u_im), (product_re, product_im) = self._u_parts, self._product_parts
+        np.multiply(u_re, self._wave_flat, out=product_re)
+        np.multiply(u_im, self._wave_flat, out=product_im)
         lines = self._product
         for axis in reversed(range(self.grid.dim)):
-            np.fft.fft(lines, axis=axis, out=lines)
+            self._fft(lines, self._scale if axis == 0 else 1, axes=self._axes[axis], out=lines)
             lines = _copy(self._gathers[axis] if axis else out, lines, self._gather[axis])
-        out *= self._scale
         return out, self._abs2_of_u()  # last: it reuses the wave buffer
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
@@ -271,37 +350,38 @@ class CouplingKernel:
         return self._abs2_of_u()
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        """Samples of box ``u`` in the ``u`` buffer: `numpy.fft.ifftn`, last axis first."""
+        """Samples of box ``u`` in the ``u`` buffer: the passes of `numpy.fft.ifftn`,
+        last axis first."""
         for axis in reversed(range(self.grid.dim)):
             stage = _copy(self._stages[axis], u, self._scatter[axis])
-            u = np.fft.ifft(stage, axis=axis, out=self._passes[axis])
+            u = self._ifft(stage, self._inverse_fct, axes=self._axes[axis], out=self._passes[axis])
         return u
 
     def _real_inverse(self, wave: np.ndarray) -> np.ndarray:
-        """Samples of a real field from its box half spectrum: `numpy.fft.irfftn`."""
-        last = self.grid.dim - 1
+        """Samples of a real field from its box half spectrum, in the wave buffer: the
+        passes of `numpy.fft.irfftn`."""
+        last, fct = self.grid.dim - 1, self._inverse_fct
         for axis in range(last):
             stage = _copy(self._real_stages[axis], wave, self._scatter[axis])
-            wave = np.fft.ifft(stage, axis=axis, out=self._real_passes[axis])
+            wave = self._ifft(stage, fct, axes=self._axes[axis], out=self._real_passes[axis])
         stage = _copy(self._real_stages[last], wave, self._scatter[last][:1])  # k >= 0 only
-        return np.fft.irfft(stage, n=self.grid.n_per_dim, axis=last, out=self._wave)
+        return self._irfft(stage, fct, axes=self._axes[last], out=self._wave)
 
     def _abs2_of_u(self) -> np.ndarray:
         """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites.
 
-        The samples go into the wave buffer; the forward transform is
-        `numpy.fft.rfftn`: the last axis first.
+        The samples go into the wave buffer; the forward transform runs the
+        passes of `numpy.fft.rfftn`: the last axis first.
         """
-        abs2, last = self._wave, self.grid.dim - 1
-        pairs = self._u.reshape(-1).view(np.float64)  # (re, im) interleaved
-        pairs *= pairs
-        np.add(pairs[0::2], pairs[1::2], out=abs2.reshape(-1))
-        np.fft.rfft(abs2, axis=last, out=self._rfft)
-        half = _copy(self._half_gathers[last], self._rfft, self._gather[last][:1])
+        last = self.grid.dim - 1
+        pairs = self._u_pairs  # (re, im) interleaved
+        np.multiply(pairs, pairs, out=pairs)
+        np.add(*self._u_parts, out=self._wave_flat)
+        self._rfft(self._wave, self._scale if last == 0 else 1, axes=self._axes[last], out=self._rfft_out)
+        half = _copy(self._half_gathers[last], self._rfft_out, self._gather[last][:1])
         for axis in reversed(range(last)):
-            np.fft.fft(half, axis=axis, out=half)
+            self._fft(half, self._scale if axis == 0 else 1, axes=self._axes[axis], out=half)
             half = _copy(self._half_gathers[axis], half, self._gather[axis])
-        half *= self._scale
         return half
 
 

@@ -23,7 +23,7 @@ from dispersmooth.evolution import (
     state_records,
     time_grid,
 )
-from dispersmooth.spectral import Grid, half_spectrum, random_sobolev_field, to_samples
+from dispersmooth.spectral import Grid, conjugate, half_spectrum, random_sobolev_field, to_samples
 
 from conftest import (
     FREE_SYMBOLS,
@@ -457,22 +457,26 @@ class TestHalfSpectrumRun:
 class TestRealFieldContract:
     @pytest.mark.parametrize("name", ["v", "w"])
     def test_non_real_wave_rejected_by_name(self, name):
-        # A damped run and its linear flow take a carried state: the
-        # constructor is where a wave that is not real is rejected.
+        # A state's real v and w are half spectra, real by their layout; the
+        # package checks realness where a real field enters from outside, the
+        # forcing g.  The damped data's wave passes as g; skewed, it is rejected.
         grid = Grid(2, 16)
         skew = 1e-9 * dealias(lattice_field(grid, 1.5, seed=27))  # not conjugate-symmetric
-        fields = dict(zip(("u", "v", "w"), damped_data(grid, seed=26)))
-        fields[name] = fields[name] + skew
-        with pytest.raises(ConfigurationError, match=f"^{name} must be a real field"):
-            from_full(System.KGS, **fields)
+        wave = dict(zip(("u", "v", "w"), damped_data(grid, seed=26)))[name]
+        DampedParams(gamma=0.5, delta=0.5, g=half_spectrum(grid.box(wave.coeffs)))
+        with pytest.raises(ConfigurationError, match="^g must be the half spectrum of a real field"):
+            DampedParams(gamma=0.5, delta=0.5, g=half_spectrum(grid.box((wave + skew).coeffs)))
 
     def test_roundoff_defect_accepted(self):
+        # A g whose k_last = 0 plane is Hermitian only to roundoff (a defect
+        # near 1e-15 relative, below the bound of 1e-12) is accepted and run.
         grid = Grid(2, 16)
-        u, v, w = damped_data(grid, seed=28)
-        skew = 1e-15 * norm(v) / norm(u) * u  # defect below 1e-12
-        state = from_full(System.KGS, u, v + skew, w)
-        params = DampedParams(gamma=0.5, delta=0.5)
-        traj = integrate_damped(state, params, IntegratorConfig(dt=1e-2, t_end=0.02))
+        f, g = forcing_fields(grid)
+        g = g + 1e-15 * half_spectrum(f)
+        plane = g[..., 0]
+        assert np.any(plane != conjugate(plane))
+        params = DampedParams(gamma=0.5, delta=0.5, f=f, g=g)
+        traj = integrate_damped(damped_state(grid, seed=28), params, IntegratorConfig(dt=1e-2, t_end=0.02))
         assert traj.steps == [0, 1, 2]
 
     def test_non_real_g_rejected(self):

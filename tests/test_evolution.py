@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dispersmooth import dissipative, evolution, highlow
+from dispersmooth import dissipative, evolution, highlow, spectral
 from dispersmooth.dissipative import DampedParams, integrate_damped
-from dispersmooth.errors import BlowUpError, ConfigurationError
+from dispersmooth.errors import BlowUpError, ConfigurationError, GridMismatchError
 from dispersmooth.evolution import (
     IntegratorConfig,
     Recorder,
@@ -256,41 +256,53 @@ class TestTransformCount:
         "kind, expected", [("kgs", 4), ("zakharov", 4), ("damped", 4), ("window", 8)]
     )
     def test_fft_calls_per_rhs_call(self, kind, expected, monkeypatch, grid_2d_small):
-        # Count numpy.fft/scipy.fft calls made inside the right sides handed
-        # to the stepper, and the stepper's calls of the half-step flow; an
-        # edit that adds transforms or half-steps fails here.
+        # Count the kernel's 1-D passes (the pass table `spectral._PASSES`)
+        # and any other numpy.fft/scipy.fft call made inside the right sides
+        # handed to the stepper, and the stepper's calls of the half-step
+        # flow; an edit that adds transforms or half-steps fails here.
         import numpy.fft
         import scipy.fft
 
-        counts = {"fft": 0, "rhs": 0, "fft_in_rhs": 0, "half_step": 0, "allocating_in_rhs": 0}
-        by_name_in_rhs = dict.fromkeys(FFT_FUNCTIONS, 0)
-        in_rhs = [False]
+        counts = {"rhs": 0, "pass_in_rhs": 0, "half_step": 0, "allocating_in_rhs": 0, "other_fft_in_rhs": 0}
+        by_name_in_rhs = dict.fromkeys(spectral._Passes._fields, 0)
+        inside = {"rhs": False, "pass": False}
 
-        def counted(fn, name):
-            def call(*args, **kwargs):
-                counts["fft"] += 1
-                if in_rhs[0]:
+        def counted_pass(fn, name):
+            def call(a, fct, axes, out=None):
+                if inside["rhs"]:
+                    counts["pass_in_rhs"] += 1
                     by_name_in_rhs[name] += 1
-                    counts["allocating_in_rhs"] += kwargs.get("out") is None
+                    counts["allocating_in_rhs"] += out is None
+                inside["pass"] = True  # a fallback pass calls numpy.fft itself
+                try:
+                    return fn(a, fct, axes=axes, out=out)
+                finally:
+                    inside["pass"] = False
+
+            return call
+
+        def counted_fft(fn):
+            def call(*args, **kwargs):
+                counts["other_fft_in_rhs"] += inside["rhs"] and not inside["pass"]
                 return fn(*args, **kwargs)
 
             return call
 
+        passes = spectral._Passes(*map(counted_pass, spectral._PASSES, spectral._Passes._fields))
+        monkeypatch.setattr(spectral, "_PASSES", passes)
         for module in (numpy.fft, scipy.fft):
             for name in FFT_FUNCTIONS:
-                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+                monkeypatch.setattr(module, name, counted_fft(getattr(module, name)))
 
         module = KINDS[kind]
         stepper = module.lawson_rk4_run
 
         def counting_stepper(fields, rhs, half_step, *args, **kwargs):
             def counted_rhs(y, out):
-                before = counts["fft"]
-                in_rhs[0] = True
+                inside["rhs"] = True
                 rhs(y, out)
-                in_rhs[0] = False
+                inside["rhs"] = False
                 counts["rhs"] += 1
-                counts["fft_in_rhs"] += counts["fft"] - before
                 return out
 
             def counted_half_step(y, out):
@@ -303,16 +315,18 @@ class TestTransformCount:
         run_kind(kind, grid_2d_small, seed=15, steps=2)
         assert counts["rhs"] == 4 * 2 + 1  # first same as last: the last N(y) is formed too
         assert counts["half_step"] == 8
-        # ``expected`` transforms per call, each run as one 1-D pass per axis.
+        # ``expected`` transforms per call, each run as one 1-D pass per axis,
+        # and no transform outside the kernel's passes.
         d = grid_2d_small.dim
-        assert counts["fft_in_rhs"] == expected * d * counts["rhs"]
+        assert counts["pass_in_rhs"] == expected * d * counts["rhs"]
+        assert counts["other_fft_in_rhs"] == 0
         # Per coupling product: u to samples (d complex inverse passes), the
         # real wave to samples from its half spectrum (d - 1 complex inverse
         # passes, then one real inverse), their product back (d complex
         # forward passes) and |u|^2 back (one real forward pass, then d - 1
         # complex forward passes).
         products = expected // 4 * counts["rhs"]
-        assert {k: v for k, v in by_name_in_rhs.items() if v} == {
+        assert by_name_in_rhs == {
             "ifft": (2 * d - 1) * products,
             "irfft": products,
             "fft": (2 * d - 1) * products,
@@ -816,6 +830,16 @@ def out_of_box(grid: Grid, scale: float):
     return (scale / norm(pair)) * pair
 
 
+#: The error of a run given one field on the whole lattice instead of the box, and its message.
+LATTICE_LAYOUT_ERRORS = {
+    "u": (GridMismatchError, r"^shapes \(\(16, 16\), \(11, 6\), .* of u, wave"),
+    "v": (GridMismatchError, r"^shapes \(\(11, 11\), \(16, 9\), .* of u, wave"),
+    "w": (ValueError, "broadcast"),
+    "f": (ConfigurationError, "^f has shape"),
+    "g": (ConfigurationError, "^g has shape"),
+}
+
+
 class TestBandLimitedInput:
     @pytest.mark.parametrize(
         "kind, name",
@@ -823,31 +847,37 @@ class TestBandLimitedInput:
          ("damped", "f"), ("damped", "g")],
     )
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
-        # Full spectra enter the tests' states at `from_full` (data (u, w+)
-        # through `make_state`); the damped run's forcing is carried on the
-        # box, so a full-lattice f or g is rejected by its shape.
-        data = full(random_state(System.KGS, grid_2d_small, seed=23))
+        # A run carries the dealias box only, so modes outside it can reach
+        # a run only in a field given on the whole lattice, which is rejected
+        # by its layout before a step: the forcing's check names f or g, the
+        # kernel's gives the shapes of u and of the wave v (the real part of
+        # w+).  A lattice w meets the half-step flow first, which fails to
+        # broadcast it.
+        grid = grid_2d_small
+        state = random_state(System.KGS, grid, seed=23)
+        fields = {"u": state.u, "v": state.v, "w": state.w, "f": None, "g": None}
+        field = "v" if name == "wplus" else name
+        fields[field] = from_box(state.u, grid) if field in "uf" else half_spectrum(from_box(state.v, grid))
+        error, message = LATTICE_LAYOUT_ERRORS[field]
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
-        bump = out_of_box(grid_2d_small, 1e-6 * norm(data.u))
-        message = "has shape" if name in ("f", "g") else "is not band-limited"
-        with pytest.raises(ConfigurationError, match=f"^{name} {message}"):
+        with pytest.raises(error, match=message):
             if kind == "kgs":
-                fields = {"u": data.u, "wplus": data.wplus}
-                fields[name] = fields[name] + bump
-                make_state(System.KGS, fields["u"], fields["wplus"])
+                integrate(SystemState(System.KGS, grid, fields["u"], fields["v"], fields["w"]), config)
             else:
-                fields = {"u": data.u, "v": data.v, "w": data.v, "f": None, "g": None}
-                fields[name] = bump.coeffs if name in ("f", "g") else fields[name] + bump
                 params = DampedParams(gamma=0.5, delta=0.5, f=fields.pop("f"), g=fields.pop("g"))
-                state = from_full(System.KGS, **fields)
-                integrate_damped(state, params, config)
+                integrate_damped(SystemState(System.KGS, grid, **fields), params, config)
 
     def test_roundoff_outside_the_box_accepted_and_dropped(self, grid_2d_small):
-        data = full(random_state(System.KGS, grid_2d_small, seed=24))
-        bump = out_of_box(grid_2d_small, 1e-14 * norm(data.u))
-        state, bumped = (make_state(System.KGS, u, data.wplus) for u in (data.u, data.u + bump))
+        # `Grid.box` takes full coefficients to a run's layout and drops every
+        # mode outside the box, so a run from them does not see the bump.
+        state = random_state(System.KGS, grid_2d_small, seed=24)
+        u = from_box(state.u, grid_2d_small)
+        bump = out_of_box(grid_2d_small, 1e-14 * np.linalg.norm(u)).coeffs
+        boxes = [grid_2d_small.box(a) for a in (u, u + bump)]
+        assert boxes[0].tobytes() == boxes[1].tobytes() == state.u.tobytes()
         config = IntegratorConfig(dt=1e-2, t_end=0.02)
-        a, b = (integrate(s, config).final for s in (state, bumped))
+        a, b = (integrate(SystemState(System.KGS, grid_2d_small, box, state.v, state.w), config).final
+                for box in boxes)
         assert all(np.array_equal(x, y) for x, y in zip(a.fields, b.fields))
 
 

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.fft import _pocketfft_umath
 
+from dispersmooth import spectral
 from dispersmooth.errors import ConfigurationError, GridMismatchError, ResourceLimitError
 from dispersmooth.evolution import System, SystemState, random_system_state
 from dispersmooth.highlow import split_initial
@@ -28,13 +31,13 @@ from dispersmooth.spectral import (
 )
 
 from conftest import (
-    coupling_products,
     cubic_term,
     dealias,
     from_box,
     inner_product,
     lattice,
     lattice_field,
+    real_part,
     spectral_cubic_pairing,
 )
 
@@ -258,23 +261,33 @@ def conjugate_coefficients(f: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(np.flip(f), 1, axis=tuple(range(f.ndim))))
 
 
+def kernel_products(grid: Grid, u: np.ndarray, wave: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`CouplingKernel` on the box ``u`` and the box half spectrum of the real ``wave``,
+    both given as full coefficients; its ``u * wave`` and ``|u|^2`` as full arrays."""
+    uw, abs2 = CouplingKernel(grid)(grid.box(u), np.ascontiguousarray(half_spectrum(grid.box(wave))))
+    return from_box(uw, grid), from_box(abs2, grid)
+
+
 class TestDealiasedProduct:
     def test_product_with_zero(self):
         grid = Grid(2, 16)
-        f = lattice_field(grid, 0.0, seed=7)
+        f = lattice_field(grid, 0.0, seed=7).coeffs
         zero = np.zeros(grid.shape, complex)
-        uw, _ = coupling_products(grid, f.coeffs, zero)
-        assert np.max(np.abs(uw)) < 1e-13
-        uw, abs2 = coupling_products(grid, zero, f.coeffs)
+        uw, _ = kernel_products(grid, f, zero)
+        assert np.max(np.abs(uw)) == 0.0
+        uw, abs2 = kernel_products(grid, zero, real_part(f))
         assert np.max(np.abs(uw)) == 0.0 and np.max(np.abs(abs2)) == 0.0
 
     def test_two_modes_within_band(self):
+        # e^{2ix} cos 3x = (e^{5ix} + e^{-ix}) / 2, both modes inside the box |k| <= 5.
         grid = Grid(1, 16)
-        uw, abs2 = coupling_products(grid, plane_wave(grid, (2,)), plane_wave(grid, (3,)))
-        k5 = np.argmin(np.abs(grid.k_axis - 5))
-        assert uw[k5] == pytest.approx(TWO_PI, rel=1e-12)
+        cos3 = 0.5 * (plane_wave(grid, (3,)) + plane_wave(grid, (-3,)))
+        uw, abs2 = kernel_products(grid, plane_wave(grid, (2,)), cos3)
+        k5, k_1 = (np.argmin(np.abs(grid.k_axis - k)) for k in (5, -1))
+        assert uw[k5] == pytest.approx(math.pi, rel=1e-12)
+        assert uw[k_1] == pytest.approx(math.pi, rel=1e-12)
         rest = uw.copy()
-        rest[k5] = 0
+        rest[[k5, k_1]] = 0
         assert np.max(np.abs(rest)) < 1e-11
         # |e^{2ix}|^2 = 1: only the zero mode, of coefficient 2 pi.
         assert abs2[0] == pytest.approx(TWO_PI, rel=1e-12)
@@ -285,7 +298,7 @@ class TestDealiasedProduct:
         grid = Grid(1, 32)
         cutoff = grid.n_per_dim // 3
         f = dealias(lattice_field(grid, 0.0, seed=8))
-        g = dealias(lattice_field(grid, 0.0, seed=9))
+        g = dealias(lattice_field(grid, 0.0, seed=9, real=True))
         n = grid.n_per_dim
         ks = grid.k_axis.astype(int)
         index = {k: i for i, k in enumerate(ks)}
@@ -297,7 +310,7 @@ class TestDealiasedProduct:
                 if -cutoff <= k2 <= cutoff:
                     acc += f.coeffs[index[k1]] * g.coeffs[index[k2]]
             conv[index[k_out]] = acc / grid.volume
-        uw, _ = coupling_products(grid, f.coeffs, g.coeffs)
+        uw, _ = kernel_products(grid, f.coeffs, g.coeffs)
         assert np.max(np.abs(uw - conv)) < 1e-12 * max(1.0, np.max(np.abs(conv)))
 
     @settings(max_examples=20, deadline=None)
@@ -306,8 +319,8 @@ class TestDealiasedProduct:
         grid = Grid(dim, {1: 32, 2: 16, 3: 8, 4: 8}[dim])
         kids = np.random.SeedSequence(seed).spawn(2)
         u = dealias(lattice_field(grid, 0.0, seed=kids[0])).coeffs
-        wave = dealias(lattice_field(grid, 0.0, seed=kids[1])).coeffs
-        uw, abs2 = coupling_products(grid, u, wave)
+        wave = dealias(lattice_field(grid, 0.0, seed=kids[1], real=True)).coeffs
+        uw, abs2 = kernel_products(grid, u, wave)
         for got, want in (
             (uw, convolution_oracle(u, wave, grid)),
             (abs2, convolution_oracle(u, conjugate_coefficients(u), grid)),
@@ -315,17 +328,20 @@ class TestDealiasedProduct:
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_commutative_and_bilinear(self):
+        # The kernel's wave is real, so it commutes on two real fields f, g;
+        # it is linear in u (h complex) and in the wave.
         grid = Grid(2, 16)
-        f = lattice_field(grid, 0.0, seed=10).coeffs
-        g = lattice_field(grid, 0.0, seed=11).coeffs
+        f, g = (real_part(lattice_field(grid, 0.0, seed=seed).coeffs) for seed in (10, 11))
         h = lattice_field(grid, 0.0, seed=12).coeffs
-        fg, _ = coupling_products(grid, f, g)
-        gf, _ = coupling_products(grid, g, f)
+        fg, _ = kernel_products(grid, f, g)
+        gf, _ = kernel_products(grid, g, f)
         assert np.max(np.abs(fg - gf)) < 1e-12
-        lhs, _ = coupling_products(grid, f + 2.0 * h, g)
-        rhs = fg + 2.0 * coupling_products(grid, h, g)[0]
-        scale = max(1.0, np.max(np.abs(lhs)))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+        for lhs, rhs in (
+            (kernel_products(grid, f + 2.0 * h, g)[0], fg + 2.0 * kernel_products(grid, h, g)[0]),
+            (kernel_products(grid, h, g + 2.0 * f)[0],
+             kernel_products(grid, h, g)[0] + 2.0 * kernel_products(grid, h, f)[0]),
+        ):
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_grid_mismatch_rejected(self):
         f = random_sobolev_field(Grid(1, 16), 0.0, seed=0)
@@ -353,6 +369,44 @@ class TestDealiasedProduct:
         direct = np.sum(np.abs(u_x) ** 2 * v_x) * grid.dx**2
         box_u, box_v = grid.box(u.coeffs), half_spectrum(grid.box(v.coeffs))
         assert cubic_term(box_u, box_v, grid) == pytest.approx(direct, rel=1e-10)
+
+
+class TestPassTable:
+    """`CouplingKernel` calls numpy's pocketfft gufuncs directly (`spectral._PASSES`);
+    numpy.fft's public functions (`spectral._FALLBACK`) are the reference."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (2, 64), (3, 16), (4, 8)])
+    def test_gufunc_table_gives_the_fallback_bits(self, dim, n, monkeypatch):
+        grid = Grid(dim, n)
+        u = random_sobolev_field(grid, 0.0, seed=80 + dim)
+        wave = np.ascontiguousarray(half_spectrum(random_sobolev_field(grid, 0.0, seed=90 + dim, real=True)))
+
+        def outputs():
+            kernel, out = CouplingKernel(grid), np.empty(grid.box_shape, complex)
+            uw, abs2 = kernel(u, wave, out=out)
+            assert uw is out
+            got = [uw.tobytes(), abs2.tobytes(), CouplingKernel(grid).abs2(u).tobytes()]
+            return got + [part.tobytes() for part in kernel(u, wave)]
+
+        assert spectral._PASSES is not spectral._FALLBACK
+        got = outputs()
+        monkeypatch.setattr(spectral, "_PASSES", spectral._FALLBACK)
+        assert got == outputs()
+
+    def test_selection_falls_back_without_a_gufunc(self):
+        names = {"fft": 0, "ifft": 0, "rfft_n_even": 0, "irfft": 0}
+        gufuncs = SimpleNamespace(**{name: getattr(_pocketfft_umath, name) for name in names})
+        assert spectral._select_passes(gufuncs) == tuple(vars(gufuncs).values())
+        assert spectral._PASSES == spectral._select_passes(_pocketfft_umath)
+        for name in names:
+            lacking = SimpleNamespace(**{k: v for k, v in vars(gufuncs).items() if k != name})
+            assert spectral._select_passes(lacking) is spectral._FALLBACK
+        assert spectral._select_passes(None) is spectral._FALLBACK
+        # A call with the kernel's signature fails, or gives other bits.
+        public = SimpleNamespace(**{**vars(gufuncs), "fft": np.fft.fft})
+        swapped = SimpleNamespace(**{**vars(gufuncs), "ifft": _pocketfft_umath.fft})
+        for module in (public, swapped):
+            assert spectral._select_passes(module) is spectral._FALLBACK
 
 
 class TestBoxDiagnostics:
