@@ -232,7 +232,7 @@ def _select_passes(module) -> _Passes:
         passes = _Passes(*(getattr(module, name) for name in ("fft", "ifft", "rfft_n_even", "irfft")))
         if _probe(passes) == _probe(_FALLBACK):
             return passes
-    except Exception:  # a missing name, a changed signature or a changed dtype rule
+    except (AttributeError, TypeError, ValueError):  # a missing name or a changed signature
         pass
     return _FALLBACK
 
