@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, GridMismatchError
 from .spectral import (
     CouplingKernel,
     Grid,
@@ -58,8 +58,9 @@ class SystemState:
     spectra (`half_spectrum`), with ``w = v_t``, or ``w = a v + v_t`` in a
     damped run, which the state does not record: outside `dissipative`, ``w``
     is read as ``v_t`` (`box_wplus`, `conserved_quantities`, `Checkpoint`).
-    Runs never write into a state's arrays.  States compare by identity, as
-    arrays give no single truth value.
+    A field of another shape is a `GridMismatchError` naming it.  Runs never
+    write into a state's arrays.  States compare by identity, as arrays give
+    no single truth value.
     """
 
     system: System
@@ -68,6 +69,16 @@ class SystemState:
     v: np.ndarray
     w: np.ndarray
     t: float = field(default=0.0, kw_only=True)
+
+    def __post_init__(self) -> None:
+        grid, box = self.grid, self.grid.box_shape
+        half = box[:-1] + (box[-1] // 2 + 1,)
+        for name, shape, layout in zip("uvw", (box, half, half), ("box",) + ("box half spectrum",) * 2):
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise GridMismatchError(
+                    f"{name} has shape {got}, not {shape}: the {layout} of a"
+                    f" {grid.n_per_dim}^{grid.dim} grid"
+                )
 
     @property
     def fields(self) -> Fields:
@@ -268,8 +279,10 @@ def lawson_rk4_run(
     First same as last: ``N1 = N(y)`` is formed before the first step and at
     the end of each, so a run makes ``4 n_steps + 1`` right-side calls.
 
-    The run's workspace is ``Y`` (a copy of ``fields``), ``PY, PN1, N1 .. N4``
-    and a stage buffer per field.  ``rhs(fields, out)`` and ``half_step(fields,
+    The run's workspace is seven buffers per field: ``Y`` (a copy of
+    ``fields``), ``PY, PN1, N1, N3, N4`` and a stage buffer.  N1 is spent
+    once PN1 is formed, so N2 takes its buffer, and ``N(y)`` refills it at
+    the end of the step.  ``rhs(fields, out)`` and ``half_step(fields,
     out)`` fill every component of ``out``, a workspace tuple apart from
     ``fields``, and each sum is formed in place in the operation order shown,
     so a step allocates no array and gives the bits of an allocating one.
@@ -279,7 +292,8 @@ def lawson_rk4_run(
     h, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
     observe = observer or (lambda step, y, n: None)
     y = tuple(np.array(a, dtype=np.complex128) for a in fields)
-    py, pn1, n1, n2, n3, n4, stage = (tuple(np.empty_like(a) for a in y) for _ in range(7))
+    py, pn1, n1, n3, n4, stage = (tuple(np.empty_like(a) for a in y) for _ in range(6))
+    n2 = n1  # N1 is spent once PN1 is formed
     observe(0, y, rhs(y, n1))
     for step in range(1, n_steps + 1):
         half_step(y, py)

@@ -263,19 +263,29 @@ class CouplingKernel:
     ``|u|^2`` are box half spectra (`half_spectrum`).  A call takes ``u`` and
     the wave to samples (complex and real inverse transforms), and their
     product and ``|u|^2`` back (complex and real forward).  Each transform
-    runs as one call per 1-D pass, in the axis order of numpy's n-d
-    functions, on the lines that hold box modes only: an inverse pass reads
-    a staging buffer that the box lines are scattered into (its other
-    entries stay zero), and a forward pass's box entries are gathered
-    before the next pass.  The passes are numpy's pocketfft gufuncs, called
-    directly (`_PASSES`, or numpy.fft's public functions when those are
-    absent), with numpy.fft's factors: 1 forward and ``1/n`` inverse,
-    except that the last forward pass of each output takes the scale
-    ``1/dx^d``.  Lines transform on their own, so the results are the box
-    entries of numpy's n-d transforms times ``1/dx^d``, bit for bit.  Every
-    pass writes into the kernel's buffers or the caller's ``out``, so a call
-    allocates nothing once ``out`` is given; the returned ``|u|^2`` is a
-    kernel buffer, valid until the next call.  The buffers make a kernel
+    runs as its 1-D passes, in the axis order of numpy's n-d functions, on
+    the lines that hold box modes only.  An inverse scatters the box into a
+    stage whose other entries are zero, and each complex pass but the last
+    writes straight into the next stage: its two box blocks (``k = 0..c``
+    and ``k = -c..-1`` of the next axis) into their places, or, into the
+    lattice stage, all box rows in one call, whose ``k < 0`` block then
+    moves to its place while the rows between are zeroed.  The last complex
+    pass runs in place.  The real pass reads the ``k = 0..c`` columns as
+    they are, which the gufunc zero-fills to the half lattice.  A forward
+    pass runs in place, and its box entries are gathered before the next
+    pass.  The passes are numpy's pocketfft gufuncs, called directly
+    (`_PASSES`, or numpy.fft's public functions when those are absent), with
+    numpy.fft's factors: 1 forward and ``1/n`` inverse, except that the
+    last forward pass of each output takes the scale ``1/dx^d``.  Lines
+    transform on their own, so the results are the box entries of numpy's
+    n-d transforms times ``1/dx^d``, bit for bit.
+
+    Every pass writes into the kernel's buffers or the caller's ``out``, so
+    a call allocates nothing once ``out`` is given.  The product buffer,
+    idle while they are used, also holds the real inverse's input, the rfft
+    output and the first ``|u|^2`` gather, so a kernel holds about 4.5, 5.6
+    and 6.8 complex lattices in d = 2, 3 and 4.  The returned ``|u|^2`` is
+    a kernel buffer, valid until the next call.  The buffers make a kernel
     unsafe to share between threads.
     """
 
@@ -292,23 +302,37 @@ class CouplingKernel:
                           for lat, box in blocks] for a in range(d)]
         self._gather = [[(box, lat) for lat, box in pairs] for pairs in self._scatter]
         Z = lambda *shape: np.zeros(shape, dtype=np.complex128)  # noqa: E731
-        self._u, self._product, self._wave = Z(*grid.shape), Z(*grid.shape), np.empty(grid.shape)
+        # Complex inverse: before the pass over axis a, the axes < a hold box
+        # entries.  Stage 0, the lattice, ends as the u samples.  Its first m
+        # rows take the box layout of axis 0 (from the pass over axis 1, or
+        # ``u`` itself in 1-d); the k = -c..-1 block then moves to its rows
+        # and the rows between are zeroed.
+        self._stages = [Z(*M * a, *N * (d - a)) for a in range(d)]
+        self._u, self._product, self._wave = self._stages[0], Z(*grid.shape), np.empty(grid.shape)
+        self._first = self._scatter[-1] if d > 1 else [(slice(0, m), slice(0, m))]
+        self._u_passes = [pass_ for a in range(d - 1, 1, -1)
+                          for pass_ in _block_passes(a, self._stages[a], self._stages[a - 1], self._scatter[a - 1])]
+        self._u_passes += [(1, self._stages[1], self._u[:m])] if d > 1 else []
+        self._move, self._outside = (slice(n - c, n), slice(h, m)), slice(h, n - c)
         # Flat views: the real and imaginary parts of the u samples and of the
         # product as 1-D strided views, which run as one plain loop each.
         u_pairs, product_pairs = (a.reshape(-1).view(np.float64) for a in (self._u, self._product))
         self._u_pairs, self._wave_flat = u_pairs, self._wave.reshape(-1)
         self._u_parts, self._product_parts = (u_pairs[0::2], u_pairs[1::2]), (product_pairs[0::2], product_pairs[1::2])
-        # Complex inverse: before the pass over axis a, the axes < a hold box entries.
-        self._stages = [Z(*M * a, *N * (d - a)) for a in range(d)]
-        self._passes = [self._u] + [Z(*s.shape) for s in self._stages[1:]]
+        # Scratch in the product buffer: the real inverse's input, then the
+        # rfft output and the first half-spectrum gather side by side.
+        scratch, lines = self._product.reshape(-1), N * (d - 1)
+        self._real_input = _view(scratch, 0, (*lines, h))
+        self._rfft_out = _view(scratch, 0, (*lines, n // 2 + 1))
         # Real inverse: complex passes over axes 0 .. d-2, then the real one.
         self._real_stages = [Z(*N * (a + 1), *M * (d - 2 - a), h) for a in range(d - 1)]
-        self._real_passes = [Z(*s.shape) for s in self._real_stages]
-        self._real_stages.append(Z(*N * (d - 1), n // 2 + 1))
+        self._wave_passes = [pass_ for a in range(d - 2) for pass_ in _block_passes(
+            a, self._real_stages[a], self._real_stages[a + 1], self._scatter[a + 1])]
+        self._wave_passes += [(d - 2, self._real_stages[-1], self._real_input)] if d > 1 else []
         # Forward: the box entries gathered after each pass.
         self._gathers = [None] + [Z(*N * a, *M * (d - a)) for a in range(1, d)]
-        self._rfft_out = Z(*N * (d - 1), n // 2 + 1)
-        self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d)]
+        self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d - 1)]
+        self._half_gathers.append(_view(scratch, self._rfft_out.size, (*lines, h)))
 
     def __call__(
         self, u: np.ndarray, wave: np.ndarray, out: np.ndarray | None = None
@@ -337,7 +361,7 @@ class CouplingKernel:
         for axis in reversed(range(self.grid.dim)):
             self._fft(lines, self._scale if axis == 0 else 1, axes=self._axes[axis], out=lines)
             lines = _copy(self._gathers[axis] if axis else out, lines, self._gather[axis])
-        return out, self._abs2_of_u()  # last: it reuses the wave buffer
+        return out, self._abs2_of_u()  # last: it reuses the wave and product buffers
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
         """The box half spectrum of ``|u|^2`` alone, a kernel buffer: the passes of a
@@ -351,27 +375,34 @@ class CouplingKernel:
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """Samples of box ``u`` in the ``u`` buffer: the passes of `numpy.fft.ifftn`,
-        last axis first."""
-        for axis in reversed(range(self.grid.dim)):
-            stage = _copy(self._stages[axis], u, self._scatter[axis])
-            u = self._ifft(stage, self._inverse_fct, axes=self._axes[axis], out=self._passes[axis])
-        return u
+        last axis first, the one over axis 0 in place."""
+        samples, (target, source) = self._u, self._move
+        _copy(self._stages[-1], u, self._first)
+        self._run(self._u_passes)
+        samples[target] = samples[source]
+        samples[self._outside] = 0
+        return self._ifft(samples, self._inverse_fct, axes=self._axes[0], out=samples)
 
     def _real_inverse(self, wave: np.ndarray) -> np.ndarray:
         """Samples of a real field from its box half spectrum, in the wave buffer: the
-        passes of `numpy.fft.irfftn`."""
-        last, fct = self.grid.dim - 1, self._inverse_fct
-        for axis in range(last):
-            stage = _copy(self._real_stages[axis], wave, self._scatter[axis])
-            wave = self._ifft(stage, fct, axes=self._axes[axis], out=self._real_passes[axis])
-        stage = _copy(self._real_stages[last], wave, self._scatter[last][:1])  # k >= 0 only
-        return self._irfft(stage, fct, axes=self._axes[last], out=self._wave)
+        passes of `numpy.fft.irfftn`, the complex ones into the product buffer."""
+        if self._wave_passes:  # d > 1
+            _copy(self._real_stages[0], wave, self._scatter[0])
+            self._run(self._wave_passes)
+            wave = self._real_input
+        return self._irfft(wave, self._inverse_fct, axes=self._axes[-1], out=self._wave)
+
+    def _run(self, passes: list) -> None:
+        """The complex inverse ``passes`` ``(axis, source, target)``, in order."""
+        for axis, source, target in passes:
+            self._ifft(source, self._inverse_fct, axes=self._axes[axis], out=target)
 
     def _abs2_of_u(self) -> np.ndarray:
         """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites.
 
         The samples go into the wave buffer; the forward transform runs the
-        passes of `numpy.fft.rfftn`: the last axis first.
+        passes of `numpy.fft.rfftn`, the last axis first, the real one into
+        the product buffer.
         """
         last = self.grid.dim - 1
         pairs = self._u_pairs  # (re, im) interleaved
@@ -383,6 +414,17 @@ class CouplingKernel:
             self._fft(half, self._scale if axis == 0 else 1, axes=self._axes[axis], out=half)
             half = _copy(self._half_gathers[axis], half, self._gather[axis])
         return half
+
+
+def _block_passes(axis: int, source: np.ndarray, target: np.ndarray, pairs) -> list:
+    """The passes ``(axis, source[s], target[t])`` over ``axis`` for each index pair
+    ``(t, s)``: the blocks of ``source`` into their places in ``target``."""
+    return [(axis, source[s], target[t]) for t, s in pairs]
+
+
+def _view(flat: np.ndarray, start: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on ``flat``'s entries from ``start`` on."""
+    return flat[start : start + math.prod(shape)].reshape(shape)
 
 
 def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:

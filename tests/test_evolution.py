@@ -263,15 +263,14 @@ class TestTransformCount:
         import numpy.fft
         import scipy.fft
 
-        counts = {"rhs": 0, "pass_in_rhs": 0, "half_step": 0, "allocating_in_rhs": 0, "other_fft_in_rhs": 0}
-        by_name_in_rhs = dict.fromkeys(spectral._Passes._fields, 0)
+        counts = {"rhs": 0, "half_step": 0, "allocating_in_rhs": 0, "other_fft_in_rhs": 0}
+        lines_in_rhs = dict.fromkeys(spectral._Passes._fields, 0)
         inside = {"rhs": False, "pass": False}
 
         def counted_pass(fn, name):
             def call(a, fct, axes, out=None):
                 if inside["rhs"]:
-                    counts["pass_in_rhs"] += 1
-                    by_name_in_rhs[name] += 1
+                    lines_in_rhs[name] += a.size // a.shape[axes[0][0]]  # 1-D lines transformed
                     counts["allocating_in_rhs"] += out is None
                 inside["pass"] = True  # a fallback pass calls numpy.fft itself
                 try:
@@ -315,22 +314,23 @@ class TestTransformCount:
         run_kind(kind, grid_2d_small, seed=15, steps=2)
         assert counts["rhs"] == 4 * 2 + 1  # first same as last: the last N(y) is formed too
         assert counts["half_step"] == 8
-        # ``expected`` transforms per call, each run as one 1-D pass per axis,
-        # and no transform outside the kernel's passes.
-        d = grid_2d_small.dim
-        assert counts["pass_in_rhs"] == expected * d * counts["rhs"]
+        # No transform outside the kernel's passes.
         assert counts["other_fft_in_rhs"] == 0
-        # Per coupling product: u to samples (d complex inverse passes), the
-        # real wave to samples from its half spectrum (d - 1 complex inverse
-        # passes, then one real inverse), their product back (d complex
-        # forward passes) and |u|^2 back (one real forward pass, then d - 1
-        # complex forward passes).
+        # ``expected`` transforms per call, four per coupling product, each
+        # run as 1-D passes on the lines (``a.size // a.shape[axis]`` of a
+        # pass's input) that hold box modes: n = 16 per axis, m = 11 box
+        # rows and h = 6 half-spectrum columns.  u to samples: m lines over
+        # axis 1, then n over axis 0; the real wave: h complex lines over
+        # axis 0, then n real ones; their product back: n over axis 1, then
+        # m over axis 0; |u|^2 back: n real lines, then h complex ones.  A
+        # pass split into block calls transforms the same lines.
+        assert grid_2d_small.shape == (16, 16)
         products = expected // 4 * counts["rhs"]
-        assert by_name_in_rhs == {
-            "ifft": (2 * d - 1) * products,
-            "irfft": products,
-            "fft": (2 * d - 1) * products,
-            "rfft": products,
+        assert lines_in_rhs == {
+            "ifft": (11 + 16 + 6) * products,
+            "irfft": 16 * products,
+            "fft": (16 + 11 + 6) * products,
+            "rfft": 16 * products,
         }
         # Every one of them writes into a buffer (out=) instead of allocating.
         assert counts["allocating_in_rhs"] == 0
@@ -832,9 +832,9 @@ def out_of_box(grid: Grid, scale: float):
 
 #: The error of a run given one field on the whole lattice instead of the box, and its message.
 LATTICE_LAYOUT_ERRORS = {
-    "u": (GridMismatchError, r"^shapes \(\(16, 16\), \(11, 6\), .* of u, wave"),
-    "v": (GridMismatchError, r"^shapes \(\(11, 11\), \(16, 9\), .* of u, wave"),
-    "w": (ValueError, "broadcast"),
+    "u": (GridMismatchError, r"^u has shape \(16, 16\), not \(11, 11\): the box of a 16\^2 grid$"),
+    "v": (GridMismatchError, r"^v has shape \(16, 9\), not \(11, 6\): the box half spectrum of a 16\^2 grid$"),
+    "w": (GridMismatchError, r"^w has shape \(16, 9\), not \(11, 6\): the box half spectrum of a 16\^2 grid$"),
     "f": (ConfigurationError, "^f has shape"),
     "g": (ConfigurationError, "^g has shape"),
 }
@@ -849,10 +849,8 @@ class TestBandLimitedInput:
     def test_out_of_box_input_rejected_by_name(self, kind, name, grid_2d_small):
         # A run carries the dealias box only, so modes outside it can reach
         # a run only in a field given on the whole lattice, which is rejected
-        # by its layout before a step: the forcing's check names f or g, the
-        # kernel's gives the shapes of u and of the wave v (the real part of
-        # w+).  A lattice w meets the half-step flow first, which fails to
-        # broadcast it.
+        # by its layout before a step: `SystemState` names u, v (the real
+        # part of w+) or w, the forcing's check f or g.
         grid = grid_2d_small
         state = random_state(System.KGS, grid, seed=23)
         fields = {"u": state.u, "v": state.v, "w": state.w, "f": None, "g": None}

@@ -409,6 +409,45 @@ class TestPassTable:
             assert spectral._select_passes(module) is spectral._FALLBACK
 
 
+class TestKernelBuffers:
+    """`CouplingKernel` shares its buffers between the passes of a call: the lattice
+    stage ends as the u samples and is zeroed outside the box per inverse, and
+    the product buffer holds the real inverse's input and the |u|^2 scratch."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32), (3, 32), (4, 8)])
+    def test_reused_kernel_gives_a_fresh_kernels_bits(self, dim, n):
+        # Three different (u, wave) pairs through one kernel, with abs2 calls
+        # in between: nothing a call leaves in the shared buffers reaches the
+        # next one's results.  On these grids some lattice rows lie beyond
+        # the box rows (n - c > 2c + 1), where only the zeroing clears them.
+        grid = Grid(dim, n)
+        kernel = CouplingKernel(grid)
+        for seed in range(3):
+            u, other = (random_sobolev_field(grid, s, seed=100 + 10 * dim + seed) for s in (0.0, 1.0))
+            wave = random_sobolev_field(grid, 0.5, seed=200 + 10 * dim + seed, real=True)
+            wave = np.ascontiguousarray(half_spectrum(wave))
+            assert kernel.abs2(other).tobytes() == CouplingKernel(grid).abs2(other).tobytes()
+            got, want = kernel(u, wave), CouplingKernel(grid)(u, wave)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("dim, n, lattices", [(2, 64, 5.0), (3, 32, 6.5), (4, 16, 7.5)])
+    def test_buffers_fit_the_budget(self, dim, n, lattices):
+        # The kernel's buffers, in complex lattices (16 n^d bytes): 4.5, 5.6
+        # and 6.8 here, where a scratch buffer per pass output took 7.8, 9.7
+        # and 11.6.
+        import tracemalloc
+
+        grid = Grid(dim, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel = CouplingKernel(grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= lattices * 16 * n**dim
+
+
 class TestBoxDiagnostics:
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (3, 8), (4, 8)])
     @pytest.mark.parametrize("band_limited", [True, False])
