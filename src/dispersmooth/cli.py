@@ -6,8 +6,9 @@ Usage::
 
 Experiments: simulate, smoothing-scan, counterexample, highlow, attractor,
 xsb-constant, resonance-geometry.  Exit codes: 0 success, 2 configuration
-error, 3 numerical abort (blow-up), 4 I/O error.  The environment variable
-DISPERSMOOTH_THREADS caps the worker count for ensemble experiments.
+error, 3 numerical abort (blow-up), 4 I/O error; a usage error exits 2 from
+argparse.  The environment variable DISPERSMOOTH_THREADS sets the worker count
+of the smoothing scan's thread pool, at most ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .evolution import (
 )
 from .highlow import run_global
 from .reporting import Checkpoint, ExperimentResult, write_outputs
-from .resonance import bilinear_constant_estimate, resonant_shell_sample
 from .smoothing import (
     SmoothingParams,
     sharpness_counterexample,
@@ -76,9 +76,7 @@ def _run_simulate(config: RunConfig, seed: int) -> ExperimentResult:
         start = rows[0][column]
         return max(abs(row[column] - start) for row in rows) / abs(start) if start else None
 
-    checkpoints = []
-    if config.output.checkpoint:
-        checkpoints.append(("state.ckpt", Checkpoint.of(trajectory.final)))
+    checkpoints = (("state.ckpt", Checkpoint.of(trajectory.final)),) if config.output.checkpoint else ()
     return ExperimentResult(
         experiment="simulate",
         csv_name="timeseries.csv",
@@ -271,6 +269,8 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
 
 
 def _run_xsb_constant(config: RunConfig, seed: int) -> ExperimentResult:
+    from .resonance import bilinear_constant_estimate  # imported on use: most runs never need it
+
     res = config.resonance
     stats = bilinear_constant_estimate(
         config.system.s,
@@ -299,6 +299,8 @@ def _run_xsb_constant(config: RunConfig, seed: int) -> ExperimentResult:
 
 
 def _run_resonance_geometry(config: RunConfig, seed: int) -> ExperimentResult:
+    from .resonance import resonant_shell_sample
+
     res = config.resonance
     sample = resonant_shell_sample(
         np.array(res.xi1, dtype=float),
@@ -333,15 +335,14 @@ _RUNNERS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dispersmooth",
+        usage="%(prog)s <experiment> --config PATH [--seed U64] [--out DIR] [--quiet]",
         description="Pseudo-spectral experiments for coupled Schrodinger-wave systems",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to the INI configuration")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", required=True, metavar="PATH", help="path to the INI configuration")
+    parser.add_argument("--seed", type=int, default=None, metavar="U64", help="override [run] seed")
+    parser.add_argument("--out", default=None, metavar="DIR", help="override the output directory")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 

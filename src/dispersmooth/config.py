@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AdmissibilityError, ConfigurationError
 from .evolution import IntegratorConfig, System
@@ -59,22 +60,19 @@ def require_seed(value: int, name: str) -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class RunSection:
+class RunSection(NamedTuple):
     experiment: str | None = None
     seed: int = 0
     out_dir: str | None = None
 
 
-@dataclass(frozen=True)
-class GridSection:
+class GridSection(NamedTuple):
     dimension: int = 2
     n_per_dim: int = 64
     box_length: float = 1.0
 
 
-@dataclass(frozen=True)
-class SystemSection:
+class SystemSection(NamedTuple):
     kind: str = "kgs"
     s: float = 1.0
     r: float = 1.0
@@ -93,8 +91,7 @@ class SmoothingSection:
         _require_positive(self, "ensemble")
 
 
-@dataclass(frozen=True)
-class CounterexampleSection:
+class CounterexampleSection(NamedTuple):
     alpha: float = 1.0
     b: float = 0.55
     n_values: tuple[int, ...] = (8, 16, 32, 64, 128)
@@ -102,8 +99,7 @@ class CounterexampleSection:
     branch: int = 1
 
 
-@dataclass(frozen=True)
-class DampingSection:
+class DampingSection(NamedTuple):
     gamma: float = 0.5
     delta: float = 0.5
     a: float | None = None
@@ -133,28 +129,29 @@ class ResonanceSection:
             raise ConfigurationError(f"tau_spacing must be finite and positive, got {spacing}")
 
 
-@dataclass(frozen=True)
-class OutputSection:
+class OutputSection(NamedTuple):
     checkpoint: bool = True
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     experiment: str
-    run: RunSection = field(default_factory=RunSection)
-    grid: GridSection = field(default_factory=GridSection)
-    system: SystemSection = field(default_factory=SystemSection)
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    smoothing: SmoothingSection = field(default_factory=SmoothingSection)
-    counterexample: CounterexampleSection = field(default_factory=CounterexampleSection)
-    highlow: HighLowConfig = field(default_factory=HighLowConfig)
-    damping: DampingSection = field(default_factory=DampingSection)
-    resonance: ResonanceSection = field(default_factory=ResonanceSection)
-    output: OutputSection = field(default_factory=OutputSection)
+    run: RunSection = RunSection()
+    grid: GridSection = GridSection()
+    system: SystemSection = SystemSection()
+    integrator: IntegratorConfig = IntegratorConfig()
+    smoothing: SmoothingSection = SmoothingSection()
+    counterexample: CounterexampleSection = CounterexampleSection()
+    highlow: HighLowConfig = HighLowConfig()
+    damping: DampingSection = DampingSection()
+    resonance: ResonanceSection = ResonanceSection()
+    output: OutputSection = OutputSection()
 
     def echo(self) -> dict:
         """Fully resolved configuration (defaults included) for the manifest."""
-        data = asdict(self)
+        data = self._asdict()
+        for name, section in data.items():
+            if name != "experiment":
+                data[name] = {key: getattr(section, key) for key in type(section).__annotations__}
         return data
 
 
@@ -206,7 +203,9 @@ def _coerce(raw: str, annotation: str, where: str):
 
 
 def _build_section(cls, parser: configparser.ConfigParser, name: str):
-    known = {f.name: f for f in fields(cls)}
+    # Annotation text by field: under postponed evaluation a dataclass section keeps
+    # the text, a NamedTuple section a `typing.ForwardRef` of it.
+    known = {key: getattr(kind, "__forward_arg__", kind) for key, kind in cls.__annotations__.items()}
     values = {}
     if parser.has_section(name):
         for key, raw in parser.items(name):
@@ -214,8 +213,7 @@ def _build_section(cls, parser: configparser.ConfigParser, name: str):
                 raise ConfigurationError(
                     f"unknown key '{key}' in section [{name}]"
                 )
-            annotation = str(known[key].type)
-            values[key] = _coerce(raw, annotation, where=f"[{name}] {key}")
+            values[key] = _coerce(raw, known[key], where=f"[{name}] {key}")
     try:
         return cls(**values)
     except (TypeError, ConfigurationError) as err:

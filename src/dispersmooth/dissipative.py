@@ -222,8 +222,7 @@ def energy_H_rate(state: SystemState, params: DampedParams) -> float:
 PROBE_EXPONENTS = (1.4, 2.8, 1.8)
 
 
-@dataclass(frozen=True)
-class AttractorRow:
+class AttractorRow(NamedTuple):
     t: float
     energy: float
     rate_closed: float
@@ -237,8 +236,7 @@ class AttractorRow:
     nonlinear_w: float
 
 
-@dataclass(frozen=True)
-class AttractorReport:
+class AttractorReport(NamedTuple):
     rows: list[AttractorRow]
     absorbing_radius: float
     entry_time: float | None

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class IntegratorConfig:
             raise ConfigurationError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     mass: float
     hamiltonian: float
     zero_mode_mass_of_wave: float | None

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +97,7 @@ class HighLowConfig:
         )
 
 
-@dataclass(frozen=True)
-class HighLowState:
+class HighLowState(NamedTuple):
     """Low pair ``low = (phi, psi_v, psi_w)``, high pair ``high = (mu, lam_v, lam_w)``,
     each a KGS `SystemState` at the window boundary, and the window counter."""
 
@@ -189,8 +189,7 @@ def _integrate_window(state: HighLowState, window: IntegratorConfig) -> tuple[np
     return lawson_rk4_run(start, rhs, half_step, guard.dt, guard.n_steps, guard)
 
 
-@dataclass(frozen=True)
-class WindowLog:
+class WindowLog(NamedTuple):
     window_index: int
     t_end: float
     energy_low: float
@@ -237,8 +236,7 @@ def advance_window(state: HighLowState, window: IntegratorConfig) -> tuple[HighL
 # Energy, constants, thresholds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowEnergyReport:
+class LowEnergyReport(NamedTuple):
     energy: float
     coercivity_surrogate: float
 
@@ -272,8 +270,7 @@ def gaussian_gns_constants() -> tuple[float, float]:
     return 1.0 / (2.0 * math.sqrt(math.pi)), (3.0 * math.pi / 4.0) ** 0.75 / (math.pi * 2.0**0.25)
 
 
-@dataclass(frozen=True)
-class MassThreshold:
+class MassThreshold(NamedTuple):
     """Both printed forms of the smallness threshold for ||u0||_{L2}.
 
     The two appear with the constants inverted relative to each other; the
@@ -304,8 +301,7 @@ def mass_threshold(c1: float, c2: float) -> MassThreshold:
 # Global run
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HighLowReport:
+class HighLowReport(NamedTuple):
     config: HighLowConfig
     delta: float
     threshold: MassThreshold | None  # None: not applicable (d != 4)

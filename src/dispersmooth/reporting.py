@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,16 +81,15 @@ class Checkpoint(NamedTuple):
         return cls(state.system, grid, state.t, u, wplus)
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """What an experiment hands to `write_outputs`."""
 
     experiment: str
     csv_name: str
     header: list[str]
     rows: list[tuple]
-    manifest_extra: dict = field(default_factory=dict)
-    checkpoints: list[tuple[str, Checkpoint]] = field(default_factory=list)
+    manifest_extra: dict | None = None
+    checkpoints: tuple[tuple[str, Checkpoint], ...] = ()
 
 
 def write_outputs(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .evolution import (
     random_system_state,
     wave_norm,
 )
-from .resonance import lattice_xi_tau, xsb_weight
 from .spectral import Grid, box_norm, fit_spectral_slope
 
 
@@ -40,17 +39,17 @@ def worker_count() -> int:
     """Worker cap for embarrassingly parallel ensembles.
 
     Controlled by the DISPERSMOOTH_THREADS environment variable; defaults to
-    a modest pool.  Results never depend on the worker count (jobs are pure
-    and merged in submission order).
+    a modest pool.  Either way the count is at most ``os.cpu_count()``: a
+    thread beyond the cores only adds hand-offs of the GIL.  Results never
+    depend on the worker count (jobs are pure and merged in submission order).
     """
+    cores = os.cpu_count() or 1
     raw = os.environ.get("DISPERSMOOTH_THREADS", "")
     try:
         value = int(raw)
     except ValueError:
         value = 0
-    if value >= 1:
-        return value
-    return min(4, os.cpu_count() or 1)
+    return min(value if value >= 1 else 4, cores)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,7 @@ def duhamel_residual(trajectory: list[SystemState]) -> list[tuple[np.ndarray, np
 # Ensemble smoothing scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     seed: int
     component: str
     probe: float
@@ -170,8 +168,7 @@ class ScanRow:
     slope_gain: float
 
 
-@dataclass(frozen=True)
-class SmoothingScanReport:
+class SmoothingScanReport(NamedTuple):
     params: SmoothingParams
     rows: list[ScanRow]
     gain_mean: dict[str, float]
@@ -263,6 +260,8 @@ def smoothing_scan(
     jobs = [(params, grid, m, integrator, amplitude, wave_amplitude) for m in member_seeds]
     workers = min(worker_count(), ensemble_size)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled scan pays its import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda a: _scan_member(*a), jobs))
     else:
@@ -285,8 +284,7 @@ def smoothing_scan(
 # Sharpness counterexample
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleResult:
+class CounterexampleResult(NamedTuple):
     big_n: float
     ratio: float
     u_norm: float
@@ -325,6 +323,8 @@ def sharpness_counterexample(
     like ``N^(alpha - 1/2)``, so it stays bounded exactly when the smoothing
     gain does not exceed one half derivative.
     """
+    from .resonance import lattice_xi_tau, xsb_weight
+
     if big_n < 4 or 2 ** round(math.log2(big_n)) != big_n:
         raise ConfigurationError(f"N must be a dyadic number >= 4, got {big_n}")
     if resolution < 2:

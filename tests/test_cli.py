@@ -23,7 +23,13 @@ from conftest import lowpass_attractor_state, simulate_row
 
 class TestWorkerCount:
     def test_env_variable_caps_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("DISPERSMOOTH_THREADS", "2")
+        assert worker_count() == 2
+
+    def test_env_variable_is_capped_at_the_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DISPERSMOOTH_THREADS", "64")
         assert worker_count() == 2
 
     def test_garbage_falls_back_to_default(self, monkeypatch):
@@ -577,7 +583,45 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
     )
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["no-such-experiment", "--config", "run.ini"],
+            ["simulate"],
+            ["simulate", "--config", "run.ini", "--seed", "1.5"],
+        ],
+        ids=["unknown-experiment", "missing-config", "non-integer-seed"],
+    )
+    def test_usage_error_exits_2_with_the_usage_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: dispersmooth <experiment> --config PATH" in capsys.readouterr().err
+
+
 class TestColdStart:
+    def test_only_the_experiments_that_use_them_load_the_pool_and_resonance(self, tmp_path):
+        def calls(names):
+            return [
+                [name, "--config", write_config(tmp_path, SMALL_CONFIGS[name], f"{name}.ini")]
+                + ["--out", str(tmp_path / name), "--quiet"]
+                for name in names
+            ]
+
+        script = (
+            "import sys\n"
+            "from dispersmooth import cli\n"
+            f"for argv in {calls(['simulate', 'attractor', 'highlow'])!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "lazy = sorted({'concurrent.futures', 'dispersmooth.resonance'} & set(sys.modules))\n"
+            "assert not lazy, lazy\n"
+            f"for argv in {calls(['smoothing-scan', 'counterexample', 'xsb-constant', 'resonance-geometry'])!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+        )
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+
     def test_cli_runs_without_scipy(self, tmp_path):
         # highlow and xsb-constant are the experiments that once imported scipy.
         calls = [

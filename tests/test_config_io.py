@@ -91,6 +91,83 @@ r = 0.0
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(tmp_path / "missing.ini")
 
+    def test_echo_round_trips_through_ini_text(self):
+        text = """
+[run]
+experiment = simulate
+seed = 9
+out_dir = somewhere
+[grid]
+dimension = 3
+n_per_dim = 16
+box_length = 2.5
+[system]
+kind = zakharov
+s = 1.25
+r = 0.75
+amplitude = 0.3
+wave_amplitude = 0.2
+[integrator]
+dt = 0.004
+t_end = 0.2
+record_every = 5
+blowup_threshold = 1e9
+[smoothing]
+alpha_probe = 0.3
+beta_probe = 0.9
+b = 0.6
+ensemble = 3
+[counterexample]
+alpha = 0.75
+b = 0.6
+n_values = 8,32
+resolution = 4
+branch = -1
+[highlow]
+cutoff = 6
+r0 = 0.6
+window_constant = 0.2
+delta = 0.05
+windows = 3
+gns_c1 = 0.3
+gns_c2 = 0.7
+compare_direct = true
+[damping]
+gamma = 0.25
+delta = 0.75
+a = 0.1
+forcing_amplitude = 0.4
+forcing_seed = 3
+[resonance]
+nu = 0.1
+xi1 = 8,0,1
+branch = 1
+count = 50
+time_modes = 8
+tau_spacing = 0.5
+ensemble = 2
+adversarial = true
+alpha = 0.2
+[output]
+checkpoint = false
+"""
+        full = load_config_text(text).echo()
+        defaults = load_config_text("[run]\nexperiment = simulate\n").echo()
+        assert all(full[name] != defaults[name] for name in full if name != "experiment")
+
+        def ini(value) -> str:
+            if value is None:
+                return ""
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        for echo in (full, defaults):  # the defaults hold the None values
+            sections = (
+                f"[{name}]\n" + "".join(f"{key} = {ini(value)}\n" for key, value in section.items())
+                for name, section in echo.items()
+                if name != "experiment"
+            )
+            assert load_config_text("\n".join(sections)).echo() == echo
+
     def test_every_experiment_has_a_shipped_config(self):
         named = {load_config(path).experiment for path in SHIPPED_CONFIGS}
         assert named == set(EXPERIMENTS)
