@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .config import EXPERIMENTS, RunConfig, load_config, require_seed
-from .dissipative import PROBE_EXPONENTS, DampedParams, attractor_diagnostics, integrate_damped
+from .dissipative import PROBE_EXPONENTS, DampedParams, attractor_diagnostics, attractor_records, integrate_damped
 from .errors import (
     AdmissibilityError,
     BlowUpError,
@@ -47,7 +47,7 @@ from .smoothing import (
     sharpness_counterexample,
     smoothing_scan,
 )
-from .spectral import Grid, box_norm, half_spectrum, random_sobolev_field
+from .spectral import Grid, box_norm, half_spectrum, line_slope, random_sobolev_field
 
 
 def _grid(config: RunConfig) -> Grid:
@@ -147,10 +147,8 @@ def _run_counterexample(config: RunConfig, seed: int) -> ExperimentResult:
             (big_n, ce.alpha, result.ratio, result.u_norm, result.v_norm, result.product_norm)
         )
     slope = None
-    if len(ce.n_values) >= 2:
-        slope = float(
-            np.polyfit(np.log(np.array(ce.n_values, dtype=float)), np.log(ratios), 1)[0]
-        )
+    if len(set(ce.n_values)) >= 2:
+        slope = line_slope(np.log(np.array(ce.n_values, dtype=float)), np.log(ratios))
     return ExperimentResult(
         experiment="counterexample",
         csv_name="counterexample.csv",
@@ -229,7 +227,8 @@ def _run_attractor(config: RunConfig, seed: int) -> ExperimentResult:
     v, w = (draw(kid, s, real=True) for kid, s in ((v_seed, 1.5), (w_seed, 0.5)))
     halves = (np.ascontiguousarray(half_spectrum(a)) for a in (v, w))
     state = SystemState(System.KGS, grid, draw(u_seed, 1.5), *halves)
-    trajectory = integrate_damped(state, params, config.integrator)
+    record = attractor_records(state, params, config.integrator)
+    trajectory = integrate_damped(state, params, config.integrator, record)
     report = attractor_diagnostics(trajectory, params)
     rows = [
         (

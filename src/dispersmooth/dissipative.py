@@ -28,9 +28,10 @@ states, so finite-difference checks are limited only by the time step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +48,9 @@ from .evolution import (
     lawson_rk4_run,
     nonlinear_rhs,
     state_records,
+    time_grid,
 )
-from .spectral import CouplingKernel, Grid, box_inner, box_norm, conjugate
+from .spectral import CouplingKernel, Grid, box_inner, box_norm, conjugate, line_slope
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,18 @@ class DampedParams:
 # ---------------------------------------------------------------------------
 
 def integrate_damped(
-    state: SystemState, params: DampedParams, config: IntegratorConfig
+    state: SystemState,
+    params: DampedParams,
+    config: IntegratorConfig,
+    record: Callable[[float, Fields, Fields], object] | None = None,
 ) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
     The run carries the state's ``(u, v, w)``, ``w = a v + v_t`` (`block_flow`),
-    with the KGS right side plus the forcing (`nonlinear_rhs`), and records
-    states (`state_records`).
+    with the KGS right side plus the forcing (`nonlinear_rhs`).  As in
+    `integrate`, `Recorder` keeps ``record(t, fields, rates)`` of the carried
+    fields, the initial ones included: by default a copy of the state
+    (`state_records`).  `Trajectory.final` is the last state either way.
 
     With ``f = 0`` and real data the u-mass follows ``exp(-2 gamma t)``
     exactly; in general ``d/dt ||u||^2 = -2 gamma ||u||^2 + 2 Im int f conj(u)``
@@ -133,10 +140,13 @@ def integrate_damped(
     grid = state.grid
     f, g = params.forcing(grid)
     rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * f, g))
-    recorder = Recorder(("u", "v", "w"), grid, state.t, config, state_records(state.system, grid))
+    recorder = Recorder(("u", "v", "w"), grid, state.t, config, record or state_records(state.system, grid))
     half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
-    lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
-    return recorder.trajectory()
+    last = lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
+    trajectory = recorder.trajectory()
+    if record is not None:  # the run's workspace is its own from here on
+        trajectory.final = SystemState(state.system, grid, *last, t=recorder.records[-1][1])
+    return trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +165,20 @@ class _EnergyTerms(NamedTuple):
     g_w: float  # Re int g conj(w) dx
 
     @classmethod
-    def of(cls, state: SystemState, forcing: Fields, kernel: CouplingKernel) -> "_EnergyTerms":
-        """The terms of ``state`` under the carried forcing ``(f, g)`` (`DampedParams.forcing`),
-        pairwise box sums (`box_inner`): H and its rate nearly cancel them.  The
-        cubic term pairs ``P |u|^2`` from ``kernel`` (`CouplingKernel.abs2`) with ``v``."""
-        (f, g), grid = forcing, state.grid
+    def of(cls, fields: Fields, forcing: Fields, kernel: CouplingKernel) -> "_EnergyTerms":
+        """The terms of carried ``(u, v, w)`` under the carried forcing ``(f, g)``
+        (`DampedParams.forcing`), pairwise box sums (`box_inner`): H and its rate
+        nearly cancel them.  The cubic term pairs ``P |u|^2`` from ``kernel``
+        (`CouplingKernel.abs2`, on the fields' grid) with ``v``."""
+        (u, v, w), (f, g), grid = fields, forcing, kernel.grid
         return cls(
-            box_inner(state.u, state.u, grid, 1.0, homogeneous=True, pairwise=True),
-            box_inner(state.v, state.v, grid, pairwise=True),
-            box_inner(state.v, state.v, grid, 1.0, homogeneous=True, pairwise=True),
-            box_inner(state.w, state.w, grid, pairwise=True),
-            box_inner(kernel.abs2(state.u), state.v, grid, pairwise=True),
-            box_inner(f, state.u, grid, pairwise=True),
-            box_inner(g, state.w, grid, pairwise=True),
+            box_inner(u, u, grid, 1.0, homogeneous=True, pairwise=True),
+            box_inner(v, v, grid, pairwise=True),
+            box_inner(v, v, grid, 1.0, homogeneous=True, pairwise=True),
+            box_inner(w, w, grid, pairwise=True),
+            box_inner(kernel.abs2(u), v, grid, pairwise=True),
+            box_inner(f, u, grid, pairwise=True),
+            box_inner(g, w, grid, pairwise=True),
         )
 
     def energy(self, params: DampedParams) -> float:
@@ -200,7 +211,7 @@ def energy_H(state: SystemState, params: DampedParams) -> float:
     real and matches the dissipation rate below term by term.
     """
     grid = state.grid
-    return _EnergyTerms.of(state, params.forcing(grid), CouplingKernel(grid)).energy(params)
+    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).energy(params)
 
 
 def energy_H_rate(state: SystemState, params: DampedParams) -> float:
@@ -210,7 +221,7 @@ def energy_H_rate(state: SystemState, params: DampedParams) -> float:
     `energy_H` reproduces this to O(dt^2).
     """
     grid = state.grid
-    return _EnergyTerms.of(state, params.forcing(grid), CouplingKernel(grid)).rate(params)
+    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).rate(params)
 
 
 # ---------------------------------------------------------------------------
@@ -246,67 +257,78 @@ class AttractorReport(NamedTuple):
     inconclusive: bool
 
 
-def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> AttractorReport:
-    """Absorbing-ball entry and smoothness of the nonlinear part along a run.
+def attractor_records(
+    state: SystemState, params: DampedParams, config: IntegratorConfig
+) -> Callable[[float, Fields, Fields], tuple[AttractorRow, float]]:
+    """The record of an `integrate_damped` run of ``state`` under ``config`` that
+    `attractor_diagnostics` reads: ``(row, ball)`` of each recorded state.
 
-    Splits each recorded state into the exact homogeneous linear flow of the
-    initial data plus the remainder, and reports (a) entry into and
-    persistence within a candidate absorbing ball whose radius is estimated
-    from the tail of the run, and (b) the remainder's Sobolev norms at the
-    `PROBE_EXPONENTS`, which stay bounded while the linear part decays (the
-    compactness proxy: the probes sit strictly below the 3/2-, 3-, 2-
-    limits).  A run much shorter than the damping timescale is flagged
-    inconclusive.  ``trajectory`` comes from `integrate_damped`: the linear
-    part advances from record to record by the run's step indices and
-    ``dt``, with one `block_flow` per distinct step gap.  Every norm is a
-    box sum (`box_norm`).
+    ``row`` is the state's `AttractorRow` but its ``rate_fd`` (NaN), and
+    ``ball`` is ``||u||_{H^1} + ||v||_{H^1} + ||w||_{L^2}``, both formed from
+    the live fields, so the run keeps no state.  The row splits the state
+    into the exact homogeneous linear flow of ``state`` plus the remainder:
+    the linear part advances from record to record in two buffers, by the
+    step gap of `Recorder`'s schedule times the run's ``dt`` (`time_grid`),
+    with one `block_flow` per distinct gap, and the remainder's norms at the
+    `PROBE_EXPONENTS` are formed in the spare buffer.  H and ``dH/dt`` come
+    from the record's own `CouplingKernel`.  Every norm is a box sum
+    (`box_norm`).  A record belongs to one run.
     """
-    grid = trajectory[0].grid
-    rows: list[AttractorRow] = []
+    grid = state.grid
+    n_steps, dt = time_grid(config.t_end, config.dt)
     forcing, kernel = params.forcing(grid), CouplingKernel(grid)
-    terms = [_EnergyTerms.of(s, forcing, kernel) for s in trajectory]
-    energies = [t.energy(params) for t in terms]
-    e_rate = [t.rate(params) for t in terms]
-    times = np.array([s.t for s in trajectory])
-
+    linear = tuple(np.array(a, dtype=np.complex128) for a in state.fields)
+    spare = tuple(np.empty_like(a) for a in linear)
     flows: dict[int, Flow] = {}
-    linear = trajectory[0].fields
-    previous = trajectory.steps[0]
-    ball_norms = []
-    lin_norms = []
-    for idx, (state, step) in enumerate(zip(trajectory, trajectory.steps)):
+    schedule = (min(step, n_steps) for step in itertools.count(0, config.record_every))
+    previous = 0
+
+    def record(t: float, fields: Fields, rates: Fields) -> tuple[AttractorRow, float]:
+        nonlocal linear, spare, previous
+        step = next(schedule)
         gap, previous = step - previous, step
         if gap not in flows:
-            flows[gap] = block_flow(grid, gap * trajectory.dt, params.gamma, params.a, params.delta)
-        linear = flows[gap](linear)
-        lin_u, lin_v, lin_w = linear
-        if 0 < idx < len(trajectory) - 1:
-            dt_pair = trajectory[idx + 1].t - trajectory[idx - 1].t
-            rate_fd = (energies[idx + 1] - energies[idx - 1]) / dt_pair
-        else:
-            rate_fd = math.nan
-        linear_u_h1 = box_norm(lin_u, grid, 1.0)
-        linear_v_h1 = box_norm(lin_v, grid, 1.0)
-        linear_w_l2 = box_norm(lin_w, grid)
-        rows.append(
-            AttractorRow(
-                t=state.t,
-                energy=energies[idx],
-                rate_closed=e_rate[idx],
-                rate_fd=rate_fd,
-                mass=box_norm(state.u, grid),
-                linear_u_h1=linear_u_h1,
-                linear_v_h1=linear_v_h1,
-                linear_w_l2=linear_w_l2,
-                nonlinear_u=box_norm(state.u - lin_u, grid, PROBE_EXPONENTS[0]),
-                nonlinear_v=box_norm(state.v - lin_v, grid, PROBE_EXPONENTS[1]),
-                nonlinear_w=box_norm(state.w - lin_w, grid, PROBE_EXPONENTS[2]),
-            )
+            flows[gap] = block_flow(grid, gap * dt, params.gamma, params.a, params.delta)
+        linear, spare = flows[gap](linear, spare), linear
+        terms = _EnergyTerms.of(fields, forcing, kernel)
+        u, v, w = fields
+        remainders = (np.subtract(a, b, out=c) for a, b, c in zip(fields, linear, spare))
+        row = AttractorRow(
+            t,
+            terms.energy(params),
+            terms.rate(params),
+            math.nan,
+            box_norm(u, grid),
+            box_norm(linear[0], grid, 1.0),
+            box_norm(linear[1], grid, 1.0),
+            box_norm(linear[2], grid),
+            *(box_norm(a, grid, p) for a, p in zip(remainders, PROBE_EXPONENTS)),
         )
-        ball_norms.append(
-            box_norm(state.u, grid, 1.0) + box_norm(state.v, grid, 1.0) + box_norm(state.w, grid)
-        )
-        lin_norms.append(linear_u_h1 + linear_v_h1 + linear_w_l2)
+        return row, box_norm(u, grid, 1.0) + box_norm(v, grid, 1.0) + box_norm(w, grid)
+
+    return record
+
+
+def attractor_diagnostics(
+    records: Sequence[tuple[AttractorRow, float]], params: DampedParams
+) -> AttractorReport:
+    """Absorbing-ball entry and smoothness of the nonlinear part along a run.
+
+    ``records`` are a run's `attractor_records`, the initial one first.  The
+    report gives (a) entry into and persistence within a candidate absorbing
+    ball whose radius is estimated from the tail of the run, and (b) the
+    nonlinear remainder's Sobolev norms at the `PROBE_EXPONENTS`, which stay
+    bounded while the linear part decays (the compactness proxy: the probes
+    sit strictly below the 3/2-, 3-, 2- limits).  Each inner row's
+    ``rate_fd`` is the centred difference of its neighbours' energies.  A
+    run much shorter than the damping timescale is flagged inconclusive.
+    """
+    rows = [row for row, _ in records]
+    ball_norms = [ball for _, ball in records]
+    for idx in range(1, len(rows) - 1):
+        before, after = rows[idx - 1], rows[idx + 1]
+        rows[idx] = rows[idx]._replace(rate_fd=(after.energy - before.energy) / (after.t - before.t))
+    times = np.array([row.t for row in rows])
 
     damping_scale = min(params.gamma, params.a, params.delta - params.a)
     span = times[-1] - times[0]
@@ -327,12 +349,11 @@ def attractor_diagnostics(trajectory: Trajectory, params: DampedParams) -> Attra
                 break
 
     # Fit the linear decay rate on the window where the norm is above floor.
-    lin = np.array(lin_norms)
+    lin = np.array([r.linear_u_h1 + r.linear_v_h1 + r.linear_w_l2 for r in rows])
     usable = lin > max(lin[0] * 1e-12, 1e-14)
     rate: float | None = None
     if np.count_nonzero(usable) >= 3:
-        coeffs = np.polyfit(times[usable], np.log(lin[usable]), 1)
-        rate = float(-coeffs[0])
+        rate = -line_slope(times[usable], np.log(lin[usable]))
 
     tail_rows = [r for r in rows if r.t >= tail_start]
     bounded = True

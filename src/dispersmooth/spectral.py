@@ -608,7 +608,16 @@ def fit_spectral_slope(box: np.ndarray, grid: Grid, lo: float, hi: float) -> flo
     sel = (radii >= lo) & (radii <= hi) & (means > 0)
     if np.count_nonzero(sel) < 3:
         return None
-    x = np.log(radii[sel])
-    y = np.log(means[sel])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return line_slope(np.log(radii[sel]), np.log(means[sel]))
+
+
+def line_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of ``y`` against ``x`` (at least two distinct ``x``):
+    ``sum((x - mean x) (y - mean y)) / sum((x - mean x)^2)``.
+
+    The closed form of the degree-1 fit, from centred sums and plain numpy
+    reductions: no BLAS or LAPACK call, whose workspace ``np.polyfit``'s
+    ``lstsq`` would map on its first use.
+    """
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))

@@ -8,20 +8,33 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from dispersmooth.dissipative import (
+    PROBE_EXPONENTS,
+    AttractorReport,
+    AttractorRow,
+    attractor_records,
+    energy_H,
+    energy_H_rate,
+    integrate_damped,
+)
 from dispersmooth.errors import ConfigurationError, GridMismatchError
 from dispersmooth.evolution import (
     ConservationReport,
     System,
     SystemState,
+    Trajectory,
+    block_flow,
     box_wplus,
     conserved_quantities,
     nonlinear_rhs,
+    state_records,
 )
 from dispersmooth.spectral import (
     EPSILON0,
     CouplingKernel,
     Grid,
     box_inner,
+    box_norm,
     conjugate,
     full_spectrum,
     half_spectrum,
@@ -404,3 +417,101 @@ def simulate_row(state: SystemState, s: float, r: float) -> tuple[float, ...]:
     report, state = state_conserved_quantities(state), full(state)
     norms = (norm(f, e) for f, e in ((state.u, s), (state.wplus, r), (state.wminus, r)))
     return (state.t, report.mass, report.hamiltonian, *norms)
+
+
+def attractor_diagnostics_oracle(trajectory: Trajectory, params) -> AttractorReport:
+    """`dissipative.attractor_diagnostics` on a retained trajectory of states.
+
+    Each recorded state of an `integrate_damped` run is split into the exact
+    homogeneous linear flow of the initial data plus the remainder; the
+    linear part advances from record to record by the run's step indices and
+    ``dt``, with one `block_flow` per distinct step gap.  H and ``dH/dt`` of
+    every state are evaluated first, and ``rate_fd`` is the centred
+    difference of the neighbouring energies.  The decay rate is ``np.polyfit``'s.
+    """
+    grid = trajectory[0].grid
+    rows = []
+    energies = [energy_H(s, params) for s in trajectory]
+    e_rate = [energy_H_rate(s, params) for s in trajectory]
+    times = np.array([s.t for s in trajectory])
+
+    flows = {}
+    linear = trajectory[0].fields
+    previous = trajectory.steps[0]
+    ball_norms = []
+    lin_norms = []
+    for idx, (state, step) in enumerate(zip(trajectory, trajectory.steps)):
+        gap, previous = step - previous, step
+        if gap not in flows:
+            flows[gap] = block_flow(grid, gap * trajectory.dt, params.gamma, params.a, params.delta)
+        linear = flows[gap](linear)
+        lin_u, lin_v, lin_w = linear
+        if 0 < idx < len(trajectory) - 1:
+            dt_pair = trajectory[idx + 1].t - trajectory[idx - 1].t
+            rate_fd = (energies[idx + 1] - energies[idx - 1]) / dt_pair
+        else:
+            rate_fd = math.nan
+        linear_u_h1 = box_norm(lin_u, grid, 1.0)
+        linear_v_h1 = box_norm(lin_v, grid, 1.0)
+        linear_w_l2 = box_norm(lin_w, grid)
+        rows.append(
+            AttractorRow(
+                t=state.t,
+                energy=energies[idx],
+                rate_closed=e_rate[idx],
+                rate_fd=rate_fd,
+                mass=box_norm(state.u, grid),
+                linear_u_h1=linear_u_h1,
+                linear_v_h1=linear_v_h1,
+                linear_w_l2=linear_w_l2,
+                nonlinear_u=box_norm(state.u - lin_u, grid, PROBE_EXPONENTS[0]),
+                nonlinear_v=box_norm(state.v - lin_v, grid, PROBE_EXPONENTS[1]),
+                nonlinear_w=box_norm(state.w - lin_w, grid, PROBE_EXPONENTS[2]),
+            )
+        )
+        ball_norms.append(
+            box_norm(state.u, grid, 1.0) + box_norm(state.v, grid, 1.0) + box_norm(state.w, grid)
+        )
+        lin_norms.append(linear_u_h1 + linear_v_h1 + linear_w_l2)
+
+    damping_scale = min(params.gamma, params.a, params.delta - params.a)
+    span = times[-1] - times[0]
+    inconclusive = bool(span * damping_scale < 4.0)
+
+    tail_start = times[0] + span / 2
+    tail = [b for t, b in zip(times, ball_norms) if t >= tail_start]
+    radius = max(tail) if tail else math.inf
+    entry_time = None
+    persistent = False
+    if tail:
+        threshold = 1.05 * radius
+        inside = [t for t, b in zip(times, ball_norms) if b <= threshold]
+        for t_in in inside:
+            if all(b <= threshold for t, b in zip(times, ball_norms) if t >= t_in):
+                entry_time = float(t_in)
+                persistent = True
+                break
+
+    lin = np.array(lin_norms)
+    usable = lin > max(lin[0] * 1e-12, 1e-14)
+    rate = None
+    if np.count_nonzero(usable) >= 3:
+        rate = float(-np.polyfit(times[usable], np.log(lin[usable]), 1)[0])
+
+    tail_rows = [r for r in rows if r.t >= tail_start]
+    bounded = True
+    if len(tail_rows) >= 3:
+        for attr in ("nonlinear_u", "nonlinear_v", "nonlinear_w"):
+            series = [getattr(r, attr) for r in tail_rows]
+            if np.all(np.diff(series) > 0) and series[-1] > 1.5 * series[0]:
+                bounded = False
+    return AttractorReport(rows, radius, entry_time, persistent, rate, bounded, inconclusive)
+
+
+def attractor_run(state: SystemState, params, config):
+    """One `integrate_damped` run of ``state`` that records both each state and its
+    `attractor_records` record: the trajectory of states and the list of records."""
+    copy, stream = state_records(state.system, state.grid), attractor_records(state, params, config)
+    run = integrate_damped(state, params, config, lambda t, f, r: (copy(t, f, r), stream(t, f, r)))
+    states = Trajectory([s for s, _ in run], run.steps, run.dt, run.n_steps)
+    return states, [record for _, record in run]

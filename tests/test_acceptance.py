@@ -50,7 +50,16 @@ from dispersmooth.smoothing import (
 )
 from dispersmooth.spectral import Grid, half_spectrum, random_sobolev_field
 
-from conftest import conserved, from_full, full, lattice_field, lowpass_projection, norm, scaled
+from conftest import (
+    attractor_run,
+    conserved,
+    from_full,
+    full,
+    lattice_field,
+    lowpass_projection,
+    norm,
+    scaled,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -206,7 +215,8 @@ def forced_setup():
 
 @pytest.fixture(scope="module")
 def forced_runs(forced_setup):
-    """Three forced runs from initial energies 1, 10, 100 (criteria 5c, 6)."""
+    """Three forced runs from initial energies 1, 10, 100 (criteria 5c, 6): the
+    recorded states and the `attractor_records` of each."""
     _, params, base = forced_setup
 
     def find_scale(target):
@@ -226,10 +236,9 @@ def forced_runs(forced_setup):
     runs = {}
     for target in (1.0, 10.0, 100.0):
         state = scaled(base, find_scale(target))
-        traj = integrate_damped(
+        runs[target] = attractor_run(
             state, params, IntegratorConfig(dt=2e-3, t_end=horizon, record_every=500)
         )
-        runs[target] = traj
     return params, horizon, runs
 
 
@@ -269,7 +278,7 @@ def test_criterion_5_dissipative_identities(forced_setup, forced_runs):
     _, horizon, runs = forced_runs
     bound = 0.05  # fixed constant, set by the forcing scale alone
     tail_maxes = {}
-    for target, traj in runs.items():
+    for target, (traj, _) in runs.items():
         tail = [energy_H(s, params) for s in traj if s.t >= horizon / 2]
         tail_maxes[target] = max(tail)
     ok = all(v <= bound for v in tail_maxes.values())
@@ -288,8 +297,8 @@ def test_criterion_6_compactness_proxy(forced_runs):
     params, _, runs = forced_runs
     floor = min(params.gamma, params.a, params.delta - params.a) / 2.0
     checks = []
-    for target, traj in runs.items():
-        diag = attractor_diagnostics(traj, params)
+    for target, (_, records) in runs.items():
+        diag = attractor_diagnostics(records, params)
         ok_rate = diag.linear_decay_rate is not None and diag.linear_decay_rate >= floor
         ok_bounded = diag.nonlinear_tail_bounded and not diag.inconclusive
         checks.append(ok_rate and ok_bounded)

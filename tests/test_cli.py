@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dispersmooth
@@ -651,6 +652,36 @@ class TestColdStart:
         )
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr
+
+
+class TestNoRetainedStates:
+    @pytest.mark.parametrize("experiment", ["attractor", "smoothing-scan", "counterexample"])
+    def test_no_run_reaches_lapack(self, tmp_path, monkeypatch, experiment):
+        # Every line fit is `spectral.line_slope`, whose plain reductions map no
+        # OpenBLAS workspace; these are the experiments that fit a line.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        run_quiet(tmp_path, experiment, SMALL_CONFIGS[experiment])
+
+    def test_attractor_memory_does_not_grow_with_the_record_count(self, tmp_path):
+        # 200 steps at 32^2, every step recorded or only the first and the last:
+        # the rows are formed during the run, so no recorded state is kept.
+        text = ATTRACTOR_SMALL.replace("n_per_dim = 16", "n_per_dim = 32")
+        peaks = {}
+        for every in (1, 200):
+            config = write_config(tmp_path, text.replace("record_every = 20", f"record_every = {every}"))
+            tracemalloc.start()
+            try:
+                assert main(["attractor", "--config", config, "--out", str(tmp_path / str(every)), "--quiet"]) == 0
+                _, peaks[every] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        state = lowpass_attractor_state(spectral.Grid(2, 32), 1, 0.3)
+        retained = 201 * sum(a.nbytes for a in state.fields)
+        assert abs(peaks[1] - peaks[200]) < 0.1 * retained, (peaks, retained)
 
 
 class TestOtherExperiments:

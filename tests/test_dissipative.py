@@ -8,6 +8,7 @@ import pytest
 from dispersmooth.dissipative import (
     DampedParams,
     attractor_diagnostics,
+    attractor_records,
     energy_H,
     energy_H_rate,
     integrate_damped,
@@ -28,6 +29,8 @@ from dispersmooth.spectral import Grid, conjugate, half_spectrum, random_sobolev
 from conftest import (
     FREE_SYMBOLS,
     SpectralField,
+    attractor_diagnostics_oracle,
+    attractor_run,
     dealias,
     from_box,
     from_full,
@@ -336,9 +339,8 @@ class TestAttractorDiagnostics:
         grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=13, band=grid.dealias_cutoff / 2)
-        traj = integrate_damped(
-            state, params, IntegratorConfig(dt=5e-3, t_end=40.0, record_every=100)
-        )
+        config = IntegratorConfig(dt=5e-3, t_end=40.0, record_every=100)
+        traj = integrate_damped(state, params, config, attractor_records(state, params, config))
         report = attractor_diagnostics(traj, params)
         assert not report.inconclusive
         assert report.absorbing_radius < 1e-2
@@ -350,9 +352,8 @@ class TestAttractorDiagnostics:
         grid = Grid(2, 16)
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=14)
-        traj = integrate_damped(
-            state, params, IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10)
-        )
+        config = IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10)
+        traj = integrate_damped(state, params, config, attractor_records(state, params, config))
         report = attractor_diagnostics(traj, params)
         assert report.inconclusive
 
@@ -513,9 +514,9 @@ class TestAttractorDiagnosticsOracle:
         f, g = forcing_fields(grid)
         params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
         state = damped_state(grid, seed=29)
-        traj = integrate_damped(state, params, IntegratorConfig(dt=1e-2, t_end=0.3, record_every=7))
+        traj, records = attractor_run(state, params, IntegratorConfig(dt=1e-2, t_end=0.3, record_every=7))
         assert traj.steps == [0, 7, 14, 21, 28, 30]
-        report = attractor_diagnostics(traj, params)
+        report = attractor_diagnostics(records, params)
         first = traj[0]
         energies = [energy_H(s, params) for s in traj]
         for idx, (record, row) in enumerate(zip(traj, report.rows)):
@@ -540,3 +541,20 @@ class TestAttractorDiagnosticsOracle:
             assert row.t == s.t
             for key, value in want.items():
                 assert getattr(row, key) == pytest.approx(value, rel=1e-12, abs=1e-300, nan_ok=True), key
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_streamed_rows_are_the_retained_oracle_bit_for_bit(self, dim, n, seed, record_every):
+        # 35 steps recorded every 10 leave a last gap of 5 steps.
+        grid = Grid(dim, n)
+        f, g = forcing_fields(grid)
+        params = DampedParams(gamma=0.5, delta=0.8, f=f, g=g)
+        config = IntegratorConfig(dt=1e-2, t_end=0.35, record_every=record_every)
+        states, records = attractor_run(damped_state(grid, seed=seed), params, config)
+        got, want = attractor_diagnostics(records, params), attractor_diagnostics_oracle(states, params)
+        assert len(got.rows) == (36 if record_every == 1 else 5)
+        assert [np.array(r).tobytes() for r in got.rows] == [np.array(r).tobytes() for r in want.rows]
+        rest = {"rows": None, "linear_decay_rate": None}
+        assert got._replace(**rest) == want._replace(**rest)
+        assert got.linear_decay_rate == pytest.approx(want.linear_decay_rate, rel=1e-12)

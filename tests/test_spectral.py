@@ -24,7 +24,9 @@ from dispersmooth.spectral import (
     conjugate,
     fit_spectral_slope,
     half_spectrum,
+    line_slope,
     random_sobolev_field,
+    shell_average_spectrum,
     sobolev_norm,
     to_coefficients,
     to_samples,
@@ -565,6 +567,27 @@ class TestRandomField:
         grid = Grid(2, 16)
         samples = to_samples(from_box(random_sobolev_field(grid, 1.0, seed=15, real=True), grid), grid)
         assert np.max(np.abs(samples.imag)) < 1e-12 * np.max(np.abs(samples.real))
+
+
+class TestLineSlope:
+    # `line_slope` is the closed-form degree-1 fit; `np.polyfit` is the oracle.
+    @pytest.mark.parametrize("size", [2, 3, 11, 200])
+    def test_matches_polyfit_on_random_data(self, size):
+        rng = np.random.default_rng(size)
+        for offset, spread, slope in ((0.0, 1.0, 3.0), (2.5, 0.4, -1.7), (20.0, 20.0, -0.25)):
+            x = offset + spread * rng.standard_normal(size)
+            y = slope * x + rng.standard_normal(size)
+            assert line_slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim, n, s", [(2, 64, 0.0), (2, 128, 1.0), (3, 32, 0.5)])
+    def test_matches_polyfit_on_the_spectral_fit(self, dim, n, s):
+        grid = Grid(dim, n)
+        f = random_sobolev_field(grid, s, seed=19)
+        radii, means = shell_average_spectrum(f, grid)
+        lo, hi = n / 8, n / 3
+        sel = (radii >= lo) & (radii <= hi) & (means > 0)
+        want = np.polyfit(np.log(radii[sel]), np.log(means[sel]), 1)[0]
+        assert fit_spectral_slope(f, grid, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestInnerProduct:
