@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, ConfigurationError
+from .errors import AdmissibilityError, ConfigurationError, ResourceLimitError
 from .evolution import IntegratorConfig, System
 from .highlow import HighLowConfig
 from .smoothing import smoothing_exponents
@@ -47,11 +47,18 @@ EXPERIMENTS = (
 )
 
 
-def _require_positive(section, key: str) -> None:
-    """Reject a count below 1, naming its key."""
+#: Caps on two counts whose seeds or sample arrays are built whole (`_require_count`).
+MAX_ENSEMBLE = 10_000
+MAX_SHELL_POINTS = 1_000_000
+
+
+def _require_count(section, key: str, cap: tuple[str, int] | None = None) -> None:
+    """Reject a count below 1, naming its key, or above ``cap = (section name, limit)``."""
     value = getattr(section, key)
     if value < 1:
         raise ConfigurationError(f"{key} must be >= 1, got {value}")
+    if cap and value > cap[1]:
+        raise ResourceLimitError(f"[{cap[0]}] {key} = {value} is above the limit {cap[1]}")
 
 
 def require_seed(value: int, name: str) -> None:
@@ -88,7 +95,7 @@ class SmoothingSection:
     ensemble: int = 8
 
     def __post_init__(self) -> None:
-        _require_positive(self, "ensemble")
+        _require_count(self, "ensemble", ("smoothing", MAX_ENSEMBLE))
 
 
 class CounterexampleSection(NamedTuple):
@@ -120,8 +127,9 @@ class ResonanceSection:
     alpha: float = 0.4
 
     def __post_init__(self) -> None:
-        for key in ("count", "time_modes", "ensemble"):
-            _require_positive(self, key)
+        for key in ("time_modes", "ensemble"):
+            _require_count(self, key)
+        _require_count(self, "count", ("resonance", MAX_SHELL_POINTS))
         if self.branch not in (1, -1):
             raise ConfigurationError(f"branch must be 1 or -1, got {self.branch}")
         spacing = self.tau_spacing
@@ -243,6 +251,8 @@ def _validate(config: RunConfig) -> RunConfig:
         ("system", "amplitude"),
         ("system", "wave_amplitude"),
         ("damping", "forcing_amplitude"),
+        ("smoothing", "b"),
+        ("counterexample", "b"),
     )
     for section, key in finite:
         value = getattr(getattr(config, section), key)

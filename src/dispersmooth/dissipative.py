@@ -19,11 +19,12 @@ The energy functional tracked here is::
     H = 2 ||grad u||^2 + (1 + a(a - delta)) ||v||^2 + ||grad v||^2 + ||w||^2
         - 2 int |u|^2 v dx + 4 Re int f conj(u) dx
 
-whose exact time derivative along the flow is implemented in
-`energy_H_rate`; with zero forcing the u-mass obeys the closed law
-``||u(t)|| = exp(-gamma t) ||u(0)||`` (the coupling term is phase-only for
-real v).  Both identities hold exactly for the dealiased flow on band-limited
-states, so finite-difference checks are limited only by the time step.
+whose exact time derivative along the flow is `_EnergyTerms.rate` (the
+pairing ``4 Re int f conj(u)`` keeps H real and matches it term by term);
+with zero forcing the u-mass obeys the closed law ``||u(t)|| = exp(-gamma
+t) ||u(0)||`` (the coupling term is phase-only for real v).  Both
+identities hold exactly for the dealiased flow on band-limited states, so
+finite-difference checks are limited only by the time step.
 """
 
 from __future__ import annotations
@@ -124,11 +125,13 @@ def integrate_damped(
     params: DampedParams,
     config: IntegratorConfig,
     record: Callable[[float, Fields, Fields], object] | None = None,
+    kernel: CouplingKernel | None = None,
 ) -> Trajectory:
     """Integrate the damped system; exponential scheme with the exact linear flow.
 
     The run carries the state's ``(u, v, w)``, ``w = a v + v_t`` (`block_flow`),
-    with the KGS right side plus the forcing (`nonlinear_rhs`).  As in
+    with the KGS right side plus the forcing (`nonlinear_rhs`), on ``kernel``
+    (a new `CouplingKernel` when None), which the record may share.  As in
     `integrate`, `Recorder` keeps ``record(t, fields, rates)`` of the carried
     fields, the initial ones included: by default a copy of the state
     (`state_records`).  `Trajectory.final` is the last state either way.
@@ -139,7 +142,7 @@ def integrate_damped(
     """
     grid = state.grid
     f, g = params.forcing(grid)
-    rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * f, g))
+    rhs = nonlinear_rhs(System.KGS, grid, forcing=(1j * f, g), kernel=kernel)
     recorder = Recorder(("u", "v", "w"), grid, state.t, config, record or state_records(state.system, grid))
     half_step = block_flow(grid, recorder.dt / 2, params.gamma, params.a, params.delta)
     last = lawson_rk4_run(state.fields, rhs, half_step, recorder.dt, recorder.n_steps, recorder)
@@ -154,7 +157,8 @@ def integrate_damped(
 # ---------------------------------------------------------------------------
 
 class _EnergyTerms(NamedTuple):
-    """The norms and pairings of one state that `energy_H` and `energy_H_rate` share."""
+    """The norms and pairings of one state that H (`energy`) and its closed-form
+    rate along the flow (`rate`) share."""
 
     grad_u: float  # ||grad u||^2
     v: float  # ||v||^2
@@ -204,26 +208,6 @@ class _EnergyTerms(NamedTuple):
         )
 
 
-def energy_H(state: SystemState, params: DampedParams) -> float:
-    """The Lyapunov-type energy of the damped flow (see module docstring).
-
-    The forcing pairing is taken as ``4 Re int f conj(u) dx``, which keeps H
-    real and matches the dissipation rate below term by term.
-    """
-    grid = state.grid
-    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).energy(params)
-
-
-def energy_H_rate(state: SystemState, params: DampedParams) -> float:
-    """Closed-form ``dH/dt`` along the flow; exact for band-limited states.
-
-    Along numerical trajectories a second-order centered difference of
-    `energy_H` reproduces this to O(dt^2).
-    """
-    grid = state.grid
-    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).rate(params)
-
-
 # ---------------------------------------------------------------------------
 # Attractor diagnostics
 # ---------------------------------------------------------------------------
@@ -258,10 +242,11 @@ class AttractorReport(NamedTuple):
 
 
 def attractor_records(
-    state: SystemState, params: DampedParams, config: IntegratorConfig
+    state: SystemState, params: DampedParams, config: IntegratorConfig, kernel: CouplingKernel
 ) -> Callable[[float, Fields, Fields], tuple[AttractorRow, float]]:
-    """The record of an `integrate_damped` run of ``state`` under ``config`` that
-    `attractor_diagnostics` reads: ``(row, ball)`` of each recorded state.
+    """The record of an `integrate_damped` run of ``state`` under ``config`` on
+    ``kernel`` that `attractor_diagnostics` reads: ``(row, ball)`` of each
+    recorded state.
 
     ``row`` is the state's `AttractorRow` but its ``rate_fd`` (NaN), and
     ``ball`` is ``||u||_{H^1} + ||v||_{H^1} + ||w||_{L^2}``, both formed from
@@ -270,13 +255,14 @@ def attractor_records(
     the linear part advances from record to record in two buffers, by the
     step gap of `Recorder`'s schedule times the run's ``dt`` (`time_grid`),
     with one `block_flow` per distinct gap, and the remainder's norms at the
-    `PROBE_EXPONENTS` are formed in the spare buffer.  H and ``dH/dt`` come
-    from the record's own `CouplingKernel`.  Every norm is a box sum
+    `PROBE_EXPONENTS` are formed in the spare buffer.  H and ``dH/dt`` take
+    ``|u|^2`` from ``kernel``, the run's right-side `CouplingKernel`, which is
+    idle while the record runs.  Every norm is a box sum
     (`box_norm`).  A record belongs to one run.
     """
     grid = state.grid
     n_steps, dt = time_grid(config.t_end, config.dt)
-    forcing, kernel = params.forcing(grid), CouplingKernel(grid)
+    forcing = params.forcing(grid)
     linear = tuple(np.array(a, dtype=np.complex128) for a in state.fields)
     spare = tuple(np.empty_like(a) for a in linear)
     flows: dict[int, Flow] = {}

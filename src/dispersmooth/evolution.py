@@ -122,9 +122,9 @@ def block_flow(
 ) -> Flow:
     """The exact linear flow over time ``t`` of carried ``(u, v, w)`` triples, one or more.
 
-    ``flow(fields, out=None)`` writes into ``out`` (fresh arrays when None,
-    never ``fields``); the block's second term goes through the flow's one
-    scratch array, so a flow belongs to one run.  ``u`` is a box array
+    ``flow(fields, out=None)`` writes into ``out`` (fresh arrays when None),
+    which may be ``fields``: the new ``v`` goes through the flow's scratch
+    arrays, so a flow belongs to one run.  ``u`` is a box array
     (`Grid.box`); the real ``v`` and ``w`` are box half spectra
     (`half_spectrum`), on which the block acts mode by mode.  Per mode,
     ``u_hat -> exp(-gamma t) exp(-i t |xi|^2) u_hat`` and the (v, w) pair
@@ -161,16 +161,18 @@ def block_flow(
             f"the exact linear flow over t = {t:.3g} overflows at delta = {delta:g}"
             f" (a = {a:g}); lower delta or dt"
         )
-    scratch = np.empty_like(rows[0][0])
+    new_v, scratch = np.empty_like(rows[0][0]), np.empty_like(rows[0][0])
     u_sym = math.exp(-gamma * t) * np.exp(-1j * t * grid.xi_squared)
+    (vv, vw), (wv, ww) = rows
 
     def flow(fields: Fields, out: Fields | None = None) -> Fields:
         out = tuple(np.empty_like(a) for a in fields) if out is None else out
         for i in range(0, len(fields), 3):
-            np.multiply(u_sym, fields[i], out=out[i])
-            for target, (first, second) in zip(out[i + 1 : i + 3], rows):
-                np.multiply(first, fields[i + 1], out=target)
-                target += np.multiply(second, fields[i + 2], out=scratch)
+            (u, v, w), (out_u, out_v, out_w) = fields[i : i + 3], out[i : i + 3]
+            np.multiply(u_sym, u, out=out_u)
+            np.add(np.multiply(vv, v, out=new_v), np.multiply(vw, w, out=scratch), out=new_v)
+            np.add(np.multiply(ww, w, out=scratch), np.multiply(wv, v, out=out_w), out=out_w)  # w read first
+            np.copyto(out_v, new_v)
         return out
 
     return flow
@@ -205,7 +207,9 @@ def box_wplus(v: np.ndarray, v_t: np.ndarray, grid: Grid) -> np.ndarray:
 # Nonlinear right sides (the non-dispersive terms, as du/dt contributions)
 # ---------------------------------------------------------------------------
 
-def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> Flow:
+def nonlinear_rhs(
+    system: System, grid: Grid, forcing: Fields | None = None, kernel: CouplingKernel | None = None
+) -> Flow:
     """The nonlinear right side ``rhs(fields, out=None)`` of carried ``(u, v, w)`` (`block_flow`).
 
     Klein-Gordon-Schrodinger (``w = v_t``), and with ``forcing = (i f, g)``
@@ -218,12 +222,12 @@ def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> 
 
         du = -i u v,    dv = 0,    dw = -|xi|^2 |u|^2 + v
 
-    Both products come dealiased from the right side's own `CouplingKernel`,
-    ``u v`` straight into ``du``.  The results go into ``out`` (fresh arrays
-    when None) and every term is applied in place, so with ``out`` given a
-    call allocates no array.
+    Both products come dealiased from ``kernel`` (a new `CouplingKernel`
+    when None), ``u v`` straight into ``du``.  The results go into ``out``
+    (fresh arrays when None), which may be ``fields``, and every term is
+    applied in place, so with ``out`` given a call allocates no array.
     """
-    kernel = CouplingKernel(grid)
+    kernel = kernel or CouplingKernel(grid)
     zakharov = system is System.ZAKHAROV
     # Complex with a zero imaginary part: the in-place product needs no cast.
     neg_lap = np.ascontiguousarray(-half_spectrum(grid.xi_squared), dtype=np.complex128)
@@ -233,7 +237,6 @@ def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> 
         out = tuple(np.empty_like(a) for a in fields) if out is None else out
         du, dv, dw = out
         _, abs2 = kernel(u, v, out=du)
-        dv.fill(0.0)
         if zakharov:
             du *= -1j
             np.multiply(abs2, neg_lap, out=dw)
@@ -241,6 +244,7 @@ def nonlinear_rhs(system: System, grid: Grid, forcing: Fields | None = None) -> 
         else:
             du *= 1j
             np.copyto(dw, abs2)
+        dv.fill(0.0)  # after dw, which reads v
         if forcing is not None:
             du -= forcing[0]
             dw += forcing[1]
@@ -278,34 +282,36 @@ def lawson_rk4_run(
     First same as last: ``N1 = N(y)`` is formed before the first step and at
     the end of each, so a run makes ``4 n_steps + 1`` right-side calls.
 
-    The run's workspace is seven buffers per field: ``Y`` (a copy of
-    ``fields``), ``PY, PN1, N1, N3, N4`` and a stage buffer.  N1 is spent
-    once PN1 is formed, so N2 takes its buffer, and ``N(y)`` refills it at
-    the end of the step.  ``rhs(fields, out)`` and ``half_step(fields,
-    out)`` fill every component of ``out``, a workspace tuple apart from
-    ``fields``, and each sum is formed in place in the operation order shown,
-    so a step allocates no array and gives the bits of an allocating one.
+    The workspace is four buffers per field: ``Y`` holds y (a copy of
+    ``fields``), Py, then the running sum ``Py + dt/6 PN1 + dt/3 (N2 + N3)``;
+    ``N1`` holds N1, PN1, then N4; ``N2`` holds N2, then ``N2 + N3``; the
+    stage buffer holds each stage input, and N3 and ``P(Py + dt N3)`` are
+    formed in place in it.  So ``rhs(fields, out)`` and ``half_step(fields,
+    out)``, which fill every component of ``out``, must accept ``out is
+    fields``.  Each sum is formed in place in the operation order shown, so
+    a step allocates no array and gives the bits of an allocating one.
     ``observer(step, Y, N1)``, at step 0 and after every step, sees the
     workspace, ``N1 = N(Y)`` included, which the next step overwrites.
     """
     h, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
     observe = observer or (lambda step, y, n: None)
     y = tuple(np.array(a, dtype=np.complex128) for a in fields)
-    py, pn1, n1, n3, n4, stage = (tuple(np.empty_like(a) for a in y) for _ in range(6))
-    n2 = n1  # N1 is spent once PN1 is formed
+    n1, n2, stage = (tuple(np.empty_like(a) for a in y) for _ in range(3))
     observe(0, y, rhs(y, n1))
     for step in range(1, n_steps + 1):
-        half_step(y, py)
-        half_step(n1, pn1)
-        rhs(_add_scaled(stage, py, h, pn1), n2)
-        rhs(_add_scaled(stage, py, h, n2), n3)
-        half_step(_add_scaled(stage, py, dt, n3), y)
-        rhs(y, n4)
-        _add_scaled(stage, py, sixth, pn1)
-        for mid, b, c in zip(stage, n2, n3):
-            mid += np.multiply(third, np.add(b, c, out=b), out=b)
-        half_step(stage, y)
-        for a, b in zip(y, n4):
+        half_step(y, y)  # Py
+        half_step(n1, n1)  # PN1
+        rhs(_add_scaled(stage, y, h, n1), n2)
+        rhs(_add_scaled(stage, y, h, n2), stage)  # N3
+        for b, c in zip(n2, stage):
+            np.add(b, c, out=b)
+        half_step(_add_scaled(stage, y, dt, stage), stage)  # P(Py + dt N3)
+        for a, b, c in zip(y, n1, n2):
+            np.add(a, np.multiply(sixth, b, out=b), out=a)
+            a += np.multiply(third, c, out=c)
+        rhs(stage, n1)  # N4
+        half_step(y, y)
+        for a, b in zip(y, n1):
             a += np.multiply(sixth, b, out=b)
         observe(step, y, rhs(y, n1))
     return y

@@ -163,10 +163,10 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         checkpoint.t,
     )
     wplus = checkpoint.wplus
-    blobs = [
-        np.ascontiguousarray(a, dtype="<c16").tobytes() for a in (checkpoint.u, wplus, conjugate(wplus))
-    ]
-    Path(path).write_bytes(header + b"".join(blobs))
+    with open(path, "wb") as fh:  # streamed: no joined copy of the blocks
+        fh.write(header)
+        for block in (checkpoint.u, wplus, conjugate(wplus)):
+            fh.write(np.ascontiguousarray(block, dtype="<c16").data)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -265,28 +265,30 @@ class CouplingKernel:
     product and ``|u|^2`` back (complex and real forward).  Each transform
     runs as its 1-D passes, in the axis order of numpy's n-d functions, on
     the lines that hold box modes only.  An inverse scatters the box into a
-    stage whose other entries are zero, and each complex pass but the last
-    writes straight into the next stage: its two box blocks (``k = 0..c``
-    and ``k = -c..-1`` of the next axis) into their places, or, into the
-    lattice stage, all box rows in one call, whose ``k < 0`` block then
-    moves to its place while the rows between are zeroed.  The last complex
-    pass runs in place.  The real pass reads the ``k = 0..c`` columns as
-    they are, which the gufunc zero-fills to the half lattice.  A forward
-    pass runs in place, and its box entries are gathered before the next
-    pass.  The passes are numpy's pocketfft gufuncs, called directly
-    (`_PASSES`, or numpy.fft's public functions when those are absent), with
-    numpy.fft's factors: 1 forward and ``1/n`` inverse, except that the
-    last forward pass of each output takes the scale ``1/dx^d``.  Lines
-    transform on their own, so the results are the box entries of numpy's
-    n-d transforms times ``1/dx^d``, bit for bit.
+    stage whose entries between the blocks are zeroed first, and each
+    complex pass but the last writes straight into the next stage: its two
+    box blocks (``k = 0..c`` and ``k = -c..-1`` of the next axis) into their
+    places, or, into the lattice stage, all box rows in one call, whose
+    ``k < 0`` block then moves to its place while the rows between are
+    zeroed.  The last complex pass runs in place.  The real pass reads the
+    ``k = 0..c`` columns as they are, which the gufunc zero-fills to the half
+    lattice.  A forward pass runs in place, and its box entries are gathered
+    before the next pass.  The passes are numpy's pocketfft gufuncs, called
+    directly (`_PASSES`, or numpy.fft's public functions when those are
+    absent), with numpy.fft's factors: 1 forward and ``1/n`` inverse, except
+    that the last forward pass of each output takes the scale ``1/dx^d``.
+    Lines transform on their own, so the results are the box entries of
+    numpy's n-d transforms times ``1/dx^d``, bit for bit.
 
-    Every pass writes into the kernel's buffers or the caller's ``out``, so
-    a call allocates nothing once ``out`` is given.  The product buffer,
-    idle while they are used, also holds the real inverse's input, the rfft
-    output and the first ``|u|^2`` gather, so a kernel holds about 4.5, 5.6
-    and 6.8 complex lattices in d = 2, 3 and 4.  The returned ``|u|^2`` is
-    a kernel buffer, valid until the next call.  The buffers make a kernel
-    unsafe to share between threads.
+    Every pass writes into the kernel's three lattice buffers (``u``
+    samples, wave samples, product) or the caller's ``out``, so a call
+    allocates nothing once ``out`` is given.  Every other stage is a view on
+    a buffer idle at its turn: ``|u|^2``'s samples are formed as soon as the
+    product has read the wave, so the forward gathers, like the complex
+    inverse's stages, alternate between the ``u`` and the product buffer.
+    A kernel holds 2.5 complex lattices, 640 KiB at 128^2.  The returned
+    ``|u|^2`` is a kernel buffer, valid until the next call.  The buffers
+    make a kernel unsafe to share between threads.
     """
 
     def __init__(self, grid: Grid):
@@ -296,43 +298,49 @@ class CouplingKernel:
         self._fft, self._ifft, self._rfft, self._irfft = _PASSES
         self._axes = [[(a,), (), (a,)] for a in range(d)]
         self._inverse_fct, self._scale = 1.0 / n, 1.0 / grid.dx**d
-        # Per axis, (lattice, box) index pairs of the blocks k = 0..c and k = -c..-1.
+        # Per axis, (lattice, box) index pairs of the blocks k = 0..c and
+        # k = -c..-1, and the index of the entries between them.
         blocks = ((slice(0, h), slice(0, h)), (slice(n - c, n), slice(h, m)))
         self._scatter = [[((slice(None),) * a + (lat,), (slice(None),) * a + (box,))
                           for lat, box in blocks] for a in range(d)]
         self._gather = [[(box, lat) for lat, box in pairs] for pairs in self._scatter]
-        Z = lambda *shape: np.zeros(shape, dtype=np.complex128)  # noqa: E731
+        between = [(slice(None),) * a + (slice(h, n - c),) for a in range(d)]
+        self._u, self._product = (np.empty(grid.shape, complex) for _ in range(2))
+        self._wave = np.empty(grid.shape)
+        flats = (self._product.reshape(-1), self._u.reshape(-1))
         # Complex inverse: before the pass over axis a, the axes < a hold box
-        # entries.  Stage 0, the lattice, ends as the u samples.  Its first m
+        # entries; stage a > 0 lies in the product buffer for odd a, else in
+        # the u buffer, stage 0, which ends as the u samples.  Its first m
         # rows take the box layout of axis 0 (from the pass over axis 1, or
         # ``u`` itself in 1-d); the k = -c..-1 block then moves to its rows
         # and the rows between are zeroed.
-        self._stages = [Z(*M * a, *N * (d - a)) for a in range(d)]
-        self._u, self._product, self._wave = self._stages[0], Z(*grid.shape), np.empty(grid.shape)
-        self._first = self._scatter[-1] if d > 1 else [(slice(0, m), slice(0, m))]
-        self._u_passes = [pass_ for a in range(d - 1, 1, -1)
-                          for pass_ in _block_passes(a, self._stages[a], self._stages[a - 1], self._scatter[a - 1])]
-        self._u_passes += [(1, self._stages[1], self._u[:m])] if d > 1 else []
+        self._stages = [self._u] + [_view(flats[1 - a % 2], 0, (*M * a, *N * (d - a))) for a in range(1, d)]
+        self._first = (self._scatter[-1], self._stages[-1][between[-1]]) if d > 1 else ([(slice(0, m),) * 2], None)
+        self._u_passes = [pass_ for a in range(d - 1, 1, -1) for pass_ in _block_passes(
+            a, self._stages[a], self._stages[a - 1], self._scatter[a - 1], between[a - 1])]
+        self._u_passes += [(1, self._stages[1], self._u[:m], None)] if d > 1 else []
         self._move, self._outside = (slice(n - c, n), slice(h, m)), slice(h, n - c)
         # Flat views: the real and imaginary parts of the u samples and of the
         # product as 1-D strided views, which run as one plain loop each.
         u_pairs, product_pairs = (a.reshape(-1).view(np.float64) for a in (self._u, self._product))
         self._u_pairs, self._wave_flat = u_pairs, self._wave.reshape(-1)
         self._u_parts, self._product_parts = (u_pairs[0::2], u_pairs[1::2]), (product_pairs[0::2], product_pairs[1::2])
-        # Scratch in the product buffer: the real inverse's input, then the
-        # rfft output and the first half-spectrum gather side by side.
-        scratch, lines = self._product.reshape(-1), N * (d - 1)
-        self._real_input = _view(scratch, 0, (*lines, h))
-        self._rfft_out = _view(scratch, 0, (*lines, n // 2 + 1))
-        # Real inverse: complex passes over axes 0 .. d-2, then the real one.
-        self._real_stages = [Z(*N * (a + 1), *M * (d - 2 - a), h) for a in range(d - 1)]
+        # Real inverse in the product buffer: complex passes over axes 0 .. d-2,
+        # their stages in turn behind and on the real pass's input.
+        lines = N * (d - 1)
+        self._real_input = _view(flats[0], 0, (*lines, h))
+        self._real_stages = [_view(flats[0], self._real_input.size * ((d - 1 - a) % 2),
+                                   (*N * (a + 1), *M * (d - 2 - a), h)) for a in range(d - 1)]
+        self._wave_zeros = self._real_stages[0][between[0]] if d > 1 else None
         self._wave_passes = [pass_ for a in range(d - 2) for pass_ in _block_passes(
-            a, self._real_stages[a], self._real_stages[a + 1], self._scatter[a + 1])]
-        self._wave_passes += [(d - 2, self._real_stages[-1], self._real_input)] if d > 1 else []
-        # Forward: the box entries gathered after each pass.
-        self._gathers = [None] + [Z(*N * a, *M * (d - a)) for a in range(1, d)]
-        self._half_gathers = [Z(*N * a, *M * (d - 1 - a), h) for a in range(d - 1)]
-        self._half_gathers.append(_view(scratch, self._rfft_out.size, (*lines, h)))
+            a, self._real_stages[a], self._real_stages[a + 1], self._scatter[a + 1], between[a + 1])]
+        self._wave_passes += [(d - 2, self._real_stages[-1], self._real_input, None)] if d > 1 else []
+        # Forward: the box entries gathered after each pass, into the u and
+        # the product buffer in turn; |u|^2's first gather follows its rfft.
+        self._gathers = [None] + [_view(flats[(d - a) % 2], 0, (*N * a, *M * (d - a))) for a in range(1, d)]
+        self._rfft_out = _view(flats[0], 0, (*lines, n // 2 + 1))
+        self._half_gathers = [_view(flats[(d - 1 - a) % 2], 0, (*N * a, *M * (d - 1 - a), h)) for a in range(d - 1)]
+        self._half_gathers.append(_view(flats[0], self._rfft_out.size, (*lines, h)))
 
     def __call__(
         self, u: np.ndarray, wave: np.ndarray, out: np.ndarray | None = None
@@ -341,7 +349,8 @@ class CouplingKernel:
 
         ``u`` is a box array and ``wave`` the box half spectrum of a real
         field.  The product goes into ``out``, a C-contiguous complex box
-        array (a fresh one when None).
+        array (a fresh one when None), which may be ``u`` itself: ``u`` and
+        ``wave`` are read before ``out`` is written.
         """
         box = self.grid.box_shape
         out = np.empty(box, dtype=np.complex128) if out is None else out
@@ -354,14 +363,16 @@ class CouplingKernel:
             )
         self._inverse(u)
         self._real_inverse(wave)
-        (u_re, u_im), (product_re, product_im) = self._u_parts, self._product_parts
-        np.multiply(u_re, self._wave_flat, out=product_re)
-        np.multiply(u_im, self._wave_flat, out=product_im)
+        for part, product_part in zip(self._u_parts, self._product_parts):
+            np.multiply(part, self._wave_flat, out=product_part)
+        # |u|^2's samples into the spent wave buffer, which frees the u buffer.
+        np.multiply(self._u_pairs, self._u_pairs, out=self._u_pairs)  # (re, im) interleaved
+        np.add(*self._u_parts, out=self._wave_flat)
         lines = self._product
         for axis in reversed(range(self.grid.dim)):
             self._fft(lines, self._scale if axis == 0 else 1, axes=self._axes[axis], out=lines)
             lines = _copy(self._gathers[axis] if axis else out, lines, self._gather[axis])
-        return out, self._abs2_of_u()  # last: it reuses the wave and product buffers
+        return out, self._abs2_forward()
 
     def abs2(self, u: np.ndarray) -> np.ndarray:
         """The box half spectrum of ``|u|^2`` alone, a kernel buffer: the passes of a
@@ -371,13 +382,15 @@ class CouplingKernel:
                 f"u has shape {u.shape}, not that of the dealias box {self.grid.box_shape}"
             )
         self._inverse(u)
-        return self._abs2_of_u()
+        np.multiply(self._u_pairs, self._u_pairs, out=self._u_pairs)  # as in a call
+        np.add(*self._u_parts, out=self._wave_flat)
+        return self._abs2_forward()
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """Samples of box ``u`` in the ``u`` buffer: the passes of `numpy.fft.ifftn`,
         last axis first, the one over axis 0 in place."""
         samples, (target, source) = self._u, self._move
-        _copy(self._stages[-1], u, self._first)
+        _copy(self._stages[-1], u, *self._first)
         self._run(self._u_passes)
         samples[target] = samples[source]
         samples[self._outside] = 0
@@ -385,29 +398,25 @@ class CouplingKernel:
 
     def _real_inverse(self, wave: np.ndarray) -> np.ndarray:
         """Samples of a real field from its box half spectrum, in the wave buffer: the
-        passes of `numpy.fft.irfftn`, the complex ones into the product buffer."""
+        passes of `numpy.fft.irfftn`, the complex ones in the product buffer."""
         if self._wave_passes:  # d > 1
-            _copy(self._real_stages[0], wave, self._scatter[0])
+            _copy(self._real_stages[0], wave, self._scatter[0], self._wave_zeros)
             self._run(self._wave_passes)
             wave = self._real_input
         return self._irfft(wave, self._inverse_fct, axes=self._axes[-1], out=self._wave)
 
     def _run(self, passes: list) -> None:
-        """The complex inverse ``passes`` ``(axis, source, target)``, in order."""
-        for axis, source, target in passes:
+        """The complex inverse ``passes`` ``(axis, source, target, zeros)``, in order,
+        each after zeroing the view ``zeros`` (when given)."""
+        for axis, source, target, zeros in passes:
+            if zeros is not None:
+                zeros.fill(0)
             self._ifft(source, self._inverse_fct, axes=self._axes[axis], out=target)
 
-    def _abs2_of_u(self) -> np.ndarray:
-        """``|u|^2`` from the samples in the ``u`` buffer, which it overwrites.
-
-        The samples go into the wave buffer; the forward transform runs the
-        passes of `numpy.fft.rfftn`, the last axis first, the real one into
-        the product buffer.
-        """
+    def _abs2_forward(self) -> np.ndarray:
+        """``|u|^2`` from its samples in the wave buffer: the passes of
+        `numpy.fft.rfftn`, the last axis first, the real one into the product buffer."""
         last = self.grid.dim - 1
-        pairs = self._u_pairs  # (re, im) interleaved
-        np.multiply(pairs, pairs, out=pairs)
-        np.add(*self._u_parts, out=self._wave_flat)
         self._rfft(self._wave, self._scale if last == 0 else 1, axes=self._axes[last], out=self._rfft_out)
         half = _copy(self._half_gathers[last], self._rfft_out, self._gather[last][:1])
         for axis in reversed(range(last)):
@@ -416,10 +425,11 @@ class CouplingKernel:
         return half
 
 
-def _block_passes(axis: int, source: np.ndarray, target: np.ndarray, pairs) -> list:
-    """The passes ``(axis, source[s], target[t])`` over ``axis`` for each index pair
-    ``(t, s)``: the blocks of ``source`` into their places in ``target``."""
-    return [(axis, source[s], target[t]) for t, s in pairs]
+def _block_passes(axis: int, source: np.ndarray, target: np.ndarray, pairs, between: tuple) -> list:
+    """The passes ``(axis, source[s], target[t], zeros)`` over ``axis`` for each index
+    pair ``(t, s)``: the blocks of ``source`` into their places in ``target``, the
+    first zeroing ``target[between]``, the entries between the blocks."""
+    return [(axis, source[s], target[t], None if i else target[between]) for i, (t, s) in enumerate(pairs)]
 
 
 def _view(flat: np.ndarray, start: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -427,8 +437,11 @@ def _view(flat: np.ndarray, start: int, shape: tuple[int, ...]) -> np.ndarray:
     return flat[start : start + math.prod(shape)].reshape(shape)
 
 
-def _copy(target: np.ndarray, source: np.ndarray, pairs) -> np.ndarray:
-    """``target[t] = source[s]`` for each index pair ``(t, s)``; returns ``target``."""
+def _copy(target: np.ndarray, source: np.ndarray, pairs, zeros: np.ndarray | None = None) -> np.ndarray:
+    """``target[t] = source[s]`` for each index pair ``(t, s)``, after zeroing the
+    view ``zeros`` (when given); returns ``target``."""
+    if zeros is not None:
+        zeros.fill(0)
     for t, s in pairs:
         target[t] = source[s]
     return target

@@ -12,9 +12,9 @@ from dispersmooth.dissipative import (
     PROBE_EXPONENTS,
     AttractorReport,
     AttractorRow,
+    DampedParams,
+    _EnergyTerms,
     attractor_records,
-    energy_H,
-    energy_H_rate,
     integrate_damped,
 )
 from dispersmooth.errors import ConfigurationError, GridMismatchError
@@ -511,7 +511,22 @@ def attractor_diagnostics_oracle(trajectory: Trajectory, params) -> AttractorRep
 def attractor_run(state: SystemState, params, config):
     """One `integrate_damped` run of ``state`` that records both each state and its
     `attractor_records` record: the trajectory of states and the list of records."""
-    copy, stream = state_records(state.system, state.grid), attractor_records(state, params, config)
-    run = integrate_damped(state, params, config, lambda t, f, r: (copy(t, f, r), stream(t, f, r)))
+    kernel = CouplingKernel(state.grid)
+    copy, stream = state_records(state.system, state.grid), attractor_records(state, params, config, kernel)
+    run = integrate_damped(state, params, config, lambda t, f, r: (copy(t, f, r), stream(t, f, r)), kernel)
     states = Trajectory([s for s, _ in run], run.steps, run.dt, run.n_steps)
     return states, [record for _, record in run]
+
+
+def energy_H(state: SystemState, params: DampedParams) -> float:
+    """The Lyapunov-type energy H of the damped flow (`dissipative` module docstring),
+    from the package's `_EnergyTerms` of the state on a kernel of its own."""
+    grid = state.grid
+    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).energy(params)
+
+
+def energy_H_rate(state: SystemState, params: DampedParams) -> float:
+    """Closed-form ``dH/dt`` along the flow, exact for band-limited states: a
+    second-order centred difference of `energy_H` along a run reproduces it to O(dt^2)."""
+    grid = state.grid
+    return _EnergyTerms.of(state.fields, params.forcing(grid), CouplingKernel(grid)).rate(params)

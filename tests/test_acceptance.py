@@ -19,8 +19,6 @@ from dispersmooth.dissipative import (
     PROBE_EXPONENTS,
     DampedParams,
     attractor_diagnostics,
-    energy_H,
-    energy_H_rate,
     integrate_damped,
 )
 from dispersmooth.evolution import (
@@ -53,6 +51,8 @@ from dispersmooth.spectral import Grid, half_spectrum, random_sobolev_field
 from conftest import (
     attractor_run,
     conserved,
+    energy_H,
+    energy_H_rate,
     from_full,
     full,
     lattice_field,

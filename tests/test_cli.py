@@ -14,7 +14,7 @@ import pytest
 import dispersmooth
 from dispersmooth import cli, spectral
 from dispersmooth.cli import main
-from dispersmooth.config import EXPERIMENTS, load_config
+from dispersmooth.config import EXPERIMENTS, MAX_ENSEMBLE, MAX_SHELL_POINTS, load_config
 from dispersmooth.evolution import System, integrate, random_system_state
 from dispersmooth.reporting import Checkpoint, format_value, save_checkpoint
 from dispersmooth.smoothing import worker_count
@@ -540,6 +540,45 @@ class TestExitCodes:
         assert peak < 2**20  # a single 1048576-point axis would take 8 MiB
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "experiment, text, key",
+        [
+            ("counterexample", COUNTEREXAMPLE_SMALL + "b = {}\n", "[counterexample] b"),
+            ("xsb-constant", XSB_SMALL + "\n[smoothing]\nb = {}\n", "[smoothing] b"),
+        ],
+    )
+    def test_non_finite_b_is_2_and_named(self, tmp_path, capsys, experiment, text, key, bad):
+        # b = -inf once reached a ZeroDivisionError in the counterexample's ratio.
+        err = config_error(tmp_path, capsys, experiment, text.format(bad))
+        assert f"{key} must be finite, got {float(bad)}" in err
+
+    @pytest.mark.parametrize("excess", [1, 10**20])
+    @pytest.mark.parametrize(
+        "experiment, text, line, key, cap",
+        [
+            ("smoothing-scan", SCAN_SMALL, "ensemble = 2", "[smoothing] ensemble", MAX_ENSEMBLE),
+            ("resonance-geometry", RESONANCE_SMALL, "count = 50", "[resonance] count", MAX_SHELL_POINTS),
+        ],
+    )
+    def test_count_above_its_cap_is_2_before_any_allocation(
+        self, tmp_path, capsys, experiment, text, line, key, cap, excess
+    ):
+        value = cap + excess
+        name = line.split(" = ")[0]
+        config = write_config(tmp_path, text.replace(line, f"{name} = {value}"))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main([experiment, "--config", config, "--out", str(out), "--quiet"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"configuration error: {key} = {value} is above the limit {cap}" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-4"])
     def test_bad_highlow_cutoff_is_2_and_named(self, tmp_path, capsys, bad):
         err = config_error(tmp_path, capsys, "highlow", HIGHLOW_SMALL.replace("cutoff = 4", f"cutoff = {bad}"))
@@ -682,6 +721,20 @@ class TestNoRetainedStates:
         state = lowpass_attractor_state(spectral.Grid(2, 32), 1, 0.3)
         retained = 201 * sum(a.nbytes for a in state.fields)
         assert abs(peaks[1] - peaks[200]) < 0.1 * retained, (peaks, retained)
+
+    def test_attractor_run_builds_one_kernel(self, tmp_path, monkeypatch):
+        # The record takes |u|^2 from the right side's kernel, idle while the
+        # observer runs, so the run builds no second kernel.
+        built = []
+        init = spectral.CouplingKernel.__init__
+
+        def counting(kernel, grid):
+            built.append(grid)
+            init(kernel, grid)
+
+        monkeypatch.setattr(spectral.CouplingKernel, "__init__", counting)
+        run_quiet(tmp_path, "attractor", ATTRACTOR_SMALL)
+        assert len(built) == 1
 
 
 class TestOtherExperiments:

@@ -9,8 +9,6 @@ from dispersmooth.dissipative import (
     DampedParams,
     attractor_diagnostics,
     attractor_records,
-    energy_H,
-    energy_H_rate,
     integrate_damped,
 )
 from dispersmooth.errors import BlowUpError, ConfigurationError
@@ -24,7 +22,7 @@ from dispersmooth.evolution import (
     state_records,
     time_grid,
 )
-from dispersmooth.spectral import Grid, conjugate, half_spectrum, random_sobolev_field, to_samples
+from dispersmooth.spectral import CouplingKernel, Grid, conjugate, half_spectrum, random_sobolev_field, to_samples
 
 from conftest import (
     FREE_SYMBOLS,
@@ -32,6 +30,8 @@ from conftest import (
     attractor_diagnostics_oracle,
     attractor_run,
     dealias,
+    energy_H,
+    energy_H_rate,
     from_box,
     from_full,
     full,
@@ -223,7 +223,9 @@ class TestIntegrateDamped:
 
     def test_rhs_writes_zero_dv_into_its_output(self, monkeypatch):
         # v_t has no nonlinear term: the right side writes zeros into the
-        # stepper's dv buffer on every call, over whatever it held.
+        # stepper's dv buffer on every call, over whatever it held.  The
+        # stepper forms N3 in place in its input, so the right side reads a
+        # copy of that input here.
         from dispersmooth import dissipative
 
         seen = []
@@ -231,6 +233,7 @@ class TestIntegrateDamped:
 
         def recording_stepper(fields, rhs, *args, **kwargs):
             def recorded_rhs(y, out):
+                y = tuple(a.copy() for a in y)
                 out[1].fill(np.nan)
                 assert rhs(y, out) is out
                 seen.append(out[1].copy())
@@ -340,7 +343,8 @@ class TestAttractorDiagnostics:
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=13, band=grid.dealias_cutoff / 2)
         config = IntegratorConfig(dt=5e-3, t_end=40.0, record_every=100)
-        traj = integrate_damped(state, params, config, attractor_records(state, params, config))
+        kernel = CouplingKernel(grid)
+        traj = integrate_damped(state, params, config, attractor_records(state, params, config, kernel), kernel)
         report = attractor_diagnostics(traj, params)
         assert not report.inconclusive
         assert report.absorbing_radius < 1e-2
@@ -353,7 +357,8 @@ class TestAttractorDiagnostics:
         params = DampedParams(gamma=0.5, delta=0.5)
         state = damped_state(grid, seed=14)
         config = IntegratorConfig(dt=5e-3, t_end=0.2, record_every=10)
-        traj = integrate_damped(state, params, config, attractor_records(state, params, config))
+        kernel = CouplingKernel(grid)
+        traj = integrate_damped(state, params, config, attractor_records(state, params, config, kernel), kernel)
         report = attractor_diagnostics(traj, params)
         assert report.inconclusive
 

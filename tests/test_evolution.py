@@ -17,6 +17,7 @@ from dispersmooth.evolution import (
     box_wplus,
     conserved_quantities,
     integrate,
+    lawson_rk4_run,
     nonlinear_rhs,
     random_system_state,
     time_grid,
@@ -28,6 +29,7 @@ from dispersmooth.spectral import (
     box_norm,
     conjugate,
     half_spectrum,
+    random_sobolev_field,
     to_coefficients,
     to_samples,
 )
@@ -411,6 +413,91 @@ class TestCouplingKernelRuns:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, pooled):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+    @pytest.mark.parametrize("dim, n", [(2, 128), (3, 32), (4, 16)])
+    def test_kernel_owns_two_and_a_half_lattices(self, dim, n):
+        # Three lattice buffers: the u samples and the product (complex) and
+        # the wave samples (real); every other stage and gather is a view on
+        # whichever of them is idle.  At 128^2 that is 640 KiB (1,123 KiB
+        # when each stage had a buffer of its own).
+        import tracemalloc
+
+        grid = Grid(dim, n)
+        tracemalloc.start()
+        try:
+            kernel = CouplingKernel(grid)
+            owned = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kernel.grid is grid
+        assert owned <= 2.5 * 16 * grid.mode_count + 16 * 1024
+        assert dim != 2 or owned <= 800 * 1024
+
+    def test_run_holds_four_field_triples_one_kernel_and_one_flow(self):
+        # A whole 128^2 run: beyond its right side (one kernel) and its flow,
+        # it holds the stepper's four buffers per field (Y, N1, N2 and the
+        # stage); a fifth triple would break the bound.
+        import tracemalloc
+
+        grid = Grid(2, 128)
+        fields = random_state(System.KGS, grid, seed=22).fields
+        triple = sum(a.nbytes for a in fields)
+        tracemalloc.start()
+        try:
+            rhs, half_step = nonlinear_rhs(System.KGS, grid), block_flow(grid, 1e-3)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lawson_rk4_run(fields, rhs, half_step, 2e-3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * triple <= peak - held <= 4 * triple + triple // 4
+
+
+def check_in_place(callback, fields):
+    """``callback(fields, out)`` into ``out is fields`` gives the bits it gives into
+    fresh arrays, and returns ``out``."""
+    fresh = callback(fields, tuple(np.empty_like(a) for a in fields))
+    same = tuple(a.copy() for a in fields)
+    assert callback(same, same) is same
+    for a, b in zip(same, fresh):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestCallbacksInPlace:
+    """The stepper hands ``rhs`` and ``half_step`` their input as ``out`` (N3, Py,
+    PN1 and the stage flows); either way the bits are the same."""
+
+    @pytest.mark.parametrize("gamma, a, delta", [(0.0, 0.0, 0.0), (0.5, 0.125, 0.5), (0.1, 0.025, 5.0)])
+    def test_block_flow(self, gamma, a, delta):
+        grid = Grid(2, 32)
+        fields = random_state(System.KGS, grid, seed=62).fields + random_state(System.KGS, grid, seed=63).fields
+        check_in_place(block_flow(grid, 0.05, gamma, a, delta), fields)
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32), (3, 16), (4, 8)])
+    @pytest.mark.parametrize("kind", ["kgs", "zakharov", "damped"])
+    def test_nonlinear_rhs(self, kind, dim, n):
+        grid = Grid(dim, n)
+        system = System.ZAKHAROV if kind == "zakharov" else System.KGS
+        forcing = None
+        if kind == "damped":
+            f = 0.3 * random_sobolev_field(grid, 2.0, seed=7)
+            g = 0.3 * random_sobolev_field(grid, 2.0, seed=8, real=True)
+            forcing = (1j * f, np.ascontiguousarray(half_spectrum(g)))
+        check_in_place(nonlinear_rhs(system, grid, forcing), random_state(system, grid, seed=64).fields)
+
+    def test_window_rhs(self, monkeypatch):
+        captured = []
+
+        def capture(fields, rhs, *args):
+            captured.append((fields, rhs))
+            return fields
+
+        monkeypatch.setattr(highlow, "lawson_rk4_run", capture)
+        run_kind("window", Grid(2, 32), seed=65, steps=1)
+        ((fields, rhs),) = captured
+        check_in_place(rhs, fields)
 
 
 def allocating(flow):
