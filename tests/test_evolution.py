@@ -415,24 +415,6 @@ class TestCouplingKernelRuns:
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-    @pytest.mark.parametrize("dim, n", [(2, 128), (3, 32), (4, 16)])
-    def test_kernel_owns_two_and_a_half_lattices(self, dim, n):
-        # Three lattice buffers: the u samples and the product (complex) and
-        # the wave samples (real); every other stage and gather is a view on
-        # whichever of them is idle.  At 128^2 that is 640 KiB.
-        import tracemalloc
-
-        grid = Grid(dim, n)
-        tracemalloc.start()
-        try:
-            kernel = CouplingKernel(grid)
-            owned = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert kernel.grid is grid
-        assert owned <= 2.5 * 16 * grid.mode_count + 32 * 1024  # plus views and index tuples
-        assert dim != 2 or owned <= 800 * 1024
-
     def test_run_holds_four_field_triples_one_kernel_and_one_flow(self):
         # A whole 128^2 run: beyond its right side (one kernel) and its flow,
         # it holds the stepper's four buffers per field (Y, N1, N2 and the

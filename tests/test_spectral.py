@@ -412,9 +412,9 @@ class TestPassTable:
 
 
 class TestKernelBuffers:
-    """`CouplingKernel` shares its buffers between the passes of a call: the lattice
-    stage ends as the u samples and is zeroed outside the box per inverse, and
-    the product buffer holds the real inverse's input and the |u|^2 scratch."""
+    """`CouplingKernel` runs on three lattice buffers: the u samples, the wave samples
+    and the product.  Every other stage is a view on one of them, so what a
+    call leaves there is overwritten, or zeroed, before the next call reads it."""
 
     @pytest.mark.parametrize("dim, n", [(1, 32), (2, 32), (3, 32), (4, 8)])
     def test_reused_kernel_gives_a_fresh_kernels_bits(self, dim, n):
@@ -432,11 +432,26 @@ class TestKernelBuffers:
             got, want = kernel(u, wave), CouplingKernel(grid)(u, wave)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    @pytest.mark.parametrize("dim, n, lattices", [(2, 64, 5.0), (3, 32, 6.5), (4, 16, 7.5)])
-    def test_buffers_fit_the_budget(self, dim, n, lattices):
-        # The kernel's buffers, in complex lattices (16 n^d bytes): 4.5, 5.6
-        # and 6.8 here, where a scratch buffer per pass output took 7.8, 9.7
-        # and 11.6.
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 32), (4, 8)])
+    def test_stale_buffers_never_reach_the_results(self, dim, n):
+        # NaN in every buffer, so in every stage and gather view: each entry a
+        # pass reads is written, or zeroed, by the call first.
+        grid = Grid(dim, n)
+        u = random_sobolev_field(grid, 0.0, seed=110 + dim)
+        wave = np.ascontiguousarray(half_spectrum(random_sobolev_field(grid, 0.5, seed=210 + dim, real=True)))
+        want = [a.tobytes() for a in CouplingKernel(grid)(u, wave)] + [CouplingKernel(grid).abs2(u).tobytes()]
+        kernel, got = CouplingKernel(grid), []
+        for call in (lambda: kernel(u, wave), lambda: (kernel.abs2(u),)):
+            for buffer in (kernel._u, kernel._product, kernel._wave):
+                buffer.fill(np.nan)
+            got += [a.tobytes() for a in call()]
+        assert got == want
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32), (4, 16)])
+    def test_buffers_fit_the_budget(self, dim, n):
+        # The kernel's three buffers are 2.5 complex lattices (16 n^d bytes),
+        # 640 KiB at 128^2; the rest is views and index tuples.  A stage or
+        # gather of its own would take more than the 32 KiB allowed here.
         import tracemalloc
 
         grid = Grid(dim, n)
@@ -447,7 +462,8 @@ class TestKernelBuffers:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= lattices * 16 * n**dim
+        assert held <= 2.5 * 16 * n**dim + 32 * 1024
+        assert (dim, n) != (2, 128) or held <= 800 * 1024
 
 
 class TestBoxDiagnostics:
